@@ -13,7 +13,11 @@ Two studies, both through the declarative ``machine_sim`` experiment:
   than bandwidth 1 (zero, when fully overlapped), and the replay is
   deterministic (same spec JSON -> bit-identical trace digest).
 
-Results are written to ``BENCH_desim_latency.json`` at the repository root.
+Every replay also reports where its host time went: the greedy EPR
+schedule (with the congestion-weighted route searches per demand), the
+discrete-event loop and the trace digest.  Results are written to
+``BENCH_desim_latency.json`` at the repository root, under a run header
+naming the library version, fused-kernel tier and host.
 Run under pytest (``pytest benchmarks/bench_desim_latency.py``) or directly
 (``python benchmarks/bench_desim_latency.py [--smoke]``); ``--smoke`` shrinks
 the workloads to CI scale while keeping every assertion.
@@ -22,15 +26,21 @@ the workloads to CI scale while keeping every assertion.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy
 
 try:  # the CI smoke job runs this file directly with only numpy installed
     import pytest
 except ImportError:  # pragma: no cover - direct execution without pytest
     pytest = None
 
+import repro
 from repro.api import (
     ExecutionSpec,
     ExperimentSpec,
@@ -39,6 +49,11 @@ from repro.api import (
     SamplingSpec,
     run,
 )
+from repro.desim.engine import DiscreteEventSimulator
+from repro.desim.trace import SimulationTrace
+from repro.network.router import ShortestPathRouter
+from repro.network.scheduler import GreedyEprScheduler
+from repro.stabilizer.fused import kernel_tier
 
 #: Full-mode adder replay: the Shor-128 kernel on a 20x20 tile sub-array.
 ADDER_BITS = 128
@@ -64,12 +79,83 @@ def _machine_sim_spec(machine: MachineSpec) -> ExperimentSpec:
     )
 
 
+def _run_header() -> dict[str, object]:
+    """Library version, fused-kernel tier and host of this run."""
+    cpu = platform.processor()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        lines = cpuinfo.read_text().splitlines()
+        models = [line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")]
+        cpu = models[0] if models else cpu
+    return {
+        "repro_version": repro.__version__,
+        "kernel_tier": kernel_tier(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "host": {"machine": platform.machine(), "cpu": cpu, "nproc": os.cpu_count()},
+    }
+
+
+@contextmanager
+def _phase_clock():
+    """Accumulate the host time of each desim phase run inside the block.
+
+    Wraps the scheduler, the event loop and the trace digest on their
+    classes, and counts the demands scheduled and the router's
+    congestion-weighted searches.
+    """
+    phases = {"schedule_s": 0.0, "event_loop_s": 0.0, "trace_digest_s": 0.0}
+    phases.update(demands=0, weighted_searches=0)
+    originals = []
+
+    def wrap(cls, name, observe):
+        original = cls.__dict__[name]
+        originals.append((cls, name, original))
+
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                observe(args, time.perf_counter() - start)
+
+        setattr(cls, name, wrapper)
+
+    def seconds(key):
+        def observe(args, elapsed):
+            phases[key] += elapsed
+
+        return observe
+
+    def scheduled(args, elapsed):  # GreedyEprScheduler.schedule(self, demands)
+        phases["schedule_s"] += elapsed
+        phases["demands"] += len(args[1])
+
+    def searched(args, elapsed):
+        phases["weighted_searches"] += 1
+
+    wrap(GreedyEprScheduler, "schedule", scheduled)
+    wrap(DiscreteEventSimulator, "run", seconds("event_loop_s"))
+    wrap(SimulationTrace, "digest", seconds("trace_digest_s"))
+    wrap(ShortestPathRouter, "congestion_weighted", searched)
+    try:
+        yield phases
+    finally:
+        for cls, name, original in originals:
+            setattr(cls, name, original)
+        phases["weighted_searches_per_demand"] = (
+            phases["weighted_searches"] / phases["demands"] if phases["demands"] else 0.0
+        )
+
+
 def _replay(machine: MachineSpec) -> dict[str, object]:
-    start = time.perf_counter()
-    result = run(_machine_sim_spec(machine))
-    seconds = time.perf_counter() - start
-    value = dict(result.value)
+    with _phase_clock() as phases:
+        start = time.perf_counter()
+        result = run(_machine_sim_spec(machine))
+        seconds = time.perf_counter() - start
+        value = dict(result.value)
     value["host_seconds"] = seconds
+    value["phases"] = phases
     return value
 
 
@@ -131,7 +217,12 @@ def _run_benchmark(smoke: bool = False) -> dict[str, object]:
     else:
         adder = _adder_study(bits=ADDER_BITS, rows=ADDER_ROWS, columns=ADDER_COLUMNS)
         section5 = _section5_study(toffolis=S5_TOFFOLIS_PER_LAYER, layers=S5_LAYERS)
-    report = {"smoke": smoke, "adder_replay": adder, "section5_workload": section5}
+    report = {
+        "header": _run_header(),
+        "smoke": smoke,
+        "adder_replay": adder,
+        "section5_workload": section5,
+    }
     if not smoke:
         _OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -156,6 +247,12 @@ def _check(report: dict[str, object]) -> None:
         assert value["makespan_cycles"] >= value["critical_path_cycles"]
         assert value["makespan_cycles"] <= 1.10 * value["critical_path_cycles"], value
     assert adder["bandwidth_1"]["stall_cycles"] >= adder["bandwidth_2"]["stall_cycles"]
+    # The phase breakdown covers disjoint parts of each replay.
+    for study in (adder, section5):
+        for key in ("bandwidth_1", "bandwidth_2"):
+            phases = study[key]["phases"]
+            timed = phases["schedule_s"] + phases["event_loop_s"] + phases["trace_digest_s"]
+            assert 0.0 < timed <= study[key]["host_seconds"], phases
 
 
 if pytest is not None:

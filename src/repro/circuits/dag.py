@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import networkx as nx
-
 from repro.circuits.circuit import Circuit
 from repro.circuits.gate import Operation
 
@@ -25,25 +23,29 @@ class CircuitDag:
     Nodes are operation indices (position in the circuit); an edge ``u -> v``
     means operation ``v`` must wait for operation ``u`` because they share a
     qubit.  Only the most recent operation on each qubit generates an edge, so
-    the graph is the usual sparse "last-writer" dependency structure.
+    the graph is the usual sparse "last-writer" dependency structure.  Every
+    edge points forward in the circuit, so circuit order is a topological
+    order.
     """
 
     def __init__(self, circuit: Circuit) -> None:
         self._circuit = circuit
-        self._graph = nx.DiGraph()
+        self._operations: list[Operation] = list(circuit)
+        self._predecessors: list[list[int]] = []
         last_op_on_qubit: dict[int, int] = {}
-        for index, operation in enumerate(circuit):
-            self._graph.add_node(index, operation=operation)
+        for index, operation in enumerate(self._operations):
+            preds: list[int] = []
             for qubit in operation.qubits:
                 previous = last_op_on_qubit.get(qubit)
-                if previous is not None:
-                    self._graph.add_edge(previous, index)
+                if previous is not None and previous not in preds:
+                    preds.append(previous)
                 last_op_on_qubit[qubit] = index
+            self._predecessors.append(preds)
 
     @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying :class:`networkx.DiGraph` (nodes are operation indices)."""
-        return self._graph
+    def edges(self) -> list[tuple[int, int]]:
+        """Dependency edges ``(u, v)``, grouped by ``v`` in circuit order."""
+        return [(u, v) for v, preds in enumerate(self._predecessors) for u in preds]
 
     @property
     def circuit(self) -> Circuit:
@@ -52,20 +54,18 @@ class CircuitDag:
 
     def operation(self, index: int) -> Operation:
         """The operation stored at DAG node ``index``."""
-        return self._graph.nodes[index]["operation"]
+        return self._operations[index]
 
     def layers(self) -> list[list[Operation]]:
         """ASAP layers: each inner list holds operations that can run in parallel."""
-        if self._graph.number_of_nodes() == 0:
-            return []
-        level: dict[int, int] = {}
-        for node in nx.topological_sort(self._graph):
-            preds = list(self._graph.predecessors(node))
-            level[node] = 0 if not preds else 1 + max(level[p] for p in preds)
-        depth = max(level.values()) + 1
-        result: list[list[Operation]] = [[] for _ in range(depth)]
-        for node, lvl in level.items():
-            result[lvl].append(self.operation(node))
+        level: list[int] = []
+        result: list[list[Operation]] = []
+        for preds, operation in zip(self._predecessors, self._operations):
+            lvl = 1 + max((level[p] for p in preds), default=-1)
+            level.append(lvl)
+            if lvl == len(result):
+                result.append([])
+            result[lvl].append(operation)
         return result
 
     def depth(self) -> int:
@@ -82,15 +82,11 @@ class CircuitDag:
         length, i.e. the minimum wall-clock time of the circuit with unlimited
         parallelism.
         """
-        if self._graph.number_of_nodes() == 0:
-            return 0.0
-        finish: dict[int, float] = {}
-        for node in nx.topological_sort(self._graph):
-            duration = duration_of(self.operation(node))
-            preds = list(self._graph.predecessors(node))
-            start = 0.0 if not preds else max(finish[p] for p in preds)
-            finish[node] = start + duration
-        return max(finish.values())
+        finish: list[float] = []
+        for preds, operation in zip(self._predecessors, self._operations):
+            start = max((finish[p] for p in preds), default=0.0)
+            finish.append(start + duration_of(operation))
+        return max(finish, default=0.0)
 
 
 def schedule_asap(circuit: Circuit) -> list[list[Operation]]:

@@ -264,7 +264,11 @@ class GreedyEprScheduler:
         load: dict[Edge, int],
         result: ScheduleResult,
     ) -> bool:
-        """Try all candidate routes; reserve the first that fits."""
+        """Walk the candidate routes in order; reserve the first that fits.
+
+        The candidates are generated lazily, so the congestion search runs
+        only when both dimension-ordered routes are full.
+        """
         if demand.source == demand.destination:
             result.transfers.append(
                 ScheduledTransfer(demand=demand, route=Route(nodes=(demand.source,)), window=window)

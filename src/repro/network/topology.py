@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.exceptions import LayoutError
 from repro.layout.tile import LogicalQubitTile, level2_tile_geometry
 
@@ -44,39 +42,35 @@ class InterconnectTopology:
             raise LayoutError("topology dimensions must be positive")
         if self.bandwidth <= 0:
             raise LayoutError("bandwidth must be at least one lane per direction")
-        self._graph = nx.Graph()
+        # Neighbours listed up, left, down, right: the order the congestion
+        # search in repro.network.router expands them in, which fixes how it
+        # breaks ties between equal-cost paths.
+        self._adjacency: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for row in range(self.rows):
-            for column in range(self.columns):
-                self._graph.add_node((row, column))
-        for row in range(self.rows):
-            for column in range(self.columns):
-                if row + 1 < self.rows:
-                    self._graph.add_edge(
-                        (row, column), (row + 1, column), length_cells=self.tile.pitch_rows
-                    )
-                if column + 1 < self.columns:
-                    self._graph.add_edge(
-                        (row, column), (row, column + 1), length_cells=self.tile.pitch_columns
-                    )
+            for col in range(self.columns):
+                around = ((row - 1, col), (row, col - 1), (row + 1, col), (row, col + 1))
+                self._adjacency[(row, col)] = tuple(
+                    (r, c) for r, c in around if 0 <= r < self.rows and 0 <= c < self.columns
+                )
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying undirected mesh graph (nodes are (row, column) tiles)."""
-        return self._graph
+    def adjacency(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """Neighbours of every tile, each listed up, left, down, right (read-only)."""
+        return self._adjacency
 
     @property
     def num_nodes(self) -> int:
         """Number of network nodes (tiles)."""
-        return self._graph.number_of_nodes()
+        return self.rows * self.columns
 
     @property
     def num_channels(self) -> int:
         """Number of undirected channels (mesh edges)."""
-        return self._graph.number_of_edges()
+        return self.rows * (self.columns - 1) + self.columns * (self.rows - 1)
 
     @property
     def num_directed_lanes(self) -> int:
@@ -85,13 +79,13 @@ class InterconnectTopology:
 
     def contains(self, node: tuple[int, int]) -> bool:
         """True if a tile coordinate is part of the topology."""
-        return node in self._graph
+        return node in self._adjacency
 
     def neighbors(self, node: tuple[int, int]) -> list[tuple[int, int]]:
         """Adjacent tiles of a node."""
-        if node not in self._graph:
+        if node not in self._adjacency:
             raise LayoutError(f"node {node} not in topology")
-        return list(self._graph.neighbors(node))
+        return list(self._adjacency[node])
 
     def node_of_qubit(self, qubit_index: int) -> tuple[int, int]:
         """Tile coordinate of a logical qubit placed in row-major order."""

@@ -154,9 +154,9 @@ class TestScheduling:
     def test_dag_edges_follow_qubit_dependencies(self):
         circuit = Circuit(2).h(0).cnot(0, 1).x(1)
         dag = CircuitDag(circuit)
-        assert (0, 1) in dag.graph.edges
-        assert (1, 2) in dag.graph.edges
-        assert (0, 2) not in dag.graph.edges
+        assert (0, 1) in dag.edges
+        assert (1, 2) in dag.edges
+        assert (0, 2) not in dag.edges
 
     def test_critical_path_duration_weighted(self):
         circuit = Circuit(2).h(0).cnot(0, 1).h(1)

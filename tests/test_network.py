@@ -74,13 +74,13 @@ class TestRouter:
 
     def test_candidate_routes_are_unique(self, topology):
         router = ShortestPathRouter(topology)
-        routes = router.candidate_routes((0, 0), (3, 3))
+        routes = list(router.candidate_routes((0, 0), (3, 3)))
         assert len({r.nodes for r in routes}) == len(routes)
         assert all(r.source == (0, 0) and r.destination == (3, 3) for r in routes)
 
     def test_same_source_destination(self, topology):
         router = ShortestPathRouter(topology)
-        routes = router.candidate_routes((1, 1), (1, 1))
+        routes = list(router.candidate_routes((1, 1), (1, 1)))
         assert routes[0].hops == 0
 
     def test_unknown_node_rejected(self, topology):
