@@ -33,7 +33,7 @@ try:  # the CI smoke job runs this file directly with only numpy installed
 except ImportError:  # pragma: no cover - direct execution without pytest
     pytest = None
 
-from repro.api import ExecutionSpec, ExperimentSpec, NoiseSpec, SamplingSpec
+from repro.api import ExperimentSpec, NoiseSpec, SamplingSpec
 from repro.explore import ResultCache, SweepAxis, SweepSpec, refine, run_sweep
 
 SEED = 20260807
@@ -55,7 +55,6 @@ def _base_spec() -> ExperimentSpec:
         experiment="logical_failure",
         noise=NoiseSpec(kind="uniform", physical_rates=(COARSE[0],)),
         sampling=SamplingSpec(shots=SHOTS, batch_size=64),
-        execution=ExecutionSpec(backend="uint8"),
     )
 
 

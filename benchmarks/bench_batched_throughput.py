@@ -1,12 +1,13 @@
-"""Throughput of the batched engine vs the per-shot executor (Figure 7 workload).
+"""Throughput of the default batched engine vs the per-shot oracle (Figure 7 workload).
 
 The batched execution engine exists for one reason: Monte-Carlo shot
-throughput on the paper's empirical studies.  This benchmark times both
-executors on the level-1 Steane logical-gate + error-correction trial (the
-Figure 7 workload), checks the batched engine clears a >= 10x speedup at a
-batch size of 1024+, and cross-validates physics: the batched threshold sweep
-must agree with the per-shot sweep within three binomial standard errors at
-every swept physical rate.
+throughput on the paper's empirical studies.  This benchmark times the
+default engine (what ``backend="auto"`` resolves to) against the per-shot
+``scalar`` executor on the level-1 Steane logical-gate + error-correction
+trial (the Figure 7 workload), checks the batched engine clears a >= 10x
+speedup at a batch size of 1024+, and cross-validates physics: the batched
+threshold sweep must agree with the per-shot sweep within three binomial
+standard errors at every swept physical rate.
 
 Results are written to ``BENCH_batched_throughput.json`` at the repository
 root.  Run either under pytest (``pytest benchmarks/bench_batched_throughput.py``)
@@ -24,6 +25,7 @@ import pytest
 
 from repro.api import ExecutionSpec, ExperimentSpec, NoiseSpec, SamplingSpec, run
 from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
+from repro.arq.simulator import resolve_backend
 from repro.iontrap.parameters import EXPECTED_PARAMETERS
 
 #: Component failure rate of the throughput workload (mid-sweep Figure 7 point).
@@ -45,12 +47,8 @@ _OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batched_throughpu
 
 
 def _measure_throughput() -> dict[str, float]:
-    # This benchmark documents the uint8 BatchTableau engine introduced in
-    # PR 1, so pin it explicitly: the default backend="auto" would otherwise
-    # route through the newer bit-packed engine (measured separately, against
-    # this engine, in bench_packed_throughput.py).
     experiment = Level1EccExperiment(
-        noise=_noise_for_rate(WORKLOAD_RATE, EXPECTED_PARAMETERS), backend="uint8"
+        noise=_noise_for_rate(WORKLOAD_RATE, EXPECTED_PARAMETERS)
     )
     rng = np.random.default_rng(11)
     # Warm both paths first so compilation / mapping caches are excluded from
@@ -73,6 +71,7 @@ def _measure_throughput() -> dict[str, float]:
     batched_rate = completed / batched_seconds
     per_shot_rate = PER_SHOT_SHOTS / per_shot_seconds
     return {
+        "engine": resolve_backend(experiment.backend, BATCH_SIZE),
         "workload_rate": WORKLOAD_RATE,
         "batch_size": BATCH_SIZE,
         "batched_shots": completed,
@@ -86,14 +85,12 @@ def _measure_throughput() -> dict[str, float]:
 
 
 def _sweep_agreement() -> dict[str, object]:
-    # This benchmark documents the uint8 engine, so pin backend="uint8"; the
-    # per-shot oracle is the registry's "scalar" strategy.
+    # The default engine against the registry's per-shot "scalar" oracle.
     batched = run(
         ExperimentSpec(
             experiment="threshold_sweep",
             noise=NoiseSpec(kind="uniform", physical_rates=SWEEP_RATES),
             sampling=SamplingSpec(shots=SWEEP_TRIALS, seed=2005, batch_size=BATCH_SIZE),
-            execution=ExecutionSpec(backend="uint8"),
         )
     ).value
     per_shot = run(

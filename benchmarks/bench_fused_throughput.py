@@ -6,16 +6,18 @@ pre-samples the noise stream and then executes the whole compiled circuit in
 one native loop over the packed bit-planes.  This benchmark times both
 backends on the level-1 Steane logical-gate + error-correction trial (the
 Figure 7 workload) at a batch size of 4096, checks the fused tier clears a
->= 5x speedup when a native kernel (numba or the bundled C extension) is
-available, and validates the reproducibility contract: a seeded
-``ExperimentSpec`` must produce **bit-for-bit** identical sweep results on
-``"packed"`` and ``"packed-fused"``, at every shard count.
+>= 5x speedup on the C kernel tier, and validates two reproducibility
+contracts: a seeded ``ExperimentSpec`` must produce **bit-for-bit** identical
+sweep results on ``"packed"`` and ``"packed-fused"`` at every shard count,
+and a process-pool sharded sweep must match the serial sweep **bit for bit**
+given the same ``SeedSequence`` and shard count.
 
 Results are written to ``BENCH_fused_throughput.json`` at the repository
 root.  Run under pytest (``pytest benchmarks/bench_fused_throughput.py``) or
 directly (``python benchmarks/bench_fused_throughput.py [--smoke]``);
 ``--smoke`` runs tiny shot counts and skips the timing assertion -- the CI
-regression gate for the fused kernels and the packed-equivalence contract.
+regression gate for the fused kernels, the packed-equivalence contract and
+shard determinism.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ except ImportError:  # pragma: no cover - direct execution without pytest
 from repro.api import ExecutionSpec, ExperimentSpec, NoiseSpec, SamplingSpec, run
 from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
 from repro.iontrap.parameters import EXPECTED_PARAMETERS
-from repro.stabilizer.fused import kernel_tier, native_kernel_available
+from repro.stabilizer.fused import kernel_tier
 
 #: Component failure rate of the throughput workload (mid-sweep Figure 7 point).
 WORKLOAD_RATE = 2.0e-3
@@ -43,7 +45,7 @@ WORKLOAD_RATE = 2.0e-3
 BATCH_SIZE = 4096
 #: Shots timed per engine.
 TIMED_SHOTS = 8192
-#: Required speedup of the fused tier over the packed engine (native kernel).
+#: Required speedup of the fused tier over the packed engine (C kernel tier).
 REQUIRED_SPEEDUP = 5.0
 
 #: Packed-equivalence replay configuration.
@@ -51,6 +53,12 @@ REPLAY_RATES = (2.0e-3, 1.0e-2)
 REPLAY_TRIALS = 1024
 REPLAY_SEED = 20260807
 REPLAY_SHARD_COUNTS = (1, 4)
+
+#: Sharded-sweep determinism check configuration.
+SWEEP_RATES = (2.0e-3, 1.0e-2)
+SWEEP_TRIALS = 1024
+SWEEP_SEED = 20260728
+SWEEP_SHARDS = 4
 
 _OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fused_throughput.json"
 
@@ -133,20 +141,63 @@ def _packed_equivalence(trials: int, shard_counts) -> dict[str, object]:
     }
 
 
+def _sweep_spec(trials: int, num_shards: int, num_workers: int) -> ExperimentSpec:
+    return ExperimentSpec(
+        experiment="threshold_sweep",
+        noise=NoiseSpec(kind="uniform", physical_rates=SWEEP_RATES),
+        sampling=SamplingSpec(shots=trials, seed=SWEEP_SEED, batch_size=512),
+        execution=ExecutionSpec(backend="auto", num_shards=num_shards, num_workers=num_workers),
+    )
+
+
+def _sharded_sweep_determinism(trials: int, num_shards: int) -> dict[str, object]:
+    """Serial vs process-pool spec run: must be bit-for-bit identical."""
+    serial_run = run(_sweep_spec(trials, num_shards, num_workers=0))
+    start = time.perf_counter()
+    pooled_run = run(_sweep_spec(trials, num_shards, num_workers=2))
+    pooled_seconds = time.perf_counter() - start
+    serial, pooled = serial_run.value, pooled_run.value
+    points = [
+        {
+            "physical_rate": rate,
+            "serial": {"failures": s.failures, "trials": s.trials},
+            "pooled": {"failures": p.failures, "trials": p.trials},
+            "bit_for_bit": bool(s == p),
+        }
+        for rate, s, p in zip(SWEEP_RATES, serial.level1, pooled.level1)
+    ]
+    return {
+        "seed_entropy": serial_run.seed_entropy,
+        "backend": pooled_run.backend,
+        "engine": pooled_run.engine,
+        "num_shards": num_shards,
+        "trials_per_point": trials,
+        "pooled_workers": 2,
+        "pooled_seconds": pooled_seconds,
+        "serial_pseudothreshold": serial.pseudothreshold,
+        "pooled_pseudothreshold": pooled.pseudothreshold,
+        "bit_for_bit": all(point["bit_for_bit"] for point in points)
+        and serial.concatenation_coefficient == pooled.concatenation_coefficient,
+        "points": points,
+    }
+
+
 def _run_benchmark(smoke: bool = False) -> dict[str, object]:
     if smoke:
         throughput = _measure_throughput(shots=256, batch_size=128)
         equivalence = _packed_equivalence(trials=96, shard_counts=(1, 2))
+        determinism = _sharded_sweep_determinism(trials=96, num_shards=2)
     else:
         throughput = _measure_throughput(shots=TIMED_SHOTS, batch_size=BATCH_SIZE)
         equivalence = _packed_equivalence(
             trials=REPLAY_TRIALS, shard_counts=REPLAY_SHARD_COUNTS
         )
+        determinism = _sharded_sweep_determinism(trials=SWEEP_TRIALS, num_shards=SWEEP_SHARDS)
     report = {
         "smoke": smoke,
-        "native_kernel": native_kernel_available(),
         "throughput": throughput,
         "packed_equivalence": equivalence,
+        "sharded_sweep": determinism,
     }
     if not smoke:
         _OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -155,12 +206,13 @@ def _run_benchmark(smoke: bool = False) -> dict[str, object]:
 
 def _check(report: dict[str, object], smoke: bool) -> None:
     throughput = report["throughput"]
-    if not smoke and report["native_kernel"]:
+    if not smoke and throughput["kernel_tier"] == "cext":
         assert throughput["speedup"] >= REQUIRED_SPEEDUP, (
             f"fused tier ({throughput['kernel_tier']}) is only "
             f"{throughput['speedup']:.1f}x the packed engine"
         )
     assert report["packed_equivalence"]["bit_for_bit"], report["packed_equivalence"]
+    assert report["sharded_sweep"]["bit_for_bit"], report["sharded_sweep"]
 
 
 if pytest is not None:
@@ -185,6 +237,12 @@ if pytest is not None:
             f"{report['packed_equivalence']['bit_for_bit']} "
             f"(shard counts {list(REPLAY_SHARD_COUNTS)})"
         )
+        print(
+            "sharded sweep bit-for-bit: "
+            f"{report['sharded_sweep']['bit_for_bit']} "
+            f"(seed {report['sharded_sweep']['seed_entropy']}, "
+            f"{report['sharded_sweep']['num_shards']} shards)"
+        )
         print(f"report written to {_OUTPUT_PATH}")
 
 
@@ -194,4 +252,7 @@ if __name__ == "__main__":
     _check(result, smoke=smoke_mode)
     print(json.dumps(result, indent=2))
     if smoke_mode:
-        print("smoke benchmark passed: fused kernels + packed equivalence OK", file=sys.stderr)
+        print(
+            "smoke benchmark passed: fused kernels + packed equivalence + shard determinism OK",
+            file=sys.stderr,
+        )

@@ -14,7 +14,7 @@ _README = Path(__file__).resolve().parent / "README.md"
 
 setup(
     name="repro-qla-arq",
-    version="1.7.0",
+    version="1.8.0",
     description=(
         "Reproduction of the QLA quantum architecture study: ion-trap model, "
         "ARQ stabilizer simulator with batched execution engines behind a "
@@ -31,9 +31,6 @@ setup(
     install_requires=["numpy"],
     extras_require={
         "test": ["pytest", "pytest-benchmark"],
-        # Optional JIT tier for the fused packed kernel; without it the
-        # engine compiles the bundled C kernel or falls back to numpy.
-        "numba": ["numba"],
         # The experiment service (repro.service / repro-serve) is pure
         # stdlib -- http.server + sqlite3 -- so the extra is empty on
         # purpose: `pip install repro-qla-arq[service]` documents intent

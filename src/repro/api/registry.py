@@ -1,25 +1,20 @@
 """Pluggable execution backends behind one registry.
 
-The library has grown several ways to run a Monte-Carlo workload -- a scalar
-per-shot loop, a uint8 vectorized batch engine, a bit-packed uint64 engine and
-a sharded process-pool layer.  Instead of every driver hard-coding
-``backend="packed"|"uint8"|"auto"`` branches, each strategy registers here as
-a named :class:`ExecutionBackend` with :class:`BackendCapabilities`, and
-:meth:`BackendRegistry.resolve` performs capability-based selection:
+The library runs a Monte-Carlo workload in one of a few ways -- a scalar
+per-shot oracle, the bit-packed uint64 engine, that engine's fused kernel
+tier, and a sharded process-pool layer.  Instead of every driver hard-coding
+``backend="packed"|"auto"`` branches, each strategy registers here as a named
+:class:`ExecutionBackend` with :class:`BackendCapabilities`, and
+:meth:`BackendRegistry.resolve` maps a request onto a strategy and an engine:
 
+* ``"auto"`` always means :data:`AUTO_ENGINE` -- the fused tier, which is the
+  fastest engine at every batch size and on every kernel tier;
 * ``num_shards > 1`` requires (and selects) a backend with
   ``supports_sharding`` -- the ``"sharded"`` strategy;
-* otherwise ``"auto"`` picks the batching engine whose ``min_auto_batch``
-  threshold is the highest one the effective batch still clears (ties broken
-  by ``auto_priority``), which makes the fused native kernel tier the
-  automatic choice from 64 lanes (one full word) upward when a native kernel
-  is available, the bit-packed engine the 64-lane choice otherwise, and the
-  uint8 engine the small-batch fallback;
-* a backend advertising ``max_qubits`` is never selected (and refuses to be
-  chosen explicitly) for registers it cannot hold.
+* a backend advertising ``max_qubits`` refuses registers it cannot hold.
 
-Third-party strategies plug in through :meth:`BackendRegistry.register`; the
-built-ins live in :func:`default_registry`.
+Third-party strategies plug in through :meth:`BackendRegistry.register` and
+run when requested by name; the built-ins live in :func:`default_registry`.
 
 Every backend consumes a *shard task* -- a picklable callable
 ``(rng, count) -> (count,) bool array`` marking failing shots, optionally with
@@ -32,7 +27,6 @@ the deterministic SeedSequence shard plan of :mod:`repro.parallel`, so one
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol, runtime_checkable
 
@@ -46,7 +40,7 @@ from repro.stabilizer.monte_carlo import (
 )
 
 __all__ = [
-    "AUTO_PACKED_MIN_BATCH",
+    "AUTO_ENGINE",
     "TABLEAU_ENGINES",
     "task_engine_name",
     "BackendCapabilities",
@@ -60,13 +54,13 @@ __all__ = [
     "resolve_engine",
 ]
 
-#: Smallest effective batch at which auto-selection prefers the bit-packed
-#: engine: below one full 64-lane word the uint8 engine has nothing to lose.
-AUTO_PACKED_MIN_BATCH = 64
-
 #: Engine names the batched tableau layer understands (see
 #: :func:`repro.arq.simulator.create_batch_tableau`).
-TABLEAU_ENGINES = ("uint8", "packed", "packed-fused")
+TABLEAU_ENGINES = ("packed", "packed-fused")
+
+#: The engine ``"auto"`` resolves to, at every batch size and kernel tier.
+#: ``"packed"`` stays requestable by name as its bit-for-bit reference.
+AUTO_ENGINE = "packed-fused"
 
 
 def task_engine_name(engine: str) -> str:
@@ -86,32 +80,18 @@ class BackendCapabilities:
     Attributes
     ----------
     supports_batching:
-        Whether the backend runs many shots per call (vectorized engines).
-        Auto-selection only ever picks batching backends; non-batching ones
-        (the per-shot oracle) must be requested by name.
+        Whether the backend runs many shots per call (vectorized engines);
+        non-batching ones (the per-shot oracle) run shot by shot.
     supports_sharding:
         Whether the backend splits shots into deterministic seed-spawned
         shards that may run on a process pool.
     max_qubits:
         Largest register the backend can simulate, or None for unlimited.
-    min_auto_batch:
-        Smallest effective batch at which ``"auto"`` prefers this backend
-        over lower-threshold engines (the packed engine advertises
-        :data:`AUTO_PACKED_MIN_BATCH`).
-    auto_priority:
-        Tie-break among backends sharing a ``min_auto_batch`` threshold:
-        higher wins.  The fused kernel tier registers with priority 1 when a
-        native kernel (numba or a C compiler) is available and -1 when only
-        its numpy fallback would run, so ``auto`` degrades cleanly to the
-        packed engine on machines without a native toolchain while the fused
-        backend stays requestable by name.
     """
 
     supports_batching: bool = True
     supports_sharding: bool = False
     max_qubits: int | None = None
-    min_auto_batch: int = 1
-    auto_priority: int = 0
 
     def admits(self, num_qubits: int | None) -> bool:
         """Whether a register of ``num_qubits`` fits this backend."""
@@ -200,7 +180,7 @@ class ScalarBackend:
 
 @dataclass(frozen=True)
 class EngineBackend:
-    """A vectorized single-process engine (``"uint8"``, ``"packed"`` or ``"packed-fused"``).
+    """A vectorized single-process engine (``"packed"`` or ``"packed-fused"``).
 
     The engine name is pinned onto the task by the runner before execution;
     this strategy only supplies the chunked estimate loop.
@@ -318,7 +298,7 @@ class ShardedBackend:
 
 
 class BackendRegistry:
-    """Named execution strategies with capability-based auto-selection."""
+    """Named execution strategies, resolved by name and capability."""
 
     def __init__(self) -> None:
         self._backends: dict[str, ExecutionBackend] = {}
@@ -360,91 +340,29 @@ class BackendRegistry:
     def __iter__(self) -> Iterator[ExecutionBackend]:
         return iter(self._backends.values())
 
-    # -- selection ---------------------------------------------------------
+    # -- resolution --------------------------------------------------------
 
-    @staticmethod
-    def effective_batch(shots: int, batch_size: int, num_shards: int = 1) -> int:
-        """Lanes a batched call will actually hold: ``min(batch, largest shard)``."""
-        per_shard = math.ceil(shots / num_shards) if num_shards > 0 else shots
-        return max(1, min(batch_size, per_shard))
+    def describe_exclusions(self, num_qubits: int | None = None) -> str:
+        """One line per registered backend: what it is, or which capability excludes it.
 
-    def describe_exclusions(
-        self,
-        effective_batch: int,
-        num_qubits: int | None = None,
-        tableau_only: bool = False,
-    ) -> str:
-        """One line per registered backend: eligible, or which capability excludes it.
-
-        The diagnostic body of capability-mismatch errors raised by
-        :meth:`select_engine` and :meth:`resolve`, so a failed resolution
-        names every registered backend together with the specific capability
-        that ruled it out rather than just the requested name.
+        The diagnostic body of the capability-mismatch errors raised by
+        :meth:`resolve`, so a failed resolution names every registered
+        backend together with the capability that rules it out rather than
+        just the requested name.
         """
         lines = []
         for backend in self:
             caps = backend.capabilities
-            if not caps.supports_batching:
-                reason = "excluded: supports_batching=False (request it by name)"
-            elif caps.supports_sharding:
-                reason = (
-                    "excluded: supports_sharding=True (a sharding strategy, "
-                    "not a single-process engine)"
-                )
-            elif not caps.admits(num_qubits):
+            if not caps.admits(num_qubits):
                 reason = f"excluded: max_qubits={caps.max_qubits} < {num_qubits} qubits"
-            elif caps.min_auto_batch > effective_batch:
-                reason = (
-                    f"excluded: min_auto_batch={caps.min_auto_batch} > "
-                    f"effective batch {effective_batch}"
-                )
-            elif tableau_only and backend.name not in TABLEAU_ENGINES:
-                reason = "excluded: not a built-in tableau engine"
+            elif not caps.supports_batching:
+                reason = "per-shot: supports_batching=False"
+            elif caps.supports_sharding:
+                reason = "sharding strategy: supports_sharding=True"
             else:
-                reason = "eligible"
+                reason = "batched engine"
             lines.append(f"{backend.name!r}: {reason}")
         return "; ".join(lines) if lines else "no backends registered"
-
-    def select_engine(
-        self,
-        effective_batch: int,
-        num_qubits: int | None = None,
-        tableau_only: bool = False,
-    ) -> ExecutionBackend:
-        """The single-process engine auto-selection prefers at this batch size.
-
-        Among registered batching, non-sharding backends that admit the
-        register, the one with the highest ``min_auto_batch`` threshold the
-        batch still clears wins, ``auto_priority`` breaking ties -- the fused
-        kernel tier (when native) or packed at 64+, uint8 below.  With
-        ``tableau_only`` the choice is restricted to the built-in tableau
-        engines (:data:`TABLEAU_ENGINES`): that is the mode used wherever the
-        winner's *name* is handed to the batched-tableau layer, which a
-        third-party strategy name would silently misconfigure.
-        """
-        candidates = [
-            backend
-            for backend in self
-            if backend.capabilities.supports_batching
-            and not backend.capabilities.supports_sharding
-            and backend.capabilities.admits(num_qubits)
-            and backend.capabilities.min_auto_batch <= effective_batch
-            and (not tableau_only or backend.name in TABLEAU_ENGINES)
-        ]
-        if not candidates:
-            raise SimulationError(
-                f"no registered engine accepts a batch of {effective_batch} lanes "
-                f"on {num_qubits} qubits -- "
-                + self.describe_exclusions(effective_batch, num_qubits, tableau_only)
-            )
-        # getattr: third-party capability objects may predate auto_priority.
-        return max(
-            candidates,
-            key=lambda backend: (
-                backend.capabilities.min_auto_batch,
-                getattr(backend.capabilities, "auto_priority", 0),
-            ),
-        )
 
     def resolve(
         self,
@@ -460,40 +378,32 @@ class BackendRegistry:
         Returns ``(strategy, engine)``: the strategy is the registered backend
         whose :meth:`~ExecutionBackend.estimate` will run the shots, and the
         engine is the concrete batched-tableau engine name to pin onto the
-        task (``"scalar"`` for the per-shot oracle).  Selection is a pure
-        function of its arguments, so a spec replay always resolves to the
-        same execution.
+        task (``"scalar"`` for the per-shot oracle).  ``"auto"`` names
+        :data:`AUTO_ENGINE`; ``shots`` and ``batch_size`` describe the
+        workload, and every value of them resolves the same way.  Resolution
+        is a pure function of the request, so a spec replay always resolves
+        to the same execution.
         """
-        batch = self.effective_batch(shots, batch_size, num_shards)
-        explicit: ExecutionBackend | None = None
-        if backend == "auto":
-            engine = self.select_engine(batch, num_qubits).name
-        else:
-            explicit = self.get(backend)
-            if not explicit.capabilities.admits(num_qubits):
-                raise SimulationError(
-                    f"backend {backend!r} holds at most "
-                    f"{explicit.capabilities.max_qubits} qubits; the workload "
-                    f"needs {num_qubits}.  Registered backends: "
-                    + self.describe_exclusions(batch, num_qubits)
-                )
-            if explicit.capabilities.supports_sharding:
-                # An explicitly-requested sharding strategy still needs a
-                # concrete tableau engine for its per-shard batches.
-                engine = self.select_engine(batch, num_qubits, tableau_only=True).name
-            elif explicit.capabilities.supports_batching:
-                engine = explicit.name
-            else:
-                # A non-batching oracle (the scalar per-shot loop) runs as-is.
-                _reject_shards(explicit.name, num_shards)
-                return explicit, explicit.name
-        if num_shards > 1 or (explicit is not None and explicit.capabilities.supports_sharding):
-            if engine not in TABLEAU_ENGINES:
-                # Shard tasks run on the batched tableau layer; an auto-picked
-                # third-party strategy cannot serve as their engine.
-                engine = self.select_engine(batch, num_qubits, tableau_only=True).name
-            if explicit is not None and explicit.capabilities.supports_sharding:
-                return explicit, engine
+        requested = self.get(AUTO_ENGINE if backend == "auto" else backend)
+        caps = requested.capabilities
+        if not caps.admits(num_qubits):
+            raise SimulationError(
+                f"backend {requested.name!r} holds at most {caps.max_qubits} "
+                f"qubits; the workload needs {num_qubits}.  Registered backends: "
+                + self.describe_exclusions(num_qubits)
+            )
+        if not caps.supports_batching:
+            # A non-batching oracle (the scalar per-shot loop) runs as-is.
+            _reject_shards(requested.name, num_shards)
+            return requested, requested.name
+        if caps.supports_sharding:
+            # An explicitly-requested sharding strategy still needs a
+            # concrete tableau engine for its per-shard batches.
+            return requested, AUTO_ENGINE
+        if num_shards > 1:
+            # Shard tasks run on the batched tableau layer; a third-party
+            # engine cannot serve as their engine.
+            engine = requested.name if requested.name in TABLEAU_ENGINES else AUTO_ENGINE
             sharded = [
                 b for b in self
                 if b.capabilities.supports_sharding and b.capabilities.admits(num_qubits)
@@ -503,7 +413,7 @@ class BackendRegistry:
                     f"num_shards={num_shards} needs a backend with supports_sharding; none is registered"
                 )
             return sharded[0], engine
-        return self.get(engine), engine
+        return requested, requested.name
 
 
 def default_registry() -> BackendRegistry:
@@ -512,35 +422,8 @@ def default_registry() -> BackendRegistry:
     if _DEFAULT_REGISTRY is None:
         registry = BackendRegistry()
         registry.register(ScalarBackend())
-        registry.register(
-            EngineBackend(
-                name="uint8",
-                capabilities=BackendCapabilities(supports_batching=True, min_auto_batch=1),
-            )
-        )
-        registry.register(
-            EngineBackend(
-                name="packed",
-                capabilities=BackendCapabilities(
-                    supports_batching=True, min_auto_batch=AUTO_PACKED_MIN_BATCH
-                ),
-            )
-        )
-        # Imported lazily so the registry stays importable before the
-        # stabilizer layer; the probe compiles/loads the native kernel once
-        # and decides whether auto-selection should prefer the fused tier.
-        from repro.stabilizer.fused import native_kernel_available
-
-        registry.register(
-            EngineBackend(
-                name="packed-fused",
-                capabilities=BackendCapabilities(
-                    supports_batching=True,
-                    min_auto_batch=AUTO_PACKED_MIN_BATCH,
-                    auto_priority=1 if native_kernel_available() else -1,
-                ),
-            )
-        )
+        for engine in TABLEAU_ENGINES:
+            registry.register(EngineBackend(name=engine, capabilities=BackendCapabilities()))
         registry.register(ShardedBackend())
         registry.register(DesimBackend())
         _DEFAULT_REGISTRY = registry
@@ -550,26 +433,18 @@ def default_registry() -> BackendRegistry:
 _DEFAULT_REGISTRY: BackendRegistry | None = None
 
 
-def resolve_engine(backend: str, batch_size: int) -> str:
-    """Concrete engine name for a per-chunk batched-tableau request.
+def resolve_engine(backend: str) -> str:
+    """Concrete engine name for a batched-tableau request.
 
-    The compatibility hook behind
-    :func:`repro.arq.simulator.resolve_backend`: ``"uint8"``, ``"packed"``
-    and ``"packed-fused"`` are honoured verbatim, ``"auto"`` consults the
-    registry's capability thresholds (the fused tier or packed from
-    :data:`AUTO_PACKED_MIN_BATCH` lanes up, by ``auto_priority``).
+    The hook behind :func:`repro.arq.simulator.resolve_backend`: the names in
+    :data:`TABLEAU_ENGINES` are honoured verbatim and ``"auto"`` is
+    :data:`AUTO_ENGINE`.
     """
-    registry = default_registry()
     if backend == "auto":
-        return registry.select_engine(max(1, batch_size), tableau_only=True).name
-    if backend not in registry:
+        return AUTO_ENGINE
+    if backend not in TABLEAU_ENGINES:
         raise SimulationError(
-            f"unknown backend {backend!r}; expected one of {('auto',) + registry.names()}"
-        )
-    backend_obj = registry.get(backend)
-    if not backend_obj.capabilities.supports_batching or backend_obj.capabilities.supports_sharding:
-        raise SimulationError(
-            f"backend {backend!r} is not a batched tableau engine; expected "
-            f"'auto' or one of {TABLEAU_ENGINES}"
+            f"unknown batched tableau engine {backend!r}; expected 'auto' or one "
+            f"of {TABLEAU_ENGINES}"
         )
     return backend

@@ -95,8 +95,9 @@ class RunResult:
     backend:
         Name of the registered strategy that executed the shots.
     engine:
-        Concrete tableau engine the batches ran on (``"packed"``, ``"uint8"``
-        or ``"scalar"``) -- the resolution of an ``"auto"`` request.
+        Concrete tableau engine the batches ran on (``"packed-fused"``,
+        ``"packed"`` or ``"scalar"``) -- ``"auto"`` resolves to
+        ``"packed-fused"``.
     seed_entropy:
         Root SeedSequence entropy of the run.
     num_shards:

@@ -112,9 +112,6 @@ def _estimate(strategy: ExecutionBackend, task, spec: ExperimentSpec, seed):
 
 
 def _run_threshold_sweep(spec: ExperimentSpec, registry: BackendRegistry):
-    # One implementation is shared with the deprecated kwargs entry point
-    # (repro.arq.experiments.run_threshold_sweep), which is what makes the
-    # old and new paths bit-for-bit identical at a fixed seed.
     from repro.arq.experiments import _seeded_threshold_sweep
 
     return _seeded_threshold_sweep(
@@ -194,8 +191,8 @@ def run(
         ``run(ExperimentSpec.from_json(result.spec_json))``.
     registry:
         Backend registry to resolve the execution strategy against; defaults
-        to the process-wide registry with the built-in scalar / uint8 /
-        packed / sharded strategies.
+        to the process-wide registry with the built-in scalar / packed /
+        packed-fused / sharded / desim strategies.
 
     A :class:`~repro.explore.sweep.SweepSpec` is accepted too and dispatched
     to :func:`repro.explore.runner.run_sweep` (returning its

@@ -231,12 +231,11 @@ class ExecutionSpec:
     Attributes
     ----------
     backend:
-        Name of a registered execution backend (``"scalar"``, ``"uint8"``,
-        ``"packed"``, ``"sharded"``, or any strategy registered on the
-        :class:`~repro.api.registry.BackendRegistry` in use), or ``"auto"``
-        for capability-based selection: sharded execution whenever
-        ``num_shards > 1``, otherwise the bit-packed engine once the
-        effective batch fills at least one 64-lane word.
+        Name of a registered execution backend (``"scalar"``,
+        ``"packed"``, ``"packed-fused"``, ``"sharded"``, or any strategy
+        registered on the :class:`~repro.api.registry.BackendRegistry` in
+        use), or ``"auto"``: the fused ``"packed-fused"`` engine, run through
+        the ``"sharded"`` strategy whenever ``num_shards > 1``.
     num_shards:
         Shards of the deterministic shard plan.  The plan (not the worker
         count) decides the random streams, so a fixed ``(seed, num_shards)``

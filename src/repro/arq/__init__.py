@@ -14,7 +14,7 @@ reproduction of that tool-chain:
   under the technology noise model,
 * :mod:`repro.arq.experiments` -- the paper's empirical studies: the logical
   gate failure-rate sweep of Figure 7 and the non-trivial-syndrome-rate
-  measurement of Section 4.1.1.
+  measurement of Section 4.1.1 (run them through :func:`repro.api.run`).
 """
 
 from repro.arq.mapper import MappedCircuit, LayoutMapper
@@ -28,8 +28,6 @@ from repro.arq.simulator import (
 from repro.arq.experiments import (
     Level1EccExperiment,
     ThresholdSweepResult,
-    run_threshold_sweep,
-    syndrome_rate_estimate,
 )
 
 __all__ = [
@@ -43,6 +41,4 @@ __all__ = [
     "BatchExecutionResult",
     "Level1EccExperiment",
     "ThresholdSweepResult",
-    "run_threshold_sweep",
-    "syndrome_rate_estimate",
 ]

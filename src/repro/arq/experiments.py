@@ -20,11 +20,14 @@ Two experiments are reproduced here:
   and 7.92e-4 at level 2.  Both an analytic estimate (from the per-operation
   failure budget of the mapped circuit) and a Monte-Carlo measurement are
   provided.
+
+Both run through :func:`repro.api.run` (experiments ``"threshold_sweep"`` and
+``"syndrome_rate"``); this module holds the experiment itself and the seeded
+sweep driver behind the spec runner.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,21 +54,17 @@ from repro.qecc.threshold import (
     fit_concatenation_coefficient,
 )
 from repro.stabilizer import (
-    BatchTableau,
     MonteCarloResult,
     NoiselessModel,
     OperationNoise,
+    PackedBatchTableau,
     StabilizerTableau,
-    estimate_failure_rate,
-    estimate_failure_rate_batched,
 )
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "Level1EccExperiment",
     "ThresholdSweepResult",
-    "run_threshold_sweep",
-    "syndrome_rate_estimate",
     "sweep_result_from_level1",
     "analytic_syndrome_rate",
 ]
@@ -117,10 +116,10 @@ class Level1EccExperiment:
     verified_ancilla:
         Whether ancilla blocks are verified before use (the QLA design does).
     backend:
-        Batched simulation engine for the Monte-Carlo paths:
-        ``"packed"`` (bit-packed uint64 words), ``"uint8"`` (byte per bit) or
-        ``"auto"`` (packed for batches of 64+ lanes).  Physics is identical;
-        only throughput differs.
+        Batched simulation engine for the Monte-Carlo paths: ``"packed"``
+        (one word-wise numpy step per operation), ``"packed-fused"`` (the
+        whole circuit in one kernel call) or ``"auto"`` (the fused engine).
+        The two engines agree bit for bit; only throughput differs.
     """
 
     noise: OperationNoise
@@ -316,7 +315,7 @@ class Level1EccExperiment:
         check = self.code.hz if error_type == "X" else self.code.hx
         return (bits.astype(np.int64) @ check.T.astype(np.int64)) % 2
 
-    def _ideal_recovery_says_one_batch(self, state: BatchTableau) -> np.ndarray:
+    def _ideal_recovery_says_one_batch(self, state: PackedBatchTableau) -> np.ndarray:
         """Batched ideal decode; ``(B,)`` bool, True where the logical value is 1.
 
         Lanes where any stabilizer expectation is random (state outside the
@@ -415,7 +414,7 @@ class ThresholdSweepResult:
         Crossing of the level-1 and level-2 curves (the empirical threshold).
     seed_entropy:
         Entropy of the root :class:`numpy.random.SeedSequence` the sweep was
-        run from, or None for legacy generator-driven sweeps.  Re-running with
+        run from, or None when assembled without one.  Re-running with
         ``seed=np.random.SeedSequence(seed_entropy)`` and the same
         ``num_shards`` reproduces the sweep bit for bit (on any worker count).
     num_shards:
@@ -448,9 +447,9 @@ def sweep_result_from_level1(
 ) -> ThresholdSweepResult:
     """Assemble a :class:`ThresholdSweepResult` from per-point level-1 estimates.
 
-    The shared back half of every threshold-sweep driver (legacy and
-    spec-based): fits the concatenation coefficient, derives the level-2
-    curve, and locates the threshold crossing.
+    The back half of the threshold-sweep driver: fits the concatenation
+    coefficient, derives the level-2 curve, and locates the threshold
+    crossing.
     """
     level1_rates = [result.failure_rate for result in level1_results]
     # Fit the concatenation coefficient on slightly regularised rates (the
@@ -501,7 +500,7 @@ def _seeded_threshold_sweep(
     max_preparation_attempts: int = 20,
     registry=None,
 ) -> tuple[ThresholdSweepResult, str, str]:
-    """The seeded Figure 7 sweep behind both the spec runner and the legacy shim.
+    """The seeded Figure 7 sweep behind the spec runner's ``threshold_sweep``.
 
     The execution strategy is resolved once through the backend registry
     (capability-based, a pure function of the arguments), the root
@@ -557,128 +556,6 @@ def _seeded_threshold_sweep(
     return sweep, strategy.name, engine
 
 
-def run_threshold_sweep(
-    physical_rates: Sequence[float],
-    trials: int,
-    rng: np.random.Generator | None = None,
-    parameters: IonTrapParameters = EXPECTED_PARAMETERS,
-    mapper: LayoutMapper | None = None,
-    use_batched: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    seed: int | np.random.SeedSequence | None = None,
-    num_shards: int = 1,
-    num_workers: int = 0,
-    backend: str = "auto",
-    max_failures: int | None = None,
-) -> ThresholdSweepResult:
-    """Run the Figure 7 experiment.
-
-    .. deprecated::
-        Build an :class:`~repro.api.specs.ExperimentSpec` (experiment
-        ``"threshold_sweep"``) and call :func:`repro.api.run` instead; this
-        kwargs entry point remains for one release.
-
-    Parameters
-    ----------
-    physical_rates:
-        Component failure rates to sweep (the paper sweeps roughly 1e-3 to
-        2.5e-3).
-    trials:
-        Monte-Carlo shots per sweep point.
-    rng:
-        Random generator (fresh default if omitted).  Mutually exclusive with
-        ``seed``.
-    parameters:
-        Technology parameters providing the pinned movement failure rate.
-    mapper:
-        Layout mapper (defaults to the QLA tile budget: 12 cells, 2 turns).
-    use_batched:
-        When True (the default) every sweep point runs on the vectorized
-        batched engine; pass False to fall back to the per-shot executor,
-        which serves as the slow cross-validation oracle for the batched path.
-    batch_size:
-        Lanes simulated at once on the batched path.
-    seed:
-        Explicit :class:`numpy.random.SeedSequence` (or int entropy).  The
-        sweep then follows a deterministic shard plan -- one spawned child per
-        (sweep point, shard) -- and records the entropy in the result, so the
-        sweep is exactly reproducible: the same ``(seed, num_shards)`` yields
-        bit-for-bit identical results whether shards run serially or on a
-        process pool.
-    num_shards:
-        Shards per sweep point under ``seed`` (ignored for generator sweeps).
-    num_workers:
-        Worker processes executing shards; ``0``/``1`` runs them in-process.
-        Never affects results, only wall-clock time.
-    backend:
-        Execution backend name (``"packed"``, ``"uint8"`` or ``"auto"`` for
-        capability-based selection through the backend registry).
-    max_failures:
-        Optional early stop per sweep point once this many failures are seen.
-    """
-    warnings.warn(
-        "run_threshold_sweep is deprecated; build an ExperimentSpec "
-        "(experiment='threshold_sweep') and call repro.api.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not physical_rates:
-        raise ParameterError("the threshold sweep needs at least one physical rate")
-    if trials <= 0:
-        raise ParameterError("the threshold sweep needs a positive trial count")
-    the_mapper = mapper if mapper is not None else LayoutMapper()
-
-    if seed is not None:
-        if rng is not None:
-            raise ParameterError("pass either rng or seed, not both")
-        if not use_batched:
-            raise ParameterError(
-                "seeded (sharded) sweeps run on the batched engine; "
-                "use_batched=False is only available with rng"
-            )
-        sweep, _, _ = _seeded_threshold_sweep(
-            physical_rates,
-            trials,
-            seed,
-            parameters=parameters,
-            mapper=the_mapper,
-            backend=backend,
-            num_shards=num_shards,
-            num_workers=num_workers,
-            batch_size=batch_size,
-            max_failures=max_failures,
-        )
-        return sweep
-
-    # Legacy generator-driven path: one shared stream across sweep points, no
-    # shard plan, no recorded entropy.
-    generator = rng if rng is not None else np.random.default_rng()
-    level1_results = []
-    for rate in physical_rates:
-        experiment = Level1EccExperiment(
-            noise=_noise_for_rate(rate, parameters),
-            mapper=the_mapper,
-            backend=backend,
-        )
-        if use_batched:
-            level1_results.append(
-                estimate_failure_rate_batched(
-                    experiment.run_trial_batch,
-                    trials,
-                    generator,
-                    batch_size=batch_size,
-                    max_failures=max_failures,
-                )
-            )
-        else:
-            level1_results.append(
-                estimate_failure_rate(
-                    experiment.run_trial, trials, generator, max_failures=max_failures
-                )
-            )
-    return sweep_result_from_level1(physical_rates, level1_results)
-
-
 def analytic_syndrome_rate(
     level: int,
     parameters: IonTrapParameters = EXPECTED_PARAMETERS,
@@ -704,68 +581,3 @@ def analytic_syndrome_rate(
         + parameters.measure_failure
     )
     return 2.0 * block * per_ion  # two extractions (X and Z) per cycle
-
-
-def syndrome_rate_estimate(
-    level: int = 1,
-    parameters: IonTrapParameters = EXPECTED_PARAMETERS,
-    mapper: LayoutMapper | None = None,
-    monte_carlo_trials: int = 0,
-    rng: np.random.Generator | None = None,
-    use_batched: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    backend: str = "auto",
-) -> dict[str, float]:
-    """Non-trivial-syndrome rate at the expected technology parameters.
-
-    .. deprecated::
-        Build an :class:`~repro.api.specs.ExperimentSpec` (experiment
-        ``"syndrome_rate"``) and call :func:`repro.api.run` instead; this
-        kwargs entry point remains for one release.
-
-    Returns a dictionary with an ``analytic`` estimate (always) and a
-    ``measured`` rate (only when ``monte_carlo_trials`` > 0 and ``level`` is 1;
-    level-2 Monte Carlo is out of reach of routine runs).
-    """
-    warnings.warn(
-        "syndrome_rate_estimate is deprecated; build an ExperimentSpec "
-        "(experiment='syndrome_rate') and call repro.api.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    the_mapper = mapper if mapper is not None else LayoutMapper()
-    result: dict[str, float] = {
-        "analytic": analytic_syndrome_rate(level, parameters, the_mapper),
-        "level": float(level),
-    }
-
-    if monte_carlo_trials > 0 and level == 1:
-        # The execution strategy comes from the backend registry
-        # (capability-based) instead of the old use_batched branching; the
-        # per-shot oracle stays reachable as the "scalar" strategy.
-        from repro.api.registry import default_registry, task_engine_name
-        from repro.parallel import Level1ShardTask
-
-        registry = default_registry()
-        code = steane_code()
-        strategy, engine = registry.resolve(
-            backend if use_batched else "scalar",
-            shots=monte_carlo_trials,
-            batch_size=batch_size,
-            num_qubits=3 * code.num_physical_qubits,
-        )
-        task = Level1ShardTask(
-            physical_rate=0.0,
-            parameters=parameters,
-            mapper=the_mapper,
-            backend=task_engine_name(engine),
-            noise_kind="technology",
-            metric="nontrivial_syndrome",
-        )
-        generator = rng if rng is not None else np.random.default_rng()
-        measured = strategy.estimate(
-            task, monte_carlo_trials, rng=generator, batch_size=batch_size
-        )
-        result["measured"] = measured.failure_rate
-        result["trials"] = float(measured.trials)
-    return result

@@ -16,9 +16,10 @@ Two executors share those semantics:
   once and the mapping cached, so repeated shots of the same circuit pay no
   per-shot mapping cost.
 * :class:`BatchedNoisyCircuitExecutor` runs ``B`` independent noisy shots
-  simultaneously on a :class:`~repro.stabilizer.batch.BatchTableau`, driving a
-  compiled circuit IR (:mod:`repro.circuits.compiled`) with vectorized noise
-  sampling -- the engine behind the Monte-Carlo experiments.
+  simultaneously on a bit-packed
+  :class:`~repro.stabilizer.packed.PackedBatchTableau`, driving a compiled
+  circuit IR (:mod:`repro.circuits.compiled`) with vectorized noise sampling
+  -- the engine behind the Monte-Carlo experiments.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.circuits.gate import OpKind
 from repro.exceptions import SimulationError
 from repro.pauli import PauliString, PauliTerm
 from repro.stabilizer import (
-    BatchTableau,
     FusedPackedBatchTableau,
     NoiseModel,
     NoiselessModel,
@@ -52,7 +52,6 @@ from repro.stabilizer.fused import execute_fused
 
 __all__ = [
     "BACKENDS",
-    "AUTO_PACKED_MIN_BATCH",
     "resolve_backend",
     "create_batch_tableau",
     "ExecutionResult",
@@ -62,24 +61,19 @@ __all__ = [
 ]
 
 #: Valid values of the batched executor's ``backend`` knob.
-BACKENDS = ("auto", "packed", "packed-fused", "uint8")
-
-#: Smallest batch size at which ``backend="auto"`` picks the bit-packed
-#: engine.  The backend registry owns this threshold as the packed engine's
-#: ``min_auto_batch`` capability; re-exported here as a compatibility alias.
-from repro.api.registry import AUTO_PACKED_MIN_BATCH
+BACKENDS = ("auto", "packed", "packed-fused")
 
 
 def resolve_backend(backend: str, batch_size: int) -> str:
     """Resolve a backend request to a concrete engine name.
 
-    ``"packed"`` and ``"uint8"`` are honoured verbatim; ``"auto"`` consults
-    the backend registry's capability thresholds, which pick the bit-packed
-    engine once the batch fills at least one 64-lane word.
+    ``"packed"`` and ``"packed-fused"`` are honoured verbatim; ``"auto"`` is
+    the backend registry's :data:`~repro.api.registry.AUTO_ENGINE` at every
+    ``batch_size``.
     """
     from repro.api.registry import resolve_engine
 
-    return resolve_engine(backend, batch_size)
+    return resolve_engine(backend)
 
 
 def create_batch_tableau(
@@ -87,16 +81,11 @@ def create_batch_tableau(
     num_qubits: int,
     batch_size: int,
     rng: np.random.Generator | None = None,
-) -> BatchTableau | PackedBatchTableau:
+) -> PackedBatchTableau:
     """Create the batch tableau matching a (possibly ``"auto"``) backend."""
-    resolved = resolve_backend(backend, batch_size)
-    if resolved == "packed-fused":
-        cls = FusedPackedBatchTableau
-    elif resolved == "packed":
-        cls = PackedBatchTableau
-    else:
-        cls = BatchTableau
-    return cls(num_qubits, batch_size, rng=rng)
+    if resolve_backend(backend, batch_size) == "packed-fused":
+        return FusedPackedBatchTableau(num_qubits, batch_size, rng=rng)
+    return PackedBatchTableau(num_qubits, batch_size, rng=rng)
 
 
 @dataclass
@@ -133,8 +122,8 @@ class BatchExecutionResult:
     Attributes
     ----------
     tableau:
-        Final batched stabilizer state (uint8 or bit-packed, depending on the
-        backend that ran).
+        Final batched stabilizer state (fused or plain packed, depending on
+        the backend that ran).
     measurements:
         Measurement outcomes keyed by label; each value is a ``(B,)`` uint8
         array of per-lane outcomes.  Unlabeled measurements are keyed
@@ -143,7 +132,7 @@ class BatchExecutionResult:
         ``(B,)`` int64 array counting Pauli error events injected per lane.
     """
 
-    tableau: BatchTableau | PackedBatchTableau
+    tableau: PackedBatchTableau
     measurements: dict[str, np.ndarray] = field(default_factory=dict)
     error_count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
@@ -299,10 +288,11 @@ class BatchedNoisyCircuitExecutor:
 
     The executor compiles each circuit once (movement exposure from the layout
     mapper baked in, see :func:`repro.circuits.compiled.compile_circuit`) and
-    then drives a :class:`~repro.stabilizer.batch.BatchTableau` with one loop
-    over *operations* instead of one loop over *shots x operations*: every
-    gate, reset, measurement and noise draw acts on the whole batch through
-    vectorized numpy column operations.
+    then drives a :class:`~repro.stabilizer.packed.PackedBatchTableau` with
+    one loop over *operations* instead of one loop over *shots x
+    operations*: every gate, reset, measurement and noise draw acts on the
+    whole batch through word-wise numpy operations -- or, on the fused tier,
+    the whole program runs in one kernel call.
 
     Semantics match :class:`NoisyCircuitExecutor` lane for lane: movement
     errors precede the operation that required the shuttle, gate/preparation
@@ -319,16 +309,13 @@ class BatchedNoisyCircuitExecutor:
     mapper:
         Layout mapper supplying movement budgets; None disables movement noise.
     backend:
-        Simulation engine: ``"uint8"`` drives the byte-per-bit
-        :class:`~repro.stabilizer.batch.BatchTableau`, ``"packed"`` the
-        64-lanes-per-word :class:`~repro.stabilizer.packed.PackedBatchTableau`,
-        ``"packed-fused"`` the same packed state executed by the fused native
-        kernel tier (:mod:`repro.stabilizer.fused`), and ``"auto"`` (default)
-        picks the fastest engine for batches of at least
-        ``AUTO_PACKED_MIN_BATCH`` lanes -- the fused tier when a native
-        kernel (numba or a C compiler) is available, the packed engine
-        otherwise.  All engines implement the same CHP semantics and consume
-        identical RNG streams; they differ only in throughput.
+        Simulation engine: ``"packed"`` drives the 64-lanes-per-word
+        :class:`~repro.stabilizer.packed.PackedBatchTableau` one operation at
+        a time, ``"packed-fused"`` runs the same packed state through the
+        fused kernel tier (:mod:`repro.stabilizer.fused`), and ``"auto"``
+        (default) is the fused tier.  Both engines implement the same CHP
+        semantics and consume identical RNG streams -- they agree bit for
+        bit -- and differ only in throughput.
     """
 
     def __init__(
@@ -373,7 +360,7 @@ class BatchedNoisyCircuitExecutor:
         circuit: Circuit | CompiledCircuit,
         batch_size: int,
         rng: np.random.Generator,
-        tableau: BatchTableau | PackedBatchTableau | None = None,
+        tableau: PackedBatchTableau | None = None,
         backend: str | None = None,
     ) -> BatchExecutionResult:
         """Run ``batch_size`` independent noisy shots of a circuit.
@@ -403,12 +390,9 @@ class BatchedNoisyCircuitExecutor:
         requested = backend if backend is not None else self._backend
         if tableau is not None:
             state = tableau
-            if isinstance(state, FusedPackedBatchTableau):
-                resolved = "packed-fused"
-            elif isinstance(state, PackedBatchTableau):
-                resolved = "packed"
-            else:
-                resolved = "uint8"
+            resolved = (
+                "packed-fused" if isinstance(state, FusedPackedBatchTableau) else "packed"
+            )
             if requested != "auto" and requested != resolved:
                 raise SimulationError(
                     f"backend {requested!r} conflicts with a pre-initialised "
@@ -429,9 +413,7 @@ class BatchedNoisyCircuitExecutor:
             )
         if resolved == "packed-fused":
             return self._run_fused(program, batch_size, rng, state)
-        if resolved == "packed":
-            return self._run_packed(program, batch_size, rng, state)
-        return self._run_uint8(program, batch_size, rng, state)
+        return self._run_packed(program, batch_size, rng, state)
 
     def _run_fused(
         self,
@@ -453,96 +435,6 @@ class BatchedNoisyCircuitExecutor:
             tableau=state, measurements=measurements, error_count=error_count
         )
 
-    def _run_uint8(
-        self,
-        program: CompiledCircuit,
-        batch_size: int,
-        rng: np.random.Generator,
-        state: BatchTableau,
-    ) -> BatchExecutionResult:
-        """Drive the byte-per-bit engine (one uint8 per tableau bit)."""
-        noise = self._noise
-        noiseless = noise.is_noiseless
-        error_count = np.zeros(batch_size, dtype=np.int64)
-        outcomes = np.zeros((program.num_measurements, batch_size), dtype=np.uint8)
-
-        opcodes = program.opcodes
-        qubit0 = program.qubit0
-        qubit1 = program.qubit1
-        exposure = program.movement_exposure
-        moved = program.moved_qubit
-        slots = program.measurement_slot
-
-        for k in range(program.num_operations):
-            op = int(opcodes[k])
-            q0 = int(qubit0[k])
-
-            if not noiseless and exposure[k] > 0:
-                support, x_bits, z_bits, events = noise.sample_movement_error_batch(
-                    int(moved[k]), int(exposure[k]), batch_size, rng
-                )
-                if events.any():
-                    state.inject_pauli_terms(support, x_bits, z_bits)
-                    error_count += events
-
-            if op == Opcode.PREPARE:
-                state.reset(q0)
-                if not noiseless:
-                    support, x_bits, z_bits, events = noise.sample_preparation_error_batch(
-                        q0, batch_size, rng
-                    )
-                    if events.any():
-                        state.inject_pauli_terms(support, x_bits, z_bits)
-                        error_count += events
-            elif op == Opcode.MEASURE or op == Opcode.MEASURE_X:
-                measured = state.measure(q0) if op == Opcode.MEASURE else state.measure_x(q0)
-                if not noiseless:
-                    flips = noise.measurement_flip_batch(batch_size, rng)
-                    if flips.any():
-                        measured = measured ^ flips.astype(np.uint8)
-                        error_count += flips.astype(np.int64)
-                outcomes[int(slots[k])] = measured
-            else:
-                q1 = int(qubit1[k])
-                if op == Opcode.I:
-                    pass  # no state update, but gate noise still applies below
-                elif op == Opcode.H:
-                    state.h(q0)
-                elif op == Opcode.S:
-                    state.s(q0)
-                elif op == Opcode.SDG:
-                    state.s_dag(q0)
-                elif op == Opcode.X:
-                    state.x(q0)
-                elif op == Opcode.Y:
-                    state.y(q0)
-                elif op == Opcode.Z:
-                    state.z(q0)
-                elif op == Opcode.CNOT:
-                    state.cnot(q0, q1)
-                elif op == Opcode.CZ:
-                    state.cz(q0, q1)
-                elif op == Opcode.SWAP:
-                    state.swap(q0, q1)
-                else:  # pragma: no cover - compile_circuit rejects unknown ops
-                    raise SimulationError(f"unknown opcode {op}")
-                if not noiseless:
-                    operands = (q0,) if q1 < 0 else (q0, q1)
-                    name = Opcode(op).name
-                    support, x_bits, z_bits, events = noise.sample_gate_error_batch(
-                        name, operands, batch_size, rng
-                    )
-                    if events.any():
-                        state.inject_pauli_terms(support, x_bits, z_bits)
-                        error_count += events
-
-        measurements = {
-            label: outcomes[slot] for slot, label in enumerate(program.measurement_labels)
-        }
-        return BatchExecutionResult(
-            tableau=state, measurements=measurements, error_count=error_count
-        )
-
     def _run_packed(
         self,
         program: CompiledCircuit,
@@ -552,10 +444,10 @@ class BatchedNoisyCircuitExecutor:
     ) -> BatchExecutionResult:
         """Drive the bit-packed engine (64 lanes per uint64 word).
 
-        Semantically identical to :meth:`_run_uint8` lane for lane; noise is
-        sampled through the packed hooks, Pauli masks are injected as word
-        masks, and measurement outcomes are collected packed and unpacked once
-        at the end into the same per-label ``(B,)`` uint8 arrays.
+        Semantically identical to the per-shot executor lane for lane; noise
+        is sampled through the packed hooks, Pauli masks are injected as word
+        masks, and measurement outcomes are collected packed and unpacked
+        once at the end into per-label ``(B,)`` uint8 arrays.
         """
         noise = self._noise
         noiseless = noise.is_noiseless

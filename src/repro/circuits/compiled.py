@@ -173,8 +173,8 @@ class CompiledCircuit:
         """The program as contiguous int32 arrays for a native kernel.
 
         Returns ``(opcodes, qubit0, qubit1, movement_exposure, moved_qubit,
-        measurement_slot)``, each C-contiguous int32 so a compiled consumer
-        (numba or ctypes) can walk them without per-element conversion.  The
+        measurement_slot)``, each C-contiguous int32 so the fused C kernel
+        (through ctypes) can walk them without per-element conversion.  The
         views share memory with the originals whenever dtypes already match.
         """
         return (

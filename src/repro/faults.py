@@ -23,9 +23,9 @@ Fault **sites** are the places the library consults the harness:
 :data:`CACHE_CORRUPT`   truncate a result-cache entry just after it is
                         written (exercises corruption-tolerant reads and
                         ``corrupt_evictions`` accounting).
-:data:`KERNEL_NATIVE`   report the native (numba / compiled-C) fused
-                        kernel tiers as unavailable (exercises the
-                        pure-numpy fallback path).
+:data:`KERNEL_NATIVE`   report the compiled-C fused kernel tier as
+                        unavailable (exercises the pure-numpy fallback
+                        path).
 :data:`SERVICE_WORKER`  kill a service worker's job execution mid-job
                         (exercises the durable queue's attempt
                         accounting and requeue-on-crash recovery).

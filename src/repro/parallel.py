@@ -29,9 +29,7 @@ walk needs shot granularity.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -46,7 +44,6 @@ from repro.stabilizer.packed import pack_bits, popcount, unpack_bits
 
 __all__ = [
     "DEFAULT_SHARD_BATCH_SIZE",
-    "DEFAULT_NUM_SHARDS",
     "ShardOutcome",
     "Level1ShardTask",
     "as_seed_sequence",
@@ -55,17 +52,10 @@ __all__ = [
     "run_sharded_outcomes",
     "aggregate_shard_outcomes",
     "estimate_failure_rate_sharded",
-    "run_threshold_sweep_sharded",
 ]
 
 #: Shots handed to a batch trial at once inside one shard.
 DEFAULT_SHARD_BATCH_SIZE = 1024
-
-#: Default shard count of the convenience sweep front-end.  Deliberately a
-#: fixed constant, NOT the machine's core count: the shard plan determines
-#: the random streams, so a machine-dependent default would make identical
-#: calls produce different numbers on different hardware.
-DEFAULT_NUM_SHARDS = 8
 
 
 def as_seed_sequence(
@@ -399,67 +389,3 @@ class Level1ShardTask:
     def run_single(self, rng: np.random.Generator) -> bool:
         """One per-shot trial on the scalar tableau (the slow oracle path)."""
         return bool(self._experiment().run_trial_detailed(rng)[self.metric])
-
-
-#: Keywords :func:`run_threshold_sweep_sharded` forwards to the seeded sweep.
-_SHARDED_SWEEP_KWARGS = frozenset(
-    {"parameters", "mapper", "batch_size", "backend", "max_failures"}
-)
-
-
-def run_threshold_sweep_sharded(
-    physical_rates: Sequence[float],
-    trials: int,
-    seed: int | np.random.SeedSequence,
-    num_shards: int | None = None,
-    num_workers: int | None = None,
-    **kwargs,
-):
-    """Figure 7 sweep sharded across a process pool.
-
-    .. deprecated::
-        Build an :class:`~repro.api.specs.ExperimentSpec` with
-        ``ExecutionSpec(num_shards=..., num_workers=...)`` and call
-        :func:`repro.api.run` instead.
-
-    Convenience front-end to
-    :func:`repro.arq.experiments.run_threshold_sweep`: ``num_workers``
-    defaults to the machine's CPU count while ``num_shards`` defaults to the
-    fixed :data:`DEFAULT_NUM_SHARDS` (never the core count -- the shard plan
-    decides the random streams, so it must not vary across machines), and
-    every remaining keyword (``parameters``, ``mapper``, ``batch_size``,
-    ``backend``, ``max_failures``) is forwarded.  Unknown keywords raise
-    :class:`TypeError` -- exactly like a misspelled keyword on the serial
-    sweep.  For a fixed ``(seed, num_shards)`` the result is bit-for-bit
-    identical to the serial seeded sweep on any worker count.
-    """
-    warnings.warn(
-        "run_threshold_sweep_sharded is deprecated; build an ExperimentSpec "
-        "with ExecutionSpec(num_shards=..., num_workers=...) and call "
-        "repro.api.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    unknown = sorted(set(kwargs) - _SHARDED_SWEEP_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"run_threshold_sweep_sharded() got unexpected keyword argument(s) "
-            f"{unknown}; accepted keywords: {sorted(_SHARDED_SWEEP_KWARGS)}"
-        )
-    from repro.arq.experiments import run_threshold_sweep
-
-    if num_workers is None:
-        num_workers = os.cpu_count() or 1
-    if num_shards is None:
-        num_shards = DEFAULT_NUM_SHARDS
-    with warnings.catch_warnings():
-        # The forwarding call would repeat the deprecation warning just issued.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run_threshold_sweep(
-            physical_rates,
-            trials,
-            seed=seed,
-            num_shards=num_shards,
-            num_workers=num_workers,
-            **kwargs,
-        )

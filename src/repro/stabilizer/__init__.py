@@ -10,7 +10,6 @@ circuits under Pauli noise.
 """
 
 from repro.stabilizer.tableau import StabilizerTableau, MeasurementResult
-from repro.stabilizer.batch import BatchTableau
 from repro.stabilizer.packed import (
     PackedBatchTableau,
     lane_mask_words,
@@ -23,7 +22,6 @@ from repro.stabilizer.fused import (
     FusedPackedBatchTableau,
     execute_fused,
     kernel_tier,
-    native_kernel_available,
 )
 from repro.stabilizer.noise import (
     NoiseModel,
@@ -39,12 +37,10 @@ from repro.stabilizer.monte_carlo import (
 
 __all__ = [
     "StabilizerTableau",
-    "BatchTableau",
     "PackedBatchTableau",
     "FusedPackedBatchTableau",
     "execute_fused",
     "kernel_tier",
-    "native_kernel_available",
     "MeasurementResult",
     "lane_mask_words",
     "num_words",

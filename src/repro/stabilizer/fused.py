@@ -31,23 +31,24 @@ cached, which lets all measurement randomness and noise be pre-sampled in the
 packed engine's exact RNG order before the kernel launches.  Seeded runs are
 bit-for-bit identical to the ``"packed"`` backend.
 
-Three interchangeable kernels implement the loop, all with the same signature:
+Two interchangeable kernels implement the loop, with the same signature:
 
-* :func:`fused_kernel_python` -- the nopython-style reference loop, compiled
-  with ``numba.njit(cache=True, parallel=False)`` when numba is importable;
-* a small C translation (``fused_kernel.c``) compiled on demand with the
-  system C compiler and loaded through ctypes, for environments without numba;
-* :func:`fused_kernel_numpy` -- a pure-numpy vectorized fallback so the
-  module imports and runs (slower) with no compiler and no numba at all.
+* a small C kernel (``fused_kernel.c``) compiled on demand with the system C
+  compiler and loaded through ctypes;
+* :func:`fused_kernel_numpy` -- a pure-numpy vectorized fallback, so the
+  module imports and runs (slower) with no compiler at all.
 
-``REPRO_FUSED_KERNEL`` selects the tier explicitly (``auto`` / ``numba`` /
-``cext`` / ``numpy``); ``auto`` takes the first available in that order.
+Both are pinned bit for bit against the per-operation ``"packed"`` engine,
+which is their semantic reference.  ``REPRO_FUSED_KERNEL`` selects the tier
+explicitly (``auto`` / ``cext`` / ``numpy``); ``auto`` takes the C kernel
+when it compiles and logs a warning once when it falls back to numpy.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import shutil
 import subprocess
@@ -86,12 +87,12 @@ __all__ = [
     "SUPPORTED_OPCODES",
     "KERNEL_TIERS",
     "FusedPackedBatchTableau",
-    "fused_kernel_python",
     "fused_kernel_numpy",
     "kernel_tier",
-    "native_kernel_available",
     "execute_fused",
 ]
+
+_LOG = logging.getLogger("repro")
 
 #: Opcodes the fused kernel executes.  Exactly the simulable IR: the Clifford
 #: gates plus preparation and the two measurement bases.  Timing-only opcodes
@@ -115,7 +116,7 @@ SUPPORTED_OPCODES: frozenset[int] = frozenset(
 )
 
 #: Kernel tiers, in ``auto`` preference order.
-KERNEL_TIERS = ("numba", "cext", "numpy")
+KERNEL_TIERS = ("cext", "numpy")
 
 #: CHP ``g`` phase function as a 4x4 table over symplectic codes
 #: ``(x << 1) | z`` (I=0, Z=1, X=2, Y=3); entries are the phase contribution
@@ -130,7 +131,7 @@ _G4 = np.array(
     dtype=np.int64,
 )
 
-# Kernel status codes (shared by all three tiers and the C source).
+# Kernel status codes (shared by both tiers and the C source).
 _STATUS_OK = 0
 _STATUS_UNKNOWN_OPCODE = 1
 _STATUS_SCHEDULE_MISMATCH = 2
@@ -143,299 +144,6 @@ _STATUS_MESSAGES = {
     ),
     _STATUS_ODD_PHASE: "non-real phase in a stabilizer rowsum",
 }
-
-
-# ----------------------------------------------------------------------
-# Reference kernel: one nopython-style loop over the compiled program
-# ----------------------------------------------------------------------
-
-
-def fused_kernel_python(
-    n,
-    W,
-    opcodes,
-    qubit0,
-    qubit1,
-    slots,
-    draw_index,
-    pre_inj,
-    post_inj,
-    inj_start,
-    inj_qubit,
-    inj_x,
-    inj_z,
-    drawn,
-    out,
-    xb,
-    zb,
-    r,
-    mode,
-    sched,
-    scratch_x,
-    scratch_z,
-    racc,
-    mout,
-):
-    """Execute a compiled program on the lane-uniform fused state.
-
-    Parameters (all arrays C-contiguous):
-
-    ``n``/``W``
-        Register size and packed word count; the tableau has ``2n+1`` rows.
-    ``opcodes``/``qubit0``/``qubit1``/``slots``
-        ``(ops,)`` int32 program arrays (see ``CompiledCircuit.kernel_arrays``).
-    ``draw_index``
-        ``(ops,)`` int32: row into ``drawn`` holding the pre-sampled random
-        measurement words of this operation, ``-1`` when the measurement is
-        deterministic (or the op measures nothing).
-    ``pre_inj``/``post_inj``
-        ``(ops,)`` int32 indices of the noise-injection record applied before
-        (movement) / after (gate, preparation) the operation, ``-1`` for none.
-    ``inj_start``/``inj_qubit``/``inj_x``/``inj_z``
-        Flattened injection records: record ``e`` covers support entries
-        ``inj_start[e]:inj_start[e+1]`` of ``inj_qubit`` with packed
-        ``(K, W)`` uint64 X/Z masks.
-    ``drawn``/``out``
-        ``(D, W)`` pre-sampled measurement words / ``(M, W)`` outcome words.
-    ``xb``/``zb``/``r``
-        The fused state (updated in place).
-    ``mode``/``sched``
-        ``mode=0`` runs the program; ``mode=1`` records the measurement
-        randomness schedule into ``sched`` (int8: 1 random, 0 deterministic,
-        ``-1`` untouched for non-measuring ops) without consuming draws or
-        injections.  In run mode the recomputed schedule is verified against
-        ``draw_index`` and any divergence aborts with a nonzero status.
-    ``scratch_x``/``scratch_z``/``racc``/``mout``
-        ``(n,)`` uint8 / ``(W,)`` uint64 scratch buffers.
-
-    Returns a status code: 0 on success (see ``_STATUS_*``).
-    """
-    rows = 2 * n + 1
-
-    def flip_row(row):
-        for w in range(W):
-            r[row, w] = ~r[row, w]
-
-    def h_gate(a):
-        for row in range(rows):
-            xv = xb[row, a]
-            zv = zb[row, a]
-            if xv != 0 and zv != 0:
-                flip_row(row)
-            xb[row, a] = zv
-            zb[row, a] = xv
-
-    def cnot_gate(a, b):
-        for row in range(rows):
-            xa = xb[row, a]
-            zv = zb[row, b]
-            if xa != 0 and zv != 0 and (xb[row, b] ^ zb[row, a]) == 0:
-                flip_row(row)
-            xb[row, b] ^= xa
-            zb[row, a] ^= zv
-
-    def inject(e):
-        for idx in range(inj_start[e], inj_start[e + 1]):
-            q = inj_qubit[idx]
-            for row in range(rows):
-                if zb[row, q] != 0:
-                    for w in range(W):
-                        r[row, w] ^= inj_x[idx, w]
-                if xb[row, q] != 0:
-                    for w in range(W):
-                        r[row, w] ^= inj_z[idx, w]
-
-    def measure_z(a, k):
-        """Measure ``Z_a``; outcome words land in ``mout``.  Returns status."""
-        p = -1
-        for i in range(n):
-            if xb[n + i, a] != 0:
-                p = i
-                break
-        if mode == 1:
-            sched[k] = 1 if p >= 0 else 0
-        elif (p >= 0) != (draw_index[k] >= 0):
-            return _STATUS_SCHEDULE_MISMATCH
-        if p >= 0:
-            piv = n + p
-            # Rowsum every other row carrying an X bit at ``a`` against the
-            # pivot stabilizer (the packed engine's masked whole-tableau XOR,
-            # collapsed to per-row updates by lane uniformity).
-            for row in range(rows):
-                if row == p or row == piv:
-                    continue
-                if xb[row, a] != 0:
-                    g = 0
-                    for j in range(n):
-                        g += _G4[
-                            (xb[row, j] << 1) | zb[row, j],
-                            (xb[piv, j] << 1) | zb[piv, j],
-                        ]
-                    if g & 1:
-                        return _STATUS_ODD_PHASE
-                    if g & 2:
-                        flip_row(row)
-                    for w in range(W):
-                        r[row, w] ^= r[piv, w]
-                    for j in range(n):
-                        xb[row, j] ^= xb[piv, j]
-                        zb[row, j] ^= zb[piv, j]
-            # Recycle the pivot into its destabilizer and install +/- Z_a
-            # with the pre-sampled random sign.
-            for j in range(n):
-                xb[p, j] = xb[piv, j]
-                zb[p, j] = zb[piv, j]
-                xb[piv, j] = 0
-                zb[piv, j] = 0
-            zb[piv, a] = 1
-            if mode == 0:
-                d = draw_index[k]
-                for w in range(W):
-                    r[p, w] = r[piv, w]
-                    r[piv, w] = drawn[d, w]
-                    mout[w] = drawn[d, w]
-            else:
-                for w in range(W):
-                    r[p, w] = r[piv, w]
-                    r[piv, w] = 0
-                    mout[w] = 0
-        else:
-            # Deterministic outcome: accumulate the destabilizer-selected
-            # stabilizer product with an integer mod-4 phase; the per-lane
-            # part of the sign is the XOR of the selected ``r`` rows.
-            for j in range(n):
-                scratch_x[j] = 0
-                scratch_z[j] = 0
-            for w in range(W):
-                racc[w] = 0
-            phase = 0
-            for i in range(n):
-                if xb[i, a] != 0:
-                    row = n + i
-                    for j in range(n):
-                        phase += _G4[
-                            (scratch_x[j] << 1) | scratch_z[j],
-                            (xb[row, j] << 1) | zb[row, j],
-                        ]
-                        scratch_x[j] ^= xb[row, j]
-                        scratch_z[j] ^= zb[row, j]
-                    for w in range(W):
-                        racc[w] ^= r[row, w]
-            if phase & 1:
-                return _STATUS_ODD_PHASE
-            if phase & 2:
-                for w in range(W):
-                    mout[w] = ~racc[w]
-            else:
-                for w in range(W):
-                    mout[w] = racc[w]
-        return _STATUS_OK
-
-    for k in range(opcodes.shape[0]):
-        op = opcodes[k]
-        if mode == 0:
-            e = pre_inj[k]
-            if e >= 0:
-                inject(e)
-        if op <= 9:
-            a = qubit0[k]
-            if op == 0:
-                pass
-            elif op == 1:
-                h_gate(a)
-            elif op == 2:  # S: flip where Y, then z ^= x
-                for row in range(rows):
-                    if xb[row, a] != 0:
-                        if zb[row, a] != 0:
-                            flip_row(row)
-                        zb[row, a] ^= 1
-            elif op == 3:  # SDG: flip where X-only, then z ^= x
-                for row in range(rows):
-                    if xb[row, a] != 0:
-                        if zb[row, a] == 0:
-                            flip_row(row)
-                        zb[row, a] ^= 1
-            elif op == 4:  # X: flip where z
-                for row in range(rows):
-                    if zb[row, a] != 0:
-                        flip_row(row)
-            elif op == 5:  # Y: flip where x ^ z
-                for row in range(rows):
-                    if (xb[row, a] ^ zb[row, a]) != 0:
-                        flip_row(row)
-            elif op == 6:  # Z: flip where x
-                for row in range(rows):
-                    if xb[row, a] != 0:
-                        flip_row(row)
-            elif op == 7:
-                cnot_gate(a, qubit1[k])
-            elif op == 8:  # CZ = H(b); CNOT(a, b); H(b), as in the packed engine
-                b = qubit1[k]
-                h_gate(b)
-                cnot_gate(a, b)
-                h_gate(b)
-            else:  # SWAP: column exchange
-                b = qubit1[k]
-                for row in range(rows):
-                    xv = xb[row, a]
-                    xb[row, a] = xb[row, b]
-                    xb[row, b] = xv
-                    zv = zb[row, a]
-                    zb[row, a] = zb[row, b]
-                    zb[row, b] = zv
-        elif op <= 12:
-            a = qubit0[k]
-            if op == 12:
-                h_gate(a)
-            status = measure_z(a, k)
-            if status != 0:
-                return status
-            if op == 12:
-                h_gate(a)
-            if op == 10:
-                # PREPARE: flip the sign of rows with a Z bit at ``a`` in
-                # lanes that measured 1 (the packed engine's reset fix-up).
-                for row in range(rows):
-                    if zb[row, a] != 0:
-                        for w in range(W):
-                            r[row, w] ^= mout[w]
-            else:
-                s = slots[k]
-                for w in range(W):
-                    out[s, w] = mout[w]
-        else:
-            return _STATUS_UNKNOWN_OPCODE
-        if mode == 0:
-            e = post_inj[k]
-            if e >= 0:
-                inject(e)
-    return _STATUS_OK
-
-
-# ----------------------------------------------------------------------
-# Numba tier
-# ----------------------------------------------------------------------
-
-_NUMBA_KERNEL = None
-_NUMBA_ERROR: str | None = None
-
-
-def _numba_kernel():
-    """The njit-compiled reference loop, or None with a recorded reason."""
-    global _NUMBA_KERNEL, _NUMBA_ERROR
-    if _NUMBA_KERNEL is not None or _NUMBA_ERROR is not None:
-        return _NUMBA_KERNEL
-    try:
-        import numba
-    except ImportError:
-        _NUMBA_ERROR = "numba is not installed"
-        return None
-    try:
-        _NUMBA_KERNEL = numba.njit(cache=True, parallel=False)(fused_kernel_python)
-    except Exception as exc:  # pragma: no cover - depends on numba version
-        _NUMBA_ERROR = f"numba compilation failed: {exc}"
-        return None
-    return _NUMBA_KERNEL
 
 
 # ----------------------------------------------------------------------
@@ -552,11 +260,41 @@ def fused_kernel_numpy(
     racc,
     mout,
 ):
-    """Pure-numpy fallback with the same signature as the native kernels.
+    """Pure-numpy kernel with the same signature as the C kernel.
+
+    Parameters (all arrays C-contiguous):
+
+    ``n``/``W``
+        Register size and packed word count; the tableau has ``2n+1`` rows.
+    ``opcodes``/``qubit0``/``qubit1``/``slots``
+        ``(ops,)`` int32 program arrays (see ``CompiledCircuit.kernel_arrays``).
+    ``draw_index``
+        ``(ops,)`` int32: row into ``drawn`` holding the pre-sampled random
+        measurement words of this operation, ``-1`` when the measurement is
+        deterministic (or the op measures nothing).
+    ``pre_inj``/``post_inj``
+        ``(ops,)`` int32 indices of the noise-injection record applied before
+        (movement) / after (gate, preparation) the operation, ``-1`` for none.
+    ``inj_start``/``inj_qubit``/``inj_x``/``inj_z``
+        Flattened injection records: record ``e`` covers support entries
+        ``inj_start[e]:inj_start[e+1]`` of ``inj_qubit`` with packed
+        ``(K, W)`` uint64 X/Z masks.
+    ``drawn``/``out``
+        ``(D, W)`` pre-sampled measurement words / ``(M, W)`` outcome words.
+    ``xb``/``zb``/``r``
+        The fused state (updated in place).
+    ``mode``/``sched``
+        ``mode=0`` runs the program; ``mode=1`` records the measurement
+        randomness schedule into ``sched`` (int8: 1 random, 0 deterministic,
+        ``-1`` untouched for non-measuring ops) without consuming draws or
+        injections.  In run mode the recomputed schedule is verified against
+        ``draw_index`` and any divergence aborts with a nonzero status.
+    ``scratch_x``/``scratch_z``/``racc``/``mout``
+        ``(n,)`` uint8 / ``(W,)`` uint64 scratch buffers (the C kernel's
+        working storage; this kernel only writes ``mout``).
 
     Each operation is a handful of vectorized updates over the ``2n+1``
-    tableau rows; used when neither numba nor a C compiler is available (and
-    as an always-importable cross-check for the native tiers).
+    tableau rows.  Returns a status code: 0 on success (see ``_STATUS_*``).
     """
     for k in range(opcodes.shape[0]):
         op = int(opcodes[k])
@@ -771,12 +509,13 @@ _TIER_CACHE: dict[str, str] = {}
 
 
 def kernel_tier() -> str:
-    """The kernel tier in effect: ``"numba"``, ``"cext"`` or ``"numpy"``.
+    """The kernel tier in effect: ``"cext"`` or ``"numpy"``.
 
     Controlled by the ``REPRO_FUSED_KERNEL`` environment variable (``auto``,
-    the default, takes the first available tier in :data:`KERNEL_TIERS`
-    order).  Forcing an unavailable tier raises :class:`SimulationError` with
-    the recorded reason.
+    the default, takes the C kernel when it compiles and otherwise falls back
+    to numpy, logging the recorded compile error once on the ``repro``
+    logger).  Forcing an unavailable tier raises :class:`SimulationError`
+    with the recorded reason.
     """
     requested = os.environ.get("REPRO_FUSED_KERNEL", "auto").strip().lower() or "auto"
     # Fault injection (repro.faults, KERNEL_NATIVE site): while a profile
@@ -799,26 +538,25 @@ def kernel_tier() -> str:
         faults.fault_key(f"kernel_tier:{requested}"),
         profile=profile,
     ):
-        # Behave exactly as if no native kernel had compiled: explicit
-        # native requests fail loudly, "auto"/"numpy" degrade to the
-        # pure-numpy fallback (which is bit-identical, just slower).
-        if requested in ("numba", "cext"):
+        # Behave exactly as if the C kernel had not compiled: an explicit
+        # cext request fails loudly, "auto"/"numpy" degrade to the
+        # pure-numpy kernel (which is bit-identical, just slower).
+        if requested == "cext":
             raise SimulationError(
-                f"REPRO_FUSED_KERNEL={requested}: injected native-kernel "
+                "REPRO_FUSED_KERNEL=cext: injected native-kernel "
                 "failure (repro.faults kernel.native site)"
             )
         return "numpy"
-    if requested == "numba" and _numba_kernel() is None:
-        raise SimulationError(f"REPRO_FUSED_KERNEL=numba: {_NUMBA_ERROR}")
     if requested == "cext" and _cext_kernel() is None:
         raise SimulationError(f"REPRO_FUSED_KERNEL=cext: {_CEXT_ERROR}")
     if requested == "auto":
-        if _numba_kernel() is not None:
-            tier = "numba"
-        elif _cext_kernel() is not None:
-            tier = "cext"
-        else:
-            tier = "numpy"
+        tier = "cext" if _cext_kernel() is not None else "numpy"
+        if tier == "numpy" and not fault_gated:
+            _LOG.warning(
+                "fused kernel: no C kernel (%s); running the numpy kernel, "
+                "which gives the same bits more slowly",
+                _CEXT_ERROR,
+            )
     else:
         tier = requested
     if not fault_gated:
@@ -826,23 +564,7 @@ def kernel_tier() -> str:
     return tier
 
 
-def native_kernel_available() -> bool:
-    """Whether a native (numba or compiled-C) kernel tier is usable.
-
-    The backend registry consults this probe when deciding whether ``auto``
-    should prefer ``"packed-fused"`` over ``"packed"``: with only the numpy
-    fallback available the packed engine keeps the auto slot, while the fused
-    backend stays registered for explicit requests.
-    """
-    try:
-        return kernel_tier() in ("numba", "cext")
-    except SimulationError:
-        return False
-
-
 def _run_kernel(tier: str, *args) -> int:
-    if tier == "numba":
-        return int(_numba_kernel()(*args))
     if tier == "cext":
         return _call_cext(_cext_kernel(), *args)
     return int(fused_kernel_numpy(*args))

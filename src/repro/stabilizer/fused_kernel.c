@@ -1,14 +1,16 @@
 /* Fused gate-loop kernel for the bit-packed batch stabilizer engine.
  *
- * A line-for-line translation of `fused_kernel_python` in fused.py: the same
- * flat argument list, the same lane-uniform state layout (per-bit uint8 X/Z
- * planes shared by all lanes, per-lane uint64 sign words), the same status
- * codes.  Compiled on demand with the system C compiler and loaded through
- * ctypes; see `_cext_kernel` in fused.py for the build/caching protocol.
+ * The native twin of `fused_kernel_numpy` in fused.py, whose docstring
+ * documents the flat argument list: the same lane-uniform state layout
+ * (per-bit uint8 X/Z planes shared by all lanes, per-lane uint64 sign words)
+ * and the same status codes.  Compiled on demand with the system C compiler
+ * and loaded through ctypes; see `_cext_kernel` in fused.py for the
+ * build/caching protocol.
  *
- * Keep this file semantically in lock-step with fused_kernel_python -- the
- * test suite cross-checks the tiers against each other and against the
- * packed engine, and the build cache is keyed by a hash of this source.
+ * Its semantic reference is the per-operation packed engine
+ * (`BatchedNoisyCircuitExecutor._run_packed` over `PackedBatchTableau`): the
+ * test suite checks this kernel and the numpy kernel against that engine bit
+ * for bit.  The build cache is keyed by a hash of this source.
  */
 
 #include <stdint.h>

@@ -117,8 +117,9 @@ class NoiseModel:
 
     # -- batched sampling ---------------------------------------------------
     #
-    # The batched executor draws the noise of one operation for all B lanes in
-    # a single call.  Each hook returns ``(support, x_bits, z_bits, events)``:
+    # These hooks draw the noise of one operation for all B lanes in a single
+    # call; the packed hooks below pack their lane axis.  Each returns
+    # ``(support, x_bits, z_bits, events)``:
     # ``support`` is the tuple of register qubits the error may touch (the
     # operands, possibly extended by crosstalk neighbours), the symplectic bit
     # arrays have shape ``(B, len(support))`` and ``events`` is an ``(B,)``
@@ -250,18 +251,6 @@ class NoiselessModel(NoiseModel):
     @property
     def is_noiseless(self):  # noqa: D102
         return True
-
-    def sample_gate_error_batch(self, name, qubits, batch_size, rng):  # noqa: D102
-        return _no_errors_batch(batch_size, qubits)
-
-    def sample_preparation_error_batch(self, qubit, batch_size, rng):  # noqa: D102
-        return _no_errors_batch(batch_size, (qubit,))
-
-    def measurement_flip_batch(self, batch_size, rng):  # noqa: D102
-        return np.zeros(batch_size, dtype=bool)
-
-    def sample_movement_error_batch(self, qubit, num_cells, batch_size, rng):  # noqa: D102
-        return _no_errors_batch(batch_size, (qubit,))
 
     def sample_gate_error_packed(self, name, qubits, batch_size, rng):  # noqa: D102
         return _no_errors_packed(batch_size, qubits)

@@ -1,17 +1,16 @@
 """Bit-packed multi-shot CHP stabilizer simulation (64 lanes per machine word).
 
-:class:`~repro.stabilizer.batch.BatchTableau` vectorized the Monte-Carlo shot
-loop but spends one full ``uint8`` byte per tableau bit and upcasts to
-``int16`` inside its phase arithmetic, so its throughput is bounded by memory
-bandwidth an order of magnitude short of what the hardware can do.
-:class:`PackedBatchTableau` packs the **batch axis** into ``uint64`` words --
+A vectorized batch of tableaux that spends one ``uint8`` byte per tableau bit
+is bounded by memory bandwidth an order of magnitude short of what the
+hardware can do.  :class:`PackedBatchTableau` packs the **batch axis** into
+``uint64`` words --
 X bits, Z bits and signs stored as ``(2n+1, n, ceil(B/64))`` /
 ``(2n+1, ceil(B/64))`` arrays, bit ``b`` of word ``w`` belonging to lane
 ``64*w + b`` -- and implements every operation as word-wise XOR/AND/OR
 kernels:
 
-* Clifford gates are the same CHP column updates as the uint8 engine, but one
-  ``uint64`` word now carries 64 lanes, an 8x memory saving and up to 64x
+* Clifford gates are the usual CHP column updates, but one ``uint64`` word
+  carries 64 lanes, an 8x memory saving over a byte per bit and up to 64x
   fewer bit operations per gate.
 * The CHP ``g`` phase function is evaluated without integer upcasts: the
   per-qubit contributions (``+1``/``-1``/``0``) become two boolean masks and
@@ -27,8 +26,9 @@ noiselessly; every user-facing result is trimmed to the logical batch size,
 so ragged batch sizes not divisible by 64 behave identically to aligned ones.
 
 The update rules are operation-for-operation the standard Aaronson-Gottesman
-procedure; ``tests/test_stabilizer_packed.py`` pins this engine against both
-the uint8 :class:`BatchTableau` and the scalar :class:`StabilizerTableau`.
+procedure; ``tests/test_stabilizer_packed.py`` pins this engine against the
+scalar :class:`StabilizerTableau`, and the fused kernel tier
+(:mod:`repro.stabilizer.fused`) against this engine bit for bit.
 """
 
 from __future__ import annotations
@@ -191,11 +191,10 @@ def _mod4_accumulate(
 class PackedBatchTableau:
     """``batch_size`` CHP stabilizer states, 64 lanes per ``uint64`` word.
 
-    API-compatible with :class:`~repro.stabilizer.batch.BatchTableau` for
-    everything the batched executor and the experiments touch: gates by name,
-    Pauli injection from unpacked per-lane bit arrays, reset, Z/X measurement
-    (with packed-native ``measure_packed`` variants returning ``(W,)`` word
-    arrays) and per-lane Pauli expectation values.
+    Covers everything the batched executor and the experiments touch: gates
+    by name, Pauli injection from unpacked per-lane bit arrays, reset, Z/X
+    measurement (with packed-native ``measure_packed`` variants returning
+    ``(W,)`` word arrays) and per-lane Pauli expectation values.
 
     Parameters
     ----------
@@ -368,7 +367,7 @@ class PackedBatchTableau:
             array[:, b, :] = tmp
 
     def apply_gate(self, name: str, qubits: tuple[int, ...]) -> None:
-        """Apply a gate by name to every lane (same names as the uint8 engine)."""
+        """Apply a gate by name to every lane (same names as the scalar tableau)."""
         name = name.upper()
         if name == "I":
             return
@@ -426,8 +425,8 @@ class PackedBatchTableau:
         """Apply per-lane Pauli errors given as unpacked ``(B, len(qubits))`` bits.
 
         Packs the lane axis into words and delegates to
-        :meth:`inject_pauli_words`; this is the drop-in equivalent of
-        :meth:`BatchTableau.inject_pauli_terms` used by the experiments.
+        :meth:`inject_pauli_words`; the experiments apply their decoded
+        corrections through it.
         """
         x_words = pack_bits(np.asarray(x_bits, dtype=np.uint8).T)
         z_words = pack_bits(np.asarray(z_bits, dtype=np.uint8).T)
@@ -505,11 +504,11 @@ class PackedBatchTableau:
     def expectation(self, pauli: PauliString) -> np.ndarray:
         """Per-lane expectation of a Hermitian Pauli: +1, -1 or 0 (random).
 
-        Returns an ``(B,)`` int8 array with the same semantics as
-        :meth:`BatchTableau.expectation`: lanes where the observable
-        anticommutes with some stabilizer report 0; in the rest the observable
-        is reconstructed as a product of stabilizer rows and the accumulated
-        mod-4 phase (carried in two bit-planes) decides the sign.
+        Returns an ``(B,)`` int8 array with the semantics of
+        :meth:`StabilizerTableau.expectation` in every lane: lanes where the
+        observable anticommutes with some stabilizer report 0; in the rest the
+        observable is reconstructed as a product of stabilizer rows and the
+        accumulated mod-4 phase (carried in two bit-planes) decides the sign.
         """
         if pauli.num_qubits != self._n:
             raise SimulationError(

@@ -1,25 +1,20 @@
-"""The unified experiment API: specs, registry, runner, results, shims.
+"""The unified experiment API: specs, registry, runner, results.
 
 Contracts exercised here:
 
 * spec construction validates strictly and JSON round-trips exactly,
-* the backend registry performs capability-based selection (packed from 64
-  effective lanes up, sharded only when ``num_shards > 1``) and accepts
-  third-party strategies,
+* the backend registry resolves ``auto`` to the fused engine at every batch
+  size and kernel tier (sharded only when ``num_shards > 1``) and accepts
+  third-party strategies by name,
 * ``run(ExperimentSpec.from_json(result.spec_json))`` replays a sharded
   packed threshold sweep bit for bit on any worker count,
-* the deprecated kwargs entry points forward to the same implementation
-  (old path == new path, bit for bit at a fixed seed) and warn,
-* ``run_threshold_sweep_sharded`` rejects unknown keywords with TypeError,
 * ``from repro import *`` exposes exactly the curated ``__all__`` surface.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
-import numpy as np
 import pytest
 
 import repro
@@ -35,14 +30,14 @@ from repro.api import (
     default_registry,
     run,
 )
+from repro.api import registry as registry_module
 from repro.api.cli import main as cli_main
 from repro.exceptions import ParameterError, SimulationError
-from repro.stabilizer.fused import native_kernel_available
+from repro.stabilizer import fused as fused_module
 from repro.stabilizer.monte_carlo import MonteCarloResult
 
-#: What ``auto`` resolves to at a word-filling batch: the fused kernel tier
-#: when a native kernel (numba or a C compiler) is available, packed otherwise.
-FAST_ENGINE = "packed-fused" if native_kernel_available() else "packed"
+#: What ``auto`` resolves to, at every batch size and on every kernel tier.
+FAST_ENGINE = "packed-fused"
 
 
 def sweep_spec(**overrides) -> ExperimentSpec:
@@ -179,23 +174,24 @@ class TestRegistrySelection:
         strategy, engine = registry.resolve("auto", shots=64, batch_size=1024, num_shards=1)
         assert (strategy.name, engine) == (FAST_ENGINE, FAST_ENGINE)
 
-    def test_fused_beats_packed_only_with_a_native_kernel(self):
-        registry = default_registry()
-        fused = registry.get("packed-fused")
-        packed = registry.get("packed")
-        assert fused.capabilities.min_auto_batch == packed.capabilities.min_auto_batch
-        if native_kernel_available():
-            assert fused.capabilities.auto_priority > packed.capabilities.auto_priority
-        else:
-            assert fused.capabilities.auto_priority < packed.capabilities.auto_priority
+    @pytest.mark.parametrize("tier", ["cext", "numpy"])
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    @pytest.mark.parametrize("lanes", [1, 8, 63, 64, 4096])
+    def test_auto_is_the_fused_engine_at_every_batch_and_tier(
+        self, monkeypatch, tier, num_shards, lanes
+    ):
+        from repro.arq.simulator import resolve_backend
 
-    def test_uint8_below_64_lanes(self):
-        registry = default_registry()
-        strategy, engine = registry.resolve("auto", shots=63, batch_size=1024, num_shards=1)
-        assert (strategy.name, engine) == ("uint8", "uint8")
-        # batch_size caps the effective batch even for large shot counts
-        strategy, engine = registry.resolve("auto", shots=10_000, batch_size=32, num_shards=1)
-        assert engine == "uint8"
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", tier)
+        monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
+        monkeypatch.setattr(registry_module, "_DEFAULT_REGISTRY", None)
+        # Every shard holds ``lanes`` shots, so each batch is ``lanes`` wide.
+        strategy, engine = default_registry().resolve(
+            "auto", shots=lanes * num_shards, batch_size=lanes, num_shards=num_shards
+        )
+        expected = "sharded" if num_shards > 1 else FAST_ENGINE
+        assert (strategy.name, engine) == (expected, FAST_ENGINE)
+        assert resolve_backend("auto", lanes) == FAST_ENGINE
 
     def test_sharded_only_when_shards_exceed_one(self):
         registry = default_registry()
@@ -204,24 +200,19 @@ class TestRegistrySelection:
         strategy, _ = registry.resolve("auto", shots=4096, batch_size=1024, num_shards=1)
         assert strategy.name != "sharded"
 
-    def test_sharding_shrinks_the_effective_batch(self):
-        # 256 shots over 8 shards -> 32-lane shards -> uint8 engine.
-        registry = default_registry()
-        strategy, engine = registry.resolve("auto", shots=256, batch_size=1024, num_shards=8)
-        assert (strategy.name, engine) == ("sharded", "uint8")
-
     def test_explicit_engine_with_shards_runs_sharded(self):
         registry = default_registry()
-        strategy, engine = registry.resolve("uint8", shots=4096, batch_size=1024, num_shards=2)
-        assert (strategy.name, engine) == ("sharded", "uint8")
+        strategy, engine = registry.resolve("packed", shots=4096, batch_size=1024, num_shards=2)
+        assert (strategy.name, engine) == ("sharded", "packed")
 
     def test_scalar_refuses_shards(self):
         with pytest.raises(ParameterError):
             default_registry().resolve("scalar", shots=100, batch_size=64, num_shards=2)
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(SimulationError):
-            default_registry().resolve("simd", shots=100, batch_size=64)
+        for name in ("simd", "uint8"):
+            with pytest.raises(SimulationError):
+                default_registry().resolve(name, shots=100, batch_size=64)
 
     def test_max_qubits_capability_excludes_backends(self):
         registry = BackendRegistry()
@@ -255,15 +246,15 @@ class TestRegistrySelection:
         registry.register(Stub(), replace=True)
 
     def test_third_party_backend_never_hijacks_tableau_resolution(self):
-        # A custom strategy can win strategy auto-selection, but its name must
-        # never reach the batched-tableau layer (which only understands
-        # uint8/packed and would silently fall back to uint8 otherwise).
+        # A registered custom strategy runs only when requested by name: it
+        # never wins ``auto``, and its name never reaches the batched-tableau
+        # layer, which only understands the built-in engines.
         from repro.arq.simulator import create_batch_tableau, resolve_backend
-        from repro.stabilizer import PackedBatchTableau
+        from repro.stabilizer import FusedPackedBatchTableau
 
         class FancyBackend:
             name = "fancy"
-            capabilities = BackendCapabilities(supports_batching=True, min_auto_batch=128)
+            capabilities = BackendCapabilities(supports_batching=True)
 
             def estimate(self, task, shots, **kwargs):
                 return MonteCarloResult(failures=0, trials=shots)
@@ -272,13 +263,14 @@ class TestRegistrySelection:
         registry.register(FancyBackend())
         try:
             assert resolve_backend("auto", 1024) == FAST_ENGINE
-            assert isinstance(create_batch_tableau("auto", 7, 1024), PackedBatchTableau)
+            assert isinstance(create_batch_tableau("auto", 7, 1024), FusedPackedBatchTableau)
             # Shard tasks always pin a real tableau engine.
-            _, engine = registry.resolve("auto", shots=4096, batch_size=1024, num_shards=2)
+            _, engine = registry.resolve("fancy", shots=4096, batch_size=1024, num_shards=2)
             assert engine == FAST_ENGINE
-            # But the custom strategy does win unsharded strategy selection.
             strategy, _ = registry.resolve("auto", shots=4096, batch_size=1024, num_shards=1)
-            assert strategy.name == "fancy"
+            assert strategy.name == FAST_ENGINE
+            strategy, engine = registry.resolve("fancy", shots=4096, batch_size=1024)
+            assert (strategy.name, engine) == ("fancy", "fancy")
         finally:
             registry.unregister("fancy")
 
@@ -364,6 +356,7 @@ class TestRunAndReplay:
                 sampling=SamplingSpec(shots=128, seed=5),
             )
         )
+        assert set(measured.value) == {"analytic", "level", "measured", "trials"}
         assert 0.0 <= measured.value["measured"] <= 1.0
         assert measured.value["trials"] == 128.0
 
@@ -405,73 +398,6 @@ class TestRunResultJson:
         data["hostname"] = "somewhere"
         with pytest.raises(ParameterError):
             RunResult.from_dict(data)
-
-
-class TestDeprecationShims:
-    RATES = (2.0e-3, 1.0e-2)
-
-    def test_run_threshold_sweep_warns(self):
-        from repro.arq.experiments import run_threshold_sweep
-
-        with pytest.warns(DeprecationWarning):
-            run_threshold_sweep(self.RATES, trials=64, seed=1, batch_size=64)
-
-    def test_syndrome_rate_estimate_warns(self):
-        from repro.arq.experiments import syndrome_rate_estimate
-
-        with pytest.warns(DeprecationWarning):
-            syndrome_rate_estimate(1)
-
-    def test_run_threshold_sweep_sharded_warns(self):
-        from repro.parallel import run_threshold_sweep_sharded
-
-        with pytest.warns(DeprecationWarning):
-            run_threshold_sweep_sharded(self.RATES, 64, seed=1, num_workers=1, batch_size=64)
-
-    def test_old_kwargs_path_equals_new_spec_path_bit_for_bit(self):
-        from repro.arq.experiments import run_threshold_sweep
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = run_threshold_sweep(
-                self.RATES,
-                trials=512,
-                seed=np.random.SeedSequence(77),
-                num_shards=4,
-                num_workers=0,
-                batch_size=128,
-            )
-        new = run(sweep_spec())
-        assert old == new.value
-
-    def test_sharded_wrapper_equals_spec_path_bit_for_bit(self):
-        from repro.parallel import run_threshold_sweep_sharded
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = run_threshold_sweep_sharded(
-                self.RATES, 512, seed=77, num_shards=4, num_workers=2, batch_size=128
-            )
-        new = run(sweep_spec())
-        assert old == new.value
-
-    def test_sharded_wrapper_rejects_unknown_kwargs(self):
-        from repro.parallel import run_threshold_sweep_sharded
-
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                run_threshold_sweep_sharded(self.RATES, 64, seed=1, trails=10)
-
-    def test_syndrome_shim_matches_spec_keys(self):
-        from repro.arq.experiments import syndrome_rate_estimate
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = syndrome_rate_estimate(
-                1, monte_carlo_trials=64, rng=np.random.default_rng(0)
-            )
-        assert set(legacy) == {"analytic", "level", "measured", "trials"}
 
 
 class TestCuratedSurface:

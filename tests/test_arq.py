@@ -6,13 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import CircuitSpec, ExperimentSpec, NoiseSpec, SamplingSpec, run
 from repro.arq import (
     LayoutMapper,
     Level1EccExperiment,
     NoisyCircuitExecutor,
     build_pulse_schedule,
-    run_threshold_sweep,
-    syndrome_rate_estimate,
 )
 from repro.arq.experiments import _noise_for_rate, _noise_from_parameters
 from repro.circuits import Circuit
@@ -23,6 +22,23 @@ from repro.iontrap.parameters import EXPECTED_PARAMETERS
 from repro.pauli import PauliString
 from repro.qecc import steane_encode_zero_circuit
 from repro.stabilizer import NoiselessModel, OperationNoise
+
+
+def _sweep_spec(rates, shots, seed=0) -> ExperimentSpec:
+    return ExperimentSpec(
+        experiment="threshold_sweep",
+        noise=NoiseSpec(kind="uniform", physical_rates=tuple(rates)),
+        sampling=SamplingSpec(shots=shots, seed=seed),
+    )
+
+
+def _syndrome_spec(level, shots=0) -> ExperimentSpec:
+    return ExperimentSpec(
+        experiment="syndrome_rate",
+        noise=NoiseSpec(kind="technology"),
+        circuit=CircuitSpec(level=level),
+        sampling=SamplingSpec(shots=shots, seed=0),
+    )
 
 
 class TestLayoutMapper:
@@ -200,9 +216,7 @@ class TestExperiments:
         assert rates[1] > rates[0]
 
     def test_threshold_sweep_structure(self):
-        result = run_threshold_sweep(
-            [2e-3, 4e-3], trials=60, rng=np.random.default_rng(2)
-        )
+        result = run(_sweep_spec([2e-3, 4e-3], shots=60, seed=2)).value
         assert len(result.level1) == 2
         assert len(result.level2_rates) == 2
         assert result.concatenation_coefficient > 0
@@ -211,23 +225,23 @@ class TestExperiments:
 
     def test_threshold_sweep_validation(self):
         with pytest.raises(ParameterError):
-            run_threshold_sweep([], trials=10)
+            _sweep_spec([], shots=10)
         with pytest.raises(ParameterError):
-            run_threshold_sweep([1e-3], trials=0)
+            _sweep_spec([1e-3], shots=0)
 
     def test_syndrome_rate_analytic_estimates(self):
-        level1 = syndrome_rate_estimate(1)
-        level2 = syndrome_rate_estimate(2)
+        level1 = run(_syndrome_spec(1)).value
+        level2 = run(_syndrome_spec(2)).value
         # Movement-dominated rates in the 1e-4 .. 2e-3 range, level 2 larger.
         assert 5e-5 < level1["analytic"] < 1e-3
         assert 5e-4 < level2["analytic"] < 5e-3
         assert level2["analytic"] > level1["analytic"]
 
     def test_syndrome_rate_monte_carlo_option(self):
-        result = syndrome_rate_estimate(1, monte_carlo_trials=30, rng=np.random.default_rng(0))
+        result = run(_syndrome_spec(1, shots=30)).value
         assert "measured" in result
         assert 0.0 <= result["measured"] <= 1.0
 
     def test_syndrome_rate_invalid_level(self):
         with pytest.raises(ParameterError):
-            syndrome_rate_estimate(0)
+            _syndrome_spec(0)

@@ -59,13 +59,7 @@ def test_imports_without_networkx():
 
 def test_every_third_party_import_is_declared():
     required = _distribution_names(_setup_argument("install_requires"))
-    # An optional accelerator may stay out of install_requires only when an
-    # extra declares it (the fused kernel imports numba inside try/except).
-    optional = _distribution_names(
-        [req for extra in _setup_argument("extras_require").values() for req in extra]
-    )
     imported = _third_party_imports()
     assert "numpy" in imported and "numpy" in required
-    allowed = required | optional
-    undeclared = {name: files for name, files in imported.items() if name not in allowed}
+    undeclared = {name: files for name, files in imported.items() if name not in required}
     assert undeclared == {}

@@ -479,7 +479,7 @@ class TestMachineSimSpec:
             "auto", shots=4096, batch_size=1024, num_shards=1
         )
         assert strategy.name != "desim"
-        assert engine in ("uint8", "packed", "packed-fused")
+        assert engine == "packed-fused"
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,6 @@ def failure_base(shots: int = 64) -> ExperimentSpec:
         experiment="logical_failure",
         noise=NoiseSpec(kind="uniform", physical_rates=(2.0e-3,)),
         sampling=SamplingSpec(shots=shots, batch_size=64),
-        execution=ExecutionSpec(backend="uint8"),
     )
 
 
@@ -282,12 +281,9 @@ class TestResolvedEngine:
         assert resolved_engine(spec) == "none"
 
     def test_monte_carlo_specs_resolve_through_the_registry(self):
-        from repro.stabilizer.fused import native_kernel_available
-
-        fast = "packed-fused" if native_kernel_available() else "packed"
-        assert resolved_engine(failure_base()) == "uint8"
-        auto = dataclasses.replace(failure_base(), execution=ExecutionSpec(backend="auto"))
-        assert resolved_engine(auto) == fast
+        assert resolved_engine(failure_base()) == "packed-fused"
+        packed = dataclasses.replace(failure_base(), execution=ExecutionSpec(backend="packed"))
+        assert resolved_engine(packed) == "packed"
 
     def test_prediction_matches_what_run_records_for_every_kind(self):
         """Drift guard: cache keys embed resolved_engine, so its answer must
@@ -505,6 +501,6 @@ class TestSweepCli:
         text = capsys.readouterr().out
         for kind in ("threshold_sweep", "machine_sim", "sweep"):
             assert kind in text
-        for backend in ("scalar", "uint8", "packed", "sharded", "desim"):
+        for backend in ("scalar", "packed", "packed-fused", "sharded", "desim"):
             assert backend in text
         assert "design_space" in text

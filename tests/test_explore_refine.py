@@ -65,7 +65,6 @@ def failure_base(shots: int = 128) -> ExperimentSpec:
         experiment="logical_failure",
         noise=NoiseSpec(kind="uniform", physical_rates=(2.0e-3,)),
         sampling=SamplingSpec(shots=shots, batch_size=64),
-        execution=ExecutionSpec(backend="uint8"),
     )
 
 

@@ -183,13 +183,12 @@ class TestKernelTierGate:
 
         with faults.fault_profile(FaultProfile(seed=0, kernel=1.0)):
             assert fused.kernel_tier() == "numpy"
-            assert not fused.native_kernel_available()
 
     def test_kernel_fault_fails_explicit_native_requests(self, monkeypatch):
         from repro.exceptions import SimulationError
         from repro.stabilizer import fused
 
-        monkeypatch.setenv("REPRO_FUSED_KERNEL", "numba")
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", "cext")
         with faults.fault_profile(FaultProfile(seed=0, kernel=1.0)):
             with pytest.raises(SimulationError, match="injected native-kernel"):
                 fused.kernel_tier()

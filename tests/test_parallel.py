@@ -11,7 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arq.experiments import run_threshold_sweep
+from repro.api import (
+    ExecutionSpec,
+    ExperimentSpec,
+    NoiseSpec,
+    SamplingSpec,
+    default_registry,
+    run,
+)
 from repro.exceptions import ParameterError
 from repro.parallel import (
     Level1ShardTask,
@@ -20,7 +27,6 @@ from repro.parallel import (
     as_seed_sequence,
     estimate_failure_rate_sharded,
     run_sharded_outcomes,
-    run_threshold_sweep_sharded,
     shard_sizes,
     spawn_shard_seeds,
 )
@@ -152,78 +158,55 @@ class TestShardedEstimate:
         assert all(shard.failures <= 5 for shard in shards)
 
 
+def _sweep(rates, shots, seed, *, backend="auto", num_shards=1, num_workers=0, batch_size=1024):
+    """A seeded threshold sweep through the spec runner."""
+    return run(
+        ExperimentSpec(
+            experiment="threshold_sweep",
+            noise=NoiseSpec(kind="uniform", physical_rates=tuple(rates)),
+            sampling=SamplingSpec(shots=shots, seed=seed, batch_size=batch_size),
+            execution=ExecutionSpec(
+                backend=backend, num_shards=num_shards, num_workers=num_workers
+            ),
+        )
+    ).value
+
+
 class TestSeededThresholdSweep:
     RATES = (2.0e-3, 1.0e-2)
 
     def test_serial_and_pooled_sweeps_bit_for_bit(self):
-        kwargs = dict(trials=400, num_shards=4, batch_size=128)
-        serial = run_threshold_sweep(self.RATES, seed=77, num_workers=0, **kwargs)
-        pooled = run_threshold_sweep(self.RATES, seed=77, num_workers=2, **kwargs)
+        kwargs = dict(shots=400, num_shards=4, batch_size=128)
+        serial = _sweep(self.RATES, seed=77, num_workers=0, **kwargs)
+        pooled = _sweep(self.RATES, seed=77, num_workers=2, **kwargs)
         assert serial.level1 == pooled.level1
         assert serial.level1_rates == pooled.level1_rates
         assert serial.level2_rates == pooled.level2_rates
         assert serial.concatenation_coefficient == pooled.concatenation_coefficient
 
     def test_entropy_recorded_and_reproducible(self):
-        result = run_threshold_sweep(
-            self.RATES, trials=300, seed=np.random.SeedSequence(2027), num_shards=2
-        )
+        result = _sweep(self.RATES, shots=300, seed=2027, num_shards=2)
         assert result.seed_entropy == 2027
         assert result.num_shards == 2
-        replay = run_threshold_sweep(
-            self.RATES,
-            trials=300,
-            seed=np.random.SeedSequence(result.seed_entropy),
-            num_shards=result.num_shards,
+        replay = _sweep(
+            self.RATES, shots=300, seed=result.seed_entropy, num_shards=result.num_shards
         )
         assert replay.level1 == result.level1
 
-    def test_wrapper_default_shards_machine_independent(self):
-        from repro.parallel import DEFAULT_NUM_SHARDS
-
-        result = run_threshold_sweep_sharded(
-            self.RATES, 64, seed=11, num_workers=1, batch_size=64
-        )
-        # The default shard plan must be a fixed constant, never cpu_count():
-        # the plan decides the random streams, so identical calls on different
-        # machines must produce identical numbers.
-        assert result.num_shards == DEFAULT_NUM_SHARDS
-
-    def test_wrapper_forwards_to_seeded_sweep(self):
-        direct = run_threshold_sweep(
-            self.RATES, trials=300, seed=5, num_shards=3, num_workers=0, batch_size=128
-        )
-        wrapped = run_threshold_sweep_sharded(
-            self.RATES, 300, seed=5, num_shards=3, num_workers=2, batch_size=128
-        )
-        assert wrapped.level1 == direct.level1
-
-    def test_legacy_rng_sweeps_record_no_entropy(self):
-        result = run_threshold_sweep(
-            self.RATES, trials=128, rng=np.random.default_rng(0), batch_size=128
-        )
-        assert result.seed_entropy is None
-        assert result.num_shards == 1
-
     def test_seed_and_rng_are_mutually_exclusive(self):
+        engine = default_registry().get("packed-fused")
         with pytest.raises(ParameterError):
-            run_threshold_sweep(
-                self.RATES, trials=10, rng=np.random.default_rng(0), seed=1
-            )
-
-    def test_seeded_sweep_requires_batched_engine(self):
-        with pytest.raises(ParameterError):
-            run_threshold_sweep(self.RATES, trials=10, seed=1, use_batched=False)
+            engine.estimate(_coin_task, 10, seed=1, rng=np.random.default_rng(0))
 
     def test_backends_agree_statistically_on_seeded_sweeps(self):
         trials = 1500
-        packed = run_threshold_sweep(
-            (5.0e-3, 1.0e-2), trials=trials, seed=8, backend="packed", batch_size=750
+        packed = _sweep(
+            (5.0e-3, 1.0e-2), shots=trials, seed=8, backend="packed", batch_size=750
         )
-        uint8 = run_threshold_sweep(
-            (5.0e-3, 1.0e-2), trials=trials, seed=9, backend="uint8", batch_size=750
+        fused = _sweep(
+            (5.0e-3, 1.0e-2), shots=trials, seed=9, backend="packed-fused", batch_size=750
         )
-        p1, p2 = packed.level1_rates[1], uint8.level1_rates[1]
+        p1, p2 = packed.level1_rates[1], fused.level1_rates[1]
         combined_se = np.sqrt(
             p1 * (1 - p1) / trials + p2 * (1 - p2) / trials
         )

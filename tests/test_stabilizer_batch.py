@@ -1,11 +1,14 @@
 """Cross-validation of the batched engine against the scalar tableau.
 
-The batched engine (:class:`~repro.stabilizer.batch.BatchTableau`, the
-compiled circuit IR and :class:`~repro.arq.simulator.BatchedNoisyCircuitExecutor`)
-must be indistinguishable from the per-shot path: deterministic-outcome
-circuits must agree *exactly* lane for lane, and noisy Monte-Carlo estimates
-must agree statistically (within three binomial standard errors) on the Steane
-syndrome-extraction workload.
+The batched engine (:class:`~repro.stabilizer.packed.PackedBatchTableau`,
+the compiled circuit IR and
+:class:`~repro.arq.simulator.BatchedNoisyCircuitExecutor` on its default
+engine) must be indistinguishable from the per-shot path:
+deterministic-outcome circuits must agree *exactly* lane for lane, and noisy
+Monte-Carlo estimates must agree statistically (within three binomial
+standard errors) on the Steane syndrome-extraction workload.  The small,
+single-word batches here complement the word-spanning batches of
+``test_stabilizer_packed.py``.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from repro.pauli import PauliString
 from repro.qecc.decoder import LookupDecoder
 from repro.qecc.syndrome import full_error_correction_circuit
 from repro.stabilizer import (
-    BatchTableau,
     NoiselessModel,
     OperationNoise,
+    PackedBatchTableau,
     StabilizerTableau,
     estimate_failure_rate_batched,
 )
@@ -82,28 +85,11 @@ class TestCompiledCircuit:
 
 
 class TestBatchTableauAgainstScalar:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_random_clifford_generators_match_every_lane(self, seed):
-        circuit = _random_clifford_circuit(num_qubits=5, depth=60, seed=seed)
-        scalar = StabilizerTableau(5)
-        batch = BatchTableau(5, 4)
-        for operation in circuit:
-            scalar.apply_gate(operation.name, operation.qubits)
-            batch.apply_gate(operation.name, operation.qubits)
-        for lane in range(batch.batch_size):
-            extracted = batch.lane(lane)
-            assert [str(g) for g in extracted.stabilizer_generators()] == [
-                str(g) for g in scalar.stabilizer_generators()
-            ]
-            assert [str(g) for g in extracted.destabilizer_generators()] == [
-                str(g) for g in scalar.destabilizer_generators()
-            ]
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_expectations_match_scalar(self, seed):
         circuit = _random_clifford_circuit(num_qubits=4, depth=40, seed=seed)
         scalar = StabilizerTableau(4)
-        batch = BatchTableau(4, 6)
+        batch = PackedBatchTableau(4, 6)
         for operation in circuit:
             scalar.apply_gate(operation.name, operation.qubits)
             batch.apply_gate(operation.name, operation.qubits)
@@ -114,23 +100,8 @@ class TestBatchTableauAgainstScalar:
             pauli = PauliString(x, z)
             assert (batch.expectation(pauli) == scalar.expectation(pauli)).all()
 
-    def test_pauli_injection_matches_scalar(self):
-        circuit = _random_clifford_circuit(num_qubits=4, depth=30, seed=9)
-        scalar = StabilizerTableau(4)
-        batch = BatchTableau(4, 3)
-        for operation in circuit:
-            scalar.apply_gate(operation.name, operation.qubits)
-            batch.apply_gate(operation.name, operation.qubits)
-        pauli = PauliString.from_label("XYZI")
-        scalar.apply_pauli(pauli)
-        batch.apply_pauli(pauli)
-        for lane in range(3):
-            assert [str(g) for g in batch.lane(lane).stabilizer_generators()] == [
-                str(g) for g in scalar.stabilizer_generators()
-            ]
-
     def test_measurement_collapse_repeats_and_reset(self):
-        batch = BatchTableau(2, 500, rng=np.random.default_rng(5))
+        batch = PackedBatchTableau(2, 500, rng=np.random.default_rng(5))
         batch.h(0)
         batch.cnot(0, 1)
         first = batch.measure(0)
@@ -144,7 +115,7 @@ class TestBatchTableauAgainstScalar:
         assert (batch.measure(0) == 0).all()
 
     def test_measure_x_on_plus_state_is_deterministic(self):
-        batch = BatchTableau(1, 32)
+        batch = PackedBatchTableau(1, 32)
         batch.h(0)
         assert (batch.measure_x(0) == 0).all()
 
@@ -152,7 +123,7 @@ class TestBatchTableauAgainstScalar:
         scalar = StabilizerTableau(3)
         scalar.h(0)
         scalar.cnot(0, 1)
-        batch = BatchTableau.from_tableau(scalar, 4, rng=np.random.default_rng(0))
+        batch = PackedBatchTableau.from_tableau(scalar, 4, rng=np.random.default_rng(0))
         for lane in range(4):
             assert [str(g) for g in batch.lane(lane).stabilizer_generators()] == [
                 str(g) for g in scalar.stabilizer_generators()
@@ -222,7 +193,7 @@ class TestBatchedExecutor:
 
         batch = 32
         rng = np.random.default_rng(4)
-        state = BatchTableau(circuit.num_qubits, batch, rng=rng)
+        state = PackedBatchTableau(circuit.num_qubits, batch, rng=rng)
         executor.run(
             steane_encode_zero_circuit(num_qubits=circuit.num_qubits), batch, rng, tableau=state
         )

@@ -2,8 +2,8 @@
 
 Three things are pinned here:
 
-* kernel-tier selection (``REPRO_FUSED_KERNEL``) and the numpy fallback's
-  exact agreement with the active native tier;
+* kernel-tier selection (``REPRO_FUSED_KERNEL``), the logged numpy
+  fallback, and the numpy kernel's exact agreement with the active tier;
 * the IR <-> kernel opcode contract: every opcode the fused kernel claims to
   support is exercised against the packed engine, and timing-only opcodes are
   rejected with a clear :class:`SimulationError` rather than mis-executed;
@@ -16,6 +16,8 @@ oracles in ``test_stabilizer_packed.py``.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import pytest
@@ -38,15 +40,12 @@ from repro.stabilizer import (
     OperationNoise,
     PackedBatchTableau,
     kernel_tier,
-    native_kernel_available,
 )
 from repro.stabilizer import fused as fused_module
 from repro.stabilizer.fused import (
     KERNEL_TIERS,
     SUPPORTED_OPCODES,
     execute_fused,
-    fused_kernel_numpy,
-    fused_kernel_python,
 )
 
 RAGGED_BATCHES = (1, 63, 64, 65, 130)
@@ -102,32 +101,48 @@ class TestKernelTiers:
     def test_active_tier_is_valid(self):
         assert kernel_tier() in KERNEL_TIERS
 
-    def test_native_probe_matches_tier(self):
-        assert native_kernel_available() == (kernel_tier() in ("numba", "cext"))
+    def test_native_probe_matches_tier(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FUSED_KERNEL", raising=False)
+        monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
+        native = fused_module._cext_kernel() is not None
+        assert kernel_tier() == ("cext" if native else "numpy")
 
     def test_numpy_tier_forcible(self, monkeypatch):
         monkeypatch.setenv("REPRO_FUSED_KERNEL", "numpy")
         monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
         assert kernel_tier() == "numpy"
-        assert not native_kernel_available()
 
     def test_unknown_tier_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_KERNEL", "fortran")
         monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
-        with pytest.raises(SimulationError, match="fortran"):
-            kernel_tier()
+        for name in ("fortran", "numba"):
+            monkeypatch.setenv("REPRO_FUSED_KERNEL", name)
+            with pytest.raises(SimulationError, match=name):
+                kernel_tier()
+
+    @staticmethod
+    def _fail_cext_probe(monkeypatch, reason="no C compiler found (test)"):
+        monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
+        monkeypatch.setattr(fused_module, "_CEXT_FN", None)
+        monkeypatch.setattr(fused_module, "_CEXT_ERROR", reason)
 
     def test_forcing_unavailable_tier_raises(self, monkeypatch):
-        # numba is absent unless installed; a forced tier must fail loudly
-        # instead of silently running a different kernel.
-        monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
-        if fused_module._numba_kernel() is None:
-            monkeypatch.setenv("REPRO_FUSED_KERNEL", "numba")
-            with pytest.raises(SimulationError, match="numba"):
-                kernel_tier()
-        else:
-            monkeypatch.setenv("REPRO_FUSED_KERNEL", "numba")
-            assert kernel_tier() == "numba"
+        # A forced tier must fail loudly instead of silently running a
+        # different kernel.
+        self._fail_cext_probe(monkeypatch)
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", "cext")
+        with pytest.raises(SimulationError, match="no C compiler found"):
+            kernel_tier()
+
+    def test_auto_fallback_to_numpy_is_logged_once(self, monkeypatch, caplog):
+        self._fail_cext_probe(monkeypatch, reason="cc: command failed (test)")
+        monkeypatch.delenv("REPRO_FUSED_KERNEL", raising=False)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert kernel_tier() == "numpy"
+            assert kernel_tier() == "numpy"
+        warnings = [r for r in caplog.records if r.name == "repro"]
+        assert len(warnings) == 1
+        assert warnings[0].levelno == logging.WARNING
+        assert "cc: command failed (test)" in warnings[0].getMessage()
 
     def test_numpy_fallback_matches_active_tier(self, monkeypatch):
         """The vectorized fallback and the active tier are interchangeable."""
@@ -141,44 +156,6 @@ class TestKernelTiers:
             noise=NOISE, backend="packed-fused"
         ).run(circuit, 130, np.random.default_rng(8))
         _assert_identical(reference, fallback)
-
-    def test_python_reference_loop_matches_numpy_kernel(self):
-        """fused_kernel_python (the njit target) agrees with the numpy kernel.
-
-        Exercised directly because in a numba-less environment the Python
-        loop never runs in production -- but it is exactly what numba
-        compiles, so its semantics must stay pinned.
-        """
-        program = compile_circuit(_all_opcode_circuit())
-        plan = fused_module._plan_for(program)
-        n, batch = 3, 70
-        words = 2
-        rng = np.random.default_rng(3)
-        results = []
-        for kernel in (fused_kernel_python, fused_kernel_numpy):
-            state = PackedBatchTableau(n, batch, rng=np.random.default_rng(5))
-            xb, zb = fused_module._extract_bool_planes(state)
-            sched, draw_index, draw_count = fused_module._schedule_for(
-                plan, n, xb, zb, "numpy"
-            )
-            pre = fused_module._presample(
-                plan, NOISE, sched, draw_index, draw_count,
-                (n, xb.tobytes(), zb.tobytes()), batch, words, n,
-                np.random.default_rng(9), state._rng,
-            )
-            out = np.zeros((max(program.num_measurements, 1), words), dtype=np.uint64)
-            status = kernel(
-                n, words, plan.opcodes, plan.qubit0, plan.qubit1, plan.slots,
-                draw_index, pre.pre_inj, pre.post_inj, pre.inj_start,
-                pre.inj_qubit, pre.inj_x, pre.inj_z, pre.drawn, out,
-                xb, zb, state._r, 0, sched,
-                np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8),
-                np.zeros(words, dtype=np.uint64), np.zeros(words, dtype=np.uint64),
-            )
-            assert status == 0
-            results.append((out.copy(), xb.copy(), zb.copy(), state._r.copy()))
-        for a, b in zip(results[0], results[1]):
-            assert np.array_equal(a, b)
 
 
 class TestOpcodeCoverage:
@@ -315,13 +292,11 @@ class TestSeededReplay:
     def test_registry_diagnostics_name_every_backend(self):
         """A capability mismatch lists each backend with its excluding flag."""
         registry = default_registry()
-        description = registry.describe_exclusions(effective_batch=32)
+        description = registry.describe_exclusions(num_qubits=21)
         for name in registry.names():
             assert f"{name!r}" in description
-        assert "min_auto_batch=64 > effective batch 32" in description
         assert "supports_batching=False" in description
-        with pytest.raises(SimulationError, match="supports_sharding=True"):
-            registry.select_engine(0)
+        assert "supports_sharding=True" in description
 
     def test_explicit_capability_mismatch_error_lists_backends(self):
         registry = default_registry()

@@ -1,13 +1,13 @@
-"""Cross-validation of the bit-packed engine against the uint8 and scalar paths.
+"""Cross-validation of the bit-packed engine against the scalar oracle.
 
 :class:`~repro.stabilizer.packed.PackedBatchTableau` must be physically
-indistinguishable from both :class:`~repro.stabilizer.batch.BatchTableau` and
-the scalar :class:`~repro.stabilizer.tableau.StabilizerTableau`:
-deterministic-outcome circuits agree *exactly* lane for lane (including
-ragged batch sizes not divisible by 64), and noisy Monte-Carlo estimates on
-the Steane level-1 workload agree within three binomial standard errors.
-The word-level helpers (pack/unpack, popcount with its lookup-table
-fallback) are pinned here too.
+indistinguishable from the scalar
+:class:`~repro.stabilizer.tableau.StabilizerTableau`: deterministic-outcome
+circuits agree *exactly* lane for lane (including ragged batch sizes not
+divisible by 64), and noisy Monte-Carlo estimates on the Steane level-1
+workload agree within three binomial standard errors.  The fused kernel tier
+is pinned against the packed engine bit for bit, and the word-level helpers
+(pack/unpack, popcount with its lookup-table fallback) are pinned here too.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.exceptions import SimulationError
 from repro.iontrap.parameters import EXPECTED_PARAMETERS
 from repro.pauli import PauliString
 from repro.stabilizer import (
-    BatchTableau,
+    FusedPackedBatchTableau,
     NoiselessModel,
     OperationNoise,
     PackedBatchTableau,
@@ -138,22 +138,23 @@ class TestPackedAgainstScalar:
                 str(g) for g in scalar.stabilizer_generators()
             ]
 
-    def test_per_lane_pauli_bits_match_uint8_engine(self):
+    def test_per_lane_pauli_bits_match_scalar(self):
         circuit = _random_clifford_circuit(num_qubits=4, depth=30, seed=5)
         batch_size = 70
-        uint8 = BatchTableau(4, batch_size)
         packed = PackedBatchTableau(4, batch_size)
         for operation in circuit:
-            uint8.apply_gate(operation.name, operation.qubits)
             packed.apply_gate(operation.name, operation.qubits)
         rng = np.random.default_rng(3)
         x_bits = rng.integers(0, 2, size=(batch_size, 4)).astype(np.uint8)
         z_bits = rng.integers(0, 2, size=(batch_size, 4)).astype(np.uint8)
-        uint8.apply_pauli_bits(x_bits, z_bits)
         packed.apply_pauli_bits(x_bits, z_bits)
         for lane in (0, 33, 63, 64, 69):
+            scalar = StabilizerTableau(4)
+            for operation in circuit:
+                scalar.apply_gate(operation.name, operation.qubits)
+            scalar.apply_pauli(PauliString(x_bits[lane], z_bits[lane]))
             assert [str(g) for g in packed.lane(lane).stabilizer_generators()] == [
-                str(g) for g in uint8.lane(lane).stabilizer_generators()
+                str(g) for g in scalar.stabilizer_generators()
             ]
 
     def test_from_tableau_broadcasts_state(self):
@@ -330,8 +331,6 @@ class TestRandomizedCrossValidation:
         every measurement word, error count and final tableau plane
         (ghost lanes included) must be identical on the same seed.
         """
-        from repro.stabilizer import FusedPackedBatchTableau
-
         for seed in range(6):
             circuit = self._random_measured_circuit(seed=1000 + seed)
             rng = np.random.default_rng(seed)
@@ -384,22 +383,20 @@ class TestPackedExecutor:
         assert (batch.measurements["zero"] == scalar.measurements["zero"]).all()
 
     def test_auto_backend_selection(self):
-        from repro.stabilizer.fused import native_kernel_available
-
-        fast = "packed-fused" if native_kernel_available() else "packed"
-        assert resolve_backend("auto", 64) == fast
-        assert resolve_backend("auto", 63) == "uint8"
+        assert resolve_backend("auto", 1) == "packed-fused"
         assert resolve_backend("packed", 1) == "packed"
         assert resolve_backend("packed-fused", 1) == "packed-fused"
-        assert resolve_backend("uint8", 10**6) == "uint8"
-        with pytest.raises(SimulationError):
-            resolve_backend("simd", 64)
-        assert isinstance(create_batch_tableau("auto", 2, 64), PackedBatchTableau)
-        assert isinstance(create_batch_tableau("auto", 2, 8), BatchTableau)
+        for name in ("uint8", "simd"):
+            with pytest.raises(SimulationError):
+                resolve_backend(name, 64)
+        for batch in (8, 64):
+            assert isinstance(create_batch_tableau("auto", 2, batch), FusedPackedBatchTableau)
+        plain = create_batch_tableau("packed", 2, 8)
+        assert type(plain) is PackedBatchTableau
 
     def test_executor_rejects_conflicting_tableau_and_backend(self):
         circuit = Circuit(1).measure(0)
-        state = BatchTableau(1, 8)
+        state = FusedPackedBatchTableau(1, 8)
         with pytest.raises(SimulationError):
             BatchedNoisyCircuitExecutor(backend="packed").run(
                 circuit, 8, np.random.default_rng(0), tableau=state
@@ -472,7 +469,7 @@ class TestPackedExecutor:
         assert (result.error_count == 1).all()
 
     @pytest.mark.parametrize("batch", [1, 65])
-    def test_uint8_and_packed_agree_on_deterministic_programs(self, batch):
+    def test_packed_matches_per_shot_on_deterministic_programs(self, batch):
         circuit = (
             Circuit(4)
             .h(0)
@@ -488,18 +485,16 @@ class TestPackedExecutor:
             .x(1)
             .measure(1, label="b")
         )
-        uint8 = BatchedNoisyCircuitExecutor(backend="uint8").run(
-            circuit, batch, np.random.default_rng(0)
-        )
+        scalar = NoisyCircuitExecutor().run(circuit, np.random.default_rng(0))
         packed = BatchedNoisyCircuitExecutor(backend="packed").run(
             circuit, batch, np.random.default_rng(0)
         )
         for label in ("a", "b"):
-            assert np.array_equal(uint8.measurements[label], packed.measurements[label])
+            assert (packed.measurements[label] == scalar.measurements[label]).all()
 
 
 class TestSteaneCrossValidation:
-    """Packed vs uint8 vs per-shot agreement on the Figure 7 level-1 workload."""
+    """Packed vs fused vs per-shot agreement on the Figure 7 level-1 workload."""
 
     def test_zero_noise_never_fails_packed(self):
         params = EXPECTED_PARAMETERS.with_uniform_failure(0.0, keep_movement=False)
@@ -534,11 +529,11 @@ class TestSteaneCrossValidation:
             syndromes = (bits.astype(np.int64) @ check.T.astype(np.int64)) % 2
             assert not syndromes.any(), extraction.error_type
 
-    def test_noisy_failure_rates_within_three_sigma_of_uint8(self):
+    def test_noisy_failure_rates_within_three_sigma_of_fused(self):
         rate = 1.0e-2  # high enough for meaningful statistics at modest shots
         trials = 3000
         estimates = {}
-        for backend, seed in (("uint8", 2024), ("packed", 2025)):
+        for backend, seed in (("packed-fused", 2024), ("packed", 2025)):
             experiment = Level1EccExperiment(
                 noise=_noise_for_rate(rate, EXPECTED_PARAMETERS), backend=backend
             )
@@ -547,12 +542,12 @@ class TestSteaneCrossValidation:
             for _ in range(trials // 750):
                 failures += int(experiment.run_trial_batch(rng, 750).sum())
             estimates[backend] = failures / trials
-        p_uint8 = estimates["uint8"]
+        p_fused = estimates["packed-fused"]
         p_packed = estimates["packed"]
         combined_se = np.sqrt(
-            p_uint8 * (1 - p_uint8) / trials + p_packed * (1 - p_packed) / trials
+            p_fused * (1 - p_fused) / trials + p_packed * (1 - p_packed) / trials
         )
-        assert abs(p_uint8 - p_packed) <= 3.0 * combined_se + 1e-12, estimates
+        assert abs(p_fused - p_packed) <= 3.0 * combined_se + 1e-12, estimates
 
     def test_noisy_failure_rate_within_three_sigma_of_per_shot(self):
         rate = 1.0e-2
