@@ -16,8 +16,9 @@ Shor-kernel runtime.  This package turns the single-point experiment API
   the backend registry with a bounded process fan-out, answering every
   previously-computed point from the cache,
 * :mod:`repro.explore.supervisor` -- the fault-tolerant execution layer
-  under :func:`run_sweep`: per-point timeouts, bounded retry with backoff,
-  and dead-pool recovery (see ``docs/robustness.md``),
+  under :func:`run_sweep`: sweep points as jobs on the supervised process
+  pool of :mod:`repro.parallel` -- per-point timeouts, bounded retry with
+  backoff, and dead-pool recovery (see ``docs/robustness.md``),
 * :mod:`repro.explore.distributed` -- N worker processes (or hosts on a
   shared filesystem) coordinating one sweep purely through atomic claim
   files next to the cache entries: heartbeat leases, stale-claim reaping,
@@ -101,13 +102,7 @@ from repro.explore.runner import (
     run_sweep,
     stream_sweep,
 )
-from repro.explore.supervisor import (
-    PointTimeoutError,
-    RetryPolicy,
-    WorkerCrashError,
-    execute_supervised,
-    execute_with_retry,
-)
+from repro.explore.supervisor import execute_supervised
 from repro.explore.sweep import (
     SWEEP_SECTIONS,
     SweepAxis,
@@ -115,6 +110,7 @@ from repro.explore.sweep import (
     SweepSpec,
     point_seed,
 )
+from repro.parallel import PointTimeoutError, RetryPolicy, WorkerCrashError
 
 __all__ = [
     "SWEEP_SECTIONS",
@@ -149,7 +145,6 @@ __all__ = [
     "PointTimeoutError",
     "WorkerCrashError",
     "execute_supervised",
-    "execute_with_retry",
     "tidy_rows",
     "point_row",
     "pareto_front",

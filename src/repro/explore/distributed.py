@@ -80,12 +80,8 @@ from repro.api.results import RunResult
 from repro.api.specs import ExperimentSpec
 from repro.exceptions import ParameterError, QLAError
 from repro.explore.cache import ResultCache
-from repro.explore.supervisor import (
-    PointOutcome,
-    RetryPolicy,
-    execute_supervised,
-    execute_with_retry,
-)
+from repro.explore.supervisor import execute_supervised
+from repro.parallel import RetryPolicy, fork_context
 
 __all__ = [
     "CLAIMS_SUBDIR",
@@ -569,26 +565,13 @@ def execute_coordinated(
 
             if batch:
                 progressed = True
-                if width > 1 and len(batch) > 1 and registry is None:
-                    outcomes: dict[int, PointOutcome] = {}
-
-                    def harvest(sub: int, outcome: PointOutcome) -> None:
-                        outcomes[sub] = outcome
-
-                    execute_supervised(
-                        [specs[position] for position in batch],
-                        policy=policy,
-                        point_workers=width,
-                        registry=registry,
-                        on_outcome=harvest,
-                    )
-                    ordered = [(position, outcomes[sub]) for sub, position in enumerate(batch)]
-                else:
-                    ordered = [
-                        (position, execute_with_retry(specs[position], policy=policy, registry=registry))
-                        for position in batch
-                    ]
-                for position, outcome in ordered:
+                outcomes = execute_supervised(
+                    [specs[position] for position in batch],
+                    policy=policy,
+                    point_workers=point_workers,
+                    registry=registry,
+                )
+                for position, outcome in zip(batch, outcomes):
                     # The caller's callback caches the result; only then is
                     # the claim released, so a waiter can never acquire a
                     # released claim and find the entry missing.
@@ -760,13 +743,7 @@ def run_sweep_distributed(
     the_cache = cache if cache is not None else ResultCache()
     the_cache.directory.mkdir(parents=True, exist_ok=True)
 
-    import multiprocessing
-
-    context = (
-        multiprocessing.get_context("fork")
-        if __import__("sys").platform.startswith("linux")
-        else multiprocessing.get_context()
-    )
+    context = fork_context()
     sweep_json = sweep.to_json()
     reports_dir = Path(tempfile.mkdtemp(prefix="repro-dist-", dir=the_cache.directory))
     processes = []

@@ -47,8 +47,9 @@ from repro.api.runner import resolved_engine
 from repro.api.specs import ExperimentSpec
 from repro.exceptions import ParameterError, QLAError
 from repro.explore.cache import ResultCache, cache_key
-from repro.explore.supervisor import RetryPolicy, execute_supervised
+from repro.explore.supervisor import execute_supervised
 from repro.explore.sweep import SweepSpec
+from repro.parallel import RetryPolicy
 
 # resolved_engine is re-exported here because cache keys embed its answer;
 # the implementation lives next to run() in repro.api.runner so the dispatch

@@ -1,204 +1,26 @@
 """Supervised, fault-tolerant execution of sweep points.
 
-:func:`execute_supervised` runs a batch of independent, fully-bound
-experiment specs and *survives* the failure modes a million-point
-design-space study actually meets:
-
-* **Streaming completion.**  Points are submitted to a bounded
-  :class:`~concurrent.futures.ProcessPoolExecutor` and harvested as they
-  finish, so the caller can persist every completed point immediately --
-  a crashed sweep resumes from the result cache instead of starting over.
-* **Per-point timeouts.**  A point that exceeds
-  :attr:`RetryPolicy.point_timeout` is failed with
-  :class:`PointTimeoutError` and its (possibly hung) worker is killed.
-  A single pool worker cannot be cancelled individually, so the whole
-  pool is killed and respawned; the innocent in-flight points are
-  re-queued *without* being charged an attempt (completed-but-unharvested
-  results are salvaged first).
-* **Bounded retry with exponential backoff.**  Each failed attempt
-  re-queues the point until :attr:`RetryPolicy.max_retries` retries are
-  exhausted, with deterministic (jitter-free) exponential backoff between
-  attempts.  Retries can never change results: every point's spec carries
-  its own pinned seed.
-* **BrokenProcessPool recovery with quarantine.**  When a worker dies
-  (OOM killer, SIGKILL, segfault) the pool breaks and *every* in-flight
-  future fails indistinguishably.  The supervisor respawns the pool and
-  re-runs the in-flight points one at a time (``suspects``): a point that
-  crashes *alone* is the proven culprit and is charged an attempt; points
-  that complete are exonerated and full-width submission resumes.  An
-  innocent point can therefore never be failed by a neighbour's crash.
-* **Graceful degradation.**  A point that exhausts its retries resolves
-  to a failed :class:`PointOutcome` record (exception, attempts, elapsed
-  wall-clock) instead of aborting the batch; the caller decides
-  whether a partial result is acceptable (``on_error="partial"``) or not
-  (``on_error="raise"``).
-
-The in-process path (no pool) shares the same retry/backoff machinery but
-cannot enforce timeouts or survive crashes of the calling process itself;
-:func:`repro.explore.runner.run_sweep` validates that ``point_timeout``
-is only requested together with a worker pool.
-
-Fault injection (:mod:`repro.faults`) hooks into the worker entry point:
-:data:`~repro.faults.WORKER_CRASH` and :data:`~repro.faults.WORKER_HANG`
-fire only inside pool workers, :data:`~repro.faults.POINT_TRANSIENT`
-fires on both paths.  All three key on the SHA-256 of the point's
-canonical spec JSON, so faulted runs are bit-reproducible.
+:func:`execute_supervised` runs fully-bound specs as jobs on the supervised
+pool of :func:`repro.parallel.supervise` (see ``docs/robustness.md``).  Each
+point's fault key is the SHA-256 of its canonical spec JSON, so faulted runs
+are bit-reproducible.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import sys
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 
 from repro import faults
 from repro.api.registry import BackendRegistry
 from repro.api.results import RunResult
 from repro.api.runner import run
 from repro.api.specs import ExperimentSpec
-from repro.exceptions import ParameterError, QLAError
+from repro.parallel import JobOutcome, RetryPolicy, supervise
 
-__all__ = [
-    "PointTimeoutError",
-    "WorkerCrashError",
-    "RetryPolicy",
-    "PointOutcome",
-    "execute_supervised",
-    "execute_with_retry",
-]
+__all__ = ["execute_supervised"]
 
 
-class PointTimeoutError(QLAError):
-    """A sweep point exceeded its per-point wall-clock timeout."""
-
-
-class WorkerCrashError(QLAError):
-    """The worker process executing a sweep point died abruptly."""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Failure-handling knobs for supervised point execution.
-
-    Attributes
-    ----------
-    point_timeout:
-        Wall-clock budget per attempt, in seconds; ``None`` disables
-        timeouts.  Only enforceable on the pooled path (a hung in-process
-        point cannot be preempted).
-    max_retries:
-        Retries *after* the first attempt; a point runs at most
-        ``max_retries + 1`` times before it fails terminally.
-    backoff_base / backoff_factor / backoff_cap:
-        Delay before retry ``k`` (1-based) is
-        ``min(backoff_cap, backoff_base * backoff_factor**(k - 1))`` --
-        deterministic bounded exponential backoff, no jitter, so faulted
-        runs replay identically.
-    """
-
-    point_timeout: float | None = None
-    max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.point_timeout is not None and (
-            not isinstance(self.point_timeout, (int, float)) or self.point_timeout <= 0
-        ):
-            raise ParameterError(
-                f"point_timeout must be a positive number of seconds or None, "
-                f"got {self.point_timeout!r}"
-            )
-        if not isinstance(self.max_retries, int) or isinstance(self.max_retries, bool) or self.max_retries < 0:
-            raise ParameterError(f"max_retries must be a non-negative int, got {self.max_retries!r}")
-        for name in ("backoff_base", "backoff_cap"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ParameterError(f"{name} must be a non-negative number, got {value!r}")
-        if not isinstance(self.backoff_factor, (int, float)) or self.backoff_factor < 1.0:
-            raise ParameterError(f"backoff_factor must be >= 1, got {self.backoff_factor!r}")
-
-    def backoff(self, failed_attempts: int) -> float:
-        """Delay before the retry following the given number of failures."""
-        if self.backoff_base <= 0.0 or failed_attempts <= 0:
-            return 0.0
-        return min(self.backoff_cap, self.backoff_base * self.backoff_factor ** (failed_attempts - 1))
-
-
-@dataclass(frozen=True)
-class PointOutcome:
-    """Terminal outcome of one supervised point: a result or a failure.
-
-    Exactly one of ``result`` / ``error`` is set.  ``attempts`` counts
-    executions that were *charged* to the point (a pool crash with several
-    points in flight charges nobody until the culprit is isolated);
-    ``elapsed_seconds`` is the total wall-clock the supervisor spent on
-    the point across every attempt, backoff waits excluded.
-    """
-
-    result: RunResult | None
-    error: Exception | None
-    attempts: int
-    elapsed_seconds: float
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-def _run_point_json(spec_json: str, attempt: int = 0) -> str:
-    """Worker entry: run one point's spec JSON, return its result JSON.
-
-    Module-level (picklable) so the process-pool fan-out can ship points
-    as plain strings; the JSON round trip is exact, so pooled and
-    in-process execution return identical results.  The fault-injection
-    sites that simulate worker death and hangs live here -- inside the
-    worker process -- keyed on the spec's content hash.
-    """
-    key = faults.fault_key(spec_json)
-    faults.maybe_inject(faults.WORKER_CRASH, key, attempt)
-    faults.maybe_inject(faults.WORKER_HANG, key, attempt)
-    faults.maybe_inject(faults.POINT_TRANSIENT, key, attempt)
-    return run(ExperimentSpec.from_json(spec_json)).to_json()
-
-
-def _pool_context():
-    if sys.platform.startswith("linux"):
-        # Fork is cheap and safe on Linux; elsewhere take the platform
-        # default (macOS spawn), exactly as repro.parallel does.
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()  # pragma: no cover - non-Linux only
-
-
-class _Task:
-    """Mutable supervision state for one point."""
-
-    __slots__ = ("index", "spec", "spec_json", "attempts", "eligible_at", "started_at", "elapsed")
-
-    def __init__(self, index: int, spec: ExperimentSpec) -> None:
-        self.index = index
-        self.spec = spec
-        self.spec_json = spec.to_json()
-        self.attempts = 0          # charged (actually failed or completed) executions
-        self.eligible_at = 0.0     # monotonic time before which the task must not resubmit
-        self.started_at = 0.0      # monotonic start of the current attempt
-        self.elapsed = 0.0         # accumulated wall-clock across attempts
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down even when a worker is hung: SIGKILL, then shutdown."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except Exception:  # pragma: no cover - racing an exiting worker
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
+def _run_point(spec: ExperimentSpec, registry: BackendRegistry | None) -> RunResult:
+    """Job body of one sweep point (module-level, so the pool can pickle it)."""
+    return run(spec, registry=registry)
 
 
 def execute_supervised(
@@ -208,261 +30,22 @@ def execute_supervised(
     point_workers: int = 0,
     registry: BackendRegistry | None = None,
     on_outcome=None,
-) -> list[PointOutcome]:
-    """Execute independent point specs under supervision; never raises per point.
+) -> list[JobOutcome]:
+    """Execute fully-bound (seed-pinned) point specs under supervision.
 
-    Parameters
-    ----------
-    specs:
-        The fully-bound (seed-pinned) specs to run, one task per entry.
-    policy:
-        Timeout/retry/backoff configuration.
-    point_workers:
-        ``> 1`` executes on a supervised fork process pool (required for
-        timeouts and crash isolation); otherwise points run in-process,
-        in order, with the same retry semantics.
-    registry:
-        A caller-supplied registry forces in-process execution (it cannot
-        cross a process boundary); results are identical either way.
-    on_outcome:
-        Optional ``callback(index, outcome)`` invoked the moment each
-        point resolves -- the hook :func:`~repro.explore.runner.run_sweep`
-        uses to persist completed points immediately.
-
-    Returns
-    -------
-    list[PointOutcome]
-        One terminal outcome per input spec, index-aligned.
+    One job per spec on :func:`~repro.parallel.supervise` with ``point_workers``
+    as its ``workers``; a caller-supplied ``registry`` forces in-process
+    execution (it cannot cross a process boundary), and results are
+    identical either way.  ``on_outcome(index, outcome)`` fires the moment
+    each point resolves -- the hook :func:`~repro.explore.runner.run_sweep`
+    uses to persist completed points immediately.  Returns one
+    :class:`~repro.parallel.JobOutcome` per spec, index-aligned, whose
+    ``result`` is the point's :class:`~repro.api.results.RunResult`.
     """
-    tasks = [_Task(index, spec) for index, spec in enumerate(specs)]
-    outcomes: list[PointOutcome | None] = [None] * len(tasks)
-
-    def resolve(task: _Task, result: RunResult | None, error: Exception | None) -> None:
-        outcome = PointOutcome(
-            result=result, error=error, attempts=task.attempts, elapsed_seconds=task.elapsed
-        )
-        outcomes[task.index] = outcome
-        if on_outcome is not None:
-            on_outcome(task.index, outcome)
-
-    pooled = point_workers > 1 and registry is None and tasks
-    if pooled:
-        _execute_pooled(tasks, policy, min(point_workers, len(tasks)), resolve)
-    else:
-        _execute_serial(tasks, policy, registry, resolve)
-    return outcomes  # type: ignore[return-value]
-
-
-def _run_task_serial(task: _Task, policy: RetryPolicy, registry) -> PointOutcome:
-    """The in-process attempt loop for one task: retry with backoff to a terminal outcome."""
-    while True:
-        start = time.monotonic()
-        try:
-            faults.maybe_inject(
-                faults.POINT_TRANSIENT, faults.fault_key(task.spec_json), task.attempts
-            )
-            result = run(task.spec, registry=registry)
-        except Exception as error:  # noqa: BLE001 - any failure becomes a record
-            task.attempts += 1
-            task.elapsed += time.monotonic() - start
-            if task.attempts <= policy.max_retries:
-                delay = policy.backoff(task.attempts)
-                if delay:
-                    time.sleep(delay)
-                continue
-            return PointOutcome(
-                result=None, error=error, attempts=task.attempts, elapsed_seconds=task.elapsed
-            )
-        else:
-            task.attempts += 1
-            task.elapsed += time.monotonic() - start
-            return PointOutcome(
-                result=result, error=None, attempts=task.attempts, elapsed_seconds=task.elapsed
-            )
-
-
-def execute_with_retry(
-    spec: ExperimentSpec, *, policy: RetryPolicy, registry: BackendRegistry | None = None
-) -> PointOutcome:
-    """Run one fully-bound spec in-process under the retry policy.
-
-    The single-point core of :func:`execute_supervised`'s serial path,
-    exposed so claim-coordinated sweeps (:mod:`repro.explore.distributed`)
-    can re-execute a reaped point with exactly the same retry/backoff
-    semantics as every other point.  Timeouts are not enforceable
-    in-process, so :attr:`RetryPolicy.point_timeout` is ignored here.
-    """
-    return _run_task_serial(_Task(0, spec), policy, registry)
-
-
-def _execute_serial(tasks, policy, registry, resolve) -> None:
-    """In-process execution with retry/backoff (no timeouts, no crash isolation)."""
-    for task in tasks:
-        outcome = _run_task_serial(task, policy, registry)
-        resolve(task, outcome.result, outcome.error)
-
-
-def _execute_pooled(tasks, policy, workers, resolve) -> None:
-    """The supervised pool loop: streaming harvest, timeouts, crash recovery."""
-    context = _pool_context()
-    queue: deque[_Task] = deque(tasks)
-    in_flight: dict[object, _Task] = {}
-    suspects: set[int] = set()  # task indices quarantined after a pool break
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-    def respawn() -> None:
-        nonlocal pool
-        _kill_pool(pool)
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-    def charge_failure(task: _Task, error: Exception, now: float) -> None:
-        """Count a failed attempt; re-queue with backoff or resolve terminally."""
-        task.attempts += 1
-        task.elapsed += now - task.started_at
-        if task.attempts <= policy.max_retries:
-            task.eligible_at = time.monotonic() + policy.backoff(task.attempts)
-            queue.append(task)
-        else:
-            suspects.discard(task.index)
-            resolve(task, None, error)
-
-    try:
-        while queue or in_flight:
-            now = time.monotonic()
-
-            # Submit eligible tasks up to capacity.  While any suspect from a
-            # pool break is unresolved, submission narrows to one task at a
-            # time so the next crash unambiguously identifies its culprit.
-            capacity = 1 if suspects else workers
-            deferred: deque[_Task] = deque()
-            while queue and len(in_flight) < capacity:
-                task = queue.popleft()
-                if task.eligible_at > now:
-                    deferred.append(task)
-                    continue
-                task.started_at = time.monotonic()
-                try:
-                    future = pool.submit(_run_point_json, task.spec_json, task.attempts)
-                except (BrokenProcessPool, RuntimeError):
-                    # The pool broke between events; respawn and retry the
-                    # submission on the next pass (nothing is charged).
-                    queue.appendleft(task)
-                    respawn()
-                    break
-                in_flight[future] = task
-            while deferred:
-                queue.appendleft(deferred.pop())
-
-            if not in_flight:
-                if queue:
-                    # Everything eligible later: sleep until the first backoff
-                    # deadline (bounded so new eligibility is re-checked).
-                    wake = min(task.eligible_at for task in queue)
-                    time.sleep(min(max(wake - time.monotonic(), 0.0), 0.05) or 0.001)
-                continue
-
-            # Wait for completions, bounded by the earliest point deadline and
-            # the earliest backoff eligibility.
-            timeout = None
-            if policy.point_timeout is not None:
-                deadline = min(task.started_at + policy.point_timeout for task in in_flight.values())
-                timeout = max(deadline - time.monotonic(), 0.0)
-            if queue:
-                wake = max(min(task.eligible_at for task in queue) - time.monotonic(), 0.01)
-                timeout = wake if timeout is None else min(timeout, wake)
-            done, _ = wait(set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
-
-            broken = False
-            crashed: list[_Task] = []
-            now = time.monotonic()
-            for future in done:
-                task = in_flight.pop(future)
-                try:
-                    payload = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    crashed.append(task)
-                except Exception as error:  # noqa: BLE001 - engine/injected failure
-                    charge_failure(task, error, now)
-                else:
-                    task.attempts += 1
-                    task.elapsed += now - task.started_at
-                    suspects.discard(task.index)
-                    resolve(task, RunResult.from_json(payload), None)
-
-            if broken:
-                # Every future the break touched failed indistinguishably; the
-                # still-pending ones will surface as BrokenProcessPool on the
-                # next wait, so fold them in now for one coherent decision.
-                # Results that completed before the break are salvaged.
-                for future, task in list(in_flight.items()):
-                    if future.done() and future.exception() is None:
-                        task.attempts += 1
-                        task.elapsed += now - task.started_at
-                        suspects.discard(task.index)
-                        resolve(task, RunResult.from_json(future.result()), None)
-                    else:
-                        crashed.append(task)
-                    del in_flight[future]
-                if len(crashed) == 1:
-                    # A lone in-flight point is the proven culprit.
-                    charge_failure(
-                        crashed[0],
-                        WorkerCrashError(
-                            "worker process died while executing sweep point "
-                            f"{crashed[0].index} (attempt {crashed[0].attempts + 1})"
-                        ),
-                        now,
-                    )
-                else:
-                    # Ambiguous: quarantine all of them, charge nobody, and
-                    # re-run one at a time until the culprit crashes alone.
-                    for task in crashed:
-                        task.elapsed += now - task.started_at
-                        task.eligible_at = now
-                        suspects.add(task.index)
-                        queue.append(task)
-                respawn()
-                continue
-
-            # Enforce per-point deadlines: fail the expired points, salvage
-            # any already-completed results, re-queue the innocent rest
-            # uncharged, and kill the pool (a hung worker ignores everything
-            # short of SIGKILL).
-            if policy.point_timeout is not None and in_flight:
-                now = time.monotonic()
-                expired = [
-                    future
-                    for future, task in in_flight.items()
-                    if now - task.started_at >= policy.point_timeout and not future.done()
-                ]
-                if expired:
-                    for future in expired:
-                        task = in_flight.pop(future)
-                        charge_failure(
-                            task,
-                            PointTimeoutError(
-                                f"sweep point {task.index} exceeded the per-point "
-                                f"timeout of {policy.point_timeout:g}s "
-                                f"(attempt {task.attempts + 1})"
-                            ),
-                            now,
-                        )
-                    for future, task in list(in_flight.items()):
-                        if future.done() and future.exception() is None:
-                            # Completed between the wait and the kill: harvest
-                            # instead of wastefully re-running.
-                            task.attempts += 1
-                            task.elapsed += now - task.started_at
-                            suspects.discard(task.index)
-                            resolve(task, RunResult.from_json(future.result()), None)
-                        else:
-                            task.elapsed += now - task.started_at
-                            task.eligible_at = now
-                            queue.append(task)
-                    in_flight.clear()
-                    respawn()
-    finally:
-        # Idle workers on the success path; possibly hung ones on error
-        # paths -- SIGKILL either way so shutdown can never block.
-        _kill_pool(pool)
+    jobs = [(faults.fault_key(spec.to_json()), _run_point, (spec, registry)) for spec in specs]
+    return supervise(
+        jobs,
+        policy=policy,
+        workers=point_workers if registry is None else 0,
+        on_outcome=on_outcome,
+    )

@@ -1,8 +1,8 @@
 """Deterministic, seed-controlled fault injection for robustness testing.
 
-The recovery machinery of the design-space explorer (supervised worker
-pool, retry with backoff, per-point timeouts, crash-resume from the result
-cache -- see :mod:`repro.explore.supervisor` and ``docs/robustness.md``) is
+The recovery machinery of the library (the supervised worker pool of
+:mod:`repro.parallel` with retry, backoff and per-point timeouts, and
+crash-resume from the result cache -- see ``docs/robustness.md``) is
 only trustworthy if its invariants can be *proved* under failure.  This
 module is the tool that makes failure reproducible: every injection
 decision is a pure function of ``(profile seed, site, key)``, so a faulted
@@ -13,7 +13,8 @@ corrupted.
 Fault **sites** are the places the library consults the harness:
 
 ================== ====================================================
-:data:`WORKER_CRASH`    SIGKILL the worker process executing a sweep point
+:data:`WORKER_CRASH`    SIGKILL the pool worker executing a supervised job
+                        -- a sweep point or a Monte-Carlo shard
                         (exercises ``BrokenProcessPool`` recovery).
 :data:`WORKER_HANG`     sleep :attr:`FaultProfile.hang_seconds` inside the
                         worker before executing (exercises per-point

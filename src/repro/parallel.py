@@ -1,16 +1,34 @@
-"""Process-level sharding of Monte-Carlo sweeps.
+"""The library's process substrate: supervised jobs and Monte-Carlo shards.
 
-The bit-packed engine makes one core fast; this module makes *all* cores
-fast.  A Monte-Carlo estimate of ``trials`` shots is split into ``num_shards``
-contiguous shards, each shard draws its randomness from its own child of one
-root :class:`numpy.random.SeedSequence` (the spawn protocol recommended by
-numpy for parallel streams), and shards execute either serially or on a
-process pool.  Because the shard plan -- sizes, seeds, chunking, per-shard
-early stop -- is a pure function of ``(trials, seed, num_shards, batch_size,
-max_failures)``, the aggregated result is **bit-for-bit identical** no matter
-how many worker processes executed it: ``num_workers=0`` (in-process) and
-``num_workers=8`` produce the same failure counts, the same trial counts and
-the same sweep curves.
+**Supervision.**  :func:`supervise` runs independent ``(fault_key, fn,
+args)`` jobs -- Monte-Carlo shards here, sweep points in
+:mod:`repro.explore.supervisor` -- and is the only place in the library
+that starts a process pool.  With ``workers <= 1`` the jobs run in-process
+under the :class:`RetryPolicy`'s retry and backoff.  Otherwise they run on
+a fork pool (:func:`fork_context`) with streaming harvest, per-attempt
+timeouts (a hung job's pool is killed and respawned; innocent in-flight
+jobs are re-queued uncharged), bounded retry with deterministic backoff,
+and crash quarantine: after a pool break the in-flight jobs re-run one at
+a time, so only a job that crashes *alone* is charged.  A job that
+exhausts its retries resolves to a failed :class:`JobOutcome` instead of
+aborting the batch (``docs/robustness.md`` has the full contract).
+Charged crashes and timeouts are logged at WARNING on the ``repro``
+logger, quarantines at INFO.  The fault sites of :mod:`repro.faults` live
+in the one worker entry, keyed on the job's fault key:
+:data:`~repro.faults.WORKER_CRASH` and :data:`~repro.faults.WORKER_HANG`
+fire only inside pool workers, :data:`~repro.faults.POINT_TRANSIENT` on
+both paths.
+
+**Sharding.**  A Monte-Carlo estimate of ``trials`` shots is split into
+``num_shards`` contiguous shards, each drawing its randomness from its own
+child of one root :class:`numpy.random.SeedSequence` (the spawn protocol
+numpy recommends for parallel streams), and the shards run as supervised
+jobs.  Because the shard plan -- sizes, seeds, chunking, per-shard early
+stop -- is a pure function of ``(trials, seed, num_shards, batch_size,
+max_failures)``, the aggregated result is **bit-for-bit identical** no
+matter how many worker processes executed it, or how often a crashed shard
+was retried: ``num_workers=0`` (in-process) and ``num_workers=8`` produce
+the same failure counts, the same trial counts and the same sweep curves.
 
 Early stopping composes exactly: each shard truncates its own outcome stream
 once ``max_failures`` failures occur *locally*, and the aggregator replays the
@@ -28,21 +46,32 @@ walk needs shot granularity.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro import faults
 from repro.arq.mapper import LayoutMapper
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, QLAError
 from repro.iontrap.parameters import EXPECTED_PARAMETERS, IonTrapParameters
 from repro.stabilizer.monte_carlo import MonteCarloResult, scan_early_stop
 from repro.stabilizer.packed import pack_bits, popcount, unpack_bits
 
 __all__ = [
+    "fork_context",
+    "PointTimeoutError",
+    "WorkerCrashError",
+    "RetryPolicy",
+    "JobOutcome",
+    "supervise",
     "DEFAULT_SHARD_BATCH_SIZE",
     "ShardOutcome",
     "Level1ShardTask",
@@ -54,8 +83,364 @@ __all__ = [
     "estimate_failure_rate_sharded",
 ]
 
+_LOG = logging.getLogger("repro")
+
+
+def fork_context():
+    """The start method of every worker process the library spawns.
+
+    Fork is cheap and safe on Linux.  On macOS forking a process with
+    Objective-C / threaded-BLAS state is unsafe, so elsewhere this is the
+    platform default; determinism never depends on the start method.
+    """
+    if sys.platform.startswith("linux"):
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()  # pragma: no cover - non-Linux only
+
+
+class PointTimeoutError(QLAError):
+    """A supervised job exceeded its per-attempt wall-clock timeout."""
+
+
+class WorkerCrashError(QLAError):
+    """The worker process executing a supervised job died abruptly."""
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Failure-handling knobs for supervised execution.
+
+    Attributes
+    ----------
+    point_timeout:
+        Wall-clock budget per attempt, in seconds; ``None`` disables
+        timeouts.  Only enforceable on the pooled path (a hung in-process
+        job cannot be preempted).
+    max_retries:
+        Retries *after* the first attempt; a job runs at most
+        ``max_retries + 1`` times before it fails terminally.
+    backoff_base / backoff_factor / backoff_cap:
+        Delay before retry ``k`` (1-based) is
+        ``min(backoff_cap, backoff_base * backoff_factor**(k - 1))`` --
+        deterministic bounded exponential backoff, no jitter, so faulted
+        runs replay identically.
+    """
+
+    point_timeout: float | None = None
+    max_retries: int = 2
+    backoff_base: float = 0.05
+    backoff_factor: float = 2.0
+    backoff_cap: float = 5.0
+
+    def __post_init__(self) -> None:
+        if self.point_timeout is not None and (
+            not isinstance(self.point_timeout, (int, float)) or self.point_timeout <= 0
+        ):
+            raise ParameterError(
+                f"point_timeout must be a positive number of seconds or None, "
+                f"got {self.point_timeout!r}"
+            )
+        if not isinstance(self.max_retries, int) or isinstance(self.max_retries, bool) or self.max_retries < 0:
+            raise ParameterError(f"max_retries must be a non-negative int, got {self.max_retries!r}")
+        for name in ("backoff_base", "backoff_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or value < 0:
+                raise ParameterError(f"{name} must be a non-negative number, got {value!r}")
+        if not isinstance(self.backoff_factor, (int, float)) or self.backoff_factor < 1.0:
+            raise ParameterError(f"backoff_factor must be >= 1, got {self.backoff_factor!r}")
+
+    def backoff(self, failed_attempts: int) -> float:
+        """Delay before the retry following the given number of failures."""
+        if self.backoff_base <= 0.0 or failed_attempts <= 0:
+            return 0.0
+        return min(self.backoff_cap, self.backoff_base * self.backoff_factor ** (failed_attempts - 1))
+
+
+@dataclass(frozen=True)
+class JobOutcome:
+    """Terminal outcome of one supervised job: a result or a failure.
+
+    Exactly one of ``result`` / ``error`` is meaningful (``error is None``
+    on success).  ``attempts`` counts executions that were *charged* to the
+    job (a pool crash with several jobs in flight charges nobody until the
+    culprit is isolated); ``elapsed_seconds`` is the total wall-clock the
+    supervisor spent on the job across every attempt, backoff waits
+    excluded.
+    """
+
+    result: Any
+    error: Exception | None
+    attempts: int
+    elapsed_seconds: float
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+def _run_job(key: str, fn: Callable, args: tuple, attempt: int, in_worker: bool = True):
+    """The one worker entry: consult the fault sites, then run ``fn(*args)``.
+
+    Module-level so the pool can pickle it.  Crashes and hangs are only
+    injected inside pool workers -- in-process they would kill or stall
+    the caller itself.
+    """
+    if in_worker:
+        faults.maybe_inject(faults.WORKER_CRASH, key, attempt)
+        faults.maybe_inject(faults.WORKER_HANG, key, attempt)
+    faults.maybe_inject(faults.POINT_TRANSIENT, key, attempt)
+    return fn(*args)
+
+
+class _Job:
+    """Mutable supervision state for one job."""
+
+    __slots__ = ("index", "key", "fn", "args", "attempts", "eligible_at", "started_at", "elapsed")
+
+    def __init__(self, index: int, key: str, fn: Callable, args: tuple) -> None:
+        self.index = index
+        self.key = key
+        self.fn = fn
+        self.args = args
+        self.attempts = 0          # charged (actually failed or completed) executions
+        self.eligible_at = 0.0     # monotonic time before which the job must not resubmit
+        self.started_at = 0.0      # monotonic start of the current attempt
+        self.elapsed = 0.0         # accumulated wall-clock across attempts
+
+
+def supervise(
+    jobs: Sequence[tuple[str, Callable, tuple]],
+    *,
+    policy: RetryPolicy,
+    workers: int = 0,
+    on_outcome: Callable[[int, JobOutcome], None] | None = None,
+) -> list[JobOutcome]:
+    """Run independent jobs under supervision; never raises per job.
+
+    Parameters
+    ----------
+    jobs:
+        ``(fault_key, fn, args)`` triples.  ``fn`` and ``args`` must be
+        picklable when ``workers > 1``; ``fault_key`` names the job to the
+        fault-injection sites, so it must be a pure function of the work.
+    policy:
+        Timeout/retry/backoff configuration.
+    workers:
+        ``> 1`` runs on a supervised fork pool of at most that many
+        processes (required for timeouts and crash isolation); otherwise
+        jobs run in-process, in order, with the same retry semantics.
+    on_outcome:
+        Optional ``callback(index, outcome)`` invoked the moment each job
+        resolves.  An exception it raises aborts the remaining jobs and
+        propagates.
+
+    Returns one terminal :class:`JobOutcome` per job, index-aligned.
+    """
+    tasks = [_Job(index, *job) for index, job in enumerate(jobs)]
+    outcomes: list[JobOutcome | None] = [None] * len(tasks)
+
+    def resolve(job: _Job, result: Any, error: Exception | None) -> None:
+        outcome = JobOutcome(
+            result=result, error=error, attempts=job.attempts, elapsed_seconds=job.elapsed
+        )
+        outcomes[job.index] = outcome
+        if on_outcome is not None:
+            on_outcome(job.index, outcome)
+
+    if workers > 1 and tasks:
+        _supervise_pool(tasks, policy, min(workers, len(tasks)), resolve)
+    else:
+        for job in tasks:
+            _run_inline(job, policy, resolve)
+    return outcomes  # type: ignore[return-value]
+
+
+def _run_inline(job: _Job, policy: RetryPolicy, resolve) -> None:
+    """The in-process attempt loop: retry with backoff to a terminal outcome."""
+    while True:
+        start = time.monotonic()
+        result = error = None
+        try:
+            result = _run_job(job.key, job.fn, job.args, job.attempts, in_worker=False)
+        except Exception as caught:  # noqa: BLE001 - any failure becomes a record
+            error = caught
+        job.attempts += 1
+        job.elapsed += time.monotonic() - start
+        if error is None or job.attempts > policy.max_retries:
+            return resolve(job, result, error)
+        time.sleep(policy.backoff(job.attempts))
+
+
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a pool down even when a worker is hung: SIGKILL, then shutdown."""
+    processes = getattr(pool, "_processes", None) or {}
+    for process in list(processes.values()):
+        try:
+            process.kill()
+        except Exception:  # pragma: no cover - racing an exiting worker
+            pass
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _supervise_pool(jobs: list[_Job], policy: RetryPolicy, workers: int, resolve) -> None:
+    """The supervised pool loop: streaming harvest, timeouts, crash recovery."""
+    context = fork_context()
+    queue: deque[_Job] = deque(jobs)
+    in_flight: dict[object, _Job] = {}
+    suspects: set[int] = set()  # job indices quarantined after a pool break
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+    def respawn() -> None:
+        nonlocal pool
+        _kill_pool(pool)
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+    def charge(job: _Job, result: Any, error: Exception | None, now: float) -> None:
+        """Count a finished attempt; re-queue a failure with backoff or resolve."""
+        job.attempts += 1
+        job.elapsed += now - job.started_at
+        retry = error is not None and job.attempts <= policy.max_retries
+        if isinstance(error, (WorkerCrashError, PointTimeoutError)):
+            _LOG.warning("%s; %s", error, "re-queued" if retry else "terminal (retries exhausted)")
+        if retry:
+            job.eligible_at = time.monotonic() + policy.backoff(job.attempts)
+            queue.append(job)
+        else:
+            suspects.discard(job.index)
+            resolve(job, result, error)
+
+    def requeue_uncharged(job: _Job, now: float) -> None:
+        job.elapsed += now - job.started_at
+        job.eligible_at = now
+        queue.append(job)
+
+    def salvage(now: float) -> list[_Job]:
+        """Empty the in-flight set: resolve finished results, return the rest."""
+        rest = []
+        for future, job in in_flight.items():
+            if future.done() and future.exception() is None:
+                charge(job, future.result(), None, now)
+            else:
+                rest.append(job)
+        in_flight.clear()
+        return rest
+
+    try:
+        while queue or in_flight:
+            now = time.monotonic()
+
+            # Submit eligible jobs up to capacity.  While any suspect from a
+            # pool break is unresolved, submission narrows to one job at a
+            # time so the next crash unambiguously identifies its culprit.
+            capacity = 1 if suspects else workers
+            deferred: deque[_Job] = deque()
+            while queue and len(in_flight) < capacity:
+                job = queue.popleft()
+                if job.eligible_at > now:
+                    deferred.append(job)
+                    continue
+                job.started_at = time.monotonic()
+                try:
+                    future = pool.submit(_run_job, job.key, job.fn, job.args, job.attempts)
+                except (BrokenProcessPool, RuntimeError):
+                    # The pool broke between events; respawn and retry the
+                    # submission on the next pass (nothing is charged).
+                    queue.appendleft(job)
+                    respawn()
+                    break
+                in_flight[future] = job
+            while deferred:
+                queue.appendleft(deferred.pop())
+
+            if not in_flight:
+                if queue:
+                    # Everything eligible later: sleep until the first backoff
+                    # deadline (bounded so new eligibility is re-checked).
+                    wake = min(job.eligible_at for job in queue)
+                    time.sleep(min(max(wake - time.monotonic(), 0.0), 0.05) or 0.001)
+                continue
+
+            # Wait for completions, bounded by the earliest job deadline and
+            # the earliest backoff eligibility.
+            timeout = None
+            if policy.point_timeout is not None:
+                deadline = min(job.started_at + policy.point_timeout for job in in_flight.values())
+                timeout = max(deadline - time.monotonic(), 0.0)
+            if queue:
+                wake = max(min(job.eligible_at for job in queue) - time.monotonic(), 0.01)
+                timeout = wake if timeout is None else min(timeout, wake)
+            done, _ = wait(set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
+
+            crashed: list[_Job] = []
+            now = time.monotonic()
+            for future in done:
+                job = in_flight.pop(future)
+                error = future.exception()
+                if isinstance(error, BrokenProcessPool):
+                    crashed.append(job)
+                else:
+                    charge(job, None if error else future.result(), error, now)
+
+            if crashed:
+                # Every future the break touched failed indistinguishably; the
+                # still-pending ones will surface as BrokenProcessPool on the
+                # next wait, so fold them in now for one coherent decision.
+                crashed += salvage(now)
+                if len(crashed) == 1:
+                    # A lone in-flight job is the proven culprit.
+                    culprit = crashed[0]
+                    error = WorkerCrashError(
+                        f"worker process died while executing job {culprit.index} "
+                        f"(attempt {culprit.attempts + 1})"
+                    )
+                    charge(culprit, None, error, now)
+                else:
+                    # Ambiguous: quarantine all of them, charge nobody, and
+                    # re-run one at a time until the culprit crashes alone.
+                    _LOG.info(
+                        "worker pool broke with %d jobs in flight; quarantined "
+                        "to run one at a time", len(crashed),
+                    )
+                    for job in crashed:
+                        suspects.add(job.index)
+                        requeue_uncharged(job, now)
+                respawn()
+                continue
+
+            # Enforce per-attempt deadlines: fail the expired jobs, salvage
+            # any already-completed results, re-queue the innocent rest
+            # uncharged, and kill the pool (a hung worker ignores everything
+            # short of SIGKILL).
+            if policy.point_timeout is not None and in_flight:
+                now = time.monotonic()
+                expired = [
+                    future
+                    for future, job in in_flight.items()
+                    if now - job.started_at >= policy.point_timeout and not future.done()
+                ]
+                if expired:
+                    for future in expired:
+                        job = in_flight.pop(future)
+                        error = PointTimeoutError(
+                            f"job {job.index} exceeded the per-point timeout of "
+                            f"{policy.point_timeout:g}s (attempt {job.attempts + 1})"
+                        )
+                        charge(job, None, error, now)
+                    for job in salvage(now):
+                        requeue_uncharged(job, now)
+                    respawn()
+    finally:
+        # Idle workers on the success path; possibly hung ones on error
+        # paths -- SIGKILL either way so shutdown can never block.
+        _kill_pool(pool)
+
+
 #: Shots handed to a batch trial at once inside one shard.
 DEFAULT_SHARD_BATCH_SIZE = 1024
+
+#: Shards retry a crashed or failed attempt under the default policy; they
+#: have no timeout.
+_SHARD_POLICY = RetryPolicy()
 
 
 def as_seed_sequence(
@@ -196,7 +581,9 @@ def run_sharded_outcomes(
         Number of shards; fixed by the caller, NOT by the worker count, so the
         same ``(seed, num_shards)`` pair is reproducible on any machine.
     num_workers:
-        ``0``/``1`` runs shards in-process; larger values use a process pool.
+        ``0``/``1`` runs shards in-process; larger values use the supervised
+        process pool (a crashed shard worker is quarantined and retried).
+        A shard whose attempts are exhausted re-raises its own exception.
     batch_size:
         Shots per batched call inside a shard.
     max_failures:
@@ -206,26 +593,26 @@ def run_sharded_outcomes(
     seeds = spawn_shard_seeds(seed, num_shards)
     sizes = shard_sizes(trials, num_shards)
     jobs = [
-        (task, shard_seed, size, batch_size, max_failures)
+        (
+            # The shard's fault key: its seed and its plan, so a chaos
+            # profile strikes the same shards on every run.
+            faults.fault_key(
+                f"shard:{shard_seed.entropy}:{shard_seed.spawn_key}:"
+                f"{size}:{batch_size}:{max_failures}"
+            ),
+            _run_shard,
+            (task, shard_seed, size, batch_size, max_failures),
+        )
         for shard_seed, size in zip(seeds, sizes)
         if size > 0
     ]
-    if num_workers <= 1:
-        return [_run_shard(*job) for job in jobs]
-    if sys.platform.startswith("linux"):
-        # Fork is the cheap start method and safe on Linux.  On macOS forking
-        # a process with Objective-C / threaded-BLAS state is unsafe (CPython
-        # switched the macOS default to spawn for that reason), so everywhere
-        # else we take the platform default; the shard tasks are fully
-        # picklable, and determinism only depends on the seed-derived shard
-        # plan, never on the start method.
-        context = multiprocessing.get_context("fork")
-    else:  # pragma: no cover - exercised on macOS/Windows only
-        context = multiprocessing.get_context()
-    workers = min(num_workers, max(1, len(jobs)))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        futures = [pool.submit(_run_shard, *job) for job in jobs]
-        return [future.result() for future in futures]
+
+    def reraise(index: int, outcome: JobOutcome) -> None:
+        if not outcome.ok:
+            raise outcome.error
+
+    outcomes = supervise(jobs, policy=_SHARD_POLICY, workers=num_workers, on_outcome=reraise)
+    return [outcome.result for outcome in outcomes]
 
 
 def aggregate_shard_outcomes(

@@ -17,7 +17,7 @@ free" -- with **zero** new runtime dependencies (stdlib ``http.server`` +
 * :mod:`repro.service.worker` -- worker threads draining the queue onto
   :func:`repro.explore.runner.run_sweep` / :func:`repro.api.run`, with
   per-point progress events, cancellation checkpoints and job-level
-  retry honoring :class:`~repro.explore.supervisor.RetryPolicy`.
+  retry honoring :class:`~repro.parallel.RetryPolicy`.
 * :mod:`repro.service.http` -- the endpoint set on stdlib
   ``ThreadingHTTPServer`` and :class:`ExperimentService`, the composition
   root (usable in-process or via ``repro-serve``).

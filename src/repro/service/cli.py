@@ -31,7 +31,7 @@ import signal
 import sys
 
 from repro.exceptions import QLAError
-from repro.explore.supervisor import RetryPolicy
+from repro.parallel import RetryPolicy
 from repro.service.http import ExperimentService
 from repro.service.store import default_db_path
 

@@ -45,8 +45,8 @@ from repro.api.specs import ExperimentSpec
 from repro.exceptions import ParameterError, QLAError
 from repro.explore.cache import ResultCache, cache_key
 from repro.explore.runner import resolved_engine
-from repro.explore.supervisor import RetryPolicy
 from repro.explore.sweep import SweepSpec
+from repro.parallel import RetryPolicy
 from repro.service.metrics import ServiceMetrics, render_metrics
 from repro.service.store import (
     TERMINAL_STATES,
@@ -81,7 +81,7 @@ class ExperimentService:
     workers:
         Number of queue-draining worker threads.
     policy:
-        :class:`~repro.explore.supervisor.RetryPolicy` for sweep points
+        :class:`~repro.parallel.RetryPolicy` for sweep points
         and job-retry backoff.
     default_max_attempts:
         Attempt budget for jobs whose submission doesn't specify one.

@@ -13,15 +13,18 @@ executes it on the library's existing supervised execution path:
 * an **experiment** job is answered from the shared
   :class:`~repro.explore.cache.ResultCache` when its entry exists (the
   job's idempotency key *is* its cache key, so a resubmitted spec costs
-  zero engine executions) and otherwise runs through
-  :func:`repro.api.run` with the result stored back into the cache.
+  zero engine executions) and otherwise runs as a one-point
+  :func:`~repro.explore.supervisor.execute_supervised` batch (the point
+  retry a sweep point gets) with the result stored back into the cache.
 
 **Attempt semantics.**  Claiming a job charges an attempt.  An attempt
 that raises is retried -- the job is re-queued after the
-:class:`~repro.explore.supervisor.RetryPolicy` backoff -- until the job's
+:class:`~repro.parallel.RetryPolicy` backoff -- until the job's
 ``max_attempts`` budget is exhausted, at which point the job lands in
 ``failed`` with a structured error record (never wedged in ``running``).
-Because every finished sweep point was cached *immediately*, a retried
+Only job-level failures get this retry: an experiment point that exhausts
+its own retries fails the job at once, with ``point_attempts`` in the
+record.  Because every finished sweep point was cached *immediately*, a retried
 sweep attempt recomputes only the unfinished tail; a retried experiment
 attempt whose first try completed-but-failed-to-commit is a pure cache
 hit.
@@ -42,13 +45,13 @@ import traceback
 
 from repro import faults
 from repro.api.results import RunResult
-from repro.api.runner import run
 from repro.api.specs import ExperimentSpec
 from repro.exceptions import QLAError
 from repro.explore.cache import ResultCache
 from repro.explore.runner import run_sweep
-from repro.explore.supervisor import RetryPolicy
+from repro.explore.supervisor import execute_supervised
 from repro.explore.sweep import SweepSpec
+from repro.parallel import RetryPolicy
 from repro.service.metrics import ServiceMetrics
 from repro.service.store import JobRecord, JobStore
 
@@ -57,6 +60,10 @@ __all__ = ["JobCancelled", "JobWorker"]
 
 class JobCancelled(QLAError):
     """Raised inside a worker when a running job's cancellation flag is set."""
+
+
+class _PointFailed(Exception):
+    """Carries the outcome of an experiment point that exhausted its own retries."""
 
 
 class JobWorker(threading.Thread):
@@ -169,13 +176,19 @@ class JobWorker(threading.Thread):
             self.metrics.record_outcome("done")
 
     def _handle_failure(self, job: JobRecord, attempt: int, error: Exception) -> None:
+        extra = {}
+        if isinstance(error, _PointFailed):
+            # The point already spent its own retry budget; a job-level
+            # requeue would only repeat it.
+            outcome = error.args[0]
+            error, extra = outcome.error, {"point_attempts": outcome.attempts}
         detail = {
             "type": "attempt_failed",
             "attempt": attempt,
             "exception_type": type(error).__name__,
             "message": str(error),
         }
-        if attempt < job.max_attempts:
+        if attempt < job.max_attempts and not extra:
             self.store.append_event(job.id, {**detail, "retrying": True})
             delay = self.policy.backoff(attempt)
             if delay:
@@ -188,7 +201,8 @@ class JobWorker(threading.Thread):
                 "exception_type": type(error).__name__,
                 "message": str(error),
                 "attempts": attempt,
-                "traceback": traceback.format_exc(limit=10),
+                **extra,
+                "traceback": "".join(traceback.format_exception(error, limit=10)),
             }
             self.store.mark_failed(job.id, record)
             self.store.append_event(job.id, {**detail, "type": "failed", "retrying": False})
@@ -245,7 +259,10 @@ class JobWorker(threading.Thread):
             result = cached
             self.metrics.record_single(cached=True)
         else:
-            result = run(spec, registry=self.registry)
+            [outcome] = execute_supervised([spec], policy=self.policy, registry=self.registry)
+            if not outcome.ok:
+                raise _PointFailed(outcome)
+            result = outcome.result
             self.cache.put(job.idempotency_key, result)
             self.metrics.record_single(
                 cached=False, wall_time_seconds=result.wall_time_seconds

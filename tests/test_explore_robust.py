@@ -376,7 +376,10 @@ class TestTimeouts:
         # The hang shows up in the per-point wall clock (>= one timeout).
         assert all(p.wall_time_seconds >= 1.0 for p in result.points)
 
-    def test_permanent_hang_times_out_terminally(self, cache):
+    @pytest.mark.parametrize("coordinate", [False, True])
+    def test_permanent_hang_times_out_terminally(self, cache, coordinate):
+        # A lone cache miss still runs on the pool, so its timeout holds
+        # under claim coordination too.
         profile = FaultProfile(seed=9, hang=1.0, hang_seconds=30.0, fail_attempts=-1)
         with faults.fault_profile(profile):
             result = run_sweep(
@@ -385,6 +388,7 @@ class TestTimeouts:
                 point_timeout=0.5,
                 max_retries=1,
                 backoff_base=0.0,
+                coordinate=coordinate,
             )
         assert result.failed == 1
         error = result.failures()[0].error

@@ -8,9 +8,12 @@ semantics exactly over the concatenated shard streams.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.api import (
     ExecutionSpec,
     ExperimentSpec,
@@ -23,6 +26,7 @@ from repro.exceptions import ParameterError
 from repro.parallel import (
     Level1ShardTask,
     ShardOutcome,
+    WorkerCrashError,
     aggregate_shard_outcomes,
     as_seed_sequence,
     estimate_failure_rate_sharded,
@@ -156,6 +160,56 @@ class TestShardedEstimate:
         # Every shard stops within a few chunks of its fifth failure.
         assert all(shard.count < 1000 for shard in shards)
         assert all(shard.failures <= 5 for shard in shards)
+
+
+@pytest.mark.no_chaos
+class TestSupervisedShards:
+    """Pooled shards run on the supervised pool: crashes are retried exactly."""
+
+    @staticmethod
+    def _estimate(num_workers):
+        return estimate_failure_rate_sharded(
+            Level1ShardTask(physical_rate=0.004),
+            2048,
+            np.random.SeedSequence(2024),
+            num_shards=4,
+            num_workers=num_workers,
+            batch_size=512,
+        )
+
+    def test_sigkilled_shards_are_retried_bit_for_bit(self):
+        clean = self._estimate(num_workers=0)
+        # Every shard's first pooled attempt SIGKILLs its worker.
+        with faults.fault_profile(faults.PROFILES["crashy"]):
+            crashed = self._estimate(num_workers=2)
+        assert (crashed.failures, crashed.trials) == (clean.failures, clean.trials)
+        assert clean.trials == 2048
+
+    def test_permanent_shard_crash_raises_worker_crash_error(self):
+        with faults.fault_profile(faults.FaultProfile(crash=1.0, fail_attempts=-1)):
+            with pytest.raises(WorkerCrashError):
+                self._estimate(num_workers=2)
+
+    def test_crash_supervision_is_logged(self, caplog):
+        with caplog.at_level(logging.INFO, logger="repro"):
+            with faults.fault_profile(faults.PROFILES["crashy"]):
+                pooled = estimate_failure_rate_sharded(
+                    _coin_task, 400, np.random.SeedSequence(3), num_shards=2, num_workers=2
+                )
+        serial = estimate_failure_rate_sharded(
+            _coin_task, 400, np.random.SeedSequence(3), num_shards=2
+        )
+        assert (pooled.failures, pooled.trials) == (serial.failures, serial.trials)
+        records = [r for r in caplog.records if r.name == "repro"]
+        # Both shards were in flight when the pool broke: quarantined, then
+        # each crashed alone, was charged and re-queued.
+        assert any(
+            r.levelno == logging.INFO and "quarantined" in r.getMessage() for r in records
+        )
+        charged = [r for r in records if r.levelno == logging.WARNING]
+        assert len(charged) == 2
+        assert all("worker process died" in r.getMessage() for r in charged)
+        assert all("re-queued" in r.getMessage() for r in charged)
 
 
 def _sweep(rates, shots, seed, *, backend="auto", num_shards=1, num_workers=0, batch_size=1024):

@@ -525,6 +525,19 @@ class TestFaultInjection:
             client.result(job["id"])
         assert excinfo.value.status == 409
 
+    def test_exhausted_point_retries_fail_an_experiment_job_without_requeue(
+        self, service, client
+    ):
+        # Point failures are retried by the point supervisor, not the job:
+        # once the point exhausts its retries the job fails on attempt 1.
+        with faults.fault_profile(PROFILES["permafail"]):
+            job = client.submit(machine_base().with_seed(5).to_dict())
+            document = client.wait(job["id"])
+        assert document["state"] == "failed"
+        assert document["attempts"] == 1
+        assert document["error"]["exception_type"] == "InjectedFault"
+        assert document["error"]["point_attempts"] == service.policy.max_retries + 1
+
     def test_chaos_profile_converges_to_terminal_states(self, service, client):
         # The CI chaos preset (transient faults fire once per key): every
         # job must converge to done within the default attempt budget.
