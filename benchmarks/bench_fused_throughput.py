@@ -2,18 +2,22 @@
 
 The fused tier exists to remove the per-operation Python/numpy dispatch that
 dominates the bit-packed engine once states are small and batches are wide: it
-pre-samples the noise stream and then executes the whole compiled circuit in
-one native loop over the packed bit-planes.  This benchmark times both
-backends on the level-1 Steane logical-gate + error-correction trial (the
-Figure 7 workload) at a batch size of 4096, checks the fused tier clears a
->= 5x speedup on the C kernel tier, and validates two reproducibility
-contracts: a seeded ``ExperimentSpec`` must produce **bit-for-bit** identical
-sweep results on ``"packed"`` and ``"packed-fused"`` at every shard count,
-and a process-pool sharded sweep must match the serial sweep **bit for bit**
+executes the whole compiled circuit in one native loop over the packed
+bit-planes.  Both engines draw a run's noise as the same sparse noise block
+(``repro.stabilizer.fused.noise_block``), so seeded runs agree bit for bit.
+This benchmark times both backends on the level-1 Steane logical-gate +
+error-correction trial (the Figure 7 workload) at a batch size of 4096,
+breaks each engine's time into phases (noise block, kernel, executor, decode
+and ideal recovery), checks the fused tier clears a >= 5x speedup on the C
+kernel tier, and validates two reproducibility contracts: a seeded
+``ExperimentSpec`` must produce **bit-for-bit** identical sweep results on
+``"packed"`` and ``"packed-fused"`` at every shard count, and a
+process-pool sharded sweep must match the serial sweep **bit for bit**
 given the same ``SeedSequence`` and shard count.
 
 Results are written to ``BENCH_fused_throughput.json`` at the repository
-root.  Run under pytest (``pytest benchmarks/bench_fused_throughput.py``) or
+root, under a run header naming the library version, fused-kernel tier,
+Python, numpy and host.  Run under pytest (``pytest benchmarks/bench_fused_throughput.py``) or
 directly (``python benchmarks/bench_fused_throughput.py [--smoke]``);
 ``--smoke`` runs tiny shot counts and skips the timing assertion -- the CI
 regression gate for the fused kernels, the packed-equivalence contract and
@@ -23,8 +27,11 @@ shard determinism.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +41,12 @@ try:  # the CI smoke job runs this file directly with only numpy installed
 except ImportError:  # pragma: no cover - direct execution without pytest
     pytest = None
 
+import repro
 from repro.api import ExecutionSpec, ExperimentSpec, NoiseSpec, SamplingSpec, run
 from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
+from repro.arq.simulator import BatchedNoisyCircuitExecutor
 from repro.iontrap.parameters import EXPECTED_PARAMETERS
+from repro.stabilizer import fused as fused_module
 from repro.stabilizer.fused import kernel_tier
 
 #: Component failure rate of the throughput workload (mid-sweep Figure 7 point).
@@ -63,25 +73,93 @@ SWEEP_SHARDS = 4
 _OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fused_throughput.json"
 
 
-def _time_backend(backend: str, shots: int, batch_size: int) -> dict[str, float]:
+def _run_header() -> dict[str, object]:
+    """Library version, fused-kernel tier and host of this run."""
+    cpu = platform.processor()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        lines = cpuinfo.read_text().splitlines()
+        models = [line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")]
+        cpu = models[0] if models else cpu
+    return {
+        "repro_version": repro.__version__,
+        "kernel_tier": kernel_tier(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "host": {"machine": platform.machine(), "cpu": cpu, "nproc": os.cpu_count()},
+    }
+
+
+@contextmanager
+def _phase_clock(backend: str):
+    """Accumulate the host time of each Monte-Carlo phase run inside the block.
+
+    * ``executor_s`` -- every batched circuit run, inclusive;
+    * ``noise_block_s`` -- sampling the runs' noise blocks (both engines);
+    * ``kernel_s`` -- executing the circuits: the C or numpy kernel for
+      ``packed-fused``, the per-operation word loop for ``packed`` (less the
+      noise block it samples first);
+    * ``decode_s`` -- the rest of each trial batch: state creation, syndrome
+      decoding, corrections and the ideal recovery;
+    * ``ideal_recovery_s`` -- the ideal recovery alone (part of ``decode_s``).
+    """
+    phases = dict.fromkeys(
+        ("executor_s", "noise_block_s", "kernel_s", "decode_s", "ideal_recovery_s"), 0.0
+    )
+    originals = []
+
+    def wrap(owner, name, key):
+        original = vars(owner)[name]
+        originals.append((owner, name, original))
+
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                phases[key] += time.perf_counter() - start
+
+        setattr(owner, name, wrapper)
+
+    if backend == "packed-fused":
+        wrap(fused_module, "_run_kernel", "kernel_s")
+    else:
+        wrap(BatchedNoisyCircuitExecutor, "_run_packed", "kernel_s")
+    wrap(fused_module, "_plan_block", "noise_block_s")
+    wrap(BatchedNoisyCircuitExecutor, "run", "executor_s")
+    wrap(Level1EccExperiment, "_batch_attempt", "decode_s")
+    wrap(Level1EccExperiment, "_ideal_recovery_says_one_batch", "ideal_recovery_s")
+    try:
+        yield phases
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+        if backend != "packed-fused":
+            phases["kernel_s"] -= phases["noise_block_s"]
+        phases["decode_s"] -= phases["executor_s"]
+
+
+def _time_backend(backend: str, shots: int, batch_size: int) -> dict[str, object]:
     experiment = Level1EccExperiment(
         noise=_noise_for_rate(WORKLOAD_RATE, EXPECTED_PARAMETERS), backend=backend
     )
     rng = np.random.default_rng(11)
     # Warm the compiled-circuit / kernel / schedule caches before timing.
     experiment.run_trial_batch(rng, min(64, batch_size))
-    start = time.perf_counter()
-    completed = 0
-    while completed < shots:
-        experiment.run_trial_batch(rng, batch_size)
-        completed += batch_size
-    seconds = time.perf_counter() - start
+    with _phase_clock(backend) as phases:
+        start = time.perf_counter()
+        completed = 0
+        while completed < shots:
+            experiment.run_trial_batch(rng, batch_size)
+            completed += batch_size
+        seconds = time.perf_counter() - start
     return {
         "backend": backend,
         "batch_size": batch_size,
         "shots": completed,
         "seconds": seconds,
         "shots_per_second": completed / seconds,
+        "phases": phases,
     }
 
 
@@ -194,6 +272,7 @@ def _run_benchmark(smoke: bool = False) -> dict[str, object]:
         )
         determinism = _sharded_sweep_determinism(trials=SWEEP_TRIALS, num_shards=SWEEP_SHARDS)
     report = {
+        "header": _run_header(),
         "smoke": smoke,
         "throughput": throughput,
         "packed_equivalence": equivalence,
@@ -211,6 +290,12 @@ def _check(report: dict[str, object], smoke: bool) -> None:
             f"fused tier ({throughput['kernel_tier']}) is only "
             f"{throughput['speedup']:.1f}x the packed engine"
         )
+    for engine in ("packed", "packed_fused"):
+        timing = throughput[engine]
+        phases = timing["phases"]
+        timed = phases["executor_s"] + phases["decode_s"]
+        assert 0.0 < timed <= timing["seconds"], timing
+        assert phases["noise_block_s"] + phases["kernel_s"] <= phases["executor_s"], timing
     assert report["packed_equivalence"]["bit_for_bit"], report["packed_equivalence"]
     assert report["sharded_sweep"]["bit_for_bit"], report["sharded_sweep"]
 

@@ -48,7 +48,7 @@ from repro.stabilizer import (
     StabilizerTableau,
     unpack_bits,
 )
-from repro.stabilizer.fused import execute_fused
+from repro.stabilizer.fused import execute_fused, noise_block
 
 __all__ = [
     "BACKENDS",
@@ -304,8 +304,8 @@ class BatchedNoisyCircuitExecutor:
     noise:
         The noise model (defaults to noiseless execution).  Custom subclasses
         of :class:`~repro.stabilizer.noise.NoiseModel` work unmodified via the
-        base class's scalar fallback; the built-in models sample all lanes of
-        an operation in one RNG call.
+        base class's scalar fallback; the built-in models sample a whole
+        run's noise as one sparse noise block.
     mapper:
         Layout mapper supplying movement budgets; None disables movement noise.
     backend:
@@ -425,8 +425,8 @@ class BatchedNoisyCircuitExecutor:
         """Drive the fused kernel tier (whole circuit in one native loop).
 
         Bit-for-bit identical to :meth:`_run_packed` on the same seeds: the
-        fused module pre-samples all measurement randomness and noise in the
-        packed engine's exact RNG order before launching the kernel.
+        fused module samples the same noise (block or hooks) and the same
+        measurement words before launching the kernel.
         """
         measurements, error_count = execute_fused(
             program, batch_size, rng, state, self._noise
@@ -444,17 +444,28 @@ class BatchedNoisyCircuitExecutor:
     ) -> BatchExecutionResult:
         """Drive the bit-packed engine (64 lanes per uint64 word).
 
-        Semantically identical to the per-shot executor lane for lane; noise
-        is sampled through the packed hooks, Pauli masks are injected as word
-        masks, and measurement outcomes are collected packed and unpacked
-        once at the end into per-label ``(B,)`` uint8 arrays.
+        Semantically identical to the per-shot executor lane for lane.  A
+        built-in noise model's noise comes as one pre-sampled
+        :func:`~repro.stabilizer.fused.noise_block` whose records are
+        injected before and after each operation; a custom model is sampled
+        through its packed hooks operation by operation.  Pauli masks are
+        injected as word masks, and measurement outcomes are collected packed
+        and unpacked once at the end into per-label ``(B,)`` uint8 arrays.
         """
         noise = self._noise
-        noiseless = noise.is_noiseless
-        error_count = np.zeros(batch_size, dtype=np.int64)
+        block = noise_block(program, noise, batch_size, rng)
+        error_count = (
+            block.error_count if block is not None else np.zeros(batch_size, dtype=np.int64)
+        )
         outcome_words = np.zeros(
             (program.num_measurements, state.num_lane_words), dtype=np.uint64
         )
+
+        def inject(sampled) -> None:
+            support, x_words, z_words, event_words = sampled
+            if event_words.any():
+                state.inject_pauli_words(support, x_words, z_words)
+                error_count[:] += unpack_bits(event_words, batch_size)
 
         opcodes = program.opcodes
         qubit0 = program.qubit0
@@ -467,30 +478,26 @@ class BatchedNoisyCircuitExecutor:
             op = int(opcodes[k])
             q0 = int(qubit0[k])
 
-            if not noiseless and exposure[k] > 0:
-                support, x_words, z_words, event_words = noise.sample_movement_error_packed(
-                    int(moved[k]), int(exposure[k]), batch_size, rng
+            if block is not None:
+                block.inject(state, int(block.pre_inj[k]))
+            elif exposure[k] > 0:
+                inject(
+                    noise.sample_movement_error_packed(
+                        int(moved[k]), int(exposure[k]), batch_size, rng
+                    )
                 )
-                if event_words.any():
-                    state.inject_pauli_words(support, x_words, z_words)
-                    error_count += unpack_bits(event_words, batch_size)
 
             if op == Opcode.PREPARE:
                 state.reset(q0)
-                if not noiseless:
-                    support, x_words, z_words, event_words = (
-                        noise.sample_preparation_error_packed(q0, batch_size, rng)
-                    )
-                    if event_words.any():
-                        state.inject_pauli_words(support, x_words, z_words)
-                        error_count += unpack_bits(event_words, batch_size)
+                if block is None:
+                    inject(noise.sample_preparation_error_packed(q0, batch_size, rng))
             elif op == Opcode.MEASURE or op == Opcode.MEASURE_X:
                 measured = (
                     state.measure_packed(q0)
                     if op == Opcode.MEASURE
                     else state.measure_x_packed(q0)
                 )
-                if not noiseless:
+                if block is None:
                     flip_words = noise.measurement_flip_packed(batch_size, rng)
                     if flip_words.any():
                         measured = measured ^ flip_words
@@ -520,16 +527,19 @@ class BatchedNoisyCircuitExecutor:
                     state.swap(q0, q1)
                 else:  # pragma: no cover - compile_circuit rejects unknown ops
                     raise SimulationError(f"unknown opcode {op}")
-                if not noiseless:
+                if block is None:
                     operands = (q0,) if q1 < 0 else (q0, q1)
-                    name = Opcode(op).name
-                    support, x_words, z_words, event_words = noise.sample_gate_error_packed(
-                        name, operands, batch_size, rng
+                    inject(
+                        noise.sample_gate_error_packed(
+                            Opcode(op).name, operands, batch_size, rng
+                        )
                     )
-                    if event_words.any():
-                        state.inject_pauli_words(support, x_words, z_words)
-                        error_count += unpack_bits(event_words, batch_size)
 
+            if block is not None:
+                block.inject(state, int(block.post_inj[k]))
+
+        if block is not None:
+            outcome_words[block.flip_slots] ^= block.flip_words
         measurements = {
             label: unpack_bits(outcome_words[slot], batch_size)
             for slot, label in enumerate(program.measurement_labels)

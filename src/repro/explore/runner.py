@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import queue
 import threading
 import warnings
@@ -65,6 +66,8 @@ __all__ = [
     "run_sweep",
     "stream_sweep",
 ]
+
+_LOG = logging.getLogger("repro")
 
 
 class SweepExecutionError(QLAError):
@@ -639,12 +642,12 @@ def run_sweep(
                 ),
             )
         if store_failures:
-            warnings.warn(
+            message = (
                 f"result cache at {the_cache.directory} is not writable "
-                f"({store_failures[0]}); sweep results were computed but not cached",
-                RuntimeWarning,
-                stacklevel=2,
+                f"({store_failures[0]}); sweep results were computed but not cached"
             )
+            _LOG.warning("%s", message)
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
 
     point_results = tuple(outcomes[index] for index in range(len(points)))
     result = SweepResult(

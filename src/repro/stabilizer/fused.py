@@ -27,9 +27,14 @@ of magnitude less work than the per-lane word arithmetic it replaces.
 Because the X/Z evolution is noise-independent, the random-vs-deterministic
 measurement schedule of a circuit is a pure function of the program and the
 initial X/Z planes; it is recorded once by a cheap ``W=1`` kernel pass and
-cached, which lets all measurement randomness and noise be pre-sampled in the
-packed engine's exact RNG order before the kernel launches.  Seeded runs are
-bit-for-bit identical to the ``"packed"`` backend.
+cached, so all randomness can be sampled before the kernel launches.  The
+built-in noise models draw one sparse **noise block** per run
+(:func:`noise_block`): per event a binomial failure count, then the failing
+lanes and their Pauli letters, in O(failures) work and a constant number of
+generator calls.  The measurement words follow, in schedule order, from the
+state's generator.  The ``"packed"`` engine consumes the same block (custom
+models take the same per-operation hooks on both engines), so seeded runs are
+bit-for-bit identical across the two backends.
 
 Two interchangeable kernels implement the loop, with the same signature:
 
@@ -79,7 +84,6 @@ from repro.stabilizer.packed import (
     _UINT64_MAX,
     PackedBatchTableau,
     num_words,
-    pack_bits,
     unpack_bits,
 )
 
@@ -89,6 +93,8 @@ __all__ = [
     "FusedPackedBatchTableau",
     "fused_kernel_numpy",
     "kernel_tier",
+    "NoiseBlock",
+    "noise_block",
     "execute_fused",
 ]
 
@@ -716,122 +722,43 @@ def _schedule_for(
     draw_index[random_ops] = np.arange(random_ops.size, dtype=np.int32)
     if len(plan.schedule_cache) >= _PLAN_CACHE_LIMIT:
         plan.schedule_cache.clear()
-        plan.template_cache.clear()
     result = (sched, draw_index, int(random_ops.size))
     plan.schedule_cache[key] = result
     return result
 
 
 # ----------------------------------------------------------------------
-# Noise pre-sampling in the packed engine's exact RNG order
+# Noise block: a whole run's noise sampled in O(failures)
 # ----------------------------------------------------------------------
 
-# Event kinds of the fast-path pre-sampler template.
-_EV_D1 = 0  # one-qubit depolarizing pair of draws (gates, movement)
-_EV_D2 = 1  # two-qubit depolarizing pair of draws
-_EV_PREP = 2  # preparation-failure draw (always consumed, even at p=0)
-_EV_FLIP = 3  # classical measurement-flip draw
-_EV_DRAW = 4  # random measurement outcome words
+# Letter codes of a failure: 0 is the preparation X flip, 1..3 the one-qubit
+# depolarizing letters, 4..18 the two-qubit pairs and 19 a classical
+# measurement flip.  ``_CODE_HITS[code]`` marks the rows of its record the
+# failure sets its lane bit in: [X side 0, Z side 0, X side 1, Z side 1, flip].
+_PREP_CODE = 0
+_ONE_QUBIT_CODE = 1
+_TWO_QUBIT_CODE = 4
+_FLIP_CODE = 19
+_CODE_HITS = np.zeros((20, 5), dtype=np.bool_)
+_CODE_HITS[_PREP_CODE, 0] = True
+_CODE_HITS[1:4, 0] = _ONE_QUBIT_X != 0
+_CODE_HITS[1:4, 1] = _ONE_QUBIT_Z != 0
+_CODE_HITS[4:19, 0] = _TWO_QUBIT_X[:, 0] != 0
+_CODE_HITS[4:19, 1] = _TWO_QUBIT_Z[:, 0] != 0
+_CODE_HITS[4:19, 2] = _TWO_QUBIT_X[:, 1] != 0
+_CODE_HITS[4:19, 3] = _TWO_QUBIT_Z[:, 1] != 0
+_CODE_HITS[_FLIP_CODE, 4] = True
 
-# Sparse-injection lookup tables: single-bit lane masks and, per drawn error
-# letter / two-qubit pair index, whether each side carries an X / Z component.
 _BIT64 = np.uint64(1) << np.arange(64, dtype=np.uint64)
-_X1_BOOL = _ONE_QUBIT_X != 0
-_Z1_BOOL = _ONE_QUBIT_Z != 0
-_X2_BOOL = _TWO_QUBIT_X != 0
-_Z2_BOOL = _TWO_QUBIT_Z != 0
-
-
-class _FastTemplate:
-    """Pre-compiled event order and injection layout for a built-in model.
-
-    The raw event list (in exact packed-engine draw order) is re-grouped once
-    at build time so the per-run pre-sampler can stay almost allocation-free:
-    every probabilistic event is assigned a row in one shared ``(n_fail, B)``
-    boolean fail plane, sectioned as ``[d1 | d2 | prep-inject | prep-plain |
-    flip]``, and the per-group injection rows / measurement slots become
-    plain int64 arrays indexed by the event's position within its section.
-    """
-
-    __slots__ = (
-        "steps",
-        "pre_inj",
-        "post_inj",
-        "inj_start",
-        "inj_qubit",
-        "n_fail",
-        "n_d1",
-        "n_d2",
-        "n_prep_inj",
-        "n_flip",
-        "d1_off",
-        "d2_off",
-        "prep_inj_off",
-        "flip_off",
-        "d1_rows",
-        "d2_rows",
-        "prep_rows",
-        "flip_slots",
-    )
-
-    def __init__(self, events, pre_inj, post_inj, inj_start, inj_qubit) -> None:
-        self.pre_inj = pre_inj
-        self.post_inj = post_inj
-        self.inj_start = inj_start
-        self.inj_qubit = inj_qubit
-        n_d1 = sum(1 for e in events if e[0] == _EV_D1)
-        n_d2 = sum(1 for e in events if e[0] == _EV_D2)
-        n_prep_inj = sum(1 for e in events if e[0] == _EV_PREP and e[2] >= 0)
-        n_prep_plain = sum(1 for e in events if e[0] == _EV_PREP and e[2] < 0)
-        n_flip = sum(1 for e in events if e[0] == _EV_FLIP)
-        self.n_d1 = n_d1
-        self.n_d2 = n_d2
-        self.n_prep_inj = n_prep_inj
-        self.n_flip = n_flip
-        self.n_fail = n_d1 + n_d2 + n_prep_inj + n_prep_plain + n_flip
-        self.d1_off = 0
-        self.d2_off = n_d1
-        self.prep_inj_off = n_d1 + n_d2
-        prep_plain_off = self.prep_inj_off + n_prep_inj
-        self.flip_off = prep_plain_off + n_prep_plain
-        d1_rows: list[int] = []
-        d2_rows: list[int] = []
-        prep_rows: list[int] = []
-        flip_slots: list[int] = []
-        steps: list[tuple] = []
-        plain = 0
-        for event in events:
-            kind = event[0]
-            if kind == _EV_D1:
-                steps.append((kind, event[1], self.d1_off + len(d1_rows), len(d1_rows)))
-                d1_rows.append(event[2])
-            elif kind == _EV_D2:
-                steps.append((kind, event[1], self.d2_off + len(d2_rows), len(d2_rows)))
-                d2_rows.append(event[2])
-            elif kind == _EV_PREP:
-                if event[2] >= 0:
-                    steps.append((kind, event[1], self.prep_inj_off + len(prep_rows)))
-                    prep_rows.append(event[2])
-                else:
-                    steps.append((kind, event[1], prep_plain_off + plain))
-                    plain += 1
-            elif kind == _EV_FLIP:
-                steps.append((kind, event[1], self.flip_off + len(flip_slots)))
-                flip_slots.append(event[2])
-            else:
-                steps.append(event)
-        self.steps = tuple(steps)
-        self.d1_rows = np.asarray(d1_rows, dtype=np.int64)
-        self.d2_rows = np.asarray(d2_rows, dtype=np.int64)
-        self.prep_rows = np.asarray(prep_rows, dtype=np.int64)
-        self.flip_slots = np.asarray(flip_slots, dtype=np.int64)
 
 
 def _noise_signature(noise: NoiseModel):
-    """A cache key for built-in models, None for custom subclasses.
+    """The noise-template cache key of a built-in model, None for custom ones.
 
-    Only the exact built-in classes qualify: a subclass may override hooks,
-    which must then be called for real to keep the RNG stream identical.
+    Only the exact built-in classes qualify: their hooks are independent
+    depolarizing events, which the noise block samples directly.  A subclass
+    may override any hook, so it keeps the per-operation hook path on both
+    engines.
     """
     if noise.is_noiseless:
         return ("noiseless",)
@@ -847,77 +774,99 @@ def _noise_signature(noise: NoiseModel):
     return None
 
 
-def _fast_template(
-    plan: _KernelPlan, noise: NoiseModel, sched: np.ndarray, draw_index: np.ndarray
-) -> _FastTemplate:
-    """Build the ordered draw/injection template for a built-in noise model.
+class _NoiseTemplate:
+    """The failable events of one program under one built-in noise model.
 
-    The event order replicates ``_run_packed`` exactly: movement noise before
-    the operation, the measurement word draw (when the schedule says the
-    outcome is random), then the gate / preparation / flip hook draws.  Hooks
-    whose probability is zero make no RNG calls in the packed engine and are
-    simply omitted (except preparation, which always draws one uniform batch).
+    Event ``e`` fails in each lane independently with probability ``p[e]``
+    (events of probability zero are dropped).  A failing lane draws a letter
+    uniformly from ``letters[e]`` choices (one choice draws nothing); the code
+    ``code[e] + letter`` picks, through ``_CODE_HITS``, the rows
+    ``row[e] + offset[hit]`` of the block's word buffer -- the X, Z and flip
+    planes stacked -- that get the lane's bit.
     """
-    noiseless = noise.is_noiseless
-    ops = plan.opcodes.shape[0]
-    events: list[tuple] = []
-    pre_inj = np.full(ops, -1, dtype=np.int32)
-    post_inj = np.full(ops, -1, dtype=np.int32)
-    inj_qubit: list[int] = []
-    inj_start = [0]
 
-    def new_record(qubits) -> int:
-        record = len(inj_start) - 1
-        inj_qubit.extend(qubits)
-        inj_start.append(len(inj_qubit))
-        return record
-
-    for k in range(ops):
-        op = int(plan.opcodes[k])
-        q0 = int(plan.qubit0[k])
-        q1 = int(plan.qubit1[k])
-        if not noiseless and plan.exposure[k] > 0 and noise.p_move_per_cell > 0.0:
-            p_total = 1.0 - (1.0 - noise.p_move_per_cell) ** int(plan.exposure[k])
-            record = new_record((int(plan.moved[k]),))
-            pre_inj[k] = record
-            events.append((_EV_D1, p_total, inj_start[record]))
-        if op == Opcode.PREPARE:
-            if sched[k] == 1:
-                events.append((_EV_DRAW, int(draw_index[k])))
-            if not noiseless:
-                if noise.p_prepare > 0.0:
-                    record = new_record((q0,))
-                    post_inj[k] = record
-                    events.append((_EV_PREP, noise.p_prepare, inj_start[record]))
-                else:
-                    events.append((_EV_PREP, 0.0, -1))
-        elif op in (Opcode.MEASURE, Opcode.MEASURE_X):
-            if sched[k] == 1:
-                events.append((_EV_DRAW, int(draw_index[k])))
-            if not noiseless and noise.p_measure > 0.0:
-                events.append((_EV_FLIP, noise.p_measure, int(plan.slots[k])))
-        else:
-            if not noiseless:
-                if q1 >= 0:
-                    if noise.p_double > 0.0:
-                        record = new_record((q0, q1))
-                        post_inj[k] = record
-                        events.append((_EV_D2, noise.p_double, inj_start[record]))
-                elif noise.p_single > 0.0:
-                    record = new_record((q0,))
-                    post_inj[k] = record
-                    events.append((_EV_D1, noise.p_single, inj_start[record]))
-    return _FastTemplate(
-        tuple(events),
-        pre_inj,
-        post_inj,
-        np.asarray(inj_start, dtype=np.int32),
-        np.asarray(inj_qubit, dtype=np.int32),
+    __slots__ = (
+        "p",
+        "letters",
+        "code",
+        "row",
+        "offset",
+        "support",
+        "num_rows",
+        "pre_inj",
+        "post_inj",
+        "inj_start",
+        "inj_qubit",
+        "flip_slots",
     )
 
+    def __init__(self, plan: _KernelPlan, noise: NoiseModel) -> None:
+        ops = plan.opcodes.shape[0]
+        self.pre_inj = np.full(ops, -1, dtype=np.int32)
+        self.post_inj = np.full(ops, -1, dtype=np.int32)
+        inj_qubit: list[int] = []
+        inj_start = [0]
+        events: list[tuple[float, int, int, int]] = []  # (p, letters, code, row)
+        flips: list[float] = []
+        flip_slots: list[int] = []
 
-class _Presampled:
-    """Everything the kernel launch needs besides the state itself."""
+        def record(p: float, qubits: tuple[int, ...], letters: int, code: int) -> int:
+            if p <= 0.0:
+                return -1
+            events.append((p, letters, code, len(inj_qubit)))
+            inj_qubit.extend(qubits)
+            inj_start.append(len(inj_qubit))
+            return len(inj_start) - 2
+
+        if not noise.is_noiseless:
+            for k in range(ops):
+                op = int(plan.opcodes[k])
+                q0 = int(plan.qubit0[k])
+                q1 = int(plan.qubit1[k])
+                exposure = int(plan.exposure[k])
+                if exposure > 0:
+                    self.pre_inj[k] = record(
+                        1.0 - (1.0 - noise.p_move_per_cell) ** exposure,
+                        (int(plan.moved[k]),),
+                        3,
+                        _ONE_QUBIT_CODE,
+                    )
+                if op == Opcode.PREPARE:
+                    self.post_inj[k] = record(noise.p_prepare, (q0,), 1, _PREP_CODE)
+                elif op in (Opcode.MEASURE, Opcode.MEASURE_X):
+                    if noise.p_measure > 0.0:
+                        flips.append(noise.p_measure)
+                        flip_slots.append(int(plan.slots[k]))
+                elif q1 >= 0:
+                    self.post_inj[k] = record(
+                        noise.p_double, (q0, q1), len(_TWO_QUBIT_ERRORS), _TWO_QUBIT_CODE
+                    )
+                else:
+                    self.post_inj[k] = record(noise.p_single, (q0,), 3, _ONE_QUBIT_CODE)
+        support = len(inj_qubit)
+        events += [(p, 1, _FLIP_CODE, 2 * support + f) for f, p in enumerate(flips)]
+        self.p = np.array([event[0] for event in events], dtype=np.float64)
+        self.letters = np.array([event[1] for event in events], dtype=np.int64)
+        self.code = np.array([event[2] for event in events], dtype=np.int64)
+        self.row = np.array([event[3] for event in events], dtype=np.int64)
+        self.offset = np.array([0, support, 1, support + 1, 0], dtype=np.int64)
+        self.support = support
+        self.num_rows = 2 * support + len(flips)
+        self.inj_start = np.asarray(inj_start, dtype=np.int32)
+        self.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
+        self.flip_slots = np.asarray(flip_slots, dtype=np.int64)
+
+
+class NoiseBlock:
+    """One run's sampled noise, laid out as the kernel's injection records.
+
+    Record ``e`` applies Pauli words ``inj_x``/``inj_z`` rows
+    ``inj_start[e]:inj_start[e+1]`` to qubits ``inj_qubit`` of the same
+    rows; ``pre_inj[k]``/``post_inj[k]`` name the record applied before /
+    after operation ``k`` (``-1`` for none).  ``flip_words`` are XORed onto
+    the measurement outcome rows ``flip_slots``, and ``error_count`` counts
+    the failed events of each lane.
+    """
 
     __slots__ = (
         "pre_inj",
@@ -926,110 +875,140 @@ class _Presampled:
         "inj_qubit",
         "inj_x",
         "inj_z",
-        "drawn",
-        "flip_words",
         "flip_slots",
+        "flip_words",
         "error_count",
     )
 
+    def inject(self, state: PackedBatchTableau, record: int) -> None:
+        """Apply injection record ``record`` to a packed state (none if < 0)."""
+        if record < 0:
+            return
+        start, stop = int(self.inj_start[record]), int(self.inj_start[record + 1])
+        state.inject_pauli_words(
+            tuple(self.inj_qubit[start:stop].tolist()),
+            self.inj_x[start:stop],
+            self.inj_z[start:stop],
+        )
 
-def _presample_fast(
-    template: _FastTemplate,
-    batch_size: int,
-    W: int,
-    draw_count: int,
-    noise_rng: np.random.Generator,
-    draw_rng: np.random.Generator,
-) -> _Presampled:
-    """Consume the template's RNG draws; scatter injections sparsely afterwards.
 
-    The draw loop makes exactly the RNG calls ``_run_packed`` would make, in
-    the same order and against the same generators -- ``random(out=...)``
-    consumes the identical stream while writing straight into one shared fail
-    plane, so the loop itself is allocation-free apart from the ``integers``
-    draws.  Error injection then works from the *failing* lanes only: at the
-    per-operation rates this engine targets, failures are a sparse subset of
-    ``events x lanes``, so gathering ``nonzero`` coordinates and OR-ing single
-    bits into the packed masks beats building dense boolean planes per event.
+def _failing_lanes(counts: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted keys ``event * batch_size + lane`` of every failure.
+
+    Event ``e`` gets a uniformly random ``counts[e]``-subset of the lanes.
+    All lanes come from one ``integers`` call; a lane repeated within an
+    event is redrawn, uniformly over every lane, until the event's lanes are
+    distinct.  The procedure treats every lane alike, so the law of each
+    event's lane set is invariant under relabelling lanes -- which on
+    fixed-size subsets means exactly uniform.  Events failing in more than
+    half the lanes draw their passing lanes instead, so each redraw round at
+    least halves the repeats in expectation.
     """
-    drawn = np.zeros((max(draw_count, 1), W), dtype=np.uint64)
-    fails = np.empty((template.n_fail, batch_size), dtype=np.bool_)
-    letters = np.empty((template.n_d1, batch_size), dtype=np.int64)
-    pairs = np.empty((template.n_d2, batch_size), dtype=np.int64)
-    uniform = np.empty(batch_size, dtype=np.float64)
-    two_qubit_errors = len(_TWO_QUBIT_ERRORS)
-    for step in template.steps:
-        kind = step[0]
-        if kind == _EV_D1:
-            noise_rng.random(out=uniform)
-            np.less(uniform, step[1], out=fails[step[2]])
-            letters[step[3]] = noise_rng.integers(0, 3, size=batch_size)
-        elif kind == _EV_D2:
-            noise_rng.random(out=uniform)
-            np.less(uniform, step[1], out=fails[step[2]])
-            pairs[step[3]] = noise_rng.integers(0, two_qubit_errors, size=batch_size)
-        elif kind == _EV_DRAW:
-            drawn[step[1]] = draw_rng.integers(
-                0, _UINT64_MAX, size=W, dtype=np.uint64, endpoint=True
-            )
-        else:  # _EV_PREP / _EV_FLIP: a single uniform draw against one rate
-            noise_rng.random(out=uniform)
-            np.less(uniform, step[1], out=fails[step[2]])
-    result = _Presampled()
-    result.pre_inj = template.pre_inj
-    result.post_inj = template.post_inj
-    result.inj_start = template.inj_start
-    result.inj_qubit = template.inj_qubit
-    support = template.inj_qubit.size
-    inj_x = np.zeros((max(support, 1), W), dtype=np.uint64)
-    inj_z = np.zeros((max(support, 1), W), dtype=np.uint64)
-    if template.n_d1:
-        section = fails[template.d1_off : template.d1_off + template.n_d1]
-        event, lane = np.nonzero(section)
-        if event.size:
-            letter = letters[event, lane]
-            row = template.d1_rows[event]
-            word = lane >> 6
-            bit = _BIT64[lane & 63]
-            for table, plane in ((_X1_BOOL, inj_x), (_Z1_BOOL, inj_z)):
-                hit = table[letter]
-                np.bitwise_or.at(plane, (row[hit], word[hit]), bit[hit])
-    if template.n_d2:
-        section = fails[template.d2_off : template.d2_off + template.n_d2]
-        event, lane = np.nonzero(section)
-        if event.size:
-            pair = pairs[event, lane]
-            row = template.d2_rows[event]
-            word = lane >> 6
-            bit = _BIT64[lane & 63]
-            for side in (0, 1):
-                for table, plane in ((_X2_BOOL, inj_x), (_Z2_BOOL, inj_z)):
-                    hit = table[pair, side]
-                    np.bitwise_or.at(plane, (row[hit] + side, word[hit]), bit[hit])
-    if template.n_prep_inj:
-        section = fails[template.prep_inj_off : template.prep_inj_off + template.n_prep_inj]
-        event, lane = np.nonzero(section)
-        if event.size:
-            np.bitwise_or.at(
-                inj_x, (template.prep_rows[event], lane >> 6), _BIT64[lane & 63]
-            )
-    result.inj_x = inj_x
-    result.inj_z = inj_z
-    result.drawn = drawn
-    if template.n_flip:
-        result.flip_words = pack_bits(fails[template.flip_off :])
-        result.flip_slots = template.flip_slots
-    else:
-        result.flip_words = None
-        result.flip_slots = None
-    if template.n_fail:
-        result.error_count = np.sum(fails, axis=0, dtype=np.int64)
-    else:
-        result.error_count = np.zeros(batch_size, dtype=np.int64)
-    return result
+    dense = 2 * counts > batch_size
+    drawn = np.where(dense, batch_size - counts, counts)
+    events = np.repeat(np.arange(counts.size, dtype=np.int64), drawn)
+    keys = events * batch_size + rng.integers(0, batch_size, size=events.size)
+    keys.sort()
+    while True:
+        repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        if not repeats.size:
+            break
+        lanes = rng.integers(0, batch_size, size=repeats.size)
+        keys[repeats] += lanes - keys[repeats] % batch_size
+        keys.sort()
+    if dense.any():
+        dense_events = np.flatnonzero(dense)
+        failing = np.ones((dense_events.size, batch_size), dtype=np.bool_)
+        is_passing = dense[keys // batch_size]
+        passing = keys[is_passing]
+        failing[np.searchsorted(dense_events, passing // batch_size), passing % batch_size] = False
+        row, lane = np.nonzero(failing)
+        keys = np.concatenate((keys[~is_passing], dense_events[row] * batch_size + lane))
+        keys.sort()
+    return keys
 
 
-def _presample_generic(
+def _sample_block(
+    template: _NoiseTemplate, batch_size: int, rng: np.random.Generator
+) -> NoiseBlock:
+    """Sample a template's events for ``batch_size`` lanes in O(1) RNG calls.
+
+    ``binomial`` gives every event's failure count, :func:`_failing_lanes`
+    the failing lanes and one ``integers`` call the depolarizing letters of
+    the failing lanes only; the joint law is that of independent
+    Bernoulli(``p``) lanes with uniform letters.  A template without events
+    leaves ``rng`` untouched.
+    """
+    words = np.zeros((template.num_rows, num_words(batch_size)), dtype=np.uint64)
+    error_count = np.zeros(batch_size, dtype=np.int64)
+    counts = rng.binomial(batch_size, template.p) if template.p.size else None
+    if counts is not None and counts.any():
+        keys = _failing_lanes(counts, batch_size, rng)
+        event, lane = np.divmod(keys, batch_size)
+        letters = template.letters[event]
+        code = template.code[event]
+        depolarizing = letters > 1
+        code[depolarizing] += rng.integers(0, letters[depolarizing])
+        failure, hit = np.nonzero(_CODE_HITS[code])
+        target_lane = lane[failure]
+        np.bitwise_or.at(
+            words,
+            (template.row[event[failure]] + template.offset[hit], target_lane >> 6),
+            _BIT64[target_lane & 63],
+        )
+        error_count += np.bincount(lane, minlength=batch_size)
+    support = template.support
+    block = NoiseBlock()
+    block.pre_inj = template.pre_inj
+    block.post_inj = template.post_inj
+    block.inj_start = template.inj_start
+    block.inj_qubit = template.inj_qubit
+    block.inj_x = words[:support]
+    block.inj_z = words[support : 2 * support]
+    block.flip_slots = template.flip_slots
+    block.flip_words = words[2 * support :]
+    block.error_count = error_count
+    return block
+
+
+def _plan_block(
+    plan: _KernelPlan, noise: NoiseModel, batch_size: int, rng: np.random.Generator
+) -> NoiseBlock | None:
+    signature = _noise_signature(noise)
+    if signature is None:
+        return None
+    template = plan.template_cache.get(signature)
+    if template is None:
+        if len(plan.template_cache) >= _PLAN_CACHE_LIMIT:
+            plan.template_cache.clear()
+        template = plan.template_cache[signature] = _NoiseTemplate(plan, noise)
+    return _sample_block(template, batch_size, rng)
+
+
+def noise_block(
+    program: CompiledCircuit,
+    noise: NoiseModel,
+    batch_size: int,
+    rng: np.random.Generator,
+) -> NoiseBlock | None:
+    """Sample one run's noise for a built-in model; None for a custom one.
+
+    Both batched engines consume this block for ``OperationNoise`` and
+    ``DepolarizingNoise`` (and any noiseless model), drawing it from ``rng``
+    before the run's measurement words, so they agree bit for bit.  Custom
+    models return None and keep their per-operation hooks.
+    """
+    return _plan_block(_plan_for(program), noise, batch_size, rng)
+
+
+def _measurement_words(draw_count: int, W: int, rng: np.random.Generator) -> np.ndarray:
+    """The random measurement words of one run, in schedule order."""
+    if not draw_count:
+        return np.zeros((1, W), dtype=np.uint64)
+    return rng.integers(0, _UINT64_MAX, size=(draw_count, W), dtype=np.uint64, endpoint=True)
+
+
+def _sample_hooks(
     plan: _KernelPlan,
     noise: NoiseModel,
     sched: np.ndarray,
@@ -1040,132 +1019,87 @@ def _presample_generic(
     n: int,
     noise_rng: np.random.Generator,
     draw_rng: np.random.Generator,
-) -> _Presampled:
-    """Pre-sample through the real packed noise hooks (custom models).
+) -> tuple[NoiseBlock, np.ndarray]:
+    """Sample a custom model through its packed hooks: ``(block, drawn)``.
 
-    Calls exactly the hooks ``_run_packed`` calls, in the same order, so any
+    Calls exactly the hooks ``_run_packed`` calls for a custom model, in the
+    same order and interleaved with the measurement-word draws, so any
     :class:`NoiseModel` subclass -- including ones that only implement the
-    scalar hooks -- keeps its RNG stream and its error semantics unchanged.
-    Supports may extend beyond the operands (crosstalk), so injection records
-    are built dynamically.
+    scalar hooks -- keeps its RNG stream and its error semantics.  Supports
+    may extend beyond the operands (crosstalk), so injection records are
+    built dynamically.
     """
-    noiseless = noise.is_noiseless
     ops = plan.opcodes.shape[0]
     drawn = np.zeros((max(draw_count, 1), W), dtype=np.uint64)
-    pre_inj = np.full(ops, -1, dtype=np.int32)
-    post_inj = np.full(ops, -1, dtype=np.int32)
+    block = NoiseBlock()
+    block.pre_inj = np.full(ops, -1, dtype=np.int32)
+    block.post_inj = np.full(ops, -1, dtype=np.int32)
     inj_qubit: list[int] = []
     inj_start = [0]
-    inj_x_parts: list[np.ndarray] = []
-    inj_z_parts: list[np.ndarray] = []
-    flips: list[np.ndarray] = []
+    inj_x_parts: list[np.ndarray] = [np.zeros((0, W), dtype=np.uint64)]
+    inj_z_parts: list[np.ndarray] = [np.zeros((0, W), dtype=np.uint64)]
+    flips: list[np.ndarray] = [np.zeros((0, W), dtype=np.uint64)]
     flip_slots: list[int] = []
     error_count = np.zeros(batch_size, dtype=np.int64)
 
-    def add_record(support, x_words, z_words) -> int:
+    def add_record(sampled) -> int:
+        support, x_words, z_words, event_words = sampled
+        if not event_words.any():
+            return -1
         for qubit in support:
             if not 0 <= qubit < n:
                 raise SimulationError(
                     f"noise model emitted qubit {qubit} outside register of size {n}"
                 )
-        record = len(inj_start) - 1
         inj_qubit.extend(int(q) for q in support)
         inj_start.append(len(inj_qubit))
-        inj_x_parts.append(np.ascontiguousarray(x_words, dtype=np.uint64))
-        inj_z_parts.append(np.ascontiguousarray(z_words, dtype=np.uint64))
-        return record
+        inj_x_parts.append(np.asarray(x_words, dtype=np.uint64))
+        inj_z_parts.append(np.asarray(z_words, dtype=np.uint64))
+        error_count[:] += unpack_bits(event_words, batch_size)
+        return len(inj_start) - 2
+
+    def draw_word(k: int) -> None:
+        if sched[k] == 1:
+            drawn[int(draw_index[k])] = draw_rng.integers(
+                0, _UINT64_MAX, size=W, dtype=np.uint64, endpoint=True
+            )
 
     for k in range(ops):
         op = int(plan.opcodes[k])
         q0 = int(plan.qubit0[k])
         q1 = int(plan.qubit1[k])
-        if not noiseless and plan.exposure[k] > 0:
-            support, x_words, z_words, event_words = noise.sample_movement_error_packed(
-                int(plan.moved[k]), int(plan.exposure[k]), batch_size, noise_rng
+        if plan.exposure[k] > 0:
+            block.pre_inj[k] = add_record(
+                noise.sample_movement_error_packed(
+                    int(plan.moved[k]), int(plan.exposure[k]), batch_size, noise_rng
+                )
             )
-            if event_words.any():
-                pre_inj[k] = add_record(support, x_words, z_words)
-                error_count += unpack_bits(event_words, batch_size)
         if op == Opcode.PREPARE:
-            if sched[k] == 1:
-                drawn[int(draw_index[k])] = draw_rng.integers(
-                    0, _UINT64_MAX, size=W, dtype=np.uint64, endpoint=True
-                )
-            if not noiseless:
-                support, x_words, z_words, event_words = (
-                    noise.sample_preparation_error_packed(q0, batch_size, noise_rng)
-                )
-                if event_words.any():
-                    post_inj[k] = add_record(support, x_words, z_words)
-                    error_count += unpack_bits(event_words, batch_size)
+            draw_word(k)
+            block.post_inj[k] = add_record(
+                noise.sample_preparation_error_packed(q0, batch_size, noise_rng)
+            )
         elif op in (Opcode.MEASURE, Opcode.MEASURE_X):
-            if sched[k] == 1:
-                drawn[int(draw_index[k])] = draw_rng.integers(
-                    0, _UINT64_MAX, size=W, dtype=np.uint64, endpoint=True
-                )
-            if not noiseless:
-                flip_words = noise.measurement_flip_packed(batch_size, noise_rng)
-                if flip_words.any():
-                    flips.append(flip_words)
-                    flip_slots.append(int(plan.slots[k]))
-                    error_count += unpack_bits(flip_words, batch_size)
+            draw_word(k)
+            flip_words = noise.measurement_flip_packed(batch_size, noise_rng)
+            if flip_words.any():
+                flips.append(flip_words[None, :])
+                flip_slots.append(int(plan.slots[k]))
+                error_count += unpack_bits(flip_words, batch_size)
         else:
-            if not noiseless:
-                operands = (q0,) if q1 < 0 else (q0, q1)
-                support, x_words, z_words, event_words = noise.sample_gate_error_packed(
-                    Opcode(op).name, operands, batch_size, noise_rng
-                )
-                if event_words.any():
-                    post_inj[k] = add_record(support, x_words, z_words)
-                    error_count += unpack_bits(event_words, batch_size)
+            operands = (q0,) if q1 < 0 else (q0, q1)
+            block.post_inj[k] = add_record(
+                noise.sample_gate_error_packed(Opcode(op).name, operands, batch_size, noise_rng)
+            )
 
-    result = _Presampled()
-    result.pre_inj = pre_inj
-    result.post_inj = post_inj
-    result.inj_start = np.asarray(inj_start, dtype=np.int32)
-    result.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
-    if inj_x_parts:
-        result.inj_x = np.ascontiguousarray(np.vstack(inj_x_parts))
-        result.inj_z = np.ascontiguousarray(np.vstack(inj_z_parts))
-    else:
-        result.inj_x = np.zeros((1, W), dtype=np.uint64)
-        result.inj_z = np.zeros((1, W), dtype=np.uint64)
-    result.drawn = drawn
-    if flips:
-        result.flip_words = np.ascontiguousarray(np.vstack(flips))
-        result.flip_slots = np.asarray(flip_slots, dtype=np.int64)
-    else:
-        result.flip_words = None
-        result.flip_slots = None
-    result.error_count = error_count
-    return result
-
-
-def _presample(
-    plan: _KernelPlan,
-    noise: NoiseModel,
-    sched: np.ndarray,
-    draw_index: np.ndarray,
-    draw_count: int,
-    schedule_key,
-    batch_size: int,
-    W: int,
-    n: int,
-    noise_rng: np.random.Generator,
-    draw_rng: np.random.Generator,
-) -> _Presampled:
-    signature = _noise_signature(noise)
-    if signature is None:
-        return _presample_generic(
-            plan, noise, sched, draw_index, draw_count,
-            batch_size, W, n, noise_rng, draw_rng,
-        )
-    template_key = (signature, schedule_key)
-    template = plan.template_cache.get(template_key)
-    if template is None:
-        template = _fast_template(plan, noise, sched, draw_index)
-        plan.template_cache[template_key] = template
-    return _presample_fast(template, batch_size, W, draw_count, noise_rng, draw_rng)
+    block.inj_start = np.asarray(inj_start, dtype=np.int32)
+    block.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
+    block.inj_x = np.ascontiguousarray(np.vstack(inj_x_parts))
+    block.inj_z = np.ascontiguousarray(np.vstack(inj_z_parts))
+    block.flip_slots = np.asarray(flip_slots, dtype=np.int64)
+    block.flip_words = np.ascontiguousarray(np.vstack(flips))
+    block.error_count = error_count
+    return block, drawn
 
 
 # ----------------------------------------------------------------------
@@ -1259,10 +1193,11 @@ def execute_fused(
     """Run a compiled program on a packed state through the fused kernel.
 
     Bit-for-bit equivalent to ``BatchedNoisyCircuitExecutor._run_packed`` on
-    the same seeds: measurement words are drawn from the state's generator
-    and noise from ``rng`` (the same object in normal use), in the packed
-    executor's exact per-operation order.  Returns ``(measurements,
-    error_count)``; the state is updated in place.
+    the same seeds: noise comes from ``rng`` -- the :func:`noise_block` of a
+    built-in model, or a custom model's hooks in operation order -- and the
+    measurement words from the state's generator (the same object in normal
+    use), exactly as the packed executor draws them.  Returns
+    ``(measurements, error_count)``; the state is updated in place.
     """
     require_simulable(program)
     plan = _plan_for(program)
@@ -1275,12 +1210,14 @@ def execute_fused(
         )
     tier = kernel_tier()
     xb, zb = _extract_bool_planes(state)
-    schedule_key = (n, xb.tobytes(), zb.tobytes())
     sched, draw_index, draw_count = _schedule_for(plan, n, xb, zb, tier)
-    pre = _presample(
-        plan, noise, sched, draw_index, draw_count, schedule_key,
-        batch_size, W, n, rng, state._rng,
-    )
+    block = _plan_block(plan, noise, batch_size, rng)
+    if block is None:
+        block, drawn = _sample_hooks(
+            plan, noise, sched, draw_index, draw_count, batch_size, W, n, rng, state._rng
+        )
+    else:
+        drawn = _measurement_words(draw_count, W, state._rng)
     out = np.zeros((max(plan.num_measurements, 1), W), dtype=np.uint64)
     status = _run_kernel(
         tier,
@@ -1291,13 +1228,13 @@ def execute_fused(
         plan.qubit1,
         plan.slots,
         draw_index,
-        pre.pre_inj,
-        pre.post_inj,
-        pre.inj_start,
-        pre.inj_qubit,
-        pre.inj_x,
-        pre.inj_z,
-        pre.drawn,
+        block.pre_inj,
+        block.post_inj,
+        block.inj_start,
+        block.inj_qubit,
+        block.inj_x,
+        block.inj_z,
+        drawn,
         out,
         xb,
         zb,
@@ -1314,10 +1251,9 @@ def execute_fused(
             f"fused kernel failed: {_STATUS_MESSAGES.get(status, status)}"
         )
     _write_back_planes(state, xb, zb)
-    if pre.flip_words is not None:
-        out[pre.flip_slots] ^= pre.flip_words
+    out[block.flip_slots] ^= block.flip_words
     measurements = {
         label: unpack_bits(out[slot], batch_size)
         for slot, label in enumerate(program.measurement_labels)
     }
-    return measurements, pre.error_count
+    return measurements, block.error_count

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.pauli import PauliTerm
-from repro.stabilizer.packed import num_words, pack_bits
+from repro.stabilizer.packed import pack_bits
 
 _ONE_QUBIT_ERRORS = ("X", "Y", "Z")
 _TWO_QUBIT_ERRORS = tuple(
@@ -127,16 +127,19 @@ class NoiseModel:
     # ``error_count`` bookkeeping: one event per operation that failed).
     #
     # The base-class implementations fall back to looping the scalar hooks,
-    # so any custom noise model works with the batched engine out of the box;
-    # the built-in models override them with single-RNG-call vectorized
-    # versions.
+    # so any custom noise model works with the batched engines out of the box;
+    # ``OperationNoise`` overrides them with single-RNG-call vectorized
+    # versions, which its subclasses inherit.  The batched engines never call
+    # these hooks for the exact built-in classes (or any noiseless model):
+    # those are sampled as one sparse noise block per run
+    # (:func:`repro.stabilizer.fused.noise_block`).
 
     @property
     def is_noiseless(self) -> bool:
         """True when every hook is guaranteed to return no errors.
 
-        The batched executor skips noise sampling entirely for such models
-        (used for ideal state preparation inside experiments).
+        The batched engines never call the hooks of such models (used for
+        ideal state preparation inside experiments).
         """
         return False
 
@@ -182,9 +185,8 @@ class NoiseModel:
     #
     # The base-class implementations draw through the ``*_batch`` hooks and
     # pack the lane axis, so every noise model -- including custom subclasses
-    # that only implement the scalar hooks -- works with the packed engine
-    # unmodified, and the built-in vectorized models keep their
-    # constant-number-of-RNG-calls property.
+    # that only implement the scalar hooks -- works with the batched engines
+    # unmodified.
 
     def sample_gate_error_packed(
         self, name: str, qubits: tuple[int, ...], batch_size: int, rng: np.random.Generator
@@ -251,26 +253,6 @@ class NoiselessModel(NoiseModel):
     @property
     def is_noiseless(self):  # noqa: D102
         return True
-
-    def sample_gate_error_packed(self, name, qubits, batch_size, rng):  # noqa: D102
-        return _no_errors_packed(batch_size, qubits)
-
-    def sample_preparation_error_packed(self, qubit, batch_size, rng):  # noqa: D102
-        return _no_errors_packed(batch_size, (qubit,))
-
-    def measurement_flip_packed(self, batch_size, rng):  # noqa: D102
-        return np.zeros(num_words(batch_size), dtype=np.uint64)
-
-    def sample_movement_error_packed(self, qubit, num_cells, batch_size, rng):  # noqa: D102
-        return _no_errors_packed(batch_size, (qubit,))
-
-
-def _no_errors_packed(
-    batch_size: int, support: tuple[int, ...]
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    words = num_words(batch_size)
-    zeros = np.zeros((len(support), words), dtype=np.uint64)
-    return support, zeros, zeros.copy(), np.zeros(words, dtype=np.uint64)
 
 
 def _no_errors_batch(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 
 import pytest
 
@@ -234,6 +235,17 @@ class TestSweepCaching:
         assert result.cache_misses == 2
         assert all(not point.cached for point in result.points)
         assert root.read_text() == "not a directory"  # nothing was stored
+
+    def test_unwritable_cache_degradation_is_logged(self, tmp_path, caplog):
+        root = tmp_path / "blocked"
+        root.write_text("not a directory")
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            with pytest.warns(RuntimeWarning, match="not cached"):
+                run_sweep(small_sweep(), cache=ResultCache(root))
+        logged = [r for r in caplog.records if r.name == "repro" and "not writable" in r.getMessage()]
+        assert len(logged) == 1
+        assert logged[0].levelno == logging.WARNING
+        assert "not cached" in logged[0].getMessage()
 
     def test_use_cache_false_never_touches_disk(self, tmp_path):
         cache = ResultCache(tmp_path / "never")

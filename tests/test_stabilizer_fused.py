@@ -9,7 +9,11 @@ Three things are pinned here:
   rejected with a clear :class:`SimulationError` rather than mis-executed;
 * the reproducibility contract: a seeded :class:`ExperimentSpec` replays bit
   for bit across the ``"packed"`` and ``"packed-fused"`` engines and across
-  shard counts.
+  shard counts;
+* the noise-block contract: both engines consume the same sparse noise block
+  for the built-in models (and the same hooks for custom ones), so seeded
+  Level-1 batches agree bit for bit at every batch size and on both kernel
+  tiers, and noiseless runs keep their v1.8 measurement stream.
 
 The randomized packed-vs-fused fuzz lives with the other cross-validation
 oracles in ``test_stabilizer_packed.py``.
@@ -17,6 +21,7 @@ oracles in ``test_stabilizer_packed.py``.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 
 import numpy as np
@@ -31,12 +36,19 @@ from repro.api import (
     run,
 )
 from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper
+from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
+from repro.arq.simulator import create_batch_tableau
 from repro.circuits import Circuit, Gate
 from repro.circuits.compiled import Opcode, compile_circuit
 from repro.exceptions import SimulationError
+from repro.iontrap.parameters import EXPECTED_PARAMETERS
 from repro.pauli import PauliString
+from repro.qecc.encoder import steane_encode_zero_circuit
+from repro.qecc.syndrome import full_error_correction_circuit
 from repro.stabilizer import (
+    DepolarizingNoise,
     FusedPackedBatchTableau,
+    NoiselessModel,
     OperationNoise,
     PackedBatchTableau,
     kernel_tier,
@@ -46,6 +58,7 @@ from repro.stabilizer.fused import (
     KERNEL_TIERS,
     SUPPORTED_OPCODES,
     execute_fused,
+    noise_block,
 )
 
 RAGGED_BATCHES = (1, 63, 64, 65, 130)
@@ -318,3 +331,90 @@ class TestSeededReplay:
                 )
         finally:
             registry.unregister("tiny-fused-test")
+
+
+LEVEL1_BATCHES = (1, 63, 64, 65, 4096)
+
+#: Measurement + sign-word digests of a noiseless Steane preparation and ECC
+#: cycle (seed 20261017), recorded with v1.8.0.  A noiseless run draws only
+#: measurement words, in schedule order, so the noise block must not move them.
+NOISELESS_DIGESTS = {
+    1: "32f2f2b9281a75268511a0cc95e3eac940fa607f8bf92b8e90e16d010883f2a4",
+    65: "d1c1395bb1e412f981310b7b5e6356f38f0fe9358f3c80bf0c01251e3f32d11d",
+    130: "ee8d819b6556adfa42dd8f7e5c7593501a3ca2310f5b0e4ca41e3caa3a3f6a13",
+}
+
+
+class _HookedNoise(OperationNoise):
+    """A custom ``OperationNoise`` subclass: sampled through its hooks."""
+
+
+@pytest.fixture(params=KERNEL_TIERS)
+def tier(request, monkeypatch):
+    """Run the test on each kernel tier this host has."""
+    if request.param == "cext" and fused_module._cext_kernel() is None:
+        pytest.skip("no C kernel on this host")
+    monkeypatch.setenv("REPRO_FUSED_KERNEL", request.param)
+    monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
+    assert kernel_tier() == request.param
+    return request.param
+
+
+def _ecc_circuit():
+    circuit, _, _ = full_error_correction_circuit(data_offset=0, num_qubits=21, verified=True)
+    return circuit
+
+
+def _assert_level1_identical(noise, batch, seed):
+    """Level-1 batches and the noisy ECC cycle agree bit for bit across engines."""
+    outcomes = [
+        Level1EccExperiment(noise=noise, backend=backend).run_trial_batch_detailed(
+            np.random.default_rng(seed), batch
+        )
+        for backend in ("packed", "packed-fused")
+    ]
+    for key in outcomes[0]:
+        assert np.array_equal(outcomes[0][key], outcomes[1][key]), key
+    _assert_identical(*_run_both(_ecc_circuit(), batch, seed, noise=noise, mapper=LayoutMapper()))
+
+
+class TestNoiseBlockParity:
+    @pytest.mark.parametrize("rate", [4.0e-3, 0.3])
+    @pytest.mark.parametrize("batch", LEVEL1_BATCHES)
+    def test_level1_batches_bit_for_bit(self, tier, batch, rate):
+        _assert_level1_identical(_noise_for_rate(rate, EXPECTED_PARAMETERS), batch, seed=batch)
+
+    @pytest.mark.parametrize("batch", [1, 65, 4096])
+    def test_custom_operation_noise_subclass_bit_for_bit(self, tier, batch):
+        noise = _HookedNoise(
+            p_single=0.05, p_double=0.1, p_measure=0.05, p_prepare=0.05, p_move_per_cell=0.01
+        )
+        program = compile_circuit(_ecc_circuit(), mapper=LayoutMapper())
+        assert noise_block(program, noise, batch, np.random.default_rng(0)) is None
+        _assert_level1_identical(noise, batch, seed=7)
+
+    def test_block_is_shared_by_both_engines(self):
+        """Same seed, same block: the engines' error counts are the block's."""
+        noise = DepolarizingNoise(0.3)
+        program = compile_circuit(_ecc_circuit(), mapper=LayoutMapper())
+        block = noise_block(program, noise, 130, np.random.default_rng(5))
+        packed, fused = _run_both(program, 130, seed=5, noise=noise)
+        assert np.array_equal(block.error_count, packed.error_count)
+        assert np.array_equal(block.error_count, fused.error_count)
+
+    @pytest.mark.parametrize("backend", ["packed", "packed-fused"])
+    @pytest.mark.parametrize("batch", sorted(NOISELESS_DIGESTS))
+    def test_noiseless_run_digest_is_pinned(self, backend, batch):
+        rng = np.random.default_rng(20261017)
+        state = create_batch_tableau(backend, 21, batch, rng=rng)
+        executor = BatchedNoisyCircuitExecutor(
+            noise=NoiselessModel(), mapper=LayoutMapper(), backend=backend
+        )
+        executor.run(steane_encode_zero_circuit(num_qubits=21), batch, rng, tableau=state)
+        result = executor.run(_ecc_circuit(), batch, rng, tableau=state)
+        digest = hashlib.sha256()
+        for label in sorted(result.measurements):
+            digest.update(label.encode())
+            digest.update(result.measurements[label].tobytes())
+        digest.update(state._r.tobytes())
+        assert digest.hexdigest() == NOISELESS_DIGESTS[batch]

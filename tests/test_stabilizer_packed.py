@@ -326,8 +326,8 @@ class TestRandomizedCrossValidation:
     def test_fused_tier_matches_packed_bit_for_bit(self, batch):
         """Random circuits + random noise: packed and fused agree exactly.
 
-        Not a statistical check -- the fused tier pre-samples noise and
-        measurement randomness in the packed engine's exact RNG order, so
+        Not a statistical check -- both engines draw the same noise (one
+        noise block for the built-in models) and the same measurement words, so
         every measurement word, error count and final tableau plane
         (ghost lanes included) must be identical on the same seed.
         """
