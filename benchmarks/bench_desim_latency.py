@@ -26,21 +26,16 @@ the workloads to CI scale while keeping every assertion.
 from __future__ import annotations
 
 import json
-import os
-import platform
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy
 
 try:  # the CI smoke job runs this file directly with only numpy installed
     import pytest
 except ImportError:  # pragma: no cover - direct execution without pytest
     pytest = None
 
-import repro
 from repro.api import (
     ExecutionSpec,
     ExperimentSpec,
@@ -53,7 +48,10 @@ from repro.desim.engine import DiscreteEventSimulator
 from repro.desim.trace import SimulationTrace
 from repro.network.router import ShortestPathRouter
 from repro.network.scheduler import GreedyEprScheduler
-from repro.stabilizer.fused import kernel_tier
+
+# Run as a script, the benchmarks package is found from the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from benchmarks._header import run_header  # noqa: E402
 
 #: Full-mode adder replay: the Shor-128 kernel on a 20x20 tile sub-array.
 ADDER_BITS = 128
@@ -77,23 +75,6 @@ def _machine_sim_spec(machine: MachineSpec) -> ExperimentSpec:
         execution=ExecutionSpec(backend="desim"),
         machine=machine,
     )
-
-
-def _run_header() -> dict[str, object]:
-    """Library version, fused-kernel tier and host of this run."""
-    cpu = platform.processor()
-    cpuinfo = Path("/proc/cpuinfo")
-    if cpuinfo.exists():
-        lines = cpuinfo.read_text().splitlines()
-        models = [line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")]
-        cpu = models[0] if models else cpu
-    return {
-        "repro_version": repro.__version__,
-        "kernel_tier": kernel_tier(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "host": {"machine": platform.machine(), "cpu": cpu, "nproc": os.cpu_count()},
-    }
 
 
 @contextmanager
@@ -218,7 +199,7 @@ def _run_benchmark(smoke: bool = False) -> dict[str, object]:
         adder = _adder_study(bits=ADDER_BITS, rows=ADDER_ROWS, columns=ADDER_COLUMNS)
         section5 = _section5_study(toffolis=S5_TOFFOLIS_PER_LAYER, layers=S5_LAYERS)
     report = {
-        "header": _run_header(),
+        "header": run_header(),
         "smoke": smoke,
         "adder_replay": adder,
         "section5_workload": section5,

@@ -14,7 +14,7 @@ _README = Path(__file__).resolve().parent / "README.md"
 
 setup(
     name="repro-qla-arq",
-    version="1.9.0",
+    version="1.10.0",
     description=(
         "Reproduction of the QLA quantum architecture study: ion-trap model, "
         "ARQ stabilizer simulator with batched execution engines behind a "

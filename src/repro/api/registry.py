@@ -1,14 +1,14 @@
 """Pluggable execution backends behind one registry.
 
 The library runs a Monte-Carlo workload in one of a few ways -- a scalar
-per-shot oracle, the bit-packed uint64 engine, that engine's fused kernel
-tier, and a sharded process-pool layer.  Instead of every driver hard-coding
-``backend="packed"|"auto"`` branches, each strategy registers here as a named
-:class:`ExecutionBackend` with :class:`BackendCapabilities`, and
-:meth:`BackendRegistry.resolve` maps a request onto a strategy and an engine:
+per-shot oracle, the bit-packed Pauli-frame engine, and a sharded
+process-pool layer.  Instead of every caller hard-coding backend branches,
+each strategy registers here as a named :class:`ExecutionBackend` with
+:class:`BackendCapabilities`, and :meth:`BackendRegistry.resolve` maps a
+request onto a strategy and an engine:
 
-* ``"auto"`` always means :data:`AUTO_ENGINE` -- the fused tier, which is the
-  fastest engine at every batch size and on every kernel tier;
+* ``"auto"`` always means :data:`AUTO_ENGINE` -- the ``"frame"`` engine,
+  the fastest engine at every batch size and on every kernel tier;
 * ``num_shards > 1`` requires (and selects) a backend with
   ``supports_sharding`` -- the ``"sharded"`` strategy;
 * a backend advertising ``max_qubits`` refuses registers it cannot hold.
@@ -33,6 +33,7 @@ from typing import Callable, Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from repro.exceptions import ParameterError, SimulationError
+from repro.stabilizer.fused import build_kernel
 from repro.stabilizer.monte_carlo import (
     MonteCarloResult,
     estimate_failure_rate,
@@ -54,19 +55,18 @@ __all__ = [
     "resolve_engine",
 ]
 
-#: Engine names the batched tableau layer understands (see
+#: Engine names the batched layer understands (see
 #: :func:`repro.arq.simulator.create_batch_tableau`).
-TABLEAU_ENGINES = ("packed", "packed-fused")
+TABLEAU_ENGINES = ("frame",)
 
 #: The engine ``"auto"`` resolves to, at every batch size and kernel tier.
-#: ``"packed"`` stays requestable by name as its bit-for-bit reference.
-AUTO_ENGINE = "packed-fused"
+AUTO_ENGINE = "frame"
 
 
 def task_engine_name(engine: str) -> str:
-    """Tableau engine to pin onto a shard task for a resolved engine name.
+    """Batched engine to pin onto a shard task for a resolved engine name.
 
-    Strategies that are not tableau engines themselves (the scalar oracle, or
+    Strategies that are not batched engines themselves (the scalar oracle, or
     third-party backends bringing their own execution) leave the task on
     ``"auto"``.
     """
@@ -180,7 +180,7 @@ class ScalarBackend:
 
 @dataclass(frozen=True)
 class EngineBackend:
-    """A vectorized single-process engine (``"packed"`` or ``"packed-fused"``).
+    """A vectorized single-process engine (``"frame"``).
 
     The engine name is pinned onto the task by the runner before execution;
     this strategy only supplies the chunked estimate loop.
@@ -377,7 +377,7 @@ class BackendRegistry:
 
         Returns ``(strategy, engine)``: the strategy is the registered backend
         whose :meth:`~ExecutionBackend.estimate` will run the shots, and the
-        engine is the concrete batched-tableau engine name to pin onto the
+        engine is the concrete batched engine name to pin onto the
         task (``"scalar"`` for the per-shot oracle).  ``"auto"`` names
         :data:`AUTO_ENGINE`; ``shots`` and ``batch_size`` describe the
         workload, and every value of them resolves the same way.  Resolution
@@ -398,10 +398,10 @@ class BackendRegistry:
             return requested, requested.name
         if caps.supports_sharding:
             # An explicitly-requested sharding strategy still needs a
-            # concrete tableau engine for its per-shard batches.
+            # concrete batched engine for its per-shard batches.
             return requested, AUTO_ENGINE
         if num_shards > 1:
-            # Shard tasks run on the batched tableau layer; a third-party
+            # Shard tasks run on the batched layer; a third-party
             # engine cannot serve as their engine.
             engine = requested.name if requested.name in TABLEAU_ENGINES else AUTO_ENGINE
             sharded = [
@@ -417,9 +417,14 @@ class BackendRegistry:
 
 
 def default_registry() -> BackendRegistry:
-    """The process-wide registry with the built-in strategies registered."""
+    """The process-wide registry with the built-in strategies registered.
+
+    Its first call also compiles (or loads) the native frame kernel, so the
+    first Monte-Carlo run does not pay for the build.
+    """
     global _DEFAULT_REGISTRY
     if _DEFAULT_REGISTRY is None:
+        build_kernel()
         registry = BackendRegistry()
         registry.register(ScalarBackend())
         for engine in TABLEAU_ENGINES:
@@ -434,7 +439,7 @@ _DEFAULT_REGISTRY: BackendRegistry | None = None
 
 
 def resolve_engine(backend: str) -> str:
-    """Concrete engine name for a batched-tableau request.
+    """Concrete engine name for a batched-engine request.
 
     The hook behind :func:`repro.arq.simulator.resolve_backend`: the names in
     :data:`TABLEAU_ENGINES` are honoured verbatim and ``"auto"`` is
@@ -444,7 +449,7 @@ def resolve_engine(backend: str) -> str:
         return AUTO_ENGINE
     if backend not in TABLEAU_ENGINES:
         raise SimulationError(
-            f"unknown batched tableau engine {backend!r}; expected 'auto' or one "
+            f"unknown batched engine {backend!r}; expected 'auto' or one "
             f"of {TABLEAU_ENGINES}"
         )
     return backend

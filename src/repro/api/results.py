@@ -95,9 +95,8 @@ class RunResult:
     backend:
         Name of the registered strategy that executed the shots.
     engine:
-        Concrete tableau engine the batches ran on (``"packed-fused"``,
-        ``"packed"`` or ``"scalar"``) -- ``"auto"`` resolves to
-        ``"packed-fused"``.
+        Concrete engine the batches ran on (``"frame"`` or ``"scalar"``)
+        -- ``"auto"`` resolves to ``"frame"``.
     seed_entropy:
         Root SeedSequence entropy of the run.
     num_shards:

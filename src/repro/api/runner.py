@@ -191,8 +191,8 @@ def run(
         ``run(ExperimentSpec.from_json(result.spec_json))``.
     registry:
         Backend registry to resolve the execution strategy against; defaults
-        to the process-wide registry with the built-in scalar / packed /
-        packed-fused / sharded / desim strategies.
+        to the process-wide registry with the built-in scalar / frame /
+        sharded / desim strategies.
 
     A :class:`~repro.explore.sweep.SweepSpec` is accepted too and dispatched
     to :func:`repro.explore.runner.run_sweep` (returning its

@@ -232,9 +232,9 @@ class ExecutionSpec:
     ----------
     backend:
         Name of a registered execution backend (``"scalar"``,
-        ``"packed"``, ``"packed-fused"``, ``"sharded"``, or any strategy
+        ``"frame"``, ``"sharded"``, or any strategy
         registered on the :class:`~repro.api.registry.BackendRegistry` in
-        use), or ``"auto"``: the fused ``"packed-fused"`` engine, run through
+        use), or ``"auto"``: the Pauli-frame ``"frame"`` engine, run through
         the ``"sharded"`` strategy whenever ``num_shards > 1``.
     num_shards:
         Shards of the deterministic shard plan.  The plan (not the worker

@@ -28,6 +28,7 @@ sweep driver behind the spec runner.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -57,8 +58,8 @@ from repro.stabilizer import (
     MonteCarloResult,
     NoiselessModel,
     OperationNoise,
-    PackedBatchTableau,
     StabilizerTableau,
+    unpack_bits,
 )
 
 __all__ = [
@@ -116,10 +117,8 @@ class Level1EccExperiment:
     verified_ancilla:
         Whether ancilla blocks are verified before use (the QLA design does).
     backend:
-        Batched simulation engine for the Monte-Carlo paths: ``"packed"``
-        (one word-wise numpy step per operation), ``"packed-fused"`` (the
-        whole circuit in one kernel call) or ``"auto"`` (the fused engine).
-        The two engines agree bit for bit; only throughput differs.
+        Batched simulation engine for the Monte-Carlo paths: ``"frame"``
+        or ``"auto"`` (the frame engine).
     """
 
     noise: OperationNoise
@@ -155,14 +154,6 @@ class Level1EccExperiment:
         self._noisy_batch_executor = BatchedNoisyCircuitExecutor(
             noise=self.noise, mapper=self.mapper, backend=self.backend
         )
-        # Vectorized decoding: dense syndrome-indexed correction tables plus
-        # the bit weights turning an (B, m) syndrome array into table indices
-        # (most-significant check first, matching the table layout).
-        checks = self.code.hz.shape[0]
-        self._syndrome_weights = (1 << np.arange(checks - 1, -1, -1)).astype(np.int64)
-        self._x_correction_table = self._decoder.correction_table("X")
-        self._z_correction_table = self._decoder.correction_table("Z")
-        self._data_qubits = tuple(range(n))
         self._embedded_x_stabilizers = [
             self._embedded(generator) for generator in self.code.x_stabilizers()
         ]
@@ -170,6 +161,72 @@ class Level1EccExperiment:
             self._embedded(generator) for generator in self.code.z_stabilizers()
         ]
         self._embedded_logical_z = self._embedded(self.code.logical_z())
+        # Packed-word decoding (64 lanes per word): a syndrome bit is the XOR
+        # of the outcome words its check selects, a correction an AND mask
+        # over syndrome words, and a stabilizer or logical value the parity of
+        # the lane's Pauli frame on its support XOR the reference sign.
+        slot_of = {
+            label: slot
+            for slot, label in enumerate(
+                self._noisy_batch_executor.compile(ecc_circuit).measurement_labels
+            )
+        }
+        groups = [
+            (extraction.error_type, extraction.ancilla_measurement_labels)
+            for extraction in (x_extraction, z_extraction)
+        ]
+        if self.verified_ancilla:
+            groups += [
+                (extraction.error_type, extraction.verification_measurement_labels)
+                for extraction in (x_extraction, z_extraction)
+                if extraction.verification_measurement_labels
+            ]
+        # Rows: X syndromes, Z syndromes, then the verification syndromes.
+        self._syndrome_parity = _WordParity(
+            [
+                [slot_of[labels[qubit]] for qubit in np.flatnonzero(check)]
+                for error_type, labels in groups
+                for check in (self.code.hz if error_type == "X" else self.code.hx)
+            ]
+        )
+        checks = self.code.hz.shape[0]
+        # Rows of [s; ~s] whose AND marks the lanes with syndrome value v.
+        self._pattern_rows = np.array(
+            [
+                [i if (value >> (checks - 1 - i)) & 1 else checks + i for i in range(checks)]
+                for value in range(2**checks)
+            ]
+        )
+        # Per qubit, the syndrome values whose dense-table correction flips it.
+        self._x_corrections, self._z_corrections = (
+            _WordParity(
+                [
+                    np.flatnonzero(column).tolist()
+                    for column in self._decoder.correction_table(kind).T
+                ]
+            )
+            for kind in ("X", "Z")
+        )
+        # Frame parities read the stacked data-block frame words [X; Z]: a
+        # Pauli's X support anticommutes with frame Z bits and vice versa.
+        n = self.code.num_physical_qubits
+        observables = [
+            *self.code.x_stabilizers(),
+            *self.code.z_stabilizers(),
+            self.code.logical_z(),
+        ]
+        self._stabilizer_parity, self._logical_parity = (
+            _WordParity(
+                [
+                    (n + np.flatnonzero(pauli.x)).tolist() + np.flatnonzero(pauli.z).tolist()
+                    for pauli in paulis
+                ]
+            )
+            for paulis in (observables[:-1], observables[-1:])
+        )
+        self._reference_values: weakref.WeakKeyDictionary[StabilizerTableau, np.ndarray] = (
+            weakref.WeakKeyDictionary()
+        )
 
     # ------------------------------------------------------------------
     # Trials
@@ -275,71 +332,75 @@ class Level1EccExperiment:
         # Ideal preparation of the logical |0>, then noisy gate + ECC cycle.
         self._ideal_batch_executor.run(self._prep_circuit, batch_size, rng, tableau=state)
         self._noisy_batch_executor.run(self._gate_circuit, batch_size, rng, tableau=state)
-        result = self._noisy_batch_executor.run(
+        words = self._noisy_batch_executor.run(
             self._ecc_circuit, batch_size, rng, tableau=state
-        )
+        ).outcome_words
 
-        verification_passed = np.ones(batch_size, dtype=bool)
-        if self.verified_ancilla:
-            for extraction in (self._x_extraction, self._z_extraction):
-                labels = extraction.verification_measurement_labels
-                if not labels:
-                    continue
-                syndromes = self._syndromes_from_bits(
-                    result.bits(labels), extraction.error_type
-                )
-                verification_passed &= ~syndromes.any(axis=1)
-
-        # Decode the extracted syndromes for every lane through the dense
-        # correction tables and apply the corrections in one injection.
-        x_syndromes = self._syndromes_from_bits(
-            result.bits(self._x_extraction.ancilla_measurement_labels), "X"
+        syndromes = self._syndrome_parity(words)
+        checks = self._pattern_rows.shape[1]
+        x_syndromes, z_syndromes = syndromes[:checks], syndromes[checks : 2 * checks]
+        n = self.code.num_physical_qubits
+        frames = np.concatenate(
+            (
+                state.frame_x[:n] ^ self._x_corrections(self._syndrome_hits(x_syndromes)),
+                state.frame_z[:n] ^ self._z_corrections(self._syndrome_hits(z_syndromes)),
+            )
         )
-        z_syndromes = self._syndromes_from_bits(
-            result.bits(self._z_extraction.ancilla_measurement_labels), "Z"
-        )
-        x_corrections = self._x_correction_table[x_syndromes @ self._syndrome_weights]
-        z_corrections = self._z_correction_table[z_syndromes @ self._syndrome_weights]
-        state.inject_pauli_terms(self._data_qubits, x_corrections, z_corrections)
-
-        failure = ~self._ideal_recovery_says_one_batch(state)
-        nontrivial = x_syndromes.any(axis=1) | z_syndromes.any(axis=1)
+        says_one = self._ideal_recovery_says_one_words(state.reference, frames)
+        nontrivial = np.bitwise_or.reduce(syndromes[: 2 * checks], axis=0)
+        rejected = np.bitwise_or.reduce(syndromes[2 * checks :], axis=0)
+        flags = unpack_bits(np.stack((says_one, nontrivial, rejected)), batch_size) != 0
         return {
-            "failure": failure,
-            "nontrivial_syndrome": nontrivial,
-            "verification_passed": verification_passed,
+            "failure": ~flags[0],
+            "nontrivial_syndrome": flags[1],
+            "verification_passed": ~flags[2],
         }
 
-    def _syndromes_from_bits(self, bits: np.ndarray, error_type: str) -> np.ndarray:
-        """Per-lane syndromes from ``(B, n)`` measured ancilla bits."""
-        check = self.code.hz if error_type == "X" else self.code.hx
-        return (bits.astype(np.int64) @ check.T.astype(np.int64)) % 2
+    def _syndrome_hits(self, syndromes: np.ndarray) -> np.ndarray:
+        """``(2**m, W)`` words: the lanes whose ``(m, W)`` syndrome reads each value.
 
-    def _ideal_recovery_says_one_batch(self, state: PackedBatchTableau) -> np.ndarray:
-        """Batched ideal decode; ``(B,)`` bool, True where the logical value is 1.
-
-        Lanes where any stabilizer expectation is random (state outside the
-        code space) report False, matching the per-shot early return.
+        Values are read most-significant check first, like the rows of the
+        dense correction tables; the value sets are disjoint, so a qubit's
+        correction is the XOR of the sets of the values that flip it.
         """
-        batch_size = state.batch_size
-        invalid = np.zeros(batch_size, dtype=bool)
+        choices = np.concatenate((syndromes, ~syndromes))
+        return np.bitwise_and.reduce(choices[self._pattern_rows], axis=1)
 
-        def syndrome_bits(generators: list[PauliString]) -> np.ndarray:
-            columns = []
-            for generator in generators:
-                value = state.expectation(generator)
-                invalid_here = value == 0
-                invalid[:] |= invalid_here
-                columns.append((value == -1).astype(np.int64))
-            return np.stack(columns, axis=1)
+    def _ideal_recovery_says_one_words(
+        self, reference: StabilizerTableau, frames: np.ndarray
+    ) -> np.ndarray:
+        """Batched ideal decode on words; set where the logical value is 1.
 
-        x_syndromes = syndrome_bits(self._embedded_x_stabilizers)
-        z_syndromes = syndrome_bits(self._embedded_z_stabilizers)
-        x_corrections = self._x_correction_table[z_syndromes @ self._syndrome_weights]
-        z_corrections = self._z_correction_table[x_syndromes @ self._syndrome_weights]
-        state.inject_pauli_terms(self._data_qubits, x_corrections, z_corrections)
-        logical_value = state.expectation(self._embedded_logical_z)
-        return (logical_value == -1) & ~invalid
+        ``frames`` stacks the data block's frame X and Z words.  When the
+        reference leaves any stabilizer or the logical operator random (a
+        state outside the code space) no lane reads 1, matching the
+        per-shot early return.
+        """
+        values = self._reference_values.get(reference)
+        if values is None:
+            values = np.array(
+                [
+                    reference.expectation(pauli)
+                    for pauli in (
+                        *self._embedded_x_stabilizers,
+                        *self._embedded_z_stabilizers,
+                        self._embedded_logical_z,
+                    )
+                ]
+            )
+            self._reference_values[reference] = values
+        if not values.all():
+            return np.zeros(frames.shape[1], dtype=np.uint64)
+        signs = np.where(values == -1, ~np.uint64(0), np.uint64(0))[:, None]
+        syndromes = signs[:-1] ^ self._stabilizer_parity(frames)
+        k = len(self._embedded_x_stabilizers)
+        corrections = np.concatenate(
+            (
+                self._x_corrections(self._syndrome_hits(syndromes[k:])),
+                self._z_corrections(self._syndrome_hits(syndromes[:k])),
+            )
+        )
+        return (signs[-1] ^ self._logical_parity(frames ^ corrections))[0]
 
     def _verification_passed(self, result) -> bool:
         """True if both ancilla verification blocks report a trivial parity check."""
@@ -392,6 +453,21 @@ class Level1EccExperiment:
         self._apply_data_pauli(tableau, z_correction)
         logical_value = tableau.expectation(self._embedded_logical_z)
         return logical_value == -1
+
+
+class _WordParity:
+    """Per output row, the XOR of a list of word rows: one gather, one ``reduceat``."""
+
+    def __init__(self, rows: list[list[int]]) -> None:
+        # An empty row reads a zero row appended past the input's last row.
+        self._pad = any(not row for row in rows)
+        self._index = np.array([i for row in rows for i in (row or [-1])], dtype=np.intp)
+        self._starts = np.cumsum([0] + [max(len(row), 1) for row in rows[:-1]])
+
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        if self._pad:
+            words = np.concatenate((words, np.zeros_like(words[:1])))
+        return np.bitwise_xor.reduceat(words[self._index], self._starts, axis=0)
 
 
 @dataclass(frozen=True)

@@ -16,39 +16,34 @@ Two executors share those semantics:
   once and the mapping cached, so repeated shots of the same circuit pay no
   per-shot mapping cost.
 * :class:`BatchedNoisyCircuitExecutor` runs ``B`` independent noisy shots
-  simultaneously on a bit-packed
-  :class:`~repro.stabilizer.packed.PackedBatchTableau`, driving a compiled
-  circuit IR (:mod:`repro.circuits.compiled`) with vectorized noise sampling
-  -- the engine behind the Monte-Carlo experiments.
+  simultaneously as bit-packed Pauli frames
+  (:class:`~repro.stabilizer.fused.PauliFrameBatch`), one kernel call per
+  compiled circuit (:mod:`repro.circuits.compiled`) -- the engine behind the
+  Monte-Carlo experiments.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.arq.mapper import LayoutMapper, MappedCircuit
 from repro.circuits import Circuit
-from repro.circuits.compiled import (
-    CompiledCircuit,
-    Opcode,
-    compile_circuit,
-    require_simulable,
-)
+from repro.circuits.compiled import CompiledCircuit, compile_circuit
 from repro.circuits.gate import OpKind
 from repro.exceptions import SimulationError
 from repro.pauli import PauliString, PauliTerm
 from repro.stabilizer import (
-    FusedPackedBatchTableau,
     NoiseModel,
     NoiselessModel,
-    PackedBatchTableau,
+    PauliFrameBatch,
     StabilizerTableau,
+    execute_fused,
     unpack_bits,
 )
-from repro.stabilizer.fused import execute_fused, noise_block
 
 __all__ = [
     "BACKENDS",
@@ -61,15 +56,16 @@ __all__ = [
 ]
 
 #: Valid values of the batched executor's ``backend`` knob.
-BACKENDS = ("auto", "packed", "packed-fused")
+BACKENDS = ("auto", "frame")
 
 
 def resolve_backend(backend: str, batch_size: int) -> str:
     """Resolve a backend request to a concrete engine name.
 
-    ``"packed"`` and ``"packed-fused"`` are honoured verbatim; ``"auto"`` is
-    the backend registry's :data:`~repro.api.registry.AUTO_ENGINE` at every
-    ``batch_size``.
+    ``"frame"`` is honoured verbatim and ``"auto"`` is the backend registry's
+    :data:`~repro.api.registry.AUTO_ENGINE` at every ``batch_size``; any
+    other name (the retired ``"packed"`` and ``"packed-fused"`` included)
+    raises :class:`SimulationError`.
     """
     from repro.api.registry import resolve_engine
 
@@ -81,11 +77,10 @@ def create_batch_tableau(
     num_qubits: int,
     batch_size: int,
     rng: np.random.Generator | None = None,
-) -> PackedBatchTableau:
-    """Create the batch tableau matching a (possibly ``"auto"``) backend."""
-    if resolve_backend(backend, batch_size) == "packed-fused":
-        return FusedPackedBatchTableau(num_qubits, batch_size, rng=rng)
-    return PackedBatchTableau(num_qubits, batch_size, rng=rng)
+) -> PauliFrameBatch:
+    """Create the batched state for a (possibly ``"auto"``) backend."""
+    resolve_backend(backend, batch_size)
+    return PauliFrameBatch(num_qubits, batch_size, rng=rng)
 
 
 @dataclass
@@ -122,19 +117,30 @@ class BatchExecutionResult:
     Attributes
     ----------
     tableau:
-        Final batched stabilizer state (fused or plain packed, depending on
-        the backend that ran).
-    measurements:
-        Measurement outcomes keyed by label; each value is a ``(B,)`` uint8
-        array of per-lane outcomes.  Unlabeled measurements are keyed
+        Final batched state.
+    outcome_words:
+        ``(M, W)`` uint64 measurement outcomes, one row per measurement slot,
+        64 lanes per word.
+    labels:
+        The label of each measurement slot.  Unlabeled measurements are keyed
         ``"m<index>"`` exactly like the per-shot executor.
     error_count:
         ``(B,)`` int64 array counting Pauli error events injected per lane.
     """
 
-    tableau: PackedBatchTableau
-    measurements: dict[str, np.ndarray] = field(default_factory=dict)
-    error_count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    tableau: PauliFrameBatch
+    outcome_words: np.ndarray
+    labels: tuple[str, ...]
+    error_count: np.ndarray
+
+    @cached_property
+    def measurements(self) -> dict[str, np.ndarray]:
+        """Outcomes keyed by label, each a ``(B,)`` uint8 array (unpacked on first use)."""
+        batch_size = self.tableau.batch_size
+        return {
+            label: unpack_bits(self.outcome_words[slot], batch_size)
+            for slot, label in enumerate(self.labels)
+        }
 
     def bits(self, labels: list[str] | tuple[str, ...]) -> np.ndarray:
         """Per-lane outcomes for a list of labels as a ``(B, len(labels))`` array."""
@@ -288,11 +294,10 @@ class BatchedNoisyCircuitExecutor:
 
     The executor compiles each circuit once (movement exposure from the layout
     mapper baked in, see :func:`repro.circuits.compiled.compile_circuit`) and
-    then drives a :class:`~repro.stabilizer.packed.PackedBatchTableau` with
-    one loop over *operations* instead of one loop over *shots x
-    operations*: every gate, reset, measurement and noise draw acts on the
-    whole batch through word-wise numpy operations -- or, on the fused tier,
-    the whole program runs in one kernel call.
+    then runs the whole program on a
+    :class:`~repro.stabilizer.fused.PauliFrameBatch` in one kernel call
+    (:func:`~repro.stabilizer.fused.execute_fused`): every gate, reset,
+    measurement and noise record acts on 64 lanes per machine word.
 
     Semantics match :class:`NoisyCircuitExecutor` lane for lane: movement
     errors precede the operation that required the shuttle, gate/preparation
@@ -309,13 +314,8 @@ class BatchedNoisyCircuitExecutor:
     mapper:
         Layout mapper supplying movement budgets; None disables movement noise.
     backend:
-        Simulation engine: ``"packed"`` drives the 64-lanes-per-word
-        :class:`~repro.stabilizer.packed.PackedBatchTableau` one operation at
-        a time, ``"packed-fused"`` runs the same packed state through the
-        fused kernel tier (:mod:`repro.stabilizer.fused`), and ``"auto"``
-        (default) is the fused tier.  Both engines implement the same CHP
-        semantics and consume identical RNG streams -- they agree bit for
-        bit -- and differ only in throughput.
+        Simulation engine: ``"frame"`` or ``"auto"`` (default), which is the
+        frame engine.
     """
 
     def __init__(
@@ -360,7 +360,7 @@ class BatchedNoisyCircuitExecutor:
         circuit: Circuit | CompiledCircuit,
         batch_size: int,
         rng: np.random.Generator,
-        tableau: PackedBatchTableau | None = None,
+        tableau: PauliFrameBatch | None = None,
         backend: str | None = None,
     ) -> BatchExecutionResult:
         """Run ``batch_size`` independent noisy shots of a circuit.
@@ -377,173 +377,35 @@ class BatchedNoisyCircuitExecutor:
             all lanes (each draw produces one value per lane).
         tableau:
             Optional pre-initialised batched state; a fresh all-|0> batch is
-            created when omitted.  Its batch size must equal ``batch_size``
-            and its type decides the engine that runs (a passed-in state
-            always wins over the backend knob).
+            created when omitted.  Its batch size must equal ``batch_size``.
         backend:
             Optional per-call override of the executor's backend.
         """
         program = circuit if isinstance(circuit, CompiledCircuit) else self.compile(circuit)
-        require_simulable(program)
         if batch_size <= 0:
             raise SimulationError("batch_size must be positive")
         requested = backend if backend is not None else self._backend
-        if tableau is not None:
-            state = tableau
-            resolved = (
-                "packed-fused" if isinstance(state, FusedPackedBatchTableau) else "packed"
-            )
-            if requested != "auto" and requested != resolved:
+        if tableau is None:
+            state = create_batch_tableau(requested, program.num_qubits, batch_size, rng=rng)
+        else:
+            resolve_backend(requested, batch_size)
+            if not isinstance(tableau, PauliFrameBatch):
                 raise SimulationError(
                     f"backend {requested!r} conflicts with a pre-initialised "
-                    f"{type(state).__name__} tableau"
+                    f"{type(tableau).__name__}; pass a PauliFrameBatch"
                 )
-        else:
-            resolved = resolve_backend(requested, batch_size)
-            state = create_batch_tableau(resolved, program.num_qubits, batch_size, rng=rng)
+            state = tableau
         if state.batch_size != batch_size:
             raise SimulationError(
                 f"tableau batch size {state.batch_size} does not match requested "
                 f"batch size {batch_size}"
             )
-        if state.num_qubits < program.num_qubits:
-            raise SimulationError(
-                f"tableau has {state.num_qubits} qubits but the circuit needs "
-                f"{program.num_qubits}"
-            )
-        if resolved == "packed-fused":
-            return self._run_fused(program, batch_size, rng, state)
-        return self._run_packed(program, batch_size, rng, state)
-
-    def _run_fused(
-        self,
-        program: CompiledCircuit,
-        batch_size: int,
-        rng: np.random.Generator,
-        state: PackedBatchTableau,
-    ) -> BatchExecutionResult:
-        """Drive the fused kernel tier (whole circuit in one native loop).
-
-        Bit-for-bit identical to :meth:`_run_packed` on the same seeds: the
-        fused module samples the same noise (block or hooks) and the same
-        measurement words before launching the kernel.
-        """
-        measurements, error_count = execute_fused(
+        outcome_words, error_count = execute_fused(
             program, batch_size, rng, state, self._noise
         )
         return BatchExecutionResult(
-            tableau=state, measurements=measurements, error_count=error_count
-        )
-
-    def _run_packed(
-        self,
-        program: CompiledCircuit,
-        batch_size: int,
-        rng: np.random.Generator,
-        state: PackedBatchTableau,
-    ) -> BatchExecutionResult:
-        """Drive the bit-packed engine (64 lanes per uint64 word).
-
-        Semantically identical to the per-shot executor lane for lane.  A
-        built-in noise model's noise comes as one pre-sampled
-        :func:`~repro.stabilizer.fused.noise_block` whose records are
-        injected before and after each operation; a custom model is sampled
-        through its packed hooks operation by operation.  Pauli masks are
-        injected as word masks, and measurement outcomes are collected packed
-        and unpacked once at the end into per-label ``(B,)`` uint8 arrays.
-        """
-        noise = self._noise
-        block = noise_block(program, noise, batch_size, rng)
-        error_count = (
-            block.error_count if block is not None else np.zeros(batch_size, dtype=np.int64)
-        )
-        outcome_words = np.zeros(
-            (program.num_measurements, state.num_lane_words), dtype=np.uint64
-        )
-
-        def inject(sampled) -> None:
-            support, x_words, z_words, event_words = sampled
-            if event_words.any():
-                state.inject_pauli_words(support, x_words, z_words)
-                error_count[:] += unpack_bits(event_words, batch_size)
-
-        opcodes = program.opcodes
-        qubit0 = program.qubit0
-        qubit1 = program.qubit1
-        exposure = program.movement_exposure
-        moved = program.moved_qubit
-        slots = program.measurement_slot
-
-        for k in range(program.num_operations):
-            op = int(opcodes[k])
-            q0 = int(qubit0[k])
-
-            if block is not None:
-                block.inject(state, int(block.pre_inj[k]))
-            elif exposure[k] > 0:
-                inject(
-                    noise.sample_movement_error_packed(
-                        int(moved[k]), int(exposure[k]), batch_size, rng
-                    )
-                )
-
-            if op == Opcode.PREPARE:
-                state.reset(q0)
-                if block is None:
-                    inject(noise.sample_preparation_error_packed(q0, batch_size, rng))
-            elif op == Opcode.MEASURE or op == Opcode.MEASURE_X:
-                measured = (
-                    state.measure_packed(q0)
-                    if op == Opcode.MEASURE
-                    else state.measure_x_packed(q0)
-                )
-                if block is None:
-                    flip_words = noise.measurement_flip_packed(batch_size, rng)
-                    if flip_words.any():
-                        measured = measured ^ flip_words
-                        error_count += unpack_bits(flip_words, batch_size)
-                outcome_words[int(slots[k])] = measured
-            else:
-                q1 = int(qubit1[k])
-                if op == Opcode.I:
-                    pass  # no state update, but gate noise still applies below
-                elif op == Opcode.H:
-                    state.h(q0)
-                elif op == Opcode.S:
-                    state.s(q0)
-                elif op == Opcode.SDG:
-                    state.s_dag(q0)
-                elif op == Opcode.X:
-                    state.x(q0)
-                elif op == Opcode.Y:
-                    state.y(q0)
-                elif op == Opcode.Z:
-                    state.z(q0)
-                elif op == Opcode.CNOT:
-                    state.cnot(q0, q1)
-                elif op == Opcode.CZ:
-                    state.cz(q0, q1)
-                elif op == Opcode.SWAP:
-                    state.swap(q0, q1)
-                else:  # pragma: no cover - compile_circuit rejects unknown ops
-                    raise SimulationError(f"unknown opcode {op}")
-                if block is None:
-                    operands = (q0,) if q1 < 0 else (q0, q1)
-                    inject(
-                        noise.sample_gate_error_packed(
-                            Opcode(op).name, operands, batch_size, rng
-                        )
-                    )
-
-            if block is not None:
-                block.inject(state, int(block.post_inj[k]))
-
-        if block is not None:
-            outcome_words[block.flip_slots] ^= block.flip_words
-        measurements = {
-            label: unpack_bits(outcome_words[slot], batch_size)
-            for slot, label in enumerate(program.measurement_labels)
-        }
-        return BatchExecutionResult(
-            tableau=state, measurements=measurements, error_count=error_count
+            tableau=state,
+            outcome_words=outcome_words,
+            labels=program.measurement_labels,
+            error_count=error_count,
         )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,9 +163,12 @@ class CompiledCircuit:
         """Number of measurement result slots."""
         return len(self.measurement_labels)
 
-    @property
+    @cached_property
     def is_simulable(self) -> bool:
-        """True when every opcode is executable on the stabilizer engines."""
+        """True when every opcode is executable on the stabilizer engines.
+
+        Computed once per program: the opcode arrays never change.
+        """
         return not np.isin(self.opcodes, list(TIMING_ONLY_OPCODES)).any()
 
     def kernel_arrays(

@@ -12,8 +12,10 @@ and crash quarantine: after a pool break the in-flight jobs re-run one at
 a time, so only a job that crashes *alone* is charged.  A job that
 exhausts its retries resolves to a failed :class:`JobOutcome` instead of
 aborting the batch (``docs/robustness.md`` has the full contract).
-Charged crashes and timeouts are logged at WARNING on the ``repro``
-logger, quarantines at INFO.  The fault sites of :mod:`repro.faults` live
+Every charged failed attempt -- a crash, a timeout or the job's own
+exception, in the pool or in-process -- is logged at WARNING on the
+``repro`` logger, saying whether it is re-queued or terminal; quarantines
+are logged at INFO.  The fault sites of :mod:`repro.faults` live
 in the one worker entry, keyed on the job's fault key:
 :data:`~repro.faults.WORKER_CRASH` and :data:`~repro.faults.WORKER_HANG`
 fire only inside pool workers, :data:`~repro.faults.POINT_TRANSIENT` on
@@ -266,9 +268,19 @@ def _run_inline(job: _Job, policy: RetryPolicy, resolve) -> None:
             error = caught
         job.attempts += 1
         job.elapsed += time.monotonic() - start
-        if error is None or job.attempts > policy.max_retries:
+        retry = error is not None and job.attempts <= policy.max_retries
+        if error is not None:
+            _log_charge(job, error, retry)
+        if not retry:
             return resolve(job, result, error)
         time.sleep(policy.backoff(job.attempts))
+
+
+def _log_charge(job: _Job, error: Exception, retry: bool) -> None:
+    """Log a charged failed attempt at WARNING: re-queued or terminal."""
+    if not isinstance(error, (WorkerCrashError, PointTimeoutError)):
+        error = f"job {job.index} raised {type(error).__name__}: {error}"
+    _LOG.warning("%s; %s", error, "re-queued" if retry else "terminal (retries exhausted)")
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -300,8 +312,8 @@ def _supervise_pool(jobs: list[_Job], policy: RetryPolicy, workers: int, resolve
         job.attempts += 1
         job.elapsed += now - job.started_at
         retry = error is not None and job.attempts <= policy.max_retries
-        if isinstance(error, (WorkerCrashError, PointTimeoutError)):
-            _LOG.warning("%s; %s", error, "re-queued" if retry else "terminal (retries exhausted)")
+        if error is not None:
+            _log_charge(job, error, retry)
         if retry:
             job.eligible_at = time.monotonic() + policy.backoff(job.attempts)
             queue.append(job)

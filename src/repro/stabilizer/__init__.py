@@ -11,7 +11,6 @@ circuits under Pauli noise.
 
 from repro.stabilizer.tableau import StabilizerTableau, MeasurementResult
 from repro.stabilizer.packed import (
-    PackedBatchTableau,
     lane_mask_words,
     num_words,
     pack_bits,
@@ -19,7 +18,7 @@ from repro.stabilizer.packed import (
     unpack_bits,
 )
 from repro.stabilizer.fused import (
-    FusedPackedBatchTableau,
+    PauliFrameBatch,
     execute_fused,
     kernel_tier,
 )
@@ -37,8 +36,7 @@ from repro.stabilizer.monte_carlo import (
 
 __all__ = [
     "StabilizerTableau",
-    "PackedBatchTableau",
-    "FusedPackedBatchTableau",
+    "PauliFrameBatch",
     "execute_fused",
     "kernel_tier",
     "MeasurementResult",

@@ -1,52 +1,50 @@
-"""Fused native kernel tier for the bit-packed Monte-Carlo engine.
+"""The Pauli-frame Monte-Carlo engine: one kernel call per compiled program.
 
-:class:`~repro.stabilizer.packed.PackedBatchTableau` made every tableau
-operation a handful of word-wise numpy kernels, but the batched executor still
-returns to the Python interpreter between every operation of the compiled IR:
-per gate it pays a dozen numpy dispatches, and measurements walk Python loops
-over tableau rows.  This module removes that per-operation interpreter traffic
-by executing the *entire compiled circuit* in one native loop per batch:
-gates, Pauli noise injection from pre-sampled packed masks, resets and Z/X
-measurements with mod-4 phase accumulation.
+Pauli noise never changes which Pauli operators stabilize a state, only their
+signs.  So ``B`` noisy shots of a Clifford circuit are one noiseless
+*reference* state plus, per lane, a *Pauli frame*: the Pauli by which the
+lane's state differs from the reference (Gidney, *Stim*, Quantum 5, 497,
+2021).  :class:`PauliFrameBatch` stores the frame as ``(n, W)`` uint64 X/Z
+words, bit ``b`` of word ``w`` belonging to lane ``64*w + b``, and
+:func:`execute_fused` pushes those words through a whole compiled program in
+one native loop at O(W) work per gate, noise record or measurement.
 
-The design rests on a structural invariant of the packed engine
-("lane uniformity"): every public ``PackedBatchTableau`` operation keeps the X
-and Z bit-planes *identical across lanes* -- noise injection and measurement
-randomness only ever touch the sign words ``r``.  Gates condition their sign
-flips on X/Z bits alone, measurement collapse picks the same pivot row in
-every lane, and ghost lanes are initialised exactly like real ones.  The
-fused kernel therefore represents the batch as
+Each program is first run once, without noise, on a scalar
+:class:`~repro.stabilizer.tableau.StabilizerTableau` holding the reference,
+with every random measurement outcome forced to 0.  The pass records, per
+measurement, whether the outcome is random, the reference outcome of a
+deterministic one and the pivot stabilizer of a random one.  It is cached by
+program content and input reference, so rebuilt experiments do not repeat it.
+The frame then follows these rules:
 
-* ``xb``, ``zb`` -- ``(2n+1, n)`` uint8 booleans (one value per tableau bit,
-  shared by all lanes), and
-* ``r`` -- the ``(2n+1, W)`` uint64 per-lane sign words of the packed state,
+* a gate conjugates the frame; noise multiplies it by the sampled Pauli;
+* a deterministic measurement reads the reference bit XOR the frame's X bit;
+* a random measurement reads a drawn word, and every lane whose drawn bit
+  differs from its frame's X bit multiplies its frame by the reference's
+  pivot stabilizer (which turns the frame bit into the drawn bit);
+* a preparation measures, then clears the qubit's frame X bit;
+* X-basis measurements follow the same rules, conjugated by H.
 
-so a gate is a column update plus (at most) a whole-row sign complement, and a
-measurement is a single pivot/rowsum walk with integer mod-4 phases -- orders
-of magnitude less work than the per-lane word arithmetic it replaces.
-Because the X/Z evolution is noise-independent, the random-vs-deterministic
-measurement schedule of a circuit is a pure function of the program and the
-initial X/Z planes; it is recorded once by a cheap ``W=1`` kernel pass and
-cached, so all randomness can be sampled before the kernel launches.  The
-built-in noise models draw one sparse **noise block** per run
+These rules reproduce the sign words of the CHP tableau engines this module
+replaces, so seeded outcomes are bit for bit those of v1.9's ``"packed"``
+and ``"packed-fused"`` engines.  The randomness is drawn in the same order:
+the built-in noise models draw one sparse **noise block** per run
 (:func:`noise_block`): per event a binomial failure count, then the failing
 lanes and their Pauli letters, in O(failures) work and a constant number of
-generator calls.  The measurement words follow, in schedule order, from the
-state's generator.  The ``"packed"`` engine consumes the same block (custom
-models take the same per-operation hooks on both engines), so seeded runs are
-bit-for-bit identical across the two backends.
+generator calls.  The random measurement words follow, in program order,
+from the state's generator.  Custom models are sampled through their packed
+hooks, interleaved with the measurement words.
 
 Two interchangeable kernels implement the loop, with the same signature:
 
 * a small C kernel (``fused_kernel.c``) compiled on demand with the system C
   compiler and loaded through ctypes;
-* :func:`fused_kernel_numpy` -- a pure-numpy vectorized fallback, so the
-  module imports and runs (slower) with no compiler at all.
+* :func:`frame_kernel_numpy` -- a pure-numpy fallback, so the module imports
+  and runs (slower) with no compiler at all.
 
-Both are pinned bit for bit against the per-operation ``"packed"`` engine,
-which is their semantic reference.  ``REPRO_FUSED_KERNEL`` selects the tier
-explicitly (``auto`` / ``cext`` / ``numpy``); ``auto`` takes the C kernel
-when it compiles and logs a warning once when it falls back to numpy.
+``REPRO_FUSED_KERNEL`` selects the tier explicitly (``auto`` / ``cext`` /
+``numpy``); ``auto`` takes the C kernel when it compiles and logs a warning
+once when it falls back to numpy.
 """
 
 from __future__ import annotations
@@ -82,16 +80,17 @@ from repro.stabilizer.noise import (
 )
 from repro.stabilizer.packed import (
     _UINT64_MAX,
-    PackedBatchTableau,
+    WORD_BITS,
     num_words,
     unpack_bits,
 )
+from repro.stabilizer.tableau import StabilizerTableau
 
 __all__ = [
     "SUPPORTED_OPCODES",
     "KERNEL_TIERS",
-    "FusedPackedBatchTableau",
-    "fused_kernel_numpy",
+    "PauliFrameBatch",
+    "frame_kernel_numpy",
     "kernel_tier",
     "NoiseBlock",
     "noise_block",
@@ -100,7 +99,7 @@ __all__ = [
 
 _LOG = logging.getLogger("repro")
 
-#: Opcodes the fused kernel executes.  Exactly the simulable IR: the Clifford
+#: Opcodes the frame kernel executes.  Exactly the simulable IR: the Clifford
 #: gates plus preparation and the two measurement bases.  Timing-only opcodes
 #: (TOFFOLI/CCZ/T/TDG) are rejected up front by ``require_simulable``.
 SUPPORTED_OPCODES: frozenset[int] = frozenset(
@@ -124,130 +123,46 @@ SUPPORTED_OPCODES: frozenset[int] = frozenset(
 #: Kernel tiers, in ``auto`` preference order.
 KERNEL_TIERS = ("cext", "numpy")
 
-#: CHP ``g`` phase function as a 4x4 table over symplectic codes
-#: ``(x << 1) | z`` (I=0, Z=1, X=2, Y=3); entries are the phase contribution
-#: mod 4 (+1 -> 1, -1 -> 3).  Matches ``repro.stabilizer.packed._g_masks``.
-_G4 = np.array(
-    [
-        [0, 0, 0, 0],  # P1 = I
-        [0, 0, 1, 3],  # P1 = Z: +1 against X, -1 against Y
-        [0, 3, 0, 1],  # P1 = X: -1 against Z, +1 against Y
-        [0, 1, 3, 0],  # P1 = Y: +1 against Z, -1 against X
-    ],
-    dtype=np.int64,
-)
-
-# Kernel status codes (shared by both tiers and the C source).
-_STATUS_OK = 0
-_STATUS_UNKNOWN_OPCODE = 1
-_STATUS_SCHEDULE_MISMATCH = 2
-_STATUS_ODD_PHASE = 3
-
-_STATUS_MESSAGES = {
-    _STATUS_UNKNOWN_OPCODE: "unknown opcode reached the fused kernel",
-    _STATUS_SCHEDULE_MISMATCH: (
-        "measurement randomness schedule diverged from the recorded pass"
-    ),
-    _STATUS_ODD_PHASE: "non-real phase in a stabilizer rowsum",
-}
-
 
 # ----------------------------------------------------------------------
-# Numpy fallback tier (identical signature, vectorized over rows)
+# Numpy fallback tier (identical signature and semantics)
 # ----------------------------------------------------------------------
 
 
-def _np_h(xb, zb, r, a):
-    cond = (xb[:, a] & zb[:, a]) != 0
-    if cond.any():
-        r[cond] ^= _UINT64_MAX
-    tmp = xb[:, a].copy()
-    xb[:, a] = zb[:, a]
-    zb[:, a] = tmp
+def _np_measure(k, a, ref_bits, draw_index, piv_start, piv_qubit, piv_xz, drawn, fx, fz, mout):
+    d = int(draw_index[k])
+    if d < 0:
+        np.bitwise_xor(fx[a], _UINT64_MAX if ref_bits[k] else np.uint64(0), out=mout)
+        return
+    np.bitwise_xor(drawn[d], fx[a], out=mout)
+    for idx in range(int(piv_start[d]), int(piv_start[d + 1])):
+        q = int(piv_qubit[idx])
+        if piv_xz[idx] & 1:
+            fx[q] ^= mout
+        if piv_xz[idx] & 2:
+            fz[q] ^= mout
+    mout[:] = drawn[d]
 
 
-def _np_cnot(xb, zb, r, a, b):
-    cond = (xb[:, a] & zb[:, b] & (1 ^ (xb[:, b] ^ zb[:, a]))) != 0
-    if cond.any():
-        r[cond] ^= _UINT64_MAX
-    xb[:, b] ^= xb[:, a]
-    zb[:, a] ^= zb[:, b]
-
-
-def _np_inject(xb, zb, r, e, inj_start, inj_qubit, inj_x, inj_z):
+def _np_inject(e, inj_start, inj_qubit, inj_x, inj_z, fx, fz):
     for idx in range(int(inj_start[e]), int(inj_start[e + 1])):
         q = int(inj_qubit[idx])
-        z_rows = zb[:, q] != 0
-        if z_rows.any():
-            r[z_rows] ^= inj_x[idx]
-        x_rows = xb[:, q] != 0
-        if x_rows.any():
-            r[x_rows] ^= inj_z[idx]
+        fx[q] ^= inj_x[idx]
+        fz[q] ^= inj_z[idx]
 
 
-def _np_measure(n, W, a, k, mode, sched, draw_index, drawn, xb, zb, r, mout):
-    random = bool(xb[n : 2 * n, a].any())
-    if mode == 1:
-        sched[k] = 1 if random else 0
-    elif random != (draw_index[k] >= 0):
-        return _STATUS_SCHEDULE_MISMATCH
-    if random:
-        p = int(np.flatnonzero(xb[n : 2 * n, a])[0])
-        piv = n + p
-        selected = np.flatnonzero(xb[:, a])
-        selected = selected[(selected != p) & (selected != piv)]
-        if selected.size:
-            codes = (xb[selected] << 1) | zb[selected]
-            piv_codes = (xb[piv] << 1) | zb[piv]
-            g = _G4[codes, piv_codes[None, :]].sum(axis=1)
-            if (g & 1).any():
-                return _STATUS_ODD_PHASE
-            flips = selected[(g & 2) != 0]
-            if flips.size:
-                r[flips] ^= _UINT64_MAX
-            r[selected] ^= r[piv]
-            xb[selected] ^= xb[piv]
-            zb[selected] ^= zb[piv]
-        xb[p] = xb[piv]
-        zb[p] = zb[piv]
-        r[p] = r[piv]
-        xb[piv] = 0
-        zb[piv] = 0
-        zb[piv, a] = 1
-        if mode == 0:
-            mout[:] = drawn[int(draw_index[k])]
-        else:
-            mout[:] = 0
-        r[piv] = mout
-    else:
-        selected = np.flatnonzero(xb[:n, a])
-        acc_x = np.zeros(n, dtype=np.uint8)
-        acc_z = np.zeros(n, dtype=np.uint8)
-        mout[:] = 0
-        phase = 0
-        for i in selected:
-            row = n + int(i)
-            phase += int(
-                _G4[(acc_x << 1) | acc_z, (xb[row] << 1) | zb[row]].sum()
-            )
-            acc_x ^= xb[row]
-            acc_z ^= zb[row]
-            mout ^= r[row]
-        if phase & 1:
-            return _STATUS_ODD_PHASE
-        if phase & 2:
-            np.bitwise_not(mout, out=mout)
-    return _STATUS_OK
-
-
-def fused_kernel_numpy(
-    n,
+def frame_kernel_numpy(
     W,
+    ops,
     opcodes,
     qubit0,
     qubit1,
     slots,
+    ref_bits,
     draw_index,
+    piv_start,
+    piv_qubit,
+    piv_xz,
     pre_inj,
     post_inj,
     inj_start,
@@ -256,123 +171,80 @@ def fused_kernel_numpy(
     inj_z,
     drawn,
     out,
-    xb,
-    zb,
-    r,
-    mode,
-    sched,
-    scratch_x,
-    scratch_z,
-    racc,
+    fx,
+    fz,
     mout,
 ):
     """Pure-numpy kernel with the same signature as the C kernel.
 
     Parameters (all arrays C-contiguous):
 
-    ``n``/``W``
-        Register size and packed word count; the tableau has ``2n+1`` rows.
+    ``W``/``ops``
+        Packed word count and number of operations.
     ``opcodes``/``qubit0``/``qubit1``/``slots``
         ``(ops,)`` int32 program arrays (see ``CompiledCircuit.kernel_arrays``).
-    ``draw_index``
-        ``(ops,)`` int32: row into ``drawn`` holding the pre-sampled random
-        measurement words of this operation, ``-1`` when the measurement is
-        deterministic (or the op measures nothing).
+    ``ref_bits``/``draw_index``
+        ``(ops,)`` facts of the reference pass: ``draw_index[k]`` is the row
+        of ``drawn`` (and of the pivot records) of a random measurement, -1
+        otherwise; ``ref_bits[k]`` (uint8) is the reference outcome of a
+        deterministic one.
+    ``piv_start``/``piv_qubit``/``piv_xz``
+        Pivot stabilizers of the random measurements: record ``d`` covers
+        entries ``piv_start[d]:piv_start[d+1]`` of ``piv_qubit`` (int32) and
+        ``piv_xz`` (uint8: bit 0 the X part, bit 1 the Z part).
     ``pre_inj``/``post_inj``
-        ``(ops,)`` int32 indices of the noise-injection record applied before
-        (movement) / after (gate, preparation) the operation, ``-1`` for none.
+        ``(ops,)`` int32 indices of the noise record applied before
+        (movement) / after (gate, preparation) the operation, -1 for none.
     ``inj_start``/``inj_qubit``/``inj_x``/``inj_z``
-        Flattened injection records: record ``e`` covers support entries
+        Flattened noise records: record ``e`` covers support entries
         ``inj_start[e]:inj_start[e+1]`` of ``inj_qubit`` with packed
-        ``(K, W)`` uint64 X/Z masks.
+        ``(K, W)`` uint64 X/Z words.
     ``drawn``/``out``
-        ``(D, W)`` pre-sampled measurement words / ``(M, W)`` outcome words.
-    ``xb``/``zb``/``r``
-        The fused state (updated in place).
-    ``mode``/``sched``
-        ``mode=0`` runs the program; ``mode=1`` records the measurement
-        randomness schedule into ``sched`` (int8: 1 random, 0 deterministic,
-        ``-1`` untouched for non-measuring ops) without consuming draws or
-        injections.  In run mode the recomputed schedule is verified against
-        ``draw_index`` and any divergence aborts with a nonzero status.
-    ``scratch_x``/``scratch_z``/``racc``/``mout``
-        ``(n,)`` uint8 / ``(W,)`` uint64 scratch buffers (the C kernel's
-        working storage; this kernel only writes ``mout``).
+        ``(D, W)`` random measurement words / ``(M, W)`` outcome words.
+    ``fx``/``fz``
+        ``(n, W)`` uint64 frame words (updated in place).
+    ``mout``
+        ``(W,)`` uint64 working buffer for one measurement's outcome words.
 
-    Each operation is a handful of vectorized updates over the ``2n+1``
-    tableau rows.  Returns a status code: 0 on success (see ``_STATUS_*``).
+    Returns a status code: 0 on success, 1 on an unknown opcode.
     """
-    for k in range(opcodes.shape[0]):
+    measure_args = (ref_bits, draw_index, piv_start, piv_qubit, piv_xz, drawn, fx, fz, mout)
+    for k in range(ops):
+        if pre_inj[k] >= 0:
+            _np_inject(int(pre_inj[k]), inj_start, inj_qubit, inj_x, inj_z, fx, fz)
         op = int(opcodes[k])
-        if mode == 0:
-            e = int(pre_inj[k])
-            if e >= 0:
-                _np_inject(xb, zb, r, e, inj_start, inj_qubit, inj_x, inj_z)
-        if op <= 9:
-            a = int(qubit0[k])
-            if op == 0:
-                pass
-            elif op == 1:
-                _np_h(xb, zb, r, a)
-            elif op == 2:
-                cond = (xb[:, a] & zb[:, a]) != 0
-                if cond.any():
-                    r[cond] ^= _UINT64_MAX
-                zb[:, a] ^= xb[:, a]
-            elif op == 3:
-                cond = (xb[:, a] & (xb[:, a] ^ zb[:, a])) != 0
-                if cond.any():
-                    r[cond] ^= _UINT64_MAX
-                zb[:, a] ^= xb[:, a]
-            elif op == 4:
-                cond = zb[:, a] != 0
-                if cond.any():
-                    r[cond] ^= _UINT64_MAX
-            elif op == 5:
-                cond = (xb[:, a] ^ zb[:, a]) != 0
-                if cond.any():
-                    r[cond] ^= _UINT64_MAX
-            elif op == 6:
-                cond = xb[:, a] != 0
-                if cond.any():
-                    r[cond] ^= _UINT64_MAX
-            elif op == 7:
-                _np_cnot(xb, zb, r, a, int(qubit1[k]))
-            elif op == 8:
-                b = int(qubit1[k])
-                _np_h(xb, zb, r, b)
-                _np_cnot(xb, zb, r, a, b)
-                _np_h(xb, zb, r, b)
-            else:
-                b = int(qubit1[k])
-                for plane in (xb, zb):
-                    tmp = plane[:, a].copy()
-                    plane[:, a] = plane[:, b]
-                    plane[:, b] = tmp
-        elif op <= 12:
-            a = int(qubit0[k])
+        a = int(qubit0[k])
+        b = int(qubit1[k])
+        if op in (0, 4, 5, 6):
+            pass
+        elif op == 1:
+            fx[a], fz[a] = fz[a].copy(), fx[a].copy()
+        elif op in (2, 3):
+            fz[a] ^= fx[a]
+        elif op == 7:
+            fx[b] ^= fx[a]
+            fz[a] ^= fz[b]
+        elif op == 8:
+            fz[b] ^= fx[a]
+            fz[a] ^= fx[b]
+        elif op == 9:
+            fx[[a, b]] = fx[[b, a]]
+            fz[[a, b]] = fz[[b, a]]
+        elif op == 10:
+            _np_measure(k, a, *measure_args)
+            fx[a] = 0
+        elif op in (11, 12):
             if op == 12:
-                _np_h(xb, zb, r, a)
-            status = _np_measure(
-                n, W, a, k, mode, sched, draw_index, drawn, xb, zb, r, mout
-            )
-            if status != 0:
-                return status
+                fx[a], fz[a] = fz[a].copy(), fx[a].copy()
+            _np_measure(k, a, *measure_args)
             if op == 12:
-                _np_h(xb, zb, r, a)
-            if op == 10:
-                z_rows = zb[:, a] != 0
-                if z_rows.any():
-                    r[z_rows] ^= mout
-            else:
-                out[int(slots[k])] = mout
+                fx[a], fz[a] = fz[a].copy(), fx[a].copy()
+            out[int(slots[k])] = mout
         else:
-            return _STATUS_UNKNOWN_OPCODE
-        if mode == 0:
-            e = int(post_inj[k])
-            if e >= 0:
-                _np_inject(xb, zb, r, e, inj_start, inj_qubit, inj_x, inj_z)
-    return _STATUS_OK
+            return 1
+        if post_inj[k] >= 0:
+            _np_inject(int(post_inj[k]), inj_start, inj_qubit, inj_x, inj_z, fx, fz)
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -432,79 +304,33 @@ def _cext_kernel():
             return None
     try:
         library = ctypes.CDLL(str(shared))
-        fn = library.repro_fused_run
+        fn = library.repro_frame_run
     except OSError as exc:
         _CEXT_ERROR = f"cannot load compiled kernel {shared.name}: {exc}"
         return None
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 16 + [
-        ctypes.c_int64,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-    ]
+    fn.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 20
     _CEXT_FN = fn
     return fn
 
 
-def _call_cext(
-    fn,
-    n,
-    W,
-    opcodes,
-    qubit0,
-    qubit1,
-    slots,
-    draw_index,
-    pre_inj,
-    post_inj,
-    inj_start,
-    inj_qubit,
-    inj_x,
-    inj_z,
-    drawn,
-    out,
-    xb,
-    zb,
-    r,
-    mode,
-    sched,
-    scratch_x,
-    scratch_z,
-    racc,
-    mout,
-):
-    return int(
-        fn(
-            n,
-            W,
-            opcodes.shape[0],
-            opcodes.ctypes.data,
-            qubit0.ctypes.data,
-            qubit1.ctypes.data,
-            slots.ctypes.data,
-            draw_index.ctypes.data,
-            pre_inj.ctypes.data,
-            post_inj.ctypes.data,
-            inj_start.ctypes.data,
-            inj_qubit.ctypes.data,
-            inj_x.ctypes.data,
-            inj_z.ctypes.data,
-            drawn.ctypes.data,
-            out.ctypes.data,
-            xb.ctypes.data,
-            zb.ctypes.data,
-            r.ctypes.data,
-            mode,
-            sched.ctypes.data,
-            scratch_x.ctypes.data,
-            scratch_z.ctypes.data,
-            racc.ctypes.data,
-            mout.ctypes.data,
-        )
-    )
+def build_kernel() -> bool:
+    """Compile (or load) the C kernel now; True when it is available.
+
+    The kernel is built into ``REPRO_FUSED_CACHE`` (default
+    ``~/.cache/repro-fused``) once per kernel source.  Which tier runs is
+    still decided by :func:`kernel_tier`.
+    """
+    return _cext_kernel() is not None
+
+
+def _addresses(*arrays: np.ndarray) -> tuple[int, ...]:
+    """Data addresses of C-contiguous arrays, as the C kernel takes them.
+
+    Taking an address costs about as much as the kernel's work on a small
+    batch, so the arrays that outlive a run have theirs taken once.
+    """
+    return tuple(array.ctypes.data for array in arrays)
 
 
 # ----------------------------------------------------------------------
@@ -570,12 +396,6 @@ def kernel_tier() -> str:
     return tier
 
 
-def _run_kernel(tier: str, *args) -> int:
-    if tier == "cext":
-        return _call_cext(_cext_kernel(), *args)
-    return int(fused_kernel_numpy(*args))
-
-
 # ----------------------------------------------------------------------
 # Kernel plans: compiled programs lowered to kernel-ready arrays
 # ----------------------------------------------------------------------
@@ -609,14 +429,17 @@ class _WeakIdCache:
 
 _PLAN_CACHE = _WeakIdCache()
 
-#: Bound on the per-plan schedule / noise-template caches; programs are
-#: normally run against a handful of initial states, but randomized tests
-#: stream fresh states through shared executors.
+#: Bound on the per-plan noise-template caches and the reference-pass cache.
 _PLAN_CACHE_LIMIT = 64
 
 
 class _KernelPlan:
-    """A compiled program lowered to contiguous kernel arrays plus caches."""
+    """A compiled program lowered to contiguous kernel arrays plus caches.
+
+    ``content_key`` digests the operations the reference pass depends on, so
+    equal programs compiled separately share their reference passes, and
+    ``addresses`` holds the data addresses of the arrays the C kernel reads.
+    """
 
     __slots__ = (
         "opcodes",
@@ -626,7 +449,8 @@ class _KernelPlan:
         "moved",
         "slots",
         "num_measurements",
-        "schedule_cache",
+        "content_key",
+        "addresses",
         "template_cache",
     )
 
@@ -647,7 +471,10 @@ class _KernelPlan:
                 "fused kernel does not support"
             )
         self.num_measurements = program.num_measurements
-        self.schedule_cache: dict = {}
+        self.content_key = hashlib.sha256(
+            self.opcodes.tobytes() + self.qubit0.tobytes() + self.qubit1.tobytes()
+        ).digest()
+        self.addresses = _addresses(self.opcodes, self.qubit0, self.qubit1, self.slots)
         self.template_cache: dict = {}
 
 
@@ -660,71 +487,113 @@ def _plan_for(program: CompiledCircuit) -> _KernelPlan:
 
 
 # ----------------------------------------------------------------------
-# Measurement randomness schedule (recorded once per program + X/Z state)
+# Reference pass (once per program content and input reference state)
 # ----------------------------------------------------------------------
 
-_EMPTY_I32 = np.zeros(0, dtype=np.int32)
-_ONE_I32 = np.zeros(1, dtype=np.int32)
+
+def _tableau_key(tableau: StabilizerTableau) -> bytes:
+    """Content digest of a reference tableau (its size is implied by the length)."""
+    return hashlib.sha256(
+        tableau._x.tobytes() + tableau._z.tobytes() + tableau._r.tobytes()
+    ).digest()
 
 
-def _schedule_for(
-    plan: _KernelPlan, n: int, xb: np.ndarray, zb: np.ndarray, tier: str
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The random/deterministic measurement schedule for one initial state.
+_ZERO_REFERENCES: dict[int, tuple[StabilizerTableau, bytes]] = {}
 
-    Because the X/Z planes evolve independently of noise and measurement
-    outcomes (lane uniformity), whether each measurement-like operation draws
-    randomness is a pure function of the program and the initial planes; one
-    ``W=1`` record pass computes it and the result is cached by state digest.
-    Returns ``(sched, draw_index, draw_count)``.
+
+def _zero_reference(num_qubits: int) -> tuple[StabilizerTableau, bytes]:
+    """The shared all-|0> reference of a register and its key."""
+    entry = _ZERO_REFERENCES.get(num_qubits)
+    if entry is None:
+        tableau = StabilizerTableau(num_qubits)
+        entry = _ZERO_REFERENCES[num_qubits] = (tableau, _tableau_key(tableau))
+    return entry
+
+
+class _Reference:
+    """One noiseless pass of a program: per-operation facts and the final state.
+
+    ``draw_index[k]`` numbers the random measurements (-1 elsewhere) and
+    ``ref_bits[k]`` holds a deterministic measurement's reference outcome;
+    random measurement ``d`` has pivot stabilizer entries
+    ``piv_start[d]:piv_start[d+1]`` of ``piv_qubit``/``piv_xz``.
+    ``addresses`` holds the data addresses of those five arrays.
     """
-    key = (n, xb.tobytes(), zb.tobytes())
-    cached = plan.schedule_cache.get(key)
-    if cached is not None:
-        return cached
-    ops = plan.opcodes.shape[0]
-    rows = 2 * n + 1
-    sched = np.full(ops, -1, dtype=np.int8)
-    draw_index = np.full(ops, -1, dtype=np.int32)
-    dummy_words = np.zeros((1, 1), dtype=np.uint64)
-    status = _run_kernel(
-        tier,
-        n,
-        1,
-        plan.opcodes,
-        plan.qubit0,
-        plan.qubit1,
-        plan.slots,
-        draw_index,
-        np.full(ops, -1, dtype=np.int32),
-        np.full(ops, -1, dtype=np.int32),
-        _ONE_I32,
-        _EMPTY_I32,
-        dummy_words,
-        dummy_words,
-        dummy_words,
-        np.zeros((max(plan.num_measurements, 1), 1), dtype=np.uint64),
-        xb.copy(),
-        zb.copy(),
-        np.zeros((rows, 1), dtype=np.uint64),
-        1,
-        sched,
-        np.zeros(n, dtype=np.uint8),
-        np.zeros(n, dtype=np.uint8),
-        np.zeros(1, dtype=np.uint64),
-        np.zeros(1, dtype=np.uint64),
+
+    __slots__ = (
+        "final",
+        "final_key",
+        "ref_bits",
+        "draw_index",
+        "draw_count",
+        "piv_start",
+        "piv_qubit",
+        "piv_xz",
+        "addresses",
     )
-    if status != 0:
-        raise SimulationError(
-            f"fused schedule pass failed: {_STATUS_MESSAGES.get(status, status)}"
-        )
-    random_ops = np.flatnonzero(sched == 1)
-    draw_index[random_ops] = np.arange(random_ops.size, dtype=np.int32)
-    if len(plan.schedule_cache) >= _PLAN_CACHE_LIMIT:
-        plan.schedule_cache.clear()
-    result = (sched, draw_index, int(random_ops.size))
-    plan.schedule_cache[key] = result
-    return result
+
+
+def _reference_pass(plan: _KernelPlan, start: StabilizerTableau) -> _Reference:
+    """Run a program once on a copy of ``start``, random outcomes forced to 0."""
+    tableau = start.copy()
+    n = tableau.num_qubits
+    ops = plan.opcodes.shape[0]
+    ref_bits = np.zeros(ops, dtype=np.uint8)
+    draw_index = np.full(ops, -1, dtype=np.int32)
+    piv_start = [0]
+    piv_qubit: list[int] = []
+    piv_xz: list[int] = []
+    for k in range(ops):
+        op = int(plan.opcodes[k])
+        a = int(plan.qubit0[k])
+        b = int(plan.qubit1[k])
+        if op < Opcode.PREPARE:
+            tableau.apply_gate(Opcode(op).name, (a,) if b < 0 else (a, b))
+            continue
+        if op == Opcode.MEASURE_X:
+            tableau.h(a)
+        stabilizers = np.flatnonzero(tableau._x[n : 2 * n, a])
+        if stabilizers.size:
+            pivot = n + int(stabilizers[0])
+            xz = tableau._x[pivot] | (tableau._z[pivot] << 1)
+            support = np.flatnonzero(xz)
+            piv_qubit += support.tolist()
+            piv_xz += xz[support].tolist()
+            piv_start.append(len(piv_qubit))
+            draw_index[k] = len(piv_start) - 2
+            tableau._random_measure_update(a, pivot, 0)
+        else:
+            ref_bits[k] = tableau._deterministic_outcome(a)
+        if op == Opcode.MEASURE_X:
+            tableau.h(a)
+        elif op == Opcode.PREPARE and ref_bits[k]:
+            tableau.x(a)
+    reference = _Reference()
+    reference.final = tableau
+    reference.final_key = _tableau_key(tableau)
+    reference.ref_bits = ref_bits
+    reference.draw_index = draw_index
+    reference.draw_count = len(piv_start) - 1
+    reference.piv_start = np.asarray(piv_start, dtype=np.int32)
+    reference.piv_qubit = np.asarray(piv_qubit, dtype=np.int32)
+    reference.piv_xz = np.asarray(piv_xz, dtype=np.uint8)
+    reference.addresses = _addresses(
+        ref_bits, draw_index, reference.piv_start, reference.piv_qubit, reference.piv_xz
+    )
+    return reference
+
+
+_REFERENCE_CACHE: dict[tuple[bytes, bytes], _Reference] = {}
+
+
+def _reference_for(plan: _KernelPlan, state: "PauliFrameBatch") -> _Reference:
+    key = (plan.content_key, state._reference_key)
+    reference = _REFERENCE_CACHE.get(key)
+    if reference is None:
+        if len(_REFERENCE_CACHE) >= _PLAN_CACHE_LIMIT:
+            _REFERENCE_CACHE.clear()
+        reference = _REFERENCE_CACHE[key] = _reference_pass(plan, state._reference)
+    return reference
 
 
 # ----------------------------------------------------------------------
@@ -757,8 +626,7 @@ def _noise_signature(noise: NoiseModel):
 
     Only the exact built-in classes qualify: their hooks are independent
     depolarizing events, which the noise block samples directly.  A subclass
-    may override any hook, so it keeps the per-operation hook path on both
-    engines.
+    may override any hook, so it keeps the per-operation hook path.
     """
     if noise.is_noiseless:
         return ("noiseless",)
@@ -797,6 +665,7 @@ class _NoiseTemplate:
         "post_inj",
         "inj_start",
         "inj_qubit",
+        "record_addresses",
         "flip_slots",
     )
 
@@ -854,6 +723,9 @@ class _NoiseTemplate:
         self.num_rows = 2 * support + len(flips)
         self.inj_start = np.asarray(inj_start, dtype=np.int32)
         self.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
+        self.record_addresses = _addresses(
+            self.pre_inj, self.post_inj, self.inj_start, self.inj_qubit
+        )
         self.flip_slots = np.asarray(flip_slots, dtype=np.int64)
 
 
@@ -863,9 +735,10 @@ class NoiseBlock:
     Record ``e`` applies Pauli words ``inj_x``/``inj_z`` rows
     ``inj_start[e]:inj_start[e+1]`` to qubits ``inj_qubit`` of the same
     rows; ``pre_inj[k]``/``post_inj[k]`` name the record applied before /
-    after operation ``k`` (``-1`` for none).  ``flip_words`` are XORed onto
-    the measurement outcome rows ``flip_slots``, and ``error_count`` counts
-    the failed events of each lane.
+    after operation ``k`` (``-1`` for none); ``record_addresses`` holds the
+    data addresses of those four index arrays for the C kernel.
+    ``flip_words`` are XORed onto the measurement outcome rows
+    ``flip_slots``, and ``error_count`` counts the failed events of each lane.
     """
 
     __slots__ = (
@@ -873,23 +746,13 @@ class NoiseBlock:
         "post_inj",
         "inj_start",
         "inj_qubit",
+        "record_addresses",
         "inj_x",
         "inj_z",
         "flip_slots",
         "flip_words",
         "error_count",
     )
-
-    def inject(self, state: PackedBatchTableau, record: int) -> None:
-        """Apply injection record ``record`` to a packed state (none if < 0)."""
-        if record < 0:
-            return
-        start, stop = int(self.inj_start[record]), int(self.inj_start[record + 1])
-        state.inject_pauli_words(
-            tuple(self.inj_qubit[start:stop].tolist()),
-            self.inj_x[start:stop],
-            self.inj_z[start:stop],
-        )
 
 
 def _failing_lanes(counts: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -963,6 +826,7 @@ def _sample_block(
     block.post_inj = template.post_inj
     block.inj_start = template.inj_start
     block.inj_qubit = template.inj_qubit
+    block.record_addresses = template.record_addresses
     block.inj_x = words[:support]
     block.inj_z = words[support : 2 * support]
     block.flip_slots = template.flip_slots
@@ -993,16 +857,16 @@ def noise_block(
 ) -> NoiseBlock | None:
     """Sample one run's noise for a built-in model; None for a custom one.
 
-    Both batched engines consume this block for ``OperationNoise`` and
+    :func:`execute_fused` consumes this block for ``OperationNoise`` and
     ``DepolarizingNoise`` (and any noiseless model), drawing it from ``rng``
-    before the run's measurement words, so they agree bit for bit.  Custom
-    models return None and keep their per-operation hooks.
+    before the run's measurement words.  Custom models return None and are
+    sampled through their per-operation hooks.
     """
     return _plan_block(_plan_for(program), noise, batch_size, rng)
 
 
 def _measurement_words(draw_count: int, W: int, rng: np.random.Generator) -> np.ndarray:
-    """The random measurement words of one run, in schedule order."""
+    """The random measurement words of one run, in program order."""
     if not draw_count:
         return np.zeros((1, W), dtype=np.uint64)
     return rng.integers(0, _UINT64_MAX, size=(draw_count, W), dtype=np.uint64, endpoint=True)
@@ -1011,7 +875,6 @@ def _measurement_words(draw_count: int, W: int, rng: np.random.Generator) -> np.
 def _sample_hooks(
     plan: _KernelPlan,
     noise: NoiseModel,
-    sched: np.ndarray,
     draw_index: np.ndarray,
     draw_count: int,
     batch_size: int,
@@ -1022,10 +885,10 @@ def _sample_hooks(
 ) -> tuple[NoiseBlock, np.ndarray]:
     """Sample a custom model through its packed hooks: ``(block, drawn)``.
 
-    Calls exactly the hooks ``_run_packed`` calls for a custom model, in the
-    same order and interleaved with the measurement-word draws, so any
-    :class:`NoiseModel` subclass -- including ones that only implement the
-    scalar hooks -- keeps its RNG stream and its error semantics.  Supports
+    Calls the packed hooks once per operation, in program order and
+    interleaved with the measurement-word draws, so any :class:`NoiseModel`
+    subclass -- including ones that only implement the scalar hooks -- keeps
+    its RNG stream and its error semantics.  Supports
     may extend beyond the operands (crosstalk), so injection records are
     built dynamically.
     """
@@ -1051,15 +914,23 @@ def _sample_hooks(
                 raise SimulationError(
                     f"noise model emitted qubit {qubit} outside register of size {n}"
                 )
+        x_words = np.asarray(x_words, dtype=np.uint64)
+        z_words = np.asarray(z_words, dtype=np.uint64)
+        if x_words.shape != (len(support), W) or z_words.shape != x_words.shape:
+            # The C kernel reads these words unchecked.
+            raise SimulationError(
+                f"noise model emitted Pauli words of shapes {x_words.shape} and "
+                f"{z_words.shape}; expected {(len(support), W)}"
+            )
         inj_qubit.extend(int(q) for q in support)
         inj_start.append(len(inj_qubit))
-        inj_x_parts.append(np.asarray(x_words, dtype=np.uint64))
-        inj_z_parts.append(np.asarray(z_words, dtype=np.uint64))
+        inj_x_parts.append(x_words)
+        inj_z_parts.append(z_words)
         error_count[:] += unpack_bits(event_words, batch_size)
         return len(inj_start) - 2
 
     def draw_word(k: int) -> None:
-        if sched[k] == 1:
+        if draw_index[k] >= 0:
             drawn[int(draw_index[k])] = draw_rng.integers(
                 0, _UINT64_MAX, size=W, dtype=np.uint64, endpoint=True
             )
@@ -1094,6 +965,9 @@ def _sample_hooks(
 
     block.inj_start = np.asarray(inj_start, dtype=np.int32)
     block.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
+    block.record_addresses = _addresses(
+        block.pre_inj, block.post_inj, block.inj_start, block.inj_qubit
+    )
     block.inj_x = np.ascontiguousarray(np.vstack(inj_x_parts))
     block.inj_z = np.ascontiguousarray(np.vstack(inj_z_parts))
     block.flip_slots = np.asarray(flip_slots, dtype=np.int64)
@@ -1103,64 +977,150 @@ def _sample_hooks(
 
 
 # ----------------------------------------------------------------------
-# The fused batch tableau
+# The frame state
 # ----------------------------------------------------------------------
 
 
-class FusedPackedBatchTableau(PackedBatchTableau):
-    """A :class:`PackedBatchTableau` executed by the fused kernel tier.
+class PauliFrameBatch:
+    """``batch_size`` stabilizer states: one reference state plus per-lane frames.
 
-    The state layout -- uint64 word planes over the batch axis -- is
-    identical to the parent's, so every inherited operation (gates by name,
-    Pauli injection, per-lane extraction, measurement) works unchanged; the
-    batched executor routes compiled programs through
-    :func:`execute_fused` instead of the per-operation word kernels.
+    Lane ``i`` holds the :attr:`reference` state acted on by the Pauli whose
+    X/Z bits are bit ``i`` of :attr:`frame_x`/:attr:`frame_z` (``(n, W)``
+    uint64 words, 64 lanes per word).  Lanes past ``batch_size`` in the last
+    word simulate along and are never reported.  :func:`execute_fused` runs
+    compiled programs on the state, replacing the reference with the
+    program's cached noiseless result and updating the frames in place; the
+    reference is shared with that cache, so treat it as read-only.
 
-    The only override is :meth:`expectation`, which exploits lane uniformity
-    of the X/Z planes: the anticommutation test and the mod-4 phase of the
-    stabilizer-product reconstruction are computed once (scalars, not word
-    masks), leaving a single XOR chain over sign rows as the per-lane work.
+    Parameters
+    ----------
+    num_qubits:
+        Register size ``n`` of each lane.
+    batch_size:
+        Number of logical lanes ``B`` (need not be a multiple of 64).
+    rng:
+        Random generator for measurement outcomes (fresh default if omitted).
     """
 
-    def expectation(self, pauli: PauliString) -> np.ndarray:
-        """Per-lane expectation of a Hermitian Pauli: +1, -1 or 0 (random)."""
+    def __init__(
+        self,
+        num_qubits: int,
+        batch_size: int,
+        rng: np.random.Generator | None = None,
+    ) -> None:
+        if num_qubits <= 0:
+            raise SimulationError("a stabilizer tableau needs at least one qubit")
+        if batch_size <= 0:
+            raise SimulationError("a batch tableau needs at least one lane")
+        self._n = num_qubits
+        self._batch = batch_size
+        self._words = num_words(batch_size)
+        self._rng = rng if rng is not None else np.random.default_rng()
+        self._reference, self._reference_key = _zero_reference(num_qubits)
+        self._fx = np.zeros((num_qubits, self._words), dtype=np.uint64)
+        self._fz = np.zeros((num_qubits, self._words), dtype=np.uint64)
+
+    @classmethod
+    def from_tableau(
+        cls,
+        tableau: StabilizerTableau,
+        batch_size: int,
+        rng: np.random.Generator | None = None,
+    ) -> "PauliFrameBatch":
+        """Broadcast one scalar tableau into every lane of a fresh batch."""
+        batch = cls(tableau.num_qubits, batch_size, rng=rng)
+        batch._reference = tableau.copy()
+        batch._reference_key = _tableau_key(batch._reference)
+        return batch
+
+    @property
+    def num_qubits(self) -> int:
+        """Register size of each lane."""
+        return self._n
+
+    @property
+    def batch_size(self) -> int:
+        """Number of logical lanes."""
+        return self._batch
+
+    @property
+    def num_lane_words(self) -> int:
+        """Number of uint64 words along the packed batch axis."""
+        return self._words
+
+    @property
+    def reference(self) -> StabilizerTableau:
+        """The shared noiseless reference state (read-only)."""
+        return self._reference
+
+    @property
+    def frame_x(self) -> np.ndarray:
+        """``(n, W)`` uint64 X bits of the per-lane frames."""
+        return self._fx
+
+    @property
+    def frame_z(self) -> np.ndarray:
+        """``(n, W)`` uint64 Z bits of the per-lane frames."""
+        return self._fz
+
+    def copy(self) -> "PauliFrameBatch":
+        """An independent copy sharing the reference and the random generator."""
+        clone = object.__new__(PauliFrameBatch)
+        clone.__dict__.update(self.__dict__)
+        clone._fx = self._fx.copy()
+        clone._fz = self._fz.copy()
+        return clone
+
+    def lane(self, index: int) -> StabilizerTableau:
+        """Extract one lane as an independent scalar :class:`StabilizerTableau`."""
+        if not 0 <= index < self._batch:
+            raise SimulationError(f"lane {index} outside batch of size {self._batch}")
+        word, bit = divmod(index, WORD_BITS)
+        shift = np.uint64(bit)
+        one = np.uint64(1)
+        single = self._reference.copy()
+        single._rng = self._rng
+        single.apply_pauli(
+            PauliString(
+                ((self._fx[:, word] >> shift) & one).astype(np.uint8),
+                ((self._fz[:, word] >> shift) & one).astype(np.uint8),
+            )
+        )
+        return single
+
+    def inject_pauli_words(
+        self, qubits: tuple[int, ...], x_words: np.ndarray, z_words: np.ndarray
+    ) -> None:
+        """Multiply the frames by per-lane Paulis given as ``(len(qubits), W)`` words."""
+        for j, qubit in enumerate(qubits):
+            if not 0 <= qubit < self._n:
+                raise SimulationError(
+                    f"qubit index {qubit} outside register of size {self._n}"
+                )
+            self._fx[qubit] ^= x_words[j]
+            self._fz[qubit] ^= z_words[j]
+
+    def frame_parity(self, pauli: PauliString) -> np.ndarray:
+        """``(W,)`` words: the lanes whose frame anticommutes with ``pauli``."""
         if pauli.num_qubits != self._n:
             raise SimulationError(
                 f"Pauli acts on {pauli.num_qubits} qubits but register has {self._n}"
             )
-        if pauli.phase % 2 != 0:
-            raise SimulationError("expectation requires a Hermitian (real-phase) Pauli")
-        n = self._n
-        one = np.uint64(1)
-        xb = (self._x[:, :, 0] & one).astype(np.uint8)
-        zb = (self._z[:, :, 0] & one).astype(np.uint8)
-        pauli_x = (pauli.x != 0).astype(np.uint8)
-        pauli_z = (pauli.z != 0).astype(np.uint8)
-        anti = (zb @ pauli_x + xb @ pauli_z) & 1
-        if anti[n : 2 * n].any():
+        rows = np.concatenate((self._fz[pauli.x != 0], self._fx[pauli.z != 0]))
+        return np.bitwise_xor.reduce(rows, axis=0)
+
+    def expectation(self, pauli: PauliString) -> np.ndarray:
+        """Per-lane expectation of a Hermitian Pauli: +1, -1 or 0 (random).
+
+        The reference decides whether the value is random (the same in every
+        lane) and its sign; a lane's frame flips the sign when it
+        anticommutes with the observable.
+        """
+        value = self._reference.expectation(pauli)
+        if value == 0:
             return np.zeros(self._batch, dtype=np.int8)
-        acc_x = np.zeros(n, dtype=np.uint8)
-        acc_z = np.zeros(n, dtype=np.uint8)
-        sign_words = np.zeros(self._words, dtype=np.uint64)
-        phase = 0
-        for i in np.flatnonzero(anti[:n]):
-            row = n + int(i)
-            phase += int(_G4[(acc_x << 1) | acc_z, (xb[row] << 1) | zb[row]].sum())
-            acc_x ^= xb[row]
-            acc_z ^= zb[row]
-            sign_words ^= self._r[row]
-        if not (np.array_equal(acc_x, pauli_x) and np.array_equal(acc_z, pauli_z)):
-            raise SimulationError(
-                "internal error: accumulated stabilizer product does not match observable"
-            )
-        if pauli.phase % 4 == 2:
-            phase += 2
-        if phase & 1:
-            raise SimulationError("internal error: non-real relative phase in expectation")
-        if phase & 2:
-            sign_words = ~sign_words
-        negative = unpack_bits(sign_words, self._batch)
-        return (1 - 2 * negative.astype(np.int8)).astype(np.int8)
+        flips = unpack_bits(self.frame_parity(pauli), self._batch)
+        return (value * (1 - 2 * flips.astype(np.int8))).astype(np.int8)
 
 
 # ----------------------------------------------------------------------
@@ -1168,66 +1128,32 @@ class FusedPackedBatchTableau(PackedBatchTableau):
 # ----------------------------------------------------------------------
 
 
-def _extract_bool_planes(state: PackedBatchTableau) -> tuple[np.ndarray, np.ndarray]:
-    """The lane-uniform X/Z planes as contiguous ``(2n+1, n)`` uint8 booleans."""
-    one = np.uint64(1)
-    xb = np.ascontiguousarray((state._x[:, :, 0] & one).astype(np.uint8))
-    zb = np.ascontiguousarray((state._z[:, :, 0] & one).astype(np.uint8))
-    return xb, zb
-
-
-def _write_back_planes(state: PackedBatchTableau, xb: np.ndarray, zb: np.ndarray) -> None:
-    """Broadcast the kernel's boolean planes back into the packed words."""
-    zero = np.uint64(0)
-    state._x[:] = np.where(xb[:, :, None] != 0, _UINT64_MAX, zero)
-    state._z[:] = np.where(zb[:, :, None] != 0, _UINT64_MAX, zero)
-
-
-def execute_fused(
-    program: CompiledCircuit,
-    batch_size: int,
-    rng: np.random.Generator,
-    state: PackedBatchTableau,
-    noise: NoiseModel,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Run a compiled program on a packed state through the fused kernel.
-
-    Bit-for-bit equivalent to ``BatchedNoisyCircuitExecutor._run_packed`` on
-    the same seeds: noise comes from ``rng`` -- the :func:`noise_block` of a
-    built-in model, or a custom model's hooks in operation order -- and the
-    measurement words from the state's generator (the same object in normal
-    use), exactly as the packed executor draws them.  Returns
-    ``(measurements, error_count)``; the state is updated in place.
-    """
-    require_simulable(program)
-    plan = _plan_for(program)
-    n = state.num_qubits
-    W = state.num_lane_words
-    if W != num_words(batch_size):
-        raise SimulationError(
-            f"state holds {W} lane words but batch size {batch_size} needs "
-            f"{num_words(batch_size)}"
+def _run_kernel(tier, W, plan, reference, block, drawn, out, fx, fz) -> int:
+    ops = plan.opcodes.shape[0]
+    mout = np.empty(W, dtype=np.uint64)
+    if tier == "cext":
+        return int(
+            _cext_kernel()(
+                W,
+                ops,
+                *plan.addresses,
+                *reference.addresses,
+                *block.record_addresses,
+                *_addresses(block.inj_x, block.inj_z, drawn, out, fx, fz, mout),
+            )
         )
-    tier = kernel_tier()
-    xb, zb = _extract_bool_planes(state)
-    sched, draw_index, draw_count = _schedule_for(plan, n, xb, zb, tier)
-    block = _plan_block(plan, noise, batch_size, rng)
-    if block is None:
-        block, drawn = _sample_hooks(
-            plan, noise, sched, draw_index, draw_count, batch_size, W, n, rng, state._rng
-        )
-    else:
-        drawn = _measurement_words(draw_count, W, state._rng)
-    out = np.zeros((max(plan.num_measurements, 1), W), dtype=np.uint64)
-    status = _run_kernel(
-        tier,
-        n,
+    return frame_kernel_numpy(
         W,
+        ops,
         plan.opcodes,
         plan.qubit0,
         plan.qubit1,
         plan.slots,
-        draw_index,
+        reference.ref_bits,
+        reference.draw_index,
+        reference.piv_start,
+        reference.piv_qubit,
+        reference.piv_xz,
         block.pre_inj,
         block.post_inj,
         block.inj_start,
@@ -1236,24 +1162,60 @@ def execute_fused(
         block.inj_z,
         drawn,
         out,
-        xb,
-        zb,
-        state._r,
-        0,
-        sched,
-        np.zeros(n, dtype=np.uint8),
-        np.zeros(n, dtype=np.uint8),
-        np.zeros(W, dtype=np.uint64),
-        np.zeros(W, dtype=np.uint64),
+        fx,
+        fz,
+        mout,
     )
-    if status != 0:
+
+
+def execute_fused(
+    program: CompiledCircuit,
+    batch_size: int,
+    rng: np.random.Generator,
+    state: PauliFrameBatch,
+    noise: NoiseModel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run a compiled program on a frame state in one kernel call.
+
+    Noise comes from ``rng`` -- the :func:`noise_block` of a built-in model,
+    or a custom model's hooks in operation order -- and the random
+    measurement words from the state's generator (the same object in normal
+    use).  Returns ``(outcome_words, error_count)``: ``(M, W)`` uint64
+    measurement outcomes in slot order and ``(B,)`` per-lane error counts.
+    The state's reference and frames are updated in place.
+    """
+    require_simulable(program)
+    plan = _plan_for(program)
+    W = state.num_lane_words
+    if W != num_words(batch_size):
         raise SimulationError(
-            f"fused kernel failed: {_STATUS_MESSAGES.get(status, status)}"
+            f"state holds {W} lane words but batch size {batch_size} needs "
+            f"{num_words(batch_size)}"
         )
-    _write_back_planes(state, xb, zb)
+    if state.num_qubits < program.num_qubits:
+        raise SimulationError(
+            f"state has {state.num_qubits} qubits but the circuit needs {program.num_qubits}"
+        )
+    reference = _reference_for(plan, state)
+    block = _plan_block(plan, noise, batch_size, rng)
+    if block is None:
+        block, drawn = _sample_hooks(
+            plan,
+            noise,
+            reference.draw_index,
+            reference.draw_count,
+            batch_size,
+            W,
+            state.num_qubits,
+            rng,
+            state._rng,
+        )
+    else:
+        drawn = _measurement_words(reference.draw_count, W, state._rng)
+    out = np.zeros((max(plan.num_measurements, 1), W), dtype=np.uint64)
+    status = _run_kernel(kernel_tier(), W, plan, reference, block, drawn, out, state._fx, state._fz)
+    if status != 0:
+        raise SimulationError("unknown opcode reached the frame kernel")
+    state._reference, state._reference_key = reference.final, reference.final_key
     out[block.flip_slots] ^= block.flip_words
-    measurements = {
-        label: unpack_bits(out[slot], batch_size)
-        for slot, label in enumerate(program.measurement_labels)
-    }
-    return measurements, block.error_count
+    return out[: plan.num_measurements], block.error_count

@@ -127,9 +127,9 @@ class NoiseModel:
     # ``error_count`` bookkeeping: one event per operation that failed).
     #
     # The base-class implementations fall back to looping the scalar hooks,
-    # so any custom noise model works with the batched engines out of the box;
+    # so any custom noise model works with the batched engine out of the box;
     # ``OperationNoise`` overrides them with single-RNG-call vectorized
-    # versions, which its subclasses inherit.  The batched engines never call
+    # versions, which its subclasses inherit.  The batched engine never calls
     # these hooks for the exact built-in classes (or any noiseless model):
     # those are sampled as one sparse noise block per run
     # (:func:`repro.stabilizer.fused.noise_block`).
@@ -138,7 +138,7 @@ class NoiseModel:
     def is_noiseless(self) -> bool:
         """True when every hook is guaranteed to return no errors.
 
-        The batched engines never call the hooks of such models (used for
+        The batched engine never calls the hooks of such models (used for
         ideal state preparation inside experiments).
         """
         return False
@@ -176,7 +176,7 @@ class NoiseModel:
 
     # -- packed (word-parallel) sampling ------------------------------------
     #
-    # The bit-packed executor consumes noise as uint64 word masks over the
+    # The batched engine consumes noise as uint64 word masks over the
     # batch axis: each hook returns ``(support, x_words, z_words, event_words)``
     # where the symplectic word arrays have shape ``(len(support), W)`` with
     # ``W = ceil(batch_size / 64)`` and ``event_words`` is a ``(W,)`` mask of
@@ -185,7 +185,7 @@ class NoiseModel:
     #
     # The base-class implementations draw through the ``*_batch`` hooks and
     # pack the lane axis, so every noise model -- including custom subclasses
-    # that only implement the scalar hooks -- works with the batched engines
+    # that only implement the scalar hooks -- works with the batched engine
     # unmodified.
 
     def sample_gate_error_packed(

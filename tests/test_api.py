@@ -3,11 +3,11 @@
 Contracts exercised here:
 
 * spec construction validates strictly and JSON round-trips exactly,
-* the backend registry resolves ``auto`` to the fused engine at every batch
+* the backend registry resolves ``auto`` to the frame engine at every batch
   size and kernel tier (sharded only when ``num_shards > 1``) and accepts
   third-party strategies by name,
 * ``run(ExperimentSpec.from_json(result.spec_json))`` replays a sharded
-  packed threshold sweep bit for bit on any worker count,
+  threshold sweep bit for bit on any worker count,
 * ``from repro import *`` exposes exactly the curated ``__all__`` surface.
 """
 
@@ -37,7 +37,7 @@ from repro.stabilizer import fused as fused_module
 from repro.stabilizer.monte_carlo import MonteCarloResult
 
 #: What ``auto`` resolves to, at every batch size and on every kernel tier.
-FAST_ENGINE = "packed-fused"
+FAST_ENGINE = "frame"
 
 
 def sweep_spec(**overrides) -> ExperimentSpec:
@@ -202,16 +202,16 @@ class TestRegistrySelection:
 
     def test_explicit_engine_with_shards_runs_sharded(self):
         registry = default_registry()
-        strategy, engine = registry.resolve("packed", shots=4096, batch_size=1024, num_shards=2)
-        assert (strategy.name, engine) == ("sharded", "packed")
+        strategy, engine = registry.resolve("frame", shots=4096, batch_size=1024, num_shards=2)
+        assert (strategy.name, engine) == ("sharded", "frame")
 
     def test_scalar_refuses_shards(self):
         with pytest.raises(ParameterError):
             default_registry().resolve("scalar", shots=100, batch_size=64, num_shards=2)
 
     def test_unknown_backend_raises(self):
-        for name in ("simd", "uint8"):
-            with pytest.raises(SimulationError):
+        for name in ("simd", "uint8", "packed", "packed-fused"):
+            with pytest.raises(SimulationError, match="'frame'"):
                 default_registry().resolve(name, shots=100, batch_size=64)
 
     def test_max_qubits_capability_excludes_backends(self):
@@ -250,7 +250,7 @@ class TestRegistrySelection:
         # never wins ``auto``, and its name never reaches the batched-tableau
         # layer, which only understands the built-in engines.
         from repro.arq.simulator import create_batch_tableau, resolve_backend
-        from repro.stabilizer import FusedPackedBatchTableau
+        from repro.stabilizer import PauliFrameBatch
 
         class FancyBackend:
             name = "fancy"
@@ -263,7 +263,7 @@ class TestRegistrySelection:
         registry.register(FancyBackend())
         try:
             assert resolve_backend("auto", 1024) == FAST_ENGINE
-            assert isinstance(create_batch_tableau("auto", 7, 1024), FusedPackedBatchTableau)
+            assert isinstance(create_batch_tableau("auto", 7, 1024), PauliFrameBatch)
             # Shard tasks always pin a real tableau engine.
             _, engine = registry.resolve("fancy", shots=4096, batch_size=1024, num_shards=2)
             assert engine == FAST_ENGINE

@@ -464,7 +464,7 @@ class TestMachineSimSpec:
             experiment="machine_sim",
             noise=NoiseSpec(kind="technology"),
             sampling=SamplingSpec(shots=0, seed=0),
-            execution=ExecutionSpec(backend="packed"),
+            execution=ExecutionSpec(backend="frame"),
         )
         with pytest.raises(ParameterError, match="desim"):
             run(spec)
@@ -479,7 +479,7 @@ class TestMachineSimSpec:
             "auto", shots=4096, batch_size=1024, num_shards=1
         )
         assert strategy.name != "desim"
-        assert engine == "packed-fused"
+        assert engine == "frame"
 
 
 # ----------------------------------------------------------------------

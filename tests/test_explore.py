@@ -281,9 +281,9 @@ class TestResolvedEngine:
         assert resolved_engine(spec) == "none"
 
     def test_monte_carlo_specs_resolve_through_the_registry(self):
-        assert resolved_engine(failure_base()) == "packed-fused"
-        packed = dataclasses.replace(failure_base(), execution=ExecutionSpec(backend="packed"))
-        assert resolved_engine(packed) == "packed"
+        assert resolved_engine(failure_base()) == "frame"
+        frame = dataclasses.replace(failure_base(), execution=ExecutionSpec(backend="frame"))
+        assert resolved_engine(frame) == "frame"
 
     def test_prediction_matches_what_run_records_for_every_kind(self):
         """Drift guard: cache keys embed resolved_engine, so its answer must
@@ -501,6 +501,6 @@ class TestSweepCli:
         text = capsys.readouterr().out
         for kind in ("threshold_sweep", "machine_sim", "sweep"):
             assert kind in text
-        for backend in ("scalar", "packed", "packed-fused", "sharded", "desim"):
+        for backend in ("scalar", "frame", "sharded", "desim"):
             assert backend in text
         assert "design_space" in text

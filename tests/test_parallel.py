@@ -8,7 +8,9 @@ semantics exactly over the concatenated shard streams.
 
 from __future__ import annotations
 
+import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from repro.api import (
 from repro.exceptions import ParameterError
 from repro.parallel import (
     Level1ShardTask,
+    RetryPolicy,
     ShardOutcome,
     WorkerCrashError,
     aggregate_shard_outcomes,
@@ -33,13 +36,23 @@ from repro.parallel import (
     run_sharded_outcomes,
     shard_sizes,
     spawn_shard_seeds,
+    supervise,
 )
 from repro.stabilizer import estimate_failure_rate_batched, pack_bits
 
+#: Outputs recorded from v1.9.0's engines (see test_stabilizer_fused.py).
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "fused_v1_9_golden.json").read_text()
+)
 
 def _coin_task(rng: np.random.Generator, count: int) -> np.ndarray:
     """Cheap picklable batch trial: iid failures at rate 0.25."""
     return rng.random(count) < 0.25
+
+
+def _reject(value: int) -> int:
+    """A picklable job that raises its own exception on every attempt."""
+    raise ValueError(f"rejected input {value}")
 
 
 class TestShardPlan:
@@ -212,6 +225,24 @@ class TestSupervisedShards:
         assert all("re-queued" in r.getMessage() for r in charged)
 
 
+@pytest.mark.no_chaos
+class TestSupervisedJobLogging:
+    """Retries of jobs that raise their own exceptions are logged too."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_job_exceptions_are_logged_requeued_then_terminal(self, caplog, workers):
+        policy = RetryPolicy(max_retries=1, backoff_base=0.0)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            outcomes = supervise([("reject-7", _reject, (7,))], policy=policy, workers=workers)
+        assert isinstance(outcomes[0].error, ValueError)
+        assert outcomes[0].attempts == 2
+        messages = [r.getMessage() for r in caplog.records if r.name == "repro"]
+        assert len(messages) == 2
+        assert all("job 0 raised ValueError: rejected input 7" in m for m in messages)
+        assert messages[0].endswith("re-queued")
+        assert messages[1].endswith("terminal (retries exhausted)")
+
+
 def _sweep(rates, shots, seed, *, backend="auto", num_shards=1, num_workers=0, batch_size=1024):
     """A seeded threshold sweep through the spec runner."""
     return run(
@@ -248,19 +279,18 @@ class TestSeededThresholdSweep:
         assert replay.level1 == result.level1
 
     def test_seed_and_rng_are_mutually_exclusive(self):
-        engine = default_registry().get("packed-fused")
+        engine = default_registry().get("frame")
         with pytest.raises(ParameterError):
             engine.estimate(_coin_task, 10, seed=1, rng=np.random.default_rng(0))
 
     def test_backends_agree_statistically_on_seeded_sweeps(self):
+        """The frame engine (seed 9) against v1.9's packed engine (seed 8, recorded)."""
         trials = 1500
-        packed = _sweep(
-            (5.0e-3, 1.0e-2), shots=trials, seed=8, backend="packed", batch_size=750
+        frame = _sweep(
+            (5.0e-3, 1.0e-2), shots=trials, seed=9, backend="frame", batch_size=750
         )
-        fused = _sweep(
-            (5.0e-3, 1.0e-2), shots=trials, seed=9, backend="packed-fused", batch_size=750
-        )
-        p1, p2 = packed.level1_rates[1], fused.level1_rates[1]
+        packed_failures, packed_trials = GOLDEN["parallel_packed_seed8"][1]
+        p1, p2 = packed_failures / packed_trials, frame.level1_rates[1]
         combined_se = np.sqrt(
             p1 * (1 - p1) / trials + p2 * (1 - p2) / trials
         )
@@ -269,7 +299,7 @@ class TestSeededThresholdSweep:
 
 class TestLevel1ShardTask:
     def test_task_is_deterministic_per_seed(self):
-        task = Level1ShardTask(physical_rate=1.0e-2, backend="packed")
+        task = Level1ShardTask(physical_rate=1.0e-2, backend="frame")
         a = task(np.random.default_rng(np.random.SeedSequence(1)), 128)
         b = task(np.random.default_rng(np.random.SeedSequence(1)), 128)
         assert np.array_equal(a, b)

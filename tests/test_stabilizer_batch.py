@@ -1,7 +1,7 @@
 """Cross-validation of the batched engine against the scalar tableau.
 
-The batched engine (:class:`~repro.stabilizer.packed.PackedBatchTableau`,
-the compiled circuit IR and
+The batched engine (:class:`~repro.stabilizer.fused.PauliFrameBatch`, the
+compiled circuit IR and
 :class:`~repro.arq.simulator.BatchedNoisyCircuitExecutor` on its default
 engine) must be indistinguishable from the per-shot path:
 deterministic-outcome circuits must agree *exactly* lane for lane, and noisy
@@ -31,7 +31,7 @@ from repro.qecc.syndrome import full_error_correction_circuit
 from repro.stabilizer import (
     NoiselessModel,
     OperationNoise,
-    PackedBatchTableau,
+    PauliFrameBatch,
     StabilizerTableau,
     estimate_failure_rate_batched,
 )
@@ -84,15 +84,21 @@ class TestCompiledCircuit:
             compile_circuit(circuit)
 
 
+def _run_on(state: PauliFrameBatch, circuit: Circuit, seed: int = 0):
+    return BatchedNoisyCircuitExecutor().run(
+        circuit, state.batch_size, np.random.default_rng(seed), tableau=state
+    )
+
+
 class TestBatchTableauAgainstScalar:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_expectations_match_scalar(self, seed):
         circuit = _random_clifford_circuit(num_qubits=4, depth=40, seed=seed)
         scalar = StabilizerTableau(4)
-        batch = PackedBatchTableau(4, 6)
         for operation in circuit:
             scalar.apply_gate(operation.name, operation.qubits)
-            batch.apply_gate(operation.name, operation.qubits)
+        batch = PauliFrameBatch(4, 6)
+        _run_on(batch, circuit)
         rng = np.random.default_rng(seed)
         for _ in range(20):
             x = rng.integers(0, 2, size=4).astype(np.uint8)
@@ -101,29 +107,35 @@ class TestBatchTableauAgainstScalar:
             assert (batch.expectation(pauli) == scalar.expectation(pauli)).all()
 
     def test_measurement_collapse_repeats_and_reset(self):
-        batch = PackedBatchTableau(2, 500, rng=np.random.default_rng(5))
-        batch.h(0)
-        batch.cnot(0, 1)
-        first = batch.measure(0)
+        circuit = (
+            Circuit(2)
+            .h(0)
+            .cnot(0, 1)
+            .measure(0, label="first")
+            .measure(1, label="partner")
+            .measure(0, label="again")
+            .prepare(0)
+            .measure(0, label="reset")
+        )
+        outcomes = _run_on(PauliFrameBatch(2, 500), circuit, seed=5).measurements
+        first = outcomes["first"]
         # Bell state: qubit 1 must agree with qubit 0, and re-measurement of a
         # collapsed qubit is deterministic.
-        assert (batch.measure(1) == first).all()
-        assert (batch.measure(0) == first).all()
+        assert (outcomes["partner"] == first).all()
+        assert (outcomes["again"] == first).all()
         # Roughly half the lanes should read 1 (random outcomes are per-lane).
         assert 0.35 < first.mean() < 0.65
-        batch.reset(0)
-        assert (batch.measure(0) == 0).all()
+        assert (outcomes["reset"] == 0).all()
 
     def test_measure_x_on_plus_state_is_deterministic(self):
-        batch = PackedBatchTableau(1, 32)
-        batch.h(0)
-        assert (batch.measure_x(0) == 0).all()
+        circuit = Circuit(1).h(0).measure_x(0, label="m")
+        assert (_run_on(PauliFrameBatch(1, 32), circuit).measurements["m"] == 0).all()
 
     def test_from_tableau_broadcasts_state(self):
         scalar = StabilizerTableau(3)
         scalar.h(0)
         scalar.cnot(0, 1)
-        batch = PackedBatchTableau.from_tableau(scalar, 4, rng=np.random.default_rng(0))
+        batch = PauliFrameBatch.from_tableau(scalar, 4, rng=np.random.default_rng(0))
         for lane in range(4):
             assert [str(g) for g in batch.lane(lane).stabilizer_generators()] == [
                 str(g) for g in scalar.stabilizer_generators()
@@ -193,7 +205,7 @@ class TestBatchedExecutor:
 
         batch = 32
         rng = np.random.default_rng(4)
-        state = PackedBatchTableau(circuit.num_qubits, batch, rng=rng)
+        state = PauliFrameBatch(circuit.num_qubits, batch, rng=rng)
         executor.run(
             steane_encode_zero_circuit(num_qubits=circuit.num_qubits), batch, rng, tableau=state
         )

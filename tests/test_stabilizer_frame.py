@@ -1,0 +1,251 @@
+"""Contracts of the Pauli-frame engine beyond the recorded v1.9 digests.
+
+* the C kernel tier equals the numpy tier bit for bit -- outcome words,
+  error counts, frames and reference -- on random noisy circuits, custom
+  noise models included;
+* the engine agrees with the scalar per-shot oracle within Wilson intervals
+  at ragged and full-word batch sizes;
+* the noiseless reference pass runs once per program content and input
+  reference, so rebuilt experiments reuse it;
+* programs are checked once: ``is_simulable`` is computed once per program
+  and ``require_simulable`` runs once per executor run; a custom noise
+  model's words are shape-checked before they reach the C kernel;
+* the packed-word decode (corrections and ideal recovery) agrees with the
+  dense correction tables and the scalar ideal recovery lane by lane.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+import repro.circuits.compiled as compiled_module
+from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper
+from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
+from repro.arq.simulator import create_batch_tableau
+from repro.circuits import Circuit, Gate, compile_circuit
+from repro.exceptions import SimulationError
+from repro.iontrap.parameters import EXPECTED_PARAMETERS
+from repro.stabilizer import (
+    NoiselessModel,
+    OperationNoise,
+    PauliFrameBatch,
+    pack_bits,
+    unpack_bits,
+)
+from repro.stabilizer import fused as fused_module
+
+RAGGED_BATCHES = (1, 63, 64, 65, 130)
+
+
+class _HookedNoise(OperationNoise):
+    """A custom model: sampled through its per-operation hooks."""
+
+
+def _random_noisy_circuit(seed: int) -> Circuit:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    circuit = Circuit(n)
+    for qubit in range(n):
+        circuit.prepare(qubit)
+    for index in range(int(rng.integers(30, 70))):
+        roll = rng.random()
+        if roll < 0.35:
+            a, b = map(int, rng.choice(n, 2, replace=False))
+            circuit.append(Gate.gate(str(rng.choice(("CNOT", "CZ", "SWAP"))), a, b))
+        elif roll < 0.7:
+            name = str(rng.choice(("H", "S", "SDG", "X", "Y", "Z", "I")))
+            circuit.append(Gate.gate(name, int(rng.integers(n))))
+        elif roll < 0.8:
+            circuit.prepare(int(rng.integers(n)))
+        elif roll < 0.9:
+            circuit.measure(int(rng.integers(n)), label=f"z{index}")
+        else:
+            circuit.measure_x(int(rng.integers(n)), label=f"x{index}")
+    return circuit
+
+
+def _use_tier(monkeypatch, tier: str) -> None:
+    monkeypatch.setenv("REPRO_FUSED_KERNEL", tier)
+    monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
+
+
+class TestTierParity:
+    @pytest.mark.parametrize("batch", RAGGED_BATCHES)
+    def test_c_tier_equals_numpy_tier(self, monkeypatch, batch):
+        if fused_module._cext_kernel() is None:
+            pytest.skip("no C kernel on this host")
+        for seed in range(8):
+            circuit = _random_noisy_circuit(500 + seed)
+            noise_class = _HookedNoise if seed % 2 else OperationNoise
+            noise = noise_class(
+                p_single=0.05, p_double=0.08, p_measure=0.03, p_prepare=0.04, p_move_per_cell=0.01
+            )
+            runs = []
+            for tier in ("cext", "numpy"):
+                _use_tier(monkeypatch, tier)
+                runs.append(
+                    BatchedNoisyCircuitExecutor(noise=noise, mapper=LayoutMapper()).run(
+                        circuit, batch, np.random.default_rng(seed)
+                    )
+                )
+            native, fallback = runs
+            assert np.array_equal(native.outcome_words, fallback.outcome_words), seed
+            assert np.array_equal(native.error_count, fallback.error_count), seed
+            assert np.array_equal(native.tableau.frame_x, fallback.tableau.frame_x), seed
+            assert np.array_equal(native.tableau.frame_z, fallback.tableau.frame_z), seed
+            assert native.tableau.reference is fallback.tableau.reference
+
+
+def _wilson(successes: int, trials: int, z: float = 3.5) -> tuple[float, float]:
+    p = successes / trials
+    denominator = 1.0 + z * z / trials
+    centre = (p + z * z / (2 * trials)) / denominator
+    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denominator
+    return centre - half, centre + half
+
+
+#: Level-1 rate of the oracle comparison: ~10% failures, ~75% syndromes.
+ORACLE_RATE = 2.0e-2
+
+
+@pytest.fixture(scope="module")
+def scalar_counts():
+    """Per-shot oracle counts of the Level-1 flags at :data:`ORACLE_RATE`."""
+    experiment = Level1EccExperiment(noise=_noise_for_rate(ORACLE_RATE, EXPECTED_PARAMETERS))
+    rng = np.random.default_rng(404)
+    shots = [experiment.run_trial_detailed(rng) for _ in range(200)]
+    return {key: sum(shot[key] for shot in shots) for key in shots[0]}, len(shots)
+
+
+class TestScalarAgreement:
+    @pytest.mark.parametrize("batch", (1, 63, 64, 65, 4096))
+    def test_frame_engine_agrees_with_scalar_oracle(self, scalar_counts, batch):
+        counts, trials = scalar_counts
+        experiment = Level1EccExperiment(noise=_noise_for_rate(ORACLE_RATE, EXPECTED_PARAMETERS))
+        rng = np.random.default_rng(batch)
+        calls = max(1, (512 if batch == 1 else 4096) // batch)
+        outcomes = [experiment.run_trial_batch_detailed(rng, batch) for _ in range(calls)]
+        for key, count in counts.items():
+            frame = sum(int(outcome[key].sum()) for outcome in outcomes)
+            frame_low, frame_high = _wilson(frame, calls * batch)
+            scalar_low, scalar_high = _wilson(count, trials)
+            assert frame_low <= scalar_high and scalar_low <= frame_high, (key, frame, count)
+
+
+class TestReferencePass:
+    def test_rebuilt_experiments_reuse_the_reference_pass(self, monkeypatch):
+        calls = []
+        original = fused_module._reference_pass
+
+        def counting(plan, start):
+            calls.append(plan.opcodes.shape[0])
+            return original(plan, start)
+
+        monkeypatch.setattr(fused_module, "_reference_pass", counting)
+        monkeypatch.setattr(fused_module, "_REFERENCE_CACHE", {})
+        noise = _noise_for_rate(4.0e-3, EXPECTED_PARAMETERS)
+        for seed in range(3):
+            Level1EccExperiment(noise=noise).run_trial_batch_detailed(
+                np.random.default_rng(seed), 64
+            )
+        # Preparation, logical gate and ECC cycle: once each, however many
+        # experiments compile their own copies of the programs.
+        assert len(calls) == 3
+
+    def test_random_outcomes_are_the_drawn_words(self):
+        circuit = Circuit(2).h(0).cnot(0, 1).measure(0, label="a").measure(1, label="b")
+        program = compile_circuit(circuit)
+        rng = np.random.default_rng(9)
+        state = PauliFrameBatch(2, 130, rng=rng)
+        words, _ = fused_module.execute_fused(program, 130, rng, state, NoiselessModel())
+        expected = np.random.default_rng(9).integers(
+            0, np.iinfo(np.uint64).max, size=(1, 3), dtype=np.uint64, endpoint=True
+        )
+        assert np.array_equal(words[0], expected[0])
+        assert np.array_equal(words[1], expected[0])
+        # The reference took outcome 0; the lanes that drew 1 carry it in
+        # their frames.
+        assert np.array_equal(state.frame_x[0], expected[0])
+
+    def test_preparation_clears_the_frame_x_bit(self):
+        state = PauliFrameBatch(1, 70)
+        flips = np.zeros((1, 70), dtype=np.uint8)
+        flips[0, ::2] = 1
+        state.inject_pauli_words((0,), pack_bits(flips), pack_bits(flips))
+        BatchedNoisyCircuitExecutor().run(
+            Circuit(1).prepare(0), 70, np.random.default_rng(0), tableau=state
+        )
+        assert not state.frame_x.any()
+
+
+class TestProgramChecks:
+    def test_custom_noise_words_of_the_wrong_width_are_rejected(self):
+        class NarrowNoise(OperationNoise):
+            def sample_gate_error_packed(self, name, qubits, batch_size, rng):
+                one = np.ones((1, 1), dtype=np.uint64)
+                return (qubits[:1], one, one, one)
+
+        executor = BatchedNoisyCircuitExecutor(noise=NarrowNoise(p_single=0.1))
+        with pytest.raises(SimulationError, match="shapes"):
+            executor.run(Circuit(1).h(0).measure(0), 130, np.random.default_rng(0))
+
+    def test_is_simulable_is_computed_once_per_program(self, monkeypatch):
+        program = compile_circuit(Circuit(2).h(0).cnot(0, 1))
+        calls = []
+        isin = np.isin
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return isin(*args, **kwargs)
+
+        monkeypatch.setattr(compiled_module.np, "isin", counting)
+        assert all(program.is_simulable for _ in range(3))
+        assert len(calls) == 1
+
+    def test_require_simulable_runs_once_per_run(self, monkeypatch):
+        calls = []
+        original = fused_module.require_simulable
+
+        def counting(program):
+            calls.append(program.name)
+            return original(program)
+
+        monkeypatch.setattr(fused_module, "require_simulable", counting)
+        BatchedNoisyCircuitExecutor().run(Circuit(1).h(0).measure(0), 8, np.random.default_rng(0))
+        assert len(calls) == 1
+
+
+class TestPackedDecode:
+    def test_correction_words_match_the_dense_tables(self):
+        experiment = Level1EccExperiment(noise=_noise_for_rate(0.0, EXPECTED_PARAMETERS))
+        batch = 200
+        rng = np.random.default_rng(1)
+        bits = rng.integers(0, 2, size=(3, batch)).astype(np.uint8)
+        index = (bits * np.array([[4], [2], [1]])).sum(axis=0)
+        hits = experiment._syndrome_hits(pack_bits(bits))
+        for kind, corrections in (
+            ("X", experiment._x_corrections),
+            ("Z", experiment._z_corrections),
+        ):
+            table = experiment._decoder.correction_table(kind)
+            assert np.array_equal(unpack_bits(corrections(hits), batch), table[index].T)
+
+    def test_ideal_recovery_on_words_matches_the_scalar_recovery(self):
+        experiment = Level1EccExperiment(noise=_noise_for_rate(0.05, EXPECTED_PARAMETERS))
+        batch = 130
+        rng = np.random.default_rng(3)
+        state = create_batch_tableau("auto", 21, batch, rng=rng)
+        experiment._ideal_batch_executor.run(experiment._prep_circuit, batch, rng, tableau=state)
+        experiment._noisy_batch_executor.run(experiment._gate_circuit, batch, rng, tableau=state)
+        says_one = unpack_bits(
+            experiment._ideal_recovery_says_one_words(
+                state.reference, np.concatenate((state.frame_x[:7], state.frame_z[:7]))
+            ),
+            batch,
+        )
+        assert 0 < says_one.sum() < batch
+        for lane in range(0, batch, 7):
+            assert says_one[lane] == experiment._ideal_recovery_says_one(state.lane(lane)), lane

@@ -1,28 +1,30 @@
-"""The fused native kernel tier: tiers, opcode coverage, and replay contracts.
+"""The fused frame kernel: tiers, opcode coverage, and replay contracts.
 
-Three things are pinned here:
+Four things are pinned here:
 
 * kernel-tier selection (``REPRO_FUSED_KERNEL``), the logged numpy
   fallback, and the numpy kernel's exact agreement with the active tier;
-* the IR <-> kernel opcode contract: every opcode the fused kernel claims to
-  support is exercised against the packed engine, and timing-only opcodes are
-  rejected with a clear :class:`SimulationError` rather than mis-executed;
-* the reproducibility contract: a seeded :class:`ExperimentSpec` replays bit
-  for bit across the ``"packed"`` and ``"packed-fused"`` engines and across
-  shard counts;
-* the noise-block contract: both engines consume the same sparse noise block
-  for the built-in models (and the same hooks for custom ones), so seeded
-  Level-1 batches agree bit for bit at every batch size and on both kernel
-  tiers, and noiseless runs keep their v1.8 measurement stream.
+* the IR <-> kernel opcode contract: every opcode the kernel claims to
+  support is exercised, and timing-only opcodes are rejected with a clear
+  :class:`SimulationError` rather than mis-executed;
+* the reproducibility contract: a seeded :class:`ExperimentSpec` replays the
+  values of the retired ``"packed"`` and ``"packed-fused"`` engines bit for
+  bit, at every shard count;
+* the golden contract: seeded Level-1 batches, noisy ECC cycles and custom
+  noise models reproduce the digests recorded from v1.9.0's engines
+  (``tests/data/fused_v1_9_golden.json``) on both kernel tiers, and noiseless
+  runs keep their measurement stream.
 
-The randomized packed-vs-fused fuzz lives with the other cross-validation
-oracles in ``test_stabilizer_packed.py``.
+The randomized fuzz against recorded v1.9 outputs lives with the other
+cross-validation oracles in ``test_stabilizer_packed.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper
 from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
 from repro.arq.simulator import create_batch_tableau
 from repro.circuits import Circuit, Gate
-from repro.circuits.compiled import Opcode, compile_circuit
+from repro.circuits.compiled import compile_circuit
 from repro.exceptions import SimulationError
 from repro.iontrap.parameters import EXPECTED_PARAMETERS
 from repro.pauli import PauliString
@@ -47,10 +49,10 @@ from repro.qecc.encoder import steane_encode_zero_circuit
 from repro.qecc.syndrome import full_error_correction_circuit
 from repro.stabilizer import (
     DepolarizingNoise,
-    FusedPackedBatchTableau,
     NoiselessModel,
     OperationNoise,
-    PackedBatchTableau,
+    PauliFrameBatch,
+    StabilizerTableau,
     kernel_tier,
 )
 from repro.stabilizer import fused as fused_module
@@ -65,6 +67,11 @@ RAGGED_BATCHES = (1, 63, 64, 65, 130)
 
 NOISE = OperationNoise(
     p_single=0.02, p_double=0.04, p_measure=0.01, p_prepare=0.02, p_move_per_cell=0.002
+)
+
+#: Digests of the v1.9.0 engines' outputs on the workloads below.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "fused_v1_9_golden.json").read_text()
 )
 
 
@@ -90,24 +97,39 @@ def _all_opcode_circuit() -> Circuit:
     return circuit
 
 
-def _run_both(circuit, batch, seed, noise=NOISE, mapper=None):
-    packed = BatchedNoisyCircuitExecutor(
-        noise=noise, mapper=mapper, backend="packed"
-    ).run(circuit, batch, np.random.default_rng(seed))
-    fused = BatchedNoisyCircuitExecutor(
-        noise=noise, mapper=mapper, backend="packed-fused"
-    ).run(circuit, batch, np.random.default_rng(seed))
-    return packed, fused
+def _run(circuit, batch, seed, noise=NOISE, mapper=None):
+    return BatchedNoisyCircuitExecutor(noise=noise, mapper=mapper).run(
+        circuit, batch, np.random.default_rng(seed)
+    )
 
 
-def _assert_identical(packed, fused):
-    assert set(packed.measurements) == set(fused.measurements)
-    for label in packed.measurements:
-        assert np.array_equal(packed.measurements[label], fused.measurements[label]), label
-    assert np.array_equal(packed.error_count, fused.error_count)
-    assert np.array_equal(packed.tableau._x, fused.tableau._x)
-    assert np.array_equal(packed.tableau._z, fused.tableau._z)
-    assert np.array_equal(packed.tableau._r, fused.tableau._r)
+def run_digest(result, digest=None) -> str:
+    """SHA-256 over a batched run's labelled outcomes and per-lane error counts."""
+    digest = digest if digest is not None else hashlib.sha256()
+    for label in sorted(result.measurements):
+        digest.update(label.encode())
+        digest.update(np.asarray(result.measurements[label], dtype=np.uint8).tobytes())
+    digest.update(np.asarray(result.error_count, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def outcome_digest(outcome: dict[str, np.ndarray]) -> str:
+    """SHA-256 over the flags of ``run_trial_batch_detailed``."""
+    digest = hashlib.sha256()
+    for key in sorted(outcome):
+        digest.update(key.encode())
+        digest.update(np.asarray(outcome[key], dtype=np.uint8).tobytes())
+    return digest.hexdigest()
+
+
+def _assert_identical(first, second):
+    assert set(first.measurements) == set(second.measurements)
+    for label in first.measurements:
+        assert np.array_equal(first.measurements[label], second.measurements[label]), label
+    assert np.array_equal(first.error_count, second.error_count)
+    assert np.array_equal(first.tableau.frame_x, second.tableau.frame_x)
+    assert np.array_equal(first.tableau.frame_z, second.tableau.frame_z)
+    assert first.tableau.reference is second.tableau.reference
 
 
 class TestKernelTiers:
@@ -158,17 +180,14 @@ class TestKernelTiers:
         assert "cc: command failed (test)" in warnings[0].getMessage()
 
     def test_numpy_fallback_matches_active_tier(self, monkeypatch):
-        """The vectorized fallback and the active tier are interchangeable."""
+        """The numpy fallback and the active tier are interchangeable."""
         circuit = _all_opcode_circuit()
-        reference = BatchedNoisyCircuitExecutor(
-            noise=NOISE, backend="packed-fused"
-        ).run(circuit, 130, np.random.default_rng(8))
+        reference = _run(circuit, 130, seed=8)
         monkeypatch.setenv("REPRO_FUSED_KERNEL", "numpy")
         monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
-        fallback = BatchedNoisyCircuitExecutor(
-            noise=NOISE, backend="packed-fused"
-        ).run(circuit, 130, np.random.default_rng(8))
+        fallback = _run(circuit, 130, seed=8)
         _assert_identical(reference, fallback)
+        assert run_digest(fallback) == GOLDEN["opcodes_seed8_130"]
 
 
 class TestOpcodeCoverage:
@@ -180,8 +199,9 @@ class TestOpcodeCoverage:
 
     @pytest.mark.parametrize("batch", RAGGED_BATCHES)
     def test_every_opcode_matches_packed(self, batch):
-        packed, fused = _run_both(_all_opcode_circuit(), batch, seed=21)
-        _assert_identical(packed, fused)
+        """Every opcode reproduces the v1.9 packed engine's recorded outputs."""
+        result = _run(_all_opcode_circuit(), batch, seed=21)
+        assert run_digest(result) == GOLDEN["opcodes"][str(batch)]
 
     @pytest.mark.parametrize(
         "timing_gate",
@@ -196,7 +216,7 @@ class TestOpcodeCoverage:
         timing_gate(circuit)
         circuit.measure(0, label="m")
         program = compile_circuit(circuit, allow_timing_only=True)
-        state = FusedPackedBatchTableau(3, 64, rng=np.random.default_rng(0))
+        state = PauliFrameBatch(3, 64, rng=np.random.default_rng(0))
         with pytest.raises(SimulationError, match="timing-only"):
             execute_fused(program, 64, np.random.default_rng(0), state, NOISE)
 
@@ -221,41 +241,49 @@ class TestOpcodeCoverage:
 
 class TestFusedState:
     def test_lane_uniformity_preserved_after_fused_run(self):
-        """The packed invariant the kernel relies on survives the kernel."""
-        _, fused = _run_both(_all_opcode_circuit(), 130, seed=4)
-        for plane in (fused.tableau._x, fused.tableau._z):
-            first = plane[:, :, :1] != 0
-            expected = np.where(first, np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64(0))
-            assert np.array_equal(plane, np.broadcast_to(expected, plane.shape))
+        """Noise and measurements change only signs: every lane keeps the
+        reference's X/Z planes."""
+        state = _run(_all_opcode_circuit(), 130, seed=4).tableau
+        for lane in (0, 63, 64, 129):
+            extracted = state.lane(lane)
+            assert np.array_equal(extracted._x, state.reference._x)
+            assert np.array_equal(extracted._z, state.reference._z)
 
     def test_expectation_override_matches_packed(self):
         circuit = (
             Circuit(3).prepare(0).prepare(1).prepare(2).h(0).cnot(0, 1).cnot(1, 2)
         )
-        packed, fused = _run_both(circuit, 70, seed=11)
-        assert isinstance(fused.tableau, FusedPackedBatchTableau)
+        state = _run(circuit, 70, seed=11).tableau
+        assert isinstance(state, PauliFrameBatch)
+        digest = hashlib.sha256()
         for label in ("ZZI", "IZZ", "XXX", "ZII", "XYY", "YXY", "ZZZ"):
             observable = PauliString.from_label(label)
-            assert np.array_equal(
-                packed.tableau.expectation(observable),
-                fused.tableau.expectation(observable),
-            ), label
+            values = state.expectation(observable)
+            for lane in (0, 64, 69):
+                assert values[lane] == state.lane(lane).expectation(observable), label
+            digest.update(label.encode())
+            digest.update(values.astype(np.int8).tobytes())
+        assert digest.hexdigest() == GOLDEN["expectations"]
 
     def test_expectation_override_validation_matches_packed(self):
-        state = FusedPackedBatchTableau(2, 8, rng=np.random.default_rng(0))
+        state = PauliFrameBatch(2, 8, rng=np.random.default_rng(0))
         with pytest.raises(SimulationError, match="acts on"):
             state.expectation(PauliString.from_label("ZZZ"))
+        with pytest.raises(SimulationError, match="acts on"):
+            state.frame_parity(PauliString.from_label("ZZZ"))
 
     def test_copy_preserves_fused_type(self):
-        state = FusedPackedBatchTableau(2, 8, rng=np.random.default_rng(0))
+        state = PauliFrameBatch(2, 8, rng=np.random.default_rng(0))
         clone = state.copy()
-        assert type(clone) is FusedPackedBatchTableau
-        clone.h(0)
-        assert np.array_equal(state._x, FusedPackedBatchTableau(2, 8)._x)
+        assert type(clone) is PauliFrameBatch
+        one, zero = np.ones((1, 1), dtype=np.uint64), np.zeros((1, 1), dtype=np.uint64)
+        clone.inject_pauli_words((0,), one, zero)
+        assert not state.frame_x.any()
+        assert clone.frame_x[0, 0] == 1
 
     def test_executor_routes_passed_fused_tableau(self):
         circuit = Circuit(1).x(0).measure(0, label="m")
-        state = FusedPackedBatchTableau(1, 8, rng=np.random.default_rng(0))
+        state = PauliFrameBatch(1, 8, rng=np.random.default_rng(0))
         result = BatchedNoisyCircuitExecutor().run(
             circuit, 8, np.random.default_rng(0), tableau=state
         )
@@ -263,10 +291,11 @@ class TestFusedState:
         assert (result.measurements["m"] == 1).all()
 
     def test_fused_backend_conflicts_with_plain_packed_tableau(self):
+        """A passed state the frame engine cannot run is rejected up front."""
         circuit = Circuit(1).measure(0)
-        state = PackedBatchTableau(1, 8, rng=np.random.default_rng(0))
+        state = StabilizerTableau(1, rng=np.random.default_rng(0))
         with pytest.raises(SimulationError, match="conflicts"):
-            BatchedNoisyCircuitExecutor(backend="packed-fused").run(
+            BatchedNoisyCircuitExecutor(backend="frame").run(
                 circuit, 8, np.random.default_rng(0), tableau=state
             )
 
@@ -280,27 +309,32 @@ def _sweep_spec(backend: str, num_shards: int = 1) -> ExperimentSpec:
     )
 
 
+def _level1_counts(result) -> list[list[int]]:
+    return [[point.failures, point.trials] for point in result.value.level1]
+
+
 class TestSeededReplay:
     def test_spec_replays_bit_for_bit_across_engines(self):
-        """The acceptance contract: packed and fused runs are interchangeable."""
-        packed = run(_sweep_spec("packed"))
-        fused = run(_sweep_spec("packed-fused"))
-        assert fused.engine == "packed-fused"
-        assert fused.value == packed.value
+        """The acceptance contract: the frame engine replays the values the
+        v1.9 ``packed`` and ``packed-fused`` engines recorded."""
+        frame = run(_sweep_spec("frame"))
+        auto = run(_sweep_spec("auto"))
+        assert frame.engine == auto.engine == "frame"
+        assert _level1_counts(frame) == GOLDEN["spec_sweeps"]["1"]
+        assert auto.value == frame.value
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_spec_replays_bit_for_bit_at_every_shard_count(self, num_shards):
-        """Shard tasks pin the fused engine and still match packed exactly.
+        """Shard tasks pin the frame engine and still match v1.9 exactly.
 
         (Different shard counts are deliberately different seed-spawn plans;
-        the invariant is engine interchangeability within each plan, plus the
-        worker-count independence pinned by the api suite.)
+        the invariant is agreement with the recorded values within each plan,
+        plus the worker-count independence pinned by the api suite.)
         """
-        packed = run(_sweep_spec("packed", num_shards=num_shards))
-        fused = run(_sweep_spec("packed-fused", num_shards=num_shards))
-        assert fused.value == packed.value
-        replay = run(ExperimentSpec.from_json(fused.spec_json))
-        assert replay.value == fused.value
+        result = run(_sweep_spec("frame", num_shards=num_shards))
+        assert _level1_counts(result) == GOLDEN["spec_sweeps"][str(num_shards)]
+        replay = run(ExperimentSpec.from_json(result.spec_json))
+        assert replay.value == result.value
 
     def test_registry_diagnostics_name_every_backend(self):
         """A capability mismatch lists each backend with its excluding flag."""
@@ -325,7 +359,7 @@ class TestSeededReplay:
 
         registry.register(TinyBackend())
         try:
-            with pytest.raises(SimulationError, match="'packed-fused'"):
+            with pytest.raises(SimulationError, match="'frame'"):
                 registry.resolve(
                     "tiny-fused-test", shots=100, batch_size=64, num_qubits=21
                 )
@@ -335,13 +369,13 @@ class TestSeededReplay:
 
 LEVEL1_BATCHES = (1, 63, 64, 65, 4096)
 
-#: Measurement + sign-word digests of a noiseless Steane preparation and ECC
-#: cycle (seed 20261017), recorded with v1.8.0.  A noiseless run draws only
-#: measurement words, in schedule order, so the noise block must not move them.
+#: Measurement digests of a noiseless Steane preparation and ECC cycle (seed
+#: 20261017), recorded with v1.9.0 from each of its engines.
+#: Sign words are no longer hashed: the frame engine has none.
 NOISELESS_DIGESTS = {
-    1: "32f2f2b9281a75268511a0cc95e3eac940fa607f8bf92b8e90e16d010883f2a4",
-    65: "d1c1395bb1e412f981310b7b5e6356f38f0fe9358f3c80bf0c01251e3f32d11d",
-    130: "ee8d819b6556adfa42dd8f7e5c7593501a3ca2310f5b0e4ca41e3caa3a3f6a13",
+    1: "e9bb54088634a85227a088779ba47cd81ab5d7cb24ae70e4d09cdffc4b7c8d44",
+    65: "1cd85c1b35242ab38a21d67658eefc13118b936aa4edeabb7aaa749e66058d86",
+    130: "05c73c0e5ab50d0dc8d11eca3ab58b7118a8f65fdf8ad9e183a742fdeb73fc80",
 }
 
 
@@ -365,24 +399,28 @@ def _ecc_circuit():
     return circuit
 
 
-def _assert_level1_identical(noise, batch, seed):
-    """Level-1 batches and the noisy ECC cycle agree bit for bit across engines."""
-    outcomes = [
-        Level1EccExperiment(noise=noise, backend=backend).run_trial_batch_detailed(
-            np.random.default_rng(seed), batch
-        )
-        for backend in ("packed", "packed-fused")
-    ]
-    for key in outcomes[0]:
-        assert np.array_equal(outcomes[0][key], outcomes[1][key]), key
-    _assert_identical(*_run_both(_ecc_circuit(), batch, seed, noise=noise, mapper=LayoutMapper()))
+def _assert_level1_golden(noise, batch, seed, level1_digest, ecc_digest):
+    """Level-1 batches and the noisy ECC cycle reproduce their v1.9 digests."""
+    outcome = Level1EccExperiment(noise=noise).run_trial_batch_detailed(
+        np.random.default_rng(seed), batch
+    )
+    assert outcome_digest(outcome) == level1_digest
+    result = _run(_ecc_circuit(), batch, seed, noise=noise, mapper=LayoutMapper())
+    assert run_digest(result) == ecc_digest
 
 
 class TestNoiseBlockParity:
     @pytest.mark.parametrize("rate", [4.0e-3, 0.3])
     @pytest.mark.parametrize("batch", LEVEL1_BATCHES)
     def test_level1_batches_bit_for_bit(self, tier, batch, rate):
-        _assert_level1_identical(_noise_for_rate(rate, EXPECTED_PARAMETERS), batch, seed=batch)
+        key = f"{batch}-{rate!r}"
+        _assert_level1_golden(
+            _noise_for_rate(rate, EXPECTED_PARAMETERS),
+            batch,
+            batch,
+            GOLDEN["level1"][key],
+            GOLDEN["ecc"][key],
+        )
 
     @pytest.mark.parametrize("batch", [1, 65, 4096])
     def test_custom_operation_noise_subclass_bit_for_bit(self, tier, batch):
@@ -391,30 +429,34 @@ class TestNoiseBlockParity:
         )
         program = compile_circuit(_ecc_circuit(), mapper=LayoutMapper())
         assert noise_block(program, noise, batch, np.random.default_rng(0)) is None
-        _assert_level1_identical(noise, batch, seed=7)
+        _assert_level1_golden(
+            noise, batch, 7, GOLDEN["hooked"][str(batch)], GOLDEN["hooked_ecc"][str(batch)]
+        )
 
-    def test_block_is_shared_by_both_engines(self):
-        """Same seed, same block: the engines' error counts are the block's."""
+    def test_block_is_shared_by_both_engines(self, monkeypatch):
+        """Same seed, same block: both kernel tiers report the block's error counts."""
         noise = DepolarizingNoise(0.3)
         program = compile_circuit(_ecc_circuit(), mapper=LayoutMapper())
         block = noise_block(program, noise, 130, np.random.default_rng(5))
-        packed, fused = _run_both(program, 130, seed=5, noise=noise)
-        assert np.array_equal(block.error_count, packed.error_count)
-        assert np.array_equal(block.error_count, fused.error_count)
+        results = [_run(program, 130, seed=5, noise=noise)]
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", "numpy")
+        monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
+        results.append(_run(program, 130, seed=5, noise=noise))
+        for result in results:
+            assert np.array_equal(block.error_count, result.error_count)
+        _assert_identical(*results)
 
     @pytest.mark.parametrize("backend", ["packed", "packed-fused"])
     @pytest.mark.parametrize("batch", sorted(NOISELESS_DIGESTS))
     def test_noiseless_run_digest_is_pinned(self, backend, batch):
+        """The frame engine reproduces the digest recorded from ``backend``."""
         rng = np.random.default_rng(20261017)
-        state = create_batch_tableau(backend, 21, batch, rng=rng)
-        executor = BatchedNoisyCircuitExecutor(
-            noise=NoiselessModel(), mapper=LayoutMapper(), backend=backend
-        )
+        state = create_batch_tableau("auto", 21, batch, rng=rng)
+        executor = BatchedNoisyCircuitExecutor(noise=NoiselessModel(), mapper=LayoutMapper())
         executor.run(steane_encode_zero_circuit(num_qubits=21), batch, rng, tableau=state)
         result = executor.run(_ecc_circuit(), batch, rng, tableau=state)
         digest = hashlib.sha256()
         for label in sorted(result.measurements):
             digest.update(label.encode())
             digest.update(result.measurements[label].tobytes())
-        digest.update(state._r.tobytes())
-        assert digest.hexdigest() == NOISELESS_DIGESTS[batch]
+        assert digest.hexdigest() == NOISELESS_DIGESTS[batch], backend

@@ -1,16 +1,21 @@
-"""Cross-validation of the bit-packed engine against the scalar oracle.
+"""Cross-validation of the bit-packed frame engine against the scalar oracle.
 
-:class:`~repro.stabilizer.packed.PackedBatchTableau` must be physically
-indistinguishable from the scalar
+:class:`~repro.stabilizer.fused.PauliFrameBatch` (64 lanes per word) must be
+physically indistinguishable from the scalar
 :class:`~repro.stabilizer.tableau.StabilizerTableau`: deterministic-outcome
 circuits agree *exactly* lane for lane (including ragged batch sizes not
 divisible by 64), and noisy Monte-Carlo estimates on the Steane level-1
-workload agree within three binomial standard errors.  The fused kernel tier
-is pinned against the packed engine bit for bit, and the word-level helpers
-(pack/unpack, popcount with its lookup-table fallback) are pinned here too.
+workload agree within three binomial standard errors.  Randomized noisy
+circuits reproduce the outputs recorded from v1.9's packed engine bit for
+bit, and the word-level helpers (pack/unpack, popcount with its lookup-table
+fallback) are pinned here too.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +29,9 @@ from repro.exceptions import SimulationError
 from repro.iontrap.parameters import EXPECTED_PARAMETERS
 from repro.pauli import PauliString
 from repro.stabilizer import (
-    FusedPackedBatchTableau,
     NoiselessModel,
     OperationNoise,
-    PackedBatchTableau,
+    PauliFrameBatch,
     StabilizerTableau,
     lane_mask_words,
     pack_bits,
@@ -37,6 +41,39 @@ from repro.stabilizer import (
 
 #: Deliberately ragged batch sizes: below one word, word-aligned, and odd tails.
 RAGGED_BATCHES = (1, 63, 64, 65, 130)
+
+#: Digests of the v1.9.0 engines' outputs (see test_stabilizer_fused.py).
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "fused_v1_9_golden.json").read_text()
+)
+
+
+def _apply(state: PauliFrameBatch, circuit: Circuit, noise=None, rng=None):
+    """Run ``circuit`` on ``state`` through the batched executor."""
+    return BatchedNoisyCircuitExecutor(noise=noise).run(
+        circuit,
+        state.batch_size,
+        rng if rng is not None else np.random.default_rng(0),
+        tableau=state,
+    )
+
+
+def _inject_bits(state: PauliFrameBatch, x_bits: np.ndarray, z_bits: np.ndarray) -> None:
+    """Multiply each lane's frame by the Pauli of its ``(B, n)`` bit rows."""
+    state.inject_pauli_words(
+        tuple(range(state.num_qubits)), pack_bits(x_bits.T), pack_bits(z_bits.T)
+    )
+
+
+def _measured(state: PauliFrameBatch, rng=None, **labelled_ops) -> dict[str, np.ndarray]:
+    """Measure qubits of ``state``: ``label=(basis, qubit)`` keyword pairs."""
+    circuit = Circuit(state.num_qubits)
+    for label, (basis, qubit) in labelled_ops.items():
+        if basis == "Z":
+            circuit.measure(qubit, label=label)
+        else:
+            circuit.measure_x(qubit, label=label)
+    return _apply(state, circuit, rng=rng).measurements
 
 
 def _random_clifford_circuit(num_qubits: int, depth: int, seed: int) -> Circuit:
@@ -95,12 +132,12 @@ class TestPackedAgainstScalar:
     def test_random_clifford_generators_match_every_lane(self, seed, batch):
         circuit = _random_clifford_circuit(num_qubits=5, depth=60, seed=seed)
         scalar = StabilizerTableau(5)
-        packed = PackedBatchTableau(5, batch)
         for operation in circuit:
             scalar.apply_gate(operation.name, operation.qubits)
-            packed.apply_gate(operation.name, operation.qubits)
+        state = PauliFrameBatch(5, batch)
+        _apply(state, circuit)
         for lane in (0, batch // 2, batch - 1):
-            extracted = packed.lane(lane)
+            extracted = state.lane(lane)
             assert [str(g) for g in extracted.stabilizer_generators()] == [
                 str(g) for g in scalar.stabilizer_generators()
             ]
@@ -112,48 +149,47 @@ class TestPackedAgainstScalar:
     def test_expectations_match_scalar(self, seed):
         circuit = _random_clifford_circuit(num_qubits=4, depth=40, seed=seed)
         scalar = StabilizerTableau(4)
-        packed = PackedBatchTableau(4, 66)
         for operation in circuit:
             scalar.apply_gate(operation.name, operation.qubits)
-            packed.apply_gate(operation.name, operation.qubits)
+        state = PauliFrameBatch(4, 66)
+        _apply(state, circuit)
         rng = np.random.default_rng(seed)
         for _ in range(20):
             x = rng.integers(0, 2, size=4).astype(np.uint8)
             z = rng.integers(0, 2, size=4).astype(np.uint8)
             pauli = PauliString(x, z)
-            assert (packed.expectation(pauli) == scalar.expectation(pauli)).all()
+            assert (state.expectation(pauli) == scalar.expectation(pauli)).all()
 
     def test_pauli_injection_matches_scalar(self):
         circuit = _random_clifford_circuit(num_qubits=4, depth=30, seed=9)
         scalar = StabilizerTableau(4)
-        packed = PackedBatchTableau(4, 3)
         for operation in circuit:
             scalar.apply_gate(operation.name, operation.qubits)
-            packed.apply_gate(operation.name, operation.qubits)
+        state = PauliFrameBatch(4, 3)
+        _apply(state, circuit)
         pauli = PauliString.from_label("XYZI")
         scalar.apply_pauli(pauli)
-        packed.apply_pauli(pauli)
+        _inject_bits(state, np.tile(pauli.x, (3, 1)), np.tile(pauli.z, (3, 1)))
         for lane in range(3):
-            assert [str(g) for g in packed.lane(lane).stabilizer_generators()] == [
+            assert [str(g) for g in state.lane(lane).stabilizer_generators()] == [
                 str(g) for g in scalar.stabilizer_generators()
             ]
 
     def test_per_lane_pauli_bits_match_scalar(self):
         circuit = _random_clifford_circuit(num_qubits=4, depth=30, seed=5)
         batch_size = 70
-        packed = PackedBatchTableau(4, batch_size)
-        for operation in circuit:
-            packed.apply_gate(operation.name, operation.qubits)
+        state = PauliFrameBatch(4, batch_size)
+        _apply(state, circuit)
         rng = np.random.default_rng(3)
         x_bits = rng.integers(0, 2, size=(batch_size, 4)).astype(np.uint8)
         z_bits = rng.integers(0, 2, size=(batch_size, 4)).astype(np.uint8)
-        packed.apply_pauli_bits(x_bits, z_bits)
+        _inject_bits(state, x_bits, z_bits)
         for lane in (0, 33, 63, 64, 69):
             scalar = StabilizerTableau(4)
             for operation in circuit:
                 scalar.apply_gate(operation.name, operation.qubits)
             scalar.apply_pauli(PauliString(x_bits[lane], z_bits[lane]))
-            assert [str(g) for g in packed.lane(lane).stabilizer_generators()] == [
+            assert [str(g) for g in state.lane(lane).stabilizer_generators()] == [
                 str(g) for g in scalar.stabilizer_generators()
             ]
 
@@ -161,96 +197,101 @@ class TestPackedAgainstScalar:
         scalar = StabilizerTableau(3)
         scalar.h(0)
         scalar.cnot(0, 1)
-        packed = PackedBatchTableau.from_tableau(scalar, 66, rng=np.random.default_rng(0))
+        state = PauliFrameBatch.from_tableau(scalar, 66, rng=np.random.default_rng(0))
         for lane in (0, 64, 65):
-            assert [str(g) for g in packed.lane(lane).stabilizer_generators()] == [
+            assert [str(g) for g in state.lane(lane).stabilizer_generators()] == [
                 str(g) for g in scalar.stabilizer_generators()
             ]
 
     def test_copy_is_independent(self):
-        packed = PackedBatchTableau(2, 10)
-        clone = packed.copy()
-        clone.x(0)
-        assert (packed.measure(0) == 0).all()
-        assert (clone.measure(0) == 1).all()
+        state = PauliFrameBatch(2, 10)
+        clone = state.copy()
+        _apply(clone, Circuit(2).x(0))
+        assert (_measured(state, m=("Z", 0))["m"] == 0).all()
+        assert (_measured(clone, m=("Z", 0))["m"] == 1).all()
 
 
 class TestPackedMeasurement:
     @pytest.mark.parametrize("batch", RAGGED_BATCHES)
     def test_bell_collapse_and_reset_ragged(self, batch):
-        packed = PackedBatchTableau(2, batch, rng=np.random.default_rng(batch))
-        packed.h(0)
-        packed.cnot(0, 1)
-        first = packed.measure(0)
+        circuit = (
+            Circuit(2)
+            .h(0)
+            .cnot(0, 1)
+            .measure(0, label="first")
+            .measure(1, label="partner")
+            .measure(0, label="again")
+            .prepare(0)
+            .measure(0, label="reset")
+        )
+        outcomes = _apply(
+            PauliFrameBatch(2, batch), circuit, rng=np.random.default_rng(batch)
+        ).measurements
+        first = outcomes["first"]
         assert first.shape == (batch,)
         # Collapsed lanes re-measure deterministically and stay correlated.
-        assert np.array_equal(packed.measure(1), first)
-        assert np.array_equal(packed.measure(0), first)
-        packed.reset(0)
-        assert (packed.measure(0) == 0).all()
+        assert np.array_equal(outcomes["partner"], first)
+        assert np.array_equal(outcomes["again"], first)
+        assert (outcomes["reset"] == 0).all()
 
     def test_random_outcome_fractions(self):
-        packed = PackedBatchTableau(1, 4096, rng=np.random.default_rng(0))
-        packed.h(0)
-        outcomes = packed.measure(0)
+        state = PauliFrameBatch(1, 4096)
+        outcomes = _apply(state, Circuit(1).h(0).measure(0, label="m")).measurements["m"]
         assert 0.45 < outcomes.mean() < 0.55
 
     def test_measure_x_on_plus_state_is_deterministic(self):
-        packed = PackedBatchTableau(1, 70)
-        packed.h(0)
-        assert (packed.measure_x(0) == 0).all()
+        state = PauliFrameBatch(1, 70)
+        _apply(state, Circuit(1).h(0))
+        assert (_measured(state, m=("X", 0))["m"] == 0).all()
 
     def test_measure_x_on_minus_state(self):
-        packed = PackedBatchTableau(1, 70)
-        packed.x(0)
-        packed.h(0)  # |-> state
-        assert (packed.measure_x(0) == 1).all()
+        state = PauliFrameBatch(1, 70)
+        _apply(state, Circuit(1).x(0).h(0))  # |-> state
+        assert (_measured(state, m=("X", 0))["m"] == 1).all()
 
     def test_reset_after_x_flip(self):
-        packed = PackedBatchTableau(2, 65)
-        packed.x(1)
-        packed.reset(1)
-        assert (packed.measure(1) == 0).all()
+        state = PauliFrameBatch(2, 65)
+        _apply(state, Circuit(2).x(1).prepare(1))
+        assert (_measured(state, m=("Z", 1))["m"] == 0).all()
 
     def test_ghz_outcomes_identical_across_register(self):
-        packed = PackedBatchTableau(3, 200, rng=np.random.default_rng(8))
-        packed.h(0)
-        packed.cnot(0, 1)
-        packed.cnot(1, 2)
-        first = packed.measure(0)
-        assert np.array_equal(packed.measure(1), first)
-        assert np.array_equal(packed.measure(2), first)
+        state = PauliFrameBatch(3, 200)
+        _apply(state, Circuit(3).h(0).cnot(0, 1).cnot(1, 2))
+        outcomes = _measured(
+            state, np.random.default_rng(8), a=("Z", 0), b=("Z", 1), c=("Z", 2)
+        )
+        assert np.array_equal(outcomes["b"], outcomes["a"])
+        assert np.array_equal(outcomes["c"], outcomes["a"])
 
     def test_mixed_random_and_deterministic_lanes(self):
         # Lane-dependent Pauli flips make outcome values differ per lane while
-        # the measurement stays deterministic; a following H makes it random.
+        # the measurement stays deterministic.
         batch = 130
-        packed = PackedBatchTableau(1, batch, rng=np.random.default_rng(4))
+        state = PauliFrameBatch(1, batch)
         flips = np.zeros((batch, 1), dtype=np.uint8)
         flips[::3, 0] = 1
-        packed.apply_pauli_bits(flips, np.zeros_like(flips))
-        outcomes = packed.measure(0)
+        _inject_bits(state, flips, np.zeros_like(flips))
+        outcomes = _measured(state, np.random.default_rng(4), m=("Z", 0))["m"]
         assert np.array_equal(outcomes, flips[:, 0])
 
     def test_invalid_lane_and_qubit_indices(self):
-        packed = PackedBatchTableau(2, 5)
+        state = PauliFrameBatch(2, 5)
         with pytest.raises(SimulationError):
-            packed.lane(5)
+            state.lane(5)
+        words = np.zeros((1, 1), dtype=np.uint64)
         with pytest.raises(SimulationError):
-            packed.h(2)
+            state.inject_pauli_words((2,), words, words)
         with pytest.raises(SimulationError):
-            packed.cnot(1, 1)
+            _apply(state, Circuit(3).h(2))
 
 
 class TestRandomizedCrossValidation:
-    """Randomized fuzz of the phase arithmetic against the scalar oracle.
+    """Randomized fuzz of measurement outcomes against oracles.
 
-    Deterministic measurement outcomes exercise the mod-4 bit-plane phase
-    accumulation with arbitrary destabilizer products; this fuzz caught a
-    sign-encoding bug (-1 contributions entered the reduction as 2 mod 4
-    instead of 3) that every hand-written circuit in this file missed.  Lanes
-    are diversified with per-lane random Pauli errors so sign bits differ
-    across the packed words.
+    Deterministic outcomes are checked lane by lane against scalar tableaux
+    extracted before the measurement, with lanes diversified by per-lane
+    random Pauli frames so outcomes differ across the packed words; random
+    noisy circuits are checked against outputs recorded from v1.9.
     """
 
     ONE_QUBIT = ("H", "S", "SDG", "X", "Y", "Z")
@@ -263,23 +304,25 @@ class TestRandomizedCrossValidation:
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 6))
             batch = 67
-            packed = PackedBatchTableau(n, batch, rng=np.random.default_rng(seed + 1))
+            state = PauliFrameBatch(n, batch)
             for _ in range(3):
+                circuit = Circuit(n)
                 for _ in range(25):
                     if rng.random() < 0.4:
                         a, b = map(int, rng.choice(n, 2, replace=False))
-                        packed.apply_gate(str(rng.choice(self.TWO_QUBIT)), (a, b))
+                        circuit.append(Gate.gate(str(rng.choice(self.TWO_QUBIT)), a, b))
                     else:
-                        packed.apply_gate(
-                            str(rng.choice(self.ONE_QUBIT)), (int(rng.integers(n)),)
+                        circuit.append(
+                            Gate.gate(str(rng.choice(self.ONE_QUBIT)), int(rng.integers(n)))
                         )
+                _apply(state, circuit)
                 x_bits = rng.integers(0, 2, (batch, n)).astype(np.uint8)
                 z_bits = rng.integers(0, 2, (batch, n)).astype(np.uint8)
-                packed.apply_pauli_bits(x_bits, z_bits)
+                _inject_bits(state, x_bits, z_bits)
                 qubit = int(rng.integers(n))
                 # Extract oracle lanes *before* the measurement mutates state.
-                oracles = {lane: packed.lane(lane) for lane in (0, 1, 33, 64, 66)}
-                outcomes = packed.measure(qubit)
+                oracles = {lane: state.lane(lane) for lane in (0, 1, 33, 64, 66)}
+                outcomes = _measured(state, np.random.default_rng(seed + 1), m=("Z", qubit))["m"]
                 for lane, oracle in oracles.items():
                     result = oracle.measure(qubit)
                     if result.deterministic:
@@ -324,13 +367,13 @@ class TestRandomizedCrossValidation:
 
     @pytest.mark.parametrize("batch", RAGGED_BATCHES)
     def test_fused_tier_matches_packed_bit_for_bit(self, batch):
-        """Random circuits + random noise: packed and fused agree exactly.
+        """Random circuits + random noise reproduce v1.9's packed engine.
 
-        Not a statistical check -- both engines draw the same noise (one
-        noise block for the built-in models) and the same measurement words, so
-        every measurement word, error count and final tableau plane
-        (ghost lanes included) must be identical on the same seed.
+        Not a statistical check -- the frame engine draws the same noise (one
+        noise block for the built-in models) and the same measurement words,
+        so every outcome and error count must equal the recorded digest.
         """
+        digest = hashlib.sha256()
         for seed in range(6):
             circuit = self._random_measured_circuit(seed=1000 + seed)
             rng = np.random.default_rng(seed)
@@ -345,23 +388,15 @@ class TestRandomizedCrossValidation:
                     p_move_per_cell=float(rng.uniform(0, 0.01)),
                 )
             mapper = LayoutMapper() if seed % 2 else None
-            packed = BatchedNoisyCircuitExecutor(
-                noise=noise, mapper=mapper, backend="packed"
-            ).run(circuit, batch, np.random.default_rng(77 + seed))
-            fused = BatchedNoisyCircuitExecutor(
-                noise=noise, mapper=mapper, backend="packed-fused"
-            ).run(circuit, batch, np.random.default_rng(77 + seed))
-            assert isinstance(fused.tableau, FusedPackedBatchTableau)
-            assert set(packed.measurements) == set(fused.measurements)
-            for label in packed.measurements:
-                assert np.array_equal(
-                    packed.measurements[label], fused.measurements[label]
-                ), (seed, batch, label)
-            assert np.array_equal(packed.error_count, fused.error_count), (seed, batch)
-            # Full final state equality, ghost bits of the ragged word included.
-            assert np.array_equal(packed.tableau._x, fused.tableau._x), (seed, batch)
-            assert np.array_equal(packed.tableau._z, fused.tableau._z), (seed, batch)
-            assert np.array_equal(packed.tableau._r, fused.tableau._r), (seed, batch)
+            result = BatchedNoisyCircuitExecutor(noise=noise, mapper=mapper).run(
+                circuit, batch, np.random.default_rng(77 + seed)
+            )
+            assert isinstance(result.tableau, PauliFrameBatch)
+            for label in sorted(result.measurements):
+                digest.update(label.encode())
+                digest.update(result.measurements[label].tobytes())
+            digest.update(result.error_count.astype(np.int64).tobytes())
+        assert digest.hexdigest() == GOLDEN["randomized"][str(batch)]
 
 
 class TestPackedExecutor:
@@ -375,36 +410,41 @@ class TestPackedExecutor:
             .measure(1, label="zero")
         )
         scalar = NoisyCircuitExecutor().run(circuit, np.random.default_rng(0))
-        batch = BatchedNoisyCircuitExecutor(backend="packed").run(
+        batch = BatchedNoisyCircuitExecutor(backend="frame").run(
             circuit, 70, np.random.default_rng(1)
         )
-        assert isinstance(batch.tableau, PackedBatchTableau)
+        assert isinstance(batch.tableau, PauliFrameBatch)
         assert (batch.measurements["one"] == scalar.measurements["one"]).all()
         assert (batch.measurements["zero"] == scalar.measurements["zero"]).all()
 
     def test_auto_backend_selection(self):
-        assert resolve_backend("auto", 1) == "packed-fused"
-        assert resolve_backend("packed", 1) == "packed"
-        assert resolve_backend("packed-fused", 1) == "packed-fused"
+        assert resolve_backend("auto", 1) == "frame"
+        assert resolve_backend("frame", 1) == "frame"
+        for name in ("packed", "packed-fused"):
+            with pytest.raises(SimulationError, match="'frame'"):
+                resolve_backend(name, 64)
         for name in ("uint8", "simd"):
             with pytest.raises(SimulationError):
                 resolve_backend(name, 64)
         for batch in (8, 64):
-            assert isinstance(create_batch_tableau("auto", 2, batch), FusedPackedBatchTableau)
-        plain = create_batch_tableau("packed", 2, 8)
-        assert type(plain) is PackedBatchTableau
+            assert isinstance(create_batch_tableau("auto", 2, batch), PauliFrameBatch)
+        assert type(create_batch_tableau("frame", 2, 8)) is PauliFrameBatch
 
     def test_executor_rejects_conflicting_tableau_and_backend(self):
         circuit = Circuit(1).measure(0)
-        state = FusedPackedBatchTableau(1, 8)
+        state = PauliFrameBatch(1, 8)
         with pytest.raises(SimulationError):
             BatchedNoisyCircuitExecutor(backend="packed").run(
                 circuit, 8, np.random.default_rng(0), tableau=state
             )
+        with pytest.raises(SimulationError, match="'frame'"):
+            BatchedNoisyCircuitExecutor().run(
+                circuit, 8, np.random.default_rng(0), tableau=state, backend="packed-fused"
+            )
 
     def test_executor_follows_passed_tableau_type(self):
         circuit = Circuit(1).x(0).measure(0, label="m")
-        state = PackedBatchTableau(1, 8, rng=np.random.default_rng(0))
+        state = PauliFrameBatch(1, 8, rng=np.random.default_rng(0))
         result = BatchedNoisyCircuitExecutor().run(
             circuit, 8, np.random.default_rng(0), tableau=state
         )
@@ -414,7 +454,7 @@ class TestPackedExecutor:
     def test_certain_measurement_noise_flips_every_lane(self):
         noise = OperationNoise(p_measure=1.0)
         circuit = Circuit(1).prepare(0).measure(0, label="out")
-        result = BatchedNoisyCircuitExecutor(noise=noise, backend="packed").run(
+        result = BatchedNoisyCircuitExecutor(noise=noise, backend="frame").run(
             circuit, 70, np.random.default_rng(0)
         )
         assert (result.measurements["out"] == 1).all()
@@ -423,11 +463,11 @@ class TestPackedExecutor:
     def test_movement_noise_requires_mapper(self):
         noise = OperationNoise(p_move_per_cell=1.0)
         circuit = Circuit(2).cnot(0, 1).measure(1, label="out")
-        without = BatchedNoisyCircuitExecutor(noise=noise, backend="packed").run(
+        without = BatchedNoisyCircuitExecutor(noise=noise, backend="frame").run(
             circuit, 70, np.random.default_rng(0)
         )
         with_mapper = BatchedNoisyCircuitExecutor(
-            noise=noise, mapper=LayoutMapper(), backend="packed"
+            noise=noise, mapper=LayoutMapper(), backend="frame"
         ).run(circuit, 70, np.random.default_rng(0))
         assert (without.error_count == 0).all()
         assert (with_mapper.error_count >= 1).all()
@@ -437,7 +477,7 @@ class TestPackedExecutor:
         circuit = Circuit(1).prepare(0)
         for _ in range(10):
             circuit.append(Gate.gate("I", 0))
-        result = BatchedNoisyCircuitExecutor(noise=noise, backend="packed").run(
+        result = BatchedNoisyCircuitExecutor(noise=noise, backend="frame").run(
             circuit, 66, np.random.default_rng(1)
         )
         assert (result.error_count == 10).all()
@@ -463,7 +503,7 @@ class TestPackedExecutor:
 
         circuit = Circuit(1).prepare(0).z(0).measure(0, label="out")
         result = BatchedNoisyCircuitExecutor(
-            noise=AlwaysXAfterGates(), backend="packed"
+            noise=AlwaysXAfterGates(), backend="frame"
         ).run(circuit, 70, np.random.default_rng(0))
         assert (result.measurements["out"] == 1).all()
         assert (result.error_count == 1).all()
@@ -486,7 +526,7 @@ class TestPackedExecutor:
             .measure(1, label="b")
         )
         scalar = NoisyCircuitExecutor().run(circuit, np.random.default_rng(0))
-        packed = BatchedNoisyCircuitExecutor(backend="packed").run(
+        packed = BatchedNoisyCircuitExecutor(backend="frame").run(
             circuit, batch, np.random.default_rng(0)
         )
         for label in ("a", "b"):
@@ -494,12 +534,12 @@ class TestPackedExecutor:
 
 
 class TestSteaneCrossValidation:
-    """Packed vs fused vs per-shot agreement on the Figure 7 level-1 workload."""
+    """Frame engine vs v1.9 fused vs per-shot agreement on the Figure 7 level-1 workload."""
 
     def test_zero_noise_never_fails_packed(self):
         params = EXPECTED_PARAMETERS.with_uniform_failure(0.0, keep_movement=False)
         experiment = Level1EccExperiment(
-            noise=_noise_for_rate(0.0, params), backend="packed"
+            noise=_noise_for_rate(0.0, params), backend="frame"
         )
         outcome = experiment.run_trial_batch_detailed(np.random.default_rng(3), 70)
         assert not outcome["failure"].any()
@@ -511,10 +551,10 @@ class TestSteaneCrossValidation:
         from repro.qecc.syndrome import full_error_correction_circuit
 
         circuit, x_extraction, z_extraction = full_error_correction_circuit()
-        executor = BatchedNoisyCircuitExecutor(noise=NoiselessModel(), backend="packed")
+        executor = BatchedNoisyCircuitExecutor(noise=NoiselessModel(), backend="frame")
         batch = 70
         rng = np.random.default_rng(4)
-        state = PackedBatchTableau(circuit.num_qubits, batch, rng=rng)
+        state = PauliFrameBatch(circuit.num_qubits, batch, rng=rng)
         executor.run(
             steane_encode_zero_circuit(num_qubits=circuit.num_qubits),
             batch,
@@ -530,29 +570,27 @@ class TestSteaneCrossValidation:
             assert not syndromes.any(), extraction.error_type
 
     def test_noisy_failure_rates_within_three_sigma_of_fused(self):
+        """Against v1.9's fused engine: 3000 shots at seed 2024, recorded."""
         rate = 1.0e-2  # high enough for meaningful statistics at modest shots
         trials = 3000
-        estimates = {}
-        for backend, seed in (("packed-fused", 2024), ("packed", 2025)):
-            experiment = Level1EccExperiment(
-                noise=_noise_for_rate(rate, EXPECTED_PARAMETERS), backend=backend
-            )
-            rng = np.random.default_rng(seed)
-            failures = 0
-            for _ in range(trials // 750):
-                failures += int(experiment.run_trial_batch(rng, 750).sum())
-            estimates[backend] = failures / trials
-        p_fused = estimates["packed-fused"]
-        p_packed = estimates["packed"]
-        combined_se = np.sqrt(
-            p_fused * (1 - p_fused) / trials + p_packed * (1 - p_packed) / trials
+        experiment = Level1EccExperiment(
+            noise=_noise_for_rate(rate, EXPECTED_PARAMETERS), backend="frame"
         )
-        assert abs(p_fused - p_packed) <= 3.0 * combined_se + 1e-12, estimates
+        rng = np.random.default_rng(2025)
+        failures = 0
+        for _ in range(trials // 750):
+            failures += int(experiment.run_trial_batch(rng, 750).sum())
+        p_frame = failures / trials
+        p_fused = GOLDEN["steane_fused_2024"] / trials
+        combined_se = np.sqrt(
+            p_fused * (1 - p_fused) / trials + p_frame * (1 - p_frame) / trials
+        )
+        assert abs(p_fused - p_frame) <= 3.0 * combined_se + 1e-12, (p_frame, p_fused)
 
     def test_noisy_failure_rate_within_three_sigma_of_per_shot(self):
         rate = 1.0e-2
         experiment = Level1EccExperiment(
-            noise=_noise_for_rate(rate, EXPECTED_PARAMETERS), backend="packed"
+            noise=_noise_for_rate(rate, EXPECTED_PARAMETERS), backend="frame"
         )
         packed_trials = 2250
         rng_packed = np.random.default_rng(11)
@@ -575,7 +613,7 @@ class TestSteaneCrossValidation:
 
     def test_ragged_batch_detailed_outcome_fields(self):
         experiment = Level1EccExperiment(
-            noise=_noise_for_rate(2e-3, EXPECTED_PARAMETERS), backend="packed"
+            noise=_noise_for_rate(2e-3, EXPECTED_PARAMETERS), backend="frame"
         )
         outcome = experiment.run_trial_batch_detailed(np.random.default_rng(0), 70)
         assert set(outcome) == {"failure", "nontrivial_syndrome", "verification_passed"}
