@@ -15,7 +15,9 @@ Two studies, both through the declarative ``machine_sim`` experiment:
 
 Every replay also reports where its host time went: the greedy EPR
 schedule (with the congestion-weighted route searches per demand), the
-discrete-event loop and the trace digest.  Results are written to
+discrete-event loop and the trace digest.  Every trace digest must equal
+its pinned value (:data:`PINNED_DIGESTS`), so a faster scheduler or trace
+cannot change a route or a record unnoticed.  Results are written to
 ``BENCH_desim_latency.json`` at the repository root, under a run header
 naming the library version, fused-kernel tier and host.
 Run under pytest (``pytest benchmarks/bench_desim_latency.py``) or directly
@@ -63,6 +65,32 @@ S5_TOFFOLIS_PER_LAYER = 21
 S5_LAYERS = 20
 
 SEED = 20260728
+
+#: Trace digests of every replay, by mode (smoke or full), study and
+#: bandwidth.  The full-mode adder values are the Shor-128 digests that
+#: ``perfbench/pinned.json`` pins; all were recorded with v1.10.0.
+PINNED_DIGESTS = {
+    "full": {
+        "adder_replay": {
+            1: "5ebb5b483ee6bc770c2daebc9fe4012895f7e6cdea138b4dd8fe4defbfc0b485",
+            2: "ff3b66be208bc0d0e5600644b7cda969a926e35214624ed59de6166dc46e0409",
+        },
+        "section5_workload": {
+            1: "c7030354cec8d4e7bc6158419332f4ba7a1c244bd507dcc99b62ccc2301e3d22",
+            2: "75c8d609be880ca55ea5a0b31523a9384c438b1be4d4a38e8d284b4caa4e5f32",
+        },
+    },
+    "smoke": {
+        "adder_replay": {
+            1: "a725feb9c80043893877ac4bcc5176eda1c2a2e3e8978a234d310184e90092a1",
+            2: "a725feb9c80043893877ac4bcc5176eda1c2a2e3e8978a234d310184e90092a1",
+        },
+        "section5_workload": {
+            1: "dc8ee62f2f9b4dd00445a209403bafa3d12ceebab143b1e4c63921173ea612d8",
+            2: "72a19a637edafba6b208966b33eebb2f22ab2e1ac30bc0a1c38d0e30f4671fd9",
+        },
+    },
+}
 
 _OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_desim_latency.json"
 
@@ -210,6 +238,12 @@ def _run_benchmark(smoke: bool = False) -> dict[str, object]:
 
 
 def _check(report: dict[str, object]) -> None:
+    # Bit for bit: every replay reproduces its pinned trace digest.
+    pinned = PINNED_DIGESTS["smoke" if report["smoke"] else "full"]
+    for study, digests in pinned.items():
+        for bandwidth, digest in digests.items():
+            replayed = report[study][f"bandwidth_{bandwidth}"]["trace_digest"]
+            assert replayed == digest, (study, bandwidth, replayed)
     section5 = report["section5_workload"]
     narrow, wide = section5["bandwidth_1"], section5["bandwidth_2"]
     # The Section 5 contract: bandwidth 2 avoids the stalls of bandwidth 1.

@@ -78,7 +78,9 @@ class DiscreteEventSimulator:
     def __init__(
         self, seed: int | tuple[int, ...] | np.random.SeedSequence | None = None
     ) -> None:
-        self._heap: list[Event] = []
+        # Heap entries are ``(time, priority, seq, event)``: ``seq`` is
+        # unique, so entries compare as plain int tuples, in event order.
+        self._heap: list[tuple[int, int, int, Event]] = []
         self._now = 0
         self._seq = 0
         self._processed = 0
@@ -134,9 +136,10 @@ class DiscreteEventSimulator:
         time = int(time)
         if time < self._now:
             raise DesimError(f"cannot schedule at cycle {time}; the clock is already at {self._now}")
-        event = Event(time, int(priority), self._seq, callback)
+        priority = int(priority)
+        event = Event(time, priority, self._seq, callback)
+        heapq.heappush(self._heap, (time, priority, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         return event
 
     def schedule(self, delay: int, callback: Callable[[], None], priority: int = 0) -> Event:
@@ -159,7 +162,7 @@ class DiscreteEventSimulator:
     def step(self) -> bool:
         """Execute the single next non-cancelled event; False when drained."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -176,16 +179,17 @@ class DiscreteEventSimulator:
         """
         if until is not None and until < self._now:
             raise DesimError(f"cannot run until cycle {until}; the clock is already at {self._now}")
-        while self._heap:
-            event = self._heap[0]
+        heap = self._heap
+        while heap:
+            time, _, _, event = heap[0]
             if event.cancelled:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
-            if until is not None and event.time > until:
+            if until is not None and time > until:
                 self._now = until
                 return self._now
-            heapq.heappop(self._heap)
-            self._now = event.time
+            heapq.heappop(heap)
+            self._now = time
             self._processed += 1
             event.callback()
         if until is not None:

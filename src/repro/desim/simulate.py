@@ -306,6 +306,10 @@ def simulate_workload(
         if pending[i] == 0:
             sim.schedule(0, lambda i=i: _deps_done(i))
     sim.run()
+    # The callbacks above call each other through closure cells, a reference
+    # cycle that holds the whole replay; emptying one cell frees the replay
+    # on return instead of at the next full garbage collection.
+    del _deps_done
 
     # ------------------------------------------------------------------
     # Metrics

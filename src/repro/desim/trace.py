@@ -2,8 +2,8 @@
 
 Every interesting moment of a machine simulation -- a transfer placed on the
 interconnect, a gate starting or completing, an ancilla factory producing a
-block -- is appended to a :class:`SimulationTrace` as one immutable
-:class:`TraceRecord`.  The trace serializes to canonical JSON lines
+block -- is appended to a :class:`SimulationTrace`, which hands it back as one
+immutable :class:`TraceRecord`.  The trace serializes to canonical JSON lines
 (``sort_keys``, no whitespace) and hashes to a SHA-256 digest, which is the
 object the determinism contract is stated against: the same spec (seed
 included) must yield a **bit-identical digest** on any machine.
@@ -17,6 +17,10 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 __all__ = ["TraceRecord", "SimulationTrace"]
+
+#: The canonical line encoder, built once: ``json.dumps`` with these
+#: arguments would construct a new encoder for every record.
+_ENCODE_LINE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -53,48 +57,53 @@ class TraceRecord:
 
 @dataclass
 class SimulationTrace:
-    """An append-only sequence of :class:`TraceRecord` with a canonical digest."""
+    """An append-only sequence of :class:`TraceRecord` with a canonical digest.
 
-    _records: list[TraceRecord] = field(default_factory=list)
+    Records are stored as ``(cycle, kind, subject, data)`` with ``data`` the
+    payload dictionary, and become :class:`TraceRecord` objects only when
+    read back.
+    """
 
-    def emit(self, cycle: int, kind: str, subject: str, **data: object) -> TraceRecord:
-        """Append one record (payload keys are sorted for canonical form)."""
-        record = TraceRecord(
-            cycle=int(cycle),
-            kind=kind,
-            subject=subject,
-            data=tuple(sorted(data.items())),
-        )
-        self._records.append(record)
-        return record
+    _records: list[tuple[int, str, str, dict[str, object]]] = field(default_factory=list)
+
+    def emit(self, cycle: int, kind: str, subject: str, **data: object) -> None:
+        """Append one record."""
+        self._records.append((int(cycle), kind, subject, data))
+
+    @staticmethod
+    def _record(entry: tuple[int, str, str, dict[str, object]]) -> TraceRecord:
+        cycle, kind, subject, data = entry
+        return TraceRecord(cycle, kind, subject, tuple(sorted(data.items())))
 
     @property
     def records(self) -> tuple[TraceRecord, ...]:
         """All records, in emission order."""
-        return tuple(self._records)
+        return tuple(map(self._record, self._records))
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return map(self._record, self._records)
 
     def filter(self, kind: str) -> tuple[TraceRecord, ...]:
         """All records of one kind, in emission order."""
-        return tuple(record for record in self._records if record.kind == kind)
+        return tuple(self._record(entry) for entry in self._records if entry[1] == kind)
 
     def counts(self) -> dict[str, int]:
         """Record count per kind."""
         out: dict[str, int] = {}
-        for record in self._records:
-            out[record.kind] = out.get(record.kind, 0) + 1
+        for _, kind, _, _ in self._records:
+            out[kind] = out.get(kind, 0) + 1
         return out
 
     def to_jsonl(self) -> str:
         """Canonical JSON-lines serialization (sorted keys, no whitespace)."""
         return "\n".join(
-            json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
-            for record in self._records
+            [
+                _ENCODE_LINE({"cycle": cycle, "kind": kind, "subject": subject, **data})
+                for cycle, kind, subject, data in self._records
+            ]
         )
 
     def digest(self) -> str:

@@ -66,6 +66,7 @@ Entry points
 from __future__ import annotations
 
 import json
+import logging
 import os
 import socket
 import tempfile
@@ -106,6 +107,8 @@ DEFAULT_LEASE_SECONDS = 30.0
 #: consulted when this flag is set, so a chaos profile can never kill the
 #: merging parent, a service thread, or a plain ``coordinate=True`` caller.
 WORKER_FLAG_ENV = "_REPRO_DISTRIBUTED_WORKER"
+
+_LOG = logging.getLogger("repro")
 
 
 class DistributedSweepError(QLAError):
@@ -325,6 +328,12 @@ class ClaimStore:
                 pass
             return None
         generation = (renamed.generation + 1) if renamed is not None else 1
+        _LOG.warning(
+            "reaped %s claim on %s...; re-claiming it as generation %d",
+            f"stale {renamed.worker!r}" if renamed is not None else "unreadable",
+            key[:12],
+            generation,
+        )
         try:
             os.unlink(tombstone)
         except OSError:  # pragma: no cover - tombstone cleanup is best-effort
@@ -407,6 +416,8 @@ class ClaimStore:
             os.rename(self.path_for(key), tombstone)
         except OSError:
             return False
+        owner = f"stale {current.worker!r}" if current is not None else "unreadable"
+        _LOG.warning("removed %s claim on %s... after its result was cached", owner, key[:12])
         try:
             os.unlink(tombstone)
         except OSError:  # pragma: no cover - tombstone cleanup is best-effort

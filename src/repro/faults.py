@@ -78,6 +78,7 @@ fault, for testing retry exhaustion and nonzero CLI exits).
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import signal
 import time
@@ -112,6 +113,8 @@ __all__ = [
 
 #: Environment variable activating a fault profile (preset name or spec).
 FAULTS_ENV = "REPRO_FAULTS"
+
+_LOG = logging.getLogger("repro")
 
 WORKER_CRASH = "worker.crash"
 WORKER_HANG = "worker.hang"
@@ -401,11 +404,13 @@ def maybe_inject(site: str, key: str, attempt: int = 0) -> None:
       return (the point proceeds; a per-point timeout is what kills it).
     * every other site -- raise :class:`InjectedFault`.
 
-    No-op when no profile is active or the decision does not fire.
+    No-op when no profile is active or the decision does not fire.  A
+    fault that fires is logged at WARNING on the ``repro`` logger first.
     """
     profile = active_profile()
     if profile is None or not should_fire(site, key, attempt, profile=profile):
         return
+    _LOG.warning("injecting %s fault (key=%s..., attempt=%d)", site, key[:12], attempt)
     if site in (WORKER_CRASH, EXPLORE_CLAIM):
         os.kill(os.getpid(), signal.SIGKILL)
     if site == WORKER_HANG:

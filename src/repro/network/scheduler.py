@@ -230,30 +230,39 @@ class GreedyEprScheduler:
     # ------------------------------------------------------------------
 
     def schedule(self, demands: list[EprDemand]) -> ScheduleResult:
-        """Place all demands, greedily, window by window."""
+        """Place all demands, greedily, window by window.
+
+        Only the window being filled takes new load, so one load list over
+        the topology's edge ids serves every window: after a window, the
+        edges it touched are copied into :attr:`ScheduleResult.edge_load`
+        (in first-touch order) and reset.
+        """
         result = ScheduleResult(capacity_per_edge=self.capacity_per_edge_per_window)
         if not demands:
             return result
         last_window = max(d.window for d in demands)
         horizon = last_window + self._max_deferral + 1
-        edge_load: dict[int, dict[Edge, int]] = {w: {} for w in range(horizon)}
         pending: dict[int, list[EprDemand]] = {w: [] for w in range(horizon)}
         for demand in demands:
             pending[demand.window].append(demand)
+        index = self._topology.index
+        load = [0] * index.num_edge_slots
 
         for window in range(horizon):
-            queue = pending[window]
-            for demand in queue:
-                placed = self._try_place(demand, window, edge_load[window], result)
-                if placed:
+            touched: list[int] = []
+            for demand in pending[window]:
+                if self._try_place(demand, window, load, touched, result):
                     continue
                 next_window = window + 1
                 if next_window < horizon and next_window <= demand.window + self._max_deferral:
                     pending[next_window].append(demand)
                 else:
                     result.unserved.append(demand)
+            if touched:
+                result.edge_load[window] = {index.edges[edge]: load[edge] for edge in touched}
+                for edge in touched:
+                    load[edge] = 0
 
-        result.edge_load = {w: load for w, load in edge_load.items() if load}
         result.num_windows = horizon
         return result
 
@@ -261,25 +270,35 @@ class GreedyEprScheduler:
         self,
         demand: EprDemand,
         window: int,
-        load: dict[Edge, int],
+        load: list[int],
+        touched: list[int],
         result: ScheduleResult,
     ) -> bool:
         """Walk the candidate routes in order; reserve the first that fits.
 
-        The candidates are generated lazily, so the congestion search runs
-        only when both dimension-ordered routes are full.
+        ``load`` is the window's load per edge id and ``touched`` the edge
+        ids it has loaded, in first-touch order.  The candidates are
+        generated lazily, so the congestion search runs only when both
+        dimension-ordered routes are full.
         """
         if demand.source == demand.destination:
             result.transfers.append(
                 ScheduledTransfer(demand=demand, route=Route(nodes=(demand.source,)), window=window)
             )
             return True
-        capacity = self.capacity_per_edge_per_window
+        pairs = demand.pairs
+        limit = self.capacity_per_edge_per_window - pairs
+        route_edge_ids = self._topology.index.route_edge_ids
         for route in self._router.candidate_routes(demand.source, demand.destination, load):
-            edges = route.directed_edges()
-            if all(load.get(edge, 0) + demand.pairs <= capacity for edge in edges):
+            edges = route_edge_ids(route.nodes)
+            for edge in edges:
+                if load[edge] > limit:
+                    break
+            else:
                 for edge in edges:
-                    load[edge] = load.get(edge, 0) + demand.pairs
+                    if not load[edge]:  # demands carry at least one pair
+                        touched.append(edge)
+                    load[edge] += pairs
                 result.transfers.append(
                     ScheduledTransfer(demand=demand, route=route, window=window)
                 )

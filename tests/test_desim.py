@@ -9,6 +9,7 @@ cross-validation of the event-driven latency against the analytic
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -30,6 +31,7 @@ from repro.circuits.arithmetic import ripple_carry_adder_circuit
 from repro.desim import (
     CycleResource,
     DiscreteEventSimulator,
+    LinkParameters,
     QLAMachineModel,
     SimulationTrace,
     adder_workload_circuit,
@@ -187,6 +189,77 @@ class TestSimulationTrace:
         }
 
 
+def _json_dumps_jsonl(records: list[dict]) -> str:
+    """The canonical serialization, spelled with ``json.dumps`` per record."""
+    return "\n".join(json.dumps(record, sort_keys=True, separators=(",", ":")) for record in records)
+
+
+#: One record of every kind the simulator emits, with its payload types,
+#: then JSON edge cases.
+_CONTRACT_RECORDS = (
+    ("epr_transfer", "demand3", dict(window=4, requested=2, hops=7, source=[0, 5], destination=[3, 1])),
+    ("epr_unserved", "demand9", dict(requested=11)),
+    ("link_generation", "demand3", dict(attempts=12, occupancy_cycles=3400, segments=4)),
+    ("link_purification", "demand3", dict(rounds=2, failures=1, occupancy_cycles=880)),
+    ("link_fault", "demand3", {}),
+    (
+        "link_delivery",
+        "demand3",
+        dict(fidelity=0.9612345678901234, generation_stall=17, purification_stall=0, swap_levels=2),
+    ),
+    ("ancilla_start", "op5", dict(production=1234567)),
+    ("ancilla_ready", "op5", {}),
+    ("op_start", "op5", dict(opcode="TOFFOLI", qubits=[3, 4, 5], window=6)),
+    ("op_complete", "op5", {}),
+    ("edge_bool_none", "x", dict(flag=True, other=False, nothing=None)),
+    ("edge_floats", "x", dict(tenth=0.1, tiny=1e-300, negative=-2.5)),
+    ("edge_text", "qubit ψ → état", dict(label="Größe ✓", empty="")),
+    ("edge_nested", "x", dict(nested=[[1, [2, []]], ["a", None]], pairs=[[0, 1], [2, 3]])),
+    ("edge_key_order", "x", dict(attempts=3, zeta=1, alpha=[1])),
+)
+
+
+class TestTraceEncodingContract:
+    """``to_jsonl`` and ``digest`` equal a per-record ``json.dumps`` reference."""
+
+    def test_every_payload_type_and_edge_case(self):
+        trace = SimulationTrace()
+        expected = []
+        for cycle, (kind, subject, data) in enumerate(_CONTRACT_RECORDS):
+            trace.emit(cycle, kind, subject, **data)
+            expected.append({"cycle": cycle, "kind": kind, "subject": subject, **data})
+        reference = _json_dumps_jsonl(expected)
+        assert trace.to_jsonl() == reference
+        assert trace.digest() == hashlib.sha256(reference.encode("utf-8")).hexdigest()
+        assert [record.to_dict() for record in trace.records] == expected
+        assert [record.to_dict() for record in trace] == expected
+        # A payload key that sorts before ``cycle`` comes first on its line.
+        assert trace.to_jsonl().splitlines()[-1].startswith('{"alpha":[1],"attempts":3,"cycle":')
+        assert "\\u00df" in trace.to_jsonl()  # ensure_ascii, as json.dumps
+
+    def test_records_read_back_as_sorted_trace_records(self):
+        trace = SimulationTrace()
+        trace.emit(7, "op_start", "op0", window=1, qubits=[0], opcode="H")
+        (record,) = trace.records
+        assert (record.cycle, record.kind, record.subject) == (7, "op_start", "op0")
+        assert record.data == (("opcode", "H"), ("qubits", [0]), ("window", 1))
+        assert trace.filter("op_start") == (record,) and trace.filter("op_complete") == ()
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_simulator_traces_match_the_reference(self, noisy):
+        link = LinkParameters(
+            attempt_success_probability=0.9, base_fidelity=0.95, target_fidelity=0.96
+        ) if noisy else None
+        machine = QLAMachineModel.build(rows=5, columns=5, bandwidth=1, level=1, link=link)
+        report = simulate_circuit(adder_workload_circuit(4), machine, seed=11)
+        records = [record.to_dict() for record in report.trace.records]
+        assert report.trace.to_jsonl() == _json_dumps_jsonl(records)
+        kinds = set(report.trace.counts())
+        assert {"epr_transfer", "ancilla_start", "op_start", "op_complete"} <= kinds
+        if noisy:
+            assert {"link_generation", "link_purification", "link_delivery"} <= kinds
+
+
 # ----------------------------------------------------------------------
 # Timing-only compilation
 # ----------------------------------------------------------------------
@@ -237,6 +310,52 @@ def _small_machine(bandwidth: int = 2, level: int = 1, **kwargs) -> QLAMachineMo
     return QLAMachineModel.build(
         rows=5, columns=5, bandwidth=bandwidth, level=level, **kwargs
     )
+
+
+#: The 64-bit Shor adder replayed on a 20x20 level-2 array, with the values
+#: ``perfbench/pinned.json`` records for the ``shor-adder`` workload: the
+#: congestion search fires 170 times at bandwidth 1, so every tie-break of
+#: the router and every scheduler placement shows in the digest.
+ADDER_64_PINS = {
+    1: {
+        "trace_digest": "8347ea16eaaa1c0303557ecdf2a22bfaa825549b0e270aea8a5c4c249c0cf425",
+        "epr_deferred": 67,
+    },
+    2: {
+        "trace_digest": "61d81949d5a3e03ac470a70062e8c8862f155635772c2778e676056edbbb1901",
+        "epr_deferred": 10,
+    },
+}
+
+
+class TestPinnedAdderReplays:
+    @pytest.mark.parametrize("bandwidth", [1, 2])
+    def test_64_bit_adder_replay_is_pinned(self, bandwidth, monkeypatch):
+        events = []
+        original = DiscreteEventSimulator.run
+
+        def counting(self, *args, **kwargs):
+            clock = original(self, *args, **kwargs)
+            events.append(self.events_processed)
+            return clock
+
+        monkeypatch.setattr(DiscreteEventSimulator, "run", counting)
+        spec = ExperimentSpec(
+            experiment="machine_sim",
+            noise=NoiseSpec(kind="technology", parameters="expected"),
+            sampling=SamplingSpec(shots=0, seed=1),
+            execution=ExecutionSpec(backend="desim"),
+            machine=MachineSpec(
+                rows=20, columns=20, bandwidth=bandwidth, level=2, workload="adder",
+                workload_bits=64,
+            ),
+        )
+        value = run(spec).value
+        pinned = ADDER_64_PINS[bandwidth]
+        assert value["trace_digest"] == pinned["trace_digest"]
+        assert value["epr_deferred"] == pinned["epr_deferred"]
+        assert value["trace_records"] == 2292
+        assert events == [1082]
 
 
 class TestReplayDeterminism:

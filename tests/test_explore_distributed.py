@@ -17,6 +17,7 @@ twice anywhere, the ledger has more lines than the grid has points.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 import time
@@ -179,6 +180,29 @@ class TestClaimStore:
         time.sleep(0.08)
         assert store.cleanup_stale(key) is True
         assert store.read(key) is None
+
+    def test_reaps_are_logged(self, tmp_path, caplog):
+        dead = ClaimStore(tmp_path, worker="dead", lease_seconds=0.05)
+        live = ClaimStore(tmp_path, worker="live", lease_seconds=5.0)
+        stale, torn, cached = "cd" * 32, "ef" * 32, "01" * 32
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            dead.acquire(stale)
+            dead.acquire(cached)
+            live.path_for(torn).write_text("{torn")
+            assert live.acquire(stale) is None  # fresh: nothing reaped
+            assert caplog.records == []
+            time.sleep(0.08)
+            assert live.acquire(stale).generation == 1
+            assert live.acquire(torn).generation == 1
+            assert live.cleanup_stale(cached) is True
+            assert live.cleanup_stale(cached) is False  # already gone: no log
+        messages = [r.getMessage() for r in caplog.records if r.name == "repro"]
+        assert messages == [
+            "reaped stale 'dead' claim on cdcdcdcdcdcd...; re-claiming it as generation 1",
+            "reaped unreadable claim on efefefefefef...; re-claiming it as generation 1",
+            "removed stale 'dead' claim on 010101010101... after its result was cached",
+        ]
+        assert {r.levelno for r in caplog.records} == {logging.WARNING}
 
     def test_reap_verifies_it_renamed_the_stale_claim(self, tmp_path, monkeypatch):
         # Regression: two reapers race on one stale claim.  B reaps it and

@@ -8,6 +8,9 @@ same faults across processes and runs.
 
 from __future__ import annotations
 
+import logging
+import signal
+
 import pytest
 
 from repro import faults
@@ -166,6 +169,40 @@ class TestMaybeInject:
     def test_noop_when_inactive(self):
         with faults.no_faults():
             faults.maybe_inject(faults.POINT_TRANSIENT, "k")
+
+    def test_fired_fault_is_logged(self, caplog):
+        key = faults.fault_key("x")
+        with faults.fault_profile(FaultProfile(seed=0, transient=1.0)):
+            with caplog.at_level(logging.WARNING, logger="repro"):
+                with pytest.raises(InjectedFault):
+                    faults.maybe_inject(faults.POINT_TRANSIENT, key, attempt=0)
+        messages = [r.getMessage() for r in caplog.records if r.name == "repro"]
+        assert messages == [f"injecting point.transient fault (key={key[:12]}..., attempt=0)"]
+        assert caplog.records[0].levelno == logging.WARNING
+
+    @pytest.mark.parametrize("site", [faults.WORKER_CRASH, faults.EXPLORE_CLAIM])
+    def test_kill_sites_log_before_the_sigkill(self, caplog, monkeypatch, site):
+        kills = []
+        monkeypatch.setattr(
+            faults.os, "kill", lambda pid, sig: kills.append((sig, len(caplog.records)))
+        )
+        profile = FaultProfile(seed=0, crash=1.0, claim=1.0)
+        with faults.fault_profile(profile), caplog.at_level(logging.WARNING, logger="repro"):
+            # The stand-in kill returns, so the call falls through to a raise.
+            with pytest.raises(InjectedFault):
+                faults.maybe_inject(site, faults.fault_key("x"))
+        assert kills == [(signal.SIGKILL, 1)]
+        assert caplog.records[0].getMessage().startswith(f"injecting {site} fault")
+
+    def test_nothing_is_logged_when_no_fault_fires(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            with faults.no_faults():
+                faults.maybe_inject(faults.POINT_TRANSIENT, "k")
+            with faults.fault_profile(FaultProfile(seed=0, transient=1.0, fail_attempts=1)):
+                faults.maybe_inject(faults.POINT_TRANSIENT, "k", attempt=1)
+            with faults.fault_profile(FaultProfile(seed=0)):
+                faults.maybe_inject(faults.WORKER_CRASH, "k")
+        assert [r for r in caplog.records if r.name == "repro"] == []
 
     def test_hang_sleeps_then_proceeds(self):
         import time

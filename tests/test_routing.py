@@ -1,4 +1,4 @@
-"""Congestion routing: golden routes, a live networkx fuzz, and lazy candidates.
+"""Congestion routing: golden routes, reference fuzzes, and lazy candidates.
 
 ``ShortestPathRouter.congestion_weighted`` must return exactly the path
 networkx 3.x ``shortest_path`` returned on the mesh graph the package used
@@ -7,6 +7,11 @@ digests depend on every route.  ``tests/data/congestion_routes.json`` holds
 routes recorded from networkx; regenerate it (networkx required) with
 
     PYTHONPATH=src python tests/test_routing.py --record
+
+Without networkx the routes are fuzzed against ``_heap_reference``, the
+tuple-keyed heap search the router ran before it moved to integer ids and a
+bucket queue, and the scheduler against ``_eager_schedule``, a reference
+that builds every candidate route over the public router API.
 """
 
 from __future__ import annotations
@@ -14,10 +19,13 @@ from __future__ import annotations
 import json
 import random
 import sys
+from heapq import heappop, heappush
+from itertools import count
 from pathlib import Path
 
 import pytest
 
+from repro.exceptions import RoutingError
 from repro.network import (
     EprDemand,
     GreedyEprScheduler,
@@ -134,6 +142,55 @@ class TestCongestionWeighted:
                 mismatches.append(index)
         assert mismatches == []
 
+    def test_fuzz_against_heap_reference(self):
+        rng = random.Random(11)
+        for rows, columns in MESHES + ((3, 3), (2, 6)):
+            topology = InterconnectTopology(rows, columns)
+            router = ShortestPathRouter(topology)
+            for case in range(60):
+                load, source, destination = _random_query(rng, rows, columns)
+                if case % 10 == 0:
+                    destination = source
+                if case % 3 == 0:
+                    # Loads at the scheduler's capacity (3 transfers per lane,
+                    # bandwidth 2) and above it.
+                    load = {edge: rng.choice((6, 6, 7, 12, 40)) for edge in load}
+                expected = _heap_reference(topology.adjacency, source, destination, load)
+                assert list(router.congestion_weighted(source, destination, load).nodes) == (
+                    expected
+                ), (rows, columns, source, destination, load)
+
+    def test_load_list_over_edge_ids_routes_like_the_dict(self):
+        rng = random.Random(5)
+        topology = InterconnectTopology(12, 4)
+        router, index = ShortestPathRouter(topology), topology.index
+        for _ in range(40):
+            load, source, destination = _random_query(rng, 12, 4)
+            vector = [0] * index.num_edge_slots
+            for edge, units in load.items():
+                vector[index.edge_ids[edge]] = units
+            assert router.congestion_weighted(source, destination, vector) == (
+                router.congestion_weighted(source, destination, load)
+            )
+
+    @pytest.mark.parametrize("units", [-1, 1.5, 2.0, "2", None])
+    def test_bad_loads_raise_routing_error(self, units):
+        router = ShortestPathRouter(InterconnectTopology(4, 4))
+        with pytest.raises(RoutingError):
+            router.congestion_weighted((0, 0), (3, 3), {((0, 0), (0, 1)): units})
+
+    def test_load_list_of_the_wrong_length_raises_routing_error(self):
+        router = ShortestPathRouter(InterconnectTopology(4, 4))
+        with pytest.raises(RoutingError, match="64 entries"):
+            router.congestion_weighted((0, 0), (3, 3), [0] * 10)
+
+    def test_edges_off_the_mesh_carry_no_load(self):
+        router = ShortestPathRouter(InterconnectTopology(4, 4))
+        off_mesh = {((0, 0), (2, 2)): 5, ((9, 9), (9, 8)): 5}
+        assert router.congestion_weighted((0, 0), (3, 3), off_mesh) == (
+            router.congestion_weighted((0, 0), (3, 3))
+        )
+
     def test_live_fuzz_against_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(7)
@@ -165,41 +222,66 @@ def _random_demands(seed: int, rows: int, columns: int, count: int, windows: int
     return demands
 
 
-class _EagerScheduler(GreedyEprScheduler):
-    """Reference: builds the full candidate list before trying any route."""
+def _eager_schedule(
+    topology: InterconnectTopology,
+    demands: list,
+    transfers_per_lane_per_window: int = 3,
+    max_deferral_windows: int = 4,
+) -> ScheduleResult:
+    """Reference greedy schedule that builds every candidate before trying any.
 
-    def _try_place(self, demand, window, load, result) -> bool:
-        if demand.source == demand.destination:
-            result.transfers.append(
-                ScheduledTransfer(demand=demand, route=Route(nodes=(demand.source,)), window=window)
-            )
-            return True
-        candidates = [
-            self._router.dimension_ordered(demand.source, demand.destination, x_first=True),
-            self._router.dimension_ordered(demand.source, demand.destination, x_first=False),
-            self._router.congestion_weighted(demand.source, demand.destination, load),
-        ]
-        unique: list[Route] = []
-        for route in candidates:
-            if route.nodes not in {r.nodes for r in unique}:
-                unique.append(route)
-        capacity = self.capacity_per_edge_per_window
-        for route in unique:
-            edges = route.directed_edges()
-            if all(load.get(edge, 0) + demand.pairs <= capacity for edge in edges):
-                for edge in edges:
-                    load[edge] = load.get(edge, 0) + demand.pairs
-                transfer = ScheduledTransfer(demand=demand, route=route, window=window)
-                result.transfers.append(transfer)
-                return True
-        return False
+    Per-window loads are dictionaries keyed by directed edge, and routes come
+    from the public router methods only.
+    """
+    router = ShortestPathRouter(topology)
+    capacity = topology.bandwidth * transfers_per_lane_per_window
+    result = ScheduleResult(capacity_per_edge=capacity)
+    if not demands:
+        return result
+    horizon = max(d.window for d in demands) + max_deferral_windows + 1
+    edge_load: dict[int, dict] = {w: {} for w in range(horizon)}
+    pending: dict[int, list] = {w: [] for w in range(horizon)}
+    for demand in demands:
+        pending[demand.window].append(demand)
+    for window in range(horizon):
+        load = edge_load[window]
+        for demand in pending[window]:
+            if demand.source == demand.destination:
+                route = Route(nodes=(demand.source,))
+                result.transfers.append(ScheduledTransfer(demand, route, window))
+                continue
+            candidates = [
+                router.dimension_ordered(demand.source, demand.destination, x_first=True),
+                router.dimension_ordered(demand.source, demand.destination, x_first=False),
+                router.congestion_weighted(demand.source, demand.destination, load),
+            ]
+            unique: list[Route] = []
+            for route in candidates:
+                if route.nodes not in {r.nodes for r in unique}:
+                    unique.append(route)
+            for route in unique:
+                edges = route.directed_edges()
+                if all(load.get(edge, 0) + demand.pairs <= capacity for edge in edges):
+                    for edge in edges:
+                        load[edge] = load.get(edge, 0) + demand.pairs
+                    result.transfers.append(ScheduledTransfer(demand, route, window))
+                    break
+            else:
+                if window + 1 < horizon and window + 1 <= demand.window + max_deferral_windows:
+                    pending[window + 1].append(demand)
+                else:
+                    result.unserved.append(demand)
+    result.edge_load = {w: load for w, load in edge_load.items() if load}
+    result.num_windows = horizon
+    return result
 
 
 def _summary(result: ScheduleResult) -> tuple:
     return (
         [(t.demand, t.route.nodes, t.window) for t in result.transfers],
         list(result.unserved),
-        result.edge_load,
+        # Insertion order too: windows ascending, edges in first-use order.
+        [(window, list(load.items())) for window, load in result.edge_load.items()],
         result.num_windows,
         result.capacity_per_edge,
     )
@@ -212,7 +294,7 @@ class TestLazyCandidates:
         topology = InterconnectTopology(rows=8, columns=8, bandwidth=bandwidth)
         demands = _random_demands(seed, 8, 8, count=240, windows=6)
         lazy = GreedyEprScheduler(topology, transfers_per_lane_per_window=1).schedule(demands)
-        eager = _EagerScheduler(topology, transfers_per_lane_per_window=1).schedule(demands)
+        eager = _eager_schedule(topology, demands, transfers_per_lane_per_window=1)
         assert _summary(lazy) == _summary(eager)
         # The workload is dense enough to exercise all three candidates.
         assert lazy.deferred_count > 0
@@ -245,6 +327,60 @@ class TestLazyCandidates:
         }
         routes = list(router.candidate_routes((0, 0), (2, 2), full))
         assert len(routes) == 3 and len(calls) == 1
+
+
+def _heap_reference(adjacency: dict, source, target, load: dict) -> list:
+    """The router's search before integer ids: a tuple-keyed heap Dijkstra.
+
+    The forward and backward searches alternate, each heap orders entries by
+    ``(distance, push counter)`` with one counter shared by both, neighbours
+    are expanded in ``adjacency`` order, and the search stops the first time
+    a node is settled from both sides, returning the best meeting node seen
+    so far.
+    """
+    if source == target:
+        return [source]
+    settled: tuple[dict, dict] = ({}, {})
+    seen: tuple[dict, dict] = ({source: 0}, {target: 0})
+    preds: tuple[dict, dict] = ({source: None}, {target: None})
+    fringe: tuple[list, list] = ([(0, 0, source)], [(0, 1, target)])
+    pushes = count(2)
+    best = None
+    meet = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, node = heappop(fringe[direction])
+        done = settled[direction]
+        if node in done:
+            continue
+        done[node] = dist
+        if node in settled[1 - direction]:
+            return _walk(preds[0], meet)[::-1] + _walk(preds[1], preds[1][meet])
+        reached, reached_other = seen[direction], seen[1 - direction]
+        pred, heap = preds[direction], fringe[direction]
+        for neighbour in adjacency[node]:
+            if neighbour in done:
+                continue
+            edge = (node, neighbour) if direction == 0 else (neighbour, node)
+            length = dist + 1 + load.get(edge, 0)
+            if neighbour not in reached or length < reached[neighbour]:
+                reached[neighbour] = length
+                heappush(heap, (length, next(pushes), neighbour))
+                pred[neighbour] = node
+                if neighbour in reached_other:
+                    total = length + reached_other[neighbour]
+                    if best is None or total < best:
+                        best, meet = total, neighbour
+    raise AssertionError(f"no path from {source} to {target}")
+
+
+def _walk(preds: dict, node) -> list:
+    path = []
+    while node is not None:
+        path.append(node)
+        node = preds[node]
+    return path
 
 
 def _turns(route: Route) -> int:
