@@ -7,8 +7,7 @@ Usage::
     repro-run sweep.json --resume       # re-run an interrupted sweep (cache
                                         # restores every finished point)
     repro-run sweep.json --point-timeout 60 --max-retries 3
-    repro-run sweep.json --distributed 4    # 4 local workers, one shared cache
-    repro-run sweep.json --coordinate       # join a multi-host claim party
+    repro-run sweep.json --coordinate       # join a claim party on a shared cache
     repro-run sweep.json --stream           # NDJSON per point as it lands
     repro-run --example threshold_sweep # print a starter spec and exit
     repro-run --example design_space    # starter design-space sweep
@@ -29,25 +28,25 @@ identical to an uninterrupted run.  ``--point-timeout`` bounds each point's
 wall clock (pooled sweeps only), ``--max-retries`` bounds the retry budget,
 and ``--on-error raise`` upgrades any terminal point failure to a hard error.
 
-Sweeps also *distribute* (see ``docs/sweeps.md``): ``--distributed N`` forks
-N worker processes that split the grid through atomic claim files in the
-shared result cache, and ``--coordinate`` joins the calling process itself
-to such a claim party -- run the same command on N hosts sharing
-``REPRO_CACHE_DIR`` and the fleet executes every point exactly once, each
-invocation printing the complete, bit-for-bit identical result.
-``--lease-seconds`` tunes how quickly a crashed worker's claims are reaped.
+Sweeps also *distribute* (see ``docs/sweeps.md``): ``--coordinate`` joins
+the calling process to a claim party over atomic claim files in the shared
+result cache -- run the same command N times (in the background on one
+host, or once per host) against one ``REPRO_CACHE_DIR`` and the party
+executes every point exactly once, each invocation printing the complete,
+bit-for-bit identical result.  ``--lease-seconds`` (finite and positive)
+tunes how quickly a crashed member's claims are reaped.
 ``--stream`` prints one NDJSON progress line per point to stdout the moment
 it resolves (the final result JSON then goes only to ``--output``).
 
 Exit codes: 0 success; 1 the run raised a
 :class:`~repro.exceptions.QLAError` (including ``--on-error raise``
 failures); 2 usage errors (missing spec file, sweep-only flags on a single
-experiment); 3 the sweep completed but some points failed terminally -- the
-partial result is still printed/written, and a failure summary goes to
-stderr; 4 ``--resume`` was requested but the result cache directory is not
-writable -- resuming *needs* the cache, so silently degrading to the
-uncached warn-once path would re-execute every point and then lose the
-results again.  The full table lives in ``docs/robustness.md``.
+experiment, a non-finite or non-positive ``--lease-seconds``); 3 the sweep
+completed but some points failed terminally -- the partial result is still
+printed/written, and a failure summary goes to stderr; 4 ``--resume`` was
+requested but the result cache directory is not writable -- resuming
+*needs* the cache, so silently degrading to the uncached warn-once path
+would re-execute every point and then lose the results again.  The full table lives in ``docs/robustness.md``.
 
 ``--help`` enumerates the available example names, experiment kinds and
 registered execution backends; all three lists are generated from the code
@@ -76,6 +75,7 @@ from repro.api.specs import (
     SamplingSpec,
 )
 from repro.explore.analysis import design_space_starter
+from repro.explore.distributed import check_lease_seconds
 from repro.explore.runner import run_sweep
 from repro.explore.sweep import SweepSpec
 
@@ -265,17 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--distributed",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "for sweeps: fork N worker processes that split the grid through "
-            "claim files in the shared result cache, then merge (bit-for-bit "
-            "identical to a serial run)"
-        ),
-    )
-    parser.add_argument(
         "--coordinate",
         action="store_true",
         help=(
@@ -290,9 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         default=30.0,
         metavar="SECONDS",
         help=(
-            "for --distributed/--coordinate sweeps: claim lease length; a "
-            "worker silent this long is presumed dead and its points are "
-            "reaped (default: 30)"
+            "for --coordinate sweeps: claim lease length; a worker silent "
+            "this long is presumed dead and its points are reaped "
+            "(default: 30)"
         ),
     )
     parser.add_argument(
@@ -315,29 +304,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume and args.no_cache:
         print("repro-run: --resume needs the cache; drop --no-cache", file=sys.stderr)
         return 2
-    if args.no_cache and (args.distributed is not None or args.coordinate):
+    if args.no_cache and args.coordinate:
         print(
-            "repro-run: --distributed/--coordinate coordinate through claim "
-            "files next to the cache entries; drop --no-cache",
+            "repro-run: --coordinate coordinates through claim files next to "
+            "the cache entries; drop --no-cache",
             file=sys.stderr,
         )
         return 2
-    if args.distributed is not None and args.coordinate:
-        print(
-            "repro-run: pick one of --distributed (fork local workers) or "
-            "--coordinate (join an existing party)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.distributed is not None and args.distributed < 1:
-        print("repro-run: --distributed needs at least one worker", file=sys.stderr)
-        return 2
-    if args.distributed is not None and args.point_timeout is not None:
-        print(
-            "repro-run: --point-timeout does not apply to --distributed sweeps "
-            "(workers execute their claimed points in-process)",
-            file=sys.stderr,
-        )
+    try:
+        check_lease_seconds(args.lease_seconds)
+    except ParameterError as error:
+        print(f"repro-run: --lease-seconds: {error}", file=sys.stderr)
         return 2
 
     path = Path(args.spec)
@@ -363,36 +340,16 @@ def main(argv: list[str] | None = None) -> int:
                 def progress(event: dict) -> None:
                     _emit(json.dumps(event, sort_keys=True))
 
-            if args.distributed is not None:
-                from repro.explore.distributed import run_sweep_distributed
-
-                dist = run_sweep_distributed(
-                    spec,
-                    num_workers=args.distributed,
-                    lease_seconds=args.lease_seconds,
-                    max_retries=args.max_retries,
-                    on_error=args.on_error,
-                    progress=progress,
-                )
-                result = dist.result
-                print(
-                    f"repro-run: {dist.surviving_workers} of "
-                    f"{len(dist.workers)} workers finished; they executed "
-                    f"{dist.executed_by_workers} points, merge replayed "
-                    f"{result.cache_hits} from the cache",
-                    file=sys.stderr,
-                )
-            else:
-                result = run_sweep(
-                    spec,
-                    use_cache=not args.no_cache,
-                    point_timeout=args.point_timeout,
-                    max_retries=args.max_retries,
-                    on_error=args.on_error,
-                    progress=progress,
-                    coordinate=args.coordinate,
-                    claim_lease_seconds=args.lease_seconds,
-                )
+            result = run_sweep(
+                spec,
+                use_cache=not args.no_cache,
+                point_timeout=args.point_timeout,
+                max_retries=args.max_retries,
+                on_error=args.on_error,
+                progress=progress,
+                coordinate=args.coordinate,
+                claim_lease_seconds=args.lease_seconds,
+            )
             if args.resume:
                 print(
                     f"repro-run: resumed {result.cache_hits} of {len(result)} "
@@ -407,7 +364,6 @@ def main(argv: list[str] | None = None) -> int:
                     ("--point-timeout", args.point_timeout is not None),
                     ("--max-retries", args.max_retries != 2),
                     ("--on-error", args.on_error != "partial"),
-                    ("--distributed", args.distributed is not None),
                     ("--coordinate", args.coordinate),
                     ("--lease-seconds", args.lease_seconds != 30.0),
                     ("--stream", args.stream),

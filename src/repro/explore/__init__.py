@@ -19,11 +19,12 @@ Shor-kernel runtime.  This package turns the single-point experiment API
   under :func:`run_sweep`: sweep points as jobs on the supervised process
   pool of :mod:`repro.parallel` -- per-point timeouts, bounded retry with
   backoff, and dead-pool recovery (see ``docs/robustness.md``),
-* :mod:`repro.explore.distributed` -- N worker processes (or hosts on a
-  shared filesystem) coordinating one sweep purely through atomic claim
-  files next to the cache entries: heartbeat leases, stale-claim reaping,
-  and a merged result bit-for-bit equal to a serial run (see
-  ``docs/sweeps.md``),
+* :mod:`repro.explore.distributed` -- the claim protocol behind
+  ``run_sweep(coordinate=True)``: N independent processes (on one host or
+  on hosts sharing the cache directory) coordinate one sweep purely
+  through atomic claim files next to the cache entries -- heartbeat
+  leases, stale-claim reaping, and every member's result bit-for-bit
+  equal to a serial run (see ``docs/sweeps.md``),
 * :mod:`repro.explore.refine` -- adaptive refinement: recursive grid zoom
   around a metric/target crossing plus variance-guided shot allocation,
   reusing every cached coarse point via coordinate-derived seeds,
@@ -80,10 +81,6 @@ from repro.explore.cache import (
 from repro.explore.distributed import (
     ClaimRecord,
     ClaimStore,
-    DistributedRun,
-    DistributedSweepError,
-    WorkerReport,
-    run_sweep_distributed,
 )
 from repro.explore.refine import (
     RefinementResult,
@@ -133,10 +130,6 @@ __all__ = [
     "stream_sweep",
     "ClaimRecord",
     "ClaimStore",
-    "DistributedRun",
-    "DistributedSweepError",
-    "WorkerReport",
-    "run_sweep_distributed",
     "RefinementResult",
     "RefinementRound",
     "binomial_stderr",

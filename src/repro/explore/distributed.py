@@ -1,13 +1,13 @@
-"""Multi-worker design-space sweeps coordinated through the result cache.
+"""Multi-process design-space sweeps coordinated through the result cache.
 
 The content-addressed :class:`~repro.explore.cache.ResultCache` was built
 as a coordination layer: every grid point's cache key is a pure function
 of its fully-bound spec, per-point seeds derive from *coordinates* (not
 grid position), and entry writes are atomic.  This module cashes that in.
-N worker processes -- or N hosts sharing the cache directory over a
-network filesystem -- cooperate on one sweep with **no queue, no broker
-and no network protocol**: the only shared state is atomic *claim files*
-next to the cache entries.
+N independent processes -- on one host, or on N hosts sharing the cache
+directory over a network filesystem -- cooperate on one sweep with **no
+queue, no broker and no network protocol**: the only shared state is
+atomic *claim files* next to the cache entries.
 
 The claim protocol
 ==================
@@ -49,24 +49,25 @@ fraction of the lease.
 Entry points
 ============
 
-* :func:`repro.explore.runner.run_sweep` with ``coordinate=True`` joins a
-  sweep's claim party from the calling process -- this is what lets N
-  *hosts* each run ``repro-run sweep.json --coordinate`` against a shared
-  ``REPRO_CACHE_DIR`` and collectively execute every point exactly once.
-* :func:`run_sweep_distributed` forks ``num_workers`` local worker
-  processes over one shared cache, waits for them, and merges by running
-  a final coordinated pass (a pure cache replay when the workers covered
-  the grid, and the crash-resume path when some of them died): the merged
-  :class:`~repro.explore.runner.SweepResult` satisfies
-  ``merged.value_digest() == serial.value_digest()`` -- bit-for-bit equal
-  per-point specs, seeds, engines and values -- no matter how many
-  workers ran, crashed, or were reaped along the way.
+:func:`repro.explore.runner.run_sweep` with ``coordinate=True`` joins a
+sweep's claim party from the calling process.  Run
+``repro-run sweep.json --coordinate`` N times -- as background processes
+on one host, or once per host -- against a shared ``REPRO_CACHE_DIR``,
+and the party executes every point exactly once between its members.
+Each member returns the complete :class:`~repro.explore.runner.SweepResult`
+(its own executions plus everyone else's, read from the cache), and every
+member's ``value_digest()`` equals a serial run's.  The experiment
+service joins the same party with ``coordinate=True``.  For a single
+process that should fan out on one host,
+``run_sweep(point_workers=N)`` runs the points on the supervised pool of
+:mod:`repro.parallel` instead.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import socket
 import tempfile
@@ -77,23 +78,19 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro import faults
-from repro.api.results import RunResult
 from repro.api.specs import ExperimentSpec
-from repro.exceptions import ParameterError, QLAError
+from repro.exceptions import ParameterError
 from repro.explore.cache import ResultCache
 from repro.explore.supervisor import execute_supervised
-from repro.parallel import RetryPolicy, fork_context
+from repro.parallel import RetryPolicy
 
 __all__ = [
     "CLAIMS_SUBDIR",
     "DEFAULT_LEASE_SECONDS",
     "ClaimRecord",
     "ClaimStore",
-    "WorkerReport",
-    "DistributedSweepError",
-    "DistributedRun",
+    "check_lease_seconds",
     "execute_coordinated",
-    "run_sweep_distributed",
 ]
 
 #: Subdirectory of the cache root holding claim files.
@@ -102,17 +99,30 @@ CLAIMS_SUBDIR = "claims"
 #: Default claim lease: a worker silent for this long is presumed dead.
 DEFAULT_LEASE_SECONDS = 30.0
 
-#: Environment flag marking a process as a distributed sweep worker.  The
-#: :data:`repro.faults.EXPLORE_CLAIM` site (SIGKILL after claiming) is only
-#: consulted when this flag is set, so a chaos profile can never kill the
-#: merging parent, a service thread, or a plain ``coordinate=True`` caller.
+#: Environment flag marking a process as expendable to the claim kill site.
+#: The :data:`repro.faults.EXPLORE_CLAIM` site (SIGKILL after claiming) is
+#: only consulted when this flag is set.  No library code sets it: only a
+#: test harness does, on ``--coordinate`` subprocesses it is willing to
+#: lose.  So a chaos profile (``REPRO_FAULTS=chaos`` sets ``claim``) can
+#: never kill pytest, a service thread, or a user's ``coordinate=True`` run.
 WORKER_FLAG_ENV = "_REPRO_DISTRIBUTED_WORKER"
 
 _LOG = logging.getLogger("repro")
 
 
-class DistributedSweepError(QLAError):
-    """A distributed sweep could not complete (e.g. every worker failed)."""
+def check_lease_seconds(lease_seconds) -> float:
+    """``lease_seconds`` as a float, or ParameterError unless finite and > 0.
+
+    A NaN lease never goes stale (every comparison is False), so its claims
+    would wedge the party; an infinite one overflows the heartbeat wait.
+    """
+    if not isinstance(lease_seconds, (int, float)) or not (
+        math.isfinite(lease_seconds) and lease_seconds > 0
+    ):
+        raise ParameterError(
+            f"lease_seconds must be a finite positive number, got {lease_seconds!r}"
+        )
+    return float(lease_seconds)
 
 
 def _default_worker_identity() -> str:
@@ -189,8 +199,15 @@ class ClaimRecord:
             raise ParameterError(f"claim generation must be a non-negative int, got {record.generation!r}")
         for name in ("claimed_at", "heartbeat_at", "lease_seconds"):
             value = getattr(record, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-                raise ParameterError(f"claim {name} must be a non-negative number, got {value!r}")
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+                or value < 0
+            ):
+                raise ParameterError(
+                    f"claim {name} must be a finite non-negative number, got {value!r}"
+                )
         return record
 
 
@@ -218,13 +235,9 @@ class ClaimStore:
         worker: str | None = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
     ) -> None:
-        if not isinstance(lease_seconds, (int, float)) or lease_seconds <= 0:
-            raise ParameterError(
-                f"lease_seconds must be a positive number, got {lease_seconds!r}"
-            )
+        self.lease_seconds = check_lease_seconds(lease_seconds)
         self.directory = Path(directory)
         self.worker = worker if worker is not None else _default_worker_identity()
-        self.lease_seconds = float(lease_seconds)
 
     @classmethod
     def for_cache(cls, cache: ResultCache, **kwargs) -> "ClaimStore":
@@ -484,7 +497,7 @@ def _in_worker_process() -> bool:
 
 
 def _maybe_die(site_key: str, generation: int) -> None:
-    """Consult the ``explore.claim`` kill site (distributed workers only)."""
+    """Consult the ``explore.claim`` kill site (flagged processes only)."""
     if _in_worker_process():
         faults.maybe_inject(faults.EXPLORE_CLAIM, site_key, generation)
 
@@ -566,7 +579,7 @@ def execute_coordinated(
                     pending.remove(position)
                     progressed = True
                     continue
-                # Fault site: a distributed worker dies right after
+                # Fault site: a flagged member process dies right after
                 # claiming, leaving a stale claim for the lease machinery
                 # to reap.  Keyed on the cache key, gated on generation.
                 _maybe_die(keys[position], record.generation)
@@ -598,235 +611,3 @@ def execute_coordinated(
 
             if pending and not progressed:
                 time.sleep(poll_interval)
-
-
-@dataclass(frozen=True)
-class WorkerReport:
-    """One distributed worker's accounting, read back from its report file.
-
-    ``executed`` counts the grid points this worker's engine ran;
-    ``resolved_cached`` counts points it resolved from entries written by
-    someone else (pre-existing or sibling workers); ``failed`` counts
-    points that exhausted their retries inside this worker.  A worker
-    that died (SIGKILL, chaos injection) leaves no report:
-    ``survived=False`` and zeroed counters.
-    """
-
-    worker_index: int
-    survived: bool
-    exit_code: int | None
-    executed: int = 0
-    resolved_cached: int = 0
-    failed: int = 0
-
-
-@dataclass(frozen=True)
-class DistributedRun:
-    """The outcome of :func:`run_sweep_distributed`.
-
-    Attributes
-    ----------
-    result:
-        The merged :class:`~repro.explore.runner.SweepResult` -- produced
-        by the parent's final coordinated pass, so it is a pure cache
-        replay when the workers covered the grid and the crash-resume
-        path otherwise.  Its :meth:`~repro.explore.runner.SweepResult.value_digest`
-        equals a serial run's.
-    workers:
-        Per-worker accounting (dead workers report ``survived=False``).
-    """
-
-    result: object
-    workers: tuple[WorkerReport, ...]
-
-    @property
-    def executed_by_workers(self) -> int:
-        """Engine executions summed over surviving workers' reports."""
-        return sum(report.executed for report in self.workers)
-
-    @property
-    def surviving_workers(self) -> int:
-        return sum(1 for report in self.workers if report.survived)
-
-
-def _worker_main(
-    sweep_json: str,
-    cache_dir: str,
-    worker_index: int,
-    report_path: str,
-    lease_seconds: float,
-    max_retries: int,
-    backoff_base: float,
-    poll_interval: float,
-) -> None:
-    """Entry point of one forked distributed worker process."""
-    # Mark the process so the explore.claim kill site arms itself (and
-    # propagates to any grandchildren this worker might fork).
-    os.environ[WORKER_FLAG_ENV] = "1"
-    from dataclasses import replace as dc_replace
-
-    from repro.explore.runner import run_sweep
-    from repro.explore.sweep import SweepSpec
-
-    sweep = SweepSpec.from_json(sweep_json)
-    # Each worker is its own parallelism unit: points execute in-process,
-    # and the claim party provides the fan-out.
-    if sweep.point_workers:
-        sweep = dc_replace(sweep, point_workers=0)
-    result = run_sweep(
-        sweep,
-        cache=ResultCache(cache_dir),
-        coordinate=True,
-        claim_lease_seconds=lease_seconds,
-        claim_poll_interval=poll_interval,
-        max_retries=max_retries,
-        backoff_base=backoff_base,
-        on_error="partial",
-    )
-    executed = sum(1 for point in result.points if not point.cached and point.ok)
-    report = {
-        "worker_index": worker_index,
-        "executed": executed,
-        "resolved_cached": result.cache_hits,
-        "failed": result.failed,
-    }
-    # Atomic single write: a worker killed mid-run leaves no report at all,
-    # never a torn one.
-    handle, temp_name = tempfile.mkstemp(
-        dir=os.path.dirname(report_path), prefix=".report-", suffix=".tmp"
-    )
-    with os.fdopen(handle, "w") as stream:
-        stream.write(json.dumps(report))
-    os.replace(temp_name, report_path)
-
-
-def run_sweep_distributed(
-    sweep,
-    *,
-    num_workers: int = 4,
-    cache: ResultCache | None = None,
-    registry=None,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    max_retries: int = 2,
-    backoff_base: float = 0.05,
-    poll_interval: float = 0.05,
-    on_error: str = "partial",
-    progress=None,
-    stream=None,
-) -> DistributedRun:
-    """Execute a sweep with ``num_workers`` processes over one shared cache.
-
-    Workers are forked, coordinate purely through claim files in the
-    cache directory (see the module docstring for the protocol), and cache
-    every completed point immediately.  The parent then runs a final
-    coordinated pass over the same cache: with healthy workers that pass
-    is a pure replay (``merged.result.cache_misses == 0``); if workers
-    died it is the crash-resume path -- stale claims are reaped and the
-    uncovered tail executes in the parent -- so the merge *always*
-    completes the grid.  Leftover stale claims (workers killed between
-    caching and releasing) are garbage-collected before merging.
-
-    The merged result is bit-for-bit equal to a serial
-    :func:`~repro.explore.runner.run_sweep` of the same sweep --
-    ``value_digest()`` compares per-point specs, seeds, engines, values
-    and errors, excluding only wall-clock and cache-accounting fields
-    that legitimately differ between any two runs.
-
-    Parameters mirror :func:`~repro.explore.runner.run_sweep` where they
-    overlap; ``registry`` must be None (a custom registry cannot cross
-    the fork), and worker processes execute their claimed points
-    in-process (per-point parallelism comes from the worker count).
-    """
-    from repro.explore.runner import run_sweep
-    from repro.explore.sweep import SweepSpec
-
-    if not isinstance(sweep, SweepSpec):
-        raise ParameterError(
-            f"run_sweep_distributed() takes a SweepSpec, got {type(sweep).__name__}"
-        )
-    if registry is not None:
-        raise ParameterError(
-            "run_sweep_distributed cannot ship a custom registry to worker "
-            "processes; pass registry=None or use run_sweep(coordinate=True)"
-        )
-    if not isinstance(num_workers, int) or isinstance(num_workers, bool) or num_workers < 1:
-        raise ParameterError(f"num_workers must be a positive int, got {num_workers!r}")
-    the_cache = cache if cache is not None else ResultCache()
-    the_cache.directory.mkdir(parents=True, exist_ok=True)
-
-    context = fork_context()
-    sweep_json = sweep.to_json()
-    reports_dir = Path(tempfile.mkdtemp(prefix="repro-dist-", dir=the_cache.directory))
-    processes = []
-    report_paths = []
-    for index in range(num_workers):
-        report_path = reports_dir / f"worker-{index}.json"
-        report_paths.append(report_path)
-        process = context.Process(
-            target=_worker_main,
-            args=(
-                sweep_json,
-                str(the_cache.directory),
-                index,
-                str(report_path),
-                lease_seconds,
-                max_retries,
-                backoff_base,
-                poll_interval,
-            ),
-            name=f"repro-dist-worker-{index}",
-        )
-        process.start()
-        processes.append(process)
-
-    reports = []
-    for index, process in enumerate(processes):
-        process.join()
-        report_path = report_paths[index]
-        if report_path.exists():
-            data = json.loads(report_path.read_text())
-            reports.append(
-                WorkerReport(
-                    worker_index=index,
-                    survived=True,
-                    exit_code=process.exitcode,
-                    executed=data["executed"],
-                    resolved_cached=data["resolved_cached"],
-                    failed=data["failed"],
-                )
-            )
-        else:
-            reports.append(
-                WorkerReport(worker_index=index, survived=False, exit_code=process.exitcode)
-            )
-    for report_path in report_paths:
-        try:
-            report_path.unlink()
-        except OSError:
-            pass
-    try:
-        reports_dir.rmdir()
-    except OSError:  # pragma: no cover - a straggler file: leave the dir
-        pass
-
-    # Merge = one coordinated pass by the parent: pure replay when the
-    # workers covered the grid, crash-resume (reap + execute the tail)
-    # when they did not.  The parent is not flagged as a worker, so the
-    # explore.claim kill site cannot fire here.
-    merged = run_sweep(
-        sweep,
-        cache=the_cache,
-        coordinate=True,
-        claim_lease_seconds=lease_seconds,
-        claim_poll_interval=poll_interval,
-        max_retries=max_retries,
-        backoff_base=backoff_base,
-        on_error=on_error,
-        progress=progress,
-        stream=stream,
-    )
-    # GC any stale claims left by workers killed after caching a point.
-    claims = ClaimStore.for_cache(the_cache, lease_seconds=lease_seconds)
-    for point in merged.points:
-        claims.cleanup_stale(point.cache_key)
-    return DistributedRun(result=merged, workers=tuple(reports))

@@ -24,7 +24,7 @@ threshold methodology implies:
 
 Both moves route every execution through the content-addressed
 :class:`~repro.explore.cache.ResultCache`, so a refinement is resumable
-and repeatable for free, and a distributed worker fleet
+and repeatable for free, and a party of ``--coordinate`` processes
 (:mod:`repro.explore.distributed`) can fill the same cache concurrently.
 
 The final threshold estimate is the linear interpolation of the metric

@@ -48,6 +48,7 @@ from repro.api.runner import resolved_engine
 from repro.api.specs import ExperimentSpec
 from repro.exceptions import ParameterError, QLAError
 from repro.explore.cache import ResultCache, cache_key
+from repro.explore.distributed import check_lease_seconds, execute_coordinated
 from repro.explore.supervisor import execute_supervised
 from repro.explore.sweep import SweepSpec
 from repro.parallel import RetryPolicy
@@ -282,10 +283,11 @@ class SweepResult:
         point was computed here or replayed from the cache does not change
         its value).
 
-        This is the equality a distributed run is held to:
-        ``run_sweep_distributed(...).result.value_digest() ==
-        run_sweep(...).value_digest()`` regardless of worker count, claim
-        interleaving, or crashed-and-reaped workers.
+        This is the equality a claim party is held to: every member of N
+        ``run_sweep(..., coordinate=True)`` processes on one cache returns
+        a result whose ``value_digest()`` equals a serial
+        ``run_sweep(...).value_digest()``, regardless of party size, claim
+        interleaving, or crashed-and-reaped members.
         """
         payload = []
         for point in self.points:
@@ -470,7 +472,8 @@ def run_sweep(
         ``use_cache=True``.
     claim_lease_seconds:
         Claim lease length under ``coordinate=True``: a claimant silent
-        for this long is presumed dead and its point is reaped.
+        for this long is presumed dead and its point is reaped.  Must be
+        finite and positive.
     claim_poll_interval:
         How long a coordinating worker sleeps when every unresolved
         point is claimed by live peers.
@@ -491,6 +494,7 @@ def run_sweep(
             "coordinate=True requires use_cache=True: claim files live next to "
             "the cache entries the workers coordinate over"
         )
+    check_lease_seconds(claim_lease_seconds)
     policy = RetryPolicy(
         point_timeout=point_timeout, max_retries=max_retries, backoff_base=backoff_base
     )
@@ -613,8 +617,6 @@ def run_sweep(
             notify(index)
 
         if coordinate:
-            from repro.explore.distributed import execute_coordinated
-
             execute_coordinated(
                 [points[index].spec for index in to_run],
                 [keys[index] for index in to_run],

@@ -38,12 +38,13 @@ Fault **sites** are the places the library consults the harness:
                         generation attempts (exercises the link layer's
                         stall accounting; never raises, and inert for
                         deterministic link configurations).
-:data:`EXPLORE_CLAIM`   SIGKILL a distributed sweep worker right after
+:data:`EXPLORE_CLAIM`   SIGKILL a coordinated sweep process right after
                         it writes a claim file (exercises stale-lease
                         reaping and crash-resume of the shared-cache
                         claim protocol -- see
                         :mod:`repro.explore.distributed`; only consulted
-                        inside distributed worker processes).
+                        in processes flagged expendable, which only the
+                        test harness does).
 ================== ====================================================
 
 A :class:`FaultProfile` holds one rate per site plus the shared knobs.  A
@@ -166,8 +167,8 @@ class FaultProfile:
         experiment service's sites (worker death mid-job, job-store
         result-write failure -- see :mod:`repro.service`); ``link``
         drives the stochastic interconnect's degradation site
-        (:mod:`repro.desim.links`); ``claim`` kills distributed sweep
-        workers right after they claim a grid point
+        (:mod:`repro.desim.links`); ``claim`` kills flagged coordinated
+        sweep processes right after they claim a grid point
         (:mod:`repro.explore.distributed` -- the ``attempt`` passed to
         the site is the claim's reap *generation*, so under the default
         ``fail_attempts=1`` only the first claimant of a selected point
@@ -273,8 +274,9 @@ PROFILES: dict[str, FaultProfile] = {
     # requeue and converge in both cases), and a quarter of stochastic
     # interconnect transfers absorb forced extra failed generation
     # attempts (the link layer degrades deterministically, never crashes),
-    # and a quarter of distributed sweep workers die right after claiming
-    # a point (stale-lease reaping must recover the claim exactly once).
+    # and a quarter of flagged coordinated sweep processes die right after
+    # claiming a point (stale-lease reaping must recover the claim exactly
+    # once).
     "chaos": FaultProfile(
         seed=20050, transient=0.25, corrupt=0.25, service=0.25, store=0.25,
         link=0.25, claim=0.25, fail_attempts=1,
@@ -397,9 +399,9 @@ def maybe_inject(site: str, key: str, attempt: int = 0) -> None:
     """Perform the ``site`` fault for ``key`` if the active profile selects it.
 
     * :data:`WORKER_CRASH` / :data:`EXPLORE_CLAIM` -- SIGKILL the calling
-      process (only reachable from pool worker processes and distributed
-      sweep workers respectively; the in-process execution path never
-      consults either site).
+      process (only reachable from pool worker processes and from
+      coordinated sweep processes flagged expendable, respectively; the
+      in-process execution path never consults either site).
     * :data:`WORKER_HANG` -- sleep :attr:`FaultProfile.hang_seconds`, then
       return (the point proceeds; a per-point timeout is what kills it).
     * every other site -- raise :class:`InjectedFault`.

@@ -20,7 +20,8 @@ unclean shutdown, and those jobs resume without resubmission.
 The server runs until SIGINT/SIGTERM, then shuts down cleanly (workers
 finish their in-flight attempt; anything still queued is picked up by the
 next start thanks to the durable queue).  Exit code 0 on a signal, 1 on a
-startup error (bad arguments, unbindable port, unreadable database).
+startup error (bad arguments, unbindable port, unreadable database), 2 on
+a usage error (including a non-finite or non-positive ``--lease-seconds``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import json
 import signal
 import sys
 
-from repro.exceptions import QLAError
+from repro.exceptions import ParameterError, QLAError
+from repro.explore.distributed import check_lease_seconds
 from repro.parallel import RetryPolicy
 from repro.service.http import ExperimentService
 from repro.service.store import default_db_path
@@ -111,6 +113,11 @@ def main(argv: list[str] | None = None) -> int:
         "--quiet", action="store_true", help="suppress the startup line on stdout"
     )
     args = parser.parse_args(argv)
+    try:
+        check_lease_seconds(args.lease_seconds)
+    except ParameterError as error:
+        print(f"repro-serve: --lease-seconds: {error}", file=sys.stderr)
+        return 2
 
     try:
         policy = RetryPolicy(

@@ -44,6 +44,7 @@ import numpy as np
 from repro.api.specs import ExperimentSpec
 from repro.exceptions import ParameterError, QLAError
 from repro.explore.cache import ResultCache, cache_key
+from repro.explore.distributed import check_lease_seconds
 from repro.explore.runner import resolved_engine
 from repro.explore.sweep import SweepSpec
 from repro.parallel import RetryPolicy
@@ -94,7 +95,7 @@ class ExperimentService:
         sharing one cache directory -- execute each grid point exactly
         once between them.
     claim_lease_seconds:
-        Claim lease length under ``coordinate=True``.
+        Claim lease length under ``coordinate=True`` (finite and positive).
     """
 
     def __init__(
@@ -124,6 +125,7 @@ class ExperimentService:
             raise ParameterError(
                 f"default_max_attempts must be a positive int, got {default_max_attempts!r}"
             )
+        check_lease_seconds(claim_lease_seconds)
         self.store = JobStore(db_path)
         self.cache = cache if cache is not None else ResultCache(cache_dir)
         self.metrics = ServiceMetrics()

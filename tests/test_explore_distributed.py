@@ -1,30 +1,40 @@
-"""Distributed sweep coordination: claims, leases, reaping, chaos.
+"""Coordinated sweeps: claims, leases, reaping, chaos.
 
-The contract under test (``docs/sweeps.md``): N workers sharing one cache
-directory coordinate purely through atomic claim files, execute every
-grid point **exactly once** between them, survive workers SIGKILLed
-mid-claim and mid-write via stale-lease reaping, and produce a merged
-``SweepResult`` whose :meth:`~repro.explore.runner.SweepResult.value_digest`
-is bit-for-bit equal to a serial run's.
+The contract under test (``docs/sweeps.md``): N independent
+``repro-run --coordinate`` processes sharing one cache directory
+coordinate purely through atomic claim files, execute every grid point
+**exactly once** between them, survive members SIGKILLed mid-claim and
+mid-write via stale-lease reaping, and each return a ``SweepResult``
+whose :meth:`~repro.explore.runner.SweepResult.value_digest` is
+bit-for-bit equal to a serial run's.
 
 Exactly-once is proved with an execution *ledger*: the supervisor's
 ``run`` is wrapped to append one line per engine execution to an
-``O_APPEND`` file.  Fork-started worker processes inherit the wrapper, so
-the ledger counts executions across the whole party -- if any point ran
-twice anywhere, the ledger has more lines than the grid has points.
+``O_APPEND`` file.  Every party member installs the same wrapper before
+it joins, so the ledger counts executions across the whole party -- if
+any point ran twice anywhere, the ledger has more lines than the grid
+has points.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
+import math
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import faults
+from repro.api.cli import main as repro_run
 from repro.api.runner import run as api_run
 from repro.api.specs import (
     ExecutionSpec,
@@ -38,9 +48,8 @@ from repro.explore.cache import ResultCache, cache_key
 from repro.explore.distributed import (
     ClaimRecord,
     ClaimStore,
-    run_sweep_distributed,
 )
-from repro.explore.runner import resolved_engine, run_sweep
+from repro.explore.runner import SweepResult, resolved_engine, run_sweep
 from repro.explore.sweep import SweepAxis, SweepSpec
 
 
@@ -65,6 +74,12 @@ def small_sweep(seed: int = 7) -> SweepSpec:
     )
 
 
+#: Leases every entry point must reject: NaN never goes stale, an
+#: infinite lease overflows the heartbeat wait, and a negative one is
+#: stale before it is written.
+BAD_LEASES = (math.nan, math.inf, -1.0)
+
+
 def sweep_keys(sweep: SweepSpec) -> list[str]:
     return [
         cache_key(point.spec, engine=resolved_engine(point.spec, None))
@@ -77,18 +92,15 @@ def cache(tmp_path) -> ResultCache:
     return ResultCache(tmp_path / "cache")
 
 
-@pytest.fixture
-def ledger(tmp_path, monkeypatch):
-    """Count engine executions across this process *and* forked workers.
+def ledgered(real_run, path):
+    """Wrap the supervisor's ``run`` to append one line per execution.
 
-    Wraps the supervisor's ``run`` with an ``O_APPEND`` file logger; the
-    append is atomic per line, fork children inherit the wrapper, and the
-    line count is the party-wide execution total.
+    The append is ``O_APPEND``, so it is atomic per line even when many
+    processes share the file.
     """
-    import repro.explore.supervisor as supervisor
+    import os
 
-    path = tmp_path / "executions.ledger"
-    real_run = supervisor.run
+    from repro import faults
 
     def logged_run(spec, *, registry=None):
         line = faults.fault_key(spec.to_json()) + "\n"
@@ -99,7 +111,40 @@ def ledger(tmp_path, monkeypatch):
             os.close(handle)
         return real_run(spec, registry=registry)
 
-    monkeypatch.setattr(supervisor, "run", logged_run)
+    return logged_run
+
+
+#: Names the ledger file of a party member (test-local, read only by
+#: :data:`MEMBER_SCRIPT`).
+LEDGER_ENV = "_REPRO_TEST_LEDGER"
+
+#: ``src/``: party members import the package from this checkout.
+SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+
+#: One party member: ``python -c MEMBER_SCRIPT sweep.json --coordinate ...``
+#: installs the ledger, flags itself expendable to the ``explore.claim``
+#: kill site, and runs ``repro-run`` with the remaining arguments.
+MEMBER_SCRIPT = inspect.getsource(ledgered) + """
+import os
+import sys
+
+import repro.explore.supervisor as supervisor
+from repro.api.cli import main
+from repro.explore.distributed import WORKER_FLAG_ENV
+
+supervisor.run = ledgered(supervisor.run, os.environ[%r])
+os.environ[WORKER_FLAG_ENV] = "1"
+sys.exit(main(sys.argv[1:]))
+""" % LEDGER_ENV
+
+
+@pytest.fixture
+def ledger(tmp_path, monkeypatch):
+    """Count engine executions in this process (see :func:`ledgered`)."""
+    import repro.explore.supervisor as supervisor
+
+    path = tmp_path / "executions.ledger"
+    monkeypatch.setattr(supervisor, "run", ledgered(supervisor.run, path))
 
     def read() -> list[str]:
         if not path.exists():
@@ -254,12 +299,35 @@ class TestClaimStore:
             mutation(broken)
             with pytest.raises(ParameterError):
                 ClaimRecord.from_json(json.dumps(broken))
+        # json writes nan/inf as NaN/Infinity, which json.loads reads back.
+        for name in ("claimed_at", "heartbeat_at", "lease_seconds"):
+            for value in BAD_LEASES:
+                with pytest.raises(ParameterError, match="finite"):
+                    ClaimRecord.from_json(json.dumps({**data, name: value}))
         with pytest.raises(ParameterError):
             ClaimRecord.from_json("{nope")
 
     def test_lease_must_be_positive(self, tmp_path):
-        with pytest.raises(ParameterError):
-            ClaimStore(tmp_path, lease_seconds=0)
+        for lease in (0, *BAD_LEASES):
+            with pytest.raises(ParameterError, match="finite positive"):
+                ClaimStore(tmp_path, lease_seconds=lease)
+
+    def test_non_finite_claim_is_reaped_not_honoured_forever(self, tmp_path):
+        # Regression: a NaN lease is never stale (every comparison with NaN
+        # is False), so a peer's acquire returned None forever and the
+        # party wedged.  Such a file now reads as unreadable and is reaped.
+        live = ClaimStore(tmp_path, worker="live")
+        live.directory.mkdir(parents=True, exist_ok=True)
+        for index, lease in enumerate(BAD_LEASES):
+            key = f"{index:02d}" * 32
+            record = ClaimRecord(
+                key=key, worker="wedged", generation=0,
+                claimed_at=time.time(), heartbeat_at=time.time(), lease_seconds=lease,
+            )
+            live.path_for(key).write_text(record.to_json())
+            assert live.read(key) is None
+            stolen = live.acquire(key)
+            assert stolen is not None and stolen.generation == 1
 
 
 @pytest.mark.no_chaos
@@ -339,56 +407,114 @@ class TestCoordinatedRunSweep:
         assert len(executed_here) == len(points) - 1
 
 
-@pytest.mark.no_chaos
-class TestDistributedRun:
-    def test_four_workers_split_the_grid_exactly_once(self, cache, ledger):
-        sweep = small_sweep(seed=21)
-        # The serial reference runs first (through the same ledger wrapper),
-        # so only the lines after this snapshot belong to the workers.
-        serial = run_sweep(sweep, cache=ResultCache(cache.directory.parent / "s"))
-        before = len(ledger())
-        with faults.no_faults():
-            dist = run_sweep_distributed(
-                sweep, num_workers=4, cache=cache, lease_seconds=30.0,
-                poll_interval=0.01,
+def run_party(
+    sweep: SweepSpec,
+    directory,
+    *,
+    members: int,
+    profile: faults.FaultProfile | None = None,
+    lease_seconds: float = 30.0,
+) -> list[tuple[int, SweepResult | None]]:
+    """Run ``members`` independent ``repro-run --coordinate`` processes.
+
+    The members share ``directory/cache`` and append their engine
+    executions to ``directory/executions.ledger``.  ``REPRO_FAULTS`` is set
+    explicitly for them: the ``no_chaos`` marker is an in-process override
+    that does not reach a subprocess, so an inherited ``REPRO_FAULTS=chaos``
+    would otherwise kill members at random.  Returns every member's
+    ``(exit code, SweepResult)``; a member killed before writing its output
+    has None.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    spec_path = directory / "sweep.json"
+    spec_path.write_text(sweep.to_json())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR
+    env["REPRO_CACHE_DIR"] = str(directory / "cache")
+    env[LEDGER_ENV] = str(directory / "executions.ledger")
+    if profile is None:
+        env.pop(faults.FAULTS_ENV, None)
+    else:
+        env[faults.FAULTS_ENV] = profile.to_spec()
+    launched = []
+    for index in range(members):
+        output = directory / f"member-{index}.json"
+        with open(directory / f"member-{index}.err", "w") as errors:
+            process = subprocess.Popen(
+                [
+                    sys.executable, "-c", MEMBER_SCRIPT, str(spec_path),
+                    "--coordinate", "--lease-seconds", str(lease_seconds),
+                    "-o", str(output), "--quiet",
+                ],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=errors,
             )
-        assert dist.result.value_digest() == serial.value_digest()
-        assert dist.surviving_workers == 4
-        # Exactly-once across the whole party, by the ledger...
-        assert sorted(ledger()[before:]) == sorted(
-            faults.fault_key(point.spec.to_json()) for point in sweep.points()
-        )
-        # ... and by the workers' own accounting; the merge replays only.
-        assert dist.executed_by_workers == len(sweep.points())
-        assert dist.result.cache_misses == 0
-        assert not list((cache.directory / "claims").glob("*.claim"))
+        launched.append((process, output))
+    outcomes = []
+    for process, output in launched:
+        code = process.wait(timeout=120)
+        result = SweepResult.from_json(output.read_text()) if output.exists() else None
+        outcomes.append((code, result))
+    return outcomes
 
-    def test_warm_replay_is_all_cache_hits(self, cache):
+
+def party_ledger(directory) -> list[str]:
+    path = directory / "executions.ledger"
+    return path.read_text().splitlines() if path.exists() else []
+
+
+def member_errors(directory) -> str:
+    """Every member's stderr, for assertion messages."""
+    return "\n".join(
+        f"{path.name}: {path.read_text()}" for path in sorted(directory.glob("member-*.err"))
+    )
+
+
+def grid_fault_keys(sweep: SweepSpec) -> list[str]:
+    return sorted(faults.fault_key(point.spec.to_json()) for point in sweep.points())
+
+
+@pytest.mark.no_chaos
+class TestCoordinatedParty:
+    def test_four_members_split_the_grid_exactly_once(self, tmp_path):
+        sweep = small_sweep(seed=21)
+        serial = run_sweep(sweep, cache=ResultCache(tmp_path / "serial"))
+        party = tmp_path / "party"
+        outcomes = run_party(sweep, party, members=4)
+
+        assert [code for code, _ in outcomes] == [0, 0, 0, 0], member_errors(party)
+        # Every member returns the complete result, bit for bit the serial one.
+        for _, result in outcomes:
+            assert result.value_digest() == serial.value_digest()
+        # Exactly-once across the whole party, by the ledger ...
+        assert sorted(party_ledger(party)) == grid_fault_keys(sweep)
+        # ... and by the members' own accounting.
+        assert sum(result.cache_misses for _, result in outcomes) == len(sweep.points())
+        assert not list((party / "cache" / "claims").glob("*.claim"))
+
+    def test_warm_replay_is_all_cache_hits(self, tmp_path):
         sweep = small_sweep(seed=22)
-        with faults.no_faults():
-            run_sweep_distributed(sweep, num_workers=2, cache=cache)
-            again = run_sweep_distributed(sweep, num_workers=2, cache=cache)
-        assert again.result.cache_misses == 0
-        assert again.executed_by_workers == 0
-
-    def test_rejects_bad_arguments(self, cache):
-        with pytest.raises(ParameterError, match="SweepSpec"):
-            run_sweep_distributed(machine_base(), cache=cache)
-        with pytest.raises(ParameterError, match="num_workers"):
-            run_sweep_distributed(small_sweep(), num_workers=0, cache=cache)
-        with pytest.raises(ParameterError, match="registry"):
-            run_sweep_distributed(small_sweep(), registry=object(), cache=cache)
+        party = tmp_path / "party"
+        cold = run_party(sweep, party, members=2)
+        assert [code for code, _ in cold] == [0, 0], member_errors(party)
+        assert sum(result.cache_misses for _, result in cold) == len(sweep.points())
+        warm = run_party(sweep, party, members=2)
+        assert [code for code, _ in warm] == [0, 0], member_errors(party)
+        assert [result.cache_misses for _, result in warm] == [0, 0]
+        assert len(party_ledger(party)) == len(sweep.points())
 
 
-def chaos_claim_profile(sweep: SweepSpec) -> faults.FaultProfile:
-    """A claim-killing profile that SIGKILLs one worker mid-claim and one
+def chaos_claim_profile(sweep: SweepSpec) -> tuple[faults.FaultProfile, str, str]:
+    """A claim-killing profile that SIGKILLs one member mid-claim and one
     mid-write for this sweep's keys.
 
     Injection decisions are pure functions of ``(seed, site, key)``, so the
     scenario can be *searched for* deterministically: scan profile seeds
     until exactly one grid key kills its first claimant right after the
     claim (``key``) and a different key kills its first owner right after
-    the cache write (``key + "/release"``).
+    the cache write (``key + "/release"``).  Returns the profile, the
+    mid-claim key and the mid-write key.
     """
     keys = sweep_keys(sweep)
     for seed in range(1000):
@@ -405,61 +531,134 @@ def chaos_claim_profile(sweep: SweepSpec) -> faults.FaultProfile:
             )
         ]
         if len(mid_claim) == 1 and len(mid_write) == 1:
-            return profile
+            return profile, mid_claim[0], mid_write[0]
     raise AssertionError("no profile seed below 1000 produces the chaos scenario")
 
 
+#: Claim lease of the chaos party: the mid-claim victim's point is reaped
+#: one lease after its last heartbeat.
+CHAOS_LEASE_SECONDS = 1.0
+
+
+@pytest.mark.no_chaos
 class TestChaosRecovery:
-    @pytest.mark.no_chaos
-    def test_sigkilled_workers_are_reaped_and_the_merge_matches_serial(
-        self, tmp_path, ledger
-    ):
-        # The headline chaos scenario: 4 workers share one cache dir, one
-        # is SIGKILLed right after claiming a point (its claim must go
-        # stale and be reaped) and another right after writing a result
-        # (waiters must resolve from the cache and GC the orphan claim).
-        # The merged result must be bit-for-bit equal to the serial run,
-        # and no point may execute twice.
+    """4 members share one cache.  The chaos profile SIGKILLs one right
+    after it claims a point (its claim must go stale and be reaped) and
+    another right after it caches a result, before it releases the claim
+    (its peers resolve the point from the cache)."""
+
+    @pytest.fixture(scope="class")
+    def chaos_party(self, tmp_path_factory):
         sweep = small_sweep(seed=23)
-        profile = chaos_claim_profile(sweep)
-        serial = run_sweep(sweep, cache=ResultCache(tmp_path / "serial"))
-        before = len(ledger())
+        profile, mid_claim, mid_write = chaos_claim_profile(sweep)
+        directory = tmp_path_factory.mktemp("chaos")
+        with faults.no_faults():
+            serial = run_sweep(sweep, cache=ResultCache(directory / "serial"))
+        outcomes = run_party(
+            sweep, directory / "party", members=4, profile=profile,
+            lease_seconds=CHAOS_LEASE_SECONDS,
+        )
+        return sweep, serial, directory / "party", outcomes, (mid_claim, mid_write)
 
-        cache = ResultCache(tmp_path / "shared")
-        with faults.fault_profile(profile):
-            dist = run_sweep_distributed(
-                sweep, num_workers=4, cache=cache,
-                lease_seconds=0.5, poll_interval=0.02,
-            )
-
-        assert dist.result.value_digest() == serial.value_digest()
-        # Two workers died by SIGKILL (mid-claim and mid-write): they leave
-        # no report.  The party still covers the grid.
-        assert dist.surviving_workers <= 2
-        dead = [w for w in dist.workers if not w.survived]
-        assert len(dead) >= 2
-        assert all(report.exit_code != 0 for report in dead)
+    def test_sigkilled_workers_are_reaped_and_the_merge_matches_serial(self, chaos_party):
+        sweep, serial, party, outcomes, (mid_claim, mid_write) = chaos_party
+        codes = [code for code, _ in outcomes]
+        killed = codes.count(-signal.SIGKILL)
+        # The mid-claim and the mid-write victim die by SIGKILL.  A third
+        # member can die too: a fresh claimant may slip a generation-0
+        # claim into the instant between a reaper's rename and its
+        # re-claim (docs/sweeps.md), and the kill site fires for it again
+        # on the mid-claim point.
+        assert killed >= 2, member_errors(party)
+        assert codes.count(0) == len(codes) - killed >= 1, member_errors(party)
+        for code, result in outcomes:
+            if code == 0:
+                assert result.value_digest() == serial.value_digest()
         # Exactly-once, party-wide: the mid-claim victim died *before*
         # executing (its point ran once, in its reaper); the mid-write
         # victim died *after* executing (its point ran once, in it).
-        assert sorted(ledger()[before:]) == sorted(
-            faults.fault_key(point.spec.to_json()) for point in sweep.points()
-        )
-        # No claim debris survives the merge.
-        assert not list((cache.directory / "claims").glob("*.claim"))
+        assert sorted(party_ledger(party)) == grid_fault_keys(sweep)
+        # The mid-write victim's claim guards a cached point.  Its peers
+        # resolved that point while the claim was still fresh, so it is
+        # left behind -- harmless, and garbage once its lease lapses.  A
+        # third victim can leave its claim on the mid-claim point as well.
+        time.sleep(CHAOS_LEASE_SECONDS)
+        claims = ClaimStore.for_cache(ResultCache(party / "cache"))
+        cleaned = {key for key in sweep_keys(sweep) if claims.cleanup_stale(key)}
+        if killed == 2:
+            assert cleaned == {mid_write}
+        else:
+            assert {mid_write} <= cleaned <= {mid_write, mid_claim}
+        assert not list(claims.directory.glob("*.claim"))
 
-    @pytest.mark.no_chaos
-    def test_chaos_merge_replays_warm_with_zero_misses(self, tmp_path):
-        sweep = small_sweep(seed=24)
-        profile = chaos_claim_profile(sweep)
-        cache = ResultCache(tmp_path / "shared")
-        with faults.fault_profile(profile):
-            run_sweep_distributed(
-                sweep, num_workers=4, cache=cache,
-                lease_seconds=0.5, poll_interval=0.02,
-            )
-        replay = run_sweep(sweep, cache=cache)
+    def test_chaos_merge_replays_warm_with_zero_misses(self, chaos_party):
+        sweep, serial, party, _, _ = chaos_party
+        replay = run_sweep(sweep, cache=ResultCache(party / "cache"))
         assert replay.cache_misses == 0
+        assert replay.value_digest() == serial.value_digest()
+
+
+@pytest.mark.no_chaos
+class TestLeaseValidation:
+    """A non-finite or non-positive lease is refused at every entry point,
+    warm cache or cold -- not only when a claim is first written."""
+
+    @pytest.fixture
+    def warm_sweep_file(self, tmp_path, monkeypatch):
+        sweep = small_sweep(seed=25)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        run_sweep(sweep, cache=ResultCache(tmp_path / "cache"))
+        path = tmp_path / "sweep.json"
+        path.write_text(sweep.to_json())
+        return path
+
+    def test_run_sweep_rejects_bad_leases_on_a_warm_cache(self, warm_sweep_file, tmp_path):
+        sweep = SweepSpec.from_json(warm_sweep_file.read_text())
+        for lease in BAD_LEASES:
+            with pytest.raises(ParameterError, match="finite positive"):
+                run_sweep(
+                    sweep, cache=ResultCache(tmp_path / "cache"), coordinate=True,
+                    claim_lease_seconds=lease,
+                )
+
+    def test_repro_run_exits_2(self, warm_sweep_file, capsys):
+        for lease in ("nan", "inf", "-1"):
+            for extra in (["--coordinate"], []):
+                code = repro_run(
+                    [str(warm_sweep_file), *extra, "--lease-seconds", lease, "--quiet"]
+                )
+                assert code == 2, (lease, extra)
+                assert "--lease-seconds" in capsys.readouterr().err
+
+    def test_repro_serve_exits_2(self, tmp_path, monkeypatch, capsys):
+        from repro.service.cli import main as repro_serve
+
+        # A lease that slipped through would start the service: make its
+        # serve loop return at once instead of blocking the test.
+        monkeypatch.setattr(
+            "repro.service.http.ExperimentService.serve_forever",
+            lambda self: (_ for _ in ()).throw(KeyboardInterrupt()),
+        )
+        for lease in ("nan", "inf", "-1"):
+            code = repro_serve([
+                "--port", "0", "--db", str(tmp_path / "jobs.sqlite3"),
+                "--cache-dir", str(tmp_path / "cache"), "--coordinate",
+                "--lease-seconds", lease, "--quiet",
+            ])
+            assert code == 2, lease
+            assert "--lease-seconds" in capsys.readouterr().err
+
+    def test_service_rejects_bad_leases(self, tmp_path):
+        from repro.service.http import ExperimentService
+
+        for lease in BAD_LEASES:
+            with pytest.raises(ParameterError, match="finite positive"):
+                ExperimentService(
+                    db_path=tmp_path / "jobs.sqlite3",
+                    cache=ResultCache(tmp_path / "cache"),
+                    coordinate=True,
+                    claim_lease_seconds=lease,
+                )
 
 
 @pytest.mark.no_chaos

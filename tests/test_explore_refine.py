@@ -10,7 +10,8 @@ sweeps:
 * **Value digests** -- :meth:`SweepResult.value_digest` hashes what the
   sweep *computed* (specs, seeds, engines, values, errors) and ignores
   how it was computed (wall time, cache accounting), which is the
-  bit-for-bit equality the distributed merge is tested against.
+  bit-for-bit equality every member of a coordinated claim party is
+  tested against.
 * **Streaming** -- ``run_sweep(stream=)`` and :func:`stream_sweep` yield
   every point exactly once as it resolves, with tidy rows and a running
   Pareto front; closing the stream cancels the sweep at a point boundary
