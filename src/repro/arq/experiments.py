@@ -28,6 +28,7 @@ sweep driver behind the spec runner.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -302,30 +303,45 @@ class Level1EccExperiment:
     ) -> dict[str, np.ndarray]:
         """Batched :meth:`run_trial_detailed`: per-lane outcome arrays.
 
-        Lanes whose ancilla verification fails are re-run as a (shrinking)
-        sub-batch up to :attr:`max_preparation_attempts` times -- the same
-        rejection sampling of the accepted-preparation ensemble as the
-        per-shot path, vectorized.
+        The first attempt runs all ``batch_size`` lanes.  The ``m`` lanes
+        whose ancilla verification fails then share one pooled retry of
+        about ``1.15 m / a + 8`` lanes, ``a`` being the first attempt's
+        acceptance fraction (never wider than ``batch_size`` or than the
+        pending lanes' remaining attempts).  The pool is handed out in order
+        (:func:`_hand_out`): each pending lane takes pool lanes until one
+        passes or it has made :attr:`max_preparation_attempts` attempts, and
+        keeps the last one's flags; a lane cut off by the pool's end carries
+        its count into the next pool.  Pool lanes are iid and each lane's
+        start in the pool is a stopping time of the earlier lanes' outcomes,
+        so every lane has the per-shot path's law: the first passing attempt
+        among at most that many iid attempts, else the last of them.
         """
         if batch_size <= 0:
             raise ParameterError("batch_size must be positive")
-        failure = np.zeros(batch_size, dtype=bool)
-        nontrivial = np.zeros(batch_size, dtype=bool)
-        verification = np.zeros(batch_size, dtype=bool)
-        pending = np.arange(batch_size)
-        for _ in range(max(1, self.max_preparation_attempts)):
-            outcome = self._batch_attempt(rng, pending.size)
-            failure[pending] = outcome["failure"]
-            nontrivial[pending] = outcome["nontrivial_syndrome"]
-            verification[pending] = outcome["verification_passed"]
-            pending = pending[~outcome["verification_passed"]]
-            if pending.size == 0:
-                break
-        return {
-            "failure": failure,
-            "nontrivial_syndrome": nontrivial,
-            "verification_passed": verification,
-        }
+        limit = max(1, self.max_preparation_attempts)
+        outcome = self._batch_attempt(rng, batch_size)
+        pending = np.flatnonzero(~outcome["verification_passed"])
+        attempts = np.ones(pending.size, dtype=np.int64)
+        accepted = 1.0 - pending.size / batch_size
+        while pending.size and limit > 1:
+            budgets = limit - attempts
+            width = min(batch_size, int(budgets.sum()))
+            if accepted > 0:
+                # Room for every pending lane to pass at the measured rate,
+                # with a margin, so a second pool is rarely needed.
+                width = min(width, math.ceil(1.15 * pending.size / accepted) + 8)
+            pool = self._batch_attempt(rng, width)
+            starts, ends = _hand_out(pool["verification_passed"], budgets)
+            served = pending[: ends.size]
+            for key, flags in outcome.items():
+                flags[served] = pool[key][ends]
+            attempts[: ends.size] += ends - starts + 1
+            keep = np.ones(pending.size, dtype=bool)
+            keep[: ends.size] = ~pool["verification_passed"][ends] & (
+                attempts[: ends.size] < limit
+            )
+            pending, attempts = pending[keep], attempts[keep]
+        return outcome
 
     def _batch_attempt(self, rng: np.random.Generator, batch_size: int) -> dict[str, np.ndarray]:
         state = create_batch_tableau(self.backend, self._register_size, batch_size, rng=rng)
@@ -453,6 +469,40 @@ class Level1EccExperiment:
         self._apply_data_pauli(tableau, z_correction)
         logical_value = tableau.expectation(self._embedded_logical_z)
         return logical_value == -1
+
+
+def _hand_out(passed: np.ndarray, budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deal a retry pool out to pending lanes in order: ``(starts, ends)``.
+
+    Pending lane ``i`` takes pool lanes ``starts[i]..ends[i]``: up to and
+    including the first one whose verification ``passed``, but no more than
+    ``budgets[i]`` of them and none past the pool's end.  Only the lanes that
+    got a pool lane are listed; the last of them may be cut off by the end.
+    """
+    width = passed.size
+    passes = np.flatnonzero(passed)
+    starts, ends = [], []
+    start, lane = 0, 0
+    while start < width and lane < budgets.size:
+        # Uncapped, the lanes from ``lane`` on end at the successive passes
+        # from ``start``, and the one after the last pass at the pool's end.
+        stops = passes[np.searchsorted(passes, start) :]
+        if stops.size == 0 or stops[-1] < width - 1:
+            stops = np.append(stops, width - 1)
+        stops = stops[: budgets.size - lane]
+        firsts = np.concatenate(([start], stops[:-1] + 1))
+        over = np.flatnonzero(stops - firsts >= budgets[lane : lane + stops.size])
+        if over.size == 0:
+            starts.append(firsts)
+            ends.append(stops)
+            break
+        # The first lane whose budget runs out keeps its last allowed attempt.
+        capped = int(over[0])
+        starts.append(firsts[: capped + 1])
+        ends.append(np.append(stops[:capped], firsts[capped] + budgets[lane + capped] - 1))
+        start = int(ends[-1][-1]) + 1
+        lane += capped + 1
+    return np.concatenate(starts), np.concatenate(ends)
 
 
 class _WordParity:

@@ -111,16 +111,18 @@ _LOG = logging.getLogger("repro")
 
 
 def check_lease_seconds(lease_seconds) -> float:
-    """``lease_seconds`` as a float, or ParameterError unless finite and > 0.
+    """``lease_seconds`` as a float, or ParameterError unless in (0, TIMEOUT_MAX].
 
     A NaN lease never goes stale (every comparison is False), so its claims
-    would wedge the party; an infinite one overflows the heartbeat wait.
+    would wedge the party; one above ``threading.TIMEOUT_MAX`` (infinity
+    included) overflows the heartbeat's wait and join.
     """
     if not isinstance(lease_seconds, (int, float)) or not (
-        math.isfinite(lease_seconds) and lease_seconds > 0
+        0 < lease_seconds <= threading.TIMEOUT_MAX
     ):
         raise ParameterError(
-            f"lease_seconds must be a finite positive number, got {lease_seconds!r}"
+            "lease_seconds must be a finite positive number of at most "
+            f"{threading.TIMEOUT_MAX:g} s, got {lease_seconds!r}"
         )
     return float(lease_seconds)
 

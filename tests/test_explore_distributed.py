@@ -48,6 +48,7 @@ from repro.explore.cache import ResultCache, cache_key
 from repro.explore.distributed import (
     ClaimRecord,
     ClaimStore,
+    _HeartbeatKeeper,
 )
 from repro.explore.runner import SweepResult, resolved_engine, run_sweep
 from repro.explore.sweep import SweepAxis, SweepSpec
@@ -78,6 +79,8 @@ def small_sweep(seed: int = 7) -> SweepSpec:
 #: infinite lease overflows the heartbeat wait, and a negative one is
 #: stale before it is written.
 BAD_LEASES = (math.nan, math.inf, -1.0)
+#: Finite, but past ``threading.TIMEOUT_MAX``: the heartbeat's wait overflows.
+TOO_LONG_LEASE = 3e10
 
 
 def sweep_keys(sweep: SweepSpec) -> list[str]:
@@ -600,8 +603,8 @@ class TestChaosRecovery:
 
 @pytest.mark.no_chaos
 class TestLeaseValidation:
-    """A non-finite or non-positive lease is refused at every entry point,
-    warm cache or cold -- not only when a claim is first written."""
+    """A non-finite, non-positive or overlong lease is refused at every entry
+    point, warm cache or cold -- not only when a claim is first written."""
 
     @pytest.fixture
     def warm_sweep_file(self, tmp_path, monkeypatch):
@@ -612,9 +615,18 @@ class TestLeaseValidation:
         path.write_text(sweep.to_json())
         return path
 
+    def test_claim_store_caps_the_lease_at_the_heartbeat_wait(self, tmp_path):
+        with pytest.raises(ParameterError, match="finite positive"):
+            ClaimStore(tmp_path, lease_seconds=TOO_LONG_LEASE)
+        # The longest accepted lease still starts and stops the heartbeat.
+        claims = ClaimStore(tmp_path, lease_seconds=threading.TIMEOUT_MAX)
+        with _HeartbeatKeeper(claims) as keeper:
+            pass
+        assert not keeper._thread.is_alive()
+
     def test_run_sweep_rejects_bad_leases_on_a_warm_cache(self, warm_sweep_file, tmp_path):
         sweep = SweepSpec.from_json(warm_sweep_file.read_text())
-        for lease in BAD_LEASES:
+        for lease in (*BAD_LEASES, TOO_LONG_LEASE):
             with pytest.raises(ParameterError, match="finite positive"):
                 run_sweep(
                     sweep, cache=ResultCache(tmp_path / "cache"), coordinate=True,
@@ -622,7 +634,7 @@ class TestLeaseValidation:
                 )
 
     def test_repro_run_exits_2(self, warm_sweep_file, capsys):
-        for lease in ("nan", "inf", "-1"):
+        for lease in ("nan", "inf", "-1", str(TOO_LONG_LEASE)):
             for extra in (["--coordinate"], []):
                 code = repro_run(
                     [str(warm_sweep_file), *extra, "--lease-seconds", lease, "--quiet"]
@@ -639,7 +651,7 @@ class TestLeaseValidation:
             "repro.service.http.ExperimentService.serve_forever",
             lambda self: (_ for _ in ()).throw(KeyboardInterrupt()),
         )
-        for lease in ("nan", "inf", "-1"):
+        for lease in ("nan", "inf", "-1", str(TOO_LONG_LEASE)):
             code = repro_serve([
                 "--port", "0", "--db", str(tmp_path / "jobs.sqlite3"),
                 "--cache-dir", str(tmp_path / "cache"), "--coordinate",
@@ -651,7 +663,7 @@ class TestLeaseValidation:
     def test_service_rejects_bad_leases(self, tmp_path):
         from repro.service.http import ExperimentService
 
-        for lease in BAD_LEASES:
+        for lease in (*BAD_LEASES, TOO_LONG_LEASE):
             with pytest.raises(ParameterError, match="finite positive"):
                 ExperimentService(
                     db_path=tmp_path / "jobs.sqlite3",

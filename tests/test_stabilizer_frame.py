@@ -4,7 +4,10 @@
   error counts, frames and reference -- on random noisy circuits, custom
   noise models included;
 * the engine agrees with the scalar per-shot oracle within Wilson intervals
-  at ragged and full-word batch sizes;
+  at ragged and full-word batch sizes, and with a binding retry cap;
+* pooled verification retries hand their lanes out in order, keep a capped
+  lane's last outcome, carry a cut-off lane's count into the next pool and
+  never run a call wider than the batch;
 * the noiseless reference pass runs once per program content and input
   reference, so rebuilt experiments reuse it;
 * programs are checked once: ``is_simulable`` is computed once per program
@@ -16,6 +19,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -107,24 +111,36 @@ def _wilson(successes: int, trials: int, z: float = 3.5) -> tuple[float, float]:
     return centre - half, centre + half
 
 
-#: Level-1 rate of the oracle comparison: ~10% failures, ~75% syndromes.
+#: Level-1 rate of the oracle comparison: ~10% failures, ~75% syndromes, and
+#: ~75% of preparations rejected by verification.
 ORACLE_RATE = 2.0e-2
 
 
-@pytest.fixture(scope="module")
-def scalar_counts():
+@functools.cache
+def _scalar_counts(attempts: int) -> tuple[dict[str, int], int]:
     """Per-shot oracle counts of the Level-1 flags at :data:`ORACLE_RATE`."""
-    experiment = Level1EccExperiment(noise=_noise_for_rate(ORACLE_RATE, EXPECTED_PARAMETERS))
+    experiment = Level1EccExperiment(
+        noise=_noise_for_rate(ORACLE_RATE, EXPECTED_PARAMETERS),
+        max_preparation_attempts=attempts,
+    )
     rng = np.random.default_rng(404)
     shots = [experiment.run_trial_detailed(rng) for _ in range(200)]
     return {key: sum(shot[key] for shot in shots) for key in shots[0]}, len(shots)
 
 
 class TestScalarAgreement:
-    @pytest.mark.parametrize("batch", (1, 63, 64, 65, 4096))
-    def test_frame_engine_agrees_with_scalar_oracle(self, scalar_counts, batch):
-        counts, trials = scalar_counts
-        experiment = Level1EccExperiment(noise=_noise_for_rate(ORACLE_RATE, EXPECTED_PARAMETERS))
+    @pytest.mark.parametrize(
+        "batch, attempts",
+        [pytest.param(batch, 20, id=str(batch)) for batch in (1, 63, 64, 65, 4096)]
+        # Two attempts at a ~75% rejection rate: the cap binds on most lanes.
+        + [pytest.param(4096, 2, id="capped")],
+    )
+    def test_frame_engine_agrees_with_scalar_oracle(self, batch, attempts):
+        counts, trials = _scalar_counts(attempts)
+        experiment = Level1EccExperiment(
+            noise=_noise_for_rate(ORACLE_RATE, EXPECTED_PARAMETERS),
+            max_preparation_attempts=attempts,
+        )
         rng = np.random.default_rng(batch)
         calls = max(1, (512 if batch == 1 else 4096) // batch)
         outcomes = [experiment.run_trial_batch_detailed(rng, batch) for _ in range(calls)]
@@ -133,6 +149,107 @@ class TestScalarAgreement:
             frame_low, frame_high = _wilson(frame, calls * batch)
             scalar_low, scalar_high = _wilson(count, trials)
             assert frame_low <= scalar_high and scalar_low <= frame_high, (key, frame, count)
+
+
+class _ScriptedAttempts:
+    """Stands in for ``_batch_attempt``: returns scripted flags, call by call.
+
+    Each script entry is a string with one letter per lane: ``p``/``P``
+    passes verification, ``f``/``F`` fails it, and an upper-case letter sets
+    the lane's ``failure`` flag, so the attempt a lane kept can be told apart.
+    """
+
+    def __init__(self, *script: str) -> None:
+        self.script = list(script)
+        self.widths: list[int] = []
+
+    def __call__(self, rng, batch_size: int) -> dict[str, np.ndarray]:
+        self.widths.append(batch_size)
+        lanes = self.script.pop(0)[:batch_size]
+        assert len(lanes) == batch_size, (lanes, batch_size)
+        return {
+            "failure": np.array([lane.isupper() for lane in lanes]),
+            "nontrivial_syndrome": np.zeros(batch_size, dtype=bool),
+            "verification_passed": np.array([lane in "Pp" for lane in lanes]),
+        }
+
+
+def _scripted_run(monkeypatch, attempts: int, batch: int, *script: str):
+    scripted = _ScriptedAttempts(*script)
+    experiment = Level1EccExperiment(
+        noise=_noise_for_rate(ORACLE_RATE, EXPECTED_PARAMETERS),
+        max_preparation_attempts=attempts,
+    )
+    monkeypatch.setattr(experiment, "_batch_attempt", scripted)
+    outcome = experiment.run_trial_batch_detailed(np.random.default_rng(0), batch)
+    assert not scripted.script, "unused script entries"
+    return outcome, scripted.widths
+
+
+def _letters(outcome) -> str:
+    """The script letter each lane's final flags correspond to."""
+    return "".join(
+        ("P" if failed else "p") if passed else ("F" if failed else "f")
+        for failed, passed in zip(outcome["failure"], outcome["verification_passed"])
+    )
+
+
+class TestPooledRetries:
+    def test_lanes_take_pool_attempts_in_order_and_keep_the_capped_one(self, monkeypatch):
+        # Lanes 1, 3 and 5 are rejected.  Lane 1 takes pool lanes 0 and 1,
+        # reaching the cap of three attempts on 1, whose outcome it keeps;
+        # lane 3 passes on pool lane 2, lane 5 on 4 after a rejection on 3.
+        outcome, widths = _scripted_run(monkeypatch, 3, 6, "pfpfpf", "fFpfPf")
+        assert _letters(outcome) == "pFpppP"
+        assert widths == [6, 6]
+        # A lane whose pool ends on its capped attempt keeps that one too.
+        outcome, widths = _scripted_run(monkeypatch, 3, 4, "pFpf", "fPfF")
+        assert _letters(outcome) == "pPpF"
+        assert widths == [4, 4]
+
+    def test_a_cut_off_lane_carries_its_count_into_the_next_pool(self, monkeypatch):
+        # Every lane is rejected at first.  Lane 0 takes the whole first pool
+        # and is cut off at its end with five attempts, so the next pool's
+        # lane 0 is its sixth and last: it keeps that rejection, and lanes
+        # 1-3 take the passing pool lanes after it.
+        outcome, widths = _scripted_run(monkeypatch, 6, 4, "ffff", "ffff", "FPpP")
+        assert _letters(outcome) == "FPpP"
+        assert widths == [4, 4, 4]
+
+    def test_pool_width_follows_the_first_acceptance(self, monkeypatch):
+        # 60 of 64 lanes pass the first attempt (a = 0.9375): four pending
+        # lanes get a pool of ceil(1.15 * 4 / a) + 8 = 13 lanes.  Lanes 0
+        # and 1 pass in it, lane 2 is cut off by its end and lane 3 gets
+        # nothing, so the next pool holds ceil(1.15 * 2 / a) + 8 = 11.
+        outcome, widths = _scripted_run(
+            monkeypatch, 20, 64, "ffff" + "p" * 60, "P" + "f" * 10 + "pf", "pP" + "f" * 9
+        )
+        assert widths == [64, 13, 11]
+        assert _letters(outcome)[:4] == "PppP"
+
+    def test_one_attempt_makes_one_call(self, monkeypatch):
+        outcome, widths = _scripted_run(monkeypatch, 1, 5, "FfPpf")
+        assert widths == [5]
+        assert _letters(outcome) == "FfPpf"
+
+    @pytest.mark.parametrize("rate", [4.0e-3, 2.0e-2, 0.3])
+    def test_no_call_is_wider_than_the_batch(self, monkeypatch, rate):
+        experiment = Level1EccExperiment(noise=_noise_for_rate(rate, EXPECTED_PARAMETERS))
+        widths = []
+        attempt = experiment._batch_attempt
+
+        def spying(rng, batch_size):
+            widths.append(batch_size)
+            return attempt(rng, batch_size)
+
+        monkeypatch.setattr(experiment, "_batch_attempt", spying)
+        for batch in (1, 65, 1000):
+            widths.clear()
+            experiment.run_trial_batch_detailed(np.random.default_rng(batch), batch)
+            assert widths[0] == batch and max(widths) <= batch, widths
+            # A wholly rejected first attempt still gives at most a batch
+            # per pending lane's remaining attempts.
+            assert sum(widths[1:]) <= 19 * batch, widths
 
 
 class TestReferencePass:
