@@ -64,6 +64,9 @@ def test_figure7_threshold_sweep(benchmark):
     # The fitted pseudothreshold lands inside the paper's quoted band.
     assert PAPER_THRESHOLD_BAND[0] < result.pseudothreshold < PAPER_THRESHOLD_BAND[1]
     # The curve-crossing estimate (noisier) stays within the same decade.
+    assert result.threshold.threshold is not None, (
+        f"no level-1/level-2 crossing in the swept range: {result.threshold}"
+    )
     assert 1e-4 < result.threshold.threshold < 1e-2
 
     rows = [

@@ -39,6 +39,17 @@ from repro.core.report import format_table
 NUM_SHARDS = 8
 
 
+def _crossing(estimate) -> str:
+    """The crossing with its band, or the one-sided bound when there is none."""
+    if estimate.threshold is not None:
+        return f"{estimate.threshold:.2e} [{estimate.lower:.2e}, {estimate.upper:.2e}]"
+    if estimate.upper is not None:
+        return f"none in the swept range (below {estimate.upper:.2e})"
+    if estimate.lower > 0.0:
+        return f"none in the swept range (above {estimate.lower:.2e})"
+    return "none: no failures observed"
+
+
 def main(trials: int, use_batched: bool, workers: int, seed: int) -> None:
     rates = (1.0e-3, 1.5e-3, 2.0e-3, 2.5e-3)
     execution = (
@@ -75,7 +86,7 @@ def main(trials: int, use_batched: bool, workers: int, seed: int) -> None:
     print()
     print(f"fitted concatenation coefficient A : {sweep.concatenation_coefficient:,.0f}")
     print(f"pseudothreshold 1/A                : {sweep.pseudothreshold:.2e}")
-    print(f"level-1/level-2 curve crossing     : {sweep.threshold.threshold:.2e}")
+    print(f"level-1/level-2 curve crossing     : {_crossing(sweep.threshold)}")
     print("paper's empirical threshold        : 2.1e-03 +/- 1.8e-03")
     print(
         f"executed by                        : backend {result.backend!r} "

@@ -537,7 +537,9 @@ class ThresholdSweepResult:
     concatenation_coefficient:
         Fitted ``A`` in ``p_1 = A p^2``.
     threshold:
-        Crossing of the level-1 and level-2 curves (the empirical threshold).
+        Crossing of the level-1 and level-2 curves (the empirical threshold);
+        its ``threshold`` is None, with a one-sided bound, when the curves do
+        not cross in the swept range.
     seed_entropy:
         Entropy of the root :class:`numpy.random.SeedSequence` the sweep was
         run from, or None when assembled without one.  Re-running with

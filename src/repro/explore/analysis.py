@@ -61,6 +61,8 @@ def _machine_sim_metrics(value: dict) -> dict:
 def _threshold_sweep_metrics(value) -> dict:
     return {
         "threshold": value.threshold.threshold,
+        "threshold_lower": value.threshold.lower,
+        "threshold_upper": value.threshold.upper,
         "num_rates": len(value.physical_rates),
         "max_level1_rate": max(value.level1_rates) if value.level1_rates else 0.0,
     }
@@ -97,8 +99,9 @@ def tidy_rows(sweep_result) -> list[dict]:
     kind, the resolved backend/engine, the cache status, the retry/failure
     accounting (``failed``, ``attempts``), the per-point wall times, and
     the experiment's headline metrics -- makespan/stalls for ``machine_sim``,
-    failure counts and rate for ``logical_failure``, the fitted threshold
-    for ``threshold_sweep``, the analytic (and measured, if sampled) rate
+    failure counts and rate for ``logical_failure``, the curve crossing
+    and its band for ``threshold_sweep`` (``threshold`` is None, with a
+    one-sided band, when the curves do not cross in the swept range), the analytic (and measured, if sampled) rate
     for ``syndrome_rate``.
 
     Two wall-time columns, with different provenance: ``wall_time_seconds``

@@ -25,22 +25,28 @@ class ThresholdEstimate:
     Attributes
     ----------
     threshold:
-        Physical failure rate at which the two logical-failure curves cross.
+        Physical failure rate at which the two logical-failure curves cross,
+        or None when they do not cross inside the swept range.
     lower, upper:
-        Crude uncertainty band derived from the statistical errors of the data
-        points bracketing the crossing.
+        With a crossing, a crude uncertainty band derived from the
+        statistical errors of the data points bracketing it.  Without one, a
+        one-sided bound at the edge of the sweep: ``lower`` is the largest
+        swept rate when ``level_b`` stays below ``level_a`` (the crossing,
+        if any, lies above the range), ``upper`` the smallest when it stays
+        above.  ``upper`` is None when unbounded; always
+        ``0 <= lower <= upper``.
     level_a, level_b:
         The two recursion levels whose curves were compared.
     """
 
-    threshold: float
+    threshold: float | None
     lower: float
-    upper: float
+    upper: float | None
     level_a: int = 1
     level_b: int = 2
 
     def __contains__(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
+        return self.lower <= value and (self.upper is None or value <= self.upper)
 
 
 def fit_concatenation_coefficient(
@@ -99,53 +105,63 @@ def estimate_threshold_crossing(
         Recursion levels, recorded in the result.
 
     The crossing is found by linear interpolation of the difference curve
-    ``level_b - level_a``; if the difference never changes sign the crossing
-    is extrapolated from the closest pair of points.
+    ``level_b - level_a`` between the first pair of points where it changes
+    sign, or at the first point where it is exactly zero.  Points where both
+    curves read zero (no failures at either level) say nothing about a
+    crossing and are skipped.  When the difference never changes sign,
+    nothing is extrapolated: the estimate has ``threshold=None`` and a
+    one-sided bound at the edge of the sweep (see :class:`ThresholdEstimate`).
     """
     x = np.asarray(physical_rates, dtype=float)
     a = np.asarray(failures_level_a, dtype=float)
     b = np.asarray(failures_level_b, dtype=float)
     if not (x.shape == a.shape == b.shape) or x.ndim != 1 or x.size < 2:
         raise ParameterError("need at least two aligned sweep points to locate a crossing")
+    if (x < 0.0).any():
+        raise ParameterError("physical rates must be non-negative")
+    err_a = np.asarray(errors_level_a, dtype=float) if errors_level_a is not None else np.zeros_like(x)
+    err_b = np.asarray(errors_level_b, dtype=float) if errors_level_b is not None else np.zeros_like(x)
     order = np.argsort(x)
-    x, a, b = x[order], a[order], b[order]
-    err_a = np.asarray(errors_level_a, dtype=float)[order] if errors_level_a is not None else np.zeros_like(x)
-    err_b = np.asarray(errors_level_b, dtype=float)[order] if errors_level_b is not None else np.zeros_like(x)
+    keep = order[(a[order] != 0.0) | (b[order] != 0.0)]
+    x, diff, err_a, err_b = x[keep], b[keep] - a[keep], err_a[keep], err_b[keep]
 
-    diff = b - a
-    crossing_index = None
-    for i in range(len(x) - 1):
+    bracket = None
+    for i in range(x.size):
         if diff[i] == 0.0:
-            crossing_index = (i, i)
+            # An exact tie: the crossing is the point itself; a neighbour
+            # gives the slope of the uncertainty band.
+            bracket = (i, i + 1 if i + 1 < x.size else max(i - 1, 0))
+            threshold = float(x[i])
             break
-        if diff[i] * diff[i + 1] < 0.0:
-            crossing_index = (i, i + 1)
+        if i + 1 < x.size and diff[i] * diff[i + 1] < 0.0:
+            bracket = (i, i + 1)
+            fraction = -diff[i] / (diff[i + 1] - diff[i])
+            threshold = float(x[i] + fraction * (x[i + 1] - x[i]))
             break
-
-    if crossing_index is None:
-        # No sign change observed: extrapolate from the last two points of the
-        # difference curve (the best available estimate, flagged by the wide
-        # uncertainty band below).
-        i, j = len(x) - 2, len(x) - 1
-    else:
-        i, j = crossing_index
-
-    if i == j or diff[j] == diff[i]:
-        threshold = float(x[i])
-    else:
-        fraction = -diff[i] / (diff[j] - diff[i])
-        threshold = float(x[i] + fraction * (x[j] - x[i]))
+    if bracket is None:
+        if not x.size:
+            lower, upper = 0.0, None
+        elif diff[0] < 0.0:
+            lower, upper = float(x[-1]), None
+        else:
+            lower, upper = 0.0, float(x[0])
+        return ThresholdEstimate(
+            threshold=None, lower=lower, upper=upper, level_a=level_a, level_b=level_b
+        )
 
     # Uncertainty: shift the difference curve by the combined statistical error
     # at the bracketing points and see how far the crossing moves.
+    i, j = bracket
     combined_error = float(np.sqrt(err_a[i] ** 2 + err_b[i] ** 2 + err_a[j] ** 2 + err_b[j] ** 2))
-    slope = abs((diff[j] - diff[i]) / (x[j] - x[i])) if x[j] != x[i] else 0.0
+    slope = float(abs((diff[j] - diff[i]) / (x[j] - x[i]))) if x[j] != x[i] else 0.0
     if slope > 0.0 and combined_error > 0.0:
         shift = combined_error / slope
     else:
-        shift = abs(x[j] - x[i])
-    lower = max(0.0, threshold - shift)
-    upper = threshold + shift
+        shift = float(abs(x[j] - x[i]))
     return ThresholdEstimate(
-        threshold=threshold, lower=lower, upper=upper, level_a=level_a, level_b=level_b
+        threshold=threshold,
+        lower=max(0.0, threshold - shift),
+        upper=threshold + shift,
+        level_a=level_a,
+        level_b=level_b,
     )

@@ -35,6 +35,14 @@ generator calls.  The random measurement words follow, in program order,
 from the state's generator.  Custom models are sampled through their packed
 hooks, interleaved with the measurement words.
 
+Either way the kernel receives the noise as **failure records**
+(:class:`NoiseBlock`): per noise record, the lanes that failed and a letter
+code for each, which a small table decodes into the Pauli on each qubit of
+the record's support.  The kernel XORs one lane bit per failure and support
+qubit into the frame, at the record's program position, so the noise costs
+O(failures) rather than O(W) per record.  Measurement flips are XORed onto
+the outcome words after the kernel returns.
+
 Two interchangeable kernels implement the loop, with the same signature:
 
 * a small C kernel (``fused_kernel.c``) compiled on demand with the system C
@@ -144,6 +152,27 @@ def _np_measure(k, a, ref_bits, draw_index, piv_start, piv_qubit, piv_xz, drawn,
     mout[:] = drawn[d]
 
 
+def _np_record_words(W, inj_start, code_xz, fail_start, fail_lane, fail_code):
+    """Decode the failure records into ``(2, K, W)`` X/Z words per support entry."""
+    records = inj_start.size - 1
+    words = np.zeros((2, int(inj_start[-1]), W), dtype=np.uint64)
+    count = int(fail_start[records])
+    record = np.repeat(np.arange(records), np.diff(fail_start[: records + 1]))
+    lane = fail_lane[:count]
+    xz = code_xz[fail_code[:count]]
+    for plane, part in enumerate((1, 2)):
+        failure, entry = np.nonzero(xz & part)
+        owner = record[failure]
+        inside = entry < inj_start[owner + 1] - inj_start[owner]
+        failure, entry, owner = failure[inside], entry[inside], owner[inside]
+        np.bitwise_xor.at(
+            words[plane],
+            (inj_start[owner] + entry, lane[failure] >> 6),
+            _BIT64[lane[failure] & 63],
+        )
+    return words
+
+
 def _np_inject(e, inj_start, inj_qubit, inj_x, inj_z, fx, fz):
     for idx in range(int(inj_start[e]), int(inj_start[e + 1])):
         q = int(inj_qubit[idx])
@@ -154,6 +183,7 @@ def _np_inject(e, inj_start, inj_qubit, inj_x, inj_z, fx, fz):
 def frame_kernel_numpy(
     W,
     ops,
+    code_width,
     opcodes,
     qubit0,
     qubit1,
@@ -167,8 +197,10 @@ def frame_kernel_numpy(
     post_inj,
     inj_start,
     inj_qubit,
-    inj_x,
-    inj_z,
+    code_xz,
+    fail_start,
+    fail_lane,
+    fail_code,
     drawn,
     out,
     fx,
@@ -179,8 +211,8 @@ def frame_kernel_numpy(
 
     Parameters (all arrays C-contiguous):
 
-    ``W``/``ops``
-        Packed word count and number of operations.
+    ``W``/``ops``/``code_width``
+        Packed word count, number of operations and columns of ``code_xz``.
     ``opcodes``/``qubit0``/``qubit1``/``slots``
         ``(ops,)`` int32 program arrays (see ``CompiledCircuit.kernel_arrays``).
     ``ref_bits``/``draw_index``
@@ -195,10 +227,18 @@ def frame_kernel_numpy(
     ``pre_inj``/``post_inj``
         ``(ops,)`` int32 indices of the noise record applied before
         (movement) / after (gate, preparation) the operation, -1 for none.
-    ``inj_start``/``inj_qubit``/``inj_x``/``inj_z``
-        Flattened noise records: record ``e`` covers support entries
-        ``inj_start[e]:inj_start[e+1]`` of ``inj_qubit`` with packed
-        ``(K, W)`` uint64 X/Z words.
+    ``inj_start``/``inj_qubit``
+        Supports of the noise records: record ``e`` acts on the qubits
+        ``inj_qubit[inj_start[e]:inj_start[e+1]]`` (int32).
+    ``code_xz``
+        ``(C, code_width)`` uint8 letter-code table: a failure of code ``c``
+        applies the Pauli ``code_xz[c, j]`` (bit 0 X, bit 1 Z) to support
+        entry ``j`` of its record.
+    ``fail_start``/``fail_lane``/``fail_code``
+        int64 failure records: record ``e`` failed in lanes
+        ``fail_lane[fail_start[e]:fail_start[e+1]]`` with letter codes
+        ``fail_code`` of the same entries.  Each failure XORs one lane bit
+        into the frame words of its record's support.
     ``drawn``/``out``
         ``(D, W)`` random measurement words / ``(M, W)`` outcome words.
     ``fx``/``fz``
@@ -209,9 +249,12 @@ def frame_kernel_numpy(
     Returns a status code: 0 on success, 1 on an unknown opcode.
     """
     measure_args = (ref_bits, draw_index, piv_start, piv_qubit, piv_xz, drawn, fx, fz, mout)
+    # XORing whole rows beats a scatter per record, so decode the records once.
+    inj_x, inj_z = _np_record_words(W, inj_start, code_xz, fail_start, fail_lane, fail_code)
+    inject_args = (inj_start, inj_qubit, inj_x, inj_z, fx, fz)
     for k in range(ops):
         if pre_inj[k] >= 0:
-            _np_inject(int(pre_inj[k]), inj_start, inj_qubit, inj_x, inj_z, fx, fz)
+            _np_inject(int(pre_inj[k]), *inject_args)
         op = int(opcodes[k])
         a = int(qubit0[k])
         b = int(qubit1[k])
@@ -243,7 +286,7 @@ def frame_kernel_numpy(
         else:
             return 1
         if post_inj[k] >= 0:
-            _np_inject(int(post_inj[k]), inj_start, inj_qubit, inj_x, inj_z, fx, fz)
+            _np_inject(int(post_inj[k]), *inject_args)
     return 0
 
 
@@ -309,7 +352,7 @@ def _cext_kernel():
         _CEXT_ERROR = f"cannot load compiled kernel {shared.name}: {exc}"
         return None
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 20
+    fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 22
     _CEXT_FN = fn
     return fn
 
@@ -602,21 +645,16 @@ def _reference_for(plan: _KernelPlan, state: "PauliFrameBatch") -> _Reference:
 
 # Letter codes of a failure: 0 is the preparation X flip, 1..3 the one-qubit
 # depolarizing letters, 4..18 the two-qubit pairs and 19 a classical
-# measurement flip.  ``_CODE_HITS[code]`` marks the rows of its record the
-# failure sets its lane bit in: [X side 0, Z side 0, X side 1, Z side 1, flip].
+# measurement flip.  ``_CODE_XZ[code, j]`` is the Pauli the failure applies to
+# support entry ``j`` of its record (bit 0 X, bit 1 Z); a flip touches no frame.
 _PREP_CODE = 0
 _ONE_QUBIT_CODE = 1
 _TWO_QUBIT_CODE = 4
 _FLIP_CODE = 19
-_CODE_HITS = np.zeros((20, 5), dtype=np.bool_)
-_CODE_HITS[_PREP_CODE, 0] = True
-_CODE_HITS[1:4, 0] = _ONE_QUBIT_X != 0
-_CODE_HITS[1:4, 1] = _ONE_QUBIT_Z != 0
-_CODE_HITS[4:19, 0] = _TWO_QUBIT_X[:, 0] != 0
-_CODE_HITS[4:19, 1] = _TWO_QUBIT_Z[:, 0] != 0
-_CODE_HITS[4:19, 2] = _TWO_QUBIT_X[:, 1] != 0
-_CODE_HITS[4:19, 3] = _TWO_QUBIT_Z[:, 1] != 0
-_CODE_HITS[_FLIP_CODE, 4] = True
+_CODE_XZ = np.zeros((20, 2), dtype=np.uint8)
+_CODE_XZ[_PREP_CODE, 0] = 1
+_CODE_XZ[1:4, 0] = _ONE_QUBIT_X | _ONE_QUBIT_Z << 1
+_CODE_XZ[4:19] = _TWO_QUBIT_X | _TWO_QUBIT_Z << 1
 
 _BIT64 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
@@ -647,20 +685,16 @@ class _NoiseTemplate:
 
     Event ``e`` fails in each lane independently with probability ``p[e]``
     (events of probability zero are dropped).  A failing lane draws a letter
-    uniformly from ``letters[e]`` choices (one choice draws nothing); the code
-    ``code[e] + letter`` picks, through ``_CODE_HITS``, the rows
-    ``row[e] + offset[hit]`` of the block's word buffer -- the X, Z and flip
-    planes stacked -- that get the lane's bit.
+    uniformly from ``letters[e]`` choices (one choice draws nothing) and
+    fails with letter code ``code[e] + letter``.  The injection events come
+    first, event ``e`` being injection record ``e``; the measurement flips
+    follow, flip ``f`` XORing onto outcome row ``flip_slots[f]``.
     """
 
     __slots__ = (
         "p",
         "letters",
         "code",
-        "row",
-        "offset",
-        "support",
-        "num_rows",
         "pre_inj",
         "post_inj",
         "inj_start",
@@ -675,14 +709,14 @@ class _NoiseTemplate:
         self.post_inj = np.full(ops, -1, dtype=np.int32)
         inj_qubit: list[int] = []
         inj_start = [0]
-        events: list[tuple[float, int, int, int]] = []  # (p, letters, code, row)
+        events: list[tuple[float, int, int]] = []  # (p, letters, code)
         flips: list[float] = []
         flip_slots: list[int] = []
 
         def record(p: float, qubits: tuple[int, ...], letters: int, code: int) -> int:
             if p <= 0.0:
                 return -1
-            events.append((p, letters, code, len(inj_qubit)))
+            events.append((p, letters, code))
             inj_qubit.extend(qubits)
             inj_start.append(len(inj_qubit))
             return len(inj_start) - 2
@@ -712,33 +746,31 @@ class _NoiseTemplate:
                     )
                 else:
                     self.post_inj[k] = record(noise.p_single, (q0,), 3, _ONE_QUBIT_CODE)
-        support = len(inj_qubit)
-        events += [(p, 1, _FLIP_CODE, 2 * support + f) for f, p in enumerate(flips)]
+        events += [(p, 1, _FLIP_CODE) for p in flips]
         self.p = np.array([event[0] for event in events], dtype=np.float64)
         self.letters = np.array([event[1] for event in events], dtype=np.int64)
         self.code = np.array([event[2] for event in events], dtype=np.int64)
-        self.row = np.array([event[3] for event in events], dtype=np.int64)
-        self.offset = np.array([0, support, 1, support + 1, 0], dtype=np.int64)
-        self.support = support
-        self.num_rows = 2 * support + len(flips)
         self.inj_start = np.asarray(inj_start, dtype=np.int32)
         self.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
         self.record_addresses = _addresses(
-            self.pre_inj, self.post_inj, self.inj_start, self.inj_qubit
+            self.pre_inj, self.post_inj, self.inj_start, self.inj_qubit, _CODE_XZ
         )
         self.flip_slots = np.asarray(flip_slots, dtype=np.int64)
 
 
 class NoiseBlock:
-    """One run's sampled noise, laid out as the kernel's injection records.
+    """One run's sampled noise as failure records.
 
-    Record ``e`` applies Pauli words ``inj_x``/``inj_z`` rows
-    ``inj_start[e]:inj_start[e+1]`` to qubits ``inj_qubit`` of the same
-    rows; ``pre_inj[k]``/``post_inj[k]`` name the record applied before /
-    after operation ``k`` (``-1`` for none); ``record_addresses`` holds the
-    data addresses of those four index arrays for the C kernel.
-    ``flip_words`` are XORed onto the measurement outcome rows
-    ``flip_slots``, and ``error_count`` counts the failed events of each lane.
+    Injection record ``e`` acts on qubits ``inj_qubit[inj_start[e]:inj_start[e+1]]``
+    and failed in the lanes ``fail_lane[fail_start[e]:fail_start[e+1]]``; a
+    failure with letter code ``c`` applies the Pauli ``code_xz[c, j]`` (bit 0
+    X, bit 1 Z) to support entry ``j``.  ``pre_inj[k]``/``post_inj[k]`` name
+    the record applied before / after operation ``k`` (``-1`` for none), and
+    ``record_addresses`` holds the data addresses of those four index arrays
+    and of ``code_xz`` for the C kernel.  The measurement flips follow the
+    ``R`` records: flip ``f`` failed in the lanes of entry ``R + f`` of
+    ``fail_start``, which are XORed onto outcome row ``flip_slots[f]``.
+    ``error_count`` counts the failed events of each lane.
     """
 
     __slots__ = (
@@ -746,11 +778,12 @@ class NoiseBlock:
         "post_inj",
         "inj_start",
         "inj_qubit",
+        "code_xz",
         "record_addresses",
-        "inj_x",
-        "inj_z",
+        "fail_start",
+        "fail_lane",
+        "fail_code",
         "flip_slots",
-        "flip_words",
         "error_count",
     )
 
@@ -791,6 +824,9 @@ def _failing_lanes(counts: np.ndarray, batch_size: int, rng: np.random.Generator
     return keys
 
 
+_NO_FAILURES = np.zeros(0, dtype=np.int64)
+
+
 def _sample_block(
     template: _NoiseTemplate, batch_size: int, rng: np.random.Generator
 ) -> NoiseBlock:
@@ -799,39 +835,34 @@ def _sample_block(
     ``binomial`` gives every event's failure count, :func:`_failing_lanes`
     the failing lanes and one ``integers`` call the depolarizing letters of
     the failing lanes only; the joint law is that of independent
-    Bernoulli(``p``) lanes with uniform letters.  A template without events
-    leaves ``rng`` untouched.
+    Bernoulli(``p``) lanes with uniform letters.  The keys come sorted by
+    event, so the failure records are the keys themselves, in O(failures)
+    work.  A template without events leaves ``rng`` untouched.
     """
-    words = np.zeros((template.num_rows, num_words(batch_size)), dtype=np.uint64)
-    error_count = np.zeros(batch_size, dtype=np.int64)
+    block = NoiseBlock()
+    block.fail_start = np.zeros(template.p.size + 1, dtype=np.int64)
+    block.fail_lane = block.fail_code = _NO_FAILURES
+    block.error_count = np.zeros(batch_size, dtype=np.int64)
     counts = rng.binomial(batch_size, template.p) if template.p.size else None
     if counts is not None and counts.any():
         keys = _failing_lanes(counts, batch_size, rng)
-        event, lane = np.divmod(keys, batch_size)
+        event = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        lane = keys - event * batch_size
         letters = template.letters[event]
         code = template.code[event]
         depolarizing = letters > 1
         code[depolarizing] += rng.integers(0, letters[depolarizing])
-        failure, hit = np.nonzero(_CODE_HITS[code])
-        target_lane = lane[failure]
-        np.bitwise_or.at(
-            words,
-            (template.row[event[failure]] + template.offset[hit], target_lane >> 6),
-            _BIT64[target_lane & 63],
-        )
-        error_count += np.bincount(lane, minlength=batch_size)
-    support = template.support
-    block = NoiseBlock()
+        np.cumsum(counts, out=block.fail_start[1:])
+        block.fail_lane = lane
+        block.fail_code = code
+        block.error_count = np.bincount(lane, minlength=batch_size)
     block.pre_inj = template.pre_inj
     block.post_inj = template.post_inj
     block.inj_start = template.inj_start
     block.inj_qubit = template.inj_qubit
+    block.code_xz = _CODE_XZ
     block.record_addresses = template.record_addresses
-    block.inj_x = words[:support]
-    block.inj_z = words[support : 2 * support]
     block.flip_slots = template.flip_slots
-    block.flip_words = words[2 * support :]
-    block.error_count = error_count
     return block
 
 
@@ -865,6 +896,17 @@ def noise_block(
     return _plan_block(_plan_for(program), noise, batch_size, rng)
 
 
+def _apply_flips(block: NoiseBlock, out: np.ndarray) -> None:
+    """XOR the block's measurement-flip failures onto the outcome words."""
+    records = block.inj_start.size - 1
+    first = int(block.fail_start[records])
+    if first == block.fail_lane.size:
+        return
+    lane = block.fail_lane[first:]
+    rows = np.repeat(block.flip_slots, np.diff(block.fail_start[records:]))
+    np.bitwise_xor.at(out, (rows, lane >> 6), _BIT64[lane & 63])
+
+
 def _measurement_words(draw_count: int, W: int, rng: np.random.Generator) -> np.ndarray:
     """The random measurement words of one run, in program order."""
     if not draw_count:
@@ -888,20 +930,24 @@ def _sample_hooks(
     Calls the packed hooks once per operation, in program order and
     interleaved with the measurement-word draws, so any :class:`NoiseModel`
     subclass -- including ones that only implement the scalar hooks -- keeps
-    its RNG stream and its error semantics.  Supports
-    may extend beyond the operands (crosstalk), so injection records are
-    built dynamically.
+    its RNG stream and its error semantics.  Supports may extend beyond the
+    operands (crosstalk), so the records are built dynamically and the
+    block gets its own letter-code table: one code per distinct per-entry
+    Pauli row, over the widest support.  Every set word bit becomes a
+    failure, ghost lanes of the last word included, so the frames and
+    outcome words are those of XORing the hooks' words.
     """
     ops = plan.opcodes.shape[0]
+    lanes = WORD_BITS * W
     drawn = np.zeros((max(draw_count, 1), W), dtype=np.uint64)
     block = NoiseBlock()
     block.pre_inj = np.full(ops, -1, dtype=np.int32)
     block.post_inj = np.full(ops, -1, dtype=np.int32)
     inj_qubit: list[int] = []
     inj_start = [0]
-    inj_x_parts: list[np.ndarray] = [np.zeros((0, W), dtype=np.uint64)]
-    inj_z_parts: list[np.ndarray] = [np.zeros((0, W), dtype=np.uint64)]
-    flips: list[np.ndarray] = [np.zeros((0, W), dtype=np.uint64)]
+    record_lanes: list[np.ndarray] = []
+    record_xz: list[np.ndarray] = []
+    flip_lanes: list[np.ndarray] = []
     flip_slots: list[int] = []
     error_count = np.zeros(batch_size, dtype=np.int64)
 
@@ -917,15 +963,17 @@ def _sample_hooks(
         x_words = np.asarray(x_words, dtype=np.uint64)
         z_words = np.asarray(z_words, dtype=np.uint64)
         if x_words.shape != (len(support), W) or z_words.shape != x_words.shape:
-            # The C kernel reads these words unchecked.
+            # A lane past the frame words would reach the C kernel unchecked.
             raise SimulationError(
                 f"noise model emitted Pauli words of shapes {x_words.shape} and "
                 f"{z_words.shape}; expected {(len(support), W)}"
             )
+        xz = unpack_bits(x_words, lanes) | unpack_bits(z_words, lanes) << 1
+        lane = np.flatnonzero(xz.any(axis=0))
+        record_lanes.append(lane)
+        record_xz.append(xz[:, lane].T)
         inj_qubit.extend(int(q) for q in support)
         inj_start.append(len(inj_qubit))
-        inj_x_parts.append(x_words)
-        inj_z_parts.append(z_words)
         error_count[:] += unpack_bits(event_words, batch_size)
         return len(inj_start) - 2
 
@@ -954,7 +1002,7 @@ def _sample_hooks(
             draw_word(k)
             flip_words = noise.measurement_flip_packed(batch_size, noise_rng)
             if flip_words.any():
-                flips.append(flip_words[None, :])
+                flip_lanes.append(np.flatnonzero(unpack_bits(flip_words, lanes)))
                 flip_slots.append(int(plan.slots[k]))
                 error_count += unpack_bits(flip_words, batch_size)
         else:
@@ -963,15 +1011,24 @@ def _sample_hooks(
                 noise.sample_gate_error_packed(Opcode(op).name, operands, batch_size, noise_rng)
             )
 
+    # One letter-code row per failure, padded to the widest support; a flip
+    # touches no frame, so its row is all identity.
+    width = max((xz.shape[1] for xz in record_xz), default=1)
+    letters = [np.zeros((0, width), dtype=np.uint8)]
+    letters += [np.pad(xz, ((0, 0), (0, width - xz.shape[1]))) for xz in record_xz]
+    letters += [np.zeros((lane.size, width), dtype=np.uint8) for lane in flip_lanes]
+    table, code = np.unique(np.concatenate(letters), axis=0, return_inverse=True)
+    counts = [lane.size for lane in record_lanes + flip_lanes]
     block.inj_start = np.asarray(inj_start, dtype=np.int32)
     block.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
+    block.code_xz = np.ascontiguousarray(table)
     block.record_addresses = _addresses(
-        block.pre_inj, block.post_inj, block.inj_start, block.inj_qubit
+        block.pre_inj, block.post_inj, block.inj_start, block.inj_qubit, block.code_xz
     )
-    block.inj_x = np.ascontiguousarray(np.vstack(inj_x_parts))
-    block.inj_z = np.ascontiguousarray(np.vstack(inj_z_parts))
+    block.fail_start = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    block.fail_lane = np.concatenate([_NO_FAILURES, *record_lanes, *flip_lanes])
+    block.fail_code = code.reshape(-1).astype(np.int64)
     block.flip_slots = np.asarray(flip_slots, dtype=np.int64)
-    block.flip_words = np.ascontiguousarray(np.vstack(flips))
     block.error_count = error_count
     return block, drawn
 
@@ -1130,21 +1187,26 @@ class PauliFrameBatch:
 
 def _run_kernel(tier, W, plan, reference, block, drawn, out, fx, fz) -> int:
     ops = plan.opcodes.shape[0]
+    code_width = block.code_xz.shape[1]
     mout = np.empty(W, dtype=np.uint64)
     if tier == "cext":
         return int(
             _cext_kernel()(
                 W,
                 ops,
+                code_width,
                 *plan.addresses,
                 *reference.addresses,
                 *block.record_addresses,
-                *_addresses(block.inj_x, block.inj_z, drawn, out, fx, fz, mout),
+                *_addresses(
+                    block.fail_start, block.fail_lane, block.fail_code, drawn, out, fx, fz, mout
+                ),
             )
         )
     return frame_kernel_numpy(
         W,
         ops,
+        code_width,
         plan.opcodes,
         plan.qubit0,
         plan.qubit1,
@@ -1158,8 +1220,10 @@ def _run_kernel(tier, W, plan, reference, block, drawn, out, fx, fz) -> int:
         block.post_inj,
         block.inj_start,
         block.inj_qubit,
-        block.inj_x,
-        block.inj_z,
+        block.code_xz,
+        block.fail_start,
+        block.fail_lane,
+        block.fail_code,
         drawn,
         out,
         fx,
@@ -1217,5 +1281,5 @@ def execute_fused(
     if status != 0:
         raise SimulationError("unknown opcode reached the frame kernel")
     state._reference, state._reference_key = reference.final, reference.final_key
-    out[block.flip_slots] ^= block.flip_words
+    _apply_flips(block, out)
     return out[: plan.num_measurements], block.error_count

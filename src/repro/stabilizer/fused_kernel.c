@@ -3,7 +3,11 @@
  * The native twin of `frame_kernel_numpy` in fused.py, whose docstring
  * documents the flat argument list and the frame update rules: per-lane X/Z
  * frame words `fx`/`fz` of shape (n, W), pushed through the compiled program
- * against the per-operation facts of one noiseless reference pass.
+ * against the per-operation facts of one noiseless reference pass.  Noise
+ * arrives as failure records: record e failed in the lanes
+ * fail_lane[fail_start[e] .. fail_start[e+1]), and a failure of letter code c
+ * XORs its lane bit into the X (bit 0) / Z (bit 1) frame words that
+ * code_xz[c * code_width + j] names for support entry j of the record.
  * Compiled on demand with the system C compiler and loaded through ctypes;
  * see `_cext_kernel` in fused.py for the build/caching protocol.  The build
  * cache is keyed by a hash of this source.
@@ -26,14 +30,23 @@ static void swap_rows(uint64_t *a, uint64_t *b, int64_t W)
     }
 }
 
-static void inject(int64_t W, int64_t e, const int32_t *inj_start,
-                   const int32_t *inj_qubit, const uint64_t *inj_x,
-                   const uint64_t *inj_z, uint64_t *fx, uint64_t *fz)
+static void inject(int64_t W, int64_t e, int64_t code_width,
+                   const int32_t *inj_start, const int32_t *inj_qubit,
+                   const uint8_t *code_xz, const int64_t *fail_start,
+                   const int64_t *fail_lane, const int64_t *fail_code,
+                   uint64_t *fx, uint64_t *fz)
 {
-    for (int64_t idx = inj_start[e]; idx < inj_start[e + 1]; ++idx) {
-        int64_t q = inj_qubit[idx];
-        xor_into(fx + q * W, inj_x + idx * W, W);
-        xor_into(fz + q * W, inj_z + idx * W, W);
+    const int32_t *qubits = inj_qubit + inj_start[e];
+    int64_t support = inj_start[e + 1] - inj_start[e];
+    for (int64_t f = fail_start[e]; f < fail_start[e + 1]; ++f) {
+        int64_t w = fail_lane[f] >> 6;
+        uint64_t bit = (uint64_t)1 << (fail_lane[f] & 63);
+        const uint8_t *xz = code_xz + fail_code[f] * code_width;
+        for (int64_t j = 0; j < support; ++j) {
+            int64_t at = (int64_t)qubits[j] * W + w;
+            fx[at] ^= bit & -(uint64_t)(xz[j] & 1);
+            fz[at] ^= bit & -(uint64_t)(xz[j] >> 1);
+        }
     }
 }
 
@@ -70,19 +83,20 @@ static void measure_z(int64_t W, int64_t a, int64_t k, const uint8_t *ref_bits,
 }
 
 int64_t repro_frame_run(
-    int64_t W, int64_t ops,
+    int64_t W, int64_t ops, int64_t code_width,
     const int32_t *opcodes, const int32_t *qubit0, const int32_t *qubit1,
     const int32_t *slots, const uint8_t *ref_bits, const int32_t *draw_index,
     const int32_t *piv_start, const int32_t *piv_qubit, const uint8_t *piv_xz,
     const int32_t *pre_inj, const int32_t *post_inj,
-    const int32_t *inj_start, const int32_t *inj_qubit,
-    const uint64_t *inj_x, const uint64_t *inj_z,
+    const int32_t *inj_start, const int32_t *inj_qubit, const uint8_t *code_xz,
+    const int64_t *fail_start, const int64_t *fail_lane, const int64_t *fail_code,
     const uint64_t *drawn, uint64_t *out,
     uint64_t *fx, uint64_t *fz, uint64_t *mout)
 {
     for (int64_t k = 0; k < ops; ++k) {
         if (pre_inj[k] >= 0)
-            inject(W, pre_inj[k], inj_start, inj_qubit, inj_x, inj_z, fx, fz);
+            inject(W, pre_inj[k], code_width, inj_start, inj_qubit, code_xz,
+                   fail_start, fail_lane, fail_code, fx, fz);
         int64_t a = qubit0[k];
         int64_t b = qubit1[k];
         uint64_t *xa = fx + a * W;
@@ -133,7 +147,8 @@ int64_t repro_frame_run(
             return 1;
         }
         if (post_inj[k] >= 0)
-            inject(W, post_inj[k], inj_start, inj_qubit, inj_x, inj_z, fx, fz);
+            inject(W, post_inj[k], code_width, inj_start, inj_qubit, code_xz,
+                   fail_start, fail_lane, fail_code, fx, fz);
     }
     return 0;
 }

@@ -10,6 +10,7 @@ and receives a failure-rate estimate with a binomial standard error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,9 +59,19 @@ class MonteCarloResult:
         return float(np.sqrt(p * (1.0 - p) / self.trials))
 
     def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
-        """A normal-approximation confidence interval (default 95%)."""
-        half_width = z * self.standard_error
-        return (max(0.0, self.failure_rate - half_width), min(1.0, self.failure_rate + half_width))
+        """The Wilson score interval of the failure rate (default 95%).
+
+        Unlike the normal approximation, it keeps a positive width at 0 or
+        ``trials`` failures.  With no trials it is the whole unit interval.
+        """
+        n = self.trials
+        if n == 0:
+            return (0.0, 1.0)
+        p = self.failure_rate
+        denominator = 1.0 + z * z / n
+        centre = (p + z * z / (2 * n)) / denominator
+        half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denominator
+        return (max(0.0, centre - half), min(1.0, centre + half))
 
 
 def scan_early_stop(

@@ -221,7 +221,8 @@ class TestExperiments:
         assert len(result.level2_rates) == 2
         assert result.concatenation_coefficient > 0
         assert result.pseudothreshold > 0
-        assert result.threshold.lower <= result.threshold.upper
+        band = result.threshold
+        assert 0.0 <= band.lower and (band.upper is None or band.lower <= band.upper)
 
     def test_threshold_sweep_validation(self):
         with pytest.raises(ParameterError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
@@ -196,3 +197,74 @@ class TestThresholdEstimation:
         level2 = [400**3 * p**4 for p in physical]
         estimate = estimate_threshold_crossing(physical, level1, level2)
         assert estimate.threshold in estimate
+
+    def test_no_extrapolation_when_level2_stays_below(self):
+        # 1/A = 3.5e-3 lies past the sweep: the Fig. 7 case that used to
+        # extrapolate to a negative crossing with an inverted band.
+        physical = [1e-3, 1.5e-3, 2e-3, 2.5e-3]
+        level1 = [285 * p**2 for p in physical]
+        level2 = [285**3 * p**4 for p in physical]
+        estimate = estimate_threshold_crossing(
+            physical, level1, level2, [1e-5] * 4, [1e-6] * 4
+        )
+        assert estimate.threshold is None
+        assert (estimate.lower, estimate.upper) == (2.5e-3, None)
+        assert 1e-2 in estimate and 2e-3 not in estimate
+
+    def test_no_extrapolation_when_level2_stays_above(self):
+        physical = [4e-3, 6e-3, 8e-3]
+        level1 = [400 * p**2 for p in physical]
+        level2 = [400**3 * p**4 for p in physical]
+        estimate = estimate_threshold_crossing(physical, level1, level2)
+        assert estimate.threshold is None
+        assert (estimate.lower, estimate.upper) == (0.0, 4e-3)
+        assert 1e-3 in estimate and 5e-3 not in estimate
+
+    def test_crossing_at_an_endpoint(self):
+        physical = [1e-3, 2e-3, 2.5e-3]
+        level1 = [400 * p**2 for p in physical]
+        level2 = [400**3 * p**4 for p in physical]
+        level2[-1] = level1[-1]
+        estimate = estimate_threshold_crossing(physical, level1, level2)
+        assert estimate.threshold == 2.5e-3
+        assert estimate.lower <= estimate.threshold <= estimate.upper
+        assert estimate.upper - estimate.lower > 0.0
+
+    def test_exact_tie_is_the_crossing(self):
+        physical = [1e-3, 2e-3, 3e-3]
+        level1 = [1e-4, 4e-4, 9e-4]
+        level2 = [1e-5, 4e-4, 2e-3]
+        estimate = estimate_threshold_crossing(
+            physical, level1, level2, [1e-5] * 3, [1e-5] * 3
+        )
+        assert estimate.threshold == 2e-3
+        assert 0.0 <= estimate.lower < 2e-3 < estimate.upper
+
+    def test_points_without_failures_are_no_crossing(self):
+        # 0 == 0 at the low rates is not a tie: nothing was observed there.
+        physical = [1e-3, 2e-3, 3e-3, 4e-3]
+        estimate = estimate_threshold_crossing(
+            physical, [0.0, 0.0, 1e-4, 2e-4], [0.0, 0.0, 1e-6, 4e-6]
+        )
+        assert estimate.threshold is None
+        assert (estimate.lower, estimate.upper) == (4e-3, None)
+        nothing = estimate_threshold_crossing(physical[:2], [0.0, 0.0], [0.0, 0.0])
+        assert (nothing.threshold, nothing.lower, nothing.upper) == (None, 0.0, None)
+
+    def test_band_is_never_inverted_or_negative(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            physical = np.sort(rng.uniform(0.0, 1e-2, size=4))
+            level1 = rng.binomial(500, 0.01, size=4) / 500
+            level2 = rng.binomial(500, 0.01, size=4) / 500
+            estimate = estimate_threshold_crossing(
+                physical, level1, level2, np.sqrt(level1 / 500), np.sqrt(level2 / 500)
+            )
+            assert estimate.lower >= 0.0
+            assert estimate.upper is None or estimate.lower <= estimate.upper
+            if estimate.threshold is not None:
+                assert estimate.threshold in estimate
+
+    def test_negative_rates_rejected(self):
+        with pytest.raises(ParameterError):
+            estimate_threshold_crossing([-1e-3, 1e-3], [1e-4, 1e-4], [1e-5, 1e-3])

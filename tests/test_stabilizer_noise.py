@@ -8,18 +8,19 @@ import math
 import numpy as np
 import pytest
 
-from repro.arq import LayoutMapper
+from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper, NoisyCircuitExecutor
 from repro.circuits import Circuit
 from repro.circuits.compiled import Opcode, compile_circuit
 from repro.exceptions import ParameterError
+from repro.pauli import PauliTerm
 from repro.qecc.syndrome import full_error_correction_circuit
 from repro.stabilizer import (
     DepolarizingNoise,
     MonteCarloResult,
+    NoiseModel,
     NoiselessModel,
     OperationNoise,
     estimate_failure_rate,
-    unpack_bits,
 )
 from repro.stabilizer import fused as fused_module
 from repro.stabilizer.fused import noise_block
@@ -137,6 +138,18 @@ class TestMonteCarlo:
         low, high = result.confidence_interval()
         assert low == 0.0 and high <= 1.0
 
+    def test_confidence_interval_is_wilson(self):
+        low, high = MonteCarloResult(failures=10, trials=100).confidence_interval()
+        assert (low, high) == pytest.approx((0.05523, 0.17437), abs=1e-5)
+        low, high = MonteCarloResult(failures=100, trials=100).confidence_interval()
+        assert 0.9 < low < 1.0 and high == pytest.approx(1.0)
+
+    def test_zero_failures_give_a_positive_upper_bound(self):
+        low, high = MonteCarloResult(failures=0, trials=1000).confidence_interval()
+        assert low == 0.0
+        assert high == pytest.approx(1.96**2 / (1000 + 1.96**2))
+        assert MonteCarloResult(failures=0, trials=0).confidence_interval() == (0.0, 1.0)
+
     def test_estimate_failure_rate_counts_correctly(self, rng):
         result = estimate_failure_rate(lambda g: g.random() < 0.5, trials=2000, rng=rng)
         assert result.trials == 2000
@@ -178,14 +191,28 @@ def _ecc_program():
 
 
 def _record_lanes(block, batch_size: int) -> list[np.ndarray]:
-    """Per injection record then per flip row: the ``(B,)`` bool failing lanes."""
+    """Per injection record then per flip: the ``(B,)`` bool failing lanes."""
     records = []
-    for record in range(block.inj_start.size - 1):
-        rows = slice(int(block.inj_start[record]), int(block.inj_start[record + 1]))
-        words = np.bitwise_or.reduce(block.inj_x[rows] | block.inj_z[rows], axis=0)
-        records.append(unpack_bits(words, batch_size).astype(bool))
-    records += [unpack_bits(row, batch_size).astype(bool) for row in block.flip_words]
+    for event in range(block.fail_start.size - 1):
+        failing = np.zeros(batch_size, dtype=bool)
+        failing[block.fail_lane[block.fail_start[event] : block.fail_start[event + 1]]] = True
+        records.append(failing)
     return records
+
+
+def _support_letters(block, batch_size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per support entry of every injection record: the ``(B,)`` X and Z bits."""
+    x, z = [], []
+    for record in range(block.inj_start.size - 1):
+        failures = slice(block.fail_start[record], block.fail_start[record + 1])
+        lanes = block.fail_lane[failures]
+        xz = block.code_xz[block.fail_code[failures]]
+        for entry in range(block.inj_start[record + 1] - block.inj_start[record]):
+            for bits, part in ((x, 1), (z, 2)):
+                row = np.zeros(batch_size, dtype=np.uint8)
+                row[lanes] = (xz[:, entry] & part) != 0
+                bits.append(row)
+    return x, z
 
 
 class _CountingRng:
@@ -217,8 +244,7 @@ class TestNoiseBlock:
             block = noise_block(program, self.NOISE, batch, np.random.default_rng(seed))
             lanes = _record_lanes(block, batch)
             failures += [int(lane.sum()) for lane in lanes]
-            x = [unpack_bits(row, batch) for row in block.inj_x]
-            z = [unpack_bits(row, batch) for row in block.inj_z]
+            x, z = _support_letters(block, batch)
             # Preparation errors are X flips only.
             assert not z[0].any() and not z[1].any()
             h = lanes[2]
@@ -283,7 +309,7 @@ class TestNoiseBlock:
         block = noise_block(_ecc_program(), noise, 130, rng)
         assert rng.bit_generator.state == before
         assert not block.error_count.any()
-        assert not block.inj_x.any() and not block.inj_z.any() and not block.flip_words.any()
+        assert block.fail_lane.size == 0 and not block.fail_start.any()
 
     def test_template_holds_no_zero_probability_events(self):
         program = _ecc_program()
@@ -297,3 +323,88 @@ class TestNoiseBlock:
             1 for op, q1 in zip(opcodes, program.qubit1.tolist()) if q1 < 0 and op not in resets
         )
         assert template.p.size == opcodes.count(int(Opcode.PREPARE)) + singles
+
+
+class _CrosstalkNoise(NoiseModel):
+    """A custom model whose gate failures spread over three qubits.
+
+    A gate on ``q`` fails with probability ``p`` and then leaves an
+    independent uniform X, Y or Z on each of ``q``, ``q + 1`` and ``q + 2``
+    (mod ``n``); a measurement flips with probability ``p_flip``.  Only the
+    scalar hooks exist, so the frame engine samples it through the hook path.
+    """
+
+    def __init__(self, n: int, p: float, p_flip: float) -> None:
+        self.n, self.p, self.p_flip = n, p, p_flip
+
+    def sample_gate_error(self, name, qubits, rng):
+        if rng.random() >= self.p:
+            return []
+        letters = rng.integers(0, 3, size=3)
+        return [
+            PauliTerm(qubit=(qubits[0] + j) % self.n, letter="XYZ"[letter])
+            for j, letter in enumerate(letters)
+        ]
+
+    def sample_preparation_error(self, qubit, rng):
+        return []
+
+    def measurement_flip(self, rng):
+        return bool(rng.random() < self.p_flip)
+
+    def sample_movement_error(self, qubit, num_cells, rng):
+        return []
+
+
+def _crosstalk_circuit() -> Circuit:
+    circuit = Circuit(5)
+    for qubit in range(5):
+        circuit.prepare(qubit)
+    circuit.h(0).cnot(0, 1).s(2).cnot(2, 3).h(4).cz(3, 4).x(1)
+    for qubit in range(4):
+        circuit.measure(qubit, label=f"m{qubit}")
+    return circuit.measure_x(4, label="x4")
+
+
+class TestThreeQubitHookSupport:
+    """Hook-sampled failures on three-qubit supports: the per-block code table."""
+
+    @pytest.mark.parametrize("tier", fused_module.KERNEL_TIERS)
+    def test_crosstalk_model_agrees_with_scalar_oracle(self, tier, monkeypatch):
+        if tier == "cext" and fused_module._cext_kernel() is None:
+            pytest.skip("no C kernel on this host")
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", tier)
+        monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
+        widths = []
+        run_kernel = fused_module._run_kernel
+
+        def spying(tier, W, plan, reference, block, *args):
+            widths.append(block.code_xz.shape)
+            return run_kernel(tier, W, plan, reference, block, *args)
+
+        monkeypatch.setattr(fused_module, "_run_kernel", spying)
+        noise = _CrosstalkNoise(5, p=0.3, p_flip=0.05)
+        circuit = _crosstalk_circuit()
+        batch = 2000
+        frame = BatchedNoisyCircuitExecutor(noise=noise).run(
+            circuit, batch, np.random.default_rng(31)
+        )
+        codes, width = widths[0]
+        assert width >= 3 and codes > 2, widths
+        rng = np.random.default_rng(32)
+        shots = [NoisyCircuitExecutor(noise=noise).run(circuit, rng) for _ in range(1500)]
+        for label in frame.measurements:
+            frame_ones = int(frame.measurements[label].sum())
+            scalar_ones = sum(shot.measurements[label] for shot in shots)
+            frame_low, frame_high = _wilson(frame_ones, batch)
+            scalar_low, scalar_high = _wilson(scalar_ones, len(shots))
+            assert frame_low <= scalar_high and scalar_low <= frame_high, (
+                label, frame_ones, scalar_ones
+            )
+        frame_errors = int(frame.error_count.sum())
+        scalar_errors = sum(shot.error_count for shot in shots)
+        # Events per lane: 7 failable gates and 5 flips, each counted once.
+        events = 12
+        frame_low, frame_high = _wilson(frame_errors, events * batch)
+        scalar_low, scalar_high = _wilson(scalar_errors, events * len(shots))
+        assert frame_low <= scalar_high and scalar_low <= frame_high
