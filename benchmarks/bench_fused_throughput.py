@@ -8,16 +8,26 @@ breaks each run's host time down by layer:
   by program content, so only the cold (first) run pays them;
 * ``noise_block_s`` -- sampling each run's sparse noise block;
 * ``kernel_s`` -- the C or numpy frame kernel;
-* ``executor_other_s`` -- the rest of each batched circuit run: plan and
-  reference lookup, the random measurement words, flips and result;
+* ``executor_other_s`` -- the rest of each batched run: plan and
+  reference lookup, the random measurement words, merging the segments'
+  noise blocks and the result;
 * ``decode_s`` -- the rest of each trial batch: state creation, syndrome
   decoding and ideal recovery on packed words, and unpacking three flags;
 * ``api_other_s`` -- ``api.run`` less its trial batches: backend
   resolution, experiment build, compilation and result assembly.
 
-Beside the layers it reports ``attempts_per_batch``: executor runs / 3 per
+Beside the layers it reports ``attempts_per_batch``: executor runs per
 trial batch, i.e. the verification attempts (first attempt plus pooled
 retries) each 4096-lane Level-1 batch makes, which must stay at or below 3.
+An attempt is one executor run of three segments (ideal preparation, noisy
+gate, noisy ECC cycle) and one kernel call.
+
+A second table, ``attempt_costs``, gives the fixed cost of one Level-1
+attempt (``Level1EccExperiment._batch_attempt``) at 32, 512 and 4096 lanes,
+in microseconds: ``sampling_us`` (noise blocks and measurement words),
+``kernel_us``, ``decode_us`` (state creation and the packed-word decode)
+and ``other_us`` (the rest of the executor run), from the fastest of
+several rounds of back-to-back attempts.
 
 Two contracts are validated: seeded Level-1 batches reproduce their recorded
 digests bit for bit (v1.9.0's, ``tests/data/fused_v1_9_golden.json``, with
@@ -72,6 +82,12 @@ BATCH_SIZE = 4096
 WARM_RUNS = 20
 #: Most verification attempts a 4096-lane trial batch may make on average.
 MAX_ATTEMPTS_PER_BATCH = 3
+#: Lane counts and physical rate of the per-attempt fixed-cost table.
+ATTEMPT_WIDTHS = (32, 512, 4096)
+ATTEMPT_RATE = 4.0e-3
+#: Rounds of the per-attempt table, and attempts timed per round.
+ATTEMPT_ROUNDS = 15
+ATTEMPTS_PER_ROUND = 20
 
 #: Golden Level-1 digests: v1.9.0's, overlaid by the v1.11.0 re-pins.
 GOLDEN_PATHS = tuple(
@@ -101,15 +117,25 @@ _PHASES = (
 )
 
 
+#: The layers ``_measure_throughput`` times: (owner, attribute, phase).
+_THROUGHPUT_WRAPS = (
+    (Level1EccExperiment, "run_trial_batch_detailed", "trial_batch_s"),
+    (BatchedNoisyCircuitExecutor, "run", "executor_s"),
+    (fused_module, "_reference_pass", "reference_pass_s"),
+    (fused_module, "_plan_block", "noise_block_s"),
+    (fused_module, "_run_kernel", "kernel_s"),
+)
+
+
 @contextmanager
-def _phase_clock():
+def _phase_clock(wraps=_THROUGHPUT_WRAPS, phases=_PHASES):
     """Accumulate the inclusive host time and calls of each wrapped layer.
 
     Yields ``(totals, calls)``.  ``api_run_s`` is left to the caller, who
     times its ``repro.api.run`` calls.
     """
-    totals = dict.fromkeys(_PHASES, 0.0)
-    calls = dict.fromkeys(_PHASES, 0)
+    totals = dict.fromkeys(phases, 0.0)
+    calls = dict.fromkeys(phases, 0)
     originals = []
 
     def wrap(owner, name, key):
@@ -126,11 +152,8 @@ def _phase_clock():
 
         setattr(owner, name, wrapper)
 
-    wrap(Level1EccExperiment, "run_trial_batch_detailed", "trial_batch_s")
-    wrap(BatchedNoisyCircuitExecutor, "run", "executor_s")
-    wrap(fused_module, "_reference_pass", "reference_pass_s")
-    wrap(fused_module, "_plan_block", "noise_block_s")
-    wrap(fused_module, "_run_kernel", "kernel_s")
+    for owner, name, key in wraps:
+        wrap(owner, name, key)
     try:
         yield totals, calls
     finally:
@@ -194,7 +217,52 @@ def _measure_throughput(shots: int, warm_runs: int) -> dict[str, object]:
         "median_seconds": median,
         "shots_per_second": shots_per_run / median,
         "layers": _layers(totals, warm_runs),
-        "attempts_per_batch": calls["executor_s"] / (3 * calls["trial_batch_s"]),
+        "attempts_per_batch": calls["executor_s"] / calls["trial_batch_s"],
+    }
+
+
+#: The layers of one Level-1 attempt that ``_attempt_costs`` times.
+_ATTEMPT_PHASES = ("attempt", "executor", "sampling", "kernel")
+_ATTEMPT_WRAPS = (
+    (Level1EccExperiment, "_batch_attempt", "attempt"),
+    (BatchedNoisyCircuitExecutor, "run", "executor"),
+    (fused_module, "_plan_block", "sampling"),
+    (fused_module, "_measurement_words", "sampling"),
+    (fused_module, "_run_kernel", "kernel"),
+)
+
+
+def _attempt_costs(rounds: int, attempts: int) -> dict[str, object]:
+    """Microseconds per Level-1 attempt, by layer, at each of ``ATTEMPT_WIDTHS``.
+
+    Each round times ``attempts`` back-to-back attempts; the round with the
+    fastest attempts gives the row, so other load on the host shows less.
+    """
+    experiment = Level1EccExperiment(noise=_noise_for_rate(ATTEMPT_RATE, EXPECTED_PARAMETERS))
+    widths = {}
+    for width in ATTEMPT_WIDTHS:
+        rng = np.random.default_rng(width)
+        experiment._batch_attempt(rng, width)
+        best = None
+        for _ in range(rounds):
+            with _phase_clock(_ATTEMPT_WRAPS, _ATTEMPT_PHASES) as (totals, _):
+                for _ in range(attempts):
+                    experiment._batch_attempt(rng, width)
+            if best is None or totals["attempt"] < best["attempt"]:
+                best = dict(totals)
+        us = {key: 1e6 * value / attempts for key, value in best.items()}
+        widths[str(width)] = {
+            "sampling_us": us["sampling"],
+            "kernel_us": us["kernel"],
+            "decode_us": us["attempt"] - us["executor"],
+            "other_us": us["executor"] - us["sampling"] - us["kernel"],
+            "attempt_us": us["attempt"],
+        }
+    return {
+        "physical_rate": ATTEMPT_RATE,
+        "rounds": rounds,
+        "attempts_per_round": attempts,
+        "widths": widths,
     }
 
 
@@ -269,16 +337,19 @@ def _sharded_sweep_determinism(trials: int, num_shards: int) -> dict[str, object
 def _run_benchmark(smoke: bool = False) -> dict[str, object]:
     if smoke:
         throughput = _measure_throughput(shots=BATCH_SIZE, warm_runs=2)
+        attempts = _attempt_costs(rounds=2, attempts=3)
         golden = _golden_digests(key for key in GOLDEN_KEYS if key[0] <= 65)
         determinism = _sharded_sweep_determinism(trials=96, num_shards=2)
     else:
         throughput = _measure_throughput(shots=BATCH_SIZE, warm_runs=WARM_RUNS)
+        attempts = _attempt_costs(rounds=ATTEMPT_ROUNDS, attempts=ATTEMPTS_PER_ROUND)
         golden = _golden_digests(GOLDEN_KEYS)
         determinism = _sharded_sweep_determinism(trials=SWEEP_TRIALS, num_shards=SWEEP_SHARDS)
     report = {
         "header": run_header(),
         "smoke": smoke,
         "throughput": throughput,
+        "attempt_costs": attempts,
         "golden_digests": golden,
         "sharded_sweep": determinism,
     }
@@ -298,6 +369,8 @@ def _check(report: dict[str, object]) -> None:
     assert throughput["layers"]["reference_pass_s"] == 0.0, throughput["layers"]
     # Pooled verification retries: one retry sub-batch per trial batch, rarely two.
     assert throughput["attempts_per_batch"] <= MAX_ATTEMPTS_PER_BATCH, throughput
+    for costs in report["attempt_costs"]["widths"].values():
+        assert all(us >= 0.0 for us in costs.values()), costs
     assert report["golden_digests"]["bit_for_bit"], report["golden_digests"]
     assert report["sharded_sweep"]["bit_for_bit"], report["sharded_sweep"]
 
@@ -319,6 +392,12 @@ if pytest is not None:
             f"(B={BATCH_SIZE}, {len(WORKLOAD_RATES)} rates)"
         )
         print(f"verification attempts per trial batch: {throughput['attempts_per_batch']:.2f}")
+        for width, costs in report["attempt_costs"]["widths"].items():
+            print(
+                f"one {width}-lane attempt: {costs['attempt_us']:.0f} us = sampling "
+                f"{costs['sampling_us']:.0f} + kernel {costs['kernel_us']:.0f} + decode "
+                f"{costs['decode_us']:.0f} + other {costs['other_us']:.0f}"
+            )
         print(f"golden digests bit-for-bit: {report['golden_digests']['bit_for_bit']}")
         print(
             "sharded sweep bit-for-bit: "

@@ -42,6 +42,7 @@ from repro.arq.simulator import (
     create_batch_tableau,
 )
 from repro.circuits import Circuit
+from repro.circuits.compiled import compile_circuit
 from repro.circuits.gate import OpKind
 from repro.exceptions import ParameterError
 from repro.iontrap.parameters import IonTrapParameters, EXPECTED_PARAMETERS
@@ -149,11 +150,16 @@ class Level1EccExperiment:
         self._z_extraction = z_extraction
         self._ideal_executor = NoisyCircuitExecutor(noise=NoiselessModel(), mapper=None)
         self._noisy_executor = NoisyCircuitExecutor(noise=self.noise, mapper=self.mapper)
-        self._ideal_batch_executor = BatchedNoisyCircuitExecutor(
-            noise=NoiselessModel(), mapper=None, backend=self.backend
-        )
-        self._noisy_batch_executor = BatchedNoisyCircuitExecutor(
+        self._batch_executor = BatchedNoisyCircuitExecutor(
             noise=self.noise, mapper=self.mapper, backend=self.backend
+        )
+        # One batched attempt is one run of three segments: the ideal
+        # preparation of the logical |0> (no movement, no noise), then the
+        # noisy logical gate and ECC cycle.
+        self._attempt_segments = (
+            (compile_circuit(self._prep_circuit), NoiselessModel()),
+            (self._batch_executor.compile(gate_circuit), self.noise),
+            (self._batch_executor.compile(ecc_circuit), self.noise),
         )
         self._embedded_x_stabilizers = [
             self._embedded(generator) for generator in self.code.x_stabilizers()
@@ -166,12 +172,10 @@ class Level1EccExperiment:
         # of the outcome words its check selects, a correction an AND mask
         # over syndrome words, and a stabilizer or logical value the parity of
         # the lane's Pauli frame on its support XOR the reference sign.
-        slot_of = {
-            label: slot
-            for slot, label in enumerate(
-                self._noisy_batch_executor.compile(ecc_circuit).measurement_labels
-            )
-        }
+        labels = [
+            label for program, _ in self._attempt_segments for label in program.measurement_labels
+        ]
+        slot_of = {label: slot for slot, label in enumerate(labels)}
         groups = [
             (extraction.error_type, extraction.ancilla_measurement_labels)
             for extraction in (x_extraction, z_extraction)
@@ -198,36 +202,20 @@ class Level1EccExperiment:
                 for value in range(2**checks)
             ]
         )
-        # Per qubit, the syndrome values whose dense-table correction flips it.
-        self._x_corrections, self._z_corrections = (
-            _WordParity(
-                [
-                    np.flatnonzero(column).tolist()
-                    for column in self._decoder.correction_table(kind).T
-                ]
-            )
-            for kind in ("X", "Z")
+        # Per qubit, the syndrome values whose dense-table X correction flips it.
+        self._x_corrections = _WordParity(
+            [np.flatnonzero(column).tolist() for column in self._decoder.correction_table("X").T]
         )
-        # Frame parities read the stacked data-block frame words [X; Z]: a
-        # Pauli's X support anticommutes with frame Z bits and vice versa.
-        n = self.code.num_physical_qubits
-        observables = [
-            *self.code.x_stabilizers(),
-            *self.code.z_stabilizers(),
-            self.code.logical_z(),
-        ]
-        self._stabilizer_parity, self._logical_parity = (
-            _WordParity(
-                [
-                    (n + np.flatnonzero(pauli.x)).tolist() + np.flatnonzero(pauli.z).tolist()
-                    for pauli in paulis
-                ]
-            )
-            for paulis in (observables[:-1], observables[-1:])
+        # The logical Z readout and the Z stabilizers that decide its X
+        # correction are Z-type, so they read only the data block's frame X
+        # words; the frame Z words and every Z correction never reach a flag.
+        self._z_stabilizer_parity, self._logical_parity = (
+            _WordParity([np.flatnonzero(pauli.z).tolist() for pauli in paulis])
+            for paulis in (self.code.z_stabilizers(), [self.code.logical_z()])
         )
-        self._reference_values: weakref.WeakKeyDictionary[StabilizerTableau, np.ndarray] = (
-            weakref.WeakKeyDictionary()
-        )
+        self._reference_signs: weakref.WeakKeyDictionary[
+            StabilizerTableau, np.ndarray | None
+        ] = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # Trials
@@ -346,23 +334,17 @@ class Level1EccExperiment:
     def _batch_attempt(self, rng: np.random.Generator, batch_size: int) -> dict[str, np.ndarray]:
         state = create_batch_tableau(self.backend, self._register_size, batch_size, rng=rng)
         # Ideal preparation of the logical |0>, then noisy gate + ECC cycle.
-        self._ideal_batch_executor.run(self._prep_circuit, batch_size, rng, tableau=state)
-        self._noisy_batch_executor.run(self._gate_circuit, batch_size, rng, tableau=state)
-        words = self._noisy_batch_executor.run(
-            self._ecc_circuit, batch_size, rng, tableau=state
+        words = self._batch_executor.run(
+            self._attempt_segments, batch_size, rng, tableau=state
         ).outcome_words
 
         syndromes = self._syndrome_parity(words)
         checks = self._pattern_rows.shape[1]
-        x_syndromes, z_syndromes = syndromes[:checks], syndromes[checks : 2 * checks]
         n = self.code.num_physical_qubits
-        frames = np.concatenate(
-            (
-                state.frame_x[:n] ^ self._x_corrections(self._syndrome_hits(x_syndromes)),
-                state.frame_z[:n] ^ self._z_corrections(self._syndrome_hits(z_syndromes)),
-            )
+        frame_x = state.frame_x[:n] ^ self._x_corrections(
+            self._syndrome_hits(syndromes[:checks])
         )
-        says_one = self._ideal_recovery_says_one_words(state.reference, frames)
+        says_one = self._ideal_recovery_says_one_words(state.reference, frame_x)
         nontrivial = np.bitwise_or.reduce(syndromes[: 2 * checks], axis=0)
         rejected = np.bitwise_or.reduce(syndromes[2 * checks :], axis=0)
         flags = unpack_bits(np.stack((says_one, nontrivial, rejected)), batch_size) != 0
@@ -383,17 +365,18 @@ class Level1EccExperiment:
         return np.bitwise_and.reduce(choices[self._pattern_rows], axis=1)
 
     def _ideal_recovery_says_one_words(
-        self, reference: StabilizerTableau, frames: np.ndarray
+        self, reference: StabilizerTableau, frame_x: np.ndarray
     ) -> np.ndarray:
         """Batched ideal decode on words; set where the logical value is 1.
 
-        ``frames`` stacks the data block's frame X and Z words.  When the
+        ``frame_x`` holds the data block's frame X words.  When the
         reference leaves any stabilizer or the logical operator random (a
         state outside the code space) no lane reads 1, matching the
         per-shot early return.
         """
-        values = self._reference_values.get(reference)
-        if values is None:
+        if reference in self._reference_signs:
+            signs = self._reference_signs[reference]
+        else:
             values = np.array(
                 [
                     reference.expectation(pauli)
@@ -404,19 +387,14 @@ class Level1EccExperiment:
                     )
                 ]
             )
-            self._reference_values[reference] = values
-        if not values.all():
-            return np.zeros(frames.shape[1], dtype=np.uint64)
-        signs = np.where(values == -1, ~np.uint64(0), np.uint64(0))[:, None]
-        syndromes = signs[:-1] ^ self._stabilizer_parity(frames)
-        k = len(self._embedded_x_stabilizers)
-        corrections = np.concatenate(
-            (
-                self._x_corrections(self._syndrome_hits(syndromes[k:])),
-                self._z_corrections(self._syndrome_hits(syndromes[:k])),
-            )
-        )
-        return (signs[-1] ^ self._logical_parity(frames ^ corrections))[0]
+            k = len(self._embedded_x_stabilizers)
+            signs = np.where(values[k:] == -1, ~np.uint64(0), np.uint64(0))[:, None]
+            signs = self._reference_signs[reference] = signs if values.all() else None
+        if signs is None:
+            return np.zeros(frame_x.shape[1], dtype=np.uint64)
+        syndromes = signs[:-1] ^ self._z_stabilizer_parity(frame_x)
+        corrected = frame_x ^ self._x_corrections(self._syndrome_hits(syndromes))
+        return (signs[-1] ^ self._logical_parity(corrected))[0]
 
     def _verification_passed(self, result) -> bool:
         """True if both ancilla verification blocks report a trivial parity check."""

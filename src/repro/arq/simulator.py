@@ -18,7 +18,8 @@ Two executors share those semantics:
 * :class:`BatchedNoisyCircuitExecutor` runs ``B`` independent noisy shots
   simultaneously as bit-packed Pauli frames
   (:class:`~repro.stabilizer.fused.PauliFrameBatch`), one kernel call per
-  compiled circuit (:mod:`repro.circuits.compiled`) -- the engine behind the
+  compiled circuit (:mod:`repro.circuits.compiled`) or per run of several
+  circuits, each under its own noise model -- the engine behind the
   Monte-Carlo experiments.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -307,10 +309,11 @@ class BatchedNoisyCircuitExecutor:
     Parameters
     ----------
     noise:
-        The noise model (defaults to noiseless execution).  Custom subclasses
-        of :class:`~repro.stabilizer.noise.NoiseModel` work unmodified via the
-        base class's scalar fallback; the built-in models sample a whole
-        run's noise as one sparse noise block.
+        The noise model of a single-circuit run (defaults to noiseless
+        execution); a run of segments names one per segment.  Custom
+        subclasses of :class:`~repro.stabilizer.noise.NoiseModel` work
+        unmodified via the base class's scalar fallback; the built-in models
+        sample a whole program's noise as one sparse noise block.
     mapper:
         Layout mapper supplying movement budgets; None disables movement noise.
     backend:
@@ -357,7 +360,9 @@ class BatchedNoisyCircuitExecutor:
 
     def run(
         self,
-        circuit: Circuit | CompiledCircuit,
+        circuit: (
+            Circuit | CompiledCircuit | Sequence[tuple[Circuit | CompiledCircuit, NoiseModel]]
+        ),
         batch_size: int,
         rng: np.random.Generator,
         tableau: PauliFrameBatch | None = None,
@@ -368,8 +373,12 @@ class BatchedNoisyCircuitExecutor:
         Parameters
         ----------
         circuit:
-            The circuit to execute, either a :class:`Circuit` (compiled and
-            cached on first use) or an already-compiled program.
+            The circuit to execute under this executor's noise model, either
+            a :class:`Circuit` (compiled and cached on first use) or an
+            already-compiled program; or a run given as ordered ``(circuit,
+            noise)`` segments, each under its own noise model.  The segments
+            run in one kernel call and draw what they would draw as
+            separate runs; their measurement slots follow one another.
         batch_size:
             Number of independent lanes to simulate.
         rng:
@@ -381,12 +390,20 @@ class BatchedNoisyCircuitExecutor:
         backend:
             Optional per-call override of the executor's backend.
         """
-        program = circuit if isinstance(circuit, CompiledCircuit) else self.compile(circuit)
+        if isinstance(circuit, (Circuit, CompiledCircuit)):
+            segments = ((circuit, self._noise),)
+        else:
+            segments = tuple(circuit)
+        programs = tuple(
+            each if isinstance(each, CompiledCircuit) else self.compile(each)
+            for each, _ in segments
+        )
         if batch_size <= 0:
             raise SimulationError("batch_size must be positive")
         requested = backend if backend is not None else self._backend
         if tableau is None:
-            state = create_batch_tableau(requested, program.num_qubits, batch_size, rng=rng)
+            num_qubits = max(program.num_qubits for program in programs)
+            state = create_batch_tableau(requested, num_qubits, batch_size, rng=rng)
         else:
             resolve_backend(requested, batch_size)
             if not isinstance(tableau, PauliFrameBatch):
@@ -401,11 +418,14 @@ class BatchedNoisyCircuitExecutor:
                 f"batch size {batch_size}"
             )
         outcome_words, error_count = execute_fused(
-            program, batch_size, rng, state, self._noise
+            tuple(zip(programs, (noise for _, noise in segments))), batch_size, rng, state
         )
+        labels = programs[0].measurement_labels
+        for program in programs[1:]:
+            labels += program.measurement_labels
         return BatchExecutionResult(
             tableau=state,
             outcome_words=outcome_words,
-            labels=program.measurement_labels,
+            labels=labels,
             error_count=error_count,
         )

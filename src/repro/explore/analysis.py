@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.exceptions import ParameterError
+from repro.stabilizer.monte_carlo import MonteCarloResult
 
 __all__ = [
     "point_row",
@@ -69,17 +70,23 @@ def _threshold_sweep_metrics(value) -> dict:
 
 
 def _logical_failure_metrics(value) -> dict:
+    lower, upper = value.confidence_interval()
     return {
         "failures": value.failures,
         "trials": value.trials,
         "failure_rate": value.failure_rate,
+        "failure_rate_lower": lower,
+        "failure_rate_upper": upper,
     }
 
 
 def _syndrome_rate_metrics(value: dict) -> dict:
     metrics = {"analytic": value["analytic"], "level": value["level"]}
     if "measured" in value:
+        trials = int(value["trials"])
+        measured = MonteCarloResult(failures=round(value["measured"] * trials), trials=trials)
         metrics["measured"] = value["measured"]
+        metrics["measured_lower"], metrics["measured_upper"] = measured.confidence_interval()
     return metrics
 
 
@@ -101,8 +108,12 @@ def tidy_rows(sweep_result) -> list[dict]:
     the experiment's headline metrics -- makespan/stalls for ``machine_sim``,
     failure counts and rate for ``logical_failure``, the curve crossing
     and its band for ``threshold_sweep`` (``threshold`` is None, with a
-    one-sided band, when the curves do not cross in the swept range), the analytic (and measured, if sampled) rate
-    for ``syndrome_rate``.
+    one-sided band, when the curves do not cross in the swept range), the
+    analytic (and measured, if sampled) rate for ``syndrome_rate``.  A
+    Monte-Carlo rate comes with its 95% Wilson interval
+    (``failure_rate_lower``/``failure_rate_upper``,
+    ``measured_lower``/``measured_upper``); the interval is derived from the
+    stored counts, so it is in no result value, digest or cache key.
 
     Two wall-time columns, with different provenance: ``wall_time_seconds``
     is the engine-measured execution time recorded inside the

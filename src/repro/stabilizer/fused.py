@@ -1,4 +1,4 @@
-"""The Pauli-frame Monte-Carlo engine: one kernel call per compiled program.
+"""The Pauli-frame Monte-Carlo engine: one kernel call per run.
 
 Pauli noise never changes which Pauli operators stabilize a state, only their
 signs.  So ``B`` noisy shots of a Clifford circuit are one noiseless
@@ -28,12 +28,21 @@ The frame then follows these rules:
 These rules reproduce the sign words of the CHP tableau engines this module
 replaces, so seeded outcomes are bit for bit those of v1.9's ``"packed"``
 and ``"packed-fused"`` engines.  The randomness is drawn in the same order:
-the built-in noise models draw one sparse **noise block** per run
+the built-in noise models draw one sparse **noise block** per program
 (:func:`noise_block`): per event a binomial failure count, then the failing
 lanes and their Pauli letters, in O(failures) work and a constant number of
 generator calls.  The random measurement words follow, in program order,
 from the state's generator.  Custom models are sampled through their packed
 hooks, interleaved with the measurement words.
+
+A run is an ordered sequence of **segments**, ``(program, noise model)``
+pairs; a single program is a run of one segment.  The segments' programs
+are concatenated into one kernel program with one cached reference pass,
+and the run makes one kernel call.  Its noise is still sampled segment by
+segment -- segment ``k``'s noise block, then segment ``k``'s measurement
+words, then segment ``k + 1``'s -- and the blocks are merged, so a run draws
+every bit its segments would draw as separate calls.  A Level-1 attempt
+(ideal preparation, noisy gate, noisy ECC cycle) is one such run.
 
 Either way the kernel receives the noise as **failure records**
 (:class:`NoiseBlock`): per noise record, the lanes that failed and a letter
@@ -41,7 +50,7 @@ code for each, which a small table decodes into the Pauli on each qubit of
 the record's support.  The kernel XORs one lane bit per failure and support
 qubit into the frame, at the record's program position, so the noise costs
 O(failures) rather than O(W) per record.  Measurement flips are XORed onto
-the outcome words after the kernel returns.
+the outcome words once the program has run.
 
 Two interchangeable kernels implement the loop, with the same signature:
 
@@ -65,6 +74,7 @@ import shutil
 import subprocess
 import weakref
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -184,6 +194,7 @@ def frame_kernel_numpy(
     W,
     ops,
     code_width,
+    flips,
     opcodes,
     qubit0,
     qubit1,
@@ -198,7 +209,9 @@ def frame_kernel_numpy(
     inj_start,
     inj_qubit,
     code_xz,
+    flip_slots,
     fail_start,
+    flip_start,
     fail_lane,
     fail_code,
     drawn,
@@ -211,8 +224,9 @@ def frame_kernel_numpy(
 
     Parameters (all arrays C-contiguous):
 
-    ``W``/``ops``/``code_width``
-        Packed word count, number of operations and columns of ``code_xz``.
+    ``W``/``ops``/``code_width``/``flips``
+        Packed word count, number of operations, columns of ``code_xz`` and
+        number of measurement flips.
     ``opcodes``/``qubit0``/``qubit1``/``slots``
         ``(ops,)`` int32 program arrays (see ``CompiledCircuit.kernel_arrays``).
     ``ref_bits``/``draw_index``
@@ -239,6 +253,10 @@ def frame_kernel_numpy(
         ``fail_lane[fail_start[e]:fail_start[e+1]]`` with letter codes
         ``fail_code`` of the same entries.  Each failure XORs one lane bit
         into the frame words of its record's support.
+    ``flip_slots``/``flip_start``
+        The measurement flips: flip ``f`` failed in lanes
+        ``fail_lane[flip_start[f]:flip_start[f+1]]``, whose bits are XORed
+        onto outcome row ``flip_slots[f]`` (int64) after the program.
     ``drawn``/``out``
         ``(D, W)`` random measurement words / ``(M, W)`` outcome words.
     ``fx``/``fz``
@@ -287,6 +305,9 @@ def frame_kernel_numpy(
             return 1
         if post_inj[k] >= 0:
             _np_inject(int(post_inj[k]), *inject_args)
+    lane = fail_lane[flip_start[0] : flip_start[flips]]
+    rows = np.repeat(flip_slots, np.diff(flip_start[: flips + 1]))
+    np.bitwise_xor.at(out, (rows, lane >> 6), _BIT64[lane & 63])
     return 0
 
 
@@ -352,7 +373,7 @@ def _cext_kernel():
         _CEXT_ERROR = f"cannot load compiled kernel {shared.name}: {exc}"
         return None
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 22
+    fn.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 24
     _CEXT_FN = fn
     return fn
 
@@ -374,6 +395,16 @@ def _addresses(*arrays: np.ndarray) -> tuple[int, ...]:
     batch, so the arrays that outlive a run have theirs taken once.
     """
     return tuple(array.ctypes.data for array in arrays)
+
+
+def _address(array: np.ndarray) -> int:
+    """The data address of a writable C-contiguous array, for one kernel call.
+
+    Reading it through the buffer protocol costs a third of building the
+    array's ``.ctypes`` object (and refuses a read-only or strided array).
+    An empty array, which the kernel never reads, gets address 0.
+    """
+    return ctypes.addressof(ctypes.c_char.from_buffer(array)) if array.size else 0
 
 
 # ----------------------------------------------------------------------
@@ -445,29 +476,35 @@ def kernel_tier() -> str:
 
 
 class _WeakIdCache:
-    """An identity-keyed cache whose entries die with their keys.
+    """An identity-keyed cache whose entries die with any of their keys.
 
     ``CompiledCircuit`` is a frozen dataclass holding numpy arrays, so it is
-    neither hashable nor cheap to compare; identity is the right key and a
-    weak reference keeps a freed program's reused address from resurrecting a
-    stale plan.
+    neither hashable nor cheap to compare; identity is the right key and weak
+    references keep a freed program's reused address from resurrecting a
+    stale plan.  A key is a tuple of programs (a run's segments).
     """
 
     def __init__(self) -> None:
-        self._entries: dict[int, tuple[weakref.ref, object]] = {}
+        self._entries: dict[tuple[int, ...], tuple[tuple[weakref.ref, ...], object]] = {}
 
-    def get(self, key):
-        entry = self._entries.get(id(key))
+    def get(self, keys: tuple):
+        entry = self._entries.get(tuple(map(id, keys)))
         if entry is None:
             return None
-        ref, value = entry
-        return value if ref() is key else None
+        refs, value = entry
+        for ref, key in zip(refs, keys):
+            if ref() is not key:
+                return None
+        return value
 
-    def set(self, key, value) -> None:
-        ident = id(key)
+    def set(self, keys: tuple, value) -> None:
+        ident = tuple(map(id, keys))
         entries = self._entries
-        ref = weakref.ref(key, lambda _unused, ident=ident: entries.pop(ident, None))
-        entries[ident] = (ref, value)
+
+        def drop(_unused, ident=ident):
+            entries.pop(ident, None)
+
+        entries[ident] = (tuple(weakref.ref(key, drop) for key in keys), value)
 
 
 _PLAN_CACHE = _WeakIdCache()
@@ -477,11 +514,17 @@ _PLAN_CACHE_LIMIT = 64
 
 
 class _KernelPlan:
-    """A compiled program lowered to contiguous kernel arrays plus caches.
+    """A run's segments lowered to contiguous kernel arrays plus caches.
 
-    ``content_key`` digests the operations the reference pass depends on, so
-    equal programs compiled separately share their reference passes, and
-    ``addresses`` holds the data addresses of the arrays the C kernel reads.
+    The segments' programs are concatenated: ``op_bounds[s]`` is the first
+    operation of segment ``s`` (the last entry the total), and each
+    segment's measurement slots follow the earlier segments'.  ``parts``
+    holds the single-program plans of the segments, which own their noise
+    templates; a single program is its own only part.  ``content_key``
+    digests the operations the reference pass depends on and the segment
+    bounds, so equal runs compiled separately share their reference passes,
+    and ``addresses`` holds the data addresses of the arrays the C kernel
+    reads.
     """
 
     __slots__ = (
@@ -491,13 +534,42 @@ class _KernelPlan:
         "exposure",
         "moved",
         "slots",
+        "num_qubits",
         "num_measurements",
+        "op_bounds",
+        "parts",
         "content_key",
         "addresses",
         "template_cache",
     )
 
-    def __init__(self, program: CompiledCircuit) -> None:
+    def __init__(self, programs: tuple[CompiledCircuit, ...]) -> None:
+        if len(programs) == 1:
+            (program,) = programs
+            arrays = program.kernel_arrays()
+            unsupported = set(np.unique(arrays[0]).tolist()) - SUPPORTED_OPCODES
+            if unsupported:
+                names = sorted(Opcode(op).name for op in unsupported)
+                raise SimulationError(
+                    f"circuit {program.name!r} contains opcodes {names} that the "
+                    "fused kernel does not support"
+                )
+            self.parts = (self,)
+        else:
+            self.parts = tuple(_plan_for(program) for program in programs)
+            measured = np.cumsum([0] + [part.num_measurements for part in self.parts])
+            arrays = [
+                np.concatenate([getattr(part, name) for part in self.parts])
+                for name in ("opcodes", "qubit0", "qubit1", "exposure", "moved")
+            ]
+            arrays.append(
+                np.concatenate(
+                    [
+                        np.where(part.slots >= 0, part.slots + offset, -1).astype(np.int32)
+                        for part, offset in zip(self.parts, measured.tolist())
+                    ]
+                )
+            )
         (
             self.opcodes,
             self.qubit0,
@@ -505,27 +577,25 @@ class _KernelPlan:
             self.exposure,
             self.moved,
             self.slots,
-        ) = program.kernel_arrays()
-        unsupported = set(np.unique(self.opcodes).tolist()) - SUPPORTED_OPCODES
-        if unsupported:
-            names = sorted(Opcode(op).name for op in unsupported)
-            raise SimulationError(
-                f"circuit {program.name!r} contains opcodes {names} that the "
-                "fused kernel does not support"
-            )
-        self.num_measurements = program.num_measurements
+        ) = arrays
+        self.num_qubits = max(program.num_qubits for program in programs)
+        self.num_measurements = sum(program.num_measurements for program in programs)
+        self.op_bounds = np.cumsum([0] + [len(program.opcodes) for program in programs]).tolist()
         self.content_key = hashlib.sha256(
-            self.opcodes.tobytes() + self.qubit0.tobytes() + self.qubit1.tobytes()
+            self.opcodes.tobytes()
+            + self.qubit0.tobytes()
+            + self.qubit1.tobytes()
+            + np.asarray(self.op_bounds, dtype=np.int64).tobytes()
         ).digest()
         self.addresses = _addresses(self.opcodes, self.qubit0, self.qubit1, self.slots)
         self.template_cache: dict = {}
 
 
-def _plan_for(program: CompiledCircuit) -> _KernelPlan:
-    plan = _PLAN_CACHE.get(program)
+def _plan_for(*programs: CompiledCircuit) -> _KernelPlan:
+    plan = _PLAN_CACHE.get(programs)
     if plan is None:
-        plan = _KernelPlan(program)
-        _PLAN_CACHE.set(program, plan)
+        plan = _KernelPlan(programs)
+        _PLAN_CACHE.set(programs, plan)
     return plan
 
 
@@ -559,8 +629,10 @@ class _Reference:
     ``draw_index[k]`` numbers the random measurements (-1 elsewhere) and
     ``ref_bits[k]`` holds a deterministic measurement's reference outcome;
     random measurement ``d`` has pivot stabilizer entries
-    ``piv_start[d]:piv_start[d+1]`` of ``piv_qubit``/``piv_xz``.
-    ``addresses`` holds the data addresses of those five arrays.
+    ``piv_start[d]:piv_start[d+1]`` of ``piv_qubit``/``piv_xz``.  The
+    random measurements of segment ``s`` are ``draw_bounds[s]`` up to
+    ``draw_bounds[s+1]``.  ``addresses`` holds the data addresses of those
+    five arrays.
     """
 
     __slots__ = (
@@ -569,6 +641,7 @@ class _Reference:
         "ref_bits",
         "draw_index",
         "draw_count",
+        "draw_bounds",
         "piv_start",
         "piv_qubit",
         "piv_xz",
@@ -617,6 +690,8 @@ def _reference_pass(plan: _KernelPlan, start: StabilizerTableau) -> _Reference:
     reference.ref_bits = ref_bits
     reference.draw_index = draw_index
     reference.draw_count = len(piv_start) - 1
+    random = np.concatenate(([0], np.cumsum(draw_index >= 0)))
+    reference.draw_bounds = random[plan.op_bounds].tolist()
     reference.piv_start = np.asarray(piv_start, dtype=np.int32)
     reference.piv_qubit = np.asarray(piv_qubit, dtype=np.int32)
     reference.piv_xz = np.asarray(piv_xz, dtype=np.uint8)
@@ -689,6 +764,8 @@ class _NoiseTemplate:
     fails with letter code ``code[e] + letter``.  The injection events come
     first, event ``e`` being injection record ``e``; the measurement flips
     follow, flip ``f`` XORing onto outcome row ``flip_slots[f]``.
+    ``uniform_p`` is the probability every event shares, if they do, and
+    ``uniform_letters`` the number of letters (more than one), likewise.
     """
 
     __slots__ = (
@@ -701,6 +778,8 @@ class _NoiseTemplate:
         "inj_qubit",
         "record_addresses",
         "flip_slots",
+        "uniform_p",
+        "uniform_letters",
     )
 
     def __init__(self, plan: _KernelPlan, noise: NoiseModel) -> None:
@@ -750,12 +829,16 @@ class _NoiseTemplate:
         self.p = np.array([event[0] for event in events], dtype=np.float64)
         self.letters = np.array([event[1] for event in events], dtype=np.int64)
         self.code = np.array([event[2] for event in events], dtype=np.int64)
+        uniform = self.p.size and (self.p == self.p[0]).all()
+        self.uniform_p = float(self.p[0]) if uniform else None
+        uniform = self.letters.size and (self.letters == self.letters[0]).all()
+        self.uniform_letters = int(self.letters[0]) if uniform and self.letters[0] > 1 else None
         self.inj_start = np.asarray(inj_start, dtype=np.int32)
         self.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
-        self.record_addresses = _addresses(
-            self.pre_inj, self.post_inj, self.inj_start, self.inj_qubit, _CODE_XZ
-        )
         self.flip_slots = np.asarray(flip_slots, dtype=np.int64)
+        self.record_addresses = _addresses(
+            self.pre_inj, self.post_inj, self.inj_start, self.inj_qubit, _CODE_XZ, self.flip_slots
+        )
 
 
 class NoiseBlock:
@@ -770,10 +853,13 @@ class NoiseBlock:
     and of ``code_xz`` for the C kernel.  The measurement flips follow the
     ``R`` records: flip ``f`` failed in the lanes of entry ``R + f`` of
     ``fail_start``, which are XORed onto outcome row ``flip_slots[f]``.
-    ``error_count`` counts the failed events of each lane.
+    ``error_count`` counts the failed events of each lane.  ``template`` is
+    the :class:`_NoiseTemplate` a built-in model's block was sampled from
+    (None for a custom model), which fixes every field but the failures.
     """
 
     __slots__ = (
+        "template",
         "pre_inj",
         "post_inj",
         "inj_start",
@@ -786,6 +872,19 @@ class NoiseBlock:
         "flip_slots",
         "error_count",
     )
+
+
+#: The fields of a :class:`NoiseBlock` that do not hold failures.
+_LAYOUT_FIELDS = (
+    "template",
+    "pre_inj",
+    "post_inj",
+    "inj_start",
+    "inj_qubit",
+    "code_xz",
+    "record_addresses",
+    "flip_slots",
+)
 
 
 def _failing_lanes(counts: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -801,18 +900,19 @@ def _failing_lanes(counts: np.ndarray, batch_size: int, rng: np.random.Generator
     least halves the repeats in expectation.
     """
     dense = 2 * counts > batch_size
-    drawn = np.where(dense, batch_size - counts, counts)
-    events = np.repeat(np.arange(counts.size, dtype=np.int64), drawn)
+    any_dense = np.count_nonzero(dense)
+    drawn = np.where(dense, batch_size - counts, counts) if any_dense else counts
+    events = np.arange(counts.size, dtype=np.int64).repeat(drawn)
     keys = events * batch_size + rng.integers(0, batch_size, size=events.size)
     keys.sort()
     while True:
-        repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        repeats = (keys[1:] == keys[:-1]).nonzero()[0] + 1
         if not repeats.size:
             break
         lanes = rng.integers(0, batch_size, size=repeats.size)
         keys[repeats] += lanes - keys[repeats] % batch_size
         keys.sort()
-    if dense.any():
+    if any_dense:
         dense_events = np.flatnonzero(dense)
         failing = np.ones((dense_events.size, batch_size), dtype=np.bool_)
         is_passing = dense[keys // batch_size]
@@ -843,19 +943,29 @@ def _sample_block(
     block.fail_start = np.zeros(template.p.size + 1, dtype=np.int64)
     block.fail_lane = block.fail_code = _NO_FAILURES
     block.error_count = np.zeros(batch_size, dtype=np.int64)
-    counts = rng.binomial(batch_size, template.p) if template.p.size else None
-    if counts is not None and counts.any():
+    counts = None
+    if template.uniform_p is not None:
+        # One probability for every event: a scalar argument makes the same
+        # draws as an array of it, without the array's per-call checks (so
+        # does a scalar number of letters below).
+        counts = rng.binomial(batch_size, template.uniform_p, size=template.p.size)
+    elif template.p.size:
+        counts = rng.binomial(batch_size, template.p)
+    if counts is not None and np.count_nonzero(counts):
         keys = _failing_lanes(counts, batch_size, rng)
-        event = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        lane = keys - event * batch_size
-        letters = template.letters[event]
+        event, lane = np.divmod(keys, batch_size)
         code = template.code[event]
-        depolarizing = letters > 1
-        code[depolarizing] += rng.integers(0, letters[depolarizing])
-        np.cumsum(counts, out=block.fail_start[1:])
+        if template.uniform_letters is not None:
+            code += rng.integers(0, template.uniform_letters, size=code.size)
+        else:
+            letters = template.letters[event]
+            depolarizing = letters > 1
+            code[depolarizing] += rng.integers(0, letters[depolarizing])
+        counts.cumsum(out=block.fail_start[1:])
         block.fail_lane = lane
         block.fail_code = code
         block.error_count = np.bincount(lane, minlength=batch_size)
+    block.template = template
     block.pre_inj = template.pre_inj
     block.post_inj = template.post_inj
     block.inj_start = template.inj_start
@@ -896,21 +1006,8 @@ def noise_block(
     return _plan_block(_plan_for(program), noise, batch_size, rng)
 
 
-def _apply_flips(block: NoiseBlock, out: np.ndarray) -> None:
-    """XOR the block's measurement-flip failures onto the outcome words."""
-    records = block.inj_start.size - 1
-    first = int(block.fail_start[records])
-    if first == block.fail_lane.size:
-        return
-    lane = block.fail_lane[first:]
-    rows = np.repeat(block.flip_slots, np.diff(block.fail_start[records:]))
-    np.bitwise_xor.at(out, (rows, lane >> 6), _BIT64[lane & 63])
-
-
 def _measurement_words(draw_count: int, W: int, rng: np.random.Generator) -> np.ndarray:
-    """The random measurement words of one run, in program order."""
-    if not draw_count:
-        return np.zeros((1, W), dtype=np.uint64)
+    """The random measurement words of one segment, in program order."""
     return rng.integers(0, _UINT64_MAX, size=(draw_count, W), dtype=np.uint64, endpoint=True)
 
 
@@ -918,7 +1015,7 @@ def _sample_hooks(
     plan: _KernelPlan,
     noise: NoiseModel,
     draw_index: np.ndarray,
-    draw_count: int,
+    first_draw: int,
     batch_size: int,
     W: int,
     n: int,
@@ -927,8 +1024,11 @@ def _sample_hooks(
 ) -> tuple[NoiseBlock, np.ndarray]:
     """Sample a custom model through its packed hooks: ``(block, drawn)``.
 
-    Calls the packed hooks once per operation, in program order and
-    interleaved with the measurement-word draws, so any :class:`NoiseModel`
+    ``draw_index`` numbers the random measurements of the segment's
+    operations within the run, from ``first_draw`` on; ``drawn`` holds the
+    segment's own words (one row of zeros when it draws none).  Calls the
+    packed hooks once per operation, in program order and interleaved with
+    the measurement-word draws, so any :class:`NoiseModel`
     subclass -- including ones that only implement the scalar hooks -- keeps
     its RNG stream and its error semantics.  Supports may extend beyond the
     operands (crosstalk), so the records are built dynamically and the
@@ -939,8 +1039,10 @@ def _sample_hooks(
     """
     ops = plan.opcodes.shape[0]
     lanes = WORD_BITS * W
-    drawn = np.zeros((max(draw_count, 1), W), dtype=np.uint64)
+    draws = int(np.count_nonzero(draw_index >= 0))
+    drawn = np.zeros((max(draws, 1), W), dtype=np.uint64)
     block = NoiseBlock()
+    block.template = None
     block.pre_inj = np.full(ops, -1, dtype=np.int32)
     block.post_inj = np.full(ops, -1, dtype=np.int32)
     inj_qubit: list[int] = []
@@ -979,7 +1081,7 @@ def _sample_hooks(
 
     def draw_word(k: int) -> None:
         if draw_index[k] >= 0:
-            drawn[int(draw_index[k])] = draw_rng.integers(
+            drawn[int(draw_index[k]) - first_draw] = draw_rng.integers(
                 0, _UINT64_MAX, size=W, dtype=np.uint64, endpoint=True
             )
 
@@ -1022,15 +1124,124 @@ def _sample_hooks(
     block.inj_start = np.asarray(inj_start, dtype=np.int32)
     block.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
     block.code_xz = np.ascontiguousarray(table)
+    block.flip_slots = np.asarray(flip_slots, dtype=np.int64)
     block.record_addresses = _addresses(
-        block.pre_inj, block.post_inj, block.inj_start, block.inj_qubit, block.code_xz
+        block.pre_inj, block.post_inj, block.inj_start, block.inj_qubit, block.code_xz,
+        block.flip_slots,
     )
     block.fail_start = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
     block.fail_lane = np.concatenate([_NO_FAILURES, *record_lanes, *flip_lanes])
     block.fail_code = code.reshape(-1).astype(np.int64)
-    block.flip_slots = np.asarray(flip_slots, dtype=np.int64)
     block.error_count = error_count
     return block, drawn
+
+
+def _merged_layout(plan: _KernelPlan, blocks: list[NoiseBlock]):
+    """The fixed half of the segments' merged block: ``(layout, pieces)``.
+
+    ``layout`` carries the merged record, letter-code and flip fields.
+    ``pieces`` lists the runs of events the merged block takes from the
+    segments, in order, as ``(segment, first event, end event, code
+    offset)``: every segment's records, then every segment's flips, with
+    adjacent runs joined.  Built-in models' layouts depend on their
+    templates only, so they are cached on the plan.
+    """
+    key = tuple(block.template for block in blocks)
+    cached = plan.template_cache.get(key) if None not in key else None
+    if cached is not None:
+        return cached
+    records = [block.inj_start.size - 1 for block in blocks]
+    record_offsets = np.cumsum([0] + records).tolist()
+    qubit_offsets = np.cumsum([0] + [int(block.inj_start[-1]) for block in blocks]).tolist()
+    slot_offsets = np.cumsum([0] + [part.num_measurements for part in plan.parts]).tolist()
+    tables = [block.code_xz for block in blocks]
+    layout = NoiseBlock()
+    layout.template = None
+    for name in ("pre_inj", "post_inj"):
+        # Record indices move past the earlier segments' records; -1 stays.
+        shifted = [
+            np.where(getattr(block, name) >= 0, getattr(block, name) + offset, -1)
+            for block, offset in zip(blocks, record_offsets)
+        ]
+        setattr(layout, name, np.concatenate(shifted).astype(np.int32))
+    layout.inj_start = np.concatenate(
+        [block.inj_start[:-1] + offset for block, offset in zip(blocks, qubit_offsets)]
+        + [qubit_offsets[-1:]]
+    ).astype(np.int32)
+    layout.inj_qubit = np.concatenate([block.inj_qubit for block in blocks]).astype(np.int32)
+    if all(table is _CODE_XZ for table in tables):
+        layout.code_xz = _CODE_XZ
+        code_offsets = [0] * len(blocks)
+    else:
+        width = max(table.shape[1] for table in tables)
+        layout.code_xz = np.ascontiguousarray(
+            np.concatenate([np.pad(t, ((0, 0), (0, width - t.shape[1]))) for t in tables])
+        )
+        code_offsets = np.cumsum([0] + [table.shape[0] for table in tables[:-1]]).tolist()
+    layout.flip_slots = np.concatenate(
+        [block.flip_slots + offset for block, offset in zip(blocks, slot_offsets)]
+    ).astype(np.int64)
+    layout.record_addresses = _addresses(
+        layout.pre_inj,
+        layout.post_inj,
+        layout.inj_start,
+        layout.inj_qubit,
+        layout.code_xz,
+        layout.flip_slots,
+    )
+    pieces: list[list[int]] = []
+    runs = [(s, 0, r) for s, r in enumerate(records)]
+    runs += [(s, r, b.fail_start.size - 1) for s, (b, r) in enumerate(zip(blocks, records))]
+    for s, first, end in runs:
+        if first == end:
+            continue
+        if pieces and pieces[-1][0] == s and pieces[-1][2] == first:
+            pieces[-1][2] = end
+        else:
+            pieces.append([s, first, end, code_offsets[s]])
+    merged = (layout, pieces)
+    if None not in key:
+        if len(plan.template_cache) >= _PLAN_CACHE_LIMIT:
+            plan.template_cache.clear()
+        plan.template_cache[key] = merged
+    return merged
+
+
+_START = np.zeros(1, dtype=np.int64)
+
+
+def _merge_blocks(plan: _KernelPlan, blocks: list[NoiseBlock]) -> NoiseBlock:
+    """One block for a run from its segments' blocks, sampled separately.
+
+    The merged block lists every segment's injection records, in segment
+    order, then every segment's measurement flips, so the kernel reads it
+    as one program's block.  Failures are moved, never redrawn: the lanes
+    and letters are the segments' own.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    layout, pieces = _merged_layout(plan, blocks)
+    merged = NoiseBlock()
+    for name in _LAYOUT_FIELDS:
+        setattr(merged, name, getattr(layout, name))
+    starts = [_START]
+    lanes, codes = [], []
+    total = 0
+    for s, first, end, code_offset in pieces:
+        block = blocks[s]
+        bounds = block.fail_start[first : end + 1]
+        low, high = int(bounds[0]), int(bounds[-1])
+        starts.append(bounds[1:] + (total - low))
+        if high > low:
+            lanes.append(block.fail_lane[low:high])
+            code = block.fail_code[low:high]
+            codes.append(code + code_offset if code_offset else code)
+            total += high - low
+    merged.fail_start = np.concatenate(starts)
+    merged.fail_lane = np.concatenate(lanes) if lanes else _NO_FAILURES
+    merged.fail_code = np.concatenate(codes) if codes else _NO_FAILURES
+    merged.error_count = sum(block.error_count for block in blocks)
+    return merged
 
 
 # ----------------------------------------------------------------------
@@ -1076,6 +1287,7 @@ class PauliFrameBatch:
         self._reference, self._reference_key = _zero_reference(num_qubits)
         self._fx = np.zeros((num_qubits, self._words), dtype=np.uint64)
         self._fz = np.zeros((num_qubits, self._words), dtype=np.uint64)
+        self._frame_addresses: tuple[int, int] | None = None
 
     @classmethod
     def from_tableau(
@@ -1126,6 +1338,7 @@ class PauliFrameBatch:
         clone.__dict__.update(self.__dict__)
         clone._fx = self._fx.copy()
         clone._fz = self._fz.copy()
+        clone._frame_addresses = None
         return clone
 
     def lane(self, index: int) -> StabilizerTableau:
@@ -1185,28 +1398,41 @@ class PauliFrameBatch:
 # ----------------------------------------------------------------------
 
 
-def _run_kernel(tier, W, plan, reference, block, drawn, out, fx, fz) -> int:
+def _run_kernel(tier, W, plan, reference, block, drawn, out, state) -> int:
+    """Run the kernel once; ``out``'s last row is its measurement buffer."""
     ops = plan.opcodes.shape[0]
     code_width = block.code_xz.shape[1]
-    mout = np.empty(W, dtype=np.uint64)
+    flips = block.flip_slots.size
+    records = block.inj_start.size - 1
     if tier == "cext":
+        if state._frame_addresses is None:
+            state._frame_addresses = (_address(state._fx), _address(state._fz))
+        start_address = _address(block.fail_start)
+        out_address = _address(out)
         return int(
             _cext_kernel()(
                 W,
                 ops,
                 code_width,
+                flips,
                 *plan.addresses,
                 *reference.addresses,
                 *block.record_addresses,
-                *_addresses(
-                    block.fail_start, block.fail_lane, block.fail_code, drawn, out, fx, fz, mout
-                ),
+                start_address,
+                start_address + 8 * records,
+                _address(block.fail_lane),
+                _address(block.fail_code),
+                _address(drawn),
+                out_address,
+                *state._frame_addresses,
+                out_address + out[:-1].nbytes,
             )
         )
     return frame_kernel_numpy(
         W,
         ops,
         code_width,
+        flips,
         plan.opcodes,
         plan.qubit0,
         plan.qubit1,
@@ -1221,65 +1447,97 @@ def _run_kernel(tier, W, plan, reference, block, drawn, out, fx, fz) -> int:
         block.inj_start,
         block.inj_qubit,
         block.code_xz,
+        block.flip_slots,
         block.fail_start,
+        block.fail_start[records:],
         block.fail_lane,
         block.fail_code,
         drawn,
         out,
-        fx,
-        fz,
-        mout,
+        state._fx,
+        state._fz,
+        out[-1],
     )
 
 
 def execute_fused(
-    program: CompiledCircuit,
+    program: CompiledCircuit | Sequence[tuple[CompiledCircuit, NoiseModel]],
     batch_size: int,
     rng: np.random.Generator,
     state: PauliFrameBatch,
-    noise: NoiseModel,
+    noise: NoiseModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run a compiled program on a frame state in one kernel call.
+    """Run a compiled program, or a sequence of segments, in one kernel call.
 
-    Noise comes from ``rng`` -- the :func:`noise_block` of a built-in model,
-    or a custom model's hooks in operation order -- and the random
-    measurement words from the state's generator (the same object in normal
-    use).  Returns ``(outcome_words, error_count)``: ``(M, W)`` uint64
-    measurement outcomes in slot order and ``(B,)`` per-lane error counts.
-    The state's reference and frames are updated in place.
+    ``program`` is one compiled program run under ``noise``, or a run given
+    as ordered ``(program, noise)`` segments (``noise`` is then None): the
+    segments' programs are concatenated into one kernel program with one
+    cached reference pass.  Each segment's noise is sampled from ``rng`` --
+    the :func:`noise_block` of a built-in model, or a custom model's hooks
+    in operation order -- and then its random measurement words from the
+    state's generator (the same object in normal use), segment by segment;
+    so a run draws exactly what its segments would draw as separate calls.
+    Returns ``(outcome_words, error_count)``: ``(M, W)`` uint64 measurement
+    outcomes in slot order, the segments' slots one after the other, and
+    ``(B,)`` per-lane error counts.  The state's reference and frames are
+    updated in place.
     """
-    require_simulable(program)
-    plan = _plan_for(program)
+    if isinstance(program, CompiledCircuit):
+        segments = ((program, noise),)
+    elif noise is not None:
+        raise SimulationError("a run of segments carries its noise in each segment")
+    else:
+        segments = tuple(program)
+        if not segments:
+            raise SimulationError("a run needs at least one segment")
+    programs = tuple(segment[0] for segment in segments)
+    for each in programs:
+        require_simulable(each)
+    plan = _plan_for(*programs)
     W = state.num_lane_words
     if W != num_words(batch_size):
         raise SimulationError(
             f"state holds {W} lane words but batch size {batch_size} needs "
             f"{num_words(batch_size)}"
         )
-    if state.num_qubits < program.num_qubits:
+    if state.num_qubits < plan.num_qubits:
         raise SimulationError(
-            f"state has {state.num_qubits} qubits but the circuit needs {program.num_qubits}"
+            f"state has {state.num_qubits} qubits but the circuit needs {plan.num_qubits}"
         )
     reference = _reference_for(plan, state)
-    block = _plan_block(plan, noise, batch_size, rng)
-    if block is None:
-        block, drawn = _sample_hooks(
-            plan,
-            noise,
-            reference.draw_index,
-            reference.draw_count,
-            batch_size,
-            W,
-            state.num_qubits,
-            rng,
-            state._rng,
-        )
+    bounds = reference.draw_bounds
+    blocks = []
+    words = []
+    for s, (part, (_, model)) in enumerate(zip(plan.parts, segments)):
+        draws = bounds[s + 1] - bounds[s]
+        block = _plan_block(part, model, batch_size, rng)
+        if block is None:
+            ops = slice(plan.op_bounds[s], plan.op_bounds[s + 1])
+            block, drawn = _sample_hooks(
+                part,
+                model,
+                reference.draw_index[ops],
+                bounds[s],
+                batch_size,
+                W,
+                state.num_qubits,
+                rng,
+                state._rng,
+            )
+        elif draws:
+            drawn = _measurement_words(draws, W, state._rng)
+        if draws:
+            words.append(drawn[:draws])
+        blocks.append(block)
+    block = _merge_blocks(plan, blocks)
+    if len(words) == 1:
+        drawn = words[0]
     else:
-        drawn = _measurement_words(reference.draw_count, W, state._rng)
-    out = np.zeros((max(plan.num_measurements, 1), W), dtype=np.uint64)
-    status = _run_kernel(kernel_tier(), W, plan, reference, block, drawn, out, state._fx, state._fz)
+        drawn = np.concatenate(words or [np.empty((0, W), dtype=np.uint64)])
+    M = plan.num_measurements
+    out = np.empty((M + 1, W), dtype=np.uint64)
+    status = _run_kernel(kernel_tier(), W, plan, reference, block, drawn, out, state)
     if status != 0:
         raise SimulationError("unknown opcode reached the frame kernel")
     state._reference, state._reference_key = reference.final, reference.final_key
-    _apply_flips(block, out)
-    return out[: plan.num_measurements], block.error_count
+    return out[:M], block.error_count

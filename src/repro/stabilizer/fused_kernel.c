@@ -8,6 +8,9 @@
  * fail_lane[fail_start[e] .. fail_start[e+1]), and a failure of letter code c
  * XORs its lane bit into the X (bit 0) / Z (bit 1) frame words that
  * code_xz[c * code_width + j] names for support entry j of the record.
+ * The measurement flips follow the records: flip f failed in the lanes
+ * fail_lane[flip_start[f] .. flip_start[f+1]), whose bits are XORed onto
+ * outcome row flip_slots[f] once the program has run.
  * Compiled on demand with the system C compiler and loaded through ctypes;
  * see `_cext_kernel` in fused.py for the build/caching protocol.  The build
  * cache is keyed by a hash of this source.
@@ -83,14 +86,15 @@ static void measure_z(int64_t W, int64_t a, int64_t k, const uint8_t *ref_bits,
 }
 
 int64_t repro_frame_run(
-    int64_t W, int64_t ops, int64_t code_width,
+    int64_t W, int64_t ops, int64_t code_width, int64_t flips,
     const int32_t *opcodes, const int32_t *qubit0, const int32_t *qubit1,
     const int32_t *slots, const uint8_t *ref_bits, const int32_t *draw_index,
     const int32_t *piv_start, const int32_t *piv_qubit, const uint8_t *piv_xz,
     const int32_t *pre_inj, const int32_t *post_inj,
     const int32_t *inj_start, const int32_t *inj_qubit, const uint8_t *code_xz,
-    const int64_t *fail_start, const int64_t *fail_lane, const int64_t *fail_code,
-    const uint64_t *drawn, uint64_t *out,
+    const int64_t *flip_slots, const int64_t *fail_start,
+    const int64_t *flip_start, const int64_t *fail_lane,
+    const int64_t *fail_code, const uint64_t *drawn, uint64_t *out,
     uint64_t *fx, uint64_t *fz, uint64_t *mout)
 {
     for (int64_t k = 0; k < ops; ++k) {
@@ -149,6 +153,11 @@ int64_t repro_frame_run(
         if (post_inj[k] >= 0)
             inject(W, post_inj[k], code_width, inj_start, inj_qubit, code_xz,
                    fail_start, fail_lane, fail_code, fx, fz);
+    }
+    for (int64_t f = 0; f < flips; ++f) {
+        uint64_t *row = out + flip_slots[f] * W;
+        for (int64_t i = flip_start[f]; i < flip_start[f + 1]; ++i)
+            row[fail_lane[i] >> 6] ^= (uint64_t)1 << (fail_lane[i] & 63);
     }
     return 0;
 }

@@ -17,6 +17,7 @@ from repro.api import (
 )
 from repro.api.cli import main as cli_main
 from repro.exceptions import ParameterError
+from repro.stabilizer import MonteCarloResult
 from repro.explore import (
     FIG9_MACHINE,
     ResultCache,
@@ -400,6 +401,35 @@ class TestAnalysis:
         for row in rows:
             assert row["trials"] == 64
             assert 0.0 <= row["failure_rate"] <= 1.0
+
+    def test_monte_carlo_rows_carry_wilson_intervals(self, cache):
+        sweep = SweepSpec(
+            base=failure_base(),
+            axes=(SweepAxis("noise.physical_rates", (1e-3, 3e-2)),),
+        )
+        result = run_sweep(sweep, cache=cache)
+        for point, row in zip(result.points, result.rows()):
+            interval = MonteCarloResult(row["failures"], row["trials"]).confidence_interval()
+            assert (row["failure_rate_lower"], row["failure_rate_upper"]) == interval
+            assert row["failure_rate_lower"] <= row["failure_rate"] <= row["failure_rate_upper"]
+            # Derived columns: the stored value and the cache key never see them.
+            stored = json.dumps(point.result.to_dict())
+            assert "failure_rate_lower" not in stored and "failure_rate_upper" not in stored
+        replay = run_sweep(sweep, cache=cache)
+        assert replay.cache_hits == 2 and replay.value_digest() == result.value_digest()
+        assert replay.rows()[0]["failure_rate_upper"] == result.rows()[0]["failure_rate_upper"]
+
+    def test_syndrome_rate_rows_carry_the_measured_interval(self, cache):
+        base = ExperimentSpec(
+            experiment="syndrome_rate",
+            noise=NoiseSpec(kind="technology"),
+            sampling=SamplingSpec(shots=128, batch_size=64),
+        )
+        sweep = SweepSpec(base=base, axes=(SweepAxis("sampling.shots", (64, 128)),))
+        for row in run_sweep(sweep, cache=cache).rows():
+            shots = row["sampling.shots"]
+            measured = MonteCarloResult(round(row["measured"] * shots), shots)
+            assert (row["measured_lower"], row["measured_upper"]) == measured.confidence_interval()
 
     def test_pareto_front_keeps_non_dominated_rows(self):
         rows = [

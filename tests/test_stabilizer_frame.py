@@ -268,9 +268,10 @@ class TestReferencePass:
             Level1EccExperiment(noise=noise).run_trial_batch_detailed(
                 np.random.default_rng(seed), 64
             )
-        # Preparation, logical gate and ECC cycle: once each, however many
-        # experiments compile their own copies of the programs.
-        assert len(calls) == 3
+        # One pass over an attempt's preparation, logical gate and ECC cycle,
+        # however many experiments compile their own copies of the programs.
+        programs = Level1EccExperiment(noise=noise)._attempt_segments
+        assert calls == [sum(program.opcodes.size for program, _ in programs)]
 
     def test_random_outcomes_are_the_drawn_words(self):
         circuit = Circuit(2).h(0).cnot(0, 1).measure(0, label="a").measure(1, label="b")
@@ -343,24 +344,21 @@ class TestPackedDecode:
         bits = rng.integers(0, 2, size=(3, batch)).astype(np.uint8)
         index = (bits * np.array([[4], [2], [1]])).sum(axis=0)
         hits = experiment._syndrome_hits(pack_bits(bits))
-        for kind, corrections in (
-            ("X", experiment._x_corrections),
-            ("Z", experiment._z_corrections),
-        ):
-            table = experiment._decoder.correction_table(kind)
-            assert np.array_equal(unpack_bits(corrections(hits), batch), table[index].T)
+        # Only X corrections reach the logical Z readout, so only they have words.
+        table = experiment._decoder.correction_table("X")
+        corrections = experiment._x_corrections(hits)
+        assert np.array_equal(unpack_bits(corrections, batch), table[index].T)
 
     def test_ideal_recovery_on_words_matches_the_scalar_recovery(self):
         experiment = Level1EccExperiment(noise=_noise_for_rate(0.05, EXPECTED_PARAMETERS))
         batch = 130
         rng = np.random.default_rng(3)
         state = create_batch_tableau("auto", 21, batch, rng=rng)
-        experiment._ideal_batch_executor.run(experiment._prep_circuit, batch, rng, tableau=state)
-        experiment._noisy_batch_executor.run(experiment._gate_circuit, batch, rng, tableau=state)
+        # The preparation and gate segments of an attempt, without the ECC cycle.
+        segments = experiment._attempt_segments[:2]
+        experiment._batch_executor.run(segments, batch, rng, tableau=state)
         says_one = unpack_bits(
-            experiment._ideal_recovery_says_one_words(
-                state.reference, np.concatenate((state.frame_x[:7], state.frame_z[:7]))
-            ),
+            experiment._ideal_recovery_says_one_words(state.reference, state.frame_x[:7]),
             batch,
         )
         assert 0 < says_one.sum() < batch
