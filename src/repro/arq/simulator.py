@@ -1,10 +1,11 @@
 """Noisy execution of circuits on the stabilizer backend.
 
 This is the execution core of ARQ: every operation of a (mapped) circuit is
-applied to a CHP tableau, followed by Pauli errors sampled from the technology
-noise model -- gate errors after gates, preparation errors after resets,
-classical flips on measurement outcomes, and movement-induced depolarisation
-before two-qubit gates whose operands had to be shuttled together.
+applied to a CHP tableau, followed by Pauli errors sampled from the Pauli
+channels the technology noise model declares -- gate errors after gates,
+preparation errors after resets, classical flips on measurement outcomes, and
+movement-induced depolarisation before two-qubit gates whose operands had to
+be shuttled together.
 Measurement outcomes are collected by label so that syndrome post-processing
 (decoding, verification checks) can run exactly as the classical control
 system would run it.
@@ -46,6 +47,7 @@ from repro.stabilizer import (
     execute_fused,
     unpack_bits,
 )
+from repro.stabilizer.noise import PauliChannel, check_channel, flip_probability
 
 __all__ = [
     "BACKENDS",
@@ -224,13 +226,13 @@ class NoisyCircuitExecutor:
 
             if movement is not None and moved_qubit is not None:
                 exposure = movement.cells + movement.corner_turns + movement.splits
-                terms = self._noise.sample_movement_error(moved_qubit, exposure, rng)
-                self._apply_terms(state, terms, result)
+                channel = self._noise.movement_channel(moved_qubit, exposure)
+                self._inject(state, channel, rng, result)
 
             if operation.kind is OpKind.PREPARE:
                 state.reset(operation.qubits[0])
-                terms = self._noise.sample_preparation_error(operation.qubits[0], rng)
-                self._apply_terms(state, terms, result)
+                channel = self._noise.preparation_channel(operation.qubits[0])
+                self._inject(state, channel, rng, result)
             elif operation.kind is OpKind.MEASURE:
                 outcome = state.measure(operation.qubits[0]).value
                 outcome = self._maybe_flip(outcome, rng, result)
@@ -246,8 +248,8 @@ class NoisyCircuitExecutor:
                         "stabilizer subset of circuits only"
                     )
                 state.apply_gate(operation.name, operation.qubits)
-                terms = self._noise.sample_gate_error(operation.name, operation.qubits, rng)
-                self._apply_terms(state, terms, result)
+                channel = self._noise.gate_channel(operation.name, operation.qubits)
+                self._inject(state, channel, rng, result)
         return result
 
     # ------------------------------------------------------------------
@@ -275,19 +277,45 @@ class NoisyCircuitExecutor:
         result.measurements[key] = outcome
 
     def _maybe_flip(self, outcome: int, rng: np.random.Generator, result: ExecutionResult) -> int:
-        if self._noise.measurement_flip(rng):
+        p = flip_probability(self._noise)
+        if p is not None and rng.random() < p:
             result.error_count += 1
             return outcome ^ 1
         return outcome
 
     @staticmethod
-    def _apply_terms(
-        state: StabilizerTableau, terms: list[PauliTerm], result: ExecutionResult
+    def _inject(
+        state: StabilizerTableau,
+        channel: PauliChannel | None,
+        rng: np.random.Generator,
+        result: ExecutionResult,
     ) -> None:
-        if not terms:
+        """Sample one declared channel for this shot and apply its Pauli.
+
+        The shot fails with probability ``p`` and then takes one of the
+        channel's letters uniformly -- one uniform draw, then one integer
+        draw when there is a choice -- independently of the frame engine's
+        block sampler, which it cross-checks.
+        """
+        if channel is None:
             return
-        pauli = PauliString.from_terms(terms, num_qubits=state.num_qubits)
-        state.apply_pauli(pauli)
+        check_channel(channel)
+        for qubit in channel.qubits:
+            if qubit >= state.num_qubits:
+                raise SimulationError(
+                    f"noise model emitted qubit {qubit} outside register of size "
+                    f"{state.num_qubits}"
+                )
+        if not rng.random() < channel.p:
+            return
+        letters = channel.letters
+        letter = letters[int(rng.integers(len(letters)))] if len(letters) > 1 else letters[0]
+        terms = [
+            PauliTerm(qubit=qubit, letter=single)
+            for qubit, single in zip(channel.qubits, letter)
+            if single != "I"
+        ]
+        state.apply_pauli(PauliString.from_terms(terms, num_qubits=state.num_qubits))
         result.error_count += 1
 
 
@@ -310,10 +338,9 @@ class BatchedNoisyCircuitExecutor:
     ----------
     noise:
         The noise model of a single-circuit run (defaults to noiseless
-        execution); a run of segments names one per segment.  Custom
-        subclasses of :class:`~repro.stabilizer.noise.NoiseModel` work
-        unmodified via the base class's scalar fallback; the built-in models
-        sample a whole program's noise as one sparse noise block.
+        execution); a run of segments names one per segment.  Every model,
+        built-in or custom, is sampled from its declared Pauli channels as
+        one sparse noise block per program.
     mapper:
         Layout mapper supplying movement budgets; None disables movement noise.
     backend:

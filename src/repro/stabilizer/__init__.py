@@ -27,6 +27,7 @@ from repro.stabilizer.noise import (
     DepolarizingNoise,
     OperationNoise,
     NoiselessModel,
+    PauliChannel,
 )
 from repro.stabilizer.monte_carlo import (
     MonteCarloResult,
@@ -49,6 +50,7 @@ __all__ = [
     "DepolarizingNoise",
     "OperationNoise",
     "NoiselessModel",
+    "PauliChannel",
     "MonteCarloResult",
     "estimate_failure_rate",
     "estimate_failure_rate_batched",

@@ -28,12 +28,13 @@ The frame then follows these rules:
 These rules reproduce the sign words of the CHP tableau engines this module
 replaces, so seeded outcomes are bit for bit those of v1.9's ``"packed"``
 and ``"packed-fused"`` engines.  The randomness is drawn in the same order:
-the built-in noise models draw one sparse **noise block** per program
-(:func:`noise_block`): per event a binomial failure count, then the failing
-lanes and their Pauli letters, in O(failures) work and a constant number of
-generator calls.  The random measurement words follow, in program order,
-from the state's generator.  Custom models are sampled through their packed
-hooks, interleaved with the measurement words.
+every noise model -- built-in or custom -- declares its errors as Pauli
+channels (:class:`~repro.stabilizer.noise.PauliChannel`), and a program's
+channels are drawn as one sparse **noise block** (:func:`noise_block`): per
+channel a binomial failure count, then the failing lanes and their Pauli
+letters, in O(failures) work and a constant number of generator calls.  The
+random measurement words follow, in program order, from the state's
+generator.
 
 A run is an ordered sequence of **segments**, ``(program, noise model)``
 pairs; a single program is a run of one segment.  The segments' programs
@@ -44,12 +45,14 @@ words, then segment ``k + 1``'s -- and the blocks are merged, so a run draws
 every bit its segments would draw as separate calls.  A Level-1 attempt
 (ideal preparation, noisy gate, noisy ECC cycle) is one such run.
 
-Either way the kernel receives the noise as **failure records**
-(:class:`NoiseBlock`): per noise record, the lanes that failed and a letter
-code for each, which a small table decodes into the Pauli on each qubit of
-the record's support.  The kernel XORs one lane bit per failure and support
-qubit into the frame, at the record's program position, so the noise costs
-O(failures) rather than O(W) per record.  Measurement flips are XORed onto
+The kernel receives the noise as **failure records** (:class:`NoiseBlock`):
+per noise record, the lanes that failed and a letter code for each, which a
+small table decodes into the Pauli on each qubit of the record's support.
+The built-in alphabets share one table; a model that declares another
+alphabet (a crosstalk channel, say) adds rows of its own.  The kernel XORs
+one lane bit per failure and support qubit into the frame, at the record's
+program position, so the noise costs O(failures) rather than O(W) per
+record.  Measurement flips are XORed onto
 the outcome words once the program has run.
 
 Two interchangeable kernels implement the loop, with the same signature:
@@ -87,14 +90,12 @@ from repro.circuits.compiled import (
 from repro.exceptions import SimulationError
 from repro.pauli import PauliString
 from repro.stabilizer.noise import (
-    DepolarizingNoise,
     NoiseModel,
-    OperationNoise,
-    _ONE_QUBIT_X,
-    _ONE_QUBIT_Z,
+    PauliChannel,
+    _ONE_QUBIT_ERRORS,
     _TWO_QUBIT_ERRORS,
-    _TWO_QUBIT_X,
-    _TWO_QUBIT_Z,
+    check_channel,
+    flip_probability,
 )
 from repro.stabilizer.packed import (
     _UINT64_MAX,
@@ -718,60 +719,55 @@ def _reference_for(plan: _KernelPlan, state: "PauliFrameBatch") -> _Reference:
 # Noise block: a whole run's noise sampled in O(failures)
 # ----------------------------------------------------------------------
 
-# Letter codes of a failure: 0 is the preparation X flip, 1..3 the one-qubit
-# depolarizing letters, 4..18 the two-qubit pairs and 19 a classical
-# measurement flip.  ``_CODE_XZ[code, j]`` is the Pauli the failure applies to
-# support entry ``j`` of its record (bit 0 X, bit 1 Z); a flip touches no frame.
-_PREP_CODE = 0
-_ONE_QUBIT_CODE = 1
-_TWO_QUBIT_CODE = 4
+# Letter codes of a failure index the rows of a code table: ``code_xz[c, j]`` is
+# the Pauli a failure of code ``c`` applies to support entry ``j`` of its
+# record (bit 0 X, bit 1 Z).  The built-in alphabets share one table: code 0
+# is the preparation X flip, 1..3 the one-qubit depolarizing letters, 4..18
+# the two-qubit pairs and 19 a classical measurement flip, which touches no
+# frame.  A template that declares any other alphabet appends rows of its own.
+_PAULI_XZ = {"I": 0, "X": 1, "Z": 2, "Y": 3}
+_SHARED_CODES = {("X",): 0, _ONE_QUBIT_ERRORS: 1, _TWO_QUBIT_ERRORS: 4}
 _FLIP_CODE = 19
-_CODE_XZ = np.zeros((20, 2), dtype=np.uint8)
-_CODE_XZ[_PREP_CODE, 0] = 1
-_CODE_XZ[1:4, 0] = _ONE_QUBIT_X | _ONE_QUBIT_Z << 1
-_CODE_XZ[4:19] = _TWO_QUBIT_X | _TWO_QUBIT_Z << 1
+_SHARED_LETTERS = ("X",) + _ONE_QUBIT_ERRORS + _TWO_QUBIT_ERRORS + ("II",)
+
+
+def _code_rows(letters: Sequence[str], width: int) -> np.ndarray:
+    """Code-table rows of Pauli strings, padded with identity to ``width``."""
+    return np.array(
+        [[_PAULI_XZ[c] for c in letter.ljust(width, "I")] for letter in letters], dtype=np.uint8
+    )
+
+
+_CODE_XZ = _code_rows(_SHARED_LETTERS, 2)
 
 _BIT64 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
-
-def _noise_signature(noise: NoiseModel):
-    """The noise-template cache key of a built-in model, None for custom ones.
-
-    Only the exact built-in classes qualify: their hooks are independent
-    depolarizing events, which the noise block samples directly.  A subclass
-    may override any hook, so it keeps the per-operation hook path.
-    """
-    if noise.is_noiseless:
-        return ("noiseless",)
-    if type(noise) in (OperationNoise, DepolarizingNoise):
-        return (
-            "operation",
-            noise.p_single,
-            noise.p_double,
-            noise.p_measure,
-            noise.p_prepare,
-            noise.p_move_per_cell,
-        )
-    return None
+_OPCODE_NAMES = {int(op): op.name for op in Opcode}
+_PREPARE = int(Opcode.PREPARE)
+_MEASUREMENTS = (int(Opcode.MEASURE), int(Opcode.MEASURE_X))
 
 
 class _NoiseTemplate:
-    """The failable events of one program under one built-in noise model.
+    """The failable events of one program under one noise model's declarations.
 
-    Event ``e`` fails in each lane independently with probability ``p[e]``
-    (events of probability zero are dropped).  A failing lane draws a letter
-    uniformly from ``letters[e]`` choices (one choice draws nothing) and
-    fails with letter code ``code[e] + letter``.  The injection events come
-    first, event ``e`` being injection record ``e``; the measurement flips
-    follow, flip ``f`` XORing onto outcome row ``flip_slots[f]``.
-    ``uniform_p`` is the probability every event shares, if they do, and
-    ``uniform_letters`` the number of letters (more than one), likewise.
+    Every channel the model declares for the program's operations is an event
+    (channels of probability zero are dropped).  Event ``e`` fails in each
+    lane independently with probability ``p[e]``; a failing lane draws a
+    letter uniformly from ``letters[e]`` choices (one choice draws nothing)
+    and fails with letter code ``code[e] + letter``, a row of ``code_xz``.
+    The injection events come first, event ``e`` being injection record
+    ``e``; the measurement flips follow, flip ``f`` XORing onto outcome row
+    ``flip_slots[f]``.  ``uniform_p`` is the probability every event shares,
+    if they do, and ``uniform_letters`` the number of letters (more than
+    one), likewise.  ``max_qubit`` is the highest support qubit declared (-1
+    for none), which each run checks against its register.
     """
 
     __slots__ = (
         "p",
         "letters",
         "code",
+        "code_xz",
         "pre_inj",
         "post_inj",
         "inj_start",
@@ -780,55 +776,69 @@ class _NoiseTemplate:
         "flip_slots",
         "uniform_p",
         "uniform_letters",
+        "max_qubit",
     )
 
     def __init__(self, plan: _KernelPlan, noise: NoiseModel) -> None:
         ops = plan.opcodes.shape[0]
-        self.pre_inj = np.full(ops, -1, dtype=np.int32)
-        self.post_inj = np.full(ops, -1, dtype=np.int32)
+        pre_inj = [-1] * ops
+        post_inj = [-1] * ops
         inj_qubit: list[int] = []
         inj_start = [0]
         events: list[tuple[float, int, int]] = []  # (p, letters, code)
         flips: list[float] = []
         flip_slots: list[int] = []
+        local_codes: dict[tuple[str, ...], int] = {}
+        local_rows: list[str] = []
+        top = -1
 
-        def record(p: float, qubits: tuple[int, ...], letters: int, code: int) -> int:
-            if p <= 0.0:
+        def record(channel: PauliChannel | None) -> int:
+            nonlocal top
+            if channel is None:
                 return -1
-            events.append((p, letters, code))
+            check_channel(channel)
+            p, qubits, letters = channel[0], channel[1], tuple(channel[2])
+            top = max(top, *qubits)
+            if p == 0.0:
+                return -1
+            code = _SHARED_CODES.get(letters)
+            if code is None:
+                code = local_codes.get(letters)
+                if code is None:
+                    code = local_codes[letters] = _CODE_XZ.shape[0] + len(local_rows)
+                    local_rows.extend(letters)
+            events.append((p, len(letters), code))
             inj_qubit.extend(qubits)
             inj_start.append(len(inj_qubit))
             return len(inj_start) - 2
 
-        if not noise.is_noiseless:
-            for k in range(ops):
-                op = int(plan.opcodes[k])
-                q0 = int(plan.qubit0[k])
-                q1 = int(plan.qubit1[k])
-                exposure = int(plan.exposure[k])
-                if exposure > 0:
-                    self.pre_inj[k] = record(
-                        1.0 - (1.0 - noise.p_move_per_cell) ** exposure,
-                        (int(plan.moved[k]),),
-                        3,
-                        _ONE_QUBIT_CODE,
-                    )
-                if op == Opcode.PREPARE:
-                    self.post_inj[k] = record(noise.p_prepare, (q0,), 1, _PREP_CODE)
-                elif op in (Opcode.MEASURE, Opcode.MEASURE_X):
-                    if noise.p_measure > 0.0:
-                        flips.append(noise.p_measure)
-                        flip_slots.append(int(plan.slots[k]))
-                elif q1 >= 0:
-                    self.post_inj[k] = record(
-                        noise.p_double, (q0, q1), len(_TWO_QUBIT_ERRORS), _TWO_QUBIT_CODE
-                    )
-                else:
-                    self.post_inj[k] = record(noise.p_single, (q0,), 3, _ONE_QUBIT_CODE)
+        flip = flip_probability(noise)
+        columns = (plan.opcodes, plan.qubit0, plan.qubit1, plan.exposure, plan.moved, plan.slots)
+        for k, (op, q0, q1, exposure, moved, slot) in enumerate(
+            zip(*(column.tolist() for column in columns))
+        ):
+            if exposure > 0:
+                pre_inj[k] = record(noise.movement_channel(moved, exposure))
+            if op == _PREPARE:
+                post_inj[k] = record(noise.preparation_channel(q0))
+            elif op in _MEASUREMENTS:
+                if flip:
+                    flips.append(flip)
+                    flip_slots.append(slot)
+            else:
+                operands = (q0,) if q1 < 0 else (q0, q1)
+                post_inj[k] = record(noise.gate_channel(_OPCODE_NAMES[op], operands))
+        self.pre_inj = np.asarray(pre_inj, dtype=np.int32)
+        self.post_inj = np.asarray(post_inj, dtype=np.int32)
+        self.max_qubit = top
         events += [(p, 1, _FLIP_CODE) for p in flips]
         self.p = np.array([event[0] for event in events], dtype=np.float64)
         self.letters = np.array([event[1] for event in events], dtype=np.int64)
         self.code = np.array([event[2] for event in events], dtype=np.int64)
+        self.code_xz = _CODE_XZ
+        if local_rows:
+            width = max(2, *map(len, local_rows))
+            self.code_xz = _code_rows(_SHARED_LETTERS + tuple(local_rows), width)
         uniform = self.p.size and (self.p == self.p[0]).all()
         self.uniform_p = float(self.p[0]) if uniform else None
         uniform = self.letters.size and (self.letters == self.letters[0]).all()
@@ -837,7 +847,12 @@ class _NoiseTemplate:
         self.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
         self.flip_slots = np.asarray(flip_slots, dtype=np.int64)
         self.record_addresses = _addresses(
-            self.pre_inj, self.post_inj, self.inj_start, self.inj_qubit, _CODE_XZ, self.flip_slots
+            self.pre_inj,
+            self.post_inj,
+            self.inj_start,
+            self.inj_qubit,
+            self.code_xz,
+            self.flip_slots,
         )
 
 
@@ -854,8 +869,8 @@ class NoiseBlock:
     ``R`` records: flip ``f`` failed in the lanes of entry ``R + f`` of
     ``fail_start``, which are XORed onto outcome row ``flip_slots[f]``.
     ``error_count`` counts the failed events of each lane.  ``template`` is
-    the :class:`_NoiseTemplate` a built-in model's block was sampled from
-    (None for a custom model), which fixes every field but the failures.
+    the :class:`_NoiseTemplate` the block was sampled from, which fixes every
+    field but the failures (None for a run's merged block).
     """
 
     __slots__ = (
@@ -970,7 +985,7 @@ def _sample_block(
     block.post_inj = template.post_inj
     block.inj_start = template.inj_start
     block.inj_qubit = template.inj_qubit
-    block.code_xz = _CODE_XZ
+    block.code_xz = template.code_xz
     block.record_addresses = template.record_addresses
     block.flip_slots = template.flip_slots
     return block
@@ -978,15 +993,22 @@ def _sample_block(
 
 def _plan_block(
     plan: _KernelPlan, noise: NoiseModel, batch_size: int, rng: np.random.Generator
-) -> NoiseBlock | None:
-    signature = _noise_signature(noise)
-    if signature is None:
-        return None
-    template = plan.template_cache.get(signature)
+) -> NoiseBlock:
+    """Sample a model's noise on one program from its cached template.
+
+    Templates are cached per model class and attribute values, which fix a
+    model's declarations; a model with unhashable attribute values is
+    declared afresh every run.
+    """
+    try:
+        key = (type(noise), tuple(vars(noise).items()))
+        template = plan.template_cache.get(key)
+    except TypeError:
+        return _sample_block(_NoiseTemplate(plan, noise), batch_size, rng)
     if template is None:
         if len(plan.template_cache) >= _PLAN_CACHE_LIMIT:
             plan.template_cache.clear()
-        template = plan.template_cache[signature] = _NoiseTemplate(plan, noise)
+        template = plan.template_cache[key] = _NoiseTemplate(plan, noise)
     return _sample_block(template, batch_size, rng)
 
 
@@ -995,13 +1017,12 @@ def noise_block(
     noise: NoiseModel,
     batch_size: int,
     rng: np.random.Generator,
-) -> NoiseBlock | None:
-    """Sample one run's noise for a built-in model; None for a custom one.
+) -> NoiseBlock:
+    """Sample one run's noise: the channels ``noise`` declares for ``program``.
 
-    :func:`execute_fused` consumes this block for ``OperationNoise`` and
-    ``DepolarizingNoise`` (and any noiseless model), drawing it from ``rng``
-    before the run's measurement words.  Custom models return None and are
-    sampled through their per-operation hooks.
+    :func:`execute_fused` draws this block from ``rng`` before the run's
+    measurement words, for every model.  A model that declares no channel
+    of nonzero probability leaves ``rng`` untouched.
     """
     return _plan_block(_plan_for(program), noise, batch_size, rng)
 
@@ -1011,131 +1032,6 @@ def _measurement_words(draw_count: int, W: int, rng: np.random.Generator) -> np.
     return rng.integers(0, _UINT64_MAX, size=(draw_count, W), dtype=np.uint64, endpoint=True)
 
 
-def _sample_hooks(
-    plan: _KernelPlan,
-    noise: NoiseModel,
-    draw_index: np.ndarray,
-    first_draw: int,
-    batch_size: int,
-    W: int,
-    n: int,
-    noise_rng: np.random.Generator,
-    draw_rng: np.random.Generator,
-) -> tuple[NoiseBlock, np.ndarray]:
-    """Sample a custom model through its packed hooks: ``(block, drawn)``.
-
-    ``draw_index`` numbers the random measurements of the segment's
-    operations within the run, from ``first_draw`` on; ``drawn`` holds the
-    segment's own words (one row of zeros when it draws none).  Calls the
-    packed hooks once per operation, in program order and interleaved with
-    the measurement-word draws, so any :class:`NoiseModel`
-    subclass -- including ones that only implement the scalar hooks -- keeps
-    its RNG stream and its error semantics.  Supports may extend beyond the
-    operands (crosstalk), so the records are built dynamically and the
-    block gets its own letter-code table: one code per distinct per-entry
-    Pauli row, over the widest support.  Every set word bit becomes a
-    failure, ghost lanes of the last word included, so the frames and
-    outcome words are those of XORing the hooks' words.
-    """
-    ops = plan.opcodes.shape[0]
-    lanes = WORD_BITS * W
-    draws = int(np.count_nonzero(draw_index >= 0))
-    drawn = np.zeros((max(draws, 1), W), dtype=np.uint64)
-    block = NoiseBlock()
-    block.template = None
-    block.pre_inj = np.full(ops, -1, dtype=np.int32)
-    block.post_inj = np.full(ops, -1, dtype=np.int32)
-    inj_qubit: list[int] = []
-    inj_start = [0]
-    record_lanes: list[np.ndarray] = []
-    record_xz: list[np.ndarray] = []
-    flip_lanes: list[np.ndarray] = []
-    flip_slots: list[int] = []
-    error_count = np.zeros(batch_size, dtype=np.int64)
-
-    def add_record(sampled) -> int:
-        support, x_words, z_words, event_words = sampled
-        if not event_words.any():
-            return -1
-        for qubit in support:
-            if not 0 <= qubit < n:
-                raise SimulationError(
-                    f"noise model emitted qubit {qubit} outside register of size {n}"
-                )
-        x_words = np.asarray(x_words, dtype=np.uint64)
-        z_words = np.asarray(z_words, dtype=np.uint64)
-        if x_words.shape != (len(support), W) or z_words.shape != x_words.shape:
-            # A lane past the frame words would reach the C kernel unchecked.
-            raise SimulationError(
-                f"noise model emitted Pauli words of shapes {x_words.shape} and "
-                f"{z_words.shape}; expected {(len(support), W)}"
-            )
-        xz = unpack_bits(x_words, lanes) | unpack_bits(z_words, lanes) << 1
-        lane = np.flatnonzero(xz.any(axis=0))
-        record_lanes.append(lane)
-        record_xz.append(xz[:, lane].T)
-        inj_qubit.extend(int(q) for q in support)
-        inj_start.append(len(inj_qubit))
-        error_count[:] += unpack_bits(event_words, batch_size)
-        return len(inj_start) - 2
-
-    def draw_word(k: int) -> None:
-        if draw_index[k] >= 0:
-            drawn[int(draw_index[k]) - first_draw] = draw_rng.integers(
-                0, _UINT64_MAX, size=W, dtype=np.uint64, endpoint=True
-            )
-
-    for k in range(ops):
-        op = int(plan.opcodes[k])
-        q0 = int(plan.qubit0[k])
-        q1 = int(plan.qubit1[k])
-        if plan.exposure[k] > 0:
-            block.pre_inj[k] = add_record(
-                noise.sample_movement_error_packed(
-                    int(plan.moved[k]), int(plan.exposure[k]), batch_size, noise_rng
-                )
-            )
-        if op == Opcode.PREPARE:
-            draw_word(k)
-            block.post_inj[k] = add_record(
-                noise.sample_preparation_error_packed(q0, batch_size, noise_rng)
-            )
-        elif op in (Opcode.MEASURE, Opcode.MEASURE_X):
-            draw_word(k)
-            flip_words = noise.measurement_flip_packed(batch_size, noise_rng)
-            if flip_words.any():
-                flip_lanes.append(np.flatnonzero(unpack_bits(flip_words, lanes)))
-                flip_slots.append(int(plan.slots[k]))
-                error_count += unpack_bits(flip_words, batch_size)
-        else:
-            operands = (q0,) if q1 < 0 else (q0, q1)
-            block.post_inj[k] = add_record(
-                noise.sample_gate_error_packed(Opcode(op).name, operands, batch_size, noise_rng)
-            )
-
-    # One letter-code row per failure, padded to the widest support; a flip
-    # touches no frame, so its row is all identity.
-    width = max((xz.shape[1] for xz in record_xz), default=1)
-    letters = [np.zeros((0, width), dtype=np.uint8)]
-    letters += [np.pad(xz, ((0, 0), (0, width - xz.shape[1]))) for xz in record_xz]
-    letters += [np.zeros((lane.size, width), dtype=np.uint8) for lane in flip_lanes]
-    table, code = np.unique(np.concatenate(letters), axis=0, return_inverse=True)
-    counts = [lane.size for lane in record_lanes + flip_lanes]
-    block.inj_start = np.asarray(inj_start, dtype=np.int32)
-    block.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
-    block.code_xz = np.ascontiguousarray(table)
-    block.flip_slots = np.asarray(flip_slots, dtype=np.int64)
-    block.record_addresses = _addresses(
-        block.pre_inj, block.post_inj, block.inj_start, block.inj_qubit, block.code_xz,
-        block.flip_slots,
-    )
-    block.fail_start = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    block.fail_lane = np.concatenate([_NO_FAILURES, *record_lanes, *flip_lanes])
-    block.fail_code = code.reshape(-1).astype(np.int64)
-    block.error_count = error_count
-    return block, drawn
-
-
 def _merged_layout(plan: _KernelPlan, blocks: list[NoiseBlock]):
     """The fixed half of the segments' merged block: ``(layout, pieces)``.
 
@@ -1143,11 +1039,11 @@ def _merged_layout(plan: _KernelPlan, blocks: list[NoiseBlock]):
     ``pieces`` lists the runs of events the merged block takes from the
     segments, in order, as ``(segment, first event, end event, code
     offset)``: every segment's records, then every segment's flips, with
-    adjacent runs joined.  Built-in models' layouts depend on their
-    templates only, so they are cached on the plan.
+    adjacent runs joined.  A layout depends on the segments' templates only,
+    so it is cached on the plan.
     """
     key = tuple(block.template for block in blocks)
-    cached = plan.template_cache.get(key) if None not in key else None
+    cached = plan.template_cache.get(key)
     if cached is not None:
         return cached
     records = [block.inj_start.size - 1 for block in blocks]
@@ -1200,10 +1096,9 @@ def _merged_layout(plan: _KernelPlan, blocks: list[NoiseBlock]):
         else:
             pieces.append([s, first, end, code_offsets[s]])
     merged = (layout, pieces)
-    if None not in key:
-        if len(plan.template_cache) >= _PLAN_CACHE_LIMIT:
-            plan.template_cache.clear()
-        plan.template_cache[key] = merged
+    if len(plan.template_cache) >= _PLAN_CACHE_LIMIT:
+        plan.template_cache.clear()
+    plan.template_cache[key] = merged
     return merged
 
 
@@ -1472,11 +1367,11 @@ def execute_fused(
     ``program`` is one compiled program run under ``noise``, or a run given
     as ordered ``(program, noise)`` segments (``noise`` is then None): the
     segments' programs are concatenated into one kernel program with one
-    cached reference pass.  Each segment's noise is sampled from ``rng`` --
-    the :func:`noise_block` of a built-in model, or a custom model's hooks
-    in operation order -- and then its random measurement words from the
-    state's generator (the same object in normal use), segment by segment;
-    so a run draws exactly what its segments would draw as separate calls.
+    cached reference pass.  Each segment's noise is sampled from ``rng`` as
+    the :func:`noise_block` of its model's declarations, and then its random
+    measurement words from the state's generator (the same object in normal
+    use), segment by segment; so a run draws exactly what its segments would
+    draw as separate calls.
     Returns ``(outcome_words, error_count)``: ``(M, W)`` uint64 measurement
     outcomes in slot order, the segments' slots one after the other, and
     ``(B,)`` per-lane error counts.  The state's reference and frames are
@@ -1509,25 +1404,15 @@ def execute_fused(
     blocks = []
     words = []
     for s, (part, (_, model)) in enumerate(zip(plan.parts, segments)):
-        draws = bounds[s + 1] - bounds[s]
         block = _plan_block(part, model, batch_size, rng)
-        if block is None:
-            ops = slice(plan.op_bounds[s], plan.op_bounds[s + 1])
-            block, drawn = _sample_hooks(
-                part,
-                model,
-                reference.draw_index[ops],
-                bounds[s],
-                batch_size,
-                W,
-                state.num_qubits,
-                rng,
-                state._rng,
+        if block.template.max_qubit >= state.num_qubits:
+            raise SimulationError(
+                f"noise model emitted qubit {block.template.max_qubit} outside register "
+                f"of size {state.num_qubits}"
             )
-        elif draws:
-            drawn = _measurement_words(draws, W, state._rng)
+        draws = bounds[s + 1] - bounds[s]
         if draws:
-            words.append(drawn[:draws])
+            words.append(_measurement_words(draws, W, state._rng))
         blocks.append(block)
     block = _merge_blocks(plan, blocks)
     if len(words) == 1:

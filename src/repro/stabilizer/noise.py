@@ -6,71 +6,90 @@ two-qubit gates, measurement, ballistic movement (per cell) and idle memory.
 Errors are modelled as uniformly random non-identity Pauli operators on the
 qubits touched by the operation (standard depolarizing noise), which is the
 conventional choice for stabilizer-level fault-tolerance studies.
+
+A model *declares* that law once, as one :class:`PauliChannel` per operation
+site, and never samples it itself.  Both engines read the same declarations:
+the per-shot oracle (:class:`~repro.arq.simulator.NoisyCircuitExecutor`)
+draws each channel shot by shot, and the Pauli-frame engine
+(:mod:`repro.stabilizer.fused`) turns a program's channels into one template
+and samples every lane at once -- the way Stim samples declared noise
+channels (Gidney 2021).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
-import numpy as np
-
-from repro.exceptions import ParameterError
-from repro.pauli import PauliTerm
-from repro.stabilizer.packed import pack_bits
+from repro.exceptions import ParameterError, SimulationError
 
 _ONE_QUBIT_ERRORS = ("X", "Y", "Z")
 _TWO_QUBIT_ERRORS = tuple(
-    (a, b)
-    for a in ("I", "X", "Y", "Z")
-    for b in ("I", "X", "Y", "Z")
-    if not (a == "I" and b == "I")
-)
-
-#: Symplectic (x, z) bits of each Pauli letter.
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
-#: Symplectic bit tables of the depolarizing error alphabets, indexed the same
-#: way as the tuples above so scalar and batched sampling agree letter-for-letter.
-_ONE_QUBIT_X = np.array([_LETTER_BITS[l][0] for l in _ONE_QUBIT_ERRORS], dtype=np.uint8)
-_ONE_QUBIT_Z = np.array([_LETTER_BITS[l][1] for l in _ONE_QUBIT_ERRORS], dtype=np.uint8)
-_TWO_QUBIT_X = np.array(
-    [[_LETTER_BITS[a][0], _LETTER_BITS[b][0]] for a, b in _TWO_QUBIT_ERRORS], dtype=np.uint8
-)
-_TWO_QUBIT_Z = np.array(
-    [[_LETTER_BITS[a][1], _LETTER_BITS[b][1]] for a, b in _TWO_QUBIT_ERRORS], dtype=np.uint8
+    a + b for a in "IXYZ" for b in "IXYZ" if not (a == "I" and b == "I")
 )
 
 
-def _scatter_terms_batch(
-    per_lane_terms: list[list[PauliTerm]], qubits: tuple[int, ...]
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Scatter scalar-hook Pauli terms for every lane into batch bit arrays.
+class PauliChannel(NamedTuple):
+    """One error event: with probability ``p``, a Pauli on ``qubits``.
 
-    The support starts from the operation's own qubits and grows to cover any
-    extra qubits the terms touch (custom models may emit crosstalk errors on
-    neighbours of the operands, which the per-shot executor supports too).
+    ``qubits`` is the channel's support, which may reach past the
+    operation's operands (crosstalk).  ``letters`` lists equally likely Pauli
+    strings over that support, one letter per support qubit: a failure
+    applies one of them, drawn uniformly (``("X", "Y", "Z")``, the 15
+    non-identity two-qubit pairs, or ``("X",)`` for a preparation).  A
+    failure counts as one error event, whatever its weight.
     """
-    support = list(qubits)
-    position = {q: j for j, q in enumerate(support)}
-    for terms in per_lane_terms:
-        for term in terms:
-            if term.qubit not in position:
-                position[term.qubit] = len(support)
-                support.append(term.qubit)
-    batch_size = len(per_lane_terms)
-    x_bits = np.zeros((batch_size, len(support)), dtype=np.uint8)
-    z_bits = np.zeros((batch_size, len(support)), dtype=np.uint8)
-    events = np.zeros(batch_size, dtype=np.int64)
-    for lane, terms in enumerate(per_lane_terms):
-        if not terms:
-            continue
-        events[lane] = 1
-        for term in terms:
-            xi, zi = _LETTER_BITS[term.letter]
-            j = position[term.qubit]
-            x_bits[lane, j] ^= xi
-            z_bits[lane, j] ^= zi
-    return tuple(support), x_bits, z_bits, events
+
+    p: float
+    qubits: tuple[int, ...]
+    letters: tuple[str, ...]
+
+
+def check_channel(channel: PauliChannel) -> None:
+    """Raise :class:`SimulationError` unless ``channel`` is a well-formed declaration.
+
+    The probability must lie in [0, 1], every support qubit must be a
+    nonnegative index, and every letter string must have one letter from
+    ``IXYZ`` per support qubit and not be all identity.  The engines check
+    the upper end of the register themselves.
+    """
+    p, qubits, letters = channel
+    if not 0.0 <= p <= 1.0:
+        raise SimulationError(f"noise channel probability {p} is outside [0, 1]")
+    for qubit in qubits:
+        if qubit < 0:
+            raise SimulationError(f"noise model emitted qubit {qubit} outside the register")
+    bad = _bad_letter(tuple(letters), len(qubits))
+    if bad is not None:
+        raise SimulationError(
+            f"noise channel letter {bad!r} is not a non-identity Pauli string "
+            f"over the {len(qubits)}-qubit support {qubits}"
+        )
+
+
+def flip_probability(noise: NoiseModel) -> float | None:
+    """The measurement flip probability ``noise`` declares, checked like a channel's."""
+    p = noise.measurement_flip_probability()
+    if p is not None and not 0.0 <= p <= 1.0:
+        raise SimulationError(f"measurement flip probability {p} is outside [0, 1]")
+    return p
+
+
+@functools.lru_cache(maxsize=256)
+def _bad_letter(letters: tuple[str, ...], width: int) -> str | None:
+    """The first malformed letter string of an alphabet (cached: alphabets repeat)."""
+    if not letters:
+        return "(none)"
+    for letter in letters:
+        if (
+            not isinstance(letter, str)
+            or len(letter) != width
+            or set(letter) - set("IXYZ")
+            or set(letter) <= {"I"}
+        ):
+            return letter
+    return None
 
 
 def _check_probability(name: str, value: float) -> float:
@@ -79,204 +98,71 @@ def _check_probability(name: str, value: float) -> float:
     return float(value)
 
 
-class NoiseModel:
-    """Interface for per-operation Pauli noise.
+#: The sampling hooks of v1.11 and older, each with the declaration replacing it.
+_REMOVED_HOOKS = {
+    hook + suffix: declaration
+    for hook, declaration in (
+        ("sample_gate_error", "gate_channel"),
+        ("sample_preparation_error", "preparation_channel"),
+        ("measurement_flip", "measurement_flip_probability"),
+        ("sample_movement_error", "movement_channel"),
+        ("sample_idle_error", "idle_channel"),
+    )
+    for suffix in ("", "_batch", "_packed")
+}
 
-    Subclasses override the ``sample_*`` hooks; every hook returns the Pauli
-    errors to apply *after* the ideal operation (the standard circuit-level
-    noise convention).
+
+class NoiseModel:
+    """Interface for per-operation Pauli noise, declared as Pauli channels.
+
+    Subclasses override the declaration methods.  Each names the error event
+    that follows one operation (movement errors precede the operation that
+    needed the shuttle): a :class:`PauliChannel`, or None for no event.  The
+    base class declares nothing, which is noiseless execution.
+
+    A declaration must be a pure function of the model's instance attributes
+    and of the operation: both engines sample whatever is declared, and the
+    Pauli-frame engine caches a program's declarations per model class and
+    attribute values.  A channel of probability zero is still declared; the
+    per-shot oracle draws it (and it never fails), the frame engine drops it.
+    Defining one of the sampling hooks of v1.11 (``sample_*_error``,
+    ``measurement_flip`` or their ``_batch``/``_packed`` forms) raises
+    :class:`TypeError` naming the declaration to override instead.
     """
 
-    def sample_gate_error(
-        self, name: str, qubits: tuple[int, ...], rng: np.random.Generator
-    ) -> list[PauliTerm]:
-        """Pauli error terms to apply after a gate ``name`` on ``qubits``."""
-        raise NotImplementedError
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in vars(cls):
+            if name in _REMOVED_HOOKS:
+                raise TypeError(
+                    f"{cls.__name__}.{name} is a removed noise hook: noise models "
+                    f"declare their errors instead; override {_REMOVED_HOOKS[name]}() "
+                    "(see docs/migration.md, 1.12)"
+                )
 
-    def sample_preparation_error(
-        self, qubit: int, rng: np.random.Generator
-    ) -> list[PauliTerm]:
-        """Pauli error terms to apply after preparing ``qubit`` in |0>."""
-        raise NotImplementedError
+    def gate_channel(self, name: str, qubits: tuple[int, ...]) -> PauliChannel | None:
+        """The error after a gate ``name`` on ``qubits``."""
+        return None
 
-    def measurement_flip(self, rng: np.random.Generator) -> bool:
-        """Whether a measurement outcome is classically flipped."""
-        raise NotImplementedError
+    def preparation_channel(self, qubit: int) -> PauliChannel | None:
+        """The error after preparing ``qubit`` in |0>."""
+        return None
 
-    def sample_movement_error(
-        self, qubit: int, num_cells: int, rng: np.random.Generator
-    ) -> list[PauliTerm]:
-        """Pauli error terms accumulated while moving an ion ``num_cells`` cells."""
-        raise NotImplementedError
+    def measurement_flip_probability(self) -> float | None:
+        """Probability that a measurement outcome is classically flipped (None: never)."""
+        return None
 
-    def sample_idle_error(
-        self, qubit: int, duration_seconds: float, rng: np.random.Generator
-    ) -> list[PauliTerm]:
-        """Pauli error terms accumulated while a qubit idles for a duration."""
-        raise NotImplementedError
+    def movement_channel(self, qubit: int, cells: int) -> PauliChannel | None:
+        """The error accumulated while moving ``qubit`` through ``cells`` cells."""
+        return None
 
-    # -- batched sampling ---------------------------------------------------
-    #
-    # These hooks draw the noise of one operation for all B lanes in a single
-    # call; the packed hooks below pack their lane axis.  Each returns
-    # ``(support, x_bits, z_bits, events)``:
-    # ``support`` is the tuple of register qubits the error may touch (the
-    # operands, possibly extended by crosstalk neighbours), the symplectic bit
-    # arrays have shape ``(B, len(support))`` and ``events`` is an ``(B,)``
-    # array counting error events per lane (matching the per-shot executor's
-    # ``error_count`` bookkeeping: one event per operation that failed).
-    #
-    # The base-class implementations fall back to looping the scalar hooks,
-    # so any custom noise model works with the batched engine out of the box;
-    # ``OperationNoise`` overrides them with single-RNG-call vectorized
-    # versions, which its subclasses inherit.  The batched engine never calls
-    # these hooks for the exact built-in classes (or any noiseless model):
-    # those are sampled as one sparse noise block per run
-    # (:func:`repro.stabilizer.fused.noise_block`).
-
-    @property
-    def is_noiseless(self) -> bool:
-        """True when every hook is guaranteed to return no errors.
-
-        The batched engine never calls the hooks of such models (used for
-        ideal state preparation inside experiments).
-        """
-        return False
-
-    def sample_gate_error_batch(
-        self, name: str, qubits: tuple[int, ...], batch_size: int, rng: np.random.Generator
-    ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """Gate errors for all lanes: ``(support, x_bits, z_bits, events)``."""
-        per_lane = [self.sample_gate_error(name, qubits, rng) for _ in range(batch_size)]
-        return _scatter_terms_batch(per_lane, qubits)
-
-    def sample_preparation_error_batch(
-        self, qubit: int, batch_size: int, rng: np.random.Generator
-    ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """Preparation errors for all lanes: ``(support, x_bits, z_bits, events)``."""
-        per_lane = [self.sample_preparation_error(qubit, rng) for _ in range(batch_size)]
-        return _scatter_terms_batch(per_lane, (qubit,))
-
-    def measurement_flip_batch(
-        self, batch_size: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-lane classical measurement flips as an ``(B,)`` bool array."""
-        return np.array(
-            [self.measurement_flip(rng) for _ in range(batch_size)], dtype=bool
-        )
-
-    def sample_movement_error_batch(
-        self, qubit: int, num_cells: int, batch_size: int, rng: np.random.Generator
-    ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """Movement errors for all lanes: ``(support, x_bits, z_bits, events)``."""
-        per_lane = [
-            self.sample_movement_error(qubit, num_cells, rng) for _ in range(batch_size)
-        ]
-        return _scatter_terms_batch(per_lane, (qubit,))
-
-    # -- packed (word-parallel) sampling ------------------------------------
-    #
-    # The batched engine consumes noise as uint64 word masks over the
-    # batch axis: each hook returns ``(support, x_words, z_words, event_words)``
-    # where the symplectic word arrays have shape ``(len(support), W)`` with
-    # ``W = ceil(batch_size / 64)`` and ``event_words`` is a ``(W,)`` mask of
-    # lanes in which the operation failed (one event per failed operation,
-    # matching the per-shot executor's ``error_count`` bookkeeping).
-    #
-    # The base-class implementations draw through the ``*_batch`` hooks and
-    # pack the lane axis, so every noise model -- including custom subclasses
-    # that only implement the scalar hooks -- works with the batched engine
-    # unmodified.
-
-    def sample_gate_error_packed(
-        self, name: str, qubits: tuple[int, ...], batch_size: int, rng: np.random.Generator
-    ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """Gate errors for all lanes as packed word masks."""
-        support, x_bits, z_bits, events = self.sample_gate_error_batch(
-            name, qubits, batch_size, rng
-        )
-        return _pack_batch_masks(support, x_bits, z_bits, events)
-
-    def sample_preparation_error_packed(
-        self, qubit: int, batch_size: int, rng: np.random.Generator
-    ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """Preparation errors for all lanes as packed word masks."""
-        support, x_bits, z_bits, events = self.sample_preparation_error_batch(
-            qubit, batch_size, rng
-        )
-        return _pack_batch_masks(support, x_bits, z_bits, events)
-
-    def measurement_flip_packed(
-        self, batch_size: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-lane classical measurement flips as a ``(W,)`` uint64 word mask."""
-        return pack_bits(self.measurement_flip_batch(batch_size, rng))
-
-    def sample_movement_error_packed(
-        self, qubit: int, num_cells: int, batch_size: int, rng: np.random.Generator
-    ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """Movement errors for all lanes as packed word masks."""
-        support, x_bits, z_bits, events = self.sample_movement_error_batch(
-            qubit, num_cells, batch_size, rng
-        )
-        return _pack_batch_masks(support, x_bits, z_bits, events)
-
-
-def _pack_batch_masks(
-    support: tuple[int, ...], x_bits: np.ndarray, z_bits: np.ndarray, events: np.ndarray
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Pack per-lane ``(B, k)`` symplectic bits into ``(k, W)`` uint64 words."""
-    x_words = pack_bits(np.ascontiguousarray(x_bits.T))
-    z_words = pack_bits(np.ascontiguousarray(z_bits.T))
-    event_words = pack_bits(events != 0)
-    return support, x_words, z_words, event_words
+    def idle_channel(self, qubit: int, seconds: float) -> PauliChannel | None:
+        """The error accumulated while ``qubit`` idles for ``seconds``."""
+        return None
 
 
 class NoiselessModel(NoiseModel):
-    """A noise model that never produces errors (useful for functional tests)."""
-
-    def sample_gate_error(self, name, qubits, rng):  # noqa: D102 - interface docs
-        return []
-
-    def sample_preparation_error(self, qubit, rng):  # noqa: D102
-        return []
-
-    def measurement_flip(self, rng):  # noqa: D102
-        return False
-
-    def sample_movement_error(self, qubit, num_cells, rng):  # noqa: D102
-        return []
-
-    def sample_idle_error(self, qubit, duration_seconds, rng):  # noqa: D102
-        return []
-
-    @property
-    def is_noiseless(self):  # noqa: D102
-        return True
-
-
-def _no_errors_batch(
-    batch_size: int, support: tuple[int, ...]
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    zeros = np.zeros((batch_size, len(support)), dtype=np.uint8)
-    return support, zeros, zeros.copy(), np.zeros(batch_size, dtype=np.int64)
-
-
-def _depolarize_one(qubit: int, rng: np.random.Generator) -> list[PauliTerm]:
-    letter = _ONE_QUBIT_ERRORS[int(rng.integers(0, 3))]
-    return [PauliTerm(qubit=qubit, letter=letter)]
-
-
-def _depolarize_two(
-    qubit_a: int, qubit_b: int, rng: np.random.Generator
-) -> list[PauliTerm]:
-    letters = _TWO_QUBIT_ERRORS[int(rng.integers(0, len(_TWO_QUBIT_ERRORS)))]
-    terms = []
-    if letters[0] != "I":
-        terms.append(PauliTerm(qubit=qubit_a, letter=letters[0]))
-    if letters[1] != "I":
-        terms.append(PauliTerm(qubit=qubit_b, letter=letters[1]))
-    return terms
+    """A noise model that declares no errors (useful for functional tests)."""
 
 
 @dataclass
@@ -320,112 +206,31 @@ class OperationNoise(NoiseModel):
             "p_memory_per_second", self.p_memory_per_second
         )
 
-    # -- sampling hooks -----------------------------------------------------
+    # -- declarations -------------------------------------------------------
 
-    def sample_gate_error(self, name, qubits, rng):  # noqa: D102 - see base class
+    def gate_channel(self, name, qubits):  # noqa: D102 - see base class
+        # Clifford gates act on one or two qubits.
         if len(qubits) == 1:
-            if rng.random() < self.p_single:
-                return _depolarize_one(qubits[0], rng)
-            return []
-        if len(qubits) == 2:
-            if rng.random() < self.p_double:
-                return _depolarize_two(qubits[0], qubits[1], rng)
-            return []
-        # Wider gates are not physical primitives in the QLA model; treat each
-        # qubit as independently exposed to the two-qubit rate.
-        terms: list[PauliTerm] = []
-        for qubit in qubits:
-            if rng.random() < self.p_double:
-                terms.extend(_depolarize_one(qubit, rng))
-        return terms
+            return PauliChannel(self.p_single, qubits, _ONE_QUBIT_ERRORS)
+        return PauliChannel(self.p_double, qubits, _TWO_QUBIT_ERRORS)
 
-    def sample_preparation_error(self, qubit, rng):  # noqa: D102
-        if rng.random() < self.p_prepare:
-            return [PauliTerm(qubit=qubit, letter="X")]
-        return []
+    def preparation_channel(self, qubit):  # noqa: D102
+        return PauliChannel(self.p_prepare, (qubit,), ("X",))
 
-    def measurement_flip(self, rng):  # noqa: D102
-        return bool(rng.random() < self.p_measure)
+    def measurement_flip_probability(self):  # noqa: D102
+        return self.p_measure
 
-    def sample_movement_error(self, qubit, num_cells, rng):  # noqa: D102
-        if num_cells <= 0 or self.p_move_per_cell == 0.0:
-            return []
-        p_total = 1.0 - (1.0 - self.p_move_per_cell) ** num_cells
-        if rng.random() < p_total:
-            return _depolarize_one(qubit, rng)
-        return []
+    def movement_channel(self, qubit, cells):  # noqa: D102
+        if cells <= 0 or self.p_move_per_cell == 0.0:
+            return None
+        p_total = 1.0 - (1.0 - self.p_move_per_cell) ** cells
+        return PauliChannel(p_total, (qubit,), _ONE_QUBIT_ERRORS)
 
-    def sample_idle_error(self, qubit, duration_seconds, rng):  # noqa: D102
-        if duration_seconds <= 0.0 or self.p_memory_per_second == 0.0:
-            return []
-        p_total = 1.0 - (1.0 - self.p_memory_per_second) ** duration_seconds
-        if rng.random() < p_total:
-            return _depolarize_one(qubit, rng)
-        return []
-
-    # -- vectorized batch hooks ---------------------------------------------
-
-    def sample_gate_error_batch(self, name, qubits, batch_size, rng):  # noqa: D102
-        if len(qubits) == 1:
-            return _depolarize_one_batch(self.p_single, qubits, batch_size, rng)
-        if len(qubits) == 2:
-            return _depolarize_two_batch(self.p_double, qubits, batch_size, rng)
-        # Wider gates: each qubit independently exposed to the two-qubit rate,
-        # all failures of one operation counted as a single error event.
-        x_bits = np.zeros((batch_size, len(qubits)), dtype=np.uint8)
-        z_bits = np.zeros((batch_size, len(qubits)), dtype=np.uint8)
-        any_fail = np.zeros(batch_size, dtype=bool)
-        for j, qubit in enumerate(qubits):
-            _, xj, zj, ev = _depolarize_one_batch(self.p_double, (qubit,), batch_size, rng)
-            x_bits[:, j] = xj[:, 0]
-            z_bits[:, j] = zj[:, 0]
-            any_fail |= ev.astype(bool)
-        return qubits, x_bits, z_bits, any_fail.astype(np.int64)
-
-    def sample_preparation_error_batch(self, qubit, batch_size, rng):  # noqa: D102
-        fail = rng.random(batch_size) < self.p_prepare
-        x_bits = fail[:, None].astype(np.uint8)
-        z_bits = np.zeros((batch_size, 1), dtype=np.uint8)
-        return (qubit,), x_bits, z_bits, fail.astype(np.int64)
-
-    def measurement_flip_batch(self, batch_size, rng):  # noqa: D102
-        if self.p_measure == 0.0:
-            return np.zeros(batch_size, dtype=bool)
-        return rng.random(batch_size) < self.p_measure
-
-    def sample_movement_error_batch(self, qubit, num_cells, batch_size, rng):  # noqa: D102
-        if num_cells <= 0 or self.p_move_per_cell == 0.0:
-            return _no_errors_batch(batch_size, (qubit,))
-        p_total = 1.0 - (1.0 - self.p_move_per_cell) ** num_cells
-        return _depolarize_one_batch(p_total, (qubit,), batch_size, rng)
-
-
-def _depolarize_one_batch(
-    probability: float, support: tuple[int, ...], batch_size: int, rng: np.random.Generator
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Single-qubit depolarizing draw for a whole batch (two RNG calls total)."""
-    if probability == 0.0:
-        return _no_errors_batch(batch_size, support)
-    fail = rng.random(batch_size) < probability
-    letters = rng.integers(0, 3, size=batch_size)
-    fail_u8 = fail.astype(np.uint8)
-    x_bits = (fail_u8 * _ONE_QUBIT_X[letters])[:, None]
-    z_bits = (fail_u8 * _ONE_QUBIT_Z[letters])[:, None]
-    return support, x_bits, z_bits, fail.astype(np.int64)
-
-
-def _depolarize_two_batch(
-    probability: float, support: tuple[int, ...], batch_size: int, rng: np.random.Generator
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Two-qubit depolarizing draw for a whole batch (two RNG calls total)."""
-    if probability == 0.0:
-        return _no_errors_batch(batch_size, support)
-    fail = rng.random(batch_size) < probability
-    pairs = rng.integers(0, len(_TWO_QUBIT_ERRORS), size=batch_size)
-    fail_u8 = fail.astype(np.uint8)[:, None]
-    x_bits = fail_u8 * _TWO_QUBIT_X[pairs]
-    z_bits = fail_u8 * _TWO_QUBIT_Z[pairs]
-    return support, x_bits, z_bits, fail.astype(np.int64)
+    def idle_channel(self, qubit, seconds):  # noqa: D102
+        if seconds <= 0.0 or self.p_memory_per_second == 0.0:
+            return None
+        p_total = 1.0 - (1.0 - self.p_memory_per_second) ** seconds
+        return PauliChannel(p_total, (qubit,), _ONE_QUBIT_ERRORS)
 
 
 class DepolarizingNoise(OperationNoise):

@@ -3,8 +3,7 @@
 The Monte-Carlo engine (:mod:`repro.stabilizer.fused`) packs the **batch
 axis** of its per-lane data into ``uint64`` words -- bit ``b`` of word ``w``
 belongs to lane ``64*w + b`` -- so one word operation acts on 64 lanes.  This
-module holds the word helpers shared by the engine, the noise models and the
-shard layer:
+module holds the word helpers shared by the engine and the shard layer:
 
 * :func:`pack_bits` / :func:`unpack_bits` convert between ``(..., B)`` 0/1
   arrays and ``(..., ceil(B/64))`` words (little bit order);

@@ -217,29 +217,24 @@ class TestBatchedExecutor:
             syndromes = (bits.astype(np.int64) @ check.T.astype(np.int64)) % 2
             assert not syndromes.any(), extraction.error_type
 
-    def test_custom_noise_model_falls_back_to_scalar_hooks(self):
-        from repro.pauli import PauliTerm
-        from repro.stabilizer import NoiseModel
+    @pytest.mark.parametrize("batch", [8, 70])
+    def test_custom_declared_model_reaches_every_lane(self, batch):
+        from repro.stabilizer import NoiseModel, PauliChannel
 
         class AlwaysXAfterGates(NoiseModel):
-            """Scalar hooks only: the base-class batch fallback must kick in."""
+            """Declares only a certain X after every gate."""
 
-            def sample_gate_error(self, name, qubits, rng):
-                return [PauliTerm(qubit=qubits[0], letter="X")]
-
-            def sample_preparation_error(self, qubit, rng):
-                return []
-
-            def measurement_flip(self, rng):
-                return False
-
-            def sample_movement_error(self, qubit, num_cells, rng):
-                return []
+            def gate_channel(self, name, qubits):
+                return PauliChannel(1.0, (qubits[0],), ("X",))
 
         circuit = Circuit(1).prepare(0).z(0).measure(0, label="out")
-        result = BatchedNoisyCircuitExecutor(noise=AlwaysXAfterGates()).run(
-            circuit, 8, np.random.default_rng(0)
+        scalar = NoisyCircuitExecutor(noise=AlwaysXAfterGates()).run(
+            circuit, np.random.default_rng(0)
         )
+        result = BatchedNoisyCircuitExecutor(noise=AlwaysXAfterGates()).run(
+            circuit, batch, np.random.default_rng(0)
+        )
+        assert scalar.measurements["out"] == 1 and scalar.error_count == 1
         assert (result.measurements["out"] == 1).all()
         assert (result.error_count == 1).all()
 
@@ -280,23 +275,13 @@ class TestReviewRegressions:
         assert (batched.error_count == 10).all()
 
     def test_custom_crosstalk_terms_outside_operands_supported(self):
-        # A custom model may emit errors on neighbours of the operands; the
-        # per-shot executor supports that, so the batched fallback must too.
-        from repro.pauli import PauliTerm
-        from repro.stabilizer import NoiseModel
+        # A custom model may declare errors on neighbours of the operands;
+        # both engines apply them.
+        from repro.stabilizer import NoiseModel, PauliChannel
 
         class NeighbourFlip(NoiseModel):
-            def sample_gate_error(self, name, qubits, rng):
-                return [PauliTerm(qubit=qubits[0] + 1, letter="X")]
-
-            def sample_preparation_error(self, qubit, rng):
-                return []
-
-            def measurement_flip(self, rng):
-                return False
-
-            def sample_movement_error(self, qubit, num_cells, rng):
-                return []
+            def gate_channel(self, name, qubits):
+                return PauliChannel(1.0, (qubits[0] + 1,), ("X",))
 
         circuit = Circuit(2).prepare(0).prepare(1).z(0).measure(1, label="n")
         scalar = NoisyCircuitExecutor(noise=NeighbourFlip()).run(

@@ -11,8 +11,8 @@
 * the noiseless reference pass runs once per program content and input
   reference, so rebuilt experiments reuse it;
 * programs are checked once: ``is_simulable`` is computed once per program
-  and ``require_simulable`` runs once per executor run; a custom noise
-  model's words are shape-checked before they reach the C kernel;
+  and ``require_simulable`` runs once per executor run; a malformed noise
+  declaration is rejected by both engines before anything is sampled;
 * the packed-word decode (corrections and ideal recovery) agrees with the
   dense correction tables and the scalar ideal recovery lane by lane.
 """
@@ -21,20 +21,23 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import repro.circuits.compiled as compiled_module
-from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper
+from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper, NoisyCircuitExecutor
 from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
 from repro.arq.simulator import create_batch_tableau
 from repro.circuits import Circuit, Gate, compile_circuit
 from repro.exceptions import SimulationError
 from repro.iontrap.parameters import EXPECTED_PARAMETERS
 from repro.stabilizer import (
+    NoiseModel,
     NoiselessModel,
     OperationNoise,
+    PauliChannel,
     PauliFrameBatch,
     pack_bits,
     unpack_bits,
@@ -44,8 +47,17 @@ from repro.stabilizer import fused as fused_module
 RAGGED_BATCHES = (1, 63, 64, 65, 130)
 
 
-class _HookedNoise(OperationNoise):
-    """A custom model: sampled through its per-operation hooks."""
+@dataclass
+class _CrosstalkNoise(OperationNoise):
+    """A custom alphabet: a one-qubit gate may spill onto the next qubit (mod ``n``)."""
+
+    n: int = 2
+
+    def gate_channel(self, name, qubits):
+        if len(qubits) == 2:
+            return super().gate_channel(name, qubits)
+        support = (qubits[0], (qubits[0] + 1) % self.n)
+        return PauliChannel(self.p_single, support, ("XX", "ZZ", "YI"))
 
 
 def _random_noisy_circuit(seed: int) -> Circuit:
@@ -83,10 +95,11 @@ class TestTierParity:
             pytest.skip("no C kernel on this host")
         for seed in range(8):
             circuit = _random_noisy_circuit(500 + seed)
-            noise_class = _HookedNoise if seed % 2 else OperationNoise
-            noise = noise_class(
+            noise = OperationNoise(
                 p_single=0.05, p_double=0.08, p_measure=0.03, p_prepare=0.04, p_move_per_cell=0.01
             )
+            if seed % 2:
+                noise = _CrosstalkNoise(**vars(noise), n=circuit.num_qubits)
             runs = []
             for tier in ("cext", "numpy"):
                 _use_tier(monkeypatch, tier)
@@ -300,15 +313,49 @@ class TestReferencePass:
 
 
 class TestProgramChecks:
-    def test_custom_noise_words_of_the_wrong_width_are_rejected(self):
-        class NarrowNoise(OperationNoise):
-            def sample_gate_error_packed(self, name, qubits, batch_size, rng):
-                one = np.ones((1, 1), dtype=np.uint64)
-                return (qubits[:1], one, one, one)
+    @pytest.mark.parametrize(
+        "channel, match",
+        [
+            (PauliChannel(1.5, (0,), ("X",)), "outside \\[0, 1\\]"),
+            (PauliChannel(-0.1, (0,), ("X",)), "outside \\[0, 1\\]"),
+            (PauliChannel(0.1, (0, 2), ("XX",)), "outside register of size 2"),
+            (PauliChannel(0.1, (-1,), ("X",)), "outside the register"),
+            (PauliChannel(0.1, (0,), ("XX",)), "1-qubit support"),
+            (PauliChannel(0.1, (0, 1), ("X", "Z")), "2-qubit support"),
+            (PauliChannel(0.1, (0,), ("Q",)), "'Q'"),
+            (PauliChannel(0.1, (0, 1), ("XI", "II")), "'II'"),
+            (PauliChannel(0.0, (0,), ("I",)), "'I'"),
+        ],
+    )
+    @pytest.mark.parametrize("engine", ["scalar", "frame"])
+    def test_malformed_declarations_are_rejected(self, engine, channel, match):
+        class BadNoise(NoiseModel):
+            def gate_channel(self, name, qubits):
+                return channel
 
-        executor = BatchedNoisyCircuitExecutor(noise=NarrowNoise(p_single=0.1))
-        with pytest.raises(SimulationError, match="shapes"):
-            executor.run(Circuit(1).h(0).measure(0), 130, np.random.default_rng(0))
+        circuit = Circuit(2).h(0).measure(0)
+        with pytest.raises(SimulationError, match=match):
+            if engine == "scalar":
+                NoisyCircuitExecutor(noise=BadNoise()).run(circuit, np.random.default_rng(0))
+            else:
+                BatchedNoisyCircuitExecutor(noise=BadNoise()).run(
+                    circuit, 130, np.random.default_rng(0)
+                )
+
+    @pytest.mark.parametrize("engine", ["scalar", "frame"])
+    def test_flip_probability_outside_the_unit_interval_is_rejected(self, engine):
+        class BadFlips(NoiseModel):
+            def measurement_flip_probability(self):
+                return 1.5
+
+        circuit = Circuit(1).measure(0)
+        with pytest.raises(SimulationError, match="flip probability"):
+            if engine == "scalar":
+                NoisyCircuitExecutor(noise=BadFlips()).run(circuit, np.random.default_rng(0))
+            else:
+                BatchedNoisyCircuitExecutor(noise=BadFlips()).run(
+                    circuit, 8, np.random.default_rng(0)
+                )
 
     def test_is_simulable_is_computed_once_per_program(self, monkeypatch):
         program = compile_circuit(Circuit(2).h(0).cnot(0, 1))

@@ -16,7 +16,10 @@ Four things are pinned here:
   runs keep their measurement stream.  Level-1 batches in which a lane
   retries its ancilla verification were re-pinned at v1.11.0, when pooled
   retries changed their bits but not their law
-  (``tests/data/level1_v1_11_golden.json`` overlays those entries).
+  (``tests/data/level1_v1_11_golden.json`` overlays those entries).  The
+  custom-model ("hooked") entries were re-pinned at v1.12.0, when every
+  model started declaring its noise as Pauli channels
+  (``tests/data/noise_law_v1_12_golden.json`` overlays them).
 
 The randomized fuzz against recorded v1.9 outputs lives with the other
 cross-validation oracles in ``test_stabilizer_packed.py``.
@@ -75,12 +78,15 @@ NOISE = OperationNoise(
 
 
 def load_golden() -> dict:
-    """The v1.9.0 digests, overlaid by the entries re-pinned at v1.11.0."""
+    """The v1.9.0 digests, overlaid by the entries re-pinned at v1.11.0 and v1.12.0."""
     data = Path(__file__).parent / "data"
     golden = json.loads((data / "fused_v1_9_golden.json").read_text())
     repinned = json.loads((data / "level1_v1_11_golden.json").read_text())
     for section in ("level1", "hooked", "spec_sweeps"):
         golden[section] = {**golden[section], **repinned[section]}
+    noise_law = json.loads((data / "noise_law_v1_12_golden.json").read_text())
+    for section in ("hooked", "hooked_ecc"):
+        golden[section] = {**golden[section], **noise_law[section]}
     return golden
 
 
@@ -393,7 +399,7 @@ NOISELESS_DIGESTS = {
 
 
 class _HookedNoise(OperationNoise):
-    """A custom ``OperationNoise`` subclass: sampled through its hooks."""
+    """A custom ``OperationNoise`` subclass that declares nothing of its own."""
 
 
 @pytest.fixture(params=KERNEL_TIERS)
@@ -437,11 +443,19 @@ class TestNoiseBlockParity:
 
     @pytest.mark.parametrize("batch", [1, 65, 4096])
     def test_custom_operation_noise_subclass_bit_for_bit(self, tier, batch):
-        noise = _HookedNoise(
+        rates = dict(
             p_single=0.05, p_double=0.1, p_measure=0.05, p_prepare=0.05, p_move_per_cell=0.01
         )
+        noise, base = _HookedNoise(**rates), OperationNoise(**rates)
+        # A subclass that overrides nothing samples exactly like its base class.
         program = compile_circuit(_ecc_circuit(), mapper=LayoutMapper())
-        assert noise_block(program, noise, batch, np.random.default_rng(0)) is None
+        block = noise_block(program, noise, batch, np.random.default_rng(0))
+        expected = noise_block(program, base, batch, np.random.default_rng(0))
+        for name in ("fail_start", "fail_lane", "fail_code", "error_count", "inj_qubit"):
+            assert np.array_equal(getattr(block, name), getattr(expected, name)), name
+        assert np.array_equal(block.code_xz, expected.code_xz)
+        words = _run(program, batch, 3, noise=noise).outcome_words
+        assert np.array_equal(words, _run(program, batch, 3, noise=base).outcome_words)
         _assert_level1_golden(
             noise, batch, 7, GOLDEN["hooked"][str(batch)], GOLDEN["hooked_ecc"][str(batch)]
         )

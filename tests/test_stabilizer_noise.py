@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper, NoisyCircuitExe
 from repro.circuits import Circuit
 from repro.circuits.compiled import Opcode, compile_circuit
 from repro.exceptions import ParameterError
-from repro.pauli import PauliTerm
 from repro.qecc.syndrome import full_error_correction_circuit
 from repro.stabilizer import (
     DepolarizingNoise,
@@ -20,6 +22,7 @@ from repro.stabilizer import (
     NoiseModel,
     NoiselessModel,
     OperationNoise,
+    PauliChannel,
     estimate_failure_rate,
 )
 from repro.stabilizer import fused as fused_module
@@ -27,13 +30,13 @@ from repro.stabilizer.fused import noise_block
 
 
 class TestNoiselessModel:
-    def test_never_produces_errors(self, rng):
+    def test_declares_no_errors(self):
         model = NoiselessModel()
-        assert model.sample_gate_error("CNOT", (0, 1), rng) == []
-        assert model.sample_preparation_error(0, rng) == []
-        assert model.sample_movement_error(0, 100, rng) == []
-        assert model.sample_idle_error(0, 10.0, rng) == []
-        assert model.measurement_flip(rng) is False
+        assert model.gate_channel("CNOT", (0, 1)) is None
+        assert model.preparation_channel(0) is None
+        assert model.movement_channel(0, 100) is None
+        assert model.idle_channel(0, 10.0) is None
+        assert model.measurement_flip_probability() is None
 
 
 class TestOperationNoise:
@@ -43,67 +46,116 @@ class TestOperationNoise:
         with pytest.raises(ParameterError):
             OperationNoise(p_measure=-0.1)
 
-    def test_zero_rates_produce_no_errors(self, rng):
+    def test_zero_rate_gates_are_still_declared(self):
         model = OperationNoise()
-        for _ in range(50):
-            assert model.sample_gate_error("H", (0,), rng) == []
-            assert model.sample_gate_error("CNOT", (0, 1), rng) == []
+        assert model.gate_channel("H", (0,)) == PauliChannel(0.0, (0,), ("X", "Y", "Z"))
+        assert model.gate_channel("CNOT", (0, 1)).p == 0.0
 
-    def test_certain_single_qubit_error(self, rng):
-        model = OperationNoise(p_single=1.0)
-        terms = model.sample_gate_error("H", (3,), rng)
-        assert len(terms) == 1
-        assert terms[0].qubit == 3
-        assert terms[0].letter in ("X", "Y", "Z")
+    def test_single_qubit_gate_channel(self):
+        channel = OperationNoise(p_single=0.25).gate_channel("H", (3,))
+        assert channel == PauliChannel(0.25, (3,), ("X", "Y", "Z"))
 
-    def test_certain_two_qubit_error_touches_operands_only(self, rng):
-        model = OperationNoise(p_double=1.0)
-        for _ in range(30):
-            terms = model.sample_gate_error("CNOT", (2, 5), rng)
-            assert 1 <= len(terms) <= 2
-            assert {t.qubit for t in terms} <= {2, 5}
+    def test_two_qubit_channel_lists_the_15_non_identity_pairs(self):
+        channel = OperationNoise(p_double=0.5).gate_channel("CNOT", (2, 5))
+        assert channel.p == 0.5 and channel.qubits == (2, 5)
+        assert len(set(channel.letters)) == 15 and "II" not in channel.letters
+        assert set(channel.letters) == {a + b for a in "IXYZ" for b in "IXYZ"} - {"II"}
 
-    def test_two_qubit_error_covers_all_15_paulis(self, rng):
-        model = OperationNoise(p_double=1.0)
-        seen = set()
-        for _ in range(600):
-            terms = model.sample_gate_error("CNOT", (0, 1), rng)
-            letters = {0: "I", 1: "I"}
-            for t in terms:
-                letters[t.qubit] = t.letter
-            seen.add((letters[0], letters[1]))
-        assert len(seen) == 15
+    def test_measurement_flip_probability(self):
+        assert OperationNoise(p_measure=0.125).measurement_flip_probability() == 0.125
 
-    def test_measurement_flip_rate(self, rng):
-        model = OperationNoise(p_measure=1.0)
-        assert model.measurement_flip(rng) is True
+    def test_preparation_error_is_x(self):
+        channel = OperationNoise(p_prepare=1.0).preparation_channel(4)
+        assert channel == PauliChannel(1.0, (4,), ("X",))
 
-    def test_preparation_error_is_x(self, rng):
-        model = OperationNoise(p_prepare=1.0)
-        terms = model.sample_preparation_error(4, rng)
-        assert terms[0].letter == "X"
-
-    def test_movement_error_accumulates_with_distance(self, rng):
+    def test_movement_error_accumulates_with_distance(self):
         model = OperationNoise(p_move_per_cell=0.01)
-        short = sum(bool(model.sample_movement_error(0, 1, rng)) for _ in range(2000))
-        long = sum(bool(model.sample_movement_error(0, 50, rng)) for _ in range(2000))
-        assert long > short
+        short, long = model.movement_channel(0, 1), model.movement_channel(0, 50)
+        assert short.p == pytest.approx(0.01)
+        assert long.p == pytest.approx(1 - 0.99**50)
+        assert long.letters == ("X", "Y", "Z")
 
-    def test_movement_error_zero_cells(self, rng):
-        model = OperationNoise(p_move_per_cell=1.0)
-        assert model.sample_movement_error(0, 0, rng) == []
+    def test_movement_error_zero_cells(self):
+        assert OperationNoise(p_move_per_cell=1.0).movement_channel(0, 0) is None
+        assert OperationNoise().movement_channel(0, 10) is None
 
-    def test_idle_error_scales_with_duration(self, rng):
+    def test_idle_error_scales_with_duration(self):
         model = OperationNoise(p_memory_per_second=0.1)
-        short = sum(bool(model.sample_idle_error(0, 0.01, rng)) for _ in range(2000))
-        long = sum(bool(model.sample_idle_error(0, 5.0, rng)) for _ in range(2000))
-        assert long > short
+        assert model.idle_channel(0, 5.0).p > model.idle_channel(0, 0.01).p
+        assert model.idle_channel(0, 0.0) is None
 
     def test_empirical_single_qubit_rate(self):
-        model = OperationNoise(p_single=0.3)
+        executor = NoisyCircuitExecutor(noise=OperationNoise(p_single=0.3))
+        circuit = Circuit(1).h(0)
         rng = np.random.default_rng(0)
-        hits = sum(bool(model.sample_gate_error("H", (0,), rng)) for _ in range(5000))
-        assert 0.25 < hits / 5000 < 0.35
+        hits = sum(executor.run(circuit, rng).error_count for _ in range(3000))
+        assert 0.27 < hits / 3000 < 0.33
+
+
+class TestScalarOracleGolden:
+    """The per-shot oracle keeps the built-in models' draws of v1.11.1, bit for bit."""
+
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "data" / "scalar_oracle_v1_11_golden.json").read_text()
+    )
+
+    @staticmethod
+    def _digest(executor, circuit, shots, seed):
+        """Every shot's labelled outcomes and error count, then one more draw."""
+        rng = np.random.default_rng(seed)
+        digest = hashlib.sha256()
+        for _ in range(shots):
+            result = executor.run(circuit, rng)
+            for label in sorted(result.measurements):
+                digest.update(label.encode())
+                digest.update(bytes([result.measurements[label]]))
+            digest.update(np.int64(result.error_count).tobytes())
+        digest.update(np.int64(rng.integers(2**62)).tobytes())
+        return digest.hexdigest()
+
+    def test_mapped_steane_ecc_under_all_five_rates(self):
+        circuit, _, _ = full_error_correction_circuit(data_offset=0, num_qubits=21, verified=True)
+        noise = OperationNoise(
+            p_single=0.03, p_double=0.05, p_measure=0.02, p_prepare=0.03, p_move_per_cell=0.005
+        )
+        executor = NoisyCircuitExecutor(noise, LayoutMapper())
+        assert self._digest(executor, circuit, 40, 2024) == self.GOLDEN["steane_ecc_mapped"]
+
+    def test_zero_rate_gates_still_draw(self):
+        circuit = Circuit(3)
+        for qubit in range(3):
+            circuit.prepare(qubit)
+        circuit.h(0).cnot(0, 1).s(2).x(1).cz(1, 2).h(2)
+        circuit.measure(0, label="a").measure(1, label="b").measure_x(2, label="c")
+        noise = OperationNoise(p_single=0.0, p_double=0.1, p_measure=0.05, p_prepare=0.05)
+        digest = self._digest(NoisyCircuitExecutor(noise), circuit, 300, 7)
+        assert digest == self.GOLDEN["p_single_zero"]
+
+
+class TestRemovedHooks:
+    @pytest.mark.parametrize(
+        "hook, declaration",
+        [
+            ("sample_gate_error", "gate_channel"),
+            ("sample_gate_error_batch", "gate_channel"),
+            ("sample_preparation_error_packed", "preparation_channel"),
+            ("measurement_flip", "measurement_flip_probability"),
+            ("measurement_flip_packed", "measurement_flip_probability"),
+            ("sample_movement_error_batch", "movement_channel"),
+            ("sample_idle_error", "idle_channel"),
+        ],
+    )
+    @pytest.mark.parametrize("base", [NoiseModel, OperationNoise])
+    def test_defining_a_removed_hook_fails_at_class_creation(self, base, hook, declaration):
+        with pytest.raises(TypeError, match=f"override {declaration}"):
+            type("OldStyleNoise", (base,), {hook: lambda self, *args: []})
+
+    def test_declaring_subclasses_are_accepted(self):
+        class Declared(OperationNoise):
+            def gate_channel(self, name, qubits):
+                return None
+
+        assert Declared(p_single=0.5).gate_channel("H", (0,)) is None
 
 
 class TestDepolarizingNoise:
@@ -328,32 +380,22 @@ class TestNoiseBlock:
 class _CrosstalkNoise(NoiseModel):
     """A custom model whose gate failures spread over three qubits.
 
-    A gate on ``q`` fails with probability ``p`` and then leaves an
-    independent uniform X, Y or Z on each of ``q``, ``q + 1`` and ``q + 2``
-    (mod ``n``); a measurement flips with probability ``p_flip``.  Only the
-    scalar hooks exist, so the frame engine samples it through the hook path.
+    A gate on ``q`` fails with probability ``p`` and then leaves one of the
+    27 strings of X, Y and Z on ``q``, ``q + 1`` and ``q + 2`` (mod ``n``),
+    drawn uniformly; a measurement flips with probability ``p_flip``.
     """
+
+    LETTERS = tuple("".join(word) for word in itertools.product("XYZ", repeat=3))
 
     def __init__(self, n: int, p: float, p_flip: float) -> None:
         self.n, self.p, self.p_flip = n, p, p_flip
 
-    def sample_gate_error(self, name, qubits, rng):
-        if rng.random() >= self.p:
-            return []
-        letters = rng.integers(0, 3, size=3)
-        return [
-            PauliTerm(qubit=(qubits[0] + j) % self.n, letter="XYZ"[letter])
-            for j, letter in enumerate(letters)
-        ]
+    def gate_channel(self, name, qubits):
+        support = tuple((qubits[0] + j) % self.n for j in range(3))
+        return PauliChannel(self.p, support, self.LETTERS)
 
-    def sample_preparation_error(self, qubit, rng):
-        return []
-
-    def measurement_flip(self, rng):
-        return bool(rng.random() < self.p_flip)
-
-    def sample_movement_error(self, qubit, num_cells, rng):
-        return []
+    def measurement_flip_probability(self):
+        return self.p_flip
 
 
 def _crosstalk_circuit() -> Circuit:
@@ -366,15 +408,20 @@ def _crosstalk_circuit() -> Circuit:
     return circuit.measure_x(4, label="x4")
 
 
-class TestThreeQubitHookSupport:
-    """Hook-sampled failures on three-qubit supports: the per-block code table."""
+@pytest.fixture(params=fused_module.KERNEL_TIERS)
+def tier(request, monkeypatch):
+    """Run the test on each kernel tier this host has."""
+    if request.param == "cext" and fused_module._cext_kernel() is None:
+        pytest.skip("no C kernel on this host")
+    monkeypatch.setenv("REPRO_FUSED_KERNEL", request.param)
+    monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
+    return request.param
 
-    @pytest.mark.parametrize("tier", fused_module.KERNEL_TIERS)
+
+class TestThreeQubitChannels:
+    """Channels on three-qubit supports: template-local letter-code rows."""
+
     def test_crosstalk_model_agrees_with_scalar_oracle(self, tier, monkeypatch):
-        if tier == "cext" and fused_module._cext_kernel() is None:
-            pytest.skip("no C kernel on this host")
-        monkeypatch.setenv("REPRO_FUSED_KERNEL", tier)
-        monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
         widths = []
         run_kernel = fused_module._run_kernel
 
@@ -389,8 +436,8 @@ class TestThreeQubitHookSupport:
         frame = BatchedNoisyCircuitExecutor(noise=noise).run(
             circuit, batch, np.random.default_rng(31)
         )
-        codes, width = widths[0]
-        assert width >= 3 and codes > 2, widths
+        # The shared rows, padded to three qubits, then the 27 local letters.
+        assert widths == [(len(fused_module._CODE_XZ) + 27, 3)]
         rng = np.random.default_rng(32)
         shots = [NoisyCircuitExecutor(noise=noise).run(circuit, rng) for _ in range(1500)]
         for label in frame.measurements:
@@ -409,25 +456,32 @@ class TestThreeQubitHookSupport:
         scalar_low, scalar_high = _wilson(scalar_errors, events * len(shots))
         assert frame_low <= scalar_high and scalar_low <= frame_high
 
+    def test_templates_are_cached_per_attribute_values(self):
+        program = compile_circuit(_crosstalk_circuit())
+        plan = fused_module._plan_for(program)
+        rng = np.random.default_rng(0)
+        first = noise_block(program, _CrosstalkNoise(5, 0.3, 0.05), 70, rng).template
+        again = noise_block(program, _CrosstalkNoise(5, 0.3, 0.05), 70, rng).template
+        other = noise_block(program, _CrosstalkNoise(5, 0.2, 0.05), 70, rng).template
+        assert first is again and other is not first
+        # Unhashable attribute values: declared afresh, never cached.
+        unhashable = _CrosstalkNoise(5, 0.3, 0.05)
+        unhashable.notes = []
+        cached = len(plan.template_cache)
+        fresh = noise_block(program, unhashable, 70, rng).template
+        assert fresh is not first and len(plan.template_cache) == cached
+        assert np.array_equal(fresh.code_xz, first.code_xz)
+
 
 class _ScalarGateOverride(OperationNoise):
-    """Overrides only the scalar gate hook: an X after every gate, all rates 0."""
+    """Declares an X after every gate, with every built-in rate at 0."""
 
-    def sample_gate_error(self, name, qubits, rng):
-        return [PauliTerm(qubit=qubits[0], letter="X")]
+    def gate_channel(self, name, qubits):
+        return PauliChannel(1.0, (qubits[0],), ("X",))
 
 
 class TestDeclaredNoiseLaw:
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "known defect: the frame engine samples an OperationNoise subclass "
-            "through the *_batch hooks, which draw the built-in law and never "
-            "reach a scalar-only override; one declared noise law per model "
-            "fixes it"
-        ),
-    )
-    def test_scalar_only_override_reaches_the_frame_engine(self):
+    def test_gate_override_reaches_the_frame_engine(self, tier):
         noise = _ScalarGateOverride(p_single=0.0, p_double=0.0, p_measure=0.0, p_prepare=0.0)
         circuit = Circuit(1).x(0).measure(0, label="m")
         rng = np.random.default_rng(0)
@@ -435,3 +489,4 @@ class TestDeclaredNoiseLaw:
         assert all(shot.measurements["m"] == 0 for shot in scalar)
         frame = BatchedNoisyCircuitExecutor(noise=noise).run(circuit, 256, rng)
         assert not frame.measurements["m"].any()
+        assert (frame.error_count == 1).all()

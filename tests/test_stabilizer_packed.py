@@ -482,32 +482,6 @@ class TestPackedExecutor:
         )
         assert (result.error_count == 10).all()
 
-    def test_custom_scalar_noise_model_falls_back_through_packed_hooks(self):
-        from repro.pauli import PauliTerm
-        from repro.stabilizer import NoiseModel
-
-        class AlwaysXAfterGates(NoiseModel):
-            """Scalar hooks only: packed hooks must pack the batch fallback."""
-
-            def sample_gate_error(self, name, qubits, rng):
-                return [PauliTerm(qubit=qubits[0], letter="X")]
-
-            def sample_preparation_error(self, qubit, rng):
-                return []
-
-            def measurement_flip(self, rng):
-                return False
-
-            def sample_movement_error(self, qubit, num_cells, rng):
-                return []
-
-        circuit = Circuit(1).prepare(0).z(0).measure(0, label="out")
-        result = BatchedNoisyCircuitExecutor(
-            noise=AlwaysXAfterGates(), backend="frame"
-        ).run(circuit, 70, np.random.default_rng(0))
-        assert (result.measurements["out"] == 1).all()
-        assert (result.error_count == 1).all()
-
     @pytest.mark.parametrize("batch", [1, 65])
     def test_packed_matches_per_shot_on_deterministic_programs(self, batch):
         circuit = (

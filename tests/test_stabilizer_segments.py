@@ -6,12 +6,14 @@ outcome words (one segment's slots after another's), frames, per-lane error
 counts, final reference and generator state.  The segments here put random
 measurements in the middle and last segments, so the interleaving of noise
 blocks and measurement words is checked, and cover built-in, noiseless and
-hooked models on both kernel tiers.
+custom models on both kernel tiers.  The custom models declare alphabets
+of their own, so the merge of per-template letter-code tables is covered.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.stabilizer import (
     DepolarizingNoise,
     NoiselessModel,
     OperationNoise,
+    PauliChannel,
     PauliFrameBatch,
     kernel_tier,
 )
@@ -37,8 +40,21 @@ NOISE = OperationNoise(
 )
 
 
-class _HookedNoise(OperationNoise):
-    """A custom subclass: sampled through its hooks, word draws interleaved."""
+class _CrosstalkNoise(OperationNoise):
+    """A gate leaves one of the 27 X/Y/Z strings on its qubit and the next two."""
+
+    LETTERS = tuple("".join(word) for word in itertools.product("XYZ", repeat=3))
+
+    def gate_channel(self, name, qubits):
+        support = tuple((qubits[0] + j) % 4 for j in range(3))
+        return PauliChannel(self.p_single, support, self.LETTERS)
+
+
+class _PairNoise(OperationNoise):
+    """A gate leaves XX or ZZ on its first qubit and the next: a two-letter alphabet."""
+
+    def gate_channel(self, name, qubits):
+        return PauliChannel(self.p_double, (qubits[0], (qubits[0] + 1) % 4), ("XX", "ZZ"))
 
 
 @pytest.fixture(params=fused_module.KERNEL_TIERS)
@@ -82,8 +98,8 @@ def _separate(segments, batch, rng):
 MODELS = {
     "built-in": (NOISE, DepolarizingNoise(0.08), NOISE),
     "noiseless-middle": (NOISE, NoiselessModel(), DepolarizingNoise(0.2)),
-    "hooked-middle": (NOISE, _HookedNoise(p_single=0.1, p_measure=0.1), NOISE),
-    "hooked": (_HookedNoise(p_prepare=0.2), _HookedNoise(p_double=0.3), NOISE),
+    "crosstalk-middle": (NOISE, _CrosstalkNoise(p_single=0.2, p_measure=0.1), NOISE),
+    "custom": (_PairNoise(p_prepare=0.2, p_double=0.3), _CrosstalkNoise(p_single=0.3), NOISE),
 }
 
 
@@ -138,6 +154,24 @@ class TestSegmentedRun:
         execute_fused(segments, 70, rng, PauliFrameBatch(4, 70, rng=rng))
         total = sum(program.opcodes.size for program in programs)
         assert calls == [total] and passes == [total]
+
+    def test_custom_code_tables_are_merged(self, monkeypatch):
+        """Guard: each custom template brings its own table, offset in the merge."""
+        tables = []
+        run_kernel = fused_module._run_kernel
+
+        def spying(tier, W, plan, reference, block, *args):
+            tables.append(block.code_xz)
+            return run_kernel(tier, W, plan, reference, block, *args)
+
+        monkeypatch.setattr(fused_module, "_run_kernel", spying)
+        segments = list(zip(_programs(), MODELS["custom"]))
+        rng = np.random.default_rng(1)
+        execute_fused(segments, 70, rng, PauliFrameBatch(4, 70, rng=rng))
+        shared = fused_module._CODE_XZ
+        # Shared rows plus two pair letters, shared rows plus 27 crosstalk
+        # letters, then the built-in segment's shared rows.
+        assert tables[0].shape == (3 * len(shared) + 2 + 27, 3)
 
     def test_noise_goes_in_the_segments(self):
         segments = list(zip(_programs(), MODELS["built-in"]))
