@@ -25,7 +25,7 @@ import pytest
 
 from repro.api import ExecutionSpec, ExperimentSpec, NoiseSpec, SamplingSpec, run
 from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
-from repro.arq.simulator import resolve_backend
+from repro.explore import resolved_engine
 from repro.iontrap.parameters import EXPECTED_PARAMETERS
 
 #: Component failure rate of the throughput workload (mid-sweep Figure 7 point).
@@ -71,7 +71,13 @@ def _measure_throughput() -> dict[str, float]:
     batched_rate = completed / batched_seconds
     per_shot_rate = PER_SHOT_SHOTS / per_shot_seconds
     return {
-        "engine": resolve_backend(experiment.backend, BATCH_SIZE),
+        "engine": resolved_engine(
+            ExperimentSpec(
+                experiment="logical_failure",
+                noise=NoiseSpec(physical_rates=(WORKLOAD_RATE,)),
+                sampling=SamplingSpec(shots=completed, batch_size=BATCH_SIZE),
+            )
+        ),
         "workload_rate": WORKLOAD_RATE,
         "batch_size": BATCH_SIZE,
         "batched_shots": completed,

@@ -3,18 +3,24 @@
 ``pip install -e .`` works in environments without the ``wheel`` package (pip
 falls back to the ``setup.py develop`` editable-install path).  The long
 description is sourced from ``README.md`` so the published metadata documents
-the engine architecture alongside the install and test commands.
+the engine architecture alongside the install and test commands.  The version
+is read from ``src/repro/__init__.py``, so the package states it once.
 """
 
+import re
 from pathlib import Path
 
 from setuptools import find_packages, setup
 
-_README = Path(__file__).resolve().parent / "README.md"
+_ROOT = Path(__file__).resolve().parent
+_README = _ROOT / "README.md"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"$', (_ROOT / "src" / "repro" / "__init__.py").read_text(), re.M
+).group(1)
 
 setup(
     name="repro-qla-arq",
-    version="1.10.0",
+    version=_VERSION,
     description=(
         "Reproduction of the QLA quantum architecture study: ion-trap model, "
         "ARQ stabilizer simulator with batched execution engines behind a "
@@ -27,6 +33,8 @@ setup(
     long_description_content_type="text/markdown",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The frame engine compiles its C kernel from source at first use.
+    package_data={"repro.stabilizer": ["fused_kernel.c"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={

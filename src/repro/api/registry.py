@@ -8,7 +8,7 @@ each strategy registers here as a named :class:`ExecutionBackend` with
 request onto a strategy and an engine:
 
 * ``"auto"`` always means :data:`AUTO_ENGINE` -- the ``"frame"`` engine,
-  the fastest engine at every batch size and on every kernel tier;
+  the library's one batched engine;
 * ``num_shards > 1`` requires (and selects) a backend with
   ``supports_sharding`` -- the ``"sharded"`` strategy;
 * a backend advertising ``max_qubits`` refuses registers it cannot hold.
@@ -42,8 +42,6 @@ from repro.stabilizer.monte_carlo import (
 
 __all__ = [
     "AUTO_ENGINE",
-    "TABLEAU_ENGINES",
-    "task_engine_name",
     "BackendCapabilities",
     "ExecutionBackend",
     "BackendRegistry",
@@ -52,25 +50,11 @@ __all__ = [
     "ShardedBackend",
     "DesimBackend",
     "default_registry",
-    "resolve_engine",
 ]
 
-#: Engine names the batched layer understands (see
-#: :func:`repro.arq.simulator.create_batch_tableau`).
-TABLEAU_ENGINES = ("frame",)
-
-#: The engine ``"auto"`` resolves to, at every batch size and kernel tier.
+#: The one batched engine: what ``"auto"`` resolves to, and what every
+#: sharded run records as its engine.
 AUTO_ENGINE = "frame"
-
-
-def task_engine_name(engine: str) -> str:
-    """Batched engine to pin onto a shard task for a resolved engine name.
-
-    Strategies that are not batched engines themselves (the scalar oracle, or
-    third-party backends bringing their own execution) leave the task on
-    ``"auto"``.
-    """
-    return engine if engine in TABLEAU_ENGINES else "auto"
 
 
 @dataclass(frozen=True)
@@ -180,14 +164,14 @@ class ScalarBackend:
 
 @dataclass(frozen=True)
 class EngineBackend:
-    """A vectorized single-process engine (``"frame"``).
+    """The batched Pauli-frame engine (``"frame"``), in one process.
 
-    The engine name is pinned onto the task by the runner before execution;
-    this strategy only supplies the chunked estimate loop.
+    Shard tasks always run on the batched engine; this strategy only
+    supplies the chunked estimate loop.
     """
 
-    name: str
-    capabilities: BackendCapabilities
+    name: str = AUTO_ENGINE
+    capabilities: BackendCapabilities = BackendCapabilities()
 
     def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
                  max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
@@ -377,8 +361,9 @@ class BackendRegistry:
 
         Returns ``(strategy, engine)``: the strategy is the registered backend
         whose :meth:`~ExecutionBackend.estimate` will run the shots, and the
-        engine is the concrete batched engine name to pin onto the
-        task (``"scalar"`` for the per-shot oracle).  ``"auto"`` names
+        engine is the name the run records: :data:`AUTO_ENGINE` for every
+        sharded run, otherwise the strategy's own name (``"scalar"`` for the
+        per-shot oracle).  ``"auto"`` names
         :data:`AUTO_ENGINE`; ``shots`` and ``batch_size`` describe the
         workload, and every value of them resolves the same way.  Resolution
         is a pure function of the request, so a spec replay always resolves
@@ -397,13 +382,11 @@ class BackendRegistry:
             _reject_shards(requested.name, num_shards)
             return requested, requested.name
         if caps.supports_sharding:
-            # An explicitly-requested sharding strategy still needs a
-            # concrete batched engine for its per-shard batches.
+            # Its per-shard batches run on the batched engine.
             return requested, AUTO_ENGINE
         if num_shards > 1:
-            # Shard tasks run on the batched layer; a third-party
-            # engine cannot serve as their engine.
-            engine = requested.name if requested.name in TABLEAU_ENGINES else AUTO_ENGINE
+            # Shard tasks run on the batched engine, so a third-party
+            # engine cannot serve as theirs.
             sharded = [
                 b for b in self
                 if b.capabilities.supports_sharding and b.capabilities.admits(num_qubits)
@@ -412,7 +395,7 @@ class BackendRegistry:
                 raise SimulationError(
                     f"num_shards={num_shards} needs a backend with supports_sharding; none is registered"
                 )
-            return sharded[0], engine
+            return sharded[0], AUTO_ENGINE
         return requested, requested.name
 
 
@@ -427,8 +410,7 @@ def default_registry() -> BackendRegistry:
         build_kernel()
         registry = BackendRegistry()
         registry.register(ScalarBackend())
-        for engine in TABLEAU_ENGINES:
-            registry.register(EngineBackend(name=engine, capabilities=BackendCapabilities()))
+        registry.register(EngineBackend())
         registry.register(ShardedBackend())
         registry.register(DesimBackend())
         _DEFAULT_REGISTRY = registry
@@ -436,20 +418,3 @@ def default_registry() -> BackendRegistry:
 
 
 _DEFAULT_REGISTRY: BackendRegistry | None = None
-
-
-def resolve_engine(backend: str) -> str:
-    """Concrete engine name for a batched-engine request.
-
-    The hook behind :func:`repro.arq.simulator.resolve_backend`: the names in
-    :data:`TABLEAU_ENGINES` are honoured verbatim and ``"auto"`` is
-    :data:`AUTO_ENGINE`.
-    """
-    if backend == "auto":
-        return AUTO_ENGINE
-    if backend not in TABLEAU_ENGINES:
-        raise SimulationError(
-            f"unknown batched engine {backend!r}; expected 'auto' or one "
-            f"of {TABLEAU_ENGINES}"
-        )
-    return backend

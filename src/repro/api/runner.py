@@ -2,7 +2,7 @@
 
 The runner turns a declarative :class:`~repro.api.specs.ExperimentSpec` into
 an execution: it materializes fresh seed entropy (so every run is replayable),
-resolves the execution strategy and tableau engine through the
+resolves the execution strategy and engine name through the
 :class:`~repro.api.registry.BackendRegistry`, builds the picklable shard task
 for the workload, runs it, and wraps the value in a provenance-carrying
 :class:`~repro.api.results.RunResult`.
@@ -30,7 +30,6 @@ from repro.api.registry import (
     BackendRegistry,
     ExecutionBackend,
     default_registry,
-    task_engine_name,
 )
 from repro.api.results import RunResult
 from repro.api.specs import CircuitSpec, ExperimentSpec
@@ -49,14 +48,13 @@ def _normalized_entropy(seed) -> int | tuple[int, ...]:
     return tuple(int(word) for word in seed) if isinstance(seed, (list, tuple)) else int(seed)
 
 
-def _make_task(spec: ExperimentSpec, engine: str, physical_rate: float, metric: str):
+def _make_task(spec: ExperimentSpec, physical_rate: float, metric: str):
     from repro.parallel import Level1ShardTask
 
     return Level1ShardTask(
         physical_rate=physical_rate,
         parameters=spec.noise.parameter_set(),
         mapper=spec.circuit.mapper(),
-        backend=task_engine_name(engine),
         noise_kind=spec.noise.kind,
         verified_ancilla=spec.circuit.verified_ancilla,
         max_preparation_attempts=spec.circuit.max_preparation_attempts,
@@ -134,7 +132,7 @@ def _run_threshold_sweep(spec: ExperimentSpec, registry: BackendRegistry):
 def _run_logical_failure(spec: ExperimentSpec, registry: BackendRegistry):
     strategy, engine = _resolve(spec, registry)
     rate = spec.noise.physical_rates[0] if spec.noise.kind == "uniform" else 0.0
-    task = _make_task(spec, engine, rate, "failure")
+    task = _make_task(spec, rate, "failure")
     value = _estimate(strategy, task, spec, spec.sampling.seed)
     return value, strategy.name, engine
 
@@ -151,7 +149,7 @@ def _run_syndrome_rate(spec: ExperimentSpec, registry: BackendRegistry):
     if spec.sampling.shots == 0:
         return value, "none", "none"
     strategy, engine = _resolve(spec, registry)
-    task = _make_task(spec, engine, 0.0, "nontrivial_syndrome")
+    task = _make_task(spec, 0.0, "nontrivial_syndrome")
     measured = _estimate(strategy, task, spec, spec.sampling.seed)
     value["measured"] = measured.failure_rate
     value["trials"] = float(measured.trials)

@@ -86,7 +86,6 @@ def _noise_for_rate(
         p_measure=component_failure_rate,
         p_prepare=component_failure_rate,
         p_move_per_cell=parameters.movement_failure_per_cell,
-        p_memory_per_second=0.0,
     )
 
 
@@ -98,7 +97,6 @@ def _noise_from_parameters(parameters: IonTrapParameters) -> OperationNoise:
         p_measure=parameters.measure_failure,
         p_prepare=parameters.measure_failure,
         p_move_per_cell=parameters.movement_failure_per_cell,
-        p_memory_per_second=0.0,
     )
 
 
@@ -118,9 +116,6 @@ class Level1EccExperiment:
         The error-correcting code (Steane).
     verified_ancilla:
         Whether ancilla blocks are verified before use (the QLA design does).
-    backend:
-        Batched simulation engine for the Monte-Carlo paths: ``"frame"``
-        or ``"auto"`` (the frame engine).
     """
 
     noise: OperationNoise
@@ -128,7 +123,6 @@ class Level1EccExperiment:
     code: SteaneCode = field(default_factory=steane_code)
     verified_ancilla: bool = True
     max_preparation_attempts: int = 20
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         self._decoder = LookupDecoder(self.code)
@@ -150,9 +144,7 @@ class Level1EccExperiment:
         self._z_extraction = z_extraction
         self._ideal_executor = NoisyCircuitExecutor(noise=NoiselessModel(), mapper=None)
         self._noisy_executor = NoisyCircuitExecutor(noise=self.noise, mapper=self.mapper)
-        self._batch_executor = BatchedNoisyCircuitExecutor(
-            noise=self.noise, mapper=self.mapper, backend=self.backend
-        )
+        self._batch_executor = BatchedNoisyCircuitExecutor(noise=self.noise, mapper=self.mapper)
         # One batched attempt is one run of three segments: the ideal
         # preparation of the logical |0> (no movement, no noise), then the
         # noisy logical gate and ECC cycle.
@@ -332,7 +324,7 @@ class Level1EccExperiment:
         return outcome
 
     def _batch_attempt(self, rng: np.random.Generator, batch_size: int) -> dict[str, np.ndarray]:
-        state = create_batch_tableau(self.backend, self._register_size, batch_size, rng=rng)
+        state = create_batch_tableau(self._register_size, batch_size, rng=rng)
         # Ideal preparation of the logical |0>, then noisy gate + ECC cycle.
         words = self._batch_executor.run(
             self._attempt_segments, batch_size, rng, tableau=state
@@ -615,7 +607,7 @@ def _seeded_threshold_sweep(
     ``(seed, num_shards)`` reproduces bit for bit on any worker count.
     Returns ``(sweep, strategy_name, engine_name)``.
     """
-    from repro.api.registry import default_registry, task_engine_name
+    from repro.api.registry import default_registry
     from repro.parallel import Level1ShardTask, as_seed_sequence
 
     the_registry = registry if registry is not None else default_registry()
@@ -629,7 +621,6 @@ def _seeded_threshold_sweep(
         num_shards=num_shards,
         num_qubits=register,
     )
-    task_engine = task_engine_name(engine)
 
     root = as_seed_sequence(seed)
     entropy = root.entropy
@@ -641,7 +632,6 @@ def _seeded_threshold_sweep(
             physical_rate=float(rate),
             parameters=parameters,
             mapper=the_mapper,
-            backend=task_engine,
             verified_ancilla=verified_ancilla,
             max_preparation_attempts=max_preparation_attempts,
         )

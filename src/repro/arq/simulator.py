@@ -50,8 +50,6 @@ from repro.stabilizer import (
 from repro.stabilizer.noise import PauliChannel, check_channel, flip_probability
 
 __all__ = [
-    "BACKENDS",
-    "resolve_backend",
     "create_batch_tableau",
     "ExecutionResult",
     "BatchExecutionResult",
@@ -59,31 +57,13 @@ __all__ = [
     "BatchedNoisyCircuitExecutor",
 ]
 
-#: Valid values of the batched executor's ``backend`` knob.
-BACKENDS = ("auto", "frame")
-
-
-def resolve_backend(backend: str, batch_size: int) -> str:
-    """Resolve a backend request to a concrete engine name.
-
-    ``"frame"`` is honoured verbatim and ``"auto"`` is the backend registry's
-    :data:`~repro.api.registry.AUTO_ENGINE` at every ``batch_size``; any
-    other name (the retired ``"packed"`` and ``"packed-fused"`` included)
-    raises :class:`SimulationError`.
-    """
-    from repro.api.registry import resolve_engine
-
-    return resolve_engine(backend)
-
 
 def create_batch_tableau(
-    backend: str,
     num_qubits: int,
     batch_size: int,
     rng: np.random.Generator | None = None,
 ) -> PauliFrameBatch:
-    """Create the batched state for a (possibly ``"auto"``) backend."""
-    resolve_backend(backend, batch_size)
+    """Create the all-|0> batched state: ``batch_size`` Pauli frames."""
     return PauliFrameBatch(num_qubits, batch_size, rng=rng)
 
 
@@ -343,24 +323,15 @@ class BatchedNoisyCircuitExecutor:
         one sparse noise block per program.
     mapper:
         Layout mapper supplying movement budgets; None disables movement noise.
-    backend:
-        Simulation engine: ``"frame"`` or ``"auto"`` (default), which is the
-        frame engine.
     """
 
     def __init__(
         self,
         noise: NoiseModel | None = None,
         mapper: LayoutMapper | None = None,
-        backend: str = "auto",
     ) -> None:
-        if backend not in BACKENDS:
-            raise SimulationError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         self._noise = noise if noise is not None else NoiselessModel()
         self._mapper = mapper
-        self._backend = backend
         # Weak keys for the same reason as the per-shot mapped-circuit cache:
         # entries die with their circuit, so id reuse cannot serve a stale
         # compiled program and the cache stays bounded.
@@ -393,7 +364,6 @@ class BatchedNoisyCircuitExecutor:
         batch_size: int,
         rng: np.random.Generator,
         tableau: PauliFrameBatch | None = None,
-        backend: str | None = None,
     ) -> BatchExecutionResult:
         """Run ``batch_size`` independent noisy shots of a circuit.
 
@@ -414,8 +384,6 @@ class BatchedNoisyCircuitExecutor:
         tableau:
             Optional pre-initialised batched state; a fresh all-|0> batch is
             created when omitted.  Its batch size must equal ``batch_size``.
-        backend:
-            Optional per-call override of the executor's backend.
         """
         if isinstance(circuit, (Circuit, CompiledCircuit)):
             segments = ((circuit, self._noise),)
@@ -427,17 +395,15 @@ class BatchedNoisyCircuitExecutor:
         )
         if batch_size <= 0:
             raise SimulationError("batch_size must be positive")
-        requested = backend if backend is not None else self._backend
         if tableau is None:
             num_qubits = max(program.num_qubits for program in programs)
-            state = create_batch_tableau(requested, num_qubits, batch_size, rng=rng)
+            state = create_batch_tableau(num_qubits, batch_size, rng=rng)
+        elif not isinstance(tableau, PauliFrameBatch):
+            raise SimulationError(
+                f"a pre-initialised {type(tableau).__name__} conflicts with the "
+                "batched engine; pass a PauliFrameBatch"
+            )
         else:
-            resolve_backend(requested, batch_size)
-            if not isinstance(tableau, PauliFrameBatch):
-                raise SimulationError(
-                    f"backend {requested!r} conflicts with a pre-initialised "
-                    f"{type(tableau).__name__}; pass a PauliFrameBatch"
-                )
             state = tableau
         if state.batch_size != batch_size:
             raise SimulationError(

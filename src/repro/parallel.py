@@ -64,7 +64,7 @@ from repro import faults
 from repro.arq.mapper import LayoutMapper
 from repro.exceptions import ParameterError, QLAError
 from repro.iontrap.parameters import EXPECTED_PARAMETERS, IonTrapParameters
-from repro.stabilizer.monte_carlo import MonteCarloResult, scan_early_stop
+from repro.stabilizer.monte_carlo import MonteCarloResult, outcome_chunks, scan_early_stop
 from repro.stabilizer.packed import pack_bits, popcount, unpack_bits
 
 __all__ = [
@@ -518,42 +518,6 @@ class ShardOutcome:
         return unpack_bits(self.words, self.count).astype(bool)
 
 
-def _collect_outcomes(
-    batch_trial: Callable[[np.random.Generator, int], np.ndarray],
-    count: int,
-    rng: np.random.Generator,
-    batch_size: int,
-    max_failures: int | None,
-) -> np.ndarray:
-    """Run ``count`` shots in chunks, truncating at ``max_failures`` failures.
-
-    Chunking (``min(batch_size, remaining)``) and the early-stop walk match
-    :func:`repro.stabilizer.monte_carlo.estimate_failure_rate_batched` shot
-    for shot, so a single-shard run reproduces that function exactly.
-    """
-    if batch_size <= 0:
-        raise ParameterError("batch_size must be positive")
-    pieces: list[np.ndarray] = []
-    failures = 0
-    completed = 0
-    while completed < count:
-        chunk = min(batch_size, count - completed)
-        outcomes = np.asarray(batch_trial(rng, chunk)).astype(bool).ravel()
-        if outcomes.shape[0] != chunk:
-            raise ParameterError(
-                f"batch trial returned {outcomes.shape[0]} outcomes for {chunk} shots"
-            )
-        failures, stop = scan_early_stop(outcomes, failures, max_failures)
-        if stop is not None:
-            pieces.append(outcomes[: stop + 1])
-            return np.concatenate(pieces)
-        pieces.append(outcomes)
-        completed += chunk
-    if not pieces:
-        return np.zeros(0, dtype=bool)
-    return np.concatenate(pieces)
-
-
 def _run_shard(
     task: Callable[[np.random.Generator, int], np.ndarray],
     seed: np.random.SeedSequence,
@@ -563,7 +527,8 @@ def _run_shard(
 ) -> ShardOutcome:
     """Worker entry point: run one shard from its own SeedSequence child."""
     rng = np.random.default_rng(seed)
-    outcomes = _collect_outcomes(task, count, rng, batch_size, max_failures)
+    chunks = list(outcome_chunks(task, count, rng, max_failures, batch_size))
+    outcomes = np.concatenate(chunks) if chunks else np.zeros(0, dtype=bool)
     return ShardOutcome(words=pack_bits(outcomes), count=int(outcomes.size))
 
 
@@ -602,6 +567,8 @@ def run_sharded_outcomes(
         Optional per-shard early stop (see module docstring for how this
         composes exactly under aggregation).
     """
+    if batch_size <= 0:
+        raise ParameterError("batch_size must be positive")
     seeds = spawn_shard_seeds(seed, num_shards)
     sizes = shard_sizes(trials, num_shards)
     jobs = [
@@ -722,8 +689,6 @@ class Level1ShardTask:
         for technology noise, every rate).
     mapper:
         Layout mapper charging movement to two-qubit gates.
-    backend:
-        Batched engine selection forwarded to the experiment.
     noise_kind:
         ``"uniform"`` sweeps all component rates together (movement pinned);
         ``"technology"`` applies the parameter set's rates verbatim.
@@ -738,7 +703,6 @@ class Level1ShardTask:
     physical_rate: float
     parameters: IonTrapParameters = EXPECTED_PARAMETERS
     mapper: LayoutMapper = field(default_factory=LayoutMapper)
-    backend: str = "auto"
     noise_kind: str = "uniform"
     verified_ancilla: bool = True
     max_preparation_attempts: int = 20
@@ -770,7 +734,6 @@ class Level1ShardTask:
             experiment = Level1EccExperiment(
                 noise=noise,
                 mapper=self.mapper,
-                backend=self.backend,
                 verified_ancilla=self.verified_ancilla,
                 max_preparation_attempts=self.max_preparation_attempts,
             )

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 __all__ = [
     "MonteCarloResult",
     "scan_early_stop",
+    "outcome_chunks",
     "estimate_failure_rate",
     "estimate_failure_rate_batched",
 ]
@@ -86,9 +87,8 @@ def scan_early_stop(
     continues, in which case ``new_failures`` counts the whole chunk.
 
     This single helper defines the sequential early-stop semantics shared --
-    bit for bit -- by :func:`estimate_failure_rate_batched` and the sharded
-    execution layer in :mod:`repro.parallel` (both per-shard collection and
-    cross-shard aggregation); keeping one implementation is what makes the
+    bit for bit -- by :func:`outcome_chunks` and the cross-shard aggregation
+    of :mod:`repro.parallel`; keeping one implementation is what makes the
     "sharded equals serial" reproducibility contract safe to rely on.
     """
     if max_failures is not None:
@@ -136,6 +136,41 @@ def estimate_failure_rate(
     return MonteCarloResult(failures=failures, trials=completed)
 
 
+def outcome_chunks(
+    batch_trial: Callable[[np.random.Generator, int], np.ndarray],
+    trials: int,
+    rng: np.random.Generator,
+    max_failures: int | None = None,
+    batch_size: int = 1024,
+) -> Iterator[np.ndarray]:
+    """Run ``trials`` shots of a batch trial in chunks, yielding each chunk's outcomes.
+
+    Chunks hold ``min(batch_size, remaining)`` shots.  The walk stops at the
+    shot whose failure brings the running total to ``max_failures``: that
+    chunk is yielded cut just after it and no further chunk runs.  The one
+    chunked loop behind :func:`estimate_failure_rate_batched` and the shards
+    of :mod:`repro.parallel`, so a single-shard run reproduces the estimate
+    shot for shot.
+    """
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    failures = 0
+    completed = 0
+    while completed < trials:
+        count = min(batch_size, trials - completed)
+        outcomes = np.asarray(batch_trial(rng, count)).astype(bool).ravel()
+        if outcomes.shape[0] != count:
+            raise ValueError(
+                f"batch_trial returned {outcomes.shape[0]} outcomes for {count} shots"
+            )
+        failures, stop = scan_early_stop(outcomes, failures, max_failures)
+        if stop is not None:
+            yield outcomes[: stop + 1]
+            return
+        yield outcomes
+        completed += count
+
+
 def estimate_failure_rate_batched(
     batch_trial: Callable[[np.random.Generator, int], np.ndarray],
     trials: int,
@@ -148,13 +183,13 @@ def estimate_failure_rate_batched(
     The batched counterpart of :func:`estimate_failure_rate`: instead of one
     shot per call, ``batch_trial(rng, count)`` runs ``count`` independent
     shots at once and returns a boolean array marking the failing ones.  Shots
-    are processed in chunks of at most ``batch_size`` and the early-stop
-    semantics of the per-shot loop are preserved exactly: within a chunk the
-    shots are consumed in order, and the estimate stops at the shot whose
-    failure brings the running total to ``max_failures`` -- later shots in the
-    same chunk are discarded, so the reported ``(failures, trials)`` pair
-    matches what the sequential loop would have produced for the same
-    per-shot outcomes.
+    are processed in chunks of at most ``batch_size`` (see
+    :func:`outcome_chunks`) and the early-stop semantics of the per-shot loop
+    are preserved exactly: within a chunk the shots are consumed in order,
+    and the estimate stops at the shot whose failure brings the running total
+    to ``max_failures`` -- later shots in the same chunk are discarded, so
+    the reported ``(failures, trials)`` pair matches what the sequential loop
+    would have produced for the same per-shot outcomes.
 
     Parameters
     ----------
@@ -172,20 +207,10 @@ def estimate_failure_rate_batched(
     """
     if trials <= 0:
         return MonteCarloResult(failures=0, trials=0)
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
     generator = rng if rng is not None else np.random.default_rng()
     failures = 0
     completed = 0
-    while completed < trials:
-        count = min(batch_size, trials - completed)
-        outcomes = np.asarray(batch_trial(generator, count)).astype(bool).ravel()
-        if outcomes.shape[0] != count:
-            raise ValueError(
-                f"batch_trial returned {outcomes.shape[0]} outcomes for {count} shots"
-            )
-        failures, stop = scan_early_stop(outcomes, failures, max_failures)
-        if stop is not None:
-            return MonteCarloResult(failures=failures, trials=completed + stop + 1)
-        completed += count
+    for outcomes in outcome_chunks(batch_trial, trials, generator, max_failures, batch_size):
+        failures += int(np.count_nonzero(outcomes))
+        completed += outcomes.size
     return MonteCarloResult(failures=failures, trials=completed)

@@ -2,7 +2,9 @@
 
 The paper's simulations inject an error after every physical operation with a
 probability taken from the technology table (Table 1): single-qubit gates,
-two-qubit gates, measurement, ballistic movement (per cell) and idle memory.
+two-qubit gates, measurement and ballistic movement (per cell).  Idle
+memory errors are not simulated: at the paper's rates they are negligible
+beside the operation errors, and neither engine samples them.
 Errors are modelled as uniformly random non-identity Pauli operators on the
 qubits touched by the operation (standard depolarizing noise), which is the
 conventional choice for stabilizer-level fault-tolerance studies.
@@ -98,18 +100,24 @@ def _check_probability(name: str, value: float) -> float:
     return float(value)
 
 
-#: The sampling hooks of v1.11 and older, each with the declaration replacing it.
+#: Idle noise, which neither engine samples: the reason to name when a model
+#: tries to declare it.
+_NO_IDLE_NOISE = "neither engine samples idle noise; fold it into another declaration"
+
+#: The removed noise hooks (the sampling hooks of v1.11 and older, and the
+#: idle declaration of v1.12), each with what to do instead.
 _REMOVED_HOOKS = {
-    hook + suffix: declaration
-    for hook, declaration in (
-        ("sample_gate_error", "gate_channel"),
-        ("sample_preparation_error", "preparation_channel"),
-        ("measurement_flip", "measurement_flip_probability"),
-        ("sample_movement_error", "movement_channel"),
-        ("sample_idle_error", "idle_channel"),
+    hook + suffix: instead
+    for hook, instead in (
+        ("sample_gate_error", "override gate_channel()"),
+        ("sample_preparation_error", "override preparation_channel()"),
+        ("measurement_flip", "override measurement_flip_probability()"),
+        ("sample_movement_error", "override movement_channel()"),
+        ("sample_idle_error", _NO_IDLE_NOISE),
     )
     for suffix in ("", "_batch", "_packed")
 }
+_REMOVED_HOOKS["idle_channel"] = _NO_IDLE_NOISE
 
 
 class NoiseModel:
@@ -127,7 +135,8 @@ class NoiseModel:
     per-shot oracle draws it (and it never fails), the frame engine drops it.
     Defining one of the sampling hooks of v1.11 (``sample_*_error``,
     ``measurement_flip`` or their ``_batch``/``_packed`` forms) raises
-    :class:`TypeError` naming the declaration to override instead.
+    :class:`TypeError` naming the declaration to override instead; so does
+    an ``idle_channel``, since neither engine samples idle noise.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -135,9 +144,8 @@ class NoiseModel:
         for name in vars(cls):
             if name in _REMOVED_HOOKS:
                 raise TypeError(
-                    f"{cls.__name__}.{name} is a removed noise hook: noise models "
-                    f"declare their errors instead; override {_REMOVED_HOOKS[name]}() "
-                    "(see docs/migration.md, 1.12)"
+                    f"{cls.__name__}.{name} is a removed noise hook: "
+                    f"{_REMOVED_HOOKS[name]} (see docs/migration.md)"
                 )
 
     def gate_channel(self, name: str, qubits: tuple[int, ...]) -> PauliChannel | None:
@@ -156,10 +164,6 @@ class NoiseModel:
         """The error accumulated while moving ``qubit`` through ``cells`` cells."""
         return None
 
-    def idle_channel(self, qubit: int, seconds: float) -> PauliChannel | None:
-        """The error accumulated while ``qubit`` idles for ``seconds``."""
-        return None
-
 
 class NoiselessModel(NoiseModel):
     """A noise model that declares no errors (useful for functional tests)."""
@@ -170,8 +174,8 @@ class OperationNoise(NoiseModel):
     """Depolarizing noise with independent rates per operation category.
 
     This mirrors Table 1 of the paper: each category of physical operation has
-    its own failure probability.  Movement failure is per cell traversed and
-    memory (idle) failure is per second, matching the units used in the paper.
+    its own failure probability.  Movement failure is per cell traversed,
+    matching the units used in the paper.
 
     Attributes
     ----------
@@ -185,8 +189,6 @@ class OperationNoise(NoiseModel):
         Failure probability of a |0> preparation (modelled as a possible X flip).
     p_move_per_cell:
         Failure probability per cell of ballistic movement.
-    p_memory_per_second:
-        Failure probability per second of idling.
     """
 
     p_single: float = 0.0
@@ -194,7 +196,6 @@ class OperationNoise(NoiseModel):
     p_measure: float = 0.0
     p_prepare: float = 0.0
     p_move_per_cell: float = 0.0
-    p_memory_per_second: float = 0.0
 
     def __post_init__(self) -> None:
         self.p_single = _check_probability("p_single", self.p_single)
@@ -202,9 +203,6 @@ class OperationNoise(NoiseModel):
         self.p_measure = _check_probability("p_measure", self.p_measure)
         self.p_prepare = _check_probability("p_prepare", self.p_prepare)
         self.p_move_per_cell = _check_probability("p_move_per_cell", self.p_move_per_cell)
-        self.p_memory_per_second = _check_probability(
-            "p_memory_per_second", self.p_memory_per_second
-        )
 
     # -- declarations -------------------------------------------------------
 
@@ -226,12 +224,6 @@ class OperationNoise(NoiseModel):
         p_total = 1.0 - (1.0 - self.p_move_per_cell) ** cells
         return PauliChannel(p_total, (qubit,), _ONE_QUBIT_ERRORS)
 
-    def idle_channel(self, qubit, seconds):  # noqa: D102
-        if seconds <= 0.0 or self.p_memory_per_second == 0.0:
-            return None
-        p_total = 1.0 - (1.0 - self.p_memory_per_second) ** seconds
-        return PauliChannel(p_total, (qubit,), _ONE_QUBIT_ERRORS)
-
 
 class DepolarizingNoise(OperationNoise):
     """A single-parameter depolarizing model: every operation fails with rate ``p``.
@@ -248,6 +240,5 @@ class DepolarizingNoise(OperationNoise):
             p_measure=p,
             p_prepare=p,
             p_move_per_cell=p if p_move_per_cell is None else p_move_per_cell,
-            p_memory_per_second=0.0,
         )
         self.p = _check_probability("p", p)

@@ -180,7 +180,8 @@ class TestRegistrySelection:
     def test_auto_is_the_fused_engine_at_every_batch_and_tier(
         self, monkeypatch, tier, num_shards, lanes
     ):
-        from repro.arq.simulator import resolve_backend
+        from repro.arq.simulator import create_batch_tableau
+        from repro.stabilizer import PauliFrameBatch
 
         monkeypatch.setenv("REPRO_FUSED_KERNEL", tier)
         monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
@@ -191,7 +192,7 @@ class TestRegistrySelection:
         )
         expected = "sharded" if num_shards > 1 else FAST_ENGINE
         assert (strategy.name, engine) == (expected, FAST_ENGINE)
-        assert resolve_backend("auto", lanes) == FAST_ENGINE
+        assert isinstance(create_batch_tableau(7, lanes), PauliFrameBatch)
 
     def test_sharded_only_when_shards_exceed_one(self):
         registry = default_registry()
@@ -247,9 +248,9 @@ class TestRegistrySelection:
 
     def test_third_party_backend_never_hijacks_tableau_resolution(self):
         # A registered custom strategy runs only when requested by name: it
-        # never wins ``auto``, and its name never reaches the batched-tableau
-        # layer, which only understands the built-in engines.
-        from repro.arq.simulator import create_batch_tableau, resolve_backend
+        # never wins ``auto``, and its name is never recorded as a sharded
+        # run's engine, which is always the one batched engine.
+        from repro.arq.simulator import create_batch_tableau
         from repro.stabilizer import PauliFrameBatch
 
         class FancyBackend:
@@ -262,9 +263,8 @@ class TestRegistrySelection:
         registry = default_registry()
         registry.register(FancyBackend())
         try:
-            assert resolve_backend("auto", 1024) == FAST_ENGINE
-            assert isinstance(create_batch_tableau("auto", 7, 1024), PauliFrameBatch)
-            # Shard tasks always pin a real tableau engine.
+            assert isinstance(create_batch_tableau(7, 1024), PauliFrameBatch)
+            # Shard tasks always run on the batched engine.
             _, engine = registry.resolve("fancy", shots=4096, batch_size=1024, num_shards=2)
             assert engine == FAST_ENGINE
             strategy, _ = registry.resolve("auto", shots=4096, batch_size=1024, num_shards=1)

@@ -63,3 +63,18 @@ def test_every_third_party_import_is_declared():
     assert "numpy" in imported and "numpy" in required
     undeclared = {name: files for name, files in imported.items() if name not in required}
     assert undeclared == {}
+
+
+def test_every_data_file_is_declared_as_package_data():
+    """``pip install .`` ships only ``.py`` files unless the rest is declared."""
+    declared = {
+        SOURCE.parent.joinpath(*package.split("."), pattern)
+        for package, patterns in _setup_argument("package_data").items()
+        for pattern in patterns
+    }
+    data_files = {
+        path
+        for path in SOURCE.rglob("*")
+        if path.is_file() and path.suffix not in (".py", ".pyc") and "__pycache__" not in path.parts
+    }
+    assert data_files - declared == set()

@@ -76,6 +76,62 @@ class TestCacheKey:
         )
 
 
+def logical_failure_spec(backend: str, num_shards: int = 1) -> ExperimentSpec:
+    return ExperimentSpec(
+        experiment="logical_failure",
+        noise=NoiseSpec(physical_rates=(1e-3,)),
+        sampling=SamplingSpec(shots=512, seed=11),
+        execution=ExecutionSpec(backend=backend, num_shards=num_shards),
+    )
+
+
+#: ``(spec, resolved engine, cache key at version "pinned")``, recorded at
+#: v1.12.0.  Existing caches stay valid only while these never move.
+PINNED_CACHE_KEYS = {
+    "auto": (
+        logical_failure_spec("auto"),
+        "frame",
+        "186cb27503690c7d069ca89eddc02cfbae05aeca85e7209c7b9e367087b33bde",
+    ),
+    "frame": (
+        logical_failure_spec("frame"),
+        "frame",
+        "2a5aef36b236cf9435072efa9ea4d57fbcf1bf9b0c7364f515881387d61e3c81",
+    ),
+    "scalar": (
+        logical_failure_spec("scalar"),
+        "scalar",
+        "69a17082f8efa07552a3d041e208ff36673c6879f98a8c238b328167bbb95f63",
+    ),
+    "auto-4-shards": (
+        logical_failure_spec("auto", num_shards=4),
+        "frame",
+        "53476538604d8a862a6c2fa8cfb8acd4d35da776ebdafb3dabb4c8ce1c4dd186",
+    ),
+    "syndrome-analytic": (
+        ExperimentSpec(
+            experiment="syndrome_rate",
+            noise=NoiseSpec(kind="technology"),
+            sampling=SamplingSpec(shots=0, seed=11),
+        ),
+        "none",
+        "ef9d4adb0deb91e5d3c9bdba91f102d7e158303e4d84bc1a6da1f44234063859",
+    ),
+    "machine-sim": (
+        machine_spec(),
+        "desim",
+        "d5997d2f1aed5a519f1c91c2fef666814d133e0f68e01ca1377c0b4bdd019a74",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_CACHE_KEYS))
+def test_resolved_engine_and_cache_key_are_pinned(label):
+    spec, engine, key = PINNED_CACHE_KEYS[label]
+    assert resolved_engine(spec) == engine
+    assert cache_key(spec, engine=resolved_engine(spec), version="pinned") == key
+
+
 # Pins exact cache accounting (hits/misses/cached flags), which
 # injected corruption legitimately changes: run fault-free even
 # under the CI chaos profile.

@@ -299,7 +299,7 @@ class TestSeededThresholdSweep:
 
 class TestLevel1ShardTask:
     def test_task_is_deterministic_per_seed(self):
-        task = Level1ShardTask(physical_rate=1.0e-2, backend="frame")
+        task = Level1ShardTask(physical_rate=1.0e-2)
         a = task(np.random.default_rng(np.random.SeedSequence(1)), 128)
         b = task(np.random.default_rng(np.random.SeedSequence(1)), 128)
         assert np.array_equal(a, b)

@@ -400,7 +400,7 @@ class TestPackedDecode:
         experiment = Level1EccExperiment(noise=_noise_for_rate(0.05, EXPECTED_PARAMETERS))
         batch = 130
         rng = np.random.default_rng(3)
-        state = create_batch_tableau("auto", 21, batch, rng=rng)
+        state = create_batch_tableau(21, batch, rng=rng)
         # The preparation and gate segments of an attempt, without the ECC cycle.
         segments = experiment._attempt_segments[:2]
         experiment._batch_executor.run(segments, batch, rng, tableau=state)

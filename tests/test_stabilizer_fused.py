@@ -314,7 +314,7 @@ class TestFusedState:
         circuit = Circuit(1).measure(0)
         state = StabilizerTableau(1, rng=np.random.default_rng(0))
         with pytest.raises(SimulationError, match="conflicts"):
-            BatchedNoisyCircuitExecutor(backend="frame").run(
+            BatchedNoisyCircuitExecutor().run(
                 circuit, 8, np.random.default_rng(0), tableau=state
             )
 
@@ -473,12 +473,11 @@ class TestNoiseBlockParity:
             assert np.array_equal(block.error_count, result.error_count)
         _assert_identical(*results)
 
-    @pytest.mark.parametrize("backend", ["packed", "packed-fused"])
     @pytest.mark.parametrize("batch", sorted(NOISELESS_DIGESTS))
-    def test_noiseless_run_digest_is_pinned(self, backend, batch):
-        """The frame engine reproduces the digest recorded from ``backend``."""
+    def test_noiseless_run_digest_is_pinned(self, batch):
+        """The frame engine reproduces the digest recorded from v1.9's packed engines."""
         rng = np.random.default_rng(20261017)
-        state = create_batch_tableau("auto", 21, batch, rng=rng)
+        state = create_batch_tableau(21, batch, rng=rng)
         executor = BatchedNoisyCircuitExecutor(noise=NoiselessModel(), mapper=LayoutMapper())
         executor.run(steane_encode_zero_circuit(num_qubits=21), batch, rng, tableau=state)
         result = executor.run(_ecc_circuit(), batch, rng, tableau=state)
@@ -486,4 +485,4 @@ class TestNoiseBlockParity:
         for label in sorted(result.measurements):
             digest.update(label.encode())
             digest.update(result.measurements[label].tobytes())
-        assert digest.hexdigest() == NOISELESS_DIGESTS[batch], backend
+        assert digest.hexdigest() == NOISELESS_DIGESTS[batch]

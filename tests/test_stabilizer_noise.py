@@ -35,7 +35,6 @@ class TestNoiselessModel:
         assert model.gate_channel("CNOT", (0, 1)) is None
         assert model.preparation_channel(0) is None
         assert model.movement_channel(0, 100) is None
-        assert model.idle_channel(0, 10.0) is None
         assert model.measurement_flip_probability() is None
 
 
@@ -79,10 +78,10 @@ class TestOperationNoise:
         assert OperationNoise(p_move_per_cell=1.0).movement_channel(0, 0) is None
         assert OperationNoise().movement_channel(0, 10) is None
 
-    def test_idle_error_scales_with_duration(self):
-        model = OperationNoise(p_memory_per_second=0.1)
-        assert model.idle_channel(0, 5.0).p > model.idle_channel(0, 0.01).p
-        assert model.idle_channel(0, 0.0) is None
+    def test_idle_noise_is_not_declared(self):
+        assert not hasattr(OperationNoise(), "idle_channel")
+        with pytest.raises(TypeError):
+            OperationNoise(p_memory_per_second=0.1)
 
     def test_empirical_single_qubit_rate(self):
         executor = NoisyCircuitExecutor(noise=OperationNoise(p_single=0.3))
@@ -142,13 +141,20 @@ class TestRemovedHooks:
             ("measurement_flip", "measurement_flip_probability"),
             ("measurement_flip_packed", "measurement_flip_probability"),
             ("sample_movement_error_batch", "movement_channel"),
-            ("sample_idle_error", "idle_channel"),
         ],
     )
     @pytest.mark.parametrize("base", [NoiseModel, OperationNoise])
     def test_defining_a_removed_hook_fails_at_class_creation(self, base, hook, declaration):
         with pytest.raises(TypeError, match=f"override {declaration}"):
             type("OldStyleNoise", (base,), {hook: lambda self, *args: []})
+
+    @pytest.mark.parametrize(
+        "hook", ["idle_channel", "sample_idle_error", "sample_idle_error_batch", "sample_idle_error_packed"]
+    )
+    @pytest.mark.parametrize("base", [NoiseModel, OperationNoise])
+    def test_declaring_idle_noise_fails_at_class_creation(self, base, hook):
+        with pytest.raises(TypeError, match="neither engine samples idle noise"):
+            type("IdleNoise", (base,), {hook: lambda self, *args: None})
 
     def test_declaring_subclasses_are_accepted(self):
         class Declared(OperationNoise):

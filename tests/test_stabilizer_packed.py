@@ -23,7 +23,8 @@ import pytest
 import repro.stabilizer.packed as packed_module
 from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper, NoisyCircuitExecutor
 from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
-from repro.arq.simulator import create_batch_tableau, resolve_backend
+from repro.api.registry import default_registry
+from repro.arq.simulator import create_batch_tableau
 from repro.circuits import Circuit, Gate
 from repro.exceptions import SimulationError
 from repro.iontrap.parameters import EXPECTED_PARAMETERS
@@ -410,7 +411,7 @@ class TestPackedExecutor:
             .measure(1, label="zero")
         )
         scalar = NoisyCircuitExecutor().run(circuit, np.random.default_rng(0))
-        batch = BatchedNoisyCircuitExecutor(backend="frame").run(
+        batch = BatchedNoisyCircuitExecutor().run(
             circuit, 70, np.random.default_rng(1)
         )
         assert isinstance(batch.tableau, PauliFrameBatch)
@@ -418,29 +419,17 @@ class TestPackedExecutor:
         assert (batch.measurements["zero"] == scalar.measurements["zero"]).all()
 
     def test_auto_backend_selection(self):
-        assert resolve_backend("auto", 1) == "frame"
-        assert resolve_backend("frame", 1) == "frame"
+        registry = default_registry()
+        for name in ("auto", "frame"):
+            assert registry.resolve(name, shots=1, batch_size=1) == (registry.get("frame"), "frame")
         for name in ("packed", "packed-fused"):
             with pytest.raises(SimulationError, match="'frame'"):
-                resolve_backend(name, 64)
+                registry.resolve(name, shots=64, batch_size=64)
         for name in ("uint8", "simd"):
             with pytest.raises(SimulationError):
-                resolve_backend(name, 64)
+                registry.resolve(name, shots=64, batch_size=64)
         for batch in (8, 64):
-            assert isinstance(create_batch_tableau("auto", 2, batch), PauliFrameBatch)
-        assert type(create_batch_tableau("frame", 2, 8)) is PauliFrameBatch
-
-    def test_executor_rejects_conflicting_tableau_and_backend(self):
-        circuit = Circuit(1).measure(0)
-        state = PauliFrameBatch(1, 8)
-        with pytest.raises(SimulationError):
-            BatchedNoisyCircuitExecutor(backend="packed").run(
-                circuit, 8, np.random.default_rng(0), tableau=state
-            )
-        with pytest.raises(SimulationError, match="'frame'"):
-            BatchedNoisyCircuitExecutor().run(
-                circuit, 8, np.random.default_rng(0), tableau=state, backend="packed-fused"
-            )
+            assert type(create_batch_tableau(2, batch)) is PauliFrameBatch
 
     def test_executor_follows_passed_tableau_type(self):
         circuit = Circuit(1).x(0).measure(0, label="m")
@@ -454,7 +443,7 @@ class TestPackedExecutor:
     def test_certain_measurement_noise_flips_every_lane(self):
         noise = OperationNoise(p_measure=1.0)
         circuit = Circuit(1).prepare(0).measure(0, label="out")
-        result = BatchedNoisyCircuitExecutor(noise=noise, backend="frame").run(
+        result = BatchedNoisyCircuitExecutor(noise=noise).run(
             circuit, 70, np.random.default_rng(0)
         )
         assert (result.measurements["out"] == 1).all()
@@ -463,12 +452,12 @@ class TestPackedExecutor:
     def test_movement_noise_requires_mapper(self):
         noise = OperationNoise(p_move_per_cell=1.0)
         circuit = Circuit(2).cnot(0, 1).measure(1, label="out")
-        without = BatchedNoisyCircuitExecutor(noise=noise, backend="frame").run(
+        without = BatchedNoisyCircuitExecutor(noise=noise).run(
             circuit, 70, np.random.default_rng(0)
         )
-        with_mapper = BatchedNoisyCircuitExecutor(
-            noise=noise, mapper=LayoutMapper(), backend="frame"
-        ).run(circuit, 70, np.random.default_rng(0))
+        with_mapper = BatchedNoisyCircuitExecutor(noise=noise, mapper=LayoutMapper()).run(
+            circuit, 70, np.random.default_rng(0)
+        )
         assert (without.error_count == 0).all()
         assert (with_mapper.error_count >= 1).all()
 
@@ -477,7 +466,7 @@ class TestPackedExecutor:
         circuit = Circuit(1).prepare(0)
         for _ in range(10):
             circuit.append(Gate.gate("I", 0))
-        result = BatchedNoisyCircuitExecutor(noise=noise, backend="frame").run(
+        result = BatchedNoisyCircuitExecutor(noise=noise).run(
             circuit, 66, np.random.default_rng(1)
         )
         assert (result.error_count == 10).all()
@@ -500,7 +489,7 @@ class TestPackedExecutor:
             .measure(1, label="b")
         )
         scalar = NoisyCircuitExecutor().run(circuit, np.random.default_rng(0))
-        packed = BatchedNoisyCircuitExecutor(backend="frame").run(
+        packed = BatchedNoisyCircuitExecutor().run(
             circuit, batch, np.random.default_rng(0)
         )
         for label in ("a", "b"):
@@ -512,9 +501,7 @@ class TestSteaneCrossValidation:
 
     def test_zero_noise_never_fails_packed(self):
         params = EXPECTED_PARAMETERS.with_uniform_failure(0.0, keep_movement=False)
-        experiment = Level1EccExperiment(
-            noise=_noise_for_rate(0.0, params), backend="frame"
-        )
+        experiment = Level1EccExperiment(noise=_noise_for_rate(0.0, params))
         outcome = experiment.run_trial_batch_detailed(np.random.default_rng(3), 70)
         assert not outcome["failure"].any()
         assert outcome["verification_passed"].all()
@@ -525,7 +512,7 @@ class TestSteaneCrossValidation:
         from repro.qecc.syndrome import full_error_correction_circuit
 
         circuit, x_extraction, z_extraction = full_error_correction_circuit()
-        executor = BatchedNoisyCircuitExecutor(noise=NoiselessModel(), backend="frame")
+        executor = BatchedNoisyCircuitExecutor(noise=NoiselessModel())
         batch = 70
         rng = np.random.default_rng(4)
         state = PauliFrameBatch(circuit.num_qubits, batch, rng=rng)
@@ -547,9 +534,7 @@ class TestSteaneCrossValidation:
         """Against v1.9's fused engine: 3000 shots at seed 2024, recorded."""
         rate = 1.0e-2  # high enough for meaningful statistics at modest shots
         trials = 3000
-        experiment = Level1EccExperiment(
-            noise=_noise_for_rate(rate, EXPECTED_PARAMETERS), backend="frame"
-        )
+        experiment = Level1EccExperiment(noise=_noise_for_rate(rate, EXPECTED_PARAMETERS))
         rng = np.random.default_rng(2025)
         failures = 0
         for _ in range(trials // 750):
@@ -563,9 +548,7 @@ class TestSteaneCrossValidation:
 
     def test_noisy_failure_rate_within_three_sigma_of_per_shot(self):
         rate = 1.0e-2
-        experiment = Level1EccExperiment(
-            noise=_noise_for_rate(rate, EXPECTED_PARAMETERS), backend="frame"
-        )
+        experiment = Level1EccExperiment(noise=_noise_for_rate(rate, EXPECTED_PARAMETERS))
         packed_trials = 2250
         rng_packed = np.random.default_rng(11)
         packed_failures = sum(
@@ -586,9 +569,7 @@ class TestSteaneCrossValidation:
         assert abs(p_packed - p_scalar) <= 3.0 * combined_se + 1e-12
 
     def test_ragged_batch_detailed_outcome_fields(self):
-        experiment = Level1EccExperiment(
-            noise=_noise_for_rate(2e-3, EXPECTED_PARAMETERS), backend="frame"
-        )
+        experiment = Level1EccExperiment(noise=_noise_for_rate(2e-3, EXPECTED_PARAMETERS))
         outcome = experiment.run_trial_batch_detailed(np.random.default_rng(0), 70)
         assert set(outcome) == {"failure", "nontrivial_syndrome", "verification_passed"}
         for value in outcome.values():
