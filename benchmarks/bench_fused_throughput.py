@@ -6,11 +6,11 @@ breaks each run's host time down by layer:
 
 * ``reference_pass_s`` -- the noiseless reference passes, which are cached
   by program content, so only the cold (first) run pays them;
-* ``noise_block_s`` -- sampling each run's sparse noise block;
-* ``kernel_s`` -- the C or numpy frame kernel;
-* ``executor_other_s`` -- the rest of each batched run: plan and
-  reference lookup, the random measurement words, merging the segments'
-  noise blocks and the result;
+* ``kernel_s`` -- the C or numpy frame kernel, which since v1.13.0 also
+  samples the run's noise and random measurement words from its one seed
+  (there is no separate sampling layer any more);
+* ``executor_other_s`` -- the rest of each batched run: plan, reference and
+  noise-template lookup, the seed draw and the result;
 * ``decode_s`` -- the rest of each trial batch: state creation, syndrome
   decoding and ideal recovery on packed words, and unpacking three flags;
 * ``api_other_s`` -- ``api.run`` less its trial batches: backend
@@ -24,17 +24,16 @@ gate, noisy ECC cycle) and one kernel call.
 
 A second table, ``attempt_costs``, gives the fixed cost of one Level-1
 attempt (``Level1EccExperiment._batch_attempt``) at 32, 512 and 4096 lanes,
-in microseconds: ``sampling_us`` (noise blocks and measurement words),
-``kernel_us``, ``decode_us`` (state creation and the packed-word decode)
-and ``other_us`` (the rest of the executor run), from the fastest of
-several rounds of back-to-back attempts.
+in microseconds: ``kernel_us`` (the kernel with its sampling),
+``decode_us`` (state creation and the packed-word decode) and ``other_us``
+(the rest of the executor run), from the fastest of several rounds of
+back-to-back attempts.
 
 Two contracts are validated: seeded Level-1 batches reproduce their recorded
-digests bit for bit (v1.9.0's, ``tests/data/fused_v1_9_golden.json``, with
-the entries that pooled verification retries moved re-pinned at v1.11.0 in
-``tests/data/level1_v1_11_golden.json``), and a process-pool sharded sweep
-matches the serial sweep **bit for bit** given the same ``SeedSequence`` and
-shard count.
+digests bit for bit (re-pinned at v1.13.0 in
+``tests/data/frame_v1_13_golden.json``, when the kernel began sampling from
+one seed per run), and a process-pool sharded sweep matches the serial
+sweep **bit for bit** given the same ``SeedSequence`` and shard count.
 
 Results are written to ``BENCH_fused_throughput.json`` at the repository
 root, under a run header naming the library version, kernel tier, Python,
@@ -89,11 +88,8 @@ ATTEMPT_RATE = 4.0e-3
 ATTEMPT_ROUNDS = 15
 ATTEMPTS_PER_ROUND = 20
 
-#: Golden Level-1 digests: v1.9.0's, overlaid by the v1.11.0 re-pins.
-GOLDEN_PATHS = tuple(
-    Path(__file__).resolve().parent.parent / "tests" / "data" / name
-    for name in ("fused_v1_9_golden.json", "level1_v1_11_golden.json")
-)
+#: Golden Level-1 digests, re-pinned at v1.13.0.
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / "tests" / "data" / "frame_v1_13_golden.json"
 #: Golden Level-1 digests checked: (batch size, physical rate) keys.
 GOLDEN_KEYS = tuple(
     (batch, rate) for batch in (1, 63, 64, 65, 4096) for rate in (4.0e-3, 0.3)
@@ -112,7 +108,6 @@ _PHASES = (
     "trial_batch_s",
     "executor_s",
     "reference_pass_s",
-    "noise_block_s",
     "kernel_s",
 )
 
@@ -122,7 +117,6 @@ _THROUGHPUT_WRAPS = (
     (Level1EccExperiment, "run_trial_batch_detailed", "trial_batch_s"),
     (BatchedNoisyCircuitExecutor, "run", "executor_s"),
     (fused_module, "_reference_pass", "reference_pass_s"),
-    (fused_module, "_plan_block", "noise_block_s"),
     (fused_module, "_run_kernel", "kernel_s"),
 )
 
@@ -167,11 +161,9 @@ def _layers(totals: dict[str, float], runs: int) -> dict[str, float]:
     return {
         "api_run_s": per_run["api_run_s"],
         "reference_pass_s": per_run["reference_pass_s"],
-        "noise_block_s": per_run["noise_block_s"],
         "kernel_s": per_run["kernel_s"],
         "executor_other_s": per_run["executor_s"]
         - per_run["reference_pass_s"]
-        - per_run["noise_block_s"]
         - per_run["kernel_s"],
         "decode_s": per_run["trial_batch_s"] - per_run["executor_s"],
         "api_other_s": per_run["api_run_s"] - per_run["trial_batch_s"],
@@ -222,12 +214,10 @@ def _measure_throughput(shots: int, warm_runs: int) -> dict[str, object]:
 
 
 #: The layers of one Level-1 attempt that ``_attempt_costs`` times.
-_ATTEMPT_PHASES = ("attempt", "executor", "sampling", "kernel")
+_ATTEMPT_PHASES = ("attempt", "executor", "kernel")
 _ATTEMPT_WRAPS = (
     (Level1EccExperiment, "_batch_attempt", "attempt"),
     (BatchedNoisyCircuitExecutor, "run", "executor"),
-    (fused_module, "_plan_block", "sampling"),
-    (fused_module, "_measurement_words", "sampling"),
     (fused_module, "_run_kernel", "kernel"),
 )
 
@@ -252,10 +242,9 @@ def _attempt_costs(rounds: int, attempts: int) -> dict[str, object]:
                 best = dict(totals)
         us = {key: 1e6 * value / attempts for key, value in best.items()}
         widths[str(width)] = {
-            "sampling_us": us["sampling"],
             "kernel_us": us["kernel"],
             "decode_us": us["attempt"] - us["executor"],
-            "other_us": us["executor"] - us["sampling"] - us["kernel"],
+            "other_us": us["executor"] - us["kernel"],
             "attempt_us": us["attempt"],
         }
     return {
@@ -277,9 +266,7 @@ def outcome_digest(outcome: dict[str, np.ndarray]) -> str:
 
 def _golden_digests(keys) -> dict[str, object]:
     """Seeded Level-1 batches against their recorded digests."""
-    golden = {}
-    for path in GOLDEN_PATHS:
-        golden.update(json.loads(path.read_text())["level1"])
+    golden = json.loads(GOLDEN_PATH.read_text())["level1"]
     points = []
     for batch, rate in keys:
         experiment = Level1EccExperiment(noise=_noise_for_rate(rate, EXPECTED_PARAMETERS))
@@ -287,7 +274,7 @@ def _golden_digests(keys) -> dict[str, object]:
         key = f"{batch}-{rate!r}"
         points.append({"key": key, "bit_for_bit": outcome_digest(outcome) == golden[key]})
     return {
-        "reference_version": "1.11.0",
+        "reference_version": "1.13.0",
         "bit_for_bit": all(point["bit_for_bit"] for point in points),
         "points": points,
     }
@@ -394,9 +381,9 @@ if pytest is not None:
         print(f"verification attempts per trial batch: {throughput['attempts_per_batch']:.2f}")
         for width, costs in report["attempt_costs"]["widths"].items():
             print(
-                f"one {width}-lane attempt: {costs['attempt_us']:.0f} us = sampling "
-                f"{costs['sampling_us']:.0f} + kernel {costs['kernel_us']:.0f} + decode "
-                f"{costs['decode_us']:.0f} + other {costs['other_us']:.0f}"
+                f"one {width}-lane attempt: {costs['attempt_us']:.0f} us = kernel "
+                f"{costs['kernel_us']:.0f} + decode {costs['decode_us']:.0f} + other "
+                f"{costs['other_us']:.0f}"
             )
         print(f"golden digests bit-for-bit: {report['golden_digests']['bit_for_bit']}")
         print(

@@ -44,7 +44,7 @@ See ``docs/architecture.md`` for the layer map and ``docs/paper_map.md`` for
 the paper-section-to-code index.
 """
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 from repro.core import (
     ApplicationPerformance,

@@ -319,8 +319,8 @@ class BatchedNoisyCircuitExecutor:
     noise:
         The noise model of a single-circuit run (defaults to noiseless
         execution); a run of segments names one per segment.  Every model,
-        built-in or custom, is sampled from its declared Pauli channels as
-        one sparse noise block per program.
+        built-in or custom, is sampled from its declared Pauli channels
+        inside the kernel, from one seed per run.
     mapper:
         Layout mapper supplying movement budgets; None disables movement noise.
     """
@@ -374,13 +374,13 @@ class BatchedNoisyCircuitExecutor:
             a :class:`Circuit` (compiled and cached on first use) or an
             already-compiled program; or a run given as ordered ``(circuit,
             noise)`` segments, each under its own noise model.  The segments
-            run in one kernel call and draw what they would draw as
-            separate runs; their measurement slots follow one another.
+            run in one kernel call, as one program that concatenates them;
+            their measurement slots follow one another.
         batch_size:
             Number of independent lanes to simulate.
         rng:
-            Random generator for measurement randomness and noise, shared by
-            all lanes (each draw produces one value per lane).
+            Random generator of the run: it gives the one 64-bit seed from
+            which the kernel draws the run's noise and measurement words.
         tableau:
             Optional pre-initialised batched state; a fresh all-|0> batch is
             created when omitted.  Its batch size must equal ``batch_size``.

@@ -21,6 +21,7 @@ so results can be collected into arrays instead of per-shot dictionaries.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,6 +171,19 @@ class CompiledCircuit:
         Computed once per program: the opcode arrays never change.
         """
         return not np.isin(self.opcodes, list(TIMING_ONLY_OPCODES)).any()
+
+    @cached_property
+    def content_digest(self) -> bytes:
+        """SHA-256 of what a kernel reads: register, operations, movement and slots.
+
+        Computed once per program; equal programs compiled separately share
+        it, so caches keyed on it serve rebuilt experiments.  Labels and the
+        name are not part of it.
+        """
+        digest = hashlib.sha256(np.array([self.num_qubits, self.num_measurements]).tobytes())
+        for array in self.kernel_arrays():
+            digest.update(array.tobytes())
+        return digest.digest()
 
     def kernel_arrays(
         self,

@@ -104,6 +104,7 @@ __all__ = [
     "InjectedFault",
     "FaultProfile",
     "active_profile",
+    "profile_override",
     "set_profile",
     "fault_profile",
     "no_faults",
@@ -343,6 +344,16 @@ def active_profile() -> FaultProfile | None:
     if not text or not text.strip():
         return None
     return _parse_cached(text)
+
+
+def profile_override() -> object:
+    """The programmatic override in effect, as a hashable cache-key part.
+
+    A :class:`FaultProfile`, or None inside :func:`no_faults`; a fixed
+    sentinel while ``REPRO_FAULTS`` decides.  With the raw ``REPRO_FAULTS``
+    value it determines :func:`active_profile`.
+    """
+    return _override
 
 
 _PARSE_CACHE: dict[str, FaultProfile] = {}

@@ -1,4 +1,4 @@
-"""The Pauli-frame Monte-Carlo engine: one kernel call per run.
+"""The Pauli-frame Monte-Carlo engine: one kernel call per run, noise included.
 
 Pauli noise never changes which Pauli operators stabilize a state, only their
 signs.  So ``B`` noisy shots of a Clifford circuit are one noiseless
@@ -7,7 +7,7 @@ lane's state differs from the reference (Gidney, *Stim*, Quantum 5, 497,
 2021).  :class:`PauliFrameBatch` stores the frame as ``(n, W)`` uint64 X/Z
 words, bit ``b`` of word ``w`` belonging to lane ``64*w + b``, and
 :func:`execute_fused` pushes those words through a whole compiled program in
-one native loop at O(W) work per gate, noise record or measurement.
+one native loop at O(W) work per gate or measurement.
 
 Each program is first run once, without noise, on a scalar
 :class:`~repro.stabilizer.tableau.StabilizerTableau` holding the reference,
@@ -25,42 +25,46 @@ The frame then follows these rules:
 * a preparation measures, then clears the qubit's frame X bit;
 * X-basis measurements follow the same rules, conjugated by H.
 
-These rules reproduce the sign words of the CHP tableau engines this module
-replaces, so seeded outcomes are bit for bit those of v1.9's ``"packed"``
-and ``"packed-fused"`` engines.  The randomness is drawn in the same order:
-every noise model -- built-in or custom -- declares its errors as Pauli
-channels (:class:`~repro.stabilizer.noise.PauliChannel`), and a program's
-channels are drawn as one sparse **noise block** (:func:`noise_block`): per
-channel a binomial failure count, then the failing lanes and their Pauli
-letters, in O(failures) work and a constant number of generator calls.  The
-random measurement words follow, in program order, from the state's
-generator.
-
 A run is an ordered sequence of **segments**, ``(program, noise model)``
-pairs; a single program is a run of one segment.  The segments' programs
-are concatenated into one kernel program with one cached reference pass,
-and the run makes one kernel call.  Its noise is still sampled segment by
-segment -- segment ``k``'s noise block, then segment ``k``'s measurement
-words, then segment ``k + 1``'s -- and the blocks are merged, so a run draws
-every bit its segments would draw as separate calls.  A Level-1 attempt
-(ideal preparation, noisy gate, noisy ECC cycle) is one such run.
+pairs; a single program is a run of one segment.  The segments' programs are
+concatenated into one kernel program with one cached reference pass, and the
+run makes one kernel call.  A Level-1 attempt (ideal preparation, noisy
+gate, noisy ECC cycle) is one such run.
 
-The kernel receives the noise as **failure records** (:class:`NoiseBlock`):
-per noise record, the lanes that failed and a letter code for each, which a
-small table decodes into the Pauli on each qubit of the record's support.
-The built-in alphabets share one table; a model that declares another
-alphabet (a crosstalk channel, say) adds rows of its own.  The kernel XORs
-one lane bit per failure and support qubit into the frame, at the record's
-program position, so the noise costs O(failures) rather than O(W) per
-record.  Measurement flips are XORed onto
-the outcome words once the program has run.
+**Randomness.**  A run takes one 64-bit seed from its generator
+(``rng.bit_generator.random_raw()``) and the kernel derives every random
+number from it with a counter-based hash: value ``i`` of stream ``s`` is
+splitmix64's output ``i`` from the stream's key (:func:`_stream_key`).
+Stream 0 gives the random measurement words (word ``w`` of random
+measurement ``d`` at counter ``d*W + w``), stream 1 the letters of failures
+and stream ``2 + c`` the failure gaps of probability class ``c``.
+
+**Noise.**  Every noise model declares its errors as Pauli channels
+(:class:`~repro.stabilizer.noise.PauliChannel`); a run's channels make one
+noise template (:class:`_NoiseTemplate`), cached per program content and
+model attribute values.  Each channel of nonzero probability is an *event*
+that fails in each lane independently, and a failing lane applies one of
+the channel's Pauli letters, drawn uniformly; a measurement flip is an event
+that XORs the lane's outcome bit.  The events of one probability ``p`` form
+a *class*; event ``e`` of rank ``r`` in its class owns the keys ``r*B`` to
+``r*B + B - 1``, one per lane, and the sampler jumps from failing key to
+failing key with geometric gaps, the way Stim samples rare errors.  A
+uniform ``v`` of 63 bits gives the gap ``g`` = the number of thresholds
+``t_g = floor(2**63 * (1 - (1-p)**(g+1)))``, ``g < T``, at or below ``v``;
+a draw at or past ``t_{T-1}`` passes ``T`` keys and draws again, which is
+exact by memorylessness.  The thresholds are computed once per template, so
+only integer compares decide a failure and both kernel tiers agree bit for
+bit without trusting libm.  A run costs about one draw per failure plus one
+per ``T`` keys, and ghost lanes past ``B`` never receive noise.
 
 Two interchangeable kernels implement the loop, with the same signature:
 
 * a small C kernel (``fused_kernel.c``) compiled on demand with the system C
-  compiler and loaded through ctypes;
+  compiler and loaded through ctypes; it samples each event's failures as
+  it reaches the event's program position, one cursor per class;
 * :func:`frame_kernel_numpy` -- a pure-numpy fallback, so the module imports
-  and runs (slower) with no compiler at all.
+  and runs (slower) with no compiler at all; it draws the same counters in
+  vectorised chunks before the loop.
 
 ``REPRO_FUSED_KERNEL`` selects the tier explicitly (``auto`` / ``cext`` /
 ``numpy``); ``auto`` takes the C kernel when it compiles and logs a warning
@@ -75,7 +79,6 @@ import logging
 import os
 import shutil
 import subprocess
-import weakref
 from pathlib import Path
 from typing import Sequence
 
@@ -111,8 +114,6 @@ __all__ = [
     "PauliFrameBatch",
     "frame_kernel_numpy",
     "kernel_tier",
-    "NoiseBlock",
-    "noise_block",
     "execute_fused",
 ]
 
@@ -144,8 +145,124 @@ KERNEL_TIERS = ("cext", "numpy")
 
 
 # ----------------------------------------------------------------------
+# Counter-based draws (the C kernel computes the same values)
+# ----------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_STREAM_GAMMA = 0xD1B54A32D192ED03
+_MEASURE_STREAM, _LETTER_STREAM, _GAP_STREAM = 0, 1, 2
+
+#: Thresholds per probability class: a draw past the last passes this many keys.
+_GAP_TABLE = 1024
+
+#: The C kernel starts each gap search at a guide entry, one per bucket of
+#: draws sharing their top ``_GUIDE_BITS`` bits (the kernel's GUIDE_BITS).
+_GUIDE_BITS = 10
+
+
+def _mix64(z: int) -> int:
+    """splitmix64's finalizer on a Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _stream_key(seed: int, stream: int) -> int:
+    """The key of one stream of a run's draws."""
+    return _mix64((seed + (stream + 1) * _STREAM_GAMMA) & _MASK64)
+
+
+def _np_draws(key: int, counters: np.ndarray) -> np.ndarray:
+    """Values ``counters`` (uint64) of the stream with key ``key``."""
+    z = (counters + np.uint64(1)) * np.uint64(_GAMMA) + np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _gap_thresholds(p: float, table: int) -> np.ndarray:
+    """``t_g = floor(2**63 * (1 - (1-p)**(g+1)))`` for ``g < table`` (uint64)."""
+    if p >= 1.0:
+        cdf = np.ones(table)
+    else:
+        cdf = -np.expm1(np.arange(1, table + 1) * np.log1p(-p))
+    # Scaling by a power of two and flooring are exact; the running maximum
+    # keeps the table sorted whatever the last ulp of expm1.
+    return np.maximum.accumulate(np.floor(np.ldexp(cdf, 63)).astype(np.uint64))
+
+
+# ----------------------------------------------------------------------
 # Numpy fallback tier (identical signature and semantics)
 # ----------------------------------------------------------------------
+
+
+def _np_gap_keys(key: int, thresholds: np.ndarray, end: int) -> np.ndarray:
+    """The failing keys below ``end`` of one class, in order.
+
+    The draws are taken in chunks sized from the last chunk's mean step;
+    the counter is stateless, so drawing past ``end`` changes nothing.
+    """
+    table = thresholds.size
+    hits = []
+    position, counter, chunk = -1, 0, 256
+    while position < end:
+        values = _np_draws(key, np.arange(counter, counter + chunk, dtype=np.uint64))
+        gaps = np.searchsorted(thresholds, values >> np.uint64(1), side="right")
+        passed = gaps == table
+        positions = position + np.cumsum(np.where(passed, table, gaps + 1))
+        failing = positions[~passed]
+        hits.append(failing[failing < end])
+        step = (int(positions[-1]) - position) / chunk
+        position, counter = int(positions[-1]), counter + chunk
+        chunk = int((end - position) / step * 1.1) + 64
+    return np.concatenate(hits)
+
+
+def _np_letters(key: int, counters: np.ndarray, letters: np.ndarray, wrap: int) -> np.ndarray:
+    """Uniform letters below ``letters`` (uint64), one per counter.
+
+    A letter is the high half of the draw's top 32 bits times ``letters``
+    (Lemire's method); a draw whose low half falls below ``2**32 %
+    letters`` is redrawn at counter + ``wrap``, so every letter is exactly
+    equally likely.
+    """
+    low = np.uint64(0xFFFFFFFF)
+    reject = (low % letters + np.uint64(1)) % letters
+    products = (_np_draws(key, counters) >> np.uint64(32)) * letters
+    redraw = np.flatnonzero(products & low < reject)
+    while redraw.size:
+        counters[redraw] += np.uint64(wrap)
+        products[redraw] = (_np_draws(key, counters[redraw]) >> np.uint64(32)) * letters[redraw]
+        redraw = redraw[products[redraw] & low < reject[redraw]]
+    return (products >> np.uint64(32)).astype(np.int64)
+
+
+def _np_failures(B, seed, event_class, event_letters, event_code, class_events, thresholds):
+    """Every failure of a run: ``(event, lane, code)`` int64 arrays, by event then lane."""
+    keys = [np.zeros(0, dtype=np.int64)]
+    for c in range(class_events.size):
+        hits = _np_gap_keys(
+            _stream_key(seed, _GAP_STREAM + c), thresholds[c], int(class_events[c]) * B
+        )
+        members = np.flatnonzero(event_class == c)
+        keys.append(members[hits // B] * B + hits % B)
+    key = np.sort(np.concatenate(keys))
+    event, lane = np.divmod(key, B)
+    code = event_code[event].astype(np.int64)
+    letters = event_letters[event].astype(np.uint64)
+    drawn = np.flatnonzero(letters > 1)
+    if drawn.size:
+        code[drawn] += _np_letters(
+            _stream_key(seed, _LETTER_STREAM),
+            key[drawn].astype(np.uint64),
+            letters[drawn],
+            event_class.size * B,
+        )
+    return event, lane, code
 
 
 def _np_measure(k, a, ref_bits, draw_index, piv_start, piv_qubit, piv_xz, drawn, fx, fz, mout):
@@ -163,22 +280,19 @@ def _np_measure(k, a, ref_bits, draw_index, piv_start, piv_qubit, piv_xz, drawn,
     mout[:] = drawn[d]
 
 
-def _np_record_words(W, inj_start, code_xz, fail_start, fail_lane, fail_code):
-    """Decode the failure records into ``(2, K, W)`` X/Z words per support entry."""
-    records = inj_start.size - 1
+def _np_support_words(W, inj_start, code_xz, event, lane, code):
+    """The failures as ``(2, K, W)`` X/Z words per support entry of the events."""
     words = np.zeros((2, int(inj_start[-1]), W), dtype=np.uint64)
-    count = int(fail_start[records])
-    record = np.repeat(np.arange(records), np.diff(fail_start[: records + 1]))
-    lane = fail_lane[:count]
-    xz = code_xz[fail_code[:count]]
+    first = inj_start[event]
+    support = inj_start[event + 1] - first
+    xz = code_xz[code]
     for plane, part in enumerate((1, 2)):
         failure, entry = np.nonzero(xz & part)
-        owner = record[failure]
-        inside = entry < inj_start[owner + 1] - inj_start[owner]
-        failure, entry, owner = failure[inside], entry[inside], owner[inside]
+        inside = entry < support[failure]
+        failure, entry = failure[inside], entry[inside]
         np.bitwise_xor.at(
             words[plane],
-            (inj_start[owner] + entry, lane[failure] >> 6),
+            (first[failure] + entry, lane[failure] >> 6),
             _BIT64[lane[failure] & 63],
         )
     return words
@@ -193,9 +307,13 @@ def _np_inject(e, inj_start, inj_qubit, inj_x, inj_z, fx, fz):
 
 def frame_kernel_numpy(
     W,
+    B,
     ops,
     code_width,
-    flips,
+    classes,
+    events,
+    table,
+    seed,
     opcodes,
     qubit0,
     qubit1,
@@ -210,66 +328,81 @@ def frame_kernel_numpy(
     inj_start,
     inj_qubit,
     code_xz,
-    flip_slots,
-    fail_start,
-    flip_start,
-    fail_lane,
-    fail_code,
-    drawn,
+    event_class,
+    event_rank,
+    event_letters,
+    event_code,
+    class_events,
+    thresholds,
+    guides,
     out,
     fx,
     fz,
     mout,
+    dw,
+    error_count,
 ):
     """Pure-numpy kernel with the same signature as the C kernel.
 
     Parameters (all arrays C-contiguous):
 
-    ``W``/``ops``/``code_width``/``flips``
-        Packed word count, number of operations, columns of ``code_xz`` and
-        number of measurement flips.
+    ``W``/``B``/``ops``/``code_width``
+        Packed word count, batch size, number of operations and columns of
+        ``code_xz``.
+    ``classes``/``events``/``table``/``seed``
+        Numbers of probability classes, of events and of thresholds per
+        class, and the run's 64-bit seed.
     ``opcodes``/``qubit0``/``qubit1``/``slots``
         ``(ops,)`` int32 program arrays (see ``CompiledCircuit.kernel_arrays``).
     ``ref_bits``/``draw_index``
-        ``(ops,)`` facts of the reference pass: ``draw_index[k]`` is the row
-        of ``drawn`` (and of the pivot records) of a random measurement, -1
-        otherwise; ``ref_bits[k]`` (uint8) is the reference outcome of a
-        deterministic one.
+        ``(ops,)`` facts of the reference pass: ``draw_index[k]`` numbers
+        the random measurements (-1 otherwise); ``ref_bits[k]`` (uint8) is
+        the reference outcome of a deterministic one.
     ``piv_start``/``piv_qubit``/``piv_xz``
-        Pivot stabilizers of the random measurements: record ``d`` covers
-        entries ``piv_start[d]:piv_start[d+1]`` of ``piv_qubit`` (int32) and
-        ``piv_xz`` (uint8: bit 0 the X part, bit 1 the Z part).
+        Pivot stabilizers of the random measurements: measurement ``d``
+        covers entries ``piv_start[d]:piv_start[d+1]`` of ``piv_qubit``
+        (int32) and ``piv_xz`` (uint8: bit 0 the X part, bit 1 the Z part).
     ``pre_inj``/``post_inj``
-        ``(ops,)`` int32 indices of the noise record applied before
-        (movement) / after (gate, preparation) the operation, -1 for none.
+        ``(ops,)`` int32 indices of the event applied before (movement) /
+        after (gate, preparation, measurement flip) the operation, -1 for
+        none.
     ``inj_start``/``inj_qubit``
-        Supports of the noise records: record ``e`` acts on the qubits
-        ``inj_qubit[inj_start[e]:inj_start[e+1]]`` (int32).
+        Supports of the events: event ``e`` acts on the qubits
+        ``inj_qubit[inj_start[e]:inj_start[e+1]]`` (int32); a flip has none.
     ``code_xz``
         ``(C, code_width)`` uint8 letter-code table: a failure of code ``c``
         applies the Pauli ``code_xz[c, j]`` (bit 0 X, bit 1 Z) to support
-        entry ``j`` of its record.
-    ``fail_start``/``fail_lane``/``fail_code``
-        int64 failure records: record ``e`` failed in lanes
-        ``fail_lane[fail_start[e]:fail_start[e+1]]`` with letter codes
-        ``fail_code`` of the same entries.  Each failure XORs one lane bit
-        into the frame words of its record's support.
-    ``flip_slots``/``flip_start``
-        The measurement flips: flip ``f`` failed in lanes
-        ``fail_lane[flip_start[f]:flip_start[f+1]]``, whose bits are XORed
-        onto outcome row ``flip_slots[f]`` (int64) after the program.
-    ``drawn``/``out``
-        ``(D, W)`` random measurement words / ``(M, W)`` outcome words.
+        entry ``j`` of its event.
+    ``event_class``/``event_rank``/``event_letters``/``event_code``
+        Per event (int32, ``event_rank`` int64): its probability class, its
+        rank in the class, its number of letters and its first letter code.
+    ``class_events``/``thresholds``/``guides``
+        ``(classes,)`` int64 events per class, ``(classes, table)`` uint64
+        gap thresholds and ``(classes, 2**_GUIDE_BITS)`` int32 search starts
+        (which only speed the C kernel's search up).
+    ``out``
+        ``(M, W)`` outcome words.
     ``fx``/``fz``
         ``(n, W)`` uint64 frame words (updated in place).
-    ``mout``
-        ``(W,)`` uint64 working buffer for one measurement's outcome words.
+    ``mout``/``dw``
+        ``(W,)`` uint64 working buffers: one measurement's outcome words and
+        its drawn words.
+    ``error_count``
+        ``(B,)`` int64 failed events per lane (added to in place).
 
     Returns a status code: 0 on success, 1 on an unknown opcode.
     """
+    event, lane, code = _np_failures(
+        B, seed, event_class, event_letters, event_code, class_events, thresholds
+    )
+    error_count += np.bincount(lane, minlength=B)
+    draws = (piv_start.size - 1) * W
+    drawn = _np_draws(
+        _stream_key(seed, _MEASURE_STREAM), np.arange(draws, dtype=np.uint64)
+    ).reshape(-1, W)
     measure_args = (ref_bits, draw_index, piv_start, piv_qubit, piv_xz, drawn, fx, fz, mout)
-    # XORing whole rows beats a scatter per record, so decode the records once.
-    inj_x, inj_z = _np_record_words(W, inj_start, code_xz, fail_start, fail_lane, fail_code)
+    # XORing whole rows beats a scatter per event, so decode the failures once.
+    inj_x, inj_z = _np_support_words(W, inj_start, code_xz, event, lane, code)
     inject_args = (inj_start, inj_qubit, inj_x, inj_z, fx, fz)
     for k in range(ops):
         if pre_inj[k] >= 0:
@@ -306,9 +439,14 @@ def frame_kernel_numpy(
             return 1
         if post_inj[k] >= 0:
             _np_inject(int(post_inj[k]), *inject_args)
-    lane = fail_lane[flip_start[0] : flip_start[flips]]
-    rows = np.repeat(flip_slots, np.diff(flip_start[: flips + 1]))
-    np.bitwise_xor.at(out, (rows, lane >> 6), _BIT64[lane & 63])
+    # A measurement's event (which has no support) flips its outcome row;
+    # no operation reads an outcome row, so the flips can wait for the end.
+    measured = np.isin(opcodes, _MEASUREMENTS) & (post_inj >= 0)
+    flip_slot = np.full(events, -1, dtype=np.int64)
+    flip_slot[post_inj[measured]] = slots[measured]
+    flipped = flip_slot[event] >= 0
+    row, lane = flip_slot[event[flipped]], lane[flipped]
+    np.bitwise_xor.at(out, (row, lane >> 6), _BIT64[lane & 63])
     return 0
 
 
@@ -374,7 +512,7 @@ def _cext_kernel():
         _CEXT_ERROR = f"cannot load compiled kernel {shared.name}: {exc}"
         return None
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 24
+    fn.argtypes = [ctypes.c_int64] * 7 + [ctypes.c_uint64] + [ctypes.c_void_p] * 27
     _CEXT_FN = fn
     return fn
 
@@ -403,16 +541,26 @@ def _address(array: np.ndarray) -> int:
 
     Reading it through the buffer protocol costs a third of building the
     array's ``.ctypes`` object (and refuses a read-only or strided array).
-    An empty array, which the kernel never reads, gets address 0.
     """
-    return ctypes.addressof(ctypes.c_char.from_buffer(array)) if array.size else 0
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
 # ----------------------------------------------------------------------
 # Tier selection
 # ----------------------------------------------------------------------
 
-_TIER_CACHE: dict[str, str] = {}
+_KERNEL_ENV = "REPRO_FUSED_KERNEL"
+
+# The environment as ``os.environ`` stores it, encoded: reading it skips the
+# KeyError that ``os.environ.get`` raises and catches for an unset variable
+# (about 1 us per read).
+_ENVIRON = os.environ._data
+_TIER_VARIABLES = tuple(map(os.environ.encodekey, (_KERNEL_ENV, faults.FAULTS_ENV)))
+
+#: Resolved tiers keyed by the raw ``REPRO_FUSED_KERNEL`` and
+#: ``REPRO_FAULTS`` values and the programmatic fault-profile override, so
+#: changing any of them resolves afresh.
+_TIER_CACHE: dict[tuple, str] = {}
 
 
 def kernel_tier() -> str:
@@ -424,22 +572,22 @@ def kernel_tier() -> str:
     logger).  Forcing an unavailable tier raises :class:`SimulationError`
     with the recorded reason.
     """
-    requested = os.environ.get("REPRO_FUSED_KERNEL", "auto").strip().lower() or "auto"
-    # Fault injection (repro.faults, KERNEL_NATIVE site): while a profile
-    # with a nonzero kernel rate is active, the tier cache is bypassed so
-    # fault decisions are re-evaluated per call and never pollute the
-    # steady-state cache.
-    profile = faults.active_profile()
-    fault_gated = profile is not None and profile.kernel > 0.0
-    if not fault_gated:
-        cached = _TIER_CACHE.get(requested)
-        if cached is not None:
-            return cached
+    kernel, fault_spec = map(_ENVIRON.get, _TIER_VARIABLES)
+    key = (kernel, fault_spec, faults.profile_override())
+    cached = _TIER_CACHE.get(key)
+    if cached is not None:
+        return cached
+    requested = (os.environ.decodevalue(kernel) if kernel else "").strip().lower() or "auto"
     if requested not in ("auto",) + KERNEL_TIERS:
         raise SimulationError(
             f"REPRO_FUSED_KERNEL={requested!r} is not a kernel tier; "
             f"expected 'auto' or one of {KERNEL_TIERS}"
         )
+    # Fault injection (repro.faults, KERNEL_NATIVE site): while a profile
+    # with a nonzero kernel rate is active, fault decisions are re-evaluated
+    # per call and never pollute the steady-state cache.
+    profile = faults.active_profile()
+    fault_gated = profile is not None and profile.kernel > 0.0
     if fault_gated and faults.should_fire(
         faults.KERNEL_NATIVE,
         faults.fault_key(f"kernel_tier:{requested}"),
@@ -467,7 +615,7 @@ def kernel_tier() -> str:
     else:
         tier = requested
     if not fault_gated:
-        _TIER_CACHE[requested] = tier
+        _TIER_CACHE[key] = tier
     return tier
 
 
@@ -475,42 +623,13 @@ def kernel_tier() -> str:
 # Kernel plans: compiled programs lowered to kernel-ready arrays
 # ----------------------------------------------------------------------
 
+#: Plans keyed by their programs' content digests, so equal programs
+#: compiled separately (a rebuilt experiment's, say) share one plan and its
+#: noise templates.
+_PLAN_CACHE: dict[tuple[bytes, ...], "_KernelPlan"] = {}
 
-class _WeakIdCache:
-    """An identity-keyed cache whose entries die with any of their keys.
-
-    ``CompiledCircuit`` is a frozen dataclass holding numpy arrays, so it is
-    neither hashable nor cheap to compare; identity is the right key and weak
-    references keep a freed program's reused address from resurrecting a
-    stale plan.  A key is a tuple of programs (a run's segments).
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[int, ...], tuple[tuple[weakref.ref, ...], object]] = {}
-
-    def get(self, keys: tuple):
-        entry = self._entries.get(tuple(map(id, keys)))
-        if entry is None:
-            return None
-        refs, value = entry
-        for ref, key in zip(refs, keys):
-            if ref() is not key:
-                return None
-        return value
-
-    def set(self, keys: tuple, value) -> None:
-        ident = tuple(map(id, keys))
-        entries = self._entries
-
-        def drop(_unused, ident=ident):
-            entries.pop(ident, None)
-
-        entries[ident] = (tuple(weakref.ref(key, drop) for key in keys), value)
-
-
-_PLAN_CACHE = _WeakIdCache()
-
-#: Bound on the per-plan noise-template caches and the reference-pass cache.
+#: Bound on the plan cache, the per-plan template caches and the
+#: reference-pass cache.
 _PLAN_CACHE_LIMIT = 64
 
 
@@ -519,13 +638,11 @@ class _KernelPlan:
 
     The segments' programs are concatenated: ``op_bounds[s]`` is the first
     operation of segment ``s`` (the last entry the total), and each
-    segment's measurement slots follow the earlier segments'.  ``parts``
-    holds the single-program plans of the segments, which own their noise
-    templates; a single program is its own only part.  ``content_key``
-    digests the operations the reference pass depends on and the segment
-    bounds, so equal runs compiled separately share their reference passes,
-    and ``addresses`` holds the data addresses of the arrays the C kernel
-    reads.
+    segment's measurement slots follow the earlier segments'.
+    ``content_key`` digests the operations the reference pass depends on,
+    so runs with equal operations share their reference passes;
+    ``addresses`` holds the data addresses of the arrays the C kernel
+    reads, and ``template_cache`` the run's noise templates.
     """
 
     __slots__ = (
@@ -538,39 +655,26 @@ class _KernelPlan:
         "num_qubits",
         "num_measurements",
         "op_bounds",
-        "parts",
         "content_key",
         "addresses",
         "template_cache",
     )
 
     def __init__(self, programs: tuple[CompiledCircuit, ...]) -> None:
-        if len(programs) == 1:
-            (program,) = programs
-            arrays = program.kernel_arrays()
-            unsupported = set(np.unique(arrays[0]).tolist()) - SUPPORTED_OPCODES
+        for program in programs:
+            unsupported = set(np.unique(program.opcodes).tolist()) - SUPPORTED_OPCODES
             if unsupported:
                 names = sorted(Opcode(op).name for op in unsupported)
                 raise SimulationError(
                     f"circuit {program.name!r} contains opcodes {names} that the "
                     "fused kernel does not support"
                 )
-            self.parts = (self,)
-        else:
-            self.parts = tuple(_plan_for(program) for program in programs)
-            measured = np.cumsum([0] + [part.num_measurements for part in self.parts])
-            arrays = [
-                np.concatenate([getattr(part, name) for part in self.parts])
-                for name in ("opcodes", "qubit0", "qubit1", "exposure", "moved")
-            ]
-            arrays.append(
-                np.concatenate(
-                    [
-                        np.where(part.slots >= 0, part.slots + offset, -1).astype(np.int32)
-                        for part, offset in zip(self.parts, measured.tolist())
-                    ]
-                )
-            )
+        columns = list(zip(*(program.kernel_arrays() for program in programs)))
+        measured = np.cumsum([0] + [program.num_measurements for program in programs])
+        columns[5] = [
+            np.where(slots >= 0, slots + offset, -1)
+            for slots, offset in zip(columns[5], measured.tolist())
+        ]
         (
             self.opcodes,
             self.qubit0,
@@ -578,25 +682,25 @@ class _KernelPlan:
             self.exposure,
             self.moved,
             self.slots,
-        ) = arrays
+        ) = (np.concatenate(column).astype(np.int32) for column in columns)
         self.num_qubits = max(program.num_qubits for program in programs)
-        self.num_measurements = sum(program.num_measurements for program in programs)
+        self.num_measurements = int(measured[-1])
         self.op_bounds = np.cumsum([0] + [len(program.opcodes) for program in programs]).tolist()
         self.content_key = hashlib.sha256(
-            self.opcodes.tobytes()
-            + self.qubit0.tobytes()
-            + self.qubit1.tobytes()
-            + np.asarray(self.op_bounds, dtype=np.int64).tobytes()
+            self.opcodes.tobytes() + self.qubit0.tobytes() + self.qubit1.tobytes()
         ).digest()
         self.addresses = _addresses(self.opcodes, self.qubit0, self.qubit1, self.slots)
         self.template_cache: dict = {}
 
 
 def _plan_for(*programs: CompiledCircuit) -> _KernelPlan:
-    plan = _PLAN_CACHE.get(programs)
+    key = tuple(program.content_digest for program in programs)
+    plan = _PLAN_CACHE.get(key)
     if plan is None:
         plan = _KernelPlan(programs)
-        _PLAN_CACHE.set(programs, plan)
+        if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
+            _PLAN_CACHE.clear()
+        _PLAN_CACHE[key] = plan
     return plan
 
 
@@ -630,10 +734,8 @@ class _Reference:
     ``draw_index[k]`` numbers the random measurements (-1 elsewhere) and
     ``ref_bits[k]`` holds a deterministic measurement's reference outcome;
     random measurement ``d`` has pivot stabilizer entries
-    ``piv_start[d]:piv_start[d+1]`` of ``piv_qubit``/``piv_xz``.  The
-    random measurements of segment ``s`` are ``draw_bounds[s]`` up to
-    ``draw_bounds[s+1]``.  ``addresses`` holds the data addresses of those
-    five arrays.
+    ``piv_start[d]:piv_start[d+1]`` of ``piv_qubit``/``piv_xz``.
+    ``addresses`` holds the data addresses of those five arrays.
     """
 
     __slots__ = (
@@ -641,8 +743,6 @@ class _Reference:
         "final_key",
         "ref_bits",
         "draw_index",
-        "draw_count",
-        "draw_bounds",
         "piv_start",
         "piv_qubit",
         "piv_xz",
@@ -690,9 +790,6 @@ def _reference_pass(plan: _KernelPlan, start: StabilizerTableau) -> _Reference:
     reference.final_key = _tableau_key(tableau)
     reference.ref_bits = ref_bits
     reference.draw_index = draw_index
-    reference.draw_count = len(piv_start) - 1
-    random = np.concatenate(([0], np.cumsum(draw_index >= 0)))
-    reference.draw_bounds = random[plan.op_bounds].tolist()
     reference.piv_start = np.asarray(piv_start, dtype=np.int32)
     reference.piv_qubit = np.asarray(piv_qubit, dtype=np.int32)
     reference.piv_xz = np.asarray(piv_xz, dtype=np.uint8)
@@ -716,19 +813,18 @@ def _reference_for(plan: _KernelPlan, state: "PauliFrameBatch") -> _Reference:
 
 
 # ----------------------------------------------------------------------
-# Noise block: a whole run's noise sampled in O(failures)
+# Noise templates: a run's declared channels as classed events
 # ----------------------------------------------------------------------
 
 # Letter codes of a failure index the rows of a code table: ``code_xz[c, j]`` is
 # the Pauli a failure of code ``c`` applies to support entry ``j`` of its
-# record (bit 0 X, bit 1 Z).  The built-in alphabets share one table: code 0
-# is the preparation X flip, 1..3 the one-qubit depolarizing letters, 4..18
-# the two-qubit pairs and 19 a classical measurement flip, which touches no
-# frame.  A template that declares any other alphabet appends rows of its own.
+# event (bit 0 X, bit 1 Z).  The built-in alphabets share one table: code 0
+# is the preparation X flip, 1..3 the one-qubit depolarizing letters and 4..18
+# the two-qubit pairs.  A template that declares any other alphabet appends
+# rows of its own.  A measurement flip has no support and takes code 0.
 _PAULI_XZ = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 _SHARED_CODES = {("X",): 0, _ONE_QUBIT_ERRORS: 1, _TWO_QUBIT_ERRORS: 4}
-_FLIP_CODE = 19
-_SHARED_LETTERS = ("X",) + _ONE_QUBIT_ERRORS + _TWO_QUBIT_ERRORS + ("II",)
+_SHARED_LETTERS = ("X",) + _ONE_QUBIT_ERRORS + _TWO_QUBIT_ERRORS
 
 
 def _code_rows(letters: Sequence[str], width: int) -> np.ndarray:
@@ -748,49 +844,59 @@ _MEASUREMENTS = (int(Opcode.MEASURE), int(Opcode.MEASURE_X))
 
 
 class _NoiseTemplate:
-    """The failable events of one program under one noise model's declarations.
+    """The failable events of a run under its segments' noise declarations.
 
-    Every channel the model declares for the program's operations is an event
-    (channels of probability zero are dropped).  Event ``e`` fails in each
+    Operation ``k`` of segment ``s`` takes its channels from ``models[s]``;
+    every channel of nonzero probability is an event, numbered in program
+    order (channels of probability zero are dropped).  ``pre_inj[k]`` /
+    ``post_inj[k]`` name the event before (movement) / after (gate,
+    preparation, measurement flip) operation ``k``, -1 for none.  Event ``e``
+    acts on ``inj_qubit[inj_start[e]:inj_start[e+1]]`` and fails in each
     lane independently with probability ``p[e]``; a failing lane draws a
-    letter uniformly from ``letters[e]`` choices (one choice draws nothing)
-    and fails with letter code ``code[e] + letter``, a row of ``code_xz``.
-    The injection events come first, event ``e`` being injection record
-    ``e``; the measurement flips follow, flip ``f`` XORing onto outcome row
-    ``flip_slots[f]``.  ``uniform_p`` is the probability every event shares,
-    if they do, and ``uniform_letters`` the number of letters (more than
-    one), likewise.  ``max_qubit`` is the highest support qubit declared (-1
-    for none), which each run checks against its register.
+    letter uniformly from ``event_letters[e]`` choices and applies the row
+    ``event_code[e] + letter`` of ``code_xz``.  The events of one
+    probability form a class: ``event_class[e]`` and ``event_rank[e]``
+    place the event, ``class_events[c]`` counts class ``c``'s events,
+    ``thresholds[c]`` holds its gap thresholds and ``guides[c]`` the C
+    kernel's search starts per bucket of draws.  ``max_qubit`` is the
+    highest support qubit declared (-1 for none), which each run checks
+    against its register, and ``addresses`` the C kernel's array addresses.
     """
 
     __slots__ = (
         "p",
-        "letters",
-        "code",
-        "code_xz",
         "pre_inj",
         "post_inj",
         "inj_start",
         "inj_qubit",
-        "record_addresses",
-        "flip_slots",
-        "uniform_p",
-        "uniform_letters",
+        "code_xz",
+        "event_class",
+        "event_rank",
+        "event_letters",
+        "event_code",
+        "class_events",
+        "thresholds",
+        "guides",
         "max_qubit",
+        "addresses",
     )
 
-    def __init__(self, plan: _KernelPlan, noise: NoiseModel) -> None:
+    def __init__(self, plan: _KernelPlan, models: tuple[NoiseModel, ...]) -> None:
         ops = plan.opcodes.shape[0]
         pre_inj = [-1] * ops
         post_inj = [-1] * ops
         inj_qubit: list[int] = []
         inj_start = [0]
         events: list[tuple[float, int, int]] = []  # (p, letters, code)
-        flips: list[float] = []
-        flip_slots: list[int] = []
         local_codes: dict[tuple[str, ...], int] = {}
         local_rows: list[str] = []
         top = -1
+
+        def event(p: float, qubits: tuple[int, ...], letters: int, code: int) -> int:
+            events.append((p, letters, code))
+            inj_qubit.extend(qubits)
+            inj_start.append(len(inj_qubit))
+            return len(events) - 1
 
         def record(channel: PauliChannel | None) -> int:
             nonlocal top
@@ -807,336 +913,90 @@ class _NoiseTemplate:
                 if code is None:
                     code = local_codes[letters] = _CODE_XZ.shape[0] + len(local_rows)
                     local_rows.extend(letters)
-            events.append((p, len(letters), code))
-            inj_qubit.extend(qubits)
-            inj_start.append(len(inj_qubit))
-            return len(inj_start) - 2
+            return event(p, qubits, len(letters), code)
 
-        flip = flip_probability(noise)
-        columns = (plan.opcodes, plan.qubit0, plan.qubit1, plan.exposure, plan.moved, plan.slots)
-        for k, (op, q0, q1, exposure, moved, slot) in enumerate(
-            zip(*(column.tolist() for column in columns))
-        ):
-            if exposure > 0:
-                pre_inj[k] = record(noise.movement_channel(moved, exposure))
-            if op == _PREPARE:
-                post_inj[k] = record(noise.preparation_channel(q0))
-            elif op in _MEASUREMENTS:
-                if flip:
-                    flips.append(flip)
-                    flip_slots.append(slot)
-            else:
-                operands = (q0,) if q1 < 0 else (q0, q1)
-                post_inj[k] = record(noise.gate_channel(_OPCODE_NAMES[op], operands))
+        columns = (plan.opcodes, plan.qubit0, plan.qubit1, plan.exposure, plan.moved)
+        rows = zip(*(column.tolist() for column in columns))
+        for model, first, end in zip(models, plan.op_bounds, plan.op_bounds[1:]):
+            flip = flip_probability(model)
+            for k, (op, q0, q1, exposure, moved) in zip(range(first, end), rows):
+                if exposure > 0:
+                    pre_inj[k] = record(model.movement_channel(moved, exposure))
+                if op == _PREPARE:
+                    post_inj[k] = record(model.preparation_channel(q0))
+                elif op in _MEASUREMENTS:
+                    if flip:
+                        post_inj[k] = event(flip, (), 1, 0)
+                else:
+                    operands = (q0,) if q1 < 0 else (q0, q1)
+                    post_inj[k] = record(model.gate_channel(_OPCODE_NAMES[op], operands))
         self.pre_inj = np.asarray(pre_inj, dtype=np.int32)
         self.post_inj = np.asarray(post_inj, dtype=np.int32)
+        self.inj_start = np.asarray(inj_start, dtype=np.int32)
+        self.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
         self.max_qubit = top
-        events += [(p, 1, _FLIP_CODE) for p in flips]
-        self.p = np.array([event[0] for event in events], dtype=np.float64)
-        self.letters = np.array([event[1] for event in events], dtype=np.int64)
-        self.code = np.array([event[2] for event in events], dtype=np.int64)
         self.code_xz = _CODE_XZ
         if local_rows:
             width = max(2, *map(len, local_rows))
             self.code_xz = _code_rows(_SHARED_LETTERS + tuple(local_rows), width)
-        uniform = self.p.size and (self.p == self.p[0]).all()
-        self.uniform_p = float(self.p[0]) if uniform else None
-        uniform = self.letters.size and (self.letters == self.letters[0]).all()
-        self.uniform_letters = int(self.letters[0]) if uniform and self.letters[0] > 1 else None
-        self.inj_start = np.asarray(inj_start, dtype=np.int32)
-        self.inj_qubit = np.asarray(inj_qubit, dtype=np.int32)
-        self.flip_slots = np.asarray(flip_slots, dtype=np.int64)
-        self.record_addresses = _addresses(
+        self.p = np.array([p for p, _, _ in events], dtype=np.float64)
+        self.event_letters = np.array([n for _, n, _ in events], dtype=np.int32)
+        self.event_code = np.array([code for _, _, code in events], dtype=np.int32)
+        probabilities, event_class = np.unique(self.p, return_inverse=True)
+        self.event_class = event_class.astype(np.int32)
+        self.class_events = np.bincount(event_class, minlength=probabilities.size)
+        order = np.argsort(event_class, kind="stable")
+        firsts = np.cumsum(self.class_events) - self.class_events
+        self.event_rank = np.empty(self.p.size, dtype=np.int64)
+        self.event_rank[order] = np.arange(self.p.size) - np.repeat(firsts, self.class_events)
+        self.thresholds = np.zeros((probabilities.size, _GAP_TABLE), dtype=np.uint64)
+        self.guides = np.zeros((probabilities.size, 1 << _GUIDE_BITS), dtype=np.int32)
+        buckets = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << np.uint64(63 - _GUIDE_BITS)
+        for c, p in enumerate(probabilities.tolist()):
+            self.thresholds[c] = _gap_thresholds(p, _GAP_TABLE)
+            self.guides[c] = np.searchsorted(self.thresholds[c], buckets, side="right")
+        self.addresses = _addresses(
             self.pre_inj,
             self.post_inj,
             self.inj_start,
             self.inj_qubit,
             self.code_xz,
-            self.flip_slots,
+            self.event_class,
+            self.event_rank,
+            self.event_letters,
+            self.event_code,
+            self.class_events,
+            self.thresholds,
+            self.guides,
         )
 
+    def sample(self, batch_size: int, seed: int):
+        """The failures a run with this seed draws: ``(event, lane, code)``.
 
-class NoiseBlock:
-    """One run's sampled noise as failure records.
-
-    Injection record ``e`` acts on qubits ``inj_qubit[inj_start[e]:inj_start[e+1]]``
-    and failed in the lanes ``fail_lane[fail_start[e]:fail_start[e+1]]``; a
-    failure with letter code ``c`` applies the Pauli ``code_xz[c, j]`` (bit 0
-    X, bit 1 Z) to support entry ``j``.  ``pre_inj[k]``/``post_inj[k]`` name
-    the record applied before / after operation ``k`` (``-1`` for none), and
-    ``record_addresses`` holds the data addresses of those four index arrays
-    and of ``code_xz`` for the C kernel.  The measurement flips follow the
-    ``R`` records: flip ``f`` failed in the lanes of entry ``R + f`` of
-    ``fail_start``, which are XORed onto outcome row ``flip_slots[f]``.
-    ``error_count`` counts the failed events of each lane.  ``template`` is
-    the :class:`_NoiseTemplate` the block was sampled from, which fixes every
-    field but the failures (None for a run's merged block).
-    """
-
-    __slots__ = (
-        "template",
-        "pre_inj",
-        "post_inj",
-        "inj_start",
-        "inj_qubit",
-        "code_xz",
-        "record_addresses",
-        "fail_start",
-        "fail_lane",
-        "fail_code",
-        "flip_slots",
-        "error_count",
-    )
+        The numpy tier's sampler, ordered by event and then lane; the C
+        kernel draws the same failures as it reaches each event.
+        """
+        arrays = (self.event_class, self.event_letters, self.event_code, self.class_events)
+        return _np_failures(batch_size, seed, *arrays, self.thresholds)
 
 
-#: The fields of a :class:`NoiseBlock` that do not hold failures.
-_LAYOUT_FIELDS = (
-    "template",
-    "pre_inj",
-    "post_inj",
-    "inj_start",
-    "inj_qubit",
-    "code_xz",
-    "record_addresses",
-    "flip_slots",
-)
+def _template_for(plan: _KernelPlan, models: tuple[NoiseModel, ...]) -> _NoiseTemplate:
+    """A run's noise template, cached on its plan.
 
-
-def _failing_lanes(counts: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted keys ``event * batch_size + lane`` of every failure.
-
-    Event ``e`` gets a uniformly random ``counts[e]``-subset of the lanes.
-    All lanes come from one ``integers`` call; a lane repeated within an
-    event is redrawn, uniformly over every lane, until the event's lanes are
-    distinct.  The procedure treats every lane alike, so the law of each
-    event's lane set is invariant under relabelling lanes -- which on
-    fixed-size subsets means exactly uniform.  Events failing in more than
-    half the lanes draw their passing lanes instead, so each redraw round at
-    least halves the repeats in expectation.
-    """
-    dense = 2 * counts > batch_size
-    any_dense = np.count_nonzero(dense)
-    drawn = np.where(dense, batch_size - counts, counts) if any_dense else counts
-    events = np.arange(counts.size, dtype=np.int64).repeat(drawn)
-    keys = events * batch_size + rng.integers(0, batch_size, size=events.size)
-    keys.sort()
-    while True:
-        repeats = (keys[1:] == keys[:-1]).nonzero()[0] + 1
-        if not repeats.size:
-            break
-        lanes = rng.integers(0, batch_size, size=repeats.size)
-        keys[repeats] += lanes - keys[repeats] % batch_size
-        keys.sort()
-    if any_dense:
-        dense_events = np.flatnonzero(dense)
-        failing = np.ones((dense_events.size, batch_size), dtype=np.bool_)
-        is_passing = dense[keys // batch_size]
-        passing = keys[is_passing]
-        failing[np.searchsorted(dense_events, passing // batch_size), passing % batch_size] = False
-        row, lane = np.nonzero(failing)
-        keys = np.concatenate((keys[~is_passing], dense_events[row] * batch_size + lane))
-        keys.sort()
-    return keys
-
-
-_NO_FAILURES = np.zeros(0, dtype=np.int64)
-
-
-def _sample_block(
-    template: _NoiseTemplate, batch_size: int, rng: np.random.Generator
-) -> NoiseBlock:
-    """Sample a template's events for ``batch_size`` lanes in O(1) RNG calls.
-
-    ``binomial`` gives every event's failure count, :func:`_failing_lanes`
-    the failing lanes and one ``integers`` call the depolarizing letters of
-    the failing lanes only; the joint law is that of independent
-    Bernoulli(``p``) lanes with uniform letters.  The keys come sorted by
-    event, so the failure records are the keys themselves, in O(failures)
-    work.  A template without events leaves ``rng`` untouched.
-    """
-    block = NoiseBlock()
-    block.fail_start = np.zeros(template.p.size + 1, dtype=np.int64)
-    block.fail_lane = block.fail_code = _NO_FAILURES
-    block.error_count = np.zeros(batch_size, dtype=np.int64)
-    counts = None
-    if template.uniform_p is not None:
-        # One probability for every event: a scalar argument makes the same
-        # draws as an array of it, without the array's per-call checks (so
-        # does a scalar number of letters below).
-        counts = rng.binomial(batch_size, template.uniform_p, size=template.p.size)
-    elif template.p.size:
-        counts = rng.binomial(batch_size, template.p)
-    if counts is not None and np.count_nonzero(counts):
-        keys = _failing_lanes(counts, batch_size, rng)
-        event, lane = np.divmod(keys, batch_size)
-        code = template.code[event]
-        if template.uniform_letters is not None:
-            code += rng.integers(0, template.uniform_letters, size=code.size)
-        else:
-            letters = template.letters[event]
-            depolarizing = letters > 1
-            code[depolarizing] += rng.integers(0, letters[depolarizing])
-        counts.cumsum(out=block.fail_start[1:])
-        block.fail_lane = lane
-        block.fail_code = code
-        block.error_count = np.bincount(lane, minlength=batch_size)
-    block.template = template
-    block.pre_inj = template.pre_inj
-    block.post_inj = template.post_inj
-    block.inj_start = template.inj_start
-    block.inj_qubit = template.inj_qubit
-    block.code_xz = template.code_xz
-    block.record_addresses = template.record_addresses
-    block.flip_slots = template.flip_slots
-    return block
-
-
-def _plan_block(
-    plan: _KernelPlan, noise: NoiseModel, batch_size: int, rng: np.random.Generator
-) -> NoiseBlock:
-    """Sample a model's noise on one program from its cached template.
-
-    Templates are cached per model class and attribute values, which fix a
-    model's declarations; a model with unhashable attribute values is
+    Templates are cached per model classes and attribute values, which fix
+    the models' declarations; a model with unhashable attribute values is
     declared afresh every run.
     """
     try:
-        key = (type(noise), tuple(vars(noise).items()))
+        key = tuple((type(model), tuple(vars(model).items())) for model in models)
         template = plan.template_cache.get(key)
     except TypeError:
-        return _sample_block(_NoiseTemplate(plan, noise), batch_size, rng)
+        return _NoiseTemplate(plan, models)
     if template is None:
         if len(plan.template_cache) >= _PLAN_CACHE_LIMIT:
             plan.template_cache.clear()
-        template = plan.template_cache[key] = _NoiseTemplate(plan, noise)
-    return _sample_block(template, batch_size, rng)
-
-
-def noise_block(
-    program: CompiledCircuit,
-    noise: NoiseModel,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> NoiseBlock:
-    """Sample one run's noise: the channels ``noise`` declares for ``program``.
-
-    :func:`execute_fused` draws this block from ``rng`` before the run's
-    measurement words, for every model.  A model that declares no channel
-    of nonzero probability leaves ``rng`` untouched.
-    """
-    return _plan_block(_plan_for(program), noise, batch_size, rng)
-
-
-def _measurement_words(draw_count: int, W: int, rng: np.random.Generator) -> np.ndarray:
-    """The random measurement words of one segment, in program order."""
-    return rng.integers(0, _UINT64_MAX, size=(draw_count, W), dtype=np.uint64, endpoint=True)
-
-
-def _merged_layout(plan: _KernelPlan, blocks: list[NoiseBlock]):
-    """The fixed half of the segments' merged block: ``(layout, pieces)``.
-
-    ``layout`` carries the merged record, letter-code and flip fields.
-    ``pieces`` lists the runs of events the merged block takes from the
-    segments, in order, as ``(segment, first event, end event, code
-    offset)``: every segment's records, then every segment's flips, with
-    adjacent runs joined.  A layout depends on the segments' templates only,
-    so it is cached on the plan.
-    """
-    key = tuple(block.template for block in blocks)
-    cached = plan.template_cache.get(key)
-    if cached is not None:
-        return cached
-    records = [block.inj_start.size - 1 for block in blocks]
-    record_offsets = np.cumsum([0] + records).tolist()
-    qubit_offsets = np.cumsum([0] + [int(block.inj_start[-1]) for block in blocks]).tolist()
-    slot_offsets = np.cumsum([0] + [part.num_measurements for part in plan.parts]).tolist()
-    tables = [block.code_xz for block in blocks]
-    layout = NoiseBlock()
-    layout.template = None
-    for name in ("pre_inj", "post_inj"):
-        # Record indices move past the earlier segments' records; -1 stays.
-        shifted = [
-            np.where(getattr(block, name) >= 0, getattr(block, name) + offset, -1)
-            for block, offset in zip(blocks, record_offsets)
-        ]
-        setattr(layout, name, np.concatenate(shifted).astype(np.int32))
-    layout.inj_start = np.concatenate(
-        [block.inj_start[:-1] + offset for block, offset in zip(blocks, qubit_offsets)]
-        + [qubit_offsets[-1:]]
-    ).astype(np.int32)
-    layout.inj_qubit = np.concatenate([block.inj_qubit for block in blocks]).astype(np.int32)
-    if all(table is _CODE_XZ for table in tables):
-        layout.code_xz = _CODE_XZ
-        code_offsets = [0] * len(blocks)
-    else:
-        width = max(table.shape[1] for table in tables)
-        layout.code_xz = np.ascontiguousarray(
-            np.concatenate([np.pad(t, ((0, 0), (0, width - t.shape[1]))) for t in tables])
-        )
-        code_offsets = np.cumsum([0] + [table.shape[0] for table in tables[:-1]]).tolist()
-    layout.flip_slots = np.concatenate(
-        [block.flip_slots + offset for block, offset in zip(blocks, slot_offsets)]
-    ).astype(np.int64)
-    layout.record_addresses = _addresses(
-        layout.pre_inj,
-        layout.post_inj,
-        layout.inj_start,
-        layout.inj_qubit,
-        layout.code_xz,
-        layout.flip_slots,
-    )
-    pieces: list[list[int]] = []
-    runs = [(s, 0, r) for s, r in enumerate(records)]
-    runs += [(s, r, b.fail_start.size - 1) for s, (b, r) in enumerate(zip(blocks, records))]
-    for s, first, end in runs:
-        if first == end:
-            continue
-        if pieces and pieces[-1][0] == s and pieces[-1][2] == first:
-            pieces[-1][2] = end
-        else:
-            pieces.append([s, first, end, code_offsets[s]])
-    merged = (layout, pieces)
-    if len(plan.template_cache) >= _PLAN_CACHE_LIMIT:
-        plan.template_cache.clear()
-    plan.template_cache[key] = merged
-    return merged
-
-
-_START = np.zeros(1, dtype=np.int64)
-
-
-def _merge_blocks(plan: _KernelPlan, blocks: list[NoiseBlock]) -> NoiseBlock:
-    """One block for a run from its segments' blocks, sampled separately.
-
-    The merged block lists every segment's injection records, in segment
-    order, then every segment's measurement flips, so the kernel reads it
-    as one program's block.  Failures are moved, never redrawn: the lanes
-    and letters are the segments' own.
-    """
-    if len(blocks) == 1:
-        return blocks[0]
-    layout, pieces = _merged_layout(plan, blocks)
-    merged = NoiseBlock()
-    for name in _LAYOUT_FIELDS:
-        setattr(merged, name, getattr(layout, name))
-    starts = [_START]
-    lanes, codes = [], []
-    total = 0
-    for s, first, end, code_offset in pieces:
-        block = blocks[s]
-        bounds = block.fail_start[first : end + 1]
-        low, high = int(bounds[0]), int(bounds[-1])
-        starts.append(bounds[1:] + (total - low))
-        if high > low:
-            lanes.append(block.fail_lane[low:high])
-            code = block.fail_code[low:high]
-            codes.append(code + code_offset if code_offset else code)
-            total += high - low
-    merged.fail_start = np.concatenate(starts)
-    merged.fail_lane = np.concatenate(lanes) if lanes else _NO_FAILURES
-    merged.fail_code = np.concatenate(codes) if codes else _NO_FAILURES
-    merged.error_count = sum(block.error_count for block in blocks)
-    return merged
+        template = plan.template_cache[key] = _NoiseTemplate(plan, models)
+    return template
 
 
 # ----------------------------------------------------------------------
@@ -1162,7 +1022,8 @@ class PauliFrameBatch:
     batch_size:
         Number of logical lanes ``B`` (need not be a multiple of 64).
     rng:
-        Random generator for measurement outcomes (fresh default if omitted).
+        Random generator of the lanes extracted by :meth:`lane` (fresh
+        default if omitted); :func:`execute_fused` draws from its own.
     """
 
     def __init__(
@@ -1293,41 +1154,38 @@ class PauliFrameBatch:
 # ----------------------------------------------------------------------
 
 
-def _run_kernel(tier, W, plan, reference, block, drawn, out, state) -> int:
-    """Run the kernel once; ``out``'s last row is its measurement buffer."""
-    ops = plan.opcodes.shape[0]
-    code_width = block.code_xz.shape[1]
-    flips = block.flip_slots.size
-    records = block.inj_start.size - 1
+def _run_kernel(tier, W, B, seed, plan, reference, template, out, error_count, state) -> int:
+    """Run the kernel once; ``out``'s last two rows are its working buffers."""
+    sizes = (
+        W,
+        B,
+        plan.opcodes.shape[0],
+        template.code_xz.shape[1],
+        template.class_events.size,
+        template.p.size,
+        template.thresholds.shape[1],
+        seed,
+    )
     if tier == "cext":
         if state._frame_addresses is None:
             state._frame_addresses = (_address(state._fx), _address(state._fz))
-        start_address = _address(block.fail_start)
         out_address = _address(out)
+        buffers = out_address + out[:-2].nbytes
         return int(
             _cext_kernel()(
-                W,
-                ops,
-                code_width,
-                flips,
+                *sizes,
                 *plan.addresses,
                 *reference.addresses,
-                *block.record_addresses,
-                start_address,
-                start_address + 8 * records,
-                _address(block.fail_lane),
-                _address(block.fail_code),
-                _address(drawn),
+                *template.addresses,
                 out_address,
                 *state._frame_addresses,
-                out_address + out[:-1].nbytes,
+                buffers,
+                buffers + 8 * W,
+                _address(error_count),
             )
         )
     return frame_kernel_numpy(
-        W,
-        ops,
-        code_width,
-        flips,
+        *sizes,
         plan.opcodes,
         plan.qubit0,
         plan.qubit1,
@@ -1337,21 +1195,24 @@ def _run_kernel(tier, W, plan, reference, block, drawn, out, state) -> int:
         reference.piv_start,
         reference.piv_qubit,
         reference.piv_xz,
-        block.pre_inj,
-        block.post_inj,
-        block.inj_start,
-        block.inj_qubit,
-        block.code_xz,
-        block.flip_slots,
-        block.fail_start,
-        block.fail_start[records:],
-        block.fail_lane,
-        block.fail_code,
-        drawn,
+        template.pre_inj,
+        template.post_inj,
+        template.inj_start,
+        template.inj_qubit,
+        template.code_xz,
+        template.event_class,
+        template.event_rank,
+        template.event_letters,
+        template.event_code,
+        template.class_events,
+        template.thresholds,
+        template.guides,
         out,
         state._fx,
         state._fz,
+        out[-2],
         out[-1],
+        error_count,
     )
 
 
@@ -1367,25 +1228,25 @@ def execute_fused(
     ``program`` is one compiled program run under ``noise``, or a run given
     as ordered ``(program, noise)`` segments (``noise`` is then None): the
     segments' programs are concatenated into one kernel program with one
-    cached reference pass.  Each segment's noise is sampled from ``rng`` as
-    the :func:`noise_block` of its model's declarations, and then its random
-    measurement words from the state's generator (the same object in normal
-    use), segment by segment; so a run draws exactly what its segments would
-    draw as separate calls.
+    cached reference pass and one noise template, each operation declaring
+    its channels from its own segment's model.  The run takes exactly one 64-bit value from ``rng``, whatever
+    its segments, and the kernel derives its noise and random measurement
+    words from it.
     Returns ``(outcome_words, error_count)``: ``(M, W)`` uint64 measurement
     outcomes in slot order, the segments' slots one after the other, and
     ``(B,)`` per-lane error counts.  The state's reference and frames are
     updated in place.
     """
     if isinstance(program, CompiledCircuit):
-        segments = ((program, noise),)
+        programs, models = (program,), (noise,)
     elif noise is not None:
         raise SimulationError("a run of segments carries its noise in each segment")
     else:
         segments = tuple(program)
         if not segments:
             raise SimulationError("a run needs at least one segment")
-    programs = tuple(segment[0] for segment in segments)
+        programs = tuple(segment[0] for segment in segments)
+        models = tuple(segment[1] for segment in segments)
     for each in programs:
         require_simulable(each)
     plan = _plan_for(*programs)
@@ -1400,29 +1261,22 @@ def execute_fused(
             f"state has {state.num_qubits} qubits but the circuit needs {plan.num_qubits}"
         )
     reference = _reference_for(plan, state)
-    bounds = reference.draw_bounds
-    blocks = []
-    words = []
-    for s, (part, (_, model)) in enumerate(zip(plan.parts, segments)):
-        block = _plan_block(part, model, batch_size, rng)
-        if block.template.max_qubit >= state.num_qubits:
-            raise SimulationError(
-                f"noise model emitted qubit {block.template.max_qubit} outside register "
-                f"of size {state.num_qubits}"
-            )
-        draws = bounds[s + 1] - bounds[s]
-        if draws:
-            words.append(_measurement_words(draws, W, state._rng))
-        blocks.append(block)
-    block = _merge_blocks(plan, blocks)
-    if len(words) == 1:
-        drawn = words[0]
-    else:
-        drawn = np.concatenate(words or [np.empty((0, W), dtype=np.uint64)])
+    template = _template_for(plan, models)
+    if template.max_qubit >= state.num_qubits:
+        raise SimulationError(
+            f"noise model emitted qubit {template.max_qubit} outside register "
+            f"of size {state.num_qubits}"
+        )
+    seed = rng.bit_generator.random_raw()
     M = plan.num_measurements
-    out = np.empty((M + 1, W), dtype=np.uint64)
-    status = _run_kernel(kernel_tier(), W, plan, reference, block, drawn, out, state)
-    if status != 0:
+    out = np.empty((M + 2, W), dtype=np.uint64)
+    error_count = np.zeros(batch_size, dtype=np.int64)
+    status = _run_kernel(
+        kernel_tier(), W, batch_size, seed, plan, reference, template, out, error_count, state
+    )
+    if status == 1:
         raise SimulationError("unknown opcode reached the frame kernel")
+    if status != 0:
+        raise SimulationError("the frame kernel could not allocate its sampler")
     state._reference, state._reference_key = reference.final, reference.final_key
-    return out[:M], block.error_count
+    return out[:M], error_count

@@ -1,22 +1,136 @@
-/* Pauli-frame kernel of the Monte-Carlo engine.
+/* Pauli-frame kernel of the Monte-Carlo engine, with its noise sampler.
  *
- * The native twin of `frame_kernel_numpy` in fused.py, whose docstring
- * documents the flat argument list and the frame update rules: per-lane X/Z
- * frame words `fx`/`fz` of shape (n, W), pushed through the compiled program
- * against the per-operation facts of one noiseless reference pass.  Noise
- * arrives as failure records: record e failed in the lanes
- * fail_lane[fail_start[e] .. fail_start[e+1]), and a failure of letter code c
- * XORs its lane bit into the X (bit 0) / Z (bit 1) frame words that
- * code_xz[c * code_width + j] names for support entry j of the record.
- * The measurement flips follow the records: flip f failed in the lanes
- * fail_lane[flip_start[f] .. flip_start[f+1]), whose bits are XORed onto
- * outcome row flip_slots[f] once the program has run.
+ * The native twin of `frame_kernel_numpy` in fused.py, whose docstrings
+ * document the flat argument list, the frame update rules and the sampler.
+ * Every random number of a run is draw(stream_key(seed, s), i), splitmix64's
+ * output i of stream s: stream 0 gives the random measurement words, stream
+ * 1 the failures' letters, stream 2 + c the failure gaps of class c.  Event
+ * e of rank r in its probability class owns the keys r*B .. r*B + B - 1; a
+ * cursor per class jumps from failing key to failing key: a draw v (63 bits)
+ * puts the next failure g + 1 keys on, g being the number of thresholds
+ * t[g'] <= v (g' < T), or passes T keys and draws again when v >= t[T-1].
+ * Only integer compares decide, so the two tiers agree bit for bit.  Each
+ * failure is injected at its event's program position and adds one to its
+ * lane's error_count.
+ *
  * Compiled on demand with the system C compiler and loaded through ctypes;
  * see `_cext_kernel` in fused.py for the build/caching protocol.  The build
  * cache is keyed by a hash of this source.
  */
 
 #include <stdint.h>
+#include <stdlib.h>
+
+#define GAMMA 0x9E3779B97F4A7C15ULL
+#define STREAM_GAMMA 0xD1B54A32D192ED03ULL
+#define MEASURE_STREAM 0
+#define LETTER_STREAM 1
+#define GAP_STREAM 2
+
+static inline uint64_t mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+static inline uint64_t stream_key(uint64_t seed, uint64_t stream)
+{
+    return mix64(seed + (stream + 1) * STREAM_GAMMA);
+}
+
+static inline uint64_t draw(uint64_t key, uint64_t counter)
+{
+    return mix64(key + (counter + 1) * GAMMA);
+}
+
+/* Draws v (63 bits) fall in 2^GUIDE_BITS buckets of their top bits. */
+#define GUIDE_BITS 10
+
+/* One probability class: `pos` is the key of its pending failure, at or
+ * past `end` (events in the class times B) when none is left.  `guide[b]`
+ * counts the thresholds at or below the first draw of bucket b, where the
+ * search for a draw's gap starts. */
+typedef struct {
+    uint64_t key;
+    uint64_t counter;
+    int64_t pos;
+    int64_t end;
+    const uint64_t *t;
+    const int32_t *guide;
+} gap_cursor;
+
+static void next_failure(gap_cursor *c, int64_t T)
+{
+    const uint64_t *t = c->t;
+    int64_t pos = c->pos;
+    while (pos < c->end) {
+        uint64_t v = draw(c->key, c->counter++) >> 1;
+        if (v >= t[T - 1]) {
+            pos += T;
+            continue;
+        }
+        /* The gap: the number of thresholds at or below v (below T). */
+        int64_t gap = c->guide[v >> (63 - GUIDE_BITS)];
+        while (t[gap] <= v)
+            ++gap;
+        pos += gap + 1;
+        break;
+    }
+    c->pos = pos;
+}
+
+typedef struct {
+    int64_t W, B, code_width;
+    uint64_t letter_key, letter_wrap;
+    const int32_t *inj_start, *inj_qubit, *event_class, *event_letters, *event_code;
+    const int64_t *event_rank;
+    const uint8_t *code_xz;
+    gap_cursor *cursors;
+    int64_t T;
+    int64_t *error_count;
+} sampler;
+
+/* Inject event e's failures into the frames, or onto `row` (a flip). */
+static void inject(sampler *s, int64_t e, uint64_t *fx, uint64_t *fz, uint64_t *row)
+{
+    gap_cursor *c = s->cursors + s->event_class[e];
+    int64_t base = s->event_rank[e] * s->B;
+    int64_t stop = base + s->B;
+    const int32_t *qubits = s->inj_qubit + s->inj_start[e];
+    int64_t support = s->inj_start[e + 1] - s->inj_start[e];
+    uint64_t letters = (uint64_t)s->event_letters[e];
+    /* A letter is the high half of (top 32 bits of a draw) * letters; low
+     * halves below `reject` are redrawn, so every letter is equally likely. */
+    uint64_t reject = ((uint64_t)1 << 32) % letters;
+    while (c->pos < stop) {
+        int64_t lane = c->pos - base;
+        int64_t w = lane >> 6;
+        uint64_t bit = (uint64_t)1 << (lane & 63);
+        s->error_count[lane] += 1;
+        if (row) {
+            row[w] ^= bit;
+        } else {
+            int64_t code = s->event_code[e];
+            if (letters > 1) {
+                uint64_t counter = (uint64_t)(e * s->B + lane);
+                uint64_t m = (draw(s->letter_key, counter) >> 32) * letters;
+                while ((m & 0xFFFFFFFFULL) < reject) {
+                    counter += s->letter_wrap;
+                    m = (draw(s->letter_key, counter) >> 32) * letters;
+                }
+                code += (int64_t)(m >> 32);
+            }
+            const uint8_t *xz = s->code_xz + code * s->code_width;
+            for (int64_t j = 0; j < support; ++j) {
+                int64_t at = (int64_t)qubits[j] * s->W + w;
+                fx[at] ^= bit & -(uint64_t)(xz[j] & 1);
+                fz[at] ^= bit & -(uint64_t)(xz[j] >> 1);
+            }
+        }
+        next_failure(c, s->T);
+    }
+}
 
 static void xor_into(uint64_t *dst, const uint64_t *src, int64_t W)
 {
@@ -33,32 +147,12 @@ static void swap_rows(uint64_t *a, uint64_t *b, int64_t W)
     }
 }
 
-static void inject(int64_t W, int64_t e, int64_t code_width,
-                   const int32_t *inj_start, const int32_t *inj_qubit,
-                   const uint8_t *code_xz, const int64_t *fail_start,
-                   const int64_t *fail_lane, const int64_t *fail_code,
-                   uint64_t *fx, uint64_t *fz)
-{
-    const int32_t *qubits = inj_qubit + inj_start[e];
-    int64_t support = inj_start[e + 1] - inj_start[e];
-    for (int64_t f = fail_start[e]; f < fail_start[e + 1]; ++f) {
-        int64_t w = fail_lane[f] >> 6;
-        uint64_t bit = (uint64_t)1 << (fail_lane[f] & 63);
-        const uint8_t *xz = code_xz + fail_code[f] * code_width;
-        for (int64_t j = 0; j < support; ++j) {
-            int64_t at = (int64_t)qubits[j] * W + w;
-            fx[at] ^= bit & -(uint64_t)(xz[j] & 1);
-            fz[at] ^= bit & -(uint64_t)(xz[j] >> 1);
-        }
-    }
-}
-
-/* Measure Z_a; the outcome words land in mout. */
-static void measure_z(int64_t W, int64_t a, int64_t k, const uint8_t *ref_bits,
-                      const int32_t *draw_index, const int32_t *piv_start,
-                      const int32_t *piv_qubit, const uint8_t *piv_xz,
-                      const uint64_t *drawn, uint64_t *fx, uint64_t *fz,
-                      uint64_t *mout)
+/* Measure Z_a; the outcome words land in mout (dw is scratch). */
+static void measure_z(int64_t W, int64_t a, int64_t k, uint64_t measure_key,
+                      const uint8_t *ref_bits, const int32_t *draw_index,
+                      const int32_t *piv_start, const int32_t *piv_qubit,
+                      const uint8_t *piv_xz, uint64_t *fx, uint64_t *fz,
+                      uint64_t *mout, uint64_t *dw)
 {
     const uint64_t *xa = fx + a * W;
     int64_t d = draw_index[k];
@@ -71,9 +165,10 @@ static void measure_z(int64_t W, int64_t a, int64_t k, const uint8_t *ref_bits,
     }
     /* Random: the lanes whose drawn word differs from their frame bit take
      * the reference's pivot stabilizer into their frame. */
-    const uint64_t *dw = drawn + d * W;
-    for (int64_t w = 0; w < W; ++w)
+    for (int64_t w = 0; w < W; ++w) {
+        dw[w] = draw(measure_key, (uint64_t)(d * W + w));
         mout[w] = dw[w] ^ xa[w];
+    }
     for (int64_t idx = piv_start[d]; idx < piv_start[d + 1]; ++idx) {
         int64_t q = piv_qubit[idx];
         if (piv_xz[idx] & 1)
@@ -86,25 +181,46 @@ static void measure_z(int64_t W, int64_t a, int64_t k, const uint8_t *ref_bits,
 }
 
 int64_t repro_frame_run(
-    int64_t W, int64_t ops, int64_t code_width, int64_t flips,
+    int64_t W, int64_t B, int64_t ops, int64_t code_width, int64_t classes,
+    int64_t events, int64_t T, uint64_t seed,
     const int32_t *opcodes, const int32_t *qubit0, const int32_t *qubit1,
     const int32_t *slots, const uint8_t *ref_bits, const int32_t *draw_index,
     const int32_t *piv_start, const int32_t *piv_qubit, const uint8_t *piv_xz,
     const int32_t *pre_inj, const int32_t *post_inj,
     const int32_t *inj_start, const int32_t *inj_qubit, const uint8_t *code_xz,
-    const int64_t *flip_slots, const int64_t *fail_start,
-    const int64_t *flip_start, const int64_t *fail_lane,
-    const int64_t *fail_code, const uint64_t *drawn, uint64_t *out,
-    uint64_t *fx, uint64_t *fz, uint64_t *mout)
+    const int32_t *event_class, const int64_t *event_rank,
+    const int32_t *event_letters, const int32_t *event_code,
+    const int64_t *class_events, const uint64_t *thresholds,
+    const int32_t *guides,
+    uint64_t *out, uint64_t *fx, uint64_t *fz, uint64_t *mout, uint64_t *dw,
+    int64_t *error_count)
 {
-    for (int64_t k = 0; k < ops; ++k) {
+    gap_cursor *cursors = malloc((classes ? classes : 1) * sizeof(gap_cursor));
+    if (!cursors)
+        return 2;
+    for (int64_t c = 0; c < classes; ++c) {
+        cursors[c].key = stream_key(seed, GAP_STREAM + (uint64_t)c);
+        cursors[c].counter = 0;
+        cursors[c].pos = -1;
+        cursors[c].end = class_events[c] * B;
+        cursors[c].t = thresholds + c * T;
+        cursors[c].guide = guides + (c << GUIDE_BITS);
+        next_failure(cursors + c, T);
+    }
+    sampler s = {W, B, code_width, stream_key(seed, LETTER_STREAM),
+                 (uint64_t)(events * B), inj_start, inj_qubit, event_class,
+                 event_letters, event_code, event_rank, code_xz, cursors, T,
+                 error_count};
+    uint64_t measure_key = stream_key(seed, MEASURE_STREAM);
+    int64_t status = 0;
+    for (int64_t k = 0; k < ops && status == 0; ++k) {
         if (pre_inj[k] >= 0)
-            inject(W, pre_inj[k], code_width, inj_start, inj_qubit, code_xz,
-                   fail_start, fail_lane, fail_code, fx, fz);
+            inject(&s, pre_inj[k], fx, fz, 0);
         int64_t a = qubit0[k];
         int64_t b = qubit1[k];
         uint64_t *xa = fx + a * W;
         uint64_t *za = fz + a * W;
+        uint64_t *row = 0;
         switch (opcodes[k]) {
         case 0: /* I */
         case 4: /* X, Y and Z commute with every frame up to a sign */
@@ -131,8 +247,8 @@ int64_t repro_frame_run(
             swap_rows(za, fz + b * W, W);
             break;
         case 10: /* PREPARE: measure, then the reset leaves no X in the frame */
-            measure_z(W, a, k, ref_bits, draw_index, piv_start, piv_qubit,
-                      piv_xz, drawn, fx, fz, mout);
+            measure_z(W, a, k, measure_key, ref_bits, draw_index, piv_start,
+                      piv_qubit, piv_xz, fx, fz, mout, dw);
             for (int64_t w = 0; w < W; ++w)
                 xa[w] = 0;
             break;
@@ -140,24 +256,22 @@ int64_t repro_frame_run(
         case 12: /* MEASURE_X = H; MEASURE; H */
             if (opcodes[k] == 12)
                 swap_rows(xa, za, W);
-            measure_z(W, a, k, ref_bits, draw_index, piv_start, piv_qubit,
-                      piv_xz, drawn, fx, fz, mout);
+            measure_z(W, a, k, measure_key, ref_bits, draw_index, piv_start,
+                      piv_qubit, piv_xz, fx, fz, mout, dw);
             if (opcodes[k] == 12)
                 swap_rows(xa, za, W);
+            row = out + (int64_t)slots[k] * W;
             for (int64_t w = 0; w < W; ++w)
-                out[(int64_t)slots[k] * W + w] = mout[w];
+                row[w] = mout[w];
             break;
         default:
-            return 1;
+            status = 1;
+            continue;
         }
+        /* A measurement's event flips its outcome; any other acts on frames. */
         if (post_inj[k] >= 0)
-            inject(W, post_inj[k], code_width, inj_start, inj_qubit, code_xz,
-                   fail_start, fail_lane, fail_code, fx, fz);
+            inject(&s, post_inj[k], fx, fz, row);
     }
-    for (int64_t f = 0; f < flips; ++f) {
-        uint64_t *row = out + flip_slots[f] * W;
-        for (int64_t i = flip_start[f]; i < flip_start[f + 1]; ++i)
-            row[fail_lane[i] >> 6] ^= (uint64_t)1 << (fail_lane[i] & 63);
-    }
-    return 0;
+    free(cursors);
+    return status;
 }

@@ -292,9 +292,11 @@ class TestReferencePass:
         rng = np.random.default_rng(9)
         state = PauliFrameBatch(2, 130, rng=rng)
         words, _ = fused_module.execute_fused(program, 130, rng, state, NoiselessModel())
-        expected = np.random.default_rng(9).integers(
-            0, np.iinfo(np.uint64).max, size=(1, 3), dtype=np.uint64, endpoint=True
-        )
+        # Word w of the run's only random measurement: counter w of stream 0
+        # under the run's seed.
+        seed = np.random.default_rng(9).bit_generator.random_raw()
+        key = fused_module._stream_key(seed, fused_module._MEASURE_STREAM)
+        expected = fused_module._np_draws(key, np.arange(3, dtype=np.uint64))[None]
         assert np.array_equal(words[0], expected[0])
         assert np.array_equal(words[1], expected[0])
         # The reference took outcome 0; the lanes that drew 1 carry it in

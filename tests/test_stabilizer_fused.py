@@ -7,21 +7,22 @@ Four things are pinned here:
 * the IR <-> kernel opcode contract: every opcode the kernel claims to
   support is exercised, and timing-only opcodes are rejected with a clear
   :class:`SimulationError` rather than mis-executed;
-* the reproducibility contract: a seeded :class:`ExperimentSpec` replays the
-  values of the retired ``"packed"`` and ``"packed-fused"`` engines bit for
-  bit, at every shard count;
-* the golden contract: seeded Level-1 batches, noisy ECC cycles and custom
-  noise models reproduce the digests recorded from v1.9.0's engines
-  (``tests/data/fused_v1_9_golden.json``) on both kernel tiers, and noiseless
-  runs keep their measurement stream.  Level-1 batches in which a lane
+* the reproducibility contract: a seeded :class:`ExperimentSpec` replays its
+  recorded values bit for bit, at every shard count;
+* the golden contract: seeded Level-1 batches, noisy ECC cycles, custom
+  noise models and noiseless runs reproduce their recorded digests on both
+  kernel tiers.  The digests were recorded from v1.9.0's engines
+  (``tests/data/fused_v1_9_golden.json``); Level-1 batches in which a lane
   retries its ancilla verification were re-pinned at v1.11.0, when pooled
   retries changed their bits but not their law
-  (``tests/data/level1_v1_11_golden.json`` overlays those entries).  The
-  custom-model ("hooked") entries were re-pinned at v1.12.0, when every
-  model started declaring its noise as Pauli channels
-  (``tests/data/noise_law_v1_12_golden.json`` overlays them).
+  (``tests/data/level1_v1_11_golden.json``), and the custom-model
+  ("hooked") entries at v1.12.0, when every model started declaring its
+  noise as Pauli channels (``tests/data/noise_law_v1_12_golden.json``).
+  Every frame-engine digest was re-pinned at v1.13.0, when the kernel began
+  sampling each run's noise and measurement words from one 64-bit seed
+  (``tests/data/frame_v1_13_golden.json`` overlays them all).
 
-The randomized fuzz against recorded v1.9 outputs lives with the other
+The randomized fuzz against recorded outputs lives with the other
 cross-validation oracles in ``test_stabilizer_packed.py``.
 """
 
@@ -35,6 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.api import (
     ExecutionSpec,
     ExperimentSpec,
@@ -66,7 +68,6 @@ from repro.stabilizer.fused import (
     KERNEL_TIERS,
     SUPPORTED_OPCODES,
     execute_fused,
-    noise_block,
 )
 
 RAGGED_BATCHES = (1, 63, 64, 65, 130)
@@ -77,16 +78,40 @@ NOISE = OperationNoise(
 
 
 
+#: The overlays of ``fused_v1_9_golden.json``, oldest first, with the
+#: sections each re-pins.
+GOLDEN_OVERLAYS = (
+    ("level1_v1_11_golden.json", ("level1", "hooked", "spec_sweeps")),
+    ("noise_law_v1_12_golden.json", ("hooked", "hooked_ecc")),
+    (
+        "frame_v1_13_golden.json",
+        (
+            "level1",
+            "ecc",
+            "hooked",
+            "hooked_ecc",
+            "opcodes",
+            "opcodes_seed8_130",
+            "randomized",
+            "expectations",
+            "spec_sweeps",
+            "noiseless",
+        ),
+    ),
+)
+
+
 def load_golden() -> dict:
-    """The v1.9.0 digests, overlaid by the entries re-pinned at v1.11.0 and v1.12.0."""
+    """The v1.9.0 digests, overlaid by the entries re-pinned since."""
     data = Path(__file__).parent / "data"
     golden = json.loads((data / "fused_v1_9_golden.json").read_text())
-    repinned = json.loads((data / "level1_v1_11_golden.json").read_text())
-    for section in ("level1", "hooked", "spec_sweeps"):
-        golden[section] = {**golden[section], **repinned[section]}
-    noise_law = json.loads((data / "noise_law_v1_12_golden.json").read_text())
-    for section in ("hooked", "hooked_ecc"):
-        golden[section] = {**golden[section], **noise_law[section]}
+    for name, sections in GOLDEN_OVERLAYS:
+        overlay = json.loads((data / name).read_text())
+        for section in sections:
+            entries = overlay[section]
+            golden[section] = (
+                {**golden.get(section, {}), **entries} if isinstance(entries, dict) else entries
+            )
     return golden
 
 
@@ -198,6 +223,35 @@ class TestKernelTiers:
         assert warnings[0].levelno == logging.WARNING
         assert "cc: command failed (test)" in warnings[0].getMessage()
 
+    def test_a_changed_kernel_variable_is_honoured(self, monkeypatch):
+        """The tier cache is keyed on the variable: no cache reset needed."""
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", "numpy")
+        assert kernel_tier() == "numpy"
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", "fortran")
+        with pytest.raises(SimulationError, match="fortran"):
+            kernel_tier()
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", "numpy")
+        assert kernel_tier() == "numpy"
+
+    def test_a_changed_fault_profile_is_honoured(self, monkeypatch):
+        """Setting REPRO_FAULTS mid-process re-resolves the tier, every call
+        while its kernel rate is nonzero; clearing it restores the cache."""
+        monkeypatch.delenv("REPRO_FUSED_KERNEL", raising=False)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        native = kernel_tier()
+        cached = dict(fused_module._TIER_CACHE)
+        monkeypatch.setenv("REPRO_FAULTS", "kernel=1.0,fail_attempts=-1")
+        assert kernel_tier() == kernel_tier() == "numpy"
+        assert fused_module._TIER_CACHE == cached
+        monkeypatch.setenv("REPRO_FAULTS", "crash=1.0")
+        assert kernel_tier() == native
+        monkeypatch.delenv("REPRO_FAULTS")
+        assert kernel_tier() == native
+        # A programmatic profile beats the environment, cache included.
+        with faults.fault_profile(faults.FaultProfile(kernel=1.0, fail_attempts=-1)):
+            assert kernel_tier() == "numpy"
+        assert kernel_tier() == native
+
     def test_numpy_fallback_matches_active_tier(self, monkeypatch):
         """The numpy fallback and the active tier are interchangeable."""
         circuit = _all_opcode_circuit()
@@ -218,7 +272,7 @@ class TestOpcodeCoverage:
 
     @pytest.mark.parametrize("batch", RAGGED_BATCHES)
     def test_every_opcode_matches_packed(self, batch):
-        """Every opcode reproduces the v1.9 packed engine's recorded outputs."""
+        """Every opcode reproduces its recorded outputs."""
         result = _run(_all_opcode_circuit(), batch, seed=21)
         assert run_digest(result) == GOLDEN["opcodes"][str(batch)]
 
@@ -334,8 +388,7 @@ def _level1_counts(result) -> list[list[int]]:
 
 class TestSeededReplay:
     def test_spec_replays_bit_for_bit_across_engines(self):
-        """The acceptance contract: the frame engine replays the recorded
-        values (v1.9's ``packed`` and ``packed-fused``, re-pinned at v1.11)."""
+        """The acceptance contract: the frame engine replays the recorded values."""
         frame = run(_sweep_spec("frame"))
         auto = run(_sweep_spec("auto"))
         assert frame.engine == auto.engine == "frame"
@@ -388,14 +441,9 @@ class TestSeededReplay:
 
 LEVEL1_BATCHES = (1, 63, 64, 65, 4096)
 
-#: Measurement digests of a noiseless Steane preparation and ECC cycle (seed
-#: 20261017), recorded with v1.9.0 from each of its engines.
-#: Sign words are no longer hashed: the frame engine has none.
-NOISELESS_DIGESTS = {
-    1: "e9bb54088634a85227a088779ba47cd81ab5d7cb24ae70e4d09cdffc4b7c8d44",
-    65: "1cd85c1b35242ab38a21d67658eefc13118b936aa4edeabb7aaa749e66058d86",
-    130: "05c73c0e5ab50d0dc8d11eca3ab58b7118a8f65fdf8ad9e183a742fdeb73fc80",
-}
+#: Batch sizes of the noiseless Steane preparation and ECC cycle (seed
+#: 20261017) whose measurement digests ``GOLDEN["noiseless"]`` pins.
+NOISELESS_BATCHES = (1, 65, 130)
 
 
 class _HookedNoise(OperationNoise):
@@ -447,35 +495,40 @@ class TestNoiseBlockParity:
             p_single=0.05, p_double=0.1, p_measure=0.05, p_prepare=0.05, p_move_per_cell=0.01
         )
         noise, base = _HookedNoise(**rates), OperationNoise(**rates)
-        # A subclass that overrides nothing samples exactly like its base class.
+        # A subclass that overrides nothing declares and samples exactly like
+        # its base class.
         program = compile_circuit(_ecc_circuit(), mapper=LayoutMapper())
-        block = noise_block(program, noise, batch, np.random.default_rng(0))
-        expected = noise_block(program, base, batch, np.random.default_rng(0))
-        for name in ("fail_start", "fail_lane", "fail_code", "error_count", "inj_qubit"):
-            assert np.array_equal(getattr(block, name), getattr(expected, name)), name
-        assert np.array_equal(block.code_xz, expected.code_xz)
+        plan = fused_module._plan_for(program)
+        template = fused_module._template_for(plan, (noise,))
+        expected = fused_module._template_for(plan, (base,))
+        assert template is not expected
+        for name in ("p", "pre_inj", "post_inj", "inj_qubit", "event_code", "code_xz"):
+            assert np.array_equal(getattr(template, name), getattr(expected, name)), name
+        for drawn, recorded in zip(template.sample(batch, 0), expected.sample(batch, 0)):
+            assert np.array_equal(drawn, recorded)
         words = _run(program, batch, 3, noise=noise).outcome_words
         assert np.array_equal(words, _run(program, batch, 3, noise=base).outcome_words)
         _assert_level1_golden(
             noise, batch, 7, GOLDEN["hooked"][str(batch)], GOLDEN["hooked_ecc"][str(batch)]
         )
 
-    def test_block_is_shared_by_both_engines(self, monkeypatch):
-        """Same seed, same block: both kernel tiers report the block's error counts."""
+    def test_failures_are_shared_by_both_tiers(self, monkeypatch):
+        """Same seed, same failures: both kernel tiers count the sampler's failures."""
         noise = DepolarizingNoise(0.3)
         program = compile_circuit(_ecc_circuit(), mapper=LayoutMapper())
-        block = noise_block(program, noise, 130, np.random.default_rng(5))
+        template = fused_module._template_for(fused_module._plan_for(program), (noise,))
+        _, lane, _ = template.sample(130, np.random.default_rng(5).bit_generator.random_raw())
         results = [_run(program, 130, seed=5, noise=noise)]
         monkeypatch.setenv("REPRO_FUSED_KERNEL", "numpy")
         monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
         results.append(_run(program, 130, seed=5, noise=noise))
         for result in results:
-            assert np.array_equal(block.error_count, result.error_count)
+            assert np.array_equal(np.bincount(lane, minlength=130), result.error_count)
         _assert_identical(*results)
 
-    @pytest.mark.parametrize("batch", sorted(NOISELESS_DIGESTS))
+    @pytest.mark.parametrize("batch", NOISELESS_BATCHES)
     def test_noiseless_run_digest_is_pinned(self, batch):
-        """The frame engine reproduces the digest recorded from v1.9's packed engines."""
+        """Noiseless runs keep their recorded measurement stream."""
         rng = np.random.default_rng(20261017)
         state = create_batch_tableau(21, batch, rng=rng)
         executor = BatchedNoisyCircuitExecutor(noise=NoiselessModel(), mapper=LayoutMapper())
@@ -485,4 +538,4 @@ class TestNoiseBlockParity:
         for label in sorted(result.measurements):
             digest.update(label.encode())
             digest.update(result.measurements[label].tobytes())
-        assert digest.hexdigest() == NOISELESS_DIGESTS[batch]
+        assert digest.hexdigest() == GOLDEN["noiseless"][str(batch)]

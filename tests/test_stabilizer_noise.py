@@ -1,4 +1,8 @@
-"""Tests for the Pauli noise models, the noise block and the Monte-Carlo harness."""
+"""Tests for the Pauli noise models and the Monte-Carlo harness.
+
+The frame engine's sampler of the declared channels is tested in
+``test_stabilizer_sampler.py``.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import pytest
 
 from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper, NoisyCircuitExecutor
 from repro.circuits import Circuit
-from repro.circuits.compiled import Opcode, compile_circuit
+from repro.circuits.compiled import compile_circuit
 from repro.exceptions import ParameterError
 from repro.qecc.syndrome import full_error_correction_circuit
 from repro.stabilizer import (
@@ -26,7 +30,6 @@ from repro.stabilizer import (
     estimate_failure_rate,
 )
 from repro.stabilizer import fused as fused_module
-from repro.stabilizer.fused import noise_block
 
 
 class TestNoiselessModel:
@@ -236,153 +239,6 @@ def _wilson(successes: int, trials: int, z: float = 4.0) -> tuple[float, float]:
     return centre - half / denominator, centre + half / denominator
 
 
-def _small_program():
-    """One event of every kind: preparation, one- and two-qubit gate, flip."""
-    circuit = Circuit(2).prepare(0).prepare(1).h(0).cnot(0, 1)
-    return compile_circuit(circuit.measure(0, label="a").measure(1, label="b"))
-
-
-def _ecc_program():
-    """The level-1 Steane ECC cycle with movement exposure from the mapper."""
-    circuit, _, _ = full_error_correction_circuit(data_offset=0, num_qubits=21, verified=True)
-    return compile_circuit(circuit, mapper=LayoutMapper())
-
-
-def _record_lanes(block, batch_size: int) -> list[np.ndarray]:
-    """Per injection record then per flip: the ``(B,)`` bool failing lanes."""
-    records = []
-    for event in range(block.fail_start.size - 1):
-        failing = np.zeros(batch_size, dtype=bool)
-        failing[block.fail_lane[block.fail_start[event] : block.fail_start[event + 1]]] = True
-        records.append(failing)
-    return records
-
-
-def _support_letters(block, batch_size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per support entry of every injection record: the ``(B,)`` X and Z bits."""
-    x, z = [], []
-    for record in range(block.inj_start.size - 1):
-        failures = slice(block.fail_start[record], block.fail_start[record + 1])
-        lanes = block.fail_lane[failures]
-        xz = block.code_xz[block.fail_code[failures]]
-        for entry in range(block.inj_start[record + 1] - block.inj_start[record]):
-            for bits, part in ((x, 1), (z, 2)):
-                row = np.zeros(batch_size, dtype=np.uint8)
-                row[lanes] = (xz[:, entry] & part) != 0
-                bits.append(row)
-    return x, z
-
-
-class _CountingRng:
-    """Forwards to a generator and counts the ``integers`` calls."""
-
-    def __init__(self, seed: int) -> None:
-        self.rng = np.random.default_rng(seed)
-        self.integers_calls = 0
-
-    def integers(self, *args, **kwargs):
-        self.integers_calls += 1
-        return self.rng.integers(*args, **kwargs)
-
-
-class TestNoiseBlock:
-    """The sparse sampler shared by the packed and fused engines."""
-
-    NOISE = OperationNoise(p_single=0.05, p_double=0.1, p_measure=0.02, p_prepare=0.03)
-
-    def test_failure_counts_and_letters_within_wilson_intervals(self):
-        program = _small_program()
-        batch, seeds = 256, 200
-        # Records: prepare 0, prepare 1, H, CNOT; then the two flips.
-        rates = (0.03, 0.03, 0.05, 0.1, 0.02, 0.02)
-        failures = np.zeros(len(rates), dtype=np.int64)
-        one_qubit = np.zeros(3, dtype=np.int64)  # X, Y, Z
-        two_qubit = np.zeros(16, dtype=np.int64)  # symplectic (x0, z0, x1, z1) code
-        for seed in range(seeds):
-            block = noise_block(program, self.NOISE, batch, np.random.default_rng(seed))
-            lanes = _record_lanes(block, batch)
-            failures += [int(lane.sum()) for lane in lanes]
-            x, z = _support_letters(block, batch)
-            # Preparation errors are X flips only.
-            assert not z[0].any() and not z[1].any()
-            h = lanes[2]
-            one_qubit += [
-                int((x[2][h] & ~z[2][h] & 1).sum()),
-                int((x[2][h] & z[2][h]).sum()),
-                int((~x[2][h] & z[2][h] & 1).sum()),
-            ]
-            cnot = lanes[3]
-            codes = 8 * x[3] + 4 * z[3] + 2 * x[4] + z[4]
-            two_qubit += np.bincount(codes[cnot], minlength=16)
-        trials = batch * seeds
-        for rate, count in zip(rates, failures):
-            low, high = _wilson(int(count), trials)
-            assert low <= rate <= high, (rate, count, trials)
-        for count in one_qubit:
-            low, high = _wilson(int(count), int(one_qubit.sum()))
-            assert low <= 1 / 3 <= high, one_qubit
-        assert two_qubit[0] == 0  # a failure is never the identity pair
-        for count in two_qubit[1:]:
-            low, high = _wilson(int(count), int(two_qubit.sum()))
-            assert low <= 1 / 15 <= high, two_qubit
-
-    def test_lanes_distinct_within_each_event_with_forced_redraws(self):
-        batch = 5
-        counts = np.random.default_rng(3).binomial(batch, 0.9, size=400)
-        rng = _CountingRng(4)
-        keys = fused_module._failing_lanes(counts, batch, rng)
-        assert rng.integers_calls > 1  # repeated lanes were redrawn
-        assert np.unique(keys).size == keys.size
-        assert np.array_equal(np.bincount(keys // batch, minlength=counts.size), counts)
-
-    @pytest.mark.parametrize("count", [2, 4])
-    def test_failing_lanes_are_a_uniform_subset(self, count):
-        """Sparse (redrawn) and dense (complemented) events: uniform k-subsets."""
-        batch, events = 5, 20000
-        keys = fused_module._failing_lanes(
-            np.full(events, count), batch, np.random.default_rng(9)
-        )
-        lanes = (keys % batch).reshape(events, count)
-        subsets = {subset: i for i, subset in enumerate(itertools.combinations(range(batch), count))}
-        frequency = np.bincount(
-            [subsets[tuple(row)] for row in lanes.tolist()], minlength=len(subsets)
-        )
-        for observed in frequency:
-            low, high = _wilson(int(observed), events)
-            assert low <= 1 / len(subsets) <= high, frequency
-
-    @pytest.mark.parametrize("batch", [5, 130])
-    def test_error_count_is_the_per_lane_event_count(self, batch):
-        noise = DepolarizingNoise(0.3)
-        program = _ecc_program()
-        for seed in range(5):
-            block = noise_block(program, noise, batch, np.random.default_rng(seed))
-            expected = np.sum(_record_lanes(block, batch), axis=0)
-            assert np.array_equal(block.error_count, expected)
-
-    @pytest.mark.parametrize("noise", [OperationNoise(), NoiselessModel()])
-    def test_zero_rates_leave_the_generator_untouched(self, noise):
-        rng = np.random.default_rng(12)
-        before = rng.bit_generator.state
-        block = noise_block(_ecc_program(), noise, 130, rng)
-        assert rng.bit_generator.state == before
-        assert not block.error_count.any()
-        assert block.fail_lane.size == 0 and not block.fail_start.any()
-
-    def test_template_holds_no_zero_probability_events(self):
-        program = _ecc_program()
-        assert program.movement_exposure.max() > 0
-        noise = OperationNoise(p_single=0.01, p_prepare=0.02)
-        template = fused_module._NoiseTemplate(fused_module._plan_for(program), noise)
-        assert (template.p > 0.0).all()
-        resets = {int(Opcode.PREPARE), int(Opcode.MEASURE), int(Opcode.MEASURE_X)}
-        opcodes = program.opcodes.tolist()
-        singles = sum(
-            1 for op, q1 in zip(opcodes, program.qubit1.tolist()) if q1 < 0 and op not in resets
-        )
-        assert template.p.size == opcodes.count(int(Opcode.PREPARE)) + singles
-
-
 class _CrosstalkNoise(NoiseModel):
     """A custom model whose gate failures spread over three qubits.
 
@@ -431,9 +287,9 @@ class TestThreeQubitChannels:
         widths = []
         run_kernel = fused_module._run_kernel
 
-        def spying(tier, W, plan, reference, block, *args):
-            widths.append(block.code_xz.shape)
-            return run_kernel(tier, W, plan, reference, block, *args)
+        def spying(tier, W, B, seed, plan, reference, template, *args):
+            widths.append(template.code_xz.shape)
+            return run_kernel(tier, W, B, seed, plan, reference, template, *args)
 
         monkeypatch.setattr(fused_module, "_run_kernel", spying)
         noise = _CrosstalkNoise(5, p=0.3, p_flip=0.05)
@@ -463,18 +319,20 @@ class TestThreeQubitChannels:
         assert frame_low <= scalar_high and scalar_low <= frame_high
 
     def test_templates_are_cached_per_attribute_values(self):
-        program = compile_circuit(_crosstalk_circuit())
-        plan = fused_module._plan_for(program)
-        rng = np.random.default_rng(0)
-        first = noise_block(program, _CrosstalkNoise(5, 0.3, 0.05), 70, rng).template
-        again = noise_block(program, _CrosstalkNoise(5, 0.3, 0.05), 70, rng).template
-        other = noise_block(program, _CrosstalkNoise(5, 0.2, 0.05), 70, rng).template
+        plan = fused_module._plan_for(compile_circuit(_crosstalk_circuit()))
+
+        def template(noise):
+            return fused_module._template_for(plan, (noise,))
+
+        first = template(_CrosstalkNoise(5, 0.3, 0.05))
+        again = template(_CrosstalkNoise(5, 0.3, 0.05))
+        other = template(_CrosstalkNoise(5, 0.2, 0.05))
         assert first is again and other is not first
         # Unhashable attribute values: declared afresh, never cached.
         unhashable = _CrosstalkNoise(5, 0.3, 0.05)
         unhashable.notes = []
         cached = len(plan.template_cache)
-        fresh = noise_block(program, unhashable, 70, rng).template
+        fresh = template(unhashable)
         assert fresh is not first and len(plan.template_cache) == cached
         assert np.array_equal(fresh.code_xz, first.code_xz)
 

@@ -1,13 +1,14 @@
 """Segmented runs: several ``(program, noise)`` segments in one kernel call.
 
-A run of segments must draw and produce exactly what its segments produce
-as separate :func:`execute_fused` calls on the same generator: the same
-outcome words (one segment's slots after another's), frames, per-lane error
-counts, final reference and generator state.  The segments here put random
-measurements in the middle and last segments, so the interleaving of noise
-blocks and measurement words is checked, and cover built-in, noiseless and
-custom models on both kernel tiers.  The custom models declare alphabets
-of their own, so the merge of per-template letter-code tables is covered.
+A run of segments concatenates its programs into one kernel program with one
+reference pass and one noise template, in which each operation declares its
+channels from its own segment's model.  So a run whose segments share one
+model is exactly the one program that concatenates them, bit for bit, and in
+a run of different models each segment's events are the ones its model
+declares for it alone.  The segments here put random measurements in the
+middle and last segments and cover built-in, noiseless and custom models --
+whose alphabets add letter-code rows of their own -- on both kernel tiers.
+A run takes one value from its generator, whatever its segments.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 
 from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper
 from repro.circuits import Circuit
-from repro.circuits.compiled import compile_circuit
+from repro.circuits.compiled import CompiledCircuit, compile_circuit
 from repro.exceptions import SimulationError
 from repro.stabilizer import (
     DepolarizingNoise,
@@ -84,15 +85,47 @@ def _programs():
     return [compile_circuit(circuit, mapper=mapper) for circuit in (first, middle, last)]
 
 
-def _separate(segments, batch, rng):
-    """The segments as separate calls: ``(words, error_count, state)``."""
+def _concatenated(programs) -> CompiledCircuit:
+    """One program running ``programs`` one after the other."""
+    offsets = np.cumsum([0] + [program.num_measurements for program in programs])
+    return CompiledCircuit(
+        num_qubits=max(program.num_qubits for program in programs),
+        opcodes=np.concatenate([program.opcodes for program in programs]),
+        qubit0=np.concatenate([program.qubit0 for program in programs]),
+        qubit1=np.concatenate([program.qubit1 for program in programs]),
+        movement_exposure=np.concatenate([program.movement_exposure for program in programs]),
+        moved_qubit=np.concatenate([program.moved_qubit for program in programs]),
+        measurement_slot=np.concatenate(
+            [
+                np.where(program.measurement_slot >= 0, program.measurement_slot + offset, -1)
+                for program, offset in zip(programs, offsets.tolist())
+            ]
+        ),
+        measurement_labels=sum((program.measurement_labels for program in programs), ()),
+        name="concatenated",
+    )
+
+
+def _declared(template, k: int) -> tuple:
+    """The events before and after operation ``k``: probability, support, letters."""
+    events = []
+    for e in (int(template.pre_inj[k]), int(template.post_inj[k])):
+        if e < 0:
+            events.append(None)
+            continue
+        start, end = int(template.inj_start[e]), int(template.inj_start[e + 1])
+        code = int(template.event_code[e])
+        letters = template.code_xz[code : code + int(template.event_letters[e]), : end - start]
+        events.append(
+            (float(template.p[e]), tuple(template.inj_qubit[start:end].tolist()), letters.tolist())
+        )
+    return tuple(events)
+
+
+def _run(segments, batch, rng):
     state = PauliFrameBatch(4, batch, rng=rng)
-    words, errors = [], np.zeros(batch, dtype=np.int64)
-    for program, noise in segments:
-        out, count = execute_fused(program, batch, rng, state, noise)
-        words.append(out)
-        errors += count
-    return np.concatenate(words), errors, state
+    words, errors = execute_fused(segments, batch, rng, state)
+    return words, errors, state
 
 
 MODELS = {
@@ -104,41 +137,68 @@ MODELS = {
 
 
 class TestSegmentedRun:
-    @pytest.mark.parametrize("models", sorted(MODELS))
+    @pytest.mark.parametrize("noise", [NOISE, _CrosstalkNoise(p_single=0.2, p_measure=0.1)])
     @pytest.mark.parametrize("batch", BATCHES)
-    def test_run_equals_its_segments_as_separate_calls(self, tier, models, batch):
-        segments = list(zip(_programs(), MODELS[models]))
+    def test_run_equals_the_concatenated_program(self, tier, noise, batch):
+        programs = _programs()
+        segments = [(program, noise) for program in programs]
         for seed in range(3):
+            words, errors, state = _run(segments, batch, np.random.default_rng([seed, batch]))
             rng = np.random.default_rng([seed, batch])
-            twin = copy.deepcopy(rng)
-            state = PauliFrameBatch(4, batch, rng=rng)
-            words, errors = execute_fused(segments, batch, rng, state)
-            expected_words, expected_errors, expected = _separate(segments, batch, twin)
+            expected = PauliFrameBatch(4, batch, rng=rng)
+            expected_words, expected_errors = execute_fused(
+                _concatenated(programs), batch, rng, expected, noise
+            )
             assert np.array_equal(words, expected_words)
             assert np.array_equal(errors, expected_errors)
             assert np.array_equal(state.frame_x, expected.frame_x)
             assert np.array_equal(state.frame_z, expected.frame_z)
-            for plane in ("_x", "_z", "_r"):
-                assert np.array_equal(
-                    getattr(state.reference, plane), getattr(expected.reference, plane)
-                )
-            # The same draws, in the same order: the generators agree after.
-            assert rng.bit_generator.state == twin.bit_generator.state
+            assert state.reference is expected.reference
 
-    def test_middle_segment_draws_words_between_the_blocks(self):
-        """Guard: the middle and last segments really measure at random."""
+    @pytest.mark.parametrize("models", sorted(MODELS))
+    def test_each_segment_declares_from_its_own_model(self, models):
         programs = _programs()
-        plan = fused_module._plan_for(*programs)
-        state = PauliFrameBatch(4, 8, rng=np.random.default_rng(0))
-        bounds = fused_module._reference_for(plan, state).draw_bounds
-        assert bounds[1] == bounds[0] == 0 and 0 < bounds[2] < bounds[3]
+        run_template = fused_module._template_for(
+            fused_module._plan_for(*programs), MODELS[models]
+        )
+        first = 0
+        for program, model in zip(programs, MODELS[models]):
+            own = fused_module._template_for(fused_module._plan_for(program), (model,))
+            for k in range(program.num_operations):
+                assert _declared(run_template, first + k) == _declared(own, k), (models, k)
+            first += program.num_operations
+
+    @pytest.mark.parametrize("models", sorted(MODELS))
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_both_tiers_give_the_same_run(self, monkeypatch, models, batch):
+        if fused_module._cext_kernel() is None:
+            pytest.skip("no C kernel on this host")
+        segments = list(zip(_programs(), MODELS[models]))
+        runs = []
+        for tier in fused_module.KERNEL_TIERS:
+            monkeypatch.setenv("REPRO_FUSED_KERNEL", tier)
+            runs.append(_run(segments, batch, np.random.default_rng(batch)))
+        (words, errors, state), (numpy_words, numpy_errors, numpy_state) = runs
+        assert np.array_equal(words, numpy_words)
+        assert np.array_equal(errors, numpy_errors)
+        assert np.array_equal(state.frame_x, numpy_state.frame_x)
+        assert np.array_equal(state.frame_z, numpy_state.frame_z)
+
+    @pytest.mark.parametrize("segments", [1, 3])
+    def test_a_run_takes_one_generator_value(self, segments):
+        run = list(zip(_programs(), MODELS["custom"]))[:segments]
+        rng = np.random.default_rng(6)
+        twin = copy.deepcopy(rng)
+        _run(run, 70, rng)
+        twin.bit_generator.random_raw()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_one_kernel_call_and_one_reference_pass(self, monkeypatch):
         calls, passes = [], []
         run_kernel, reference_pass = fused_module._run_kernel, fused_module._reference_pass
 
         def counting_kernel(*args):
-            calls.append(args[2].opcodes.size)
+            calls.append(args[4].opcodes.size)
             return run_kernel(*args)
 
         def counting_pass(plan, start):
@@ -149,29 +209,17 @@ class TestSegmentedRun:
         monkeypatch.setattr(fused_module, "_reference_pass", counting_pass)
         monkeypatch.setattr(fused_module, "_REFERENCE_CACHE", {})
         programs = _programs()
-        segments = list(zip(programs, MODELS["built-in"]))
-        rng = np.random.default_rng(4)
-        execute_fused(segments, 70, rng, PauliFrameBatch(4, 70, rng=rng))
+        _run(list(zip(programs, MODELS["built-in"])), 70, np.random.default_rng(4))
         total = sum(program.opcodes.size for program in programs)
         assert calls == [total] and passes == [total]
 
-    def test_custom_code_tables_are_merged(self, monkeypatch):
-        """Guard: each custom template brings its own table, offset in the merge."""
-        tables = []
-        run_kernel = fused_module._run_kernel
-
-        def spying(tier, W, plan, reference, block, *args):
-            tables.append(block.code_xz)
-            return run_kernel(tier, W, plan, reference, block, *args)
-
-        monkeypatch.setattr(fused_module, "_run_kernel", spying)
-        segments = list(zip(_programs(), MODELS["custom"]))
-        rng = np.random.default_rng(1)
-        execute_fused(segments, 70, rng, PauliFrameBatch(4, 70, rng=rng))
-        shared = fused_module._CODE_XZ
-        # Shared rows plus two pair letters, shared rows plus 27 crosstalk
-        # letters, then the built-in segment's shared rows.
-        assert tables[0].shape == (3 * len(shared) + 2 + 27, 3)
+    def test_custom_alphabets_share_one_code_table(self):
+        """Guard: each custom alphabet adds its letters to the run's table once."""
+        template = fused_module._template_for(
+            fused_module._plan_for(*_programs()), MODELS["custom"]
+        )
+        # The shared rows, then two pair letters and 27 crosstalk letters.
+        assert template.code_xz.shape == (len(fused_module._CODE_XZ) + 2 + 27, 3)
 
     def test_noise_goes_in_the_segments(self):
         segments = list(zip(_programs(), MODELS["built-in"]))
@@ -194,7 +242,11 @@ class TestExecutorSegments:
         # A Circuit segment compiles against the executor's mapper, as a
         # single circuit does.
         state = PauliFrameBatch(2, 130, rng=twin)
-        BatchedNoisyCircuitExecutor(noise=NoiselessModel()).run(first, 130, twin, tableau=state)
-        second_run = executor.run(second, 130, twin, tableau=state)
-        assert np.array_equal(result.measurements["b"], second_run.measurements["b"])
+        words, _ = execute_fused(
+            [(executor.compile(first), NoiselessModel()), (executor.compile(second), NOISE)],
+            130,
+            twin,
+            state,
+        )
+        assert np.array_equal(result.outcome_words, words)
         assert np.array_equal(result.tableau.frame_x, state.frame_x)
