@@ -91,7 +91,7 @@ def _measure_throughput() -> dict[str, float]:
 
 
 def _sweep_agreement() -> dict[str, object]:
-    # The default engine against the registry's per-shot "scalar" oracle.
+    # The default engine against the per-shot "scalar" oracle.
     batched = run(
         ExperimentSpec(
             experiment="threshold_sweep",

@@ -11,7 +11,7 @@ Run with::
         [--workers N] [--seed ENTROPY]
 
 The whole study is one declarative :class:`repro.ExperimentSpec` executed by
-:func:`repro.run`: the backend registry picks the bit-packed vectorized
+:func:`repro.run`: ``backend="auto"`` picks the bit-packed vectorized
 engine, the sweep follows a deterministic SeedSequence shard plan, and the
 returned result carries its spec echo -- re-running with the same ``--seed``
 (any ``--workers`` count, serial or pooled) reproduces the numbers bit for

@@ -1,4 +1,4 @@
-"""The unified experiment API: declarative specs -> registry -> results.
+"""The unified experiment API: declarative specs -> backends -> results.
 
 One pipeline replaces the per-driver kwargs entry points::
 
@@ -18,9 +18,10 @@ One pipeline replaces the per-driver kwargs entry points::
     assert again.value == result.value
 
 Specs are frozen, strictly validated and JSON round-trippable
-(:mod:`repro.api.specs`); execution strategies are named, capability-flagged
-entries in a pluggable :class:`BackendRegistry` (:mod:`repro.api.registry`);
-results carry full provenance (:mod:`repro.api.results`).
+(:mod:`repro.api.specs`); ``ExecutionSpec.backend`` names one of the five
+built-in execution strategies, resolved by the fixed table of
+:mod:`repro.api.registry`; results carry full provenance
+(:mod:`repro.api.results`).
 """
 
 from repro.api.specs import (
@@ -31,12 +32,7 @@ from repro.api.specs import (
     NoiseSpec,
     SamplingSpec,
 )
-from repro.api.registry import (
-    BackendCapabilities,
-    BackendRegistry,
-    ExecutionBackend,
-    default_registry,
-)
+from repro.api.registry import BackendRegistry, default_registry
 from repro.api.results import RunResult
 from repro.api.runner import run
 
@@ -47,9 +43,7 @@ __all__ = [
     "SamplingSpec",
     "ExecutionSpec",
     "MachineSpec",
-    "BackendCapabilities",
     "BackendRegistry",
-    "ExecutionBackend",
     "default_registry",
     "RunResult",
     "run",

@@ -49,10 +49,10 @@ requested but the result cache directory is not writable -- resuming
 would re-execute every point and then lose the results again.  The full table lives in ``docs/robustness.md``.
 
 ``--help`` enumerates the available example names, experiment kinds and
-registered execution backends; all three lists are generated from the code
-(:data:`_EXAMPLES`, :data:`~repro.api.specs.EXPERIMENT_KINDS`, the default
-:class:`~repro.api.registry.BackendRegistry`), so the help text cannot drift
-from what the library actually accepts.
+built-in execution backends; all three lists are generated from the code
+(:data:`_EXAMPLES`, :data:`~repro.api.specs.EXPERIMENT_KINDS`,
+:data:`~repro.api.registry.BACKEND_NAMES`), so the help text cannot drift
+from what the library actually accepts.  Printing it compiles nothing.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import sys
 from pathlib import Path
 
 from repro.exceptions import ParameterError, QLAError
-from repro.api.registry import default_registry
+from repro.api.registry import BACKEND_NAMES
 from repro.api.runner import run
 from repro.api.specs import (
     EXPERIMENT_KINDS,
@@ -130,10 +130,10 @@ def _help_epilog() -> str:
     Built from the same objects the runner consults, so the lists cannot
     drift from the code: example names come from :data:`_EXAMPLES`, spec
     kinds from :data:`~repro.api.specs.EXPERIMENT_KINDS` (plus the sweep
-    marker), and backend names from the default registry.
+    marker), and backend names from :data:`~repro.api.registry.BACKEND_NAMES`.
     """
     kinds = ", ".join(EXPERIMENT_KINDS + ("sweep",))
-    backends = ", ".join(("auto",) + default_registry().names())
+    backends = ", ".join(BACKEND_NAMES)
     examples = "\n".join(
         f"  repro-run --example {name}" for name in sorted(_EXAMPLES)
     )

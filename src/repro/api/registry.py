@@ -1,22 +1,18 @@
-"""Pluggable execution backends behind one registry.
+"""The built-in execution strategies, in one fixed table.
 
-The library runs a Monte-Carlo workload in one of a few ways -- a scalar
-per-shot oracle, the bit-packed Pauli-frame engine, and a sharded
-process-pool layer.  Instead of every caller hard-coding backend branches,
-each strategy registers here as a named :class:`ExecutionBackend` with
-:class:`BackendCapabilities`, and :meth:`BackendRegistry.resolve` maps a
-request onto a strategy and an engine:
+The library runs a workload in one of a few ways -- a scalar per-shot
+oracle, the bit-packed Pauli-frame engine, a sharded process-pool layer,
+and the discrete-event machine simulator.  ``ExecutionSpec.backend`` names
+one of them (:data:`BACKEND_NAMES`), and :meth:`BackendRegistry.resolve`
+maps a request onto a strategy and the engine name the run records:
 
-* ``"auto"`` always means :data:`AUTO_ENGINE` -- the ``"frame"`` engine,
-  the library's one batched engine;
-* ``num_shards > 1`` requires (and selects) a backend with
-  ``supports_sharding`` -- the ``"sharded"`` strategy;
-* a backend advertising ``max_qubits`` refuses registers it cannot hold.
+* ``"auto"`` and ``"frame"`` mean :data:`AUTO_ENGINE`, the library's one
+  batched engine, run through the ``"sharded"`` strategy whenever
+  ``num_shards > 1``;
+* ``"sharded"`` always runs the shard plan, on the frame engine;
+* ``"scalar"`` and ``"desim"`` run as themselves and refuse shards.
 
-Third-party strategies plug in through :meth:`BackendRegistry.register` and
-run when requested by name; the built-ins live in :func:`default_registry`.
-
-Every backend consumes a *shard task* -- a picklable callable
+Every Monte-Carlo strategy consumes a *shard task* -- a picklable callable
 ``(rng, count) -> (count,) bool array`` marking failing shots, optionally with
 a ``run_single(rng) -> bool`` method for the scalar strategy (see
 :class:`repro.parallel.Level1ShardTask`) -- and returns a
@@ -28,7 +24,6 @@ the deterministic SeedSequence shard plan of :mod:`repro.parallel`, so one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -42,8 +37,7 @@ from repro.stabilizer.monte_carlo import (
 
 __all__ = [
     "AUTO_ENGINE",
-    "BackendCapabilities",
-    "ExecutionBackend",
+    "BACKEND_NAMES",
     "BackendRegistry",
     "ScalarBackend",
     "EngineBackend",
@@ -56,56 +50,8 @@ __all__ = [
 #: sharded run records as its engine.
 AUTO_ENGINE = "frame"
 
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What an execution backend can do.
-
-    Attributes
-    ----------
-    supports_batching:
-        Whether the backend runs many shots per call (vectorized engines);
-        non-batching ones (the per-shot oracle) run shot by shot.
-    supports_sharding:
-        Whether the backend splits shots into deterministic seed-spawned
-        shards that may run on a process pool.
-    max_qubits:
-        Largest register the backend can simulate, or None for unlimited.
-    """
-
-    supports_batching: bool = True
-    supports_sharding: bool = False
-    max_qubits: int | None = None
-
-    def admits(self, num_qubits: int | None) -> bool:
-        """Whether a register of ``num_qubits`` fits this backend."""
-        return self.max_qubits is None or num_qubits is None or num_qubits <= self.max_qubits
-
-
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """A named Monte-Carlo execution strategy.
-
-    Implementations expose a ``name``, their :class:`BackendCapabilities` and
-    an :meth:`estimate` that runs ``shots`` of a shard task and returns a
-    :class:`~repro.stabilizer.monte_carlo.MonteCarloResult`.
-    """
-
-    name: str
-    capabilities: BackendCapabilities
-
-    def estimate(
-        self,
-        task: Callable[[np.random.Generator, int], np.ndarray],
-        shots: int,
-        *,
-        seed: int | tuple[int, ...] | np.random.SeedSequence | None = None,
-        rng: np.random.Generator | None = None,
-        batch_size: int = 1024,
-        max_failures: int | None = None,
-        num_shards: int = 1,
-        num_workers: int = 0,
-    ) -> MonteCarloResult: ...
+#: Every value ``ExecutionSpec.backend`` accepts.
+BACKEND_NAMES = ("auto", "frame", "scalar", "sharded", "desim")
 
 
 def _seeded_rng(
@@ -142,14 +88,11 @@ def _reject_shards(name: str, num_shards: int) -> None:
 class ScalarBackend:
     """The per-shot oracle: one tableau, one shot at a time.
 
-    Slow but simple -- kept registered as the cross-validation reference for
-    the vectorized engines.  Requires the task to expose ``run_single``.
+    Slow but simple -- kept as the cross-validation reference for the
+    batched engine.  Requires the task to expose ``run_single``.
     """
 
     name: str = "scalar"
-    capabilities: BackendCapabilities = BackendCapabilities(
-        supports_batching=False, supports_sharding=False
-    )
 
     def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
                  max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
@@ -171,7 +114,6 @@ class EngineBackend:
     """
 
     name: str = AUTO_ENGINE
-    capabilities: BackendCapabilities = BackendCapabilities()
 
     def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
                  max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
@@ -183,30 +125,18 @@ class EngineBackend:
 
 @dataclass(frozen=True)
 class DesimBackend:
-    """The discrete-event machine simulator as a registry strategy.
+    """The discrete-event machine simulator.
 
-    Unlike the Monte-Carlo strategies it does not estimate a failure rate --
-    it deterministically replays a compiled workload cycle-by-cycle --  so it
-    is registered non-batching/non-sharding (never auto-selected for shot
-    estimation) and exposes :meth:`simulate` instead of a useful
-    :meth:`estimate`.
+    It estimates no failure rate: it deterministically replays a compiled
+    workload cycle-by-cycle, so it has :meth:`simulate` instead of an
+    ``estimate``, and only ``machine_sim`` specs run on it.
     """
 
     name: str = "desim"
-    capabilities: BackendCapabilities = BackendCapabilities(
-        supports_batching=False, supports_sharding=False
-    )
-
-    def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
-                 max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
-        raise ParameterError(
-            "the desim backend replays compiled circuits cycle-by-cycle; it has "
-            "no Monte-Carlo estimate -- run an ExperimentSpec(experiment='machine_sim')"
-        )
 
     def simulate(self, spec) -> dict:
         """Replay a ``machine_sim`` spec and return its JSON-ready value."""
-        # Imported lazily: the registry must stay importable without pulling
+        # Imported lazily: this module must stay importable without pulling
         # the whole simulator (and desim imports network/layout/qecc layers).
         from repro.desim import (
             LinkParameters,
@@ -258,9 +188,6 @@ class ShardedBackend:
     """Deterministic seed-spawned shards, in-process or on a process pool."""
 
     name: str = "sharded"
-    capabilities: BackendCapabilities = BackendCapabilities(
-        supports_batching=True, supports_sharding=True
-    )
 
     def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
                  max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
@@ -282,125 +209,41 @@ class ShardedBackend:
 
 
 class BackendRegistry:
-    """Named execution strategies, resolved by name and capability."""
+    """The built-in strategies, resolved by backend name and shard count."""
 
     def __init__(self) -> None:
-        self._backends: dict[str, ExecutionBackend] = {}
+        self._strategies = {
+            strategy.name: strategy
+            for strategy in (EngineBackend(), ScalarBackend(), ShardedBackend(), DesimBackend())
+        }
 
-    # -- registration ------------------------------------------------------
+    def get(self, name: str):
+        """The strategy named ``name`` (unknown names raise)."""
+        strategy = self._strategies.get(name)
+        if strategy is None:
+            raise SimulationError(f"unknown backend {name!r}; built-in backends: {BACKEND_NAMES}")
+        return strategy
 
-    def register(self, backend: ExecutionBackend, replace: bool = False) -> ExecutionBackend:
-        """Register a backend under its ``name``; duplicate names raise unless ``replace``."""
-        name = backend.name
-        if not isinstance(name, str) or not name or name == "auto":
-            raise ParameterError(f"invalid backend name {name!r}")
-        if name in self._backends and not replace:
-            raise ParameterError(f"backend {name!r} is already registered (pass replace=True to override)")
-        self._backends[name] = backend
-        return backend
+    def resolve(self, backend: str, *, num_shards: int = 1):
+        """Resolve a backend name for a run of ``num_shards`` shards.
 
-    def unregister(self, name: str) -> None:
-        """Remove a registered backend (unknown names raise)."""
-        if name not in self._backends:
-            raise ParameterError(f"backend {name!r} is not registered")
-        del self._backends[name]
-
-    def get(self, name: str) -> ExecutionBackend:
-        """The backend registered under ``name`` (unknown names raise)."""
-        backend = self._backends.get(name)
-        if backend is None:
-            raise SimulationError(
-                f"unknown backend {name!r}; registered backends: {self.names()}"
-            )
-        return backend
-
-    def names(self) -> tuple[str, ...]:
-        """The registered backend names, in registration order."""
-        return tuple(self._backends)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._backends
-
-    def __iter__(self) -> Iterator[ExecutionBackend]:
-        return iter(self._backends.values())
-
-    # -- resolution --------------------------------------------------------
-
-    def describe_exclusions(self, num_qubits: int | None = None) -> str:
-        """One line per registered backend: what it is, or which capability excludes it.
-
-        The diagnostic body of the capability-mismatch errors raised by
-        :meth:`resolve`, so a failed resolution names every registered
-        backend together with the capability that rules it out rather than
-        just the requested name.
+        Returns ``(strategy, engine)``: the strategy runs the shots, and the
+        engine is the name the run records -- :data:`AUTO_ENGINE` for the
+        frame and sharded strategies, otherwise the strategy's own name.
+        Resolution is a pure function of the request, so a spec replay
+        always resolves to the same execution.
         """
-        lines = []
-        for backend in self:
-            caps = backend.capabilities
-            if not caps.admits(num_qubits):
-                reason = f"excluded: max_qubits={caps.max_qubits} < {num_qubits} qubits"
-            elif not caps.supports_batching:
-                reason = "per-shot: supports_batching=False"
-            elif caps.supports_sharding:
-                reason = "sharding strategy: supports_sharding=True"
-            else:
-                reason = "batched engine"
-            lines.append(f"{backend.name!r}: {reason}")
-        return "; ".join(lines) if lines else "no backends registered"
-
-    def resolve(
-        self,
-        backend: str,
-        *,
-        shots: int,
-        batch_size: int,
-        num_shards: int = 1,
-        num_qubits: int | None = None,
-    ) -> tuple[ExecutionBackend, str]:
-        """Resolve a (possibly ``"auto"``) backend request for a workload.
-
-        Returns ``(strategy, engine)``: the strategy is the registered backend
-        whose :meth:`~ExecutionBackend.estimate` will run the shots, and the
-        engine is the name the run records: :data:`AUTO_ENGINE` for every
-        sharded run, otherwise the strategy's own name (``"scalar"`` for the
-        per-shot oracle).  ``"auto"`` names
-        :data:`AUTO_ENGINE`; ``shots`` and ``batch_size`` describe the
-        workload, and every value of them resolves the same way.  Resolution
-        is a pure function of the request, so a spec replay always resolves
-        to the same execution.
-        """
-        requested = self.get(AUTO_ENGINE if backend == "auto" else backend)
-        caps = requested.capabilities
-        if not caps.admits(num_qubits):
-            raise SimulationError(
-                f"backend {requested.name!r} holds at most {caps.max_qubits} "
-                f"qubits; the workload needs {num_qubits}.  Registered backends: "
-                + self.describe_exclusions(num_qubits)
-            )
-        if not caps.supports_batching:
-            # A non-batching oracle (the scalar per-shot loop) runs as-is.
-            _reject_shards(requested.name, num_shards)
-            return requested, requested.name
-        if caps.supports_sharding:
-            # Its per-shard batches run on the batched engine.
-            return requested, AUTO_ENGINE
+        strategy = self.get(AUTO_ENGINE if backend == "auto" else backend)
+        if strategy.name in ("scalar", "desim"):
+            _reject_shards(strategy.name, num_shards)
+            return strategy, strategy.name
         if num_shards > 1:
-            # Shard tasks run on the batched engine, so a third-party
-            # engine cannot serve as theirs.
-            sharded = [
-                b for b in self
-                if b.capabilities.supports_sharding and b.capabilities.admits(num_qubits)
-            ]
-            if not sharded:
-                raise SimulationError(
-                    f"num_shards={num_shards} needs a backend with supports_sharding; none is registered"
-                )
-            return sharded[0], AUTO_ENGINE
-        return requested, requested.name
+            return self._strategies["sharded"], AUTO_ENGINE
+        return strategy, AUTO_ENGINE
 
 
 def default_registry() -> BackendRegistry:
-    """The process-wide registry with the built-in strategies registered.
+    """The process-wide registry of the built-in strategies.
 
     Its first call also compiles (or loads) the native frame kernel, so the
     first Monte-Carlo run does not pay for the build.
@@ -408,12 +251,7 @@ def default_registry() -> BackendRegistry:
     global _DEFAULT_REGISTRY
     if _DEFAULT_REGISTRY is None:
         build_kernel()
-        registry = BackendRegistry()
-        registry.register(ScalarBackend())
-        registry.register(EngineBackend())
-        registry.register(ShardedBackend())
-        registry.register(DesimBackend())
-        _DEFAULT_REGISTRY = registry
+        _DEFAULT_REGISTRY = BackendRegistry()
     return _DEFAULT_REGISTRY
 
 

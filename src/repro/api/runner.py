@@ -2,8 +2,8 @@
 
 The runner turns a declarative :class:`~repro.api.specs.ExperimentSpec` into
 an execution: it materializes fresh seed entropy (so every run is replayable),
-resolves the execution strategy and engine name through the
-:class:`~repro.api.registry.BackendRegistry`, builds the picklable shard task
+resolves the execution strategy and engine name from the built-in table
+of :mod:`repro.api.registry`, builds the picklable shard task
 for the workload, runs it, and wraps the value in a provenance-carrying
 :class:`~repro.api.results.RunResult`.
 
@@ -26,22 +26,11 @@ if TYPE_CHECKING:  # the sweep types live above this module; import for types on
     from repro.explore.sweep import SweepSpec
 
 from repro.exceptions import ParameterError
-from repro.api.registry import (
-    BackendRegistry,
-    ExecutionBackend,
-    default_registry,
-)
+from repro.api.registry import default_registry
 from repro.api.results import RunResult
-from repro.api.specs import CircuitSpec, ExperimentSpec
-from repro.qecc.steane import steane_code
+from repro.api.specs import ExperimentSpec
 
 __all__ = ["run", "resolved_engine"]
-
-
-def _register_size(circuit: CircuitSpec) -> int:
-    """Qubits of the level-1 ECC register (data + ancilla + verification)."""
-    n = steane_code().num_physical_qubits
-    return (3 if circuit.verified_ancilla else 2) * n
 
 
 def _normalized_entropy(seed) -> int | tuple[int, ...]:
@@ -62,23 +51,29 @@ def _make_task(spec: ExperimentSpec, physical_rate: float, metric: str):
     )
 
 
-def _resolve(spec: ExperimentSpec, registry: BackendRegistry) -> tuple[ExecutionBackend, str]:
-    return registry.resolve(
-        spec.execution.backend,
-        shots=spec.sampling.shots,
-        batch_size=spec.sampling.batch_size,
-        num_shards=spec.execution.num_shards,
-        num_qubits=_register_size(spec.circuit),
+def _resolve(spec: ExperimentSpec):
+    return default_registry().resolve(
+        spec.execution.backend, num_shards=spec.execution.num_shards
     )
 
 
-def resolved_engine(spec: ExperimentSpec, registry: BackendRegistry | None = None) -> str:
+def _resolve_monte_carlo(spec: ExperimentSpec):
+    """The ``(strategy, engine)`` that estimates ``spec``'s shots."""
+    if spec.execution.backend == "desim":
+        raise ParameterError(
+            "the desim backend replays compiled circuits cycle-by-cycle; it has "
+            "no Monte-Carlo estimate -- run an ExperimentSpec(experiment='machine_sim')"
+        )
+    return _resolve(spec)
+
+
+def resolved_engine(spec: ExperimentSpec) -> str:
     """The engine name :func:`run` will record for ``spec``, without running it.
 
-    A pure function of the spec and the registry, sharing the runner's own
-    dispatch rules: ``machine_sim`` always replays on ``"desim"``, an
-    analytic-only syndrome rate (``shots == 0``) runs no engine at all
-    (``"none"``), and every Monte-Carlo spec resolves through
+    A pure function of the spec, sharing the runner's own dispatch rules:
+    ``machine_sim`` always replays on ``"desim"``, an analytic-only syndrome
+    rate (``shots == 0``) runs no engine at all (``"none"``), and every
+    Monte-Carlo spec resolves through
     :meth:`~repro.api.registry.BackendRegistry.resolve` with the same
     arguments the execution paths use.  The result-cache keys of
     :mod:`repro.explore` embed this name, so it must stay the single source
@@ -92,12 +87,11 @@ def resolved_engine(spec: ExperimentSpec, registry: BackendRegistry | None = Non
         return "desim"
     if spec.experiment == "syndrome_rate" and spec.sampling.shots == 0:
         return "none"
-    the_registry = registry if registry is not None else default_registry()
-    _, engine = _resolve(spec, the_registry)
+    _, engine = _resolve(spec)
     return engine
 
 
-def _estimate(strategy: ExecutionBackend, task, spec: ExperimentSpec, seed):
+def _estimate(strategy, task, spec: ExperimentSpec, seed):
     return strategy.estimate(
         task,
         spec.sampling.shots,
@@ -109,35 +103,36 @@ def _estimate(strategy: ExecutionBackend, task, spec: ExperimentSpec, seed):
     )
 
 
-def _run_threshold_sweep(spec: ExperimentSpec, registry: BackendRegistry):
+def _run_threshold_sweep(spec: ExperimentSpec):
     from repro.arq.experiments import _seeded_threshold_sweep
 
-    return _seeded_threshold_sweep(
+    strategy, engine = _resolve_monte_carlo(spec)
+    sweep = _seeded_threshold_sweep(
+        strategy,
         spec.noise.physical_rates,
         spec.sampling.shots,
         spec.sampling.seed,
         parameters=spec.noise.parameter_set(),
         mapper=spec.circuit.mapper(),
-        backend=spec.execution.backend,
         num_shards=spec.execution.num_shards,
         num_workers=spec.execution.num_workers,
         batch_size=spec.sampling.batch_size,
         max_failures=spec.sampling.max_failures,
         verified_ancilla=spec.circuit.verified_ancilla,
         max_preparation_attempts=spec.circuit.max_preparation_attempts,
-        registry=registry,
     )
+    return sweep, strategy.name, engine
 
 
-def _run_logical_failure(spec: ExperimentSpec, registry: BackendRegistry):
-    strategy, engine = _resolve(spec, registry)
+def _run_logical_failure(spec: ExperimentSpec):
+    strategy, engine = _resolve_monte_carlo(spec)
     rate = spec.noise.physical_rates[0] if spec.noise.kind == "uniform" else 0.0
     task = _make_task(spec, rate, "failure")
     value = _estimate(strategy, task, spec, spec.sampling.seed)
     return value, strategy.name, engine
 
 
-def _run_syndrome_rate(spec: ExperimentSpec, registry: BackendRegistry):
+def _run_syndrome_rate(spec: ExperimentSpec):
     from repro.arq.experiments import analytic_syndrome_rate
 
     value: dict[str, float] = {
@@ -148,7 +143,7 @@ def _run_syndrome_rate(spec: ExperimentSpec, registry: BackendRegistry):
     }
     if spec.sampling.shots == 0:
         return value, "none", "none"
-    strategy, engine = _resolve(spec, registry)
+    strategy, engine = _resolve_monte_carlo(spec)
     task = _make_task(spec, 0.0, "nontrivial_syndrome")
     measured = _estimate(strategy, task, spec, spec.sampling.seed)
     value["measured"] = measured.failure_rate
@@ -156,13 +151,13 @@ def _run_syndrome_rate(spec: ExperimentSpec, registry: BackendRegistry):
     return value, strategy.name, engine
 
 
-def _run_machine_sim(spec: ExperimentSpec, registry: BackendRegistry):
+def _run_machine_sim(spec: ExperimentSpec):
     if spec.execution.backend not in ("auto", "desim"):
         raise ParameterError(
             f"machine_sim runs on the 'desim' strategy, not {spec.execution.backend!r}; "
             "use backend='auto' or backend='desim'"
         )
-    strategy = registry.get("desim")
+    strategy = default_registry().get("desim")
     value = strategy.simulate(spec)
     return value, strategy.name, "desim"
 
@@ -175,9 +170,7 @@ _EXPERIMENT_RUNNERS = {
 }
 
 
-def run(
-    spec: ExperimentSpec | SweepSpec, registry: BackendRegistry | None = None
-) -> RunResult | SweepResult:
+def run(spec: ExperimentSpec | SweepSpec) -> RunResult | SweepResult:
     """Execute a declarative experiment spec and return its provenance-carrying result.
 
     Parameters
@@ -186,11 +179,9 @@ def run(
         The experiment to run.  A spec with ``sampling.seed=None`` has fresh
         SeedSequence entropy drawn and recorded in the echoed spec, so the
         returned result is always replayable via
-        ``run(ExperimentSpec.from_json(result.spec_json))``.
-    registry:
-        Backend registry to resolve the execution strategy against; defaults
-        to the process-wide registry with the built-in scalar / frame /
-        sharded / desim strategies.
+        ``run(ExperimentSpec.from_json(result.spec_json))``.  Its
+        ``execution.backend`` names one of the built-in strategies of
+        :data:`~repro.api.registry.BACKEND_NAMES`.
 
     A :class:`~repro.explore.sweep.SweepSpec` is accepted too and dispatched
     to :func:`repro.explore.runner.run_sweep` (returning its
@@ -203,15 +194,14 @@ def run(
     from repro.explore.sweep import SweepSpec
 
     if isinstance(spec, SweepSpec):
-        return run_sweep(spec, registry=registry)
+        return run_sweep(spec)
     if not isinstance(spec, ExperimentSpec):
         raise ParameterError(f"run() takes an ExperimentSpec, got {type(spec).__name__}")
-    the_registry = registry if registry is not None else default_registry()
     if spec.sampling.seed is None:
         spec = spec.with_seed(_normalized_entropy(np.random.SeedSequence().entropy))
 
     start = time.perf_counter()
-    value, backend_name, engine = _EXPERIMENT_RUNNERS[spec.experiment](spec, the_registry)
+    value, backend_name, engine = _EXPERIMENT_RUNNERS[spec.experiment](spec)
     wall_time = time.perf_counter() - start
 
     import repro

@@ -231,11 +231,13 @@ class ExecutionSpec:
     Attributes
     ----------
     backend:
-        Name of a registered execution backend (``"scalar"``,
-        ``"frame"``, ``"sharded"``, or any strategy
-        registered on the :class:`~repro.api.registry.BackendRegistry` in
-        use), or ``"auto"``: the Pauli-frame ``"frame"`` engine, run through
-        the ``"sharded"`` strategy whenever ``num_shards > 1``.
+        One of the built-in execution backends
+        (:data:`~repro.api.registry.BACKEND_NAMES`): ``"scalar"`` (the
+        per-shot oracle), ``"frame"``, ``"sharded"``, ``"desim"`` (the
+        machine simulator, ``machine_sim`` specs only), or ``"auto"``: the
+        Pauli-frame ``"frame"`` engine.  ``"auto"`` and ``"frame"`` run
+        through the ``"sharded"`` strategy whenever ``num_shards > 1``.
+        Other names fail when the spec runs.
     num_shards:
         Shards of the deterministic shard plan.  The plan (not the worker
         count) decides the random streams, so a fixed ``(seed, num_shards)``

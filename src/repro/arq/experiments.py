@@ -583,45 +583,32 @@ def sweep_result_from_level1(
 
 
 def _seeded_threshold_sweep(
+    strategy,
     physical_rates: Sequence[float],
     trials: int,
     seed: int | tuple[int, ...] | np.random.SeedSequence,
     *,
     parameters: IonTrapParameters = EXPECTED_PARAMETERS,
     mapper: LayoutMapper | None = None,
-    backend: str = "auto",
     num_shards: int = 1,
     num_workers: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
     max_failures: int | None = None,
     verified_ancilla: bool = True,
     max_preparation_attempts: int = 20,
-    registry=None,
-) -> tuple[ThresholdSweepResult, str, str]:
+) -> ThresholdSweepResult:
     """The seeded Figure 7 sweep behind the spec runner's ``threshold_sweep``.
 
-    The execution strategy is resolved once through the backend registry
-    (capability-based, a pure function of the arguments), the root
-    SeedSequence spawns one child per sweep point, and every point runs the
-    shared deterministic shard plan of :mod:`repro.parallel` -- so a fixed
-    ``(seed, num_shards)`` reproduces bit for bit on any worker count.
-    Returns ``(sweep, strategy_name, engine_name)``.
+    ``strategy`` is the execution strategy the runner resolved for the spec
+    (anything with the ``estimate`` method of :mod:`repro.api.registry`'s
+    strategies).  The root SeedSequence spawns one child per sweep point,
+    and every point runs the shared deterministic shard plan of
+    :mod:`repro.parallel` -- so a fixed ``(seed, num_shards)`` reproduces
+    bit for bit on any worker count.
     """
-    from repro.api.registry import default_registry
     from repro.parallel import Level1ShardTask, as_seed_sequence
 
-    the_registry = registry if registry is not None else default_registry()
     the_mapper = mapper if mapper is not None else LayoutMapper()
-    code = steane_code()
-    register = (3 if verified_ancilla else 2) * code.num_physical_qubits
-    strategy, engine = the_registry.resolve(
-        backend,
-        shots=trials,
-        batch_size=batch_size,
-        num_shards=num_shards,
-        num_qubits=register,
-    )
-
     root = as_seed_sequence(seed)
     entropy = root.entropy
     seed_entropy = tuple(entropy) if isinstance(entropy, (list, tuple)) else entropy
@@ -646,10 +633,9 @@ def _seeded_threshold_sweep(
                 num_workers=num_workers,
             )
         )
-    sweep = sweep_result_from_level1(
+    return sweep_result_from_level1(
         physical_rates, level1_results, seed_entropy=seed_entropy, num_shards=num_shards
     )
-    return sweep, strategy.name, engine
 
 
 def analytic_syndrome_rate(

@@ -13,7 +13,7 @@ Shor-kernel runtime.  This package turns the single-point experiment API
   on-disk store keyed by SHA-256 of canonical spec JSON + library version +
   resolved engine (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``),
 * :mod:`repro.explore.runner` -- :func:`run_sweep` executes the grid through
-  the backend registry with a bounded process fan-out, answering every
+  :func:`repro.api.run` with a bounded process fan-out, answering every
   previously-computed point from the cache,
 * :mod:`repro.explore.supervisor` -- the fault-tolerant execution layer
   under :func:`run_sweep`: sweep points as jobs on the supervised process

@@ -274,7 +274,6 @@ def reproduce_fig9(
     bandwidths: Sequence[int] = (1, 2, 4),
     *,
     seed: int = 2005,
-    registry=None,
     cache=None,
     use_cache: bool = True,
 ) -> list[dict]:
@@ -311,7 +310,7 @@ def reproduce_fig9(
         axes=(SweepAxis(path="machine.bandwidth", values=tuple(bandwidths)),),
         seed=seed,
     )
-    result = run_sweep(sweep, registry=registry, cache=cache, use_cache=use_cache)
+    result = run_sweep(sweep, cache=cache, use_cache=use_cache)
     rows = tidy_rows(result)
     rows.sort(key=lambda row: row["machine.bandwidth"])
     return rows
@@ -324,7 +323,6 @@ def reproduce_fig9_noisy(
     bandwidth: int = 2,
     target_fidelity: float = 0.96,
     seed: int = 2005,
-    registry=None,
     cache=None,
     use_cache: bool = True,
 ) -> list[dict]:
@@ -376,7 +374,7 @@ def reproduce_fig9_noisy(
         ),
         seed=seed,
     )
-    result = run_sweep(sweep, registry=registry, cache=cache, use_cache=use_cache)
+    result = run_sweep(sweep, cache=cache, use_cache=use_cache)
     rows = tidy_rows(result)
     rows.sort(
         key=lambda row: (

@@ -13,7 +13,7 @@ version (see the cross-version note in ``docs/migration.md``); bumping the
 version therefore invalidates every cached entry automatically, with no
 stamp files or TTLs.  The resolved engine name is included for the same
 reason: a spec requesting ``backend="auto"`` is only reproducible together
-with the engine the registry resolved it to.
+with the engine it resolved to.
 
 The cache directory defaults to ``~/.cache/repro`` and is overridden by the
 ``REPRO_CACHE_DIR`` environment variable.  Entries are one JSON file per key
@@ -75,7 +75,7 @@ def cache_key(spec: ExperimentSpec, *, engine: str, version: str | None = None) 
     spec:
         The fully-bound spec (seed included) that runs.
     engine:
-        The concrete engine the registry resolves the spec to (the
+        The concrete engine the spec resolves to (the
         ``RunResult.engine`` the run will record) -- ``"auto"`` requests are
         keyed by their resolution, not the request.
     version:

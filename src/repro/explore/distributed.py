@@ -511,7 +511,6 @@ def execute_coordinated(
     cache: ResultCache,
     policy: RetryPolicy,
     point_workers: int = 0,
-    registry=None,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
     poll_interval: float = 0.05,
     worker: str | None = None,
@@ -595,7 +594,6 @@ def execute_coordinated(
                     [specs[position] for position in batch],
                     policy=policy,
                     point_workers=point_workers,
-                    registry=registry,
                 )
                 for position, outcome in zip(batch, outcomes):
                     # The caller's callback caches the result; only then is

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.api.registry import BackendRegistry
 from repro.api.results import RunResult
 from repro.api.runner import resolved_engine, run
 from repro.api.specs import ExperimentSpec
@@ -156,7 +155,6 @@ class RefinementResult:
 def _cached_run(
     spec: ExperimentSpec,
     cache: ResultCache | None,
-    registry: BackendRegistry | None,
 ) -> tuple[RunResult, bool]:
     """Run one bound spec through the content-addressed cache.
 
@@ -167,11 +165,11 @@ def _cached_run(
     """
     key = None
     if cache is not None:
-        key = cache_key(spec, engine=resolved_engine(spec, registry))
+        key = cache_key(spec, engine=resolved_engine(spec))
         hit = cache.get(key)
         if hit is not None:
             return hit, False
-    result = run(spec, registry=registry)
+    result = run(spec)
     if cache is not None:
         cache.put(key, result)
     return result, True
@@ -229,7 +227,6 @@ def refine(
     boost_rule: str = "bracket",
     cache: ResultCache | None = None,
     use_cache: bool = True,
-    registry: BackendRegistry | None = None,
     coordinate: bool = False,
     max_retries: int = 2,
     backoff_base: float = 0.05,
@@ -294,7 +291,6 @@ def refine(
     sweep_kwargs = dict(
         cache=the_cache,
         use_cache=use_cache,
-        registry=registry,
         coordinate=coordinate,
         max_retries=max_retries,
         backoff_base=backoff_base,
@@ -330,7 +326,6 @@ def refine(
                 boost_rule=boost_rule,
                 shot_factor=shot_factor,
                 cache=the_cache if use_cache else None,
-                registry=registry,
             )
             for boost in boosts:
                 boosted_estimates[boost.axis_value] = boost.estimate_after
@@ -380,7 +375,6 @@ def _boost_noisy_points(
     boost_rule: str,
     shot_factor: int,
     cache: ResultCache | None,
-    registry: BackendRegistry | None,
 ) -> list[BoostedPoint]:
     """Apply the shot-boost rule; returns the boosts performed.
 
@@ -412,7 +406,7 @@ def _boost_noisy_points(
     }
     for value, stderr_before in candidates:
         spec = _boosted_spec(point_by_value[value].spec, shot_factor)
-        boosted, executed = _cached_run(spec, cache, registry)
+        boosted, executed = _cached_run(spec, cache)
         sharp_rate = boosted.value.failure_rate
         boosts.append(
             BoostedPoint(

@@ -1,10 +1,10 @@
-"""Execute a design-space sweep through the registry, via the result cache.
+"""Execute a design-space sweep through :func:`repro.api.run`, via the result cache.
 
 :func:`run_sweep` is to :class:`~repro.explore.sweep.SweepSpec` what
 :func:`repro.api.run` is to a single spec.  For every grid point it:
 
 1. resolves the engine the point's spec will execute on (a pure function of
-   the spec and the registry -- see :func:`resolved_engine`),
+   the spec -- see :func:`resolved_engine`),
 2. computes the point's content address with
    :func:`~repro.explore.cache.cache_key`,
 3. answers from the :class:`~repro.explore.cache.ResultCache` when the entry
@@ -42,7 +42,6 @@ import threading
 import warnings
 from dataclasses import dataclass, replace
 
-from repro.api.registry import BackendRegistry
 from repro.api.results import RunResult
 from repro.api.runner import resolved_engine
 from repro.api.specs import ExperimentSpec
@@ -391,7 +390,6 @@ class SweepResult:
 def run_sweep(
     sweep: SweepSpec,
     *,
-    registry: BackendRegistry | None = None,
     cache: ResultCache | None = None,
     use_cache: bool = True,
     point_timeout: float | None = None,
@@ -411,10 +409,6 @@ def run_sweep(
     sweep:
         The sweep description; its grid, per-point seeds and cache keys are
         all pure functions of this object (plus the library version).
-    registry:
-        Backend registry for engine resolution and execution; defaults to
-        the process-wide registry.  A custom registry forces in-process
-        point execution (it cannot be shipped to worker processes).
     cache:
         The result cache to consult and fill; defaults to a
         :class:`~repro.explore.cache.ResultCache` at the standard location
@@ -427,8 +421,8 @@ def run_sweep(
     point_timeout:
         Per-point wall-clock budget in seconds; a point that exceeds it is
         cancelled (its worker killed) and retried.  Requires pooled
-        execution (``sweep.point_workers > 1`` and no custom registry) --
-        an in-process point cannot be preempted.
+        execution (``sweep.point_workers > 1``) -- an in-process point
+        cannot be preempted.
     max_retries:
         Retries after each point's first attempt, with bounded
         exponential backoff (``backoff_base * 2**k``, capped at 5 s)
@@ -498,11 +492,10 @@ def run_sweep(
     policy = RetryPolicy(
         point_timeout=point_timeout, max_retries=max_retries, backoff_base=backoff_base
     )
-    pooled = sweep.point_workers > 1 and registry is None
-    if point_timeout is not None and not pooled:
+    if point_timeout is not None and sweep.point_workers <= 1:
         raise ParameterError(
-            "point_timeout requires pooled execution (sweep.point_workers > 1 "
-            "and no custom registry): an in-process point cannot be preempted"
+            "point_timeout requires pooled execution (sweep.point_workers > 1): "
+            "an in-process point cannot be preempted"
         )
     the_cache: ResultCache | None = None
     if use_cache:
@@ -511,7 +504,7 @@ def run_sweep(
 
     points = sweep.points()
     keys = [
-        cache_key(pt.spec, engine=resolved_engine(pt.spec, registry)) for pt in points
+        cache_key(pt.spec, engine=resolved_engine(pt.spec)) for pt in points
     ]
 
     outcomes: dict[int, SweepPointResult] = {}
@@ -622,8 +615,7 @@ def run_sweep(
                 [keys[index] for index in to_run],
                 cache=the_cache,
                 policy=policy,
-                point_workers=sweep.point_workers if pooled else 0,
-                registry=registry,
+                point_workers=sweep.point_workers,
                 lease_seconds=claim_lease_seconds,
                 poll_interval=claim_poll_interval,
                 on_executed=lambda position, outcome: record_executed(
@@ -637,8 +629,7 @@ def run_sweep(
             execute_supervised(
                 [points[index].spec for index in to_run],
                 policy=policy,
-                point_workers=sweep.point_workers if pooled else 0,
-                registry=registry,
+                point_workers=sweep.point_workers,
                 on_outcome=lambda position, outcome: record_executed(
                     to_run[position], outcome
                 ),

@@ -9,7 +9,6 @@ are bit-reproducible.
 from __future__ import annotations
 
 from repro import faults
-from repro.api.registry import BackendRegistry
 from repro.api.results import RunResult
 from repro.api.runner import run
 from repro.api.specs import ExperimentSpec
@@ -18,9 +17,9 @@ from repro.parallel import JobOutcome, RetryPolicy, supervise
 __all__ = ["execute_supervised"]
 
 
-def _run_point(spec: ExperimentSpec, registry: BackendRegistry | None) -> RunResult:
+def _run_point(spec: ExperimentSpec) -> RunResult:
     """Job body of one sweep point (module-level, so the pool can pickle it)."""
-    return run(spec, registry=registry)
+    return run(spec)
 
 
 def execute_supervised(
@@ -28,24 +27,22 @@ def execute_supervised(
     *,
     policy: RetryPolicy,
     point_workers: int = 0,
-    registry: BackendRegistry | None = None,
     on_outcome=None,
 ) -> list[JobOutcome]:
     """Execute fully-bound (seed-pinned) point specs under supervision.
 
     One job per spec on :func:`~repro.parallel.supervise` with ``point_workers``
-    as its ``workers``; a caller-supplied ``registry`` forces in-process
-    execution (it cannot cross a process boundary), and results are
-    identical either way.  ``on_outcome(index, outcome)`` fires the moment
+    as its ``workers`` (in-process unless ``point_workers > 1``); results
+    are identical either way.  ``on_outcome(index, outcome)`` fires the moment
     each point resolves -- the hook :func:`~repro.explore.runner.run_sweep`
     uses to persist completed points immediately.  Returns one
     :class:`~repro.parallel.JobOutcome` per spec, index-aligned, whose
     ``result`` is the point's :class:`~repro.api.results.RunResult`.
     """
-    jobs = [(faults.fault_key(spec.to_json()), _run_point, (spec, registry)) for spec in specs]
+    jobs = [(faults.fault_key(spec.to_json()), _run_point, (spec,)) for spec in specs]
     return supervise(
         jobs,
         policy=policy,
-        workers=point_workers if registry is None else 0,
+        workers=point_workers,
         on_outcome=on_outcome,
     )

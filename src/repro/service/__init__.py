@@ -2,7 +2,7 @@
 
 This package is the serving layer on top of everything below the
 waterline: frozen JSON-round-trip specs (:mod:`repro.api.specs`,
-:mod:`repro.explore.sweep`), the capability-flagged backend registry, the
+:mod:`repro.explore.sweep`), the built-in execution backends, the
 content-addressed :class:`~repro.explore.cache.ResultCache` (whose key
 doubles as the service's idempotency token), and the fault-tolerant
 supervised sweep execution of :mod:`repro.explore`.  It turns "run this

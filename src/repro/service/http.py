@@ -86,8 +86,6 @@ class ExperimentService:
         and job-retry backoff.
     default_max_attempts:
         Attempt budget for jobs whose submission doesn't specify one.
-    registry:
-        Optional custom backend registry, passed through to execution.
     coordinate:
         Run sweep jobs through the distributed claim protocol
         (:mod:`repro.explore.distributed`): overlapping sweeps -- across
@@ -109,7 +107,6 @@ class ExperimentService:
         workers: int = 1,
         policy: RetryPolicy | None = None,
         default_max_attempts: int = 3,
-        registry=None,
         coordinate: bool = False,
         claim_lease_seconds: float = 30.0,
     ) -> None:
@@ -131,7 +128,6 @@ class ExperimentService:
         self.metrics = ServiceMetrics()
         self.policy = policy if policy is not None else RetryPolicy()
         self.default_max_attempts = default_max_attempts
-        self.registry = registry
         self.recovered_jobs = self.store.recover()
         for job_id in self.recovered_jobs:
             self.store.append_event(
@@ -147,7 +143,6 @@ class ExperimentService:
                 self.cache,
                 self.metrics,
                 policy=self.policy,
-                registry=registry,
                 name=f"repro-service-worker-{index}",
                 coordinate=coordinate,
                 claim_lease_seconds=claim_lease_seconds,
@@ -271,7 +266,7 @@ class ExperimentService:
                     if isinstance(entropy, (list, tuple))
                     else int(entropy)
                 )
-            key = cache_key(spec, engine=resolved_engine(spec, self.registry))
+            key = cache_key(spec, engine=resolved_engine(spec))
             kind = "experiment"
             spec_json = spec.to_json()
 

@@ -81,9 +81,6 @@ class JobWorker(threading.Thread):
         Retry knobs for *sweep points* (``point_timeout`` / ``max_retries``
         / ``backoff_base``) and the backoff schedule for job-level retries.
         Job-level attempt budgets come from each job's ``max_attempts``.
-    registry:
-        Optional custom backend registry (forces in-process point
-        execution, exactly as in :func:`~repro.explore.runner.run_sweep`).
     poll_interval:
         Idle sleep between queue polls when no job is queued.
     coordinate:
@@ -104,7 +101,6 @@ class JobWorker(threading.Thread):
         metrics: ServiceMetrics,
         *,
         policy: RetryPolicy | None = None,
-        registry=None,
         poll_interval: float = 0.05,
         name: str | None = None,
         coordinate: bool = False,
@@ -115,7 +111,6 @@ class JobWorker(threading.Thread):
         self.cache = cache
         self.metrics = metrics
         self.policy = policy if policy is not None else RetryPolicy()
-        self.registry = registry
         self.poll_interval = poll_interval
         self.coordinate = coordinate
         self.claim_lease_seconds = claim_lease_seconds
@@ -224,10 +219,9 @@ class JobWorker(threading.Thread):
                     f"/{event['total']}"
                 )
 
-        pooled = sweep.point_workers > 1 and self.registry is None
+        pooled = sweep.point_workers > 1
         result = run_sweep(
             sweep,
-            registry=self.registry,
             cache=self.cache,
             point_timeout=self.policy.point_timeout if pooled else None,
             max_retries=self.policy.max_retries,
@@ -259,7 +253,7 @@ class JobWorker(threading.Thread):
             result = cached
             self.metrics.record_single(cached=True)
         else:
-            [outcome] = execute_supervised([spec], policy=self.policy, registry=self.registry)
+            [outcome] = execute_supervised([spec], policy=self.policy)
             if not outcome.ok:
                 raise _PointFailed(outcome)
             result = outcome.result

@@ -3,9 +3,9 @@
 Contracts exercised here:
 
 * spec construction validates strictly and JSON round-trips exactly,
-* the backend registry resolves ``auto`` to the frame engine at every batch
-  size and kernel tier (sharded only when ``num_shards > 1``) and accepts
-  third-party strategies by name,
+* the fixed backend table resolves ``auto`` to the frame engine at every
+  batch size and kernel tier (sharded only when ``num_shards > 1``) and
+  rejects every name outside it,
 * ``run(ExperimentSpec.from_json(result.spec_json))`` replays a sharded
   threshold sweep bit for bit on any worker count,
 * ``from repro import *`` exposes exactly the curated ``__all__`` surface.
@@ -19,8 +19,6 @@ import pytest
 
 import repro
 from repro.api import (
-    BackendCapabilities,
-    BackendRegistry,
     CircuitSpec,
     ExecutionSpec,
     ExperimentSpec,
@@ -34,7 +32,6 @@ from repro.api import registry as registry_module
 from repro.api.cli import main as cli_main
 from repro.exceptions import ParameterError, SimulationError
 from repro.stabilizer import fused as fused_module
-from repro.stabilizer.monte_carlo import MonteCarloResult
 
 #: What ``auto`` resolves to, at every batch size and on every kernel tier.
 FAST_ENGINE = "frame"
@@ -171,7 +168,7 @@ class TestSpecJsonRoundTrip:
 class TestRegistrySelection:
     def test_packed_tier_chosen_at_64_lanes(self):
         registry = default_registry()
-        strategy, engine = registry.resolve("auto", shots=64, batch_size=1024, num_shards=1)
+        strategy, engine = registry.resolve("auto", num_shards=1)
         assert (strategy.name, engine) == (FAST_ENGINE, FAST_ENGINE)
 
     @pytest.mark.parametrize("tier", ["cext", "numpy"])
@@ -187,118 +184,51 @@ class TestRegistrySelection:
         monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
         monkeypatch.setattr(registry_module, "_DEFAULT_REGISTRY", None)
         # Every shard holds ``lanes`` shots, so each batch is ``lanes`` wide.
-        strategy, engine = default_registry().resolve(
-            "auto", shots=lanes * num_shards, batch_size=lanes, num_shards=num_shards
-        )
+        strategy, engine = default_registry().resolve("auto", num_shards=num_shards)
         expected = "sharded" if num_shards > 1 else FAST_ENGINE
         assert (strategy.name, engine) == (expected, FAST_ENGINE)
         assert isinstance(create_batch_tableau(7, lanes), PauliFrameBatch)
 
     def test_sharded_only_when_shards_exceed_one(self):
         registry = default_registry()
-        strategy, engine = registry.resolve("auto", shots=4096, batch_size=1024, num_shards=4)
+        strategy, engine = registry.resolve("auto", num_shards=4)
         assert (strategy.name, engine) == ("sharded", FAST_ENGINE)
-        strategy, _ = registry.resolve("auto", shots=4096, batch_size=1024, num_shards=1)
+        strategy, _ = registry.resolve("auto", num_shards=1)
         assert strategy.name != "sharded"
 
     def test_explicit_engine_with_shards_runs_sharded(self):
         registry = default_registry()
-        strategy, engine = registry.resolve("frame", shots=4096, batch_size=1024, num_shards=2)
+        strategy, engine = registry.resolve("frame", num_shards=2)
         assert (strategy.name, engine) == ("sharded", "frame")
 
     def test_scalar_refuses_shards(self):
         with pytest.raises(ParameterError):
-            default_registry().resolve("scalar", shots=100, batch_size=64, num_shards=2)
+            default_registry().resolve("scalar", num_shards=2)
 
     def test_unknown_backend_raises(self):
         for name in ("simd", "uint8", "packed", "packed-fused"):
             with pytest.raises(SimulationError, match="'frame'"):
-                default_registry().resolve(name, shots=100, batch_size=64)
+                default_registry().resolve(name)
 
-    def test_max_qubits_capability_excludes_backends(self):
-        registry = BackendRegistry()
-
-        class TinyBackend:
-            name = "tiny"
-            capabilities = BackendCapabilities(supports_batching=True, max_qubits=4)
-
-            def estimate(self, task, shots, **kwargs):
-                raise AssertionError("never selected")
-
-        registry.register(TinyBackend())
-        with pytest.raises(SimulationError):
-            registry.resolve("tiny", shots=100, batch_size=64, num_qubits=21)
-        with pytest.raises(SimulationError):  # auto-selection skips it too
-            registry.resolve("auto", shots=100, batch_size=64, num_qubits=21)
-
-    def test_duplicate_registration_rejected(self):
-        registry = BackendRegistry()
-
-        class Stub:
-            name = "stub"
-            capabilities = BackendCapabilities()
-
-            def estimate(self, task, shots, **kwargs):
-                return MonteCarloResult(failures=0, trials=shots)
-
-        registry.register(Stub())
-        with pytest.raises(ParameterError):
-            registry.register(Stub())
-        registry.register(Stub(), replace=True)
-
-    def test_third_party_backend_never_hijacks_tableau_resolution(self):
-        # A registered custom strategy runs only when requested by name: it
-        # never wins ``auto``, and its name is never recorded as a sharded
-        # run's engine, which is always the one batched engine.
-        from repro.arq.simulator import create_batch_tableau
-        from repro.stabilizer import PauliFrameBatch
-
-        class FancyBackend:
-            name = "fancy"
-            capabilities = BackendCapabilities(supports_batching=True)
-
-            def estimate(self, task, shots, **kwargs):
-                return MonteCarloResult(failures=0, trials=shots)
-
-        registry = default_registry()
-        registry.register(FancyBackend())
-        try:
-            assert isinstance(create_batch_tableau(7, 1024), PauliFrameBatch)
-            # Shard tasks always run on the batched engine.
-            _, engine = registry.resolve("fancy", shots=4096, batch_size=1024, num_shards=2)
-            assert engine == FAST_ENGINE
-            strategy, _ = registry.resolve("auto", shots=4096, batch_size=1024, num_shards=1)
-            assert strategy.name == FAST_ENGINE
-            strategy, engine = registry.resolve("fancy", shots=4096, batch_size=1024)
-            assert (strategy.name, engine) == ("fancy", "fancy")
-        finally:
-            registry.unregister("fancy")
-
-    def test_third_party_backend_runs_through_the_api(self):
-        calls = {}
-
-        class CountingBackend:
-            name = "counting"
-            capabilities = BackendCapabilities(supports_batching=True)
-
-            def estimate(self, task, shots, **kwargs):
-                calls["shots"] = shots
-                return MonteCarloResult(failures=1, trials=shots)
-
-        registry = BackendRegistry()
-        registry.register(CountingBackend())
-        result = run(
-            ExperimentSpec(
-                experiment="logical_failure",
-                noise=NoiseSpec(physical_rates=(1e-3,)),
-                sampling=SamplingSpec(shots=123, seed=0),
-                execution=ExecutionSpec(backend="counting"),
-            ),
-            registry=registry,
-        )
-        assert calls["shots"] == 123
-        assert result.backend == "counting"
-        assert result.value == MonteCarloResult(failures=1, trials=123)
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize(
+        "name, unsharded, sharded",
+        [
+            ("auto", ("frame", "frame"), ("sharded", "frame")),
+            ("frame", ("frame", "frame"), ("sharded", "frame")),
+            ("sharded", ("sharded", "frame"), ("sharded", "frame")),
+            ("scalar", ("scalar", "scalar"), ParameterError),
+            ("desim", ("desim", "desim"), ParameterError),
+        ],
+    )
+    def test_builtin_table(self, name, unsharded, sharded, num_shards):
+        expected = unsharded if num_shards == 1 else sharded
+        if expected is ParameterError:
+            with pytest.raises(ParameterError):
+                default_registry().resolve(name, num_shards=num_shards)
+        else:
+            strategy, engine = default_registry().resolve(name, num_shards=num_shards)
+            assert (strategy.name, engine) == expected
 
 
 class TestRunAndReplay:
@@ -427,6 +357,20 @@ class TestCuratedSurface:
 
 
 class TestCli:
+    def test_help_names_every_backend_without_compiling(self, monkeypatch, capsys):
+        def no_compile():
+            raise AssertionError("--help must not build the native kernel")
+
+        monkeypatch.setattr(fused_module, "build_kernel", no_compile)
+        monkeypatch.setattr(registry_module, "build_kernel", no_compile)
+        monkeypatch.setattr(registry_module, "_DEFAULT_REGISTRY", None)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        for name in ("auto", "frame", "scalar", "sharded", "desim"):
+            assert name in text
+
     def test_cli_runs_a_spec_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(

@@ -25,6 +25,7 @@ from repro.api import (
     default_registry,
     run,
 )
+from repro.api.runner import resolved_engine
 from repro.circuits.circuit import Circuit
 from repro.circuits.compiled import Opcode, compile_circuit, require_simulable
 from repro.circuits.arithmetic import ripple_carry_adder_circuit
@@ -589,14 +590,23 @@ class TestMachineSimSpec:
             run(spec)
 
     def test_desim_strategy_refuses_monte_carlo_estimates(self):
-        strategy = default_registry().get("desim")
-        with pytest.raises(ParameterError, match="machine_sim"):
-            strategy.estimate(lambda rng, n: None, 100)
+        for experiment, noise in (
+            ("logical_failure", NoiseSpec(physical_rates=(1e-3,))),
+            ("threshold_sweep", NoiseSpec(physical_rates=(1e-3,))),
+            ("syndrome_rate", NoiseSpec(kind="technology")),
+        ):
+            spec = ExperimentSpec(
+                experiment=experiment,
+                noise=noise,
+                sampling=SamplingSpec(shots=64, seed=0),
+                execution=ExecutionSpec(backend="desim"),
+            )
+            assert resolved_engine(spec) == "desim"
+            with pytest.raises(ParameterError, match="machine_sim"):
+                run(spec)
 
     def test_desim_never_auto_selected_for_shots(self):
-        strategy, engine = default_registry().resolve(
-            "auto", shots=4096, batch_size=1024, num_shards=1
-        )
+        strategy, engine = default_registry().resolve("auto", num_shards=1)
         assert strategy.name != "desim"
         assert engine == "frame"
 

@@ -85,7 +85,7 @@ TOO_LONG_LEASE = 3e10
 
 def sweep_keys(sweep: SweepSpec) -> list[str]:
     return [
-        cache_key(point.spec, engine=resolved_engine(point.spec, None))
+        cache_key(point.spec, engine=resolved_engine(point.spec))
         for point in sweep.points()
     ]
 
@@ -105,14 +105,14 @@ def ledgered(real_run, path):
 
     from repro import faults
 
-    def logged_run(spec, *, registry=None):
+    def logged_run(spec):
         line = faults.fault_key(spec.to_json()) + "\n"
         handle = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             os.write(handle, line.encode("ascii"))
         finally:
             os.close(handle)
-        return real_run(spec, registry=registry)
+        return real_run(spec)
 
     return logged_run
 

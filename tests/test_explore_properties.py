@@ -96,7 +96,7 @@ def random_sweep(rng: random.Random) -> SweepSpec:
 def keys_by_coordinates(sweep: SweepSpec) -> dict:
     return {
         tuple(sorted(point.coordinates.items())): cache_key(
-            point.spec, engine=resolved_engine(point.spec, None)
+            point.spec, engine=resolved_engine(point.spec)
         )
         for point in sweep.points()
     }
@@ -108,9 +108,9 @@ class TestCacheKeyCanonicalization:
         rng = random.Random(seed)
         sweep = random_sweep(rng)
         point = rng.choice(sweep.points())
-        key = cache_key(point.spec, engine=resolved_engine(point.spec, None))
+        key = cache_key(point.spec, engine=resolved_engine(point.spec))
         rebuilt = ExperimentSpec.from_json(point.spec.to_json())
-        assert cache_key(rebuilt, engine=resolved_engine(rebuilt, None)) == key
+        assert cache_key(rebuilt, engine=resolved_engine(rebuilt)) == key
 
     @seeded
     def test_key_ignores_json_field_order(self, seed):
@@ -127,8 +127,8 @@ class TestCacheKeyCanonicalization:
                     k: body[k] for k in rng.sample(list(body), k=len(body))
                 }
         rebuilt = ExperimentSpec.from_dict(shuffled)
-        assert cache_key(rebuilt, engine=resolved_engine(rebuilt, None)) == cache_key(
-            point.spec, engine=resolved_engine(point.spec, None)
+        assert cache_key(rebuilt, engine=resolved_engine(rebuilt)) == cache_key(
+            point.spec, engine=resolved_engine(point.spec)
         )
 
     @seeded

@@ -42,7 +42,6 @@ from repro.api import (
     ExperimentSpec,
     NoiseSpec,
     SamplingSpec,
-    default_registry,
     run,
 )
 from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper
@@ -407,36 +406,6 @@ class TestSeededReplay:
         assert _level1_counts(result) == GOLDEN["spec_sweeps"][str(num_shards)]
         replay = run(ExperimentSpec.from_json(result.spec_json))
         assert replay.value == result.value
-
-    def test_registry_diagnostics_name_every_backend(self):
-        """A capability mismatch lists each backend with its excluding flag."""
-        registry = default_registry()
-        description = registry.describe_exclusions(num_qubits=21)
-        for name in registry.names():
-            assert f"{name!r}" in description
-        assert "supports_batching=False" in description
-        assert "supports_sharding=True" in description
-
-    def test_explicit_capability_mismatch_error_lists_backends(self):
-        registry = default_registry()
-        from repro.api import BackendCapabilities
-        from repro.stabilizer.monte_carlo import MonteCarloResult
-
-        class TinyBackend:
-            name = "tiny-fused-test"
-            capabilities = BackendCapabilities(supports_batching=True, max_qubits=4)
-
-            def estimate(self, task, shots, **kwargs):
-                return MonteCarloResult(failures=0, trials=shots)
-
-        registry.register(TinyBackend())
-        try:
-            with pytest.raises(SimulationError, match="'frame'"):
-                registry.resolve(
-                    "tiny-fused-test", shots=100, batch_size=64, num_qubits=21
-                )
-        finally:
-            registry.unregister("tiny-fused-test")
 
 
 LEVEL1_BATCHES = (1, 63, 64, 65, 4096)

@@ -426,13 +426,13 @@ class TestPackedExecutor:
     def test_auto_backend_selection(self):
         registry = default_registry()
         for name in ("auto", "frame"):
-            assert registry.resolve(name, shots=1, batch_size=1) == (registry.get("frame"), "frame")
+            assert registry.resolve(name) == (registry.get("frame"), "frame")
         for name in ("packed", "packed-fused"):
             with pytest.raises(SimulationError, match="'frame'"):
-                registry.resolve(name, shots=64, batch_size=64)
+                registry.resolve(name)
         for name in ("uint8", "simd"):
             with pytest.raises(SimulationError):
-                registry.resolve(name, shots=64, batch_size=64)
+                registry.resolve(name)
         for batch in (8, 64):
             assert type(create_batch_tableau(2, batch)) is PauliFrameBatch
 
