@@ -23,8 +23,8 @@ setup(
     version=_VERSION,
     description=(
         "Reproduction of the QLA quantum architecture study: ion-trap model, "
-        "ARQ stabilizer simulator with batched execution engines behind a "
-        "pluggable backend registry, the paper's threshold/resource "
+        "ARQ stabilizer simulator with one batched Pauli-frame engine and "
+        "five built-in execution backends, the paper's threshold/resource "
         "experiments driven by declarative JSON specs, a design-space "
         "explorer with a content-addressed result cache, and an HTTP "
         "experiment service over a durable job queue"

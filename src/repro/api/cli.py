@@ -76,7 +76,7 @@ from repro.api.specs import (
 )
 from repro.explore.analysis import design_space_starter
 from repro.explore.distributed import check_lease_seconds
-from repro.explore.runner import run_sweep
+from repro.explore.runner import stream_sweep
 from repro.explore.sweep import SweepSpec
 
 __all__ = ["main"]
@@ -334,22 +334,19 @@ def main(argv: list[str] | None = None) -> int:
                         file=sys.stderr,
                     )
                     return 4
-            progress = None
-            if args.stream:
-
-                def progress(event: dict) -> None:
-                    _emit(json.dumps(event, sort_keys=True))
-
-            result = run_sweep(
+            with stream_sweep(
                 spec,
                 use_cache=not args.no_cache,
                 point_timeout=args.point_timeout,
                 max_retries=args.max_retries,
                 on_error=args.on_error,
-                progress=progress,
                 coordinate=args.coordinate,
                 claim_lease_seconds=args.lease_seconds,
-            )
+            ) as events:
+                if args.stream:
+                    for event in events:
+                        _emit(json.dumps(event.to_dict(), sort_keys=True))
+                result = events.result()
             if args.resume:
                 print(
                     f"repro-run: resumed {result.cache_hits} of {len(result)} "

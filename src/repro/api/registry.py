@@ -54,23 +54,13 @@ AUTO_ENGINE = "frame"
 BACKEND_NAMES = ("auto", "frame", "scalar", "sharded", "desim")
 
 
-def _seeded_rng(
-    seed: int | tuple[int, ...] | np.random.SeedSequence | None,
-    rng: np.random.Generator | None,
-) -> np.random.Generator:
-    """One generator from either an explicit rng or a seed.
+def _seeded_rng(seed: int | tuple[int, ...] | np.random.SeedSequence) -> np.random.Generator:
+    """The generator of an unsharded run: the seed's SeedSequence, *spawned once*.
 
-    A seed is coerced to a SeedSequence and *spawned once*, matching the
-    single-shard plan of :mod:`repro.parallel` exactly -- so an unsharded
-    seeded run and a ``num_shards=1`` sharded run of the same seed are
-    bit-for-bit identical.
+    This matches the single-shard plan of :mod:`repro.parallel` exactly, so
+    an unsharded seeded run and a ``num_shards=1`` sharded run of the same
+    seed are bit-for-bit identical.
     """
-    if rng is not None:
-        if seed is not None:
-            raise ParameterError("pass either rng or seed, not both")
-        return rng
-    if seed is None:
-        return np.random.default_rng()
     from repro.parallel import as_seed_sequence
 
     return np.random.default_rng(as_seed_sequence(seed).spawn(1)[0])
@@ -94,7 +84,7 @@ class ScalarBackend:
 
     name: str = "scalar"
 
-    def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
+    def estimate(self, task, shots, *, seed, batch_size=1024,
                  max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
         _reject_shards(self.name, num_shards)
         run_single = getattr(task, "run_single", None)
@@ -102,7 +92,7 @@ class ScalarBackend:
             raise ParameterError(
                 f"the scalar backend needs a task with a run_single(rng) method, got {type(task).__name__}"
             )
-        return estimate_failure_rate(run_single, shots, _seeded_rng(seed, rng), max_failures=max_failures)
+        return estimate_failure_rate(run_single, shots, _seeded_rng(seed), max_failures=max_failures)
 
 
 @dataclass(frozen=True)
@@ -115,11 +105,11 @@ class EngineBackend:
 
     name: str = AUTO_ENGINE
 
-    def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
+    def estimate(self, task, shots, *, seed, batch_size=1024,
                  max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
         _reject_shards(self.name, num_shards)
         return estimate_failure_rate_batched(
-            task, shots, _seeded_rng(seed, rng), batch_size=batch_size, max_failures=max_failures
+            task, shots, _seeded_rng(seed), batch_size=batch_size, max_failures=max_failures
         )
 
 
@@ -189,12 +179,8 @@ class ShardedBackend:
 
     name: str = "sharded"
 
-    def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
+    def estimate(self, task, shots, *, seed, batch_size=1024,
                  max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
-        if seed is None:
-            raise ParameterError("the sharded backend needs a seed; its shard plan is seed-derived")
-        if rng is not None:
-            raise ParameterError("the sharded backend takes a seed, not a generator")
         from repro.parallel import estimate_failure_rate_sharded
 
         return estimate_failure_rate_sharded(

@@ -43,9 +43,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 from repro import faults
@@ -53,7 +55,7 @@ from repro.api.results import RunResult
 from repro.api.specs import ExperimentSpec
 from repro.exceptions import ParameterError
 
-__all__ = ["CACHE_DIR_ENV", "default_cache_dir", "cache_key", "ResultCache"]
+__all__ = ["CACHE_DIR_ENV", "default_cache_dir", "cache_key", "ResultCache", "put_or_warn"]
 
 #: Environment variable overriding the cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -237,3 +239,23 @@ class ResultCache:
                 "stores": self.stores,
                 "corrupt_evictions": self.corrupt_evictions,
             }
+
+
+def put_or_warn(cache: ResultCache, key: str, result: RunResult) -> bool:
+    """Store a finished sweep point; an unwritable cache warns and returns False.
+
+    An unwritable cache (read-only ``REPRO_CACHE_DIR``, full disk) must not
+    discard a finished sweep: the caller keeps its uncached results and
+    stops storing after the first False, so a sweep warns once.
+    """
+    try:
+        cache.put(key, result)
+    except OSError as error:
+        message = (
+            f"result cache at {cache.directory} is not writable "
+            f"({error}); sweep results were computed but not cached"
+        )
+        logging.getLogger("repro").warning("%s", message)
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+        return False
+    return True

@@ -74,15 +74,18 @@ import tempfile
 import threading
 import time
 import uuid
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 from repro import faults
+from repro.api.results import RunResult
 from repro.api.specs import ExperimentSpec
 from repro.exceptions import ParameterError
-from repro.explore.cache import ResultCache
+from repro.explore.cache import ResultCache, put_or_warn
 from repro.explore.supervisor import execute_supervised
-from repro.parallel import RetryPolicy
+from repro.parallel import JobOutcome, RetryPolicy
 
 __all__ = [
     "CLAIMS_SUBDIR",
@@ -514,47 +517,45 @@ def execute_coordinated(
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
     poll_interval: float = 0.05,
     worker: str | None = None,
-    on_executed=None,
-    on_cached=None,
-) -> None:
+) -> Iterator[tuple[int, JobOutcome | RunResult]]:
     """Resolve a batch of cache misses cooperatively through claim files.
 
-    For every position, exactly one of the two callbacks fires:
+    Yields ``(position, resolution)`` once per position, the moment it
+    resolves:
 
-    * ``on_executed(position, outcome)`` -- this process claimed the point
-      and executed it (the caller persists ``outcome.result`` to the cache
-      *before* this function releases the claim, which is why release
-      happens via the callback return);
-    * ``on_cached(position, result)`` -- another worker executed the point
-      and its entry appeared in the cache while we waited.
+    * a :class:`~repro.parallel.JobOutcome` -- this process claimed the
+      point and executed it; a result has been ``put`` in the cache and
+      the claim released before it is yielded, so a waiter can never
+      acquire a released claim and find the entry missing;
+    * a :class:`~repro.api.results.RunResult` -- another worker executed
+      the point and its entry appeared in the cache while we waited.
 
     The loop interleaves claiming and waiting: each pass tries to claim a
     chunk of unresolved points (up to the pool width), executes what it
-    won, then re-scans -- points held by live workers resolve from the
-    cache, points whose owner's lease lapsed are reaped and re-executed
-    here.  Termination needs no global barrier: every unresolved point is
-    either being executed by a live worker (its entry will appear) or has
-    a reapable claim (we will execute it ourselves).
+    won -- storing and releasing each point as it finishes -- then
+    re-scans: points held by live workers resolve from the cache, points
+    whose owner's lease lapsed are reaped and re-executed here.
+    Termination needs no global barrier: every unresolved point is either
+    being executed by a live worker (its entry will appear) or has a
+    reapable claim (we will execute it ourselves).  Hold the generator in
+    :func:`contextlib.closing`: closing it kills the pool, and the claims
+    it still holds lapse and are reaped like a crashed member's.
     """
-    if on_executed is None or on_cached is None:
-        raise ParameterError("execute_coordinated needs on_executed and on_cached callbacks")
     if len(specs) != len(keys):
         raise ParameterError("specs and keys must be index-aligned")
     claims = ClaimStore.for_cache(cache, worker=worker, lease_seconds=lease_seconds)
     pending: list[int] = list(range(len(specs)))
     width = max(1, point_workers)
+    writable = True
 
-    def resolve_from_cache(position: int) -> bool:
+    def landed(position: int) -> RunResult | None:
         key = keys[position]
         if key not in cache:
-            return False
+            return None
         result = cache.get(key)
-        if result is None:
-            # Corrupt entry, evicted on read: fall back to claiming.
-            return False
-        claims.cleanup_stale(key)
-        on_cached(position, result)
-        return True
+        if result is not None:  # None: a corrupt entry, evicted; claim it
+            claims.cleanup_stale(key)
+        return result
 
     with _HeartbeatKeeper(claims) as keeper:
         while pending:
@@ -562,31 +563,32 @@ def execute_coordinated(
             held: dict[int, ClaimRecord] = {}
             progressed = False
             for position in list(pending):
-                if resolve_from_cache(position):
+                result = landed(position)
+                if result is None and len(batch) < width:
+                    record = claims.acquire(keys[position])
+                    if record is None:
+                        continue
+                    # The entry may have landed between our cache check and
+                    # our acquire: the previous owner caches *before*
+                    # releasing, so a key whose claim we could win may
+                    # already be done.  Without this re-check we would
+                    # re-execute it.
+                    result = landed(position)
+                    if result is not None:
+                        claims.release(record)
+                    else:
+                        # Fault site: a flagged member process dies right
+                        # after claiming, leaving a stale claim for the lease
+                        # machinery to reap.  Keyed on the cache key, gated
+                        # on generation.
+                        _maybe_die(keys[position], record.generation)
+                        keeper.add(record)
+                        held[position] = record
+                        batch.append(position)
+                if result is not None:
                     pending.remove(position)
                     progressed = True
-                    continue
-                if len(batch) >= width:
-                    continue
-                record = claims.acquire(keys[position])
-                if record is None:
-                    continue
-                if resolve_from_cache(position):
-                    # The entry landed between our cache check and our
-                    # acquire: the previous owner caches *before* releasing,
-                    # so a key whose claim we could win may already be done.
-                    # Without this re-check we would re-execute it.
-                    claims.release(record)
-                    pending.remove(position)
-                    progressed = True
-                    continue
-                # Fault site: a flagged member process dies right after
-                # claiming, leaving a stale claim for the lease machinery
-                # to reap.  Keyed on the cache key, gated on generation.
-                _maybe_die(keys[position], record.generation)
-                keeper.add(record)
-                held[position] = record
-                batch.append(position)
+                    yield position, result
 
             if batch:
                 progressed = True
@@ -595,19 +597,21 @@ def execute_coordinated(
                     policy=policy,
                     point_workers=point_workers,
                 )
-                for position, outcome in zip(batch, outcomes):
-                    # The caller's callback caches the result; only then is
-                    # the claim released, so a waiter can never acquire a
-                    # released claim and find the entry missing.
-                    on_executed(position, outcome)
-                    # Fault site, second consult: the worker dies *after*
-                    # the cache write but before releasing -- waiters must
-                    # resolve from the cache and GC the leftover claim.
-                    _maybe_die(f"{keys[position]}/release", held[position].generation)
-                    record = keeper.remove(keys[position])
-                    if record is not None:
-                        claims.release(record)
-                    pending.remove(position)
+                with closing(outcomes):
+                    for offset, outcome in outcomes:
+                        position = batch[offset]
+                        if outcome.ok and writable:
+                            writable = put_or_warn(cache, keys[position], outcome.result)
+                        # Fault site, second consult: the worker dies
+                        # *after* the cache write but before releasing --
+                        # waiters must resolve from the cache and GC the
+                        # leftover claim.
+                        _maybe_die(f"{keys[position]}/release", held[position].generation)
+                        record = keeper.remove(keys[position])
+                        if record is not None:
+                            claims.release(record)
+                        pending.remove(position)
+                        yield position, outcome
 
             if pending and not progressed:
                 time.sleep(poll_interval)

@@ -15,6 +15,9 @@ Only the cache misses cost engine time: re-running an identical sweep
 performs **zero** engine executions, and growing one axis computes only the
 new points (per-point seeds depend on coordinates, not grid position).
 
+:func:`stream_sweep` yields each point as it resolves, in the caller's
+thread; :func:`run_sweep` drains the same pipeline to its result.
+
 Execution is **fault-tolerant** (see :mod:`repro.explore.supervisor` and
 ``docs/robustness.md``): misses run under a supervised process pool (or
 in-process with the same retry semantics), every finished point is cached
@@ -36,21 +39,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
-import queue
-import threading
-import warnings
+from contextlib import closing
 from dataclasses import dataclass, replace
+from typing import Generator
 
 from repro.api.results import RunResult
 from repro.api.runner import resolved_engine
 from repro.api.specs import ExperimentSpec
 from repro.exceptions import ParameterError, QLAError
-from repro.explore.cache import ResultCache, cache_key
+from repro.explore.analysis import pareto_front, point_row, tidy_rows
+from repro.explore.cache import ResultCache, cache_key, put_or_warn
 from repro.explore.distributed import check_lease_seconds, execute_coordinated
 from repro.explore.supervisor import execute_supervised
-from repro.explore.sweep import SweepSpec
-from repro.parallel import RetryPolicy
+from repro.explore.sweep import SweepPoint, SweepSpec
+from repro.parallel import JobOutcome, RetryPolicy
 
 # resolved_engine is re-exported here because cache keys embed its answer;
 # the implementation lives next to run() in repro.api.runner so the dispatch
@@ -67,7 +69,13 @@ __all__ = [
     "stream_sweep",
 ]
 
-_LOG = logging.getLogger("repro")
+
+def _json_coordinates(coordinates: dict[str, object]) -> dict[str, object]:
+    """A point's coordinates as JSON values (tuple values become lists)."""
+    return {
+        path: list(value) if isinstance(value, tuple) else value
+        for path, value in coordinates.items()
+    }
 
 
 class SweepExecutionError(QLAError):
@@ -236,8 +244,6 @@ class SweepResult:
 
     def rows(self) -> list[dict]:
         """Tidy analysis rows -- one flat dictionary per grid point."""
-        from repro.explore.analysis import tidy_rows
-
         return tidy_rows(self)
 
     def to_dict(self) -> dict:
@@ -246,10 +252,7 @@ class SweepResult:
             "sweep": self.sweep.to_dict(),
             "points": [
                 {
-                    "coordinates": {
-                        path: list(value) if isinstance(value, tuple) else value
-                        for path, value in point.coordinates.items()
-                    },
+                    "coordinates": _json_coordinates(point.coordinates),
                     "cache_key": point.cache_key,
                     "cached": point.cached,
                     "result": None if point.result is None else point.result.to_dict(),
@@ -302,10 +305,7 @@ class SweepResult:
                 }
             payload.append(
                 {
-                    "coordinates": {
-                        path: list(value) if isinstance(value, tuple) else value
-                        for path, value in point.coordinates.items()
-                    },
+                    "coordinates": _json_coordinates(point.coordinates),
                     "cache_key": point.cache_key,
                     "result": result_dict,
                     "error": error_dict,
@@ -387,21 +387,7 @@ class SweepResult:
         return cls.from_dict(data)
 
 
-def run_sweep(
-    sweep: SweepSpec,
-    *,
-    cache: ResultCache | None = None,
-    use_cache: bool = True,
-    point_timeout: float | None = None,
-    max_retries: int = 2,
-    backoff_base: float = 0.05,
-    on_error: str = "partial",
-    progress=None,
-    stream=None,
-    coordinate: bool = False,
-    claim_lease_seconds: float = 30.0,
-    claim_poll_interval: float = 0.05,
-) -> SweepResult:
+def run_sweep(sweep: SweepSpec, **options) -> SweepResult:
     """Execute a design-space sweep, answering from the cache where possible.
 
     Parameters
@@ -416,61 +402,42 @@ def run_sweep(
         point is stored the moment it finishes, so an interrupted sweep
         resumes from the cache with only the unfinished tail re-executed.
     use_cache:
-        Set False to bypass caching entirely -- every point executes and
-        nothing is read or written on disk.
+        Default True.  Set False to bypass caching entirely -- every point
+        executes and nothing is read or written on disk.
     point_timeout:
-        Per-point wall-clock budget in seconds; a point that exceeds it is
-        cancelled (its worker killed) and retried.  Requires pooled
-        execution (``sweep.point_workers > 1``) -- an in-process point
-        cannot be preempted.
+        Per-point wall-clock budget in seconds (default None); a point that
+        exceeds it is cancelled (its worker killed) and retried.  Requires
+        pooled execution (``sweep.point_workers > 1``) -- an in-process
+        point cannot be preempted.
     max_retries:
-        Retries after each point's first attempt, with bounded
+        Retries after each point's first attempt (default 2), with bounded
         exponential backoff (``backoff_base * 2**k``, capped at 5 s)
         between attempts.
     backoff_base:
-        First retry delay in seconds (``0`` disables the backoff wait).
+        First retry delay in seconds (default 0.05; ``0`` disables the
+        backoff wait).
     on_error:
         ``"partial"`` (default) records points that exhaust their retries
         as :class:`SweepPointError` entries inside a partial result;
         ``"raise"`` raises :class:`SweepExecutionError` instead -- after
         every surviving point has been executed and cached.
-    progress:
-        Optional callback invoked with one JSON-ready dictionary per grid
-        point the moment the point resolves: cache hits during the initial
-        scan, executed points streamed from the incremental harvest (the
-        experiment service's per-job event feed -- see
-        :mod:`repro.service`).  Keys: ``index``, ``total``,
-        ``coordinates``, ``cache_key``, ``cached``, ``ok``, ``attempts``,
-        ``wall_time_seconds``, ``error``.  An exception raised by the
-        callback aborts the sweep and propagates -- every point already
-        resolved has been cached, so an aborted sweep resumes from the
-        cache like a crashed one (this is the service's cancellation
-        hook).
-    stream:
-        Optional callback invoked with one :class:`SweepEvent` per grid
-        point the moment it resolves -- the in-process streaming hook
-        (``progress`` carries JSON-ready dictionaries for the service's
-        NDJSON feed; ``stream`` carries live objects).  Most callers want
-        :func:`stream_sweep`, which turns this hook into a consumer
-        iterator with running Pareto fronts.  Exceptions propagate like
-        ``progress`` exceptions.
     coordinate:
-        Join this sweep's *claim party*: before executing a cache miss,
-        atomically claim it through a claim file next to the cache entry
-        (see :mod:`repro.explore.distributed`), skip points claimed by
-        other live workers (their results are awaited from the cache),
-        and reap claims whose lease lapsed.  N processes -- or N hosts
-        sharing the cache directory -- each calling ``run_sweep`` with
-        ``coordinate=True`` collectively execute every point exactly
+        Default False.  Join this sweep's *claim party*: before executing a
+        cache miss, atomically claim it through a claim file next to the
+        cache entry (see :mod:`repro.explore.distributed`), skip points
+        claimed by other live workers (their results are awaited from the
+        cache), and reap claims whose lease lapsed.  N processes -- or N
+        hosts sharing the cache directory -- each calling ``run_sweep``
+        with ``coordinate=True`` collectively execute every point exactly
         once and each return the complete, identical result.  Requires
         ``use_cache=True``.
     claim_lease_seconds:
-        Claim lease length under ``coordinate=True``: a claimant silent
-        for this long is presumed dead and its point is reaped.  Must be
-        finite and positive.
+        Claim lease length under ``coordinate=True`` (default 30): a
+        claimant silent for this long is presumed dead and its point is
+        reaped.  Must be finite and positive.
     claim_poll_interval:
         How long a coordinating worker sleeps when every unresolved
-        point is claimed by live peers.
+        point is claimed by live peers (default 0.05 s).
 
     Returns
     -------
@@ -478,6 +445,32 @@ def run_sweep(
         Per-point results in grid order plus exact hit/miss, failure and
         corrupt-eviction accounting; ``result.executed`` is the number of
         points handed to an engine.
+
+    To watch the points land instead of waiting for the whole grid, iterate
+    :func:`stream_sweep`, which takes the same keyword arguments.
+    """
+    return SweepStream(_sweep_events(sweep, **options)).result()
+
+
+def _sweep_events(
+    sweep: SweepSpec,
+    *,
+    cache: ResultCache | None = None,
+    use_cache: bool = True,
+    point_timeout: float | None = None,
+    max_retries: int = 2,
+    backoff_base: float = 0.05,
+    on_error: str = "partial",
+    coordinate: bool = False,
+    claim_lease_seconds: float = 30.0,
+    claim_poll_interval: float = 0.05,
+) -> Generator[SweepEvent, None, SweepResult]:
+    """The sweep itself: one :class:`SweepEvent` per point as it resolves.
+
+    Cache hits resolve first, then executions (and, under ``coordinate``,
+    points landed by peers) as they finish; every executed point is
+    cached before it is yielded.  Returns the :class:`SweepResult` (see
+    :func:`run_sweep` for the arguments).
     """
     if not isinstance(sweep, SweepSpec):
         raise ParameterError(f"run_sweep() takes a SweepSpec, got {type(sweep).__name__}")
@@ -506,143 +499,46 @@ def run_sweep(
     keys = [
         cache_key(pt.spec, engine=resolved_engine(pt.spec)) for pt in points
     ]
-
-    outcomes: dict[int, SweepPointResult] = {}
-
-    def notify(index: int) -> None:
-        # One JSON-ready progress record (and one live SweepEvent) per
-        # resolved point; a raising callback aborts the sweep
-        # (already-resolved points stay cached).
-        point = outcomes[index]
-        if progress is not None:
-            progress(
-                {
-                    "index": index,
-                    "total": len(points),
-                    "coordinates": {
-                        path: list(value) if isinstance(value, tuple) else value
-                        for path, value in point.coordinates.items()
-                    },
-                    "cache_key": point.cache_key,
-                    "cached": point.cached,
-                    "ok": point.ok,
-                    "attempts": point.attempts,
-                    "wall_time_seconds": point.wall_time_seconds,
-                    "error": None if point.error is None else point.error.to_dict(),
-                }
-            )
-        if stream is not None:
-            stream(SweepEvent(index=index, total=len(points), point=point))
+    resolved: dict[int, SweepPointResult] = {}
 
     to_run: list[int] = []
     for index, (pt, key) in enumerate(zip(points, keys)):
         cached = the_cache.get(key) if the_cache is not None else None
-        if cached is not None:
-            outcomes[index] = SweepPointResult(
-                coordinates=pt.coordinates,
-                spec=cached.spec,
-                result=cached,
-                cache_key=key,
-                cached=True,
-            )
-            notify(index)
-        else:
+        if cached is None:
             to_run.append(index)
+            continue
+        resolved[index] = _point_result(pt, key, cached)
+        yield SweepEvent(index=index, total=len(points), point=resolved[index])
 
     if to_run:
-        store_failures: list[OSError] = []
-
-        def record_executed(index: int, outcome) -> None:
-            # Streamed back as points finish: persist each completed point
-            # immediately, so a crash of this process loses nothing but the
-            # in-flight tail (crash => resume from the cache for free).
-            # Under coordinate=True this also runs *before* the point's
-            # claim is released, so a waiter can never acquire a released
-            # claim and find its cache entry missing.
-            if outcome.ok:
-                if the_cache is not None and not store_failures:
-                    try:
-                        the_cache.put(keys[index], outcome.result)
-                    except OSError as error:
-                        # An unwritable cache (read-only REPRO_CACHE_DIR, full
-                        # disk) must not discard a finished sweep: degrade to
-                        # uncached results and warn once.
-                        store_failures.append(error)
-                outcomes[index] = SweepPointResult(
-                    coordinates=points[index].coordinates,
-                    spec=outcome.result.spec,
-                    result=outcome.result,
-                    cache_key=keys[index],
-                    cached=False,
-                    attempts=outcome.attempts,
-                    wall_time_seconds=outcome.elapsed_seconds,
-                )
-                notify(index)
-            else:
-                outcomes[index] = SweepPointResult(
-                    coordinates=points[index].coordinates,
-                    spec=points[index].spec,
-                    result=None,
-                    cache_key=keys[index],
-                    cached=False,
-                    error=SweepPointError(
-                        exception_type=type(outcome.error).__name__,
-                        message=str(outcome.error),
-                        attempts=outcome.attempts,
-                        elapsed_seconds=outcome.elapsed_seconds,
-                    ),
-                    attempts=outcome.attempts,
-                    wall_time_seconds=outcome.elapsed_seconds,
-                )
-                notify(index)
-
-        def record_cached_late(index: int, result: RunResult) -> None:
-            # Another coordinating worker executed the point while we
-            # waited; its cache entry is this point's result -- a cache
-            # hit, exactly like one found in the initial scan.
-            outcomes[index] = SweepPointResult(
-                coordinates=points[index].coordinates,
-                spec=result.spec,
-                result=result,
-                cache_key=keys[index],
-                cached=True,
-            )
-            notify(index)
-
+        specs = [points[index].spec for index in to_run]
         if coordinate:
-            execute_coordinated(
-                [points[index].spec for index in to_run],
+            resolutions = execute_coordinated(
+                specs,
                 [keys[index] for index in to_run],
                 cache=the_cache,
                 policy=policy,
                 point_workers=sweep.point_workers,
                 lease_seconds=claim_lease_seconds,
                 poll_interval=claim_poll_interval,
-                on_executed=lambda position, outcome: record_executed(
-                    to_run[position], outcome
-                ),
-                on_cached=lambda position, result: record_cached_late(
-                    to_run[position], result
-                ),
             )
         else:
-            execute_supervised(
-                [points[index].spec for index in to_run],
-                policy=policy,
-                point_workers=sweep.point_workers,
-                on_outcome=lambda position, outcome: record_executed(
-                    to_run[position], outcome
-                ),
+            resolutions = execute_supervised(
+                specs, policy=policy, point_workers=sweep.point_workers
             )
-        if store_failures:
-            message = (
-                f"result cache at {the_cache.directory} is not writable "
-                f"({store_failures[0]}); sweep results were computed but not cached"
-            )
-            _LOG.warning("%s", message)
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
+        # Each point is cached the moment it finishes, so a crash of this
+        # process loses nothing but the in-flight tail.  The claim loop
+        # stores its own points: it must do so before releasing the claim.
+        storing = the_cache is not None and not coordinate
+        with closing(resolutions):
+            for position, resolution in resolutions:
+                index = to_run[position]
+                if storing and resolution.ok:
+                    storing = put_or_warn(the_cache, keys[index], resolution.result)
+                resolved[index] = _point_result(points[index], keys[index], resolution)
+                yield SweepEvent(index=index, total=len(points), point=resolved[index])
 
-    point_results = tuple(outcomes[index] for index in range(len(points)))
+    point_results = tuple(resolved[index] for index in range(len(points)))
     result = SweepResult(
         sweep=sweep,
         points=point_results,
@@ -663,6 +559,38 @@ def run_sweep(
     return result
 
 
+def _point_result(
+    point: SweepPoint, key: str, resolution: JobOutcome | RunResult
+) -> SweepPointResult:
+    """A grid point's record: a cached result, or the outcome of executing it."""
+    if isinstance(resolution, RunResult):
+        return SweepPointResult(
+            coordinates=point.coordinates,
+            spec=resolution.spec,
+            result=resolution,
+            cache_key=key,
+            cached=True,
+        )
+    error = None
+    if not resolution.ok:
+        error = SweepPointError(
+            exception_type=type(resolution.error).__name__,
+            message=str(resolution.error),
+            attempts=resolution.attempts,
+            elapsed_seconds=resolution.elapsed_seconds,
+        )
+    return SweepPointResult(
+        coordinates=point.coordinates,
+        spec=point.spec if error is not None else resolution.result.spec,
+        result=resolution.result,
+        cache_key=key,
+        cached=False,
+        error=error,
+        attempts=resolution.attempts,
+        wall_time_seconds=resolution.elapsed_seconds,
+    )
+
+
 @dataclass(frozen=True)
 class SweepEvent:
     """One resolved grid point, streamed the moment it lands.
@@ -676,14 +604,12 @@ class SweepEvent:
     point:
         The full :class:`SweepPointResult`.
     row:
-        The point's tidy analysis row (:func:`~repro.explore.analysis.point_row`)
-        -- filled by :class:`SweepStream`, ``None`` on raw ``stream=``
-        callbacks.
+        The point's tidy analysis row (:func:`~repro.explore.analysis.point_row`).
     pareto:
         The running Pareto front over every *successful* point streamed so
-        far, as tidy rows -- filled by :class:`SweepStream` when it was
-        given objectives, ``()`` otherwise.  The final event's front is
-        the sweep's front.
+        far, as tidy rows -- filled when :func:`stream_sweep` was given
+        objectives, ``()`` otherwise.  The final event's front is the
+        sweep's front.
     """
 
     index: int
@@ -692,80 +618,86 @@ class SweepEvent:
     row: dict | None = None
     pareto: tuple[dict, ...] = ()
 
+    def to_dict(self) -> dict:
+        """The JSON-ready progress record of the point.
+
+        What the experiment service appends to a job's event log (``GET
+        /v1/jobs/{id}/events``) and ``repro-run --stream`` prints: keys
+        ``index``, ``total``, ``coordinates``, ``cache_key``, ``cached``,
+        ``ok``, ``attempts``, ``wall_time_seconds`` and ``error``.
+        """
+        point = self.point
+        return {
+            "index": self.index,
+            "total": self.total,
+            "coordinates": _json_coordinates(point.coordinates),
+            "cache_key": point.cache_key,
+            "cached": point.cached,
+            "ok": point.ok,
+            "attempts": point.attempts,
+            "wall_time_seconds": point.wall_time_seconds,
+            "error": None if point.error is None else point.error.to_dict(),
+        }
+
 
 class SweepStream:
     """Consumer iterator over a sweep's points as they land.
 
-    Produced by :func:`stream_sweep`: the sweep executes on a background
-    thread while the consuming thread iterates :class:`SweepEvent` values,
-    each enriched with the point's tidy row and -- when objectives were
-    given -- the running Pareto front.  After exhaustion (or early
-    ``close()``), :meth:`result` returns the complete
-    :class:`SweepResult`; an execution error propagates out of the
-    iteration *and* out of :meth:`result`.
+    Produced by :func:`stream_sweep`.  The sweep runs in the consuming
+    thread: each ``next()`` advances it to the next resolved point and
+    returns its :class:`SweepEvent`, enriched with the point's tidy row
+    and -- when objectives were given -- the running Pareto front.  After
+    exhaustion, :meth:`result` returns the complete :class:`SweepResult`;
+    an execution error propagates out of the iteration *and* out of
+    :meth:`result`.
 
-    The stream is also a context manager: leaving the ``with`` block closes
-    it, which cancels the underlying sweep at the next point boundary
-    (already-resolved points are cached, so a cancelled sweep resumes from
-    the cache like a crashed one).
+    The stream is also a context manager: leaving the ``with`` block --
+    normally or by an exception -- closes it, which cancels the sweep at
+    once (its worker processes are killed; already-resolved points are
+    cached, so a cancelled sweep resumes from the cache like a crashed
+    one).
     """
 
-    _DONE = object()
-
-    def __init__(self, minimize=(), maximize=()) -> None:
+    def __init__(
+        self, events: Generator[SweepEvent, None, SweepResult], minimize=(), maximize=()
+    ) -> None:
+        self._events = events
         self._minimize = tuple(minimize)
         self._maximize = tuple(maximize)
-        self._queue: queue.Queue = queue.Queue()
         self._rows: list[dict] = []
         self._result: SweepResult | None = None
-        self._error: BaseException | None = None
+        self._error: Exception | None = None
         self._closed = False
-        self._finished = threading.Event()
-        self._thread: threading.Thread | None = None
 
-    # -- producer side (background thread) ------------------------------------
-
-    def _emit(self, event: SweepEvent) -> None:
-        if self._closed:
-            raise _StreamClosed()
-        self._queue.put(event)
-
-    def _run(self, sweep, kwargs) -> None:
+    def _advance(self) -> SweepEvent:
+        """The next raw event; StopIteration once the sweep ended or was closed."""
+        if self._error is not None:
+            raise self._error
+        if self._closed or self._result is not None:
+            raise StopIteration
         try:
-            self._result = run_sweep(sweep, stream=self._emit, **kwargs)
-        except _StreamClosed:
-            pass
-        except BaseException as error:  # noqa: BLE001 - handed to the consumer
+            return next(self._events)
+        except StopIteration as end:
+            self._result = end.value
+            raise StopIteration from None
+        except Exception as error:
             self._error = error
-        finally:
-            self._finished.set()
-            self._queue.put(self._DONE)
-
-    # -- consumer side ---------------------------------------------------------
+            raise
 
     def __iter__(self):
         return self
 
     def __next__(self) -> SweepEvent:
-        while True:
-            item = self._queue.get()
-            if item is self._DONE:
-                if self._error is not None:
-                    raise self._error
-                raise StopIteration
-            event: SweepEvent = item
-            row = point_row_for(event.point)
-            front: tuple[dict, ...] = ()
-            if event.point.ok:
-                self._rows.append(row)
-            if self._minimize or self._maximize:
-                from repro.explore.analysis import pareto_front
-
-                ok_rows = [r for r in self._rows if not r.get("failed")]
-                front = tuple(
-                    pareto_front(ok_rows, minimize=self._minimize, maximize=self._maximize)
-                )
-            return replace(event, row=row, pareto=front)
+        event = self._advance()
+        row = point_row(event.point)
+        if event.point.ok:
+            self._rows.append(row)
+        front: tuple[dict, ...] = ()
+        if self._minimize or self._maximize:
+            front = tuple(
+                pareto_front(self._rows, minimize=self._minimize, maximize=self._maximize)
+            )
+        return replace(event, row=row, pareto=front)
 
     def __enter__(self) -> "SweepStream":
         return self
@@ -774,24 +706,17 @@ class SweepStream:
         self.close()
 
     def close(self) -> None:
-        """Stop consuming; cancels the sweep at the next point boundary."""
+        """Stop consuming; cancels the rest of the sweep at once."""
         self._closed = True
-        if self._thread is not None:
-            self._thread.join()
-        # Drain so producer-side puts never block a closed stream.
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
+        self._events.close()
 
     def result(self) -> SweepResult:
-        """The complete :class:`SweepResult` (blocks until the sweep ends)."""
-        self._finished.wait()
-        if self._thread is not None:
-            self._thread.join()
-        if self._error is not None:
-            raise self._error
+        """The complete :class:`SweepResult`, running the rest of the sweep first."""
+        try:
+            while True:
+                self._advance()
+        except StopIteration:
+            pass
         if self._result is None:
             raise SweepExecutionError(
                 "sweep stream was closed before the sweep completed; "
@@ -801,37 +726,24 @@ class SweepStream:
         return self._result
 
 
-class _StreamClosed(BaseException):
-    """Raised inside the producer thread when the consumer closed the stream.
-
-    Derives from BaseException so application-level ``except Exception``
-    retry machinery can never swallow the cancellation.
-    """
-
-
-def point_row_for(point: SweepPointResult) -> dict:
-    """The tidy row for one point (thin alias kept next to the stream)."""
-    from repro.explore.analysis import point_row
-
-    return point_row(point)
-
-
 def stream_sweep(
     sweep: SweepSpec,
     *,
     minimize=(),
     maximize=(),
-    **kwargs,
+    **options,
 ) -> SweepStream:
-    """Execute a sweep in the background and iterate its points as they land.
+    """Iterate a sweep's points as they land.
 
     The streaming counterpart of :func:`run_sweep` -- same keyword
     arguments (``cache``, ``coordinate``, ``max_retries``, ...), but
-    instead of blocking until the grid is done it immediately returns a
+    instead of blocking until the grid is done it returns a
     :class:`SweepStream` yielding one :class:`SweepEvent` per resolved
     point, each carrying the point's tidy row and, when ``minimize`` /
     ``maximize`` objectives are given, the running Pareto front over the
-    points so far (the design-space picture *while it fills in*).
+    points so far (the design-space picture *while it fills in*).  The
+    sweep advances only while the stream is iterated (or drained by
+    :meth:`SweepStream.result`).
 
     >>> with stream_sweep(sweep, minimize=("makespan_seconds",)) as events:
     ...     for event in events:
@@ -842,13 +754,4 @@ def stream_sweep(
     cache while a ``coordinate=True`` stream yields every point exactly
     once, whether executed locally or landed by a peer.
     """
-    stream = SweepStream(minimize=minimize, maximize=maximize)
-    thread = threading.Thread(
-        target=stream._run,
-        args=(sweep, kwargs),
-        name="repro-sweep-stream",
-        daemon=True,
-    )
-    stream._thread = thread
-    thread.start()
-    return stream
+    return SweepStream(_sweep_events(sweep, **options), minimize, maximize)

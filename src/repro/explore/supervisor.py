@@ -8,6 +8,8 @@ are bit-reproducible.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro import faults
 from repro.api.results import RunResult
 from repro.api.runner import run
@@ -27,22 +29,15 @@ def execute_supervised(
     *,
     policy: RetryPolicy,
     point_workers: int = 0,
-    on_outcome=None,
-) -> list[JobOutcome]:
+) -> Iterator[tuple[int, JobOutcome]]:
     """Execute fully-bound (seed-pinned) point specs under supervision.
 
     One job per spec on :func:`~repro.parallel.supervise` with ``point_workers``
     as its ``workers`` (in-process unless ``point_workers > 1``); results
-    are identical either way.  ``on_outcome(index, outcome)`` fires the moment
-    each point resolves -- the hook :func:`~repro.explore.runner.run_sweep`
-    uses to persist completed points immediately.  Returns one
-    :class:`~repro.parallel.JobOutcome` per spec, index-aligned, whose
-    ``result`` is the point's :class:`~repro.api.results.RunResult`.
+    are identical either way.  Yields ``(index, outcome)`` the moment each
+    point resolves, whose ``result`` is the point's
+    :class:`~repro.api.results.RunResult`; like :func:`~repro.parallel.supervise`,
+    hold the generator in :func:`contextlib.closing`.
     """
     jobs = [(faults.fault_key(spec.to_json()), _run_point, (spec,)) for spec in specs]
-    return supervise(
-        jobs,
-        policy=policy,
-        workers=point_workers,
-        on_outcome=on_outcome,
-    )
+    return supervise(jobs, policy=policy, workers=point_workers)

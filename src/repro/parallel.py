@@ -3,7 +3,9 @@
 **Supervision.**  :func:`supervise` runs independent ``(fault_key, fn,
 args)`` jobs -- Monte-Carlo shards here, sweep points in
 :mod:`repro.explore.supervisor` -- and is the only place in the library
-that starts a process pool.  With ``workers <= 1`` the jobs run in-process
+that starts a process pool.  It is a generator: each job's terminal
+outcome is yielded the moment it resolves, and closing the generator
+kills the pool.  With ``workers <= 1`` the jobs run in-process
 under the :class:`RetryPolicy`'s retry and backoff.  Otherwise they run on
 a fork pool (:func:`fork_context`) with streaming harvest, per-attempt
 timeouts (a hung job's pool is killed and respawned; innocent in-flight
@@ -55,8 +57,9 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -215,8 +218,7 @@ def supervise(
     *,
     policy: RetryPolicy,
     workers: int = 0,
-    on_outcome: Callable[[int, JobOutcome], None] | None = None,
-) -> list[JobOutcome]:
+) -> Iterator[tuple[int, JobOutcome]]:
     """Run independent jobs under supervision; never raises per job.
 
     Parameters
@@ -231,33 +233,27 @@ def supervise(
         ``> 1`` runs on a supervised fork pool of at most that many
         processes (required for timeouts and crash isolation); otherwise
         jobs run in-process, in order, with the same retry semantics.
-    on_outcome:
-        Optional ``callback(index, outcome)`` invoked the moment each job
-        resolves.  An exception it raises aborts the remaining jobs and
-        propagates.
 
-    Returns one terminal :class:`JobOutcome` per job, index-aligned.
+    Yields ``(index, outcome)`` -- one terminal :class:`JobOutcome` per
+    job, the moment it resolves.  Closing the generator kills the pool
+    and abandons the remaining jobs; hold it in :func:`contextlib.closing`
+    so a consumer that raises mid-iteration closes it at once.
     """
     tasks = [_Job(index, *job) for index, job in enumerate(jobs)]
-    outcomes: list[JobOutcome | None] = [None] * len(tasks)
-
-    def resolve(job: _Job, result: Any, error: Exception | None) -> None:
-        outcome = JobOutcome(
-            result=result, error=error, attempts=job.attempts, elapsed_seconds=job.elapsed
-        )
-        outcomes[job.index] = outcome
-        if on_outcome is not None:
-            on_outcome(job.index, outcome)
-
     if workers > 1 and tasks:
-        _supervise_pool(tasks, policy, min(workers, len(tasks)), resolve)
+        yield from _supervise_pool(tasks, policy, min(workers, len(tasks)))
     else:
         for job in tasks:
-            _run_inline(job, policy, resolve)
-    return outcomes  # type: ignore[return-value]
+            yield job.index, _run_inline(job, policy)
 
 
-def _run_inline(job: _Job, policy: RetryPolicy, resolve) -> None:
+def _outcome(job: _Job, result: Any, error: Exception | None) -> JobOutcome:
+    return JobOutcome(
+        result=result, error=error, attempts=job.attempts, elapsed_seconds=job.elapsed
+    )
+
+
+def _run_inline(job: _Job, policy: RetryPolicy) -> JobOutcome:
     """The in-process attempt loop: retry with backoff to a terminal outcome."""
     while True:
         start = time.monotonic()
@@ -272,7 +268,7 @@ def _run_inline(job: _Job, policy: RetryPolicy, resolve) -> None:
         if error is not None:
             _log_charge(job, error, retry)
         if not retry:
-            return resolve(job, result, error)
+            return _outcome(job, result, error)
         time.sleep(policy.backoff(job.attempts))
 
 
@@ -284,7 +280,12 @@ def _log_charge(job: _Job, error: Exception, retry: bool) -> None:
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down even when a worker is hung: SIGKILL, then shutdown."""
+    """Tear a pool down even when a worker is hung: SIGKILL, then shutdown.
+
+    The pool's manager thread reaps the killed workers; waiting (bounded)
+    for it means no worker outlives the supervisor that started it.
+    """
+    manager = getattr(pool, "_executor_manager_thread", None)
     processes = getattr(pool, "_processes", None) or {}
     for process in list(processes.values()):
         try:
@@ -292,12 +293,17 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         except Exception:  # pragma: no cover - racing an exiting worker
             pass
     pool.shutdown(wait=False, cancel_futures=True)
+    if manager is not None:
+        manager.join(timeout=5.0)
 
 
-def _supervise_pool(jobs: list[_Job], policy: RetryPolicy, workers: int, resolve) -> None:
+def _supervise_pool(
+    jobs: list[_Job], policy: RetryPolicy, workers: int
+) -> Iterator[tuple[int, JobOutcome]]:
     """The supervised pool loop: streaming harvest, timeouts, crash recovery."""
     context = fork_context()
     queue: deque[_Job] = deque(jobs)
+    resolved: deque[tuple[int, JobOutcome]] = deque()  # harvested, not yet yielded
     in_flight: dict[object, _Job] = {}
     suspects: set[int] = set()  # job indices quarantined after a pool break
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
@@ -319,7 +325,7 @@ def _supervise_pool(jobs: list[_Job], policy: RetryPolicy, workers: int, resolve
             queue.append(job)
         else:
             suspects.discard(job.index)
-            resolve(job, result, error)
+            resolved.append((job.index, _outcome(job, result, error)))
 
     def requeue_uncharged(job: _Job, now: float) -> None:
         job.elapsed += now - job.started_at
@@ -338,7 +344,12 @@ def _supervise_pool(jobs: list[_Job], policy: RetryPolicy, workers: int, resolve
         return rest
 
     try:
-        while queue or in_flight:
+        while True:
+            # Hand every job resolved by the last pass to the consumer.
+            while resolved:
+                yield resolved.popleft()
+            if not (queue or in_flight):
+                break
             now = time.monotonic()
 
             # Submit eligible jobs up to capacity.  While any suspect from a
@@ -443,7 +454,8 @@ def _supervise_pool(jobs: list[_Job], policy: RetryPolicy, workers: int, resolve
                     respawn()
     finally:
         # Idle workers on the success path; possibly hung ones on error
-        # paths -- SIGKILL either way so shutdown can never block.
+        # paths or when the consumer closed the generator -- SIGKILL either
+        # way so shutdown can never block.
         _kill_pool(pool)
 
 
@@ -586,12 +598,13 @@ def run_sharded_outcomes(
         if size > 0
     ]
 
-    def reraise(index: int, outcome: JobOutcome) -> None:
-        if not outcome.ok:
-            raise outcome.error
-
-    outcomes = supervise(jobs, policy=_SHARD_POLICY, workers=num_workers, on_outcome=reraise)
-    return [outcome.result for outcome in outcomes]
+    shards: list[ShardOutcome | None] = [None] * len(jobs)
+    with closing(supervise(jobs, policy=_SHARD_POLICY, workers=num_workers)) as outcomes:
+        for index, outcome in outcomes:
+            if not outcome.ok:
+                raise outcome.error
+            shards[index] = outcome.result
+    return shards  # type: ignore[return-value]
 
 
 def aggregate_shard_outcomes(

@@ -4,12 +4,12 @@ Each :class:`JobWorker` is a daemon thread that repeatedly claims the
 oldest queued job from the :class:`~repro.service.store.JobStore` and
 executes it on the library's existing supervised execution path:
 
-* a **sweep** job runs through :func:`repro.explore.runner.run_sweep` --
+* a **sweep** job iterates :func:`repro.explore.runner.stream_sweep` --
   supervised pool (or in-process) execution, per-point retry with backoff,
-  incremental per-point cache writes -- with the runner's ``progress``
-  callback appending one event per resolved point to the job's durable
-  event log (this is what ``GET /v1/jobs/{id}/events`` streams) and
-  checking the cancellation flag between points;
+  incremental per-point cache writes -- appending each resolved point's
+  :meth:`~repro.explore.runner.SweepEvent.to_dict` record to the job's
+  durable event log (this is what ``GET /v1/jobs/{id}/events`` streams)
+  and checking the cancellation flag between points;
 * an **experiment** job is answered from the shared
   :class:`~repro.explore.cache.ResultCache` when its entry exists (the
   job's idempotency key *is* its cache key, so a resubmitted spec costs
@@ -48,7 +48,7 @@ from repro.api.results import RunResult
 from repro.api.specs import ExperimentSpec
 from repro.exceptions import QLAError
 from repro.explore.cache import ResultCache
-from repro.explore.runner import run_sweep
+from repro.explore.runner import stream_sweep
 from repro.explore.supervisor import execute_supervised
 from repro.explore.sweep import SweepSpec
 from repro.parallel import RetryPolicy
@@ -207,30 +207,30 @@ class JobWorker(threading.Thread):
 
     def _execute_sweep(self, job: JobRecord) -> None:
         sweep = SweepSpec.from_json(job.spec_json)
-
-        def progress(event: dict) -> None:
-            # Streamed from run_sweep's incremental harvest: one durable
-            # event per resolved point, plus the cancellation checkpoint.
-            self.store.append_event(job.id, {"type": "point", **event})
-            self.metrics.record_point(event)
-            if self.store.cancel_requested(job.id):
-                raise JobCancelled(
-                    f"job {job.id} cancelled after point {event['index'] + 1}"
-                    f"/{event['total']}"
-                )
-
         pooled = sweep.point_workers > 1
-        result = run_sweep(
+        with stream_sweep(
             sweep,
             cache=self.cache,
             point_timeout=self.policy.point_timeout if pooled else None,
             max_retries=self.policy.max_retries,
             backoff_base=self.policy.backoff_base,
             on_error="partial",
-            progress=progress,
             coordinate=self.coordinate,
             claim_lease_seconds=self.claim_lease_seconds,
-        )
+        ) as events:
+            for event in events:
+                # One durable event per resolved point, plus the
+                # cancellation checkpoint: raising here closes the stream,
+                # which cancels the sweep (resolved points stay cached).
+                record = event.to_dict()
+                self.store.append_event(job.id, {"type": "point", **record})
+                self.metrics.record_point(record)
+                if self.store.cancel_requested(job.id):
+                    raise JobCancelled(
+                        f"job {job.id} cancelled after point {event.index + 1}"
+                        f"/{event.total}"
+                    )
+            result = events.result()
         self.store.mark_done(
             job,
             result.to_json(),
@@ -253,7 +253,7 @@ class JobWorker(threading.Thread):
             result = cached
             self.metrics.record_single(cached=True)
         else:
-            [outcome] = execute_supervised([spec], policy=self.policy)
+            [(_, outcome)] = execute_supervised([spec], policy=self.policy)
             if not outcome.ok:
                 raise _PointFailed(outcome)
             result = outcome.result

@@ -22,6 +22,7 @@ import inspect
 import json
 import logging
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -50,7 +51,7 @@ from repro.explore.distributed import (
     ClaimStore,
     _HeartbeatKeeper,
 )
-from repro.explore.runner import SweepResult, resolved_engine, run_sweep
+from repro.explore.runner import SweepResult, resolved_engine, run_sweep, stream_sweep
 from repro.explore.sweep import SweepAxis, SweepSpec
 
 
@@ -73,6 +74,33 @@ def small_sweep(seed: int = 7) -> SweepSpec:
         ),
         seed=seed,
     )
+
+
+def fast_slow_sweep() -> SweepSpec:
+    """A 2-bit and a 128-bit adder on a 20x20 level-2 array at bandwidth 1.
+
+    The 2-bit point finishes in about a fifth of the 128-bit point's time,
+    so with two point workers it lands while the other is still running.
+    """
+    base = ExperimentSpec(
+        experiment="machine_sim",
+        noise=NoiseSpec(kind="technology"),
+        sampling=SamplingSpec(shots=0),
+        execution=ExecutionSpec(backend="desim"),
+        machine=MachineSpec(
+            rows=20, columns=20, level=2, bandwidth=1, workload="adder", workload_bits=2
+        ),
+    )
+    return SweepSpec(
+        base=base,
+        axes=(SweepAxis(path="machine.workload_bits", values=(2, 128)),),
+        seed=3,
+        point_workers=2,
+    )
+
+
+def point_keys(sweep: SweepSpec) -> list[str]:
+    return [cache_key(pt.spec, engine=resolved_engine(pt.spec)) for pt in sweep.points()]
 
 
 #: Leases every entry point must reject: NaN never goes stale, an
@@ -717,3 +745,47 @@ class TestServiceCoordination:
         assert sorted(ledger()) == sorted(
             faults.fault_key(spec_json) for spec_json in union_specs
         ), "overlapping grid points must execute exactly once across both jobs"
+
+
+@pytest.mark.no_chaos
+class TestIncrementalHarvest:
+    """Points of a claimed batch are stored, released and streamed one by one."""
+
+    def test_fast_point_lands_while_the_slow_one_runs(self, cache):
+        sweep = fast_slow_sweep()
+        fast_key, slow_key = point_keys(sweep)
+        claims = ClaimStore.for_cache(cache)
+        with stream_sweep(sweep, cache=cache, coordinate=True) as events:
+            first = next(events)
+            assert first.index == 0 and not first.point.cached
+            assert fast_key in cache and claims.read(fast_key) is None
+            # The slow point is still claimed and running: unresolved.
+            assert slow_key not in cache and claims.read(slow_key) is not None
+            rest = list(events)
+        assert [event.index for event in rest] == [1]
+        assert slow_key in cache and claims.read(slow_key) is None
+
+
+@pytest.mark.no_chaos
+class TestEarlyExit:
+    """A consumer that stops early leaves no worker behind and keeps its prefix."""
+
+    @pytest.mark.parametrize("coordinate", [False, True])
+    def test_raising_consumer_kills_the_pool(self, cache, coordinate):
+        sweep = fast_slow_sweep()
+        consumed = []
+        with pytest.raises(RuntimeError, match="consumer gave up"):
+            with stream_sweep(
+                sweep, cache=cache, coordinate=coordinate, claim_lease_seconds=0.5
+            ) as events:
+                for event in events:
+                    consumed.append(event)
+                    raise RuntimeError("consumer gave up")
+        assert multiprocessing.active_children() == []
+        [event] = consumed
+        fast_key, slow_key = point_keys(sweep)
+        assert event.point.cache_key == fast_key and fast_key in cache
+        assert slow_key not in cache
+        # The abandoned tail resumes from the cache like a crashed sweep.
+        resumed = run_sweep(sweep, cache=cache, coordinate=coordinate)
+        assert resumed.cache_hits == 1 and resumed.executed == 1

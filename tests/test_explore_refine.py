@@ -12,10 +12,9 @@ sweeps:
   how it was computed (wall time, cache accounting), which is the
   bit-for-bit equality every member of a coordinated claim party is
   tested against.
-* **Streaming** -- ``run_sweep(stream=)`` and :func:`stream_sweep` yield
-  every point exactly once as it resolves, with tidy rows and a running
-  Pareto front; closing the stream cancels the sweep at a point boundary
-  and the finished prefix stays cached.
+* **Streaming** -- :func:`stream_sweep` yields every point exactly once
+  as it resolves, with tidy rows and a running Pareto front; closing the
+  stream cancels the sweep at once and the finished prefix stays cached.
 """
 
 from __future__ import annotations
@@ -142,20 +141,24 @@ class TestValueDigest:
 class TestStreamCallback:
     def test_stream_sees_every_point_exactly_once(self, cache):
         sweep = machine_sweep()
-        events = []
-        result = run_sweep(sweep, cache=cache, stream=events.append)
+        with stream_sweep(sweep, cache=cache) as stream:
+            events = list(stream)
+            result = stream.result()
         assert len(events) == len(result.points)
         assert {event.index for event in events} == set(range(len(result.points)))
         assert all(event.total == len(result.points) for event in events)
-        # Raw callbacks get the bare event; enrichment is SweepStream's job.
-        assert all(event.row is None and event.pareto == () for event in events)
+        assert [result.points[event.index] for event in events] == [
+            event.point for event in events
+        ]
+        # Without objectives there is no front to maintain.
+        assert all(event.pareto == () for event in events)
 
     @pytest.mark.no_chaos
     def test_cached_points_stream_too(self, cache):
         sweep = machine_sweep()
         run_sweep(sweep, cache=cache)
-        events = []
-        run_sweep(sweep, cache=cache, stream=events.append)
+        with stream_sweep(sweep, cache=cache) as stream:
+            events = list(stream)
         assert len(events) == len(sweep.points())
         assert all(event.point.cached for event in events)
 

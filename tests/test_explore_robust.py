@@ -400,24 +400,21 @@ class TestTimeouts:
 class TestSupervisorDirect:
     def test_outcomes_are_index_aligned_and_streamed(self):
         specs = [pt.spec for pt in bandwidth_sweep((1, 2)).points()]
-        streamed = []
-        outcomes = execute_supervised(
-            specs,
-            policy=RetryPolicy(backoff_base=0.0),
-            on_outcome=lambda index, outcome: streamed.append(index),
-        )
-        assert len(outcomes) == 2 and all(o.ok for o in outcomes)
-        assert sorted(streamed) == [0, 1]
+        streamed = list(execute_supervised(specs, policy=RetryPolicy(backoff_base=0.0)))
+        assert sorted(index for index, _ in streamed) == [0, 1]
+        outcomes = [outcome for _, outcome in sorted(streamed)]
+        assert all(o.ok for o in outcomes)
+        assert [o.result.spec for o in outcomes] == specs
         assert all(o.attempts == 1 and o.elapsed_seconds > 0 for o in outcomes)
 
     def test_exception_types_survive_supervision(self):
         specs = [pt.spec for pt in bandwidth_sweep((1,)).points()]
         with faults.fault_profile(faults.PROFILES["permafail"]):
-            outcomes = execute_supervised(
+            [(_, outcome)] = execute_supervised(
                 specs, policy=RetryPolicy(max_retries=0, backoff_base=0.0)
             )
-        assert not outcomes[0].ok
-        assert isinstance(outcomes[0].error, faults.InjectedFault)
+        assert not outcome.ok
+        assert isinstance(outcome.error, faults.InjectedFault)
 
     def test_error_classes_are_qla_errors(self):
         from repro.exceptions import QLAError

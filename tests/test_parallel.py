@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
+import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,6 @@ from repro.api import (
     ExperimentSpec,
     NoiseSpec,
     SamplingSpec,
-    default_registry,
     run,
 )
 from repro.exceptions import ParameterError
@@ -233,7 +235,11 @@ class TestSupervisedJobLogging:
     def test_job_exceptions_are_logged_requeued_then_terminal(self, caplog, workers):
         policy = RetryPolicy(max_retries=1, backoff_base=0.0)
         with caplog.at_level(logging.WARNING, logger="repro"):
-            outcomes = supervise([("reject-7", _reject, (7,))], policy=policy, workers=workers)
+            outcomes = [
+                outcome for _, outcome in supervise(
+                    [("reject-7", _reject, (7,))], policy=policy, workers=workers
+                )
+            ]
         assert isinstance(outcomes[0].error, ValueError)
         assert outcomes[0].attempts == 2
         messages = [r.getMessage() for r in caplog.records if r.name == "repro"]
@@ -241,6 +247,18 @@ class TestSupervisedJobLogging:
         assert all("job 0 raised ValueError: rejected input 7" in m for m in messages)
         assert messages[0].endswith("re-queued")
         assert messages[1].endswith("terminal (retries exhausted)")
+
+
+@pytest.mark.no_chaos
+class TestSupervisedEarlyClose:
+    def test_closing_the_generator_kills_the_pool(self):
+        jobs = [("quick", time.sleep, (0.0,)), ("stuck", time.sleep, (60.0,))]
+        start = time.monotonic()
+        with closing(supervise(jobs, policy=RetryPolicy(), workers=2)) as outcomes:
+            index, outcome = next(outcomes)
+        assert index == 0 and outcome.ok
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30.0
 
 
 def _sweep(rates, shots, seed, *, backend="auto", num_shards=1, num_workers=0, batch_size=1024):
@@ -277,11 +295,6 @@ class TestSeededThresholdSweep:
             self.RATES, shots=300, seed=result.seed_entropy, num_shards=result.num_shards
         )
         assert replay.level1 == result.level1
-
-    def test_seed_and_rng_are_mutually_exclusive(self):
-        engine = default_registry().get("frame")
-        with pytest.raises(ParameterError):
-            engine.estimate(_coin_task, 10, seed=1, rng=np.random.default_rng(0))
 
     def test_backends_agree_statistically_on_seeded_sweeps(self):
         """The frame engine (seed 9) against v1.9's packed engine (seed 8, recorded)."""

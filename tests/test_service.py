@@ -707,6 +707,70 @@ class TestServeCLI:
         assert "repro-serve:" in capsys.readouterr().err
 
 
+#: The per-point record of ``GET /v1/jobs/{id}/events`` and ``repro-run
+#: --stream``, key for key (the service adds its ``type``/``seq`` envelope).
+POINT_RECORD_KEYS = {
+    "index", "total", "coordinates", "cache_key", "cached",
+    "ok", "attempts", "wall_time_seconds", "error",
+}
+
+
+def assert_point_records_match(records: list[dict], document: dict) -> None:
+    """Each record equals the matching point of the final sweep document."""
+    points = document["points"]
+    assert sorted(record["index"] for record in records) == list(range(len(points)))
+    for record in records:
+        point = points[record["index"]]
+        assert record["total"] == len(points)
+        assert record["ok"] == (point["error"] is None)
+        for field in ("coordinates", "cache_key", "cached", "attempts",
+                      "wall_time_seconds", "error"):
+            assert record[field] == point[field], field
+
+
+@pytest.mark.no_chaos
+class TestPointWireFormat:
+    """The per-point record pinned for an executed and a cached pass."""
+
+    def test_service_point_events(self, service, client, tmp_path):
+        sweep = bandwidth_sweep((1, 2))
+        first = client.submit(sweep.to_dict())
+        client.wait(first["id"])
+        replay_service = ExperimentService(
+            db_path=tmp_path / "jobs-replay.sqlite3", cache=service.cache, port=0
+        )
+        with replay_service:
+            replay_client = ServiceClient(replay_service.url)
+            second = replay_client.submit(sweep.to_dict())
+            replay_client.wait(second["id"])
+            passes = [(client, first), (replay_client, second)]
+            for cached, (owner, job) in zip((False, True), passes):
+                records = [
+                    event for event in owner.events(job["id"], follow=False)
+                    if event["type"] == "point"
+                ]
+                assert len(records) == 2
+                for record in records:
+                    assert set(record) == POINT_RECORD_KEYS | {"type", "seq"}
+                    assert record["cached"] is cached
+                assert_point_records_match(records, owner.result(job["id"]))
+
+    def test_cli_stream_lines(self, tmp_path, monkeypatch, capsys):
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(bandwidth_sweep((1, 2)).to_json())
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        for cached in (False, True):
+            output = tmp_path / f"result-{cached}.json"
+            assert run_cli_main([str(spec_path), "--stream", "-o", str(output)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            records = [json.loads(line) for line in lines]
+            assert len(records) == 2
+            for record in records:
+                assert set(record) == POINT_RECORD_KEYS
+                assert record["cached"] is cached
+            assert_point_records_match(records, json.loads(output.read_text()))
+
+
 @pytest.mark.no_chaos
 class TestResumeExitCode:
     def test_unwritable_cache_dir_fails_resume_with_exit_4(self, tmp_path, monkeypatch, capsys):
