@@ -11,8 +11,9 @@ breaks each run's host time down by layer:
   (there is no separate sampling layer any more);
 * ``executor_other_s`` -- the rest of each batched run: plan, reference and
   noise-template lookup, the seed draw and the result;
-* ``decode_s`` -- the rest of each trial batch: state creation, syndrome
-  decoding and ideal recovery on packed words, and unpacking three flags;
+* ``decode_s`` -- the rest of each trial batch: state creation and the
+  lookup decode (syndrome lookup, ideal recovery and the three per-lane
+  flags, one native call on the C tier);
 * ``api_other_s`` -- ``api.run`` less its trial batches: backend
   resolution, experiment build, compilation and result assembly.
 
@@ -25,7 +26,7 @@ gate, noisy ECC cycle) and one kernel call.
 A second table, ``attempt_costs``, gives the fixed cost of one Level-1
 attempt (``Level1EccExperiment._batch_attempt``) at 32, 512 and 4096 lanes,
 in microseconds: ``kernel_us`` (the kernel with its sampling),
-``decode_us`` (state creation and the packed-word decode) and ``other_us``
+``decode_us`` (state creation and the lookup decode) and ``other_us``
 (the rest of the executor run), from the fastest of several rounds of
 back-to-back attempts.
 

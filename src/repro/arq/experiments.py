@@ -28,6 +28,7 @@ sweep driver behind the spec runner.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -61,8 +62,8 @@ from repro.stabilizer import (
     NoiselessModel,
     OperationNoise,
     StabilizerTableau,
-    unpack_bits,
 )
+from repro.stabilizer.fused import LookupDecodeTables, lookup_decode
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -160,54 +161,71 @@ class Level1EccExperiment:
             self._embedded(generator) for generator in self.code.z_stabilizers()
         ]
         self._embedded_logical_z = self._embedded(self.code.logical_z())
-        # Packed-word decoding (64 lanes per word): a syndrome bit is the XOR
-        # of the outcome words its check selects, a correction an AND mask
-        # over syndrome words, and a stabilizer or logical value the parity of
-        # the lane's Pauli frame on its support XOR the reference sign.
+        # Reference signs of the Z stabilizers and logical Z, as
+        # lookup_decode takes them, per reference state.
+        self._reference_signs: weakref.WeakKeyDictionary[StabilizerTableau, int] = (
+            weakref.WeakKeyDictionary()
+        )
+
+    @functools.cached_property
+    def _decode_tables(self) -> LookupDecodeTables:
+        """The batched decode's tables, built on the first batched attempt.
+
+        A syndrome bit is the XOR of the outcome slots its check selects; the
+        X syndrome's lookup correction and the ideal recovery act on the
+        data block's frame X words, since the logical Z readout and the Z
+        stabilizers that decide its X correction are Z-type (the frame Z
+        words and every Z correction never reach a flag).
+        """
         labels = [
             label for program, _ in self._attempt_segments for label in program.measurement_labels
         ]
         slot_of = {label: slot for slot, label in enumerate(labels)}
         groups = [
             (extraction.error_type, extraction.ancilla_measurement_labels)
-            for extraction in (x_extraction, z_extraction)
+            for extraction in (self._x_extraction, self._z_extraction)
         ]
         if self.verified_ancilla:
             groups += [
                 (extraction.error_type, extraction.verification_measurement_labels)
-                for extraction in (x_extraction, z_extraction)
+                for extraction in (self._x_extraction, self._z_extraction)
                 if extraction.verification_measurement_labels
             ]
         # Rows: X syndromes, Z syndromes, then the verification syndromes.
-        self._syndrome_parity = _WordParity(
-            [
-                [slot_of[labels[qubit]] for qubit in np.flatnonzero(check)]
-                for error_type, labels in groups
-                for check in (self.code.hz if error_type == "X" else self.code.hx)
+        rows = [
+            [slot_of[labels[qubit]] for qubit in np.flatnonzero(check)]
+            for error_type, labels in groups
+            for check in (self.code.hz if error_type == "X" else self.code.hx)
+        ]
+        return LookupDecodeTables(
+            rows,
+            reported=self.code.hz.shape[0] + self.code.hx.shape[0],
+            correction_table=self._decoder.correction_table("X"),
+            checks=[np.flatnonzero(pauli.z).tolist() for pauli in self.code.z_stabilizers()],
+            logical=np.flatnonzero(self.code.logical_z().z).tolist(),
+        )
+
+    def _signs_for(self, reference: StabilizerTableau) -> int:
+        """The decode's reference signs: bit ``c`` of Z stabilizer ``c``, then logical Z.
+
+        Negative when the reference leaves any stabilizer or the logical
+        operator random (a state outside the code space), so that no lane
+        reads 1, matching the per-shot early return.
+        """
+        signs = self._reference_signs.get(reference)
+        if signs is None:
+            values = [
+                reference.expectation(pauli)
+                for pauli in (
+                    *self._embedded_x_stabilizers,
+                    *self._embedded_z_stabilizers,
+                    self._embedded_logical_z,
+                )
             ]
-        )
-        checks = self.code.hz.shape[0]
-        # Rows of [s; ~s] whose AND marks the lanes with syndrome value v.
-        self._pattern_rows = np.array(
-            [
-                [i if (value >> (checks - 1 - i)) & 1 else checks + i for i in range(checks)]
-                for value in range(2**checks)
-            ]
-        )
-        # Per qubit, the syndrome values whose dense-table X correction flips it.
-        self._x_corrections = _WordParity(
-            [np.flatnonzero(column).tolist() for column in self._decoder.correction_table("X").T]
-        )
-        # The logical Z readout and the Z stabilizers that decide its X
-        # correction are Z-type, so they read only the data block's frame X
-        # words; the frame Z words and every Z correction never reach a flag.
-        self._z_stabilizer_parity, self._logical_parity = (
-            _WordParity([np.flatnonzero(pauli.z).tolist() for pauli in paulis])
-            for paulis in (self.code.z_stabilizers(), [self.code.logical_z()])
-        )
-        self._reference_signs: weakref.WeakKeyDictionary[
-            StabilizerTableau, np.ndarray | None
-        ] = weakref.WeakKeyDictionary()
+            k = len(self._embedded_x_stabilizers)
+            signs = sum(1 << c for c, value in enumerate(values[k:]) if value == -1)
+            signs = self._reference_signs[reference] = signs if all(values) else -1
+        return signs
 
     # ------------------------------------------------------------------
     # Trials
@@ -329,64 +347,14 @@ class Level1EccExperiment:
         words = self._batch_executor.run(
             self._attempt_segments, batch_size, rng, tableau=state
         ).outcome_words
-
-        syndromes = self._syndrome_parity(words)
-        checks = self._pattern_rows.shape[1]
-        n = self.code.num_physical_qubits
-        frame_x = state.frame_x[:n] ^ self._x_corrections(
-            self._syndrome_hits(syndromes[:checks])
+        failure, nontrivial, passed = lookup_decode(
+            self._decode_tables, self._signs_for(state.reference), words, state.frame_x, batch_size
         )
-        says_one = self._ideal_recovery_says_one_words(state.reference, frame_x)
-        nontrivial = np.bitwise_or.reduce(syndromes[: 2 * checks], axis=0)
-        rejected = np.bitwise_or.reduce(syndromes[2 * checks :], axis=0)
-        flags = unpack_bits(np.stack((says_one, nontrivial, rejected)), batch_size) != 0
         return {
-            "failure": ~flags[0],
-            "nontrivial_syndrome": flags[1],
-            "verification_passed": ~flags[2],
+            "failure": failure,
+            "nontrivial_syndrome": nontrivial,
+            "verification_passed": passed,
         }
-
-    def _syndrome_hits(self, syndromes: np.ndarray) -> np.ndarray:
-        """``(2**m, W)`` words: the lanes whose ``(m, W)`` syndrome reads each value.
-
-        Values are read most-significant check first, like the rows of the
-        dense correction tables; the value sets are disjoint, so a qubit's
-        correction is the XOR of the sets of the values that flip it.
-        """
-        choices = np.concatenate((syndromes, ~syndromes))
-        return np.bitwise_and.reduce(choices[self._pattern_rows], axis=1)
-
-    def _ideal_recovery_says_one_words(
-        self, reference: StabilizerTableau, frame_x: np.ndarray
-    ) -> np.ndarray:
-        """Batched ideal decode on words; set where the logical value is 1.
-
-        ``frame_x`` holds the data block's frame X words.  When the
-        reference leaves any stabilizer or the logical operator random (a
-        state outside the code space) no lane reads 1, matching the
-        per-shot early return.
-        """
-        if reference in self._reference_signs:
-            signs = self._reference_signs[reference]
-        else:
-            values = np.array(
-                [
-                    reference.expectation(pauli)
-                    for pauli in (
-                        *self._embedded_x_stabilizers,
-                        *self._embedded_z_stabilizers,
-                        self._embedded_logical_z,
-                    )
-                ]
-            )
-            k = len(self._embedded_x_stabilizers)
-            signs = np.where(values[k:] == -1, ~np.uint64(0), np.uint64(0))[:, None]
-            signs = self._reference_signs[reference] = signs if values.all() else None
-        if signs is None:
-            return np.zeros(frame_x.shape[1], dtype=np.uint64)
-        syndromes = signs[:-1] ^ self._z_stabilizer_parity(frame_x)
-        corrected = frame_x ^ self._x_corrections(self._syndrome_hits(syndromes))
-        return (signs[-1] ^ self._logical_parity(corrected))[0]
 
     def _verification_passed(self, result) -> bool:
         """True if both ancilla verification blocks report a trivial parity check."""
@@ -473,21 +441,6 @@ def _hand_out(passed: np.ndarray, budgets: np.ndarray) -> tuple[np.ndarray, np.n
         start = int(ends[-1][-1]) + 1
         lane += capped + 1
     return np.concatenate(starts), np.concatenate(ends)
-
-
-class _WordParity:
-    """Per output row, the XOR of a list of word rows: one gather, one ``reduceat``."""
-
-    def __init__(self, rows: list[list[int]]) -> None:
-        # An empty row reads a zero row appended past the input's last row.
-        self._pad = any(not row for row in rows)
-        self._index = np.array([i for row in rows for i in (row or [-1])], dtype=np.intp)
-        self._starts = np.cumsum([0] + [max(len(row), 1) for row in rows[:-1]])
-
-    def __call__(self, words: np.ndarray) -> np.ndarray:
-        if self._pad:
-            words = np.concatenate((words, np.zeros_like(words[:1])))
-        return np.bitwise_xor.reduceat(words[self._index], self._starts, axis=0)
 
 
 @dataclass(frozen=True)

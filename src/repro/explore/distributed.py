@@ -449,7 +449,9 @@ class _HeartbeatKeeper:
     Refresh cadence is a third of the store's lease, so two missed beats
     still leave headroom before the claim goes stale.  Ownership lost to
     a reaper (we were presumed dead) just drops the record from the set
-    -- see :meth:`ClaimStore.heartbeat` for why that is safe.
+    -- see :meth:`ClaimStore.heartbeat` for why that is safe.  Leaving
+    the ``with`` block releases every claim still held: by then nothing
+    works on them, so peers need not wait out their leases.
     """
 
     def __init__(self, claims: ClaimStore) -> None:
@@ -478,6 +480,11 @@ class _HeartbeatKeeper:
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=self.claims.lease_seconds)
+        # After the beats stop, so that none rewrites a released claim.
+        with self._lock:
+            records, self._held = list(self._held.values()), {}
+        for record in records:
+            self.claims.release(record)
 
     def _loop(self) -> None:
         interval = self.claims.lease_seconds / 3.0
@@ -538,8 +545,10 @@ def execute_coordinated(
     Termination needs no global barrier: every unresolved point is either
     being executed by a live worker (its entry will appear) or has a
     reapable claim (we will execute it ourselves).  Hold the generator in
-    :func:`contextlib.closing`: closing it kills the pool, and the claims
-    it still holds lapse and are reaped like a crashed member's.
+    :func:`contextlib.closing`: closing it kills the pool and then releases
+    the claims it still holds, so a peer or a re-run takes those points up
+    at once.  Only a process killed outright leaves its claims to lapse
+    and be reaped.
     """
     if len(specs) != len(keys):
         raise ParameterError("specs and keys must be index-aligned")

@@ -57,18 +57,28 @@ only integer compares decide a failure and both kernel tiers agree bit for
 bit without trusting libm.  A run costs about one draw per failure plus one
 per ``T`` keys, and ghost lanes past ``B`` never receive noise.
 
-Two interchangeable kernels implement the loop, with the same signature:
+Two interchangeable kernels implement the loop, on the same arrays:
 
 * a small C kernel (``fused_kernel.c``) compiled on demand with the system C
-  compiler and loaded through ctypes; it samples each event's failures as
-  it reaches the event's program position, one cursor per class;
+  compiler and loaded through ctypes; it reads the arrays through one int64
+  block of sizes and addresses per plan, reference and noise template, and
+  samples each event's failures as it reaches the event's program
+  position, one cursor per class;
 * :func:`frame_kernel_numpy` -- a pure-numpy fallback, so the module imports
   and runs (slower) with no compiler at all; it draws the same counters in
   vectorised chunks before the loop.
 
-``REPRO_FUSED_KERNEL`` selects the tier explicitly (``auto`` / ``cext`` /
-``numpy``); ``auto`` takes the C kernel when it compiles and logs a warning
-once when it falls back to numpy.
+The same C source holds the **lookup decode** of a run
+(:func:`lookup_decode`): per 64-lane word it XORs syndrome rows from their
+outcome slots, looks the syndrome up in a correction table given as
+per-qubit masks, applies an ideal recovery to the corrected frame X words
+and writes three flag bytes per lane (failure, nontrivial syndrome,
+verification passed).  Its tables (:class:`LookupDecodeTables`) come from
+the caller, and :func:`lookup_decode_numpy` is its pure-numpy twin.
+
+``REPRO_FUSED_KERNEL`` selects the tier of both explicitly (``auto`` /
+``cext`` / ``numpy``); ``auto`` takes the C code when it compiles and logs
+a warning once when it falls back to numpy.
 """
 
 from __future__ import annotations
@@ -111,10 +121,13 @@ from repro.stabilizer.tableau import StabilizerTableau
 __all__ = [
     "SUPPORTED_OPCODES",
     "KERNEL_TIERS",
+    "LookupDecodeTables",
     "PauliFrameBatch",
     "frame_kernel_numpy",
     "kernel_tier",
     "execute_fused",
+    "lookup_decode",
+    "lookup_decode_numpy",
 ]
 
 _LOG = logging.getLogger("repro")
@@ -196,7 +209,7 @@ def _gap_thresholds(p: float, table: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Numpy fallback tier (identical signature and semantics)
+# Numpy fallback tier (the same arrays and semantics)
 # ----------------------------------------------------------------------
 
 
@@ -342,7 +355,7 @@ def frame_kernel_numpy(
     dw,
     error_count,
 ):
-    """Pure-numpy kernel with the same signature as the C kernel.
+    """Pure-numpy kernel on the arrays the C kernel reads through its blocks.
 
     Parameters (all arrays C-contiguous):
 
@@ -455,7 +468,7 @@ def frame_kernel_numpy(
 # ----------------------------------------------------------------------
 
 _CEXT_SOURCE = Path(__file__).with_name("fused_kernel.c")
-_CEXT_FN = None
+_CEXT_LIBRARY = None
 _CEXT_ERROR: str | None = None
 
 
@@ -467,10 +480,14 @@ def _cext_cache_dir() -> Path:
 
 
 def _cext_kernel():
-    """The ctypes entry point of the compiled C kernel, or None with a reason."""
-    global _CEXT_FN, _CEXT_ERROR
-    if _CEXT_FN is not None or _CEXT_ERROR is not None:
-        return _CEXT_FN
+    """The compiled C library, or None with a reason.
+
+    Its entry points are ``repro_frame_run`` (the frame kernel) and
+    ``repro_lookup_decode`` (the lookup decode).
+    """
+    global _CEXT_LIBRARY, _CEXT_ERROR
+    if _CEXT_LIBRARY is not None or _CEXT_ERROR is not None:
+        return _CEXT_LIBRARY
     try:
         source = _CEXT_SOURCE.read_text()
     except OSError as exc:
@@ -507,14 +524,17 @@ def _cext_kernel():
             return None
     try:
         library = ctypes.CDLL(str(shared))
-        fn = library.repro_frame_run
-    except OSError as exc:
+        frame, decode = library.repro_frame_run, library.repro_lookup_decode
+    except (OSError, AttributeError) as exc:
         _CEXT_ERROR = f"cannot load compiled kernel {shared.name}: {exc}"
         return None
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64] * 7 + [ctypes.c_uint64] + [ctypes.c_void_p] * 27
-    _CEXT_FN = fn
-    return fn
+    frame.restype = decode.restype = ctypes.c_int64
+    frame.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_uint64] + [ctypes.c_void_p] * 7
+    decode.argtypes = (
+        [ctypes.c_int64] * 2 + [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
+    )
+    _CEXT_LIBRARY = library
+    return library
 
 
 def build_kernel() -> bool:
@@ -527,13 +547,18 @@ def build_kernel() -> bool:
     return _cext_kernel() is not None
 
 
-def _addresses(*arrays: np.ndarray) -> tuple[int, ...]:
-    """Data addresses of C-contiguous arrays, as the C kernel takes them.
+def _block(*entries: int | np.ndarray) -> np.ndarray:
+    """An int64 block of sizes and array data addresses, as the C code takes them.
 
     Taking an address costs about as much as the kernel's work on a small
-    batch, so the arrays that outlive a run have theirs taken once.
+    batch, and ctypes charges for every argument, so each object that
+    outlives a run gathers its sizes and addresses into one block once and
+    passes the block's address.  The object must keep the arrays alive.
     """
-    return tuple(array.ctypes.data for array in arrays)
+    return np.array(
+        [entry.ctypes.data if isinstance(entry, np.ndarray) else entry for entry in entries],
+        dtype=np.int64,
+    )
 
 
 def _address(array: np.ndarray) -> int:
@@ -641,8 +666,9 @@ class _KernelPlan:
     segment's measurement slots follow the earlier segments'.
     ``content_key`` digests the operations the reference pass depends on,
     so runs with equal operations share their reference passes;
-    ``addresses`` holds the data addresses of the arrays the C kernel
-    reads, and ``template_cache`` the run's noise templates.
+    ``block`` holds the sizes and array addresses the C kernel reads
+    (``address`` is its own), and ``template_cache`` the run's noise
+    templates.
     """
 
     __slots__ = (
@@ -656,7 +682,8 @@ class _KernelPlan:
         "num_measurements",
         "op_bounds",
         "content_key",
-        "addresses",
+        "block",
+        "address",
         "template_cache",
     )
 
@@ -689,7 +716,15 @@ class _KernelPlan:
         self.content_key = hashlib.sha256(
             self.opcodes.tobytes() + self.qubit0.tobytes() + self.qubit1.tobytes()
         ).digest()
-        self.addresses = _addresses(self.opcodes, self.qubit0, self.qubit1, self.slots)
+        self.block = _block(
+            self.opcodes.shape[0],
+            self.num_measurements,
+            self.opcodes,
+            self.qubit0,
+            self.qubit1,
+            self.slots,
+        )
+        self.address = self.block.ctypes.data
         self.template_cache: dict = {}
 
 
@@ -735,7 +770,8 @@ class _Reference:
     ``ref_bits[k]`` holds a deterministic measurement's reference outcome;
     random measurement ``d`` has pivot stabilizer entries
     ``piv_start[d]:piv_start[d+1]`` of ``piv_qubit``/``piv_xz``.
-    ``addresses`` holds the data addresses of those five arrays.
+    ``block`` holds the data addresses of those five arrays and
+    ``address`` the block's.
     """
 
     __slots__ = (
@@ -746,7 +782,8 @@ class _Reference:
         "piv_start",
         "piv_qubit",
         "piv_xz",
-        "addresses",
+        "block",
+        "address",
     )
 
 
@@ -793,9 +830,10 @@ def _reference_pass(plan: _KernelPlan, start: StabilizerTableau) -> _Reference:
     reference.piv_start = np.asarray(piv_start, dtype=np.int32)
     reference.piv_qubit = np.asarray(piv_qubit, dtype=np.int32)
     reference.piv_xz = np.asarray(piv_xz, dtype=np.uint8)
-    reference.addresses = _addresses(
+    reference.block = _block(
         ref_bits, draw_index, reference.piv_start, reference.piv_qubit, reference.piv_xz
     )
+    reference.address = reference.block.ctypes.data
     return reference
 
 
@@ -860,7 +898,8 @@ class _NoiseTemplate:
     ``thresholds[c]`` holds its gap thresholds and ``guides[c]`` the C
     kernel's search starts per bucket of draws.  ``max_qubit`` is the
     highest support qubit declared (-1 for none), which each run checks
-    against its register, and ``addresses`` the C kernel's array addresses.
+    against its register; ``block`` holds the sizes and array addresses
+    the C kernel reads and ``address`` the block's.
     """
 
     __slots__ = (
@@ -878,7 +917,8 @@ class _NoiseTemplate:
         "thresholds",
         "guides",
         "max_qubit",
-        "addresses",
+        "block",
+        "address",
     )
 
     def __init__(self, plan: _KernelPlan, models: tuple[NoiseModel, ...]) -> None:
@@ -955,7 +995,11 @@ class _NoiseTemplate:
         for c, p in enumerate(probabilities.tolist()):
             self.thresholds[c] = _gap_thresholds(p, _GAP_TABLE)
             self.guides[c] = np.searchsorted(self.thresholds[c], buckets, side="right")
-        self.addresses = _addresses(
+        self.block = _block(
+            self.code_xz.shape[1],
+            self.class_events.size,
+            self.p.size,
+            self.thresholds.shape[1],
             self.pre_inj,
             self.post_inj,
             self.inj_start,
@@ -969,6 +1013,7 @@ class _NoiseTemplate:
             self.thresholds,
             self.guides,
         )
+        self.address = self.block.ctypes.data
 
     def sample(self, batch_size: int, seed: int):
         """The failures a run with this seed draws: ``(event, lane, code)``.
@@ -1156,7 +1201,21 @@ class PauliFrameBatch:
 
 def _run_kernel(tier, W, B, seed, plan, reference, template, out, error_count, state) -> int:
     """Run the kernel once; ``out``'s last two rows are its working buffers."""
-    sizes = (
+    if tier == "cext":
+        if state._frame_addresses is None:
+            state._frame_addresses = (_address(state._fx), _address(state._fz))
+        return _cext_kernel().repro_frame_run(
+            W,
+            B,
+            seed,
+            plan.address,
+            reference.address,
+            template.address,
+            _address(out),
+            *state._frame_addresses,
+            _address(error_count),
+        )
+    return frame_kernel_numpy(
         W,
         B,
         plan.opcodes.shape[0],
@@ -1165,27 +1224,6 @@ def _run_kernel(tier, W, B, seed, plan, reference, template, out, error_count, s
         template.p.size,
         template.thresholds.shape[1],
         seed,
-    )
-    if tier == "cext":
-        if state._frame_addresses is None:
-            state._frame_addresses = (_address(state._fx), _address(state._fz))
-        out_address = _address(out)
-        buffers = out_address + out[:-2].nbytes
-        return int(
-            _cext_kernel()(
-                *sizes,
-                *plan.addresses,
-                *reference.addresses,
-                *template.addresses,
-                out_address,
-                *state._frame_addresses,
-                buffers,
-                buffers + 8 * W,
-                _address(error_count),
-            )
-        )
-    return frame_kernel_numpy(
-        *sizes,
         plan.opcodes,
         plan.qubit0,
         plan.qubit1,
@@ -1280,3 +1318,210 @@ def execute_fused(
         raise SimulationError("the frame kernel could not allocate its sampler")
     state._reference, state._reference_key = reference.final, reference.final_key
     return out[:M], error_count
+
+
+# ----------------------------------------------------------------------
+# Lookup decode: a run's per-lane flags from its outcome and frame words
+# ----------------------------------------------------------------------
+
+
+class _WordParity:
+    """Per output row, the XOR of a list of word rows: one gather, one ``reduceat``."""
+
+    def __init__(self, rows: list[list[int]]) -> None:
+        # An empty row reads a zero row appended past the input's last row.
+        self._pad = any(not row for row in rows)
+        self._index = np.array([i for row in rows for i in (row or [-1])], dtype=np.intp)
+        self._starts = np.cumsum([0] + [max(len(row), 1) for row in rows[:-1]])
+
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        if self._pad:
+            words = np.concatenate((words, np.zeros_like(words[:1])))
+        return np.bitwise_xor.reduceat(words[self._index], self._starts, axis=0)
+
+
+def _csr(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(start, entries)`` int32 arrays: row ``r`` is ``entries[start[r]:start[r+1]]``."""
+    start = np.cumsum([0] + [len(row) for row in rows]).astype(np.int32)
+    return start, np.array([i for row in rows for i in row], dtype=np.int32)
+
+
+class LookupDecodeTables:
+    """The tables of a lookup decode (:func:`lookup_decode`), built once.
+
+    A decode reads a run's outcome words and the frame X words of a data
+    block, and gives each lane three flags: failure, nontrivial syndrome
+    and verification passed.
+
+    Parameters
+    ----------
+    syndrome_rows:
+        Per syndrome row, the outcome slots whose XOR is the row.  The
+        first ``m`` rows are the syndrome that is looked up and corrected;
+        rows ``[0, reported)`` mark a nontrivial syndrome, the rest are
+        verification checks, any of which rejects the lane.
+    reported:
+        Number of leading rows that report a syndrome.
+    correction_table:
+        ``(2**m, n)`` 0/1 X-correction table over the ``n`` data qubits:
+        the correction of syndrome value ``v`` (most significant check
+        first) flips qubit ``q`` when ``correction_table[v, q]`` is set;
+        ``m`` is at most 6.
+    checks:
+        ``m`` data-qubit supports: the Z-type checks whose ideal parities,
+        XOR their reference signs, are the recovery syndrome.
+    logical:
+        Data-qubit support of the Z-type logical readout.
+
+    Once the first ``m`` rows' X correction is applied, the ideal recovery
+    looks the checks' parities up, corrects again and reads the logical
+    parity; a lane fails when it does not read 1.
+    """
+
+    def __init__(
+        self,
+        syndrome_rows: Sequence[Sequence[int]],
+        reported: int,
+        correction_table: np.ndarray,
+        checks: Sequence[Sequence[int]],
+        logical: Sequence[int],
+    ) -> None:
+        table = np.asarray(correction_table) != 0
+        values, n = table.shape
+        m = values.bit_length() - 1
+        if values != 1 << m or not 0 < m <= 6 or len(checks) != m or len(syndrome_rows) < m:
+            raise SimulationError(
+                f"a lookup decode needs 2**m correction rows (0 < m <= 6), m checks "
+                f"and at least m syndrome rows; got {values} rows, {len(checks)} "
+                f"checks and {len(syndrome_rows)} syndrome rows"
+            )
+        if not 0 <= reported <= len(syndrome_rows):
+            raise SimulationError(f"reported rows {reported} outside [0, {len(syndrome_rows)}]")
+        self.checks = m
+        self.reported = reported
+        self.num_data = n
+        self.syndrome_parity = _WordParity([list(row) for row in syndrome_rows])
+        # Rows of [s; ~s] whose AND marks the lanes with syndrome value v.
+        self.pattern_rows = np.array(
+            [
+                [i if (value >> (m - 1 - i)) & 1 else m + i for i in range(m)]
+                for value in range(values)
+            ]
+        )
+        # Per qubit, the syndrome values whose correction flips it.
+        columns = [np.flatnonzero(column).tolist() for column in table.T]
+        self.x_corrections = _WordParity(columns)
+        self.check_parity = _WordParity([list(check) for check in checks])
+        self.logical_parity = _WordParity([list(logical)])
+        # The C routine's tables: the same rows in CSR form, and per qubit
+        # a mask with bit v set when value v's correction flips it.
+        row_start, row_slot = _csr(syndrome_rows)
+        support_start, support_qubit = _csr([*checks, logical])
+        if (row_slot < 0).any() or ((support_qubit < 0) | (support_qubit >= n)).any():
+            raise SimulationError(
+                f"decode tables name a negative outcome slot or a qubit outside "
+                f"the {n} data qubits"
+            )
+        self.max_slot = int(row_slot.max(initial=-1))
+        masks = np.array([sum(1 << v for v in column) for column in columns], dtype=np.uint64)
+        self._arrays = (row_start, row_slot, masks, support_start, support_qubit)
+        self.block = _block(m, len(syndrome_rows), reported, n, *self._arrays)
+        self.address = self.block.ctypes.data
+
+    def value_hits(self, syndromes: np.ndarray) -> np.ndarray:
+        """``(2**m, W)`` words: the lanes whose ``(m, W)`` syndrome reads each value.
+
+        Values are read most-significant check first, like the rows of the
+        dense correction table; the value sets are disjoint, so a qubit's
+        correction is the XOR of the sets of the values that flip it.
+        """
+        choices = np.concatenate((syndromes, ~syndromes))
+        return np.bitwise_and.reduce(choices[self.pattern_rows], axis=1)
+
+    def ideal_recovery_says_one(self, signs: int, frame_x: np.ndarray) -> np.ndarray:
+        """Ideal decode on words; set where the logical value reads 1.
+
+        ``frame_x`` holds the data block's frame X words and ``signs`` the
+        reference signs (bit ``c`` of check ``c``, bit ``m`` of the
+        logical).  Negative ``signs`` mark a reference outside the code
+        space, where no lane reads 1.
+        """
+        if signs < 0:
+            return np.zeros(frame_x.shape[1], dtype=np.uint64)
+        bits = (signs >> np.arange(self.checks + 1)) & 1
+        words = np.where(bits == 1, ~np.uint64(0), np.uint64(0))[:, None]
+        syndromes = words[:-1] ^ self.check_parity(frame_x)
+        corrected = frame_x ^ self.x_corrections(self.value_hits(syndromes))
+        return (words[-1] ^ self.logical_parity(corrected))[0]
+
+
+def lookup_decode_numpy(
+    tables: LookupDecodeTables,
+    signs: int,
+    out: np.ndarray,
+    frame_x: np.ndarray,
+    flags: np.ndarray,
+) -> None:
+    """Pure-numpy twin of the C ``repro_lookup_decode``: fills ``flags``.
+
+    ``out`` holds the ``(M, W)`` outcome words, ``frame_x`` the frame X
+    words (the data block's qubits first) and ``flags`` is the ``(3, B)``
+    bool buffer of the failure, nontrivial-syndrome and
+    verification-passed rows.
+    """
+    syndromes = tables.syndrome_parity(out)
+    m, n = tables.checks, tables.num_data
+    frame_x = frame_x[:n] ^ tables.x_corrections(tables.value_hits(syndromes[:m]))
+    says_one = tables.ideal_recovery_says_one(signs, frame_x)
+    nontrivial = np.bitwise_or.reduce(syndromes[: tables.reported], axis=0)
+    rejected = np.bitwise_or.reduce(syndromes[tables.reported :], axis=0)
+    bits = unpack_bits(np.stack((says_one, nontrivial, rejected)), flags.shape[1]) != 0
+    flags[0] = ~bits[0]
+    flags[1] = bits[1]
+    flags[2] = ~bits[2]
+
+
+def lookup_decode(
+    tables: LookupDecodeTables,
+    signs: int,
+    out: np.ndarray,
+    frame_x: np.ndarray,
+    batch_size: int,
+) -> np.ndarray:
+    """Decode a run: ``(3, B)`` bool failure, nontrivial-syndrome and passed flags.
+
+    ``out`` is the run's ``(M, W)`` outcome words and ``frame_x`` its
+    ``(n, W)`` frame X words, both uint64, C-contiguous and writable;
+    ``signs`` holds the reference signs of ``tables``' checks and logical,
+    negative when the reference leaves any of them random.  The kernel tier
+    in effect (:func:`kernel_tier`) picks the C routine or
+    :func:`lookup_decode_numpy`; both give the same flags.
+    """
+    W = num_words(batch_size)
+    if out.shape[1] != W or frame_x.shape[1] != W or not out.dtype == frame_x.dtype == np.uint64:
+        raise SimulationError(
+            f"a decode of {batch_size} lanes reads {W} uint64 words per row; got "
+            f"outcome words {out.shape} {out.dtype} and frame words "
+            f"{frame_x.shape} {frame_x.dtype}"
+        )
+    if out.shape[0] <= tables.max_slot or frame_x.shape[0] < tables.num_data:
+        raise SimulationError(
+            f"the decode reads outcome slot {tables.max_slot} and {tables.num_data} "
+            f"frame rows; got {out.shape[0]} outcomes and {frame_x.shape[0]} rows"
+        )
+    flags = np.empty((3, batch_size), dtype=bool)
+    if kernel_tier() == "cext":
+        status = _cext_kernel().repro_lookup_decode(
+            W,
+            batch_size,
+            tables.address,
+            signs,
+            _address(out),
+            _address(frame_x),
+            _address(flags),
+        )
+        if status != 0:
+            raise SimulationError("the lookup decode could not allocate its scratch")
+    else:
+        lookup_decode_numpy(tables, signs, out, frame_x, flags)
+    return flags

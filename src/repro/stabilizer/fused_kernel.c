@@ -1,7 +1,9 @@
-/* Pauli-frame kernel of the Monte-Carlo engine, with its noise sampler.
+/* Pauli-frame kernel of the Monte-Carlo engine, with its noise sampler, and
+ * the lookup decode of a run's outcomes.
  *
- * The native twin of `frame_kernel_numpy` in fused.py, whose docstrings
- * document the flat argument list, the frame update rules and the sampler.
+ * repro_frame_run is the native twin of `frame_kernel_numpy` in fused.py,
+ * whose docstrings document the arrays, the frame update rules and the
+ * sampler; repro_lookup_decode is the twin of `lookup_decode_numpy`.
  * Every random number of a run is draw(stream_key(seed, s), i), splitmix64's
  * output i of stream s: stream 0 gives the random measurement words, stream
  * 1 the failures' letters, stream 2 + c the failure gaps of class c.  Event
@@ -180,21 +182,49 @@ static void measure_z(int64_t W, int64_t a, int64_t k, uint64_t measure_key,
         mout[w] = dw[w];
 }
 
+/* The arrays a block holds are addressed by int64 entries. */
+#define AT(type, block, i) ((type)(intptr_t)(block)[i])
+
+/* Run a program on the frames.  The caller's int64 blocks hold, in order:
+ *   plan:      ops, M (measurement slots), opcodes, qubit0, qubit1, slots;
+ *   reference: ref_bits, draw_index, piv_start, piv_qubit, piv_xz;
+ *   noise:     code_width, classes, events, T, pre_inj, post_inj,
+ *              inj_start, inj_qubit, code_xz, event_class, event_rank,
+ *              event_letters, event_code, class_events, thresholds, guides.
+ * `out` holds M outcome rows of W words and then two working rows. */
 int64_t repro_frame_run(
-    int64_t W, int64_t B, int64_t ops, int64_t code_width, int64_t classes,
-    int64_t events, int64_t T, uint64_t seed,
-    const int32_t *opcodes, const int32_t *qubit0, const int32_t *qubit1,
-    const int32_t *slots, const uint8_t *ref_bits, const int32_t *draw_index,
-    const int32_t *piv_start, const int32_t *piv_qubit, const uint8_t *piv_xz,
-    const int32_t *pre_inj, const int32_t *post_inj,
-    const int32_t *inj_start, const int32_t *inj_qubit, const uint8_t *code_xz,
-    const int32_t *event_class, const int64_t *event_rank,
-    const int32_t *event_letters, const int32_t *event_code,
-    const int64_t *class_events, const uint64_t *thresholds,
-    const int32_t *guides,
-    uint64_t *out, uint64_t *fx, uint64_t *fz, uint64_t *mout, uint64_t *dw,
-    int64_t *error_count)
+    int64_t W, int64_t B, uint64_t seed, const int64_t *plan,
+    const int64_t *reference, const int64_t *noise,
+    uint64_t *out, uint64_t *fx, uint64_t *fz, int64_t *error_count)
 {
+    int64_t ops = plan[0];
+    const int32_t *opcodes = AT(const int32_t *, plan, 2);
+    const int32_t *qubit0 = AT(const int32_t *, plan, 3);
+    const int32_t *qubit1 = AT(const int32_t *, plan, 4);
+    const int32_t *slots = AT(const int32_t *, plan, 5);
+    uint64_t *mout = out + plan[1] * W;
+    uint64_t *dw = mout + W;
+    const uint8_t *ref_bits = AT(const uint8_t *, reference, 0);
+    const int32_t *draw_index = AT(const int32_t *, reference, 1);
+    const int32_t *piv_start = AT(const int32_t *, reference, 2);
+    const int32_t *piv_qubit = AT(const int32_t *, reference, 3);
+    const uint8_t *piv_xz = AT(const uint8_t *, reference, 4);
+    int64_t code_width = noise[0];
+    int64_t classes = noise[1];
+    int64_t events = noise[2];
+    int64_t T = noise[3];
+    const int32_t *pre_inj = AT(const int32_t *, noise, 4);
+    const int32_t *post_inj = AT(const int32_t *, noise, 5);
+    const int32_t *inj_start = AT(const int32_t *, noise, 6);
+    const int32_t *inj_qubit = AT(const int32_t *, noise, 7);
+    const uint8_t *code_xz = AT(const uint8_t *, noise, 8);
+    const int32_t *event_class = AT(const int32_t *, noise, 9);
+    const int64_t *event_rank = AT(const int64_t *, noise, 10);
+    const int32_t *event_letters = AT(const int32_t *, noise, 11);
+    const int32_t *event_code = AT(const int32_t *, noise, 12);
+    const int64_t *class_events = AT(const int64_t *, noise, 13);
+    const uint64_t *thresholds = AT(const uint64_t *, noise, 14);
+    const int32_t *guides = AT(const int32_t *, noise, 15);
     gap_cursor *cursors = malloc((classes ? classes : 1) * sizeof(gap_cursor));
     if (!cursors)
         return 2;
@@ -274,4 +304,100 @@ int64_t repro_frame_run(
     }
     free(cursors);
     return status;
+}
+
+/* hits[v] = the lanes whose m syndrome words read the value v, most
+ * significant check first. */
+static void value_hits(int64_t m, const uint64_t *syndrome, uint64_t *hits)
+{
+    for (int64_t v = 0; v < ((int64_t)1 << m); ++v) {
+        uint64_t h = ~(uint64_t)0;
+        for (int64_t i = 0; i < m; ++i)
+            h &= (v >> (m - 1 - i)) & 1 ? syndrome[i] : ~syndrome[i];
+        hits[v] = h;
+    }
+}
+
+/* The lanes whose value is one of the set bits of `mask`. */
+static uint64_t lookup(uint64_t mask, const uint64_t *hits, int64_t values)
+{
+    uint64_t lanes = 0;
+    for (int64_t v = 0; v < values; ++v)
+        if ((mask >> v) & 1)
+            lanes |= hits[v];
+    return lanes;
+}
+
+/* Decode a run's outcome words into three (B,) flag rows of `flags`:
+ * failure, nontrivial syndrome, verification passed.  The int64 `tables`
+ * block holds m (checks per lookup), R (syndrome rows), the number of
+ * leading rows that report a syndrome (the rest are verification checks)
+ * and n (data qubits), then the arrays row_start (R + 1) and row_slot (a
+ * row is the XOR of its outcome slots), correction (per data qubit, bit v
+ * set when the correction of value v flips it), support_start (m + 2) and
+ * support_qubit (the m recovery checks' and the logical's data qubits).
+ * The first m rows are looked up and their X corrections applied to the
+ * frame X words `fx` of the data qubits; the ideal recovery then reads
+ * the checks' parities XOR their reference signs (bit c of `signs`),
+ * looks them up, corrects, and reads the logical parity XOR bit m of
+ * `signs`.  Negative `signs` (a reference outside the code space) make
+ * every lane fail.  Returns 2 when its scratch cannot be allocated. */
+int64_t repro_lookup_decode(
+    int64_t W, int64_t B, const int64_t *tables, int64_t signs,
+    const uint64_t *out, const uint64_t *fx, uint8_t *flags)
+{
+    int64_t m = tables[0];
+    int64_t rows = tables[1];
+    int64_t reported = tables[2];
+    int64_t n = tables[3];
+    const int32_t *row_start = AT(const int32_t *, tables, 4);
+    const int32_t *row_slot = AT(const int32_t *, tables, 5);
+    const uint64_t *correction = AT(const uint64_t *, tables, 6);
+    const int32_t *support_start = AT(const int32_t *, tables, 7);
+    const int32_t *support_qubit = AT(const int32_t *, tables, 8);
+    int64_t values = (int64_t)1 << m;
+    uint64_t *syndrome = malloc((rows + m + values + n + 1) * sizeof(uint64_t));
+    if (!syndrome)
+        return 2;
+    uint64_t *recovery = syndrome + rows;
+    uint64_t *hits = recovery + m + 1;
+    uint64_t *data = hits + values;
+    for (int64_t w = 0; w < W; ++w) {
+        for (int64_t r = 0; r < rows; ++r) {
+            uint64_t word = 0;
+            for (int64_t idx = row_start[r]; idx < row_start[r + 1]; ++idx)
+                word ^= out[(int64_t)row_slot[idx] * W + w];
+            syndrome[r] = word;
+        }
+        value_hits(m, syndrome, hits);
+        for (int64_t q = 0; q < n; ++q)
+            data[q] = fx[q * W + w] ^ lookup(correction[q], hits, values);
+        uint64_t says_one = 0;
+        if (signs >= 0) {
+            for (int64_t c = 0; c <= m; ++c) {
+                uint64_t word = (signs >> c) & 1 ? ~(uint64_t)0 : 0;
+                for (int64_t idx = support_start[c]; idx < support_start[c + 1]; ++idx)
+                    word ^= data[support_qubit[idx]];
+                recovery[c] = word;
+            }
+            value_hits(m, recovery, hits);
+            says_one = recovery[m];
+            for (int64_t idx = support_start[m]; idx < support_start[m + 1]; ++idx)
+                says_one ^= lookup(correction[support_qubit[idx]], hits, values);
+        }
+        uint64_t nontrivial = 0, rejected = 0;
+        for (int64_t r = 0; r < reported; ++r)
+            nontrivial |= syndrome[r];
+        for (int64_t r = reported; r < rows; ++r)
+            rejected |= syndrome[r];
+        int64_t lanes = B - 64 * w < 64 ? B - 64 * w : 64;
+        uint8_t *lane = flags + 64 * w;
+        for (int64_t b = 0; b < lanes; ++b) {
+            lane[b] = !((says_one >> b) & 1);
+            lane[B + b] = (nontrivial >> b) & 1;
+            lane[2 * B + b] = !((rejected >> b) & 1);
+        }
+    }
+    free(syndrome);
+    return 0;
 }

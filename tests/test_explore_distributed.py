@@ -789,3 +789,29 @@ class TestEarlyExit:
         # The abandoned tail resumes from the cache like a crashed sweep.
         resumed = run_sweep(sweep, cache=cache, coordinate=coordinate)
         assert resumed.cache_hits == 1 and resumed.executed == 1
+
+    def test_closing_a_coordinated_stream_releases_its_claims(self, cache):
+        # The slow point is claimed and running when the stream is closed
+        # after the fast one: its claim goes with the pool instead of
+        # outliving it for a whole lease.
+        lease = 30.0
+        sweep = fast_slow_sweep()
+        fast_key, slow_key = point_keys(sweep)
+        claims = ClaimStore.for_cache(cache)
+        with stream_sweep(
+            sweep, cache=cache, coordinate=True, claim_lease_seconds=lease
+        ) as events:
+            first = next(events)
+            assert first.point.cache_key == fast_key
+            assert claims.read(slow_key) is not None
+        assert multiprocessing.active_children() == []
+        assert not list(claims.directory.glob("*.claim"))
+        # A re-run takes the slow point up at once.
+        started = time.monotonic()
+        resumed = run_sweep(
+            sweep, cache=cache, coordinate=True, claim_lease_seconds=lease,
+            claim_poll_interval=0.02,
+        )
+        assert time.monotonic() - started < lease / 3
+        assert resumed.cache_hits == 1 and resumed.executed == 1
+        assert not list(claims.directory.glob("*.claim"))

@@ -14,7 +14,8 @@
   and ``require_simulable`` runs once per executor run; a malformed noise
   declaration is rejected by both engines before anything is sampled;
 * the packed-word decode (corrections and ideal recovery) agrees with the
-  dense correction tables and the scalar ideal recovery lane by lane.
+  dense correction tables and the scalar ideal recovery lane by lane, and
+  its C routine gives the numpy twin's flags bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.stabilizer import (
     OperationNoise,
     PauliChannel,
     PauliFrameBatch,
+    num_words,
     pack_bits,
     unpack_bits,
 )
@@ -392,10 +394,11 @@ class TestPackedDecode:
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, size=(3, batch)).astype(np.uint8)
         index = (bits * np.array([[4], [2], [1]])).sum(axis=0)
-        hits = experiment._syndrome_hits(pack_bits(bits))
+        tables = experiment._decode_tables
+        hits = tables.value_hits(pack_bits(bits))
         # Only X corrections reach the logical Z readout, so only they have words.
         table = experiment._decoder.correction_table("X")
-        corrections = experiment._x_corrections(hits)
+        corrections = tables.x_corrections(hits)
         assert np.array_equal(unpack_bits(corrections, batch), table[index].T)
 
     def test_ideal_recovery_on_words_matches_the_scalar_recovery(self):
@@ -407,9 +410,76 @@ class TestPackedDecode:
         segments = experiment._attempt_segments[:2]
         experiment._batch_executor.run(segments, batch, rng, tableau=state)
         says_one = unpack_bits(
-            experiment._ideal_recovery_says_one_words(state.reference, state.frame_x[:7]),
+            experiment._decode_tables.ideal_recovery_says_one(
+                experiment._signs_for(state.reference), state.frame_x[:7]
+            ),
             batch,
         )
         assert 0 < says_one.sum() < batch
         for lane in range(0, batch, 7):
             assert says_one[lane] == experiment._ideal_recovery_says_one(state.lane(lane)), lane
+
+
+def _sparse_words(rng, shape, density_halvings: int) -> np.ndarray:
+    """Random uint64 words with about ``2**-density_halvings`` of their bits set."""
+    words = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+    for _ in range(density_halvings):
+        words &= rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+    return words
+
+
+class TestDecodeTiers:
+    @pytest.mark.parametrize("verified", [True, False], ids=["verified", "unverified"])
+    @pytest.mark.parametrize("batch", RAGGED_BATCHES + (4096,))
+    def test_c_decode_equals_numpy_decode(self, monkeypatch, batch, verified):
+        if fused_module._cext_kernel() is None:
+            pytest.skip("no C kernel on this host")
+        experiment = Level1EccExperiment(
+            noise=_noise_for_rate(0.0, EXPECTED_PARAMETERS), verified_ancilla=verified
+        )
+        tables = experiment._decode_tables
+        slots = sum(program.num_measurements for program, _ in experiment._attempt_segments)
+        rng = np.random.default_rng(batch)
+        # -1: a reference outside the code space; the rest cover every sign
+        # of the three Z stabilizers and the logical.
+        for signs in (-1, 0, 5, 8, 15):
+            for halvings in (0, 3, 6):
+                words = _sparse_words(rng, (slots, num_words(batch)), halvings)
+                frame_x = _sparse_words(rng, (experiment._register_size, num_words(batch)), 2)
+                flags = {}
+                for tier in ("cext", "numpy"):
+                    _use_tier(monkeypatch, tier)
+                    flags[tier] = fused_module.lookup_decode(
+                        tables, signs, words, frame_x, batch
+                    )
+                assert flags["cext"].shape == (3, batch)
+                assert np.array_equal(flags["cext"], flags["numpy"]), (signs, halvings)
+                if signs < 0:
+                    assert flags["cext"][0].all()
+                if not verified:
+                    assert flags["cext"][2].all()
+
+    def test_the_c_attempt_makes_no_numpy_decode_call(self, monkeypatch):
+        if fused_module._cext_kernel() is None:
+            pytest.skip("no C kernel on this host")
+        experiment = Level1EccExperiment(noise=_noise_for_rate(2.0e-2, EXPECTED_PARAMETERS))
+        _use_tier(monkeypatch, "numpy")
+        expected = experiment._batch_attempt(np.random.default_rng(5), 130)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the numpy decode ran on the C tier")
+
+        _use_tier(monkeypatch, "cext")
+        monkeypatch.setattr(fused_module, "lookup_decode_numpy", refuse)
+        monkeypatch.setattr(fused_module._WordParity, "__call__", refuse)
+        monkeypatch.setattr(fused_module, "unpack_bits", refuse)
+        monkeypatch.setattr(np, "stack", refuse)
+        outcome = experiment._batch_attempt(np.random.default_rng(5), 130)
+        for key, flags in expected.items():
+            assert np.array_equal(outcome[key], flags), key
+
+    def test_decode_tables_are_built_on_the_first_batched_attempt(self):
+        experiment = Level1EccExperiment(noise=_noise_for_rate(2.0e-2, EXPECTED_PARAMETERS))
+        assert "_decode_tables" not in vars(experiment)
+        experiment.run_trial_batch_detailed(np.random.default_rng(0), 8)
+        assert isinstance(vars(experiment)["_decode_tables"], fused_module.LookupDecodeTables)

@@ -200,7 +200,7 @@ class TestKernelTiers:
     @staticmethod
     def _fail_cext_probe(monkeypatch, reason="no C compiler found (test)"):
         monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
-        monkeypatch.setattr(fused_module, "_CEXT_FN", None)
+        monkeypatch.setattr(fused_module, "_CEXT_LIBRARY", None)
         monkeypatch.setattr(fused_module, "_CEXT_ERROR", reason)
 
     def test_forcing_unavailable_tier_raises(self, monkeypatch):
