@@ -48,7 +48,6 @@ from repro.api import (
 )
 from repro.desim.engine import DiscreteEventSimulator
 from repro.desim.trace import SimulationTrace
-from repro.network.router import ShortestPathRouter
 from repro.network.scheduler import GreedyEprScheduler
 
 # Run as a script, the benchmarks package is found from the repository root.
@@ -110,8 +109,9 @@ def _phase_clock():
     """Accumulate the host time of each desim phase run inside the block.
 
     Wraps the scheduler, the event loop and the trace digest on their
-    classes, and counts the demands scheduled and the router's
-    congestion-weighted searches.
+    classes, and counts the demands scheduled and the congestion-weighted
+    searches each schedule reports (``ScheduleResult.weighted_searches``,
+    on either kernel tier).
     """
     phases = {"schedule_s": 0.0, "event_loop_s": 0.0, "trace_digest_s": 0.0}
     phases.update(demands=0, weighted_searches=0)
@@ -123,30 +123,26 @@ def _phase_clock():
 
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
-            try:
-                return original(*args, **kwargs)
-            finally:
-                observe(args, time.perf_counter() - start)
+            result = original(*args, **kwargs)
+            observe(args, result, time.perf_counter() - start)
+            return result
 
         setattr(cls, name, wrapper)
 
     def seconds(key):
-        def observe(args, elapsed):
+        def observe(args, result, elapsed):
             phases[key] += elapsed
 
         return observe
 
-    def scheduled(args, elapsed):  # GreedyEprScheduler.schedule(self, demands)
+    def scheduled(args, result, elapsed):  # GreedyEprScheduler.schedule(self, demands)
         phases["schedule_s"] += elapsed
         phases["demands"] += len(args[1])
-
-    def searched(args, elapsed):
-        phases["weighted_searches"] += 1
+        phases["weighted_searches"] += result.weighted_searches
 
     wrap(GreedyEprScheduler, "schedule", scheduled)
     wrap(DiscreteEventSimulator, "run", seconds("event_loop_s"))
     wrap(SimulationTrace, "digest", seconds("trace_digest_s"))
-    wrap(ShortestPathRouter, "congestion_weighted", searched)
     try:
         yield phases
     finally:

@@ -348,7 +348,7 @@ class Level1EccExperiment:
             self._attempt_segments, batch_size, rng, tableau=state
         ).outcome_words
         failure, nontrivial, passed = lookup_decode(
-            self._decode_tables, self._signs_for(state.reference), words, state.frame_x, batch_size
+            self._decode_tables, self._signs_for(state.reference), words, state
         )
         return {
             "failure": failure,

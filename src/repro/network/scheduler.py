@@ -19,10 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.exceptions import SchedulingError
 from repro.network.router import Route, ShortestPathRouter
 from repro.network.topology import InterconnectTopology
 from repro.network.traffic import EprDemand
+from repro.stabilizer.fused import _address, _cext_kernel, kernel_tier
 
 Node = tuple[int, int]
 Edge = tuple[Node, Node]
@@ -103,6 +106,9 @@ class ScheduleResult:
         Transfers one directed edge can carry per window.
     num_windows:
         Number of windows the schedule spans (including deferral windows).
+    weighted_searches:
+        Congestion-weighted route searches the scheduler ran (a search runs
+        when both dimension-ordered routes of a demand are full).
     """
 
     transfers: list[ScheduledTransfer] = field(default_factory=list)
@@ -110,6 +116,7 @@ class ScheduleResult:
     edge_load: dict[int, dict[Edge, int]] = field(default_factory=dict)
     capacity_per_edge: int = 1
     num_windows: int = 0
+    weighted_searches: int = 0
 
     @property
     def fully_overlapped(self) -> bool:
@@ -232,16 +239,31 @@ class GreedyEprScheduler:
     def schedule(self, demands: list[EprDemand]) -> ScheduleResult:
         """Place all demands, greedily, window by window.
 
+        The kernel tier in effect (:func:`repro.stabilizer.fused.kernel_tier`)
+        picks the placement loop: the C routine ``repro_schedule`` in the
+        fused kernel's library, or its Python twin.  Both place every demand
+        on the same route in the same window, and fill the result in the
+        same order.
+        """
+        result = ScheduleResult(capacity_per_edge=self.capacity_per_edge_per_window)
+        if not demands:
+            return result
+        horizon = max(d.window for d in demands) + self._max_deferral + 1
+        if kernel_tier() == "cext":
+            self._place_native(demands, result)
+        else:
+            self._place(demands, horizon, result)
+        result.num_windows = horizon
+        return result
+
+    def _place(self, demands: list[EprDemand], horizon: int, result: ScheduleResult) -> None:
+        """The Python placement loop.
+
         Only the window being filled takes new load, so one load list over
         the topology's edge ids serves every window: after a window, the
         edges it touched are copied into :attr:`ScheduleResult.edge_load`
         (in first-touch order) and reset.
         """
-        result = ScheduleResult(capacity_per_edge=self.capacity_per_edge_per_window)
-        if not demands:
-            return result
-        last_window = max(d.window for d in demands)
-        horizon = last_window + self._max_deferral + 1
         pending: dict[int, list[EprDemand]] = {w: [] for w in range(horizon)}
         for demand in demands:
             pending[demand.window].append(demand)
@@ -263,8 +285,85 @@ class GreedyEprScheduler:
                 for edge in touched:
                     load[edge] = 0
 
-        result.num_windows = horizon
-        return result
+    def _place_native(self, demands: list[EprDemand], result: ScheduleResult) -> None:
+        """The placement loop as one call of the C routine ``repro_schedule``.
+
+        Demands go in as node ids (a tile off the mesh raises
+        :class:`RoutingError` first); the transfers, unserved demands and
+        window loads come back as arrays in the order the Python loop
+        appends them.  A congestion-searched path costs at most the
+        X-then-Y path, whose edges each cost at most ``1 + capacity``, so
+        ``room`` bounds the path entries of every placement.
+        """
+        index = self._topology.index
+        columns, num_nodes = index.columns, len(index.nodes)
+        cost = 1 + self.capacity_per_edge_per_window
+        on_mesh = self._topology.adjacency
+        packed: list[int] = []
+        room = 0
+        for demand in demands:
+            source, destination = demand.source, demand.destination
+            if source == destination:
+                # A transfer within one tile crosses no edge, and its route
+                # is built from the demand: its ids need only be equal.
+                packed += (0, 0, demand.window, demand.pairs)
+                room += 1
+                continue
+            if source not in on_mesh or destination not in on_mesh:
+                self._router._check_nodes(source, destination)
+            (row, column), (to_row, to_column) = source, destination
+            packed += (
+                row * columns + column,
+                to_row * columns + to_column,
+                demand.window,
+                demand.pairs,
+            )
+            room += min(num_nodes, (abs(row - to_row) + abs(column - to_column)) * cost + 1)
+        packed_demands = np.array(packed, dtype=np.int64)
+        transfers = np.empty((len(demands), 3), dtype=np.int64)
+        unserved = np.empty(len(demands), dtype=np.int64)
+        paths = np.empty(room, dtype=np.int64)
+        loads = np.empty((room, 2), dtype=np.int64)
+        windows = np.empty((len(demands), 2), dtype=np.int64)
+        counts = np.zeros(5, dtype=np.int64)
+        status = _cext_kernel().repro_schedule(
+            self._topology.rows,
+            self._topology.columns,
+            self.capacity_per_edge_per_window,
+            self._max_deferral,
+            len(demands),
+            _address(packed_demands),
+            room,
+            _address(transfers),
+            _address(unserved),
+            _address(paths),
+            _address(loads),
+            _address(windows),
+            _address(counts),
+        )
+        if status != 0:
+            raise SchedulingError(f"the native scheduler failed with status {status}")
+        placed, lost, used, loaded, searches = counts.tolist()
+        nodes = index.nodes
+        path_nodes = [nodes[node] for node in paths[:used].tolist()]
+        start = 0
+        append = result.transfers.append
+        for demand_index, window, end in transfers[:placed].tolist():
+            demand = demands[demand_index]
+            path = tuple(path_nodes[start:end]) if end - start > 1 else (demand.source,)
+            append(ScheduledTransfer(demand=demand, route=Route(nodes=path), window=window))
+            start = end
+        result.unserved = [demands[i] for i in unserved[:lost].tolist()]
+        window_ends = windows[:loaded].tolist()
+        entries = window_ends[-1][1] if window_ends else 0
+        edges = index.edges
+        keys = [edges[edge] for edge in loads[:entries, 0].tolist()]
+        used_loads = loads[:entries, 1].tolist()
+        start = 0
+        for window, end in window_ends:
+            result.edge_load[window] = dict(zip(keys[start:end], used_loads[start:end]))
+            start = end
+        result.weighted_searches = searches
 
     def _try_place(
         self,
@@ -289,7 +388,11 @@ class GreedyEprScheduler:
         pairs = demand.pairs
         limit = self.capacity_per_edge_per_window - pairs
         route_edge_ids = self._topology.index.route_edge_ids
-        for route in self._router.candidate_routes(demand.source, demand.destination, load):
+        (row, column), (to_row, to_column) = demand.source, demand.destination
+        # The dimension-ordered candidates: one when the tiles share a row or column.
+        ordered = 1 if row == to_row or column == to_column else 2
+        routes = self._router.candidate_routes(demand.source, demand.destination, load)
+        for tried, route in enumerate(routes, 1):
             edges = route_edge_ids(route.nodes)
             for edge in edges:
                 if load[edge] > limit:
@@ -302,5 +405,7 @@ class GreedyEprScheduler:
                 result.transfers.append(
                     ScheduledTransfer(demand=demand, route=route, window=window)
                 )
+                result.weighted_searches += tried > ordered
                 return True
+        result.weighted_searches += 1
         return False

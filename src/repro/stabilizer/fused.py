@@ -74,9 +74,12 @@ outcome slots, looks the syndrome up in a correction table given as
 per-qubit masks, applies an ideal recovery to the corrected frame X words
 and writes three flag bytes per lane (failure, nontrivial syndrome,
 verification passed).  Its tables (:class:`LookupDecodeTables`) come from
-the caller, and :func:`lookup_decode_numpy` is its pure-numpy twin.
+the caller, and :func:`lookup_decode_numpy` is its pure-numpy twin.  It
+also holds the machine simulator's greedy EPR schedule (``repro_schedule``,
+called by :meth:`repro.network.GreedyEprScheduler.schedule`, whose Python
+placement loop is its twin).
 
-``REPRO_FUSED_KERNEL`` selects the tier of both explicitly (``auto`` /
+``REPRO_FUSED_KERNEL`` selects the tier of all three explicitly (``auto`` /
 ``cext`` / ``numpy``); ``auto`` takes the C code when it compiles and logs
 a warning once when it falls back to numpy.
 """
@@ -482,8 +485,10 @@ def _cext_cache_dir() -> Path:
 def _cext_kernel():
     """The compiled C library, or None with a reason.
 
-    Its entry points are ``repro_frame_run`` (the frame kernel) and
-    ``repro_lookup_decode`` (the lookup decode).
+    Its entry points are ``repro_frame_run`` (the frame kernel),
+    ``repro_lookup_decode`` (the lookup decode), ``repro_schedule`` (the
+    greedy EPR schedule of :mod:`repro.network.scheduler`) and
+    ``repro_route_search`` (that schedule's congestion search alone).
     """
     global _CEXT_LIBRARY, _CEXT_ERROR
     if _CEXT_LIBRARY is not None or _CEXT_ERROR is not None:
@@ -525,14 +530,21 @@ def _cext_kernel():
     try:
         library = ctypes.CDLL(str(shared))
         frame, decode = library.repro_frame_run, library.repro_lookup_decode
+        schedule, search = library.repro_schedule, library.repro_route_search
     except (OSError, AttributeError) as exc:
         _CEXT_ERROR = f"cannot load compiled kernel {shared.name}: {exc}"
         return None
-    frame.restype = decode.restype = ctypes.c_int64
+    frame.restype = decode.restype = schedule.restype = search.restype = ctypes.c_int64
     frame.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_uint64] + [ctypes.c_void_p] * 7
     decode.argtypes = (
         [ctypes.c_int64] * 2 + [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
     )
+    schedule.argtypes = (
+        [ctypes.c_int64] * 5 + [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 6
+    )
+    search.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [
+        ctypes.c_void_p
+    ]
     _CEXT_LIBRARY = library
     return library
 
@@ -1088,7 +1100,11 @@ class PauliFrameBatch:
         self._reference, self._reference_key = _zero_reference(num_qubits)
         self._fx = np.zeros((num_qubits, self._words), dtype=np.uint64)
         self._fz = np.zeros((num_qubits, self._words), dtype=np.uint64)
+        # Addresses the C tier takes once: the frames' per state (see
+        # _frames_at), and per run the outcome words execute_fused returned
+        # last with their address, which a decode of those words reuses.
         self._frame_addresses: tuple[int, int] | None = None
+        self._outcome: tuple[np.ndarray, int] | None = None
 
     @classmethod
     def from_tableau(
@@ -1139,7 +1155,7 @@ class PauliFrameBatch:
         clone.__dict__.update(self.__dict__)
         clone._fx = self._fx.copy()
         clone._fz = self._fz.copy()
-        clone._frame_addresses = None
+        clone._frame_addresses = clone._outcome = None
         return clone
 
     def lane(self, index: int) -> StabilizerTableau:
@@ -1199,11 +1215,19 @@ class PauliFrameBatch:
 # ----------------------------------------------------------------------
 
 
+def _frames_at(state: PauliFrameBatch) -> tuple[int, int]:
+    """The addresses of the state's frame X and Z words, taken once per state."""
+    if state._frame_addresses is None:
+        state._frame_addresses = (_address(state._fx), _address(state._fz))
+    return state._frame_addresses
+
+
 def _run_kernel(tier, W, B, seed, plan, reference, template, out, error_count, state) -> int:
-    """Run the kernel once; ``out``'s last two rows are its working buffers."""
+    """Run the kernel once; ``out``'s last two rows are its working buffers.
+
+    On the C tier ``state._outcome`` holds ``out``'s address.
+    """
     if tier == "cext":
-        if state._frame_addresses is None:
-            state._frame_addresses = (_address(state._fx), _address(state._fz))
         return _cext_kernel().repro_frame_run(
             W,
             B,
@@ -1211,8 +1235,8 @@ def _run_kernel(tier, W, B, seed, plan, reference, template, out, error_count, s
             plan.address,
             reference.address,
             template.address,
-            _address(out),
-            *state._frame_addresses,
+            state._outcome[1],
+            *_frames_at(state),
             _address(error_count),
         )
     return frame_kernel_numpy(
@@ -1308,16 +1332,21 @@ def execute_fused(
     seed = rng.bit_generator.random_raw()
     M = plan.num_measurements
     out = np.empty((M + 2, W), dtype=np.uint64)
+    words = out[:M]
     error_count = np.zeros(batch_size, dtype=np.int64)
+    tier = kernel_tier()
+    # The returned words start at ``out``'s address, which the C tier takes
+    # once for the kernel and once more for a decode of these words.
+    state._outcome = (words, _address(out)) if tier == "cext" else None
     status = _run_kernel(
-        kernel_tier(), W, batch_size, seed, plan, reference, template, out, error_count, state
+        tier, W, batch_size, seed, plan, reference, template, out, error_count, state
     )
     if status == 1:
         raise SimulationError("unknown opcode reached the frame kernel")
     if status != 0:
         raise SimulationError("the frame kernel could not allocate its sampler")
     state._reference, state._reference_key = reference.final, reference.final_key
-    return out[:M], error_count
+    return words, error_count
 
 
 # ----------------------------------------------------------------------
@@ -1485,43 +1514,45 @@ def lookup_decode(
     tables: LookupDecodeTables,
     signs: int,
     out: np.ndarray,
-    frame_x: np.ndarray,
-    batch_size: int,
+    state: PauliFrameBatch,
 ) -> np.ndarray:
     """Decode a run: ``(3, B)`` bool failure, nontrivial-syndrome and passed flags.
 
-    ``out`` is the run's ``(M, W)`` outcome words and ``frame_x`` its
-    ``(n, W)`` frame X words, both uint64, C-contiguous and writable;
-    ``signs`` holds the reference signs of ``tables``' checks and logical,
-    negative when the reference leaves any of them random.  The kernel tier
-    in effect (:func:`kernel_tier`) picks the C routine or
-    :func:`lookup_decode_numpy`; both give the same flags.
+    ``out`` is the run's ``(M, W)`` outcome words (uint64, C-contiguous and
+    writable) and ``state`` the frame batch it ran on, whose frame X words
+    (the data block's qubits first) the decode reads; ``signs`` holds the
+    reference signs of ``tables``' checks and logical, negative when the
+    reference leaves any of them random.  The kernel tier in effect
+    (:func:`kernel_tier`) picks the C routine or :func:`lookup_decode_numpy`;
+    both give the same flags.  The C routine reuses the addresses the
+    state's last :func:`execute_fused` took when ``out`` is the words that
+    run returned.
     """
-    W = num_words(batch_size)
-    if out.shape[1] != W or frame_x.shape[1] != W or not out.dtype == frame_x.dtype == np.uint64:
+    batch_size, W = state.batch_size, state.num_lane_words
+    if out.shape[1] != W or out.dtype != np.uint64:
         raise SimulationError(
             f"a decode of {batch_size} lanes reads {W} uint64 words per row; got "
-            f"outcome words {out.shape} {out.dtype} and frame words "
-            f"{frame_x.shape} {frame_x.dtype}"
+            f"outcome words {out.shape} {out.dtype}"
         )
-    if out.shape[0] <= tables.max_slot or frame_x.shape[0] < tables.num_data:
+    if out.shape[0] <= tables.max_slot or state.num_qubits < tables.num_data:
         raise SimulationError(
             f"the decode reads outcome slot {tables.max_slot} and {tables.num_data} "
-            f"frame rows; got {out.shape[0]} outcomes and {frame_x.shape[0]} rows"
+            f"frame rows; got {out.shape[0]} outcomes and {state.num_qubits} rows"
         )
     flags = np.empty((3, batch_size), dtype=bool)
     if kernel_tier() == "cext":
+        outcome = state._outcome
         status = _cext_kernel().repro_lookup_decode(
             W,
             batch_size,
             tables.address,
             signs,
-            _address(out),
-            _address(frame_x),
+            outcome[1] if outcome is not None and outcome[0] is out else _address(out),
+            _frames_at(state)[0],
             _address(flags),
         )
         if status != 0:
             raise SimulationError("the lookup decode could not allocate its scratch")
     else:
-        lookup_decode_numpy(tables, signs, out, frame_x, flags)
+        lookup_decode_numpy(tables, signs, out, state.frame_x, flags)
     return flags

@@ -1,9 +1,12 @@
-/* Pauli-frame kernel of the Monte-Carlo engine, with its noise sampler, and
- * the lookup decode of a run's outcomes.
+/* Pauli-frame kernel of the Monte-Carlo engine, with its noise sampler, the
+ * lookup decode of a run's outcomes, and the machine simulator's greedy EPR
+ * schedule.
  *
  * repro_frame_run is the native twin of `frame_kernel_numpy` in fused.py,
  * whose docstrings document the arrays, the frame update rules and the
- * sampler; repro_lookup_decode is the twin of `lookup_decode_numpy`.
+ * sampler; repro_lookup_decode is the twin of `lookup_decode_numpy`, and
+ * repro_schedule the twin of the Python placement loop of
+ * `GreedyEprScheduler` in repro/network/scheduler.py.
  * Every random number of a run is draw(stream_key(seed, s), i), splitmix64's
  * output i of stream s: stream 0 gives the random measurement words, stream
  * 1 the failures' letters, stream 2 + c the failure gaps of class c.  Event
@@ -22,6 +25,7 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define GAMMA 0x9E3779B97F4A7C15ULL
 #define STREAM_GAMMA 0xD1B54A32D192ED03ULL
@@ -400,4 +404,395 @@ int64_t repro_lookup_decode(
     }
     free(syndrome);
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Greedy EPR schedule: the twin of `GreedyEprScheduler._try_place` and
+ * `_bucket_dijkstra` in repro.network, on the integer ids of `MeshIndex`:
+ * node (r, c) of a rows x columns mesh is r * columns + c, and the directed
+ * edge from node u to its up, left, down or right neighbour is 4 * u + k,
+ * k = 0..3. */
+
+/* One side of the bidirectional search: tentative distances (-1 while
+ * unreached), predecessors, settled flags and a bucket queue.  The slots
+ * are circular buckets, each the FIFO list of the entries pushed at one
+ * distance: `slot` holds the bucket being popped, at distance `current`,
+ * and slot + i (mod slots) the bucket at distance current + i.  An edge
+ * costs 1 + its load <= slots - 1, so the queued distances always fit in
+ * one turn of the slots and a push never lands in the bucket being
+ * popped. */
+typedef struct {
+    int64_t *dist;
+    int64_t *pred;
+    int64_t *settled;
+    int64_t *head;
+    int64_t *tail;
+    int64_t *next;
+    int64_t *node;
+    int64_t entries;
+    int64_t queued;
+    int64_t current;
+    int64_t slot;
+} search_side;
+
+/* `around[4 * u + k]` is neighbour k (up, left, down, right) of node u, or
+ * -1 off the mesh. */
+typedef struct {
+    int64_t columns, nodes, slots;
+    int64_t *around;
+    search_side side[2];
+} mesh_search;
+
+static void push(search_side *s, int64_t node, int64_t distance, int64_t slots)
+{
+    int64_t entry = s->entries++, slot = s->slot + distance - s->current;
+    if (slot >= slots)
+        slot -= slots;
+    s->node[entry] = node;
+    s->next[entry] = -1;
+    if (s->tail[slot] < 0)
+        s->head[slot] = entry;
+    else
+        s->next[s->tail[slot]] = entry;
+    s->tail[slot] = entry;
+    s->queued++;
+}
+
+/* The next node in (distance, push order); -1 when the queue is empty. */
+static int64_t pop(search_side *s, int64_t slots)
+{
+    if (!s->queued)
+        return -1;
+    int64_t slot = s->slot;
+    for (; s->head[slot] < 0; ++s->current)
+        slot = slot + 1 == slots ? 0 : slot + 1;
+    s->slot = slot;
+    int64_t entry = s->head[slot];
+    s->head[slot] = s->next[entry];
+    if (s->head[slot] < 0)
+        s->tail[slot] = -1;
+    s->queued--;
+    return s->node[entry];
+}
+
+/* Edge id of the step from node u to its neighbour v (in one column the
+ * row steps are +-1, so they are tested first). */
+static int64_t step_edge(int64_t columns, int64_t u, int64_t v)
+{
+    int64_t k = v == u - columns ? 0 : v == u + columns ? 2 : v == u - 1 ? 1 : 3;
+    return 4 * u + k;
+}
+
+/* The cheapest path from source to target under edge cost 1 + load, with
+ * `_bucket_dijkstra`'s tie-break: the sides alternate, forward first, one
+ * pop each (a stale pop of a settled node still uses up the turn),
+ * neighbours are expanded up, left, down, right, and the search stops at
+ * the first node settled from both sides, returning the path through the
+ * best meeting node seen so far.  Writes the path's node ids to `path`
+ * (2 * nodes entries) and returns its length, or -1 if a queue runs dry,
+ * which a connected mesh never does. */
+static int64_t bucket_search(mesh_search *m, const int64_t *load, int64_t source,
+                             int64_t target, int64_t *path)
+{
+    path[0] = source;
+    if (source == target)
+        return 1;
+    for (int d = 0; d < 2; ++d) {
+        search_side *s = m->side + d;
+        for (int64_t v = 0; v < m->nodes; ++v) {
+            s->dist[v] = -1;
+            s->settled[v] = 0;
+        }
+        for (int64_t slot = 0; slot < m->slots; ++slot)
+            s->head[slot] = s->tail[slot] = -1;
+        s->entries = s->queued = s->current = s->slot = 0;
+    }
+    m->side[0].dist[source] = m->side[1].dist[target] = 0;
+    m->side[0].pred[source] = m->side[1].pred[target] = -1;
+    push(m->side, source, 0, m->slots);
+    push(m->side + 1, target, 0, m->slots);
+    int64_t best = -1, meet = -1;
+    for (int d = 0;; d ^= 1) {
+        search_side *s = m->side + d, *o = m->side + (d ^ 1);
+        int64_t u = pop(s, m->slots);
+        if (u < 0)
+            return -1;
+        if (s->settled[u])
+            continue;
+        s->settled[u] = 1;
+        if (o->settled[u])
+            break;
+        int64_t step = s->current + 1;
+        for (int k = 0; k < 4; ++k) {
+            int64_t v = m->around[4 * u + k];
+            if (v < 0 || s->settled[v])
+                continue;
+            /* Forward edges leave u; backward edges arrive at it. */
+            int64_t length = step + load[d ? 4 * v + (k + 2) % 4 : 4 * u + k];
+            if (s->dist[v] < 0 || length < s->dist[v]) {
+                s->dist[v] = length;
+                s->pred[v] = u;
+                push(s, v, length, m->slots);
+                if (o->dist[v] >= 0 && (best < 0 || length + o->dist[v] < best)) {
+                    best = length + o->dist[v];
+                    meet = v;
+                }
+            }
+        }
+    }
+    int64_t length = 0;
+    for (int64_t v = meet; v >= 0; v = m->side[0].pred[v])
+        path[length++] = v;
+    for (int64_t i = 0, j = length - 1; i < j; ++i, --j) {
+        int64_t swap = path[i];
+        path[i] = path[j];
+        path[j] = swap;
+    }
+    for (int64_t v = m->side[1].pred[meet]; v >= 0; v = m->side[1].pred[v])
+        path[length++] = v;
+    return length;
+}
+
+/* int64 entries of a search's neighbour table and two sides. */
+static int64_t search_size(int64_t nodes, int64_t slots)
+{
+    return 4 * nodes + 2 * (3 * nodes + 2 * slots + 2 * (4 * nodes + 1));
+}
+
+/* Lay a search's neighbour table and sides out in `work` (search_size
+ * entries); returns the first entry past them. */
+static int64_t *search_init(mesh_search *m, int64_t rows, int64_t columns, int64_t slots,
+                            int64_t *work)
+{
+    int64_t nodes = rows * columns, pool = 4 * nodes + 1;
+    m->columns = columns;
+    m->nodes = nodes;
+    m->slots = slots;
+    m->around = work;
+    for (int64_t u = 0; u < nodes; ++u) {
+        int64_t r = u / columns, c = u % columns;
+        work[4 * u] = r > 0 ? u - columns : -1;
+        work[4 * u + 1] = c > 0 ? u - 1 : -1;
+        work[4 * u + 2] = r + 1 < rows ? u + columns : -1;
+        work[4 * u + 3] = c + 1 < columns ? u + 1 : -1;
+    }
+    work += 4 * nodes;
+    for (int d = 0; d < 2; ++d) {
+        search_side *s = m->side + d;
+        s->dist = work;
+        s->pred = work + nodes;
+        s->settled = work + 2 * nodes;
+        s->head = work + 3 * nodes;
+        s->tail = s->head + slots;
+        s->next = s->tail + slots;
+        s->node = s->next + pool;
+        work = s->node + pool;
+    }
+    return work;
+}
+
+/* The congestion search alone, on loads below slots - 1: writes the path's
+ * node ids to `path` (2 * rows * columns entries) and returns its length,
+ * -1 when there is no path and -2 when memory cannot be allocated.  The
+ * tests hold it to the routes recorded from networkx. */
+int64_t repro_route_search(int64_t rows, int64_t columns, int64_t slots, const int64_t *load,
+                           int64_t source, int64_t target, int64_t *path)
+{
+    int64_t *work = malloc(search_size(rows * columns, slots) * sizeof(int64_t));
+    if (!work)
+        return -2;
+    mesh_search m;
+    search_init(&m, rows, columns, slots, work);
+    int64_t length = bucket_search(&m, load, source, target, path);
+    free(work);
+    return length;
+}
+
+/* The path that walks the rows to their end first (rows_first), or the
+ * columns; returns its length. */
+static int64_t dimension_ordered(int64_t columns, int64_t source, int64_t target,
+                                 int rows_first, int64_t *path)
+{
+    int64_t r = source / columns, c = source % columns;
+    int64_t to_r = target / columns, to_c = target % columns, length = 0;
+    path[length++] = source;
+    for (int leg = 0; leg < 2; ++leg) {
+        if ((leg == 0) == rows_first)
+            for (; r != to_r; path[length++] = r * columns + c)
+                r += r < to_r ? 1 : -1;
+        else
+            for (; c != to_c; path[length++] = r * columns + c)
+                c += c < to_c ? 1 : -1;
+    }
+    return length;
+}
+
+static int same_path(const int64_t *a, int64_t a_length, const int64_t *b, int64_t b_length)
+{
+    return a_length == b_length && !memcmp(a, b, a_length * sizeof(int64_t));
+}
+
+/* True when every edge of the path has load <= limit. */
+static int fits(const int64_t *load, int64_t columns, const int64_t *path, int64_t length,
+                int64_t limit)
+{
+    for (int64_t i = 1; i < length; ++i)
+        if (load[step_edge(columns, path[i - 1], path[i])] > limit)
+            return 0;
+    return 1;
+}
+
+/* The route of a demand in its window, as `_try_place` walks the
+ * candidates: X-then-Y, Y-then-X if it differs, then the congestion
+ * search's path if it differs from both (counted in *searches), the first
+ * whose every edge has load <= limit.  `candidates` holds 4 * nodes
+ * entries for their paths; *path points at the route taken.  Returns its
+ * length, 0 when no candidate fits and -1 if the search finds no path. */
+static int64_t route(mesh_search *m, const int64_t *load, int64_t source, int64_t target,
+                     int64_t limit, int64_t *candidates, int64_t **path, int64_t *searches)
+{
+    int64_t columns = m->columns;
+    int64_t *x_path = candidates, *y_path = x_path + m->nodes, *w_path = y_path + m->nodes;
+    int64_t x_length = dimension_ordered(columns, source, target, 1, x_path), y_length = 0;
+    *path = x_path;
+    if (source == target || fits(load, columns, x_path, x_length, limit))
+        return x_length;
+    if (source / columns != target / columns && source % columns != target % columns) {
+        y_length = dimension_ordered(columns, source, target, 0, y_path);
+        *path = y_path;
+        if (fits(load, columns, y_path, y_length, limit))
+            return y_length;
+    }
+    int64_t w_length = bucket_search(m, load, source, target, w_path);
+    ++*searches;
+    *path = w_path;
+    if (w_length < 0)
+        return -1;
+    if (same_path(w_path, w_length, x_path, x_length)
+        || same_path(w_path, w_length, y_path, y_length)
+        || !fits(load, columns, w_path, w_length, limit))
+        return 0;
+    return w_length;
+}
+
+/* Place n EPR demands greedily, window by window, as
+ * `GreedyEprScheduler.schedule` does.  `demands` holds four int64 per
+ * demand: source and destination node ids (equal for a demand between a
+ * tile and itself), window and pairs.  A demand takes its route (`route`,
+ * with limit capacity - pairs) in its window's load; a demand that fits
+ * none moves to the next window, after that window's own demands, until
+ * it has slipped max_deferral windows.
+ * Outputs, each in the order the scheduler appends it:
+ *   transfers: per placed demand, its index, its window and the end of its
+ *              path in `paths` (each path follows the one before);
+ *   unserved:  the indices of the demands never placed;
+ *   loads:     per edge a window loaded, in first-touch order, its id and
+ *              its load in the window;
+ *   windows:   per window that loaded an edge, its index and the end of
+ *              its entries in `loads`;
+ *   counts:    transfers, unserved, path entries, windows and congestion
+ *              searches.
+ * `paths` and `loads` hold `room` entries (and pairs).  Returns 2 when
+ * memory cannot be allocated, 3 when `room` is too small and 4 if the
+ * search finds no path. */
+int64_t repro_schedule(
+    int64_t rows, int64_t columns, int64_t capacity, int64_t max_deferral,
+    int64_t n, const int64_t *demands, int64_t room, int64_t *transfers,
+    int64_t *unserved, int64_t *paths, int64_t *loads, int64_t *windows, int64_t *counts)
+{
+    int64_t nodes = rows * columns, horizon = 0;
+    for (int64_t i = 0; i < n; ++i)
+        if (demands[4 * i + 2] >= horizon)
+            horizon = demands[4 * i + 2] + 1;
+    horizon += max_deferral;
+    /* Loads never pass the capacity, so an edge costs at most capacity + 1. */
+    int64_t slots = capacity + 2;
+    int64_t *work = calloc(search_size(nodes, slots) + 12 * nodes + 3 * n + horizon + 1,
+                           sizeof(int64_t));
+    if (!work)
+        return 2;
+    mesh_search m;
+    int64_t *load = search_init(&m, rows, columns, slots, work), *touched = load + 4 * nodes;
+    int64_t *candidates = touched + 4 * nodes;
+    int64_t *order = candidates + 4 * nodes;
+    int64_t *carried = order + n, *deferred = carried + n;
+    int64_t *first = deferred + n;
+    /* Demands by window, in input order: window w's are order[first[w] ..
+     * first[w + 1]). */
+    for (int64_t i = 0; i < n; ++i)
+        first[demands[4 * i + 2] + 1]++;
+    for (int64_t w = 0; w < horizon; ++w)
+        first[w + 1] += first[w];
+    for (int64_t i = 0; i < n; ++i)
+        order[first[demands[4 * i + 2]]++] = i;
+    for (int64_t w = horizon; w > 0; --w)
+        first[w] = first[w - 1];
+    first[0] = 0;
+
+    int64_t placed = 0, lost = 0, used = 0, entries = 0, loaded = 0, searches = 0, status = 0;
+    int64_t n_carried = 0, n_touched = 0;
+    for (int64_t w = 0; w < horizon && !status; ++w) {
+        int64_t own = first[w + 1] - first[w], n_deferred = 0;
+        for (int64_t j = 0; j < own + n_carried; ++j) {
+            int64_t i = j < own ? order[first[w] + j] : carried[j - own];
+            int64_t source = demands[4 * i], target = demands[4 * i + 1];
+            int64_t pairs = demands[4 * i + 3], *path;
+            int64_t length = route(&m, load, source, target, capacity - pairs, candidates, &path,
+                                   &searches);
+            if (length < 0) {
+                status = 4;
+                break;
+            }
+            if (!length) {
+                if (w + 1 < horizon && w + 1 <= demands[4 * i + 2] + max_deferral)
+                    deferred[n_deferred++] = i;
+                else
+                    unserved[lost++] = i;
+                continue;
+            }
+            if (used + length > room) {
+                status = 3;
+                break;
+            }
+            for (int64_t k = 0; k < length; ++k) {
+                paths[used + k] = path[k];
+                if (k) {
+                    int64_t edge = step_edge(columns, path[k - 1], path[k]);
+                    if (!load[edge])
+                        touched[n_touched++] = edge;
+                    load[edge] += pairs;
+                }
+            }
+            used += length;
+            transfers[3 * placed] = i;
+            transfers[3 * placed + 1] = w;
+            transfers[3 * placed + 2] = used;
+            placed++;
+        }
+        int64_t *swap = carried;
+        carried = deferred;
+        deferred = swap;
+        n_carried = n_deferred;
+        /* A window loads fewer edges than its paths have entries, so the
+         * load pairs fit wherever the paths did, and a window that loads
+         * an edge places a demand. */
+        for (int64_t t = 0; t < n_touched; ++t, ++entries) {
+            loads[2 * entries] = touched[t];
+            loads[2 * entries + 1] = load[touched[t]];
+            load[touched[t]] = 0;
+        }
+        if (n_touched) {
+            windows[2 * loaded] = w;
+            windows[2 * loaded + 1] = entries;
+            loaded++;
+        }
+        n_touched = 0;
+    }
+    counts[0] = placed;
+    counts[1] = lost;
+    counts[2] = used;
+    counts[3] = loaded;
+    counts[4] = searches;
+    free(work);
+    return status;
 }

@@ -43,6 +43,7 @@ from repro.desim import (
 )
 from repro.exceptions import DesimError, ParameterError, SimulationError
 from repro.qecc.latency import EccLatencyModel
+from repro.stabilizer import fused as fused_module
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +317,8 @@ def _small_machine(bandwidth: int = 2, level: int = 1, **kwargs) -> QLAMachineMo
 #: The 64-bit Shor adder replayed on a 20x20 level-2 array, with the values
 #: ``perfbench/pinned.json`` records for the ``shor-adder`` workload: the
 #: congestion search fires 170 times at bandwidth 1, so every tie-break of
-#: the router and every scheduler placement shows in the digest.
+#: the router and every scheduler placement shows in the digest.  Both
+#: kernel tiers (the C schedule and its Python twin) must reproduce them.
 ADDER_64_PINS = {
     1: {
         "trace_digest": "8347ea16eaaa1c0303557ecdf2a22bfaa825549b0e270aea8a5c4c249c0cf425",
@@ -330,8 +332,12 @@ ADDER_64_PINS = {
 
 
 class TestPinnedAdderReplays:
+    @pytest.mark.parametrize("tier", fused_module.KERNEL_TIERS)
     @pytest.mark.parametrize("bandwidth", [1, 2])
-    def test_64_bit_adder_replay_is_pinned(self, bandwidth, monkeypatch):
+    def test_64_bit_adder_replay_is_pinned(self, bandwidth, tier, monkeypatch):
+        if tier == "cext" and fused_module._cext_kernel() is None:
+            pytest.skip("no C kernel on this host")
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", tier)
         events = []
         original = DiscreteEventSimulator.run
 

@@ -11,7 +11,10 @@ routes recorded from networkx; regenerate it (networkx required) with
 Without networkx the routes are fuzzed against ``_heap_reference``, the
 tuple-keyed heap search the router ran before it moved to integer ids and a
 bucket queue, and the scheduler against ``_eager_schedule``, a reference
-that builds every candidate route over the public router API.
+that builds every candidate route over the public router API.  The
+scheduler runs on both kernel tiers (``REPRO_FUSED_KERNEL``): the C routine
+``repro_schedule`` and its Python twin must give the same schedule, and the
+C search alone (``repro_route_search``) the recorded routes.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from heapq import heappop, heappush
 from itertools import count
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro import faults
 from repro.exceptions import RoutingError
 from repro.network import (
     EprDemand,
@@ -35,10 +40,27 @@ from repro.network import (
 )
 from repro.network.router import Route
 from repro.network.scheduler import ScheduledTransfer
+from repro.stabilizer import fused as fused_module
 
 GOLDEN = Path(__file__).with_name("data") / "congestion_routes.json"
 MESHES = ((20, 20), (5, 7), (1, 9), (9, 1), (12, 4))
 CASES_PER_MESH = 60
+
+
+def _native():
+    library = fused_module._cext_kernel()
+    if library is None:
+        pytest.skip("no C kernel on this host")
+    return library
+
+
+@pytest.fixture(params=fused_module.KERNEL_TIERS)
+def tier(request, monkeypatch):
+    """Run the test on each kernel tier this host has."""
+    if request.param == "cext":
+        _native()
+    monkeypatch.setenv("REPRO_FUSED_KERNEL", request.param)
+    return request.param
 
 
 def _directed_edges(rows: int, columns: int) -> list[tuple]:
@@ -140,6 +162,29 @@ class TestCongestionWeighted:
             )
             if [list(node) for node in route.nodes] != case["route"]:
                 mismatches.append(index)
+        assert mismatches == []
+
+    def test_native_search_reproduces_recorded_networkx_routes(self):
+        library = _native()
+        mismatches = []
+        for number, case in enumerate(_golden_cases()):
+            rows, columns = case["rows"], case["columns"]
+            index = InterconnectTopology(rows, columns).index
+            load = np.zeros(index.num_edge_slots, dtype=np.int64)
+            for a, b, c, d, units in case["load"]:
+                load[index.edge_ids[((a, b), (c, d))]] = units
+            path = np.empty(2 * rows * columns, dtype=np.int64)
+            length = library.repro_route_search(
+                rows,
+                columns,
+                int(load.max()) + 2,
+                load.ctypes.data,
+                index.node_id(tuple(case["source"])),
+                index.node_id(tuple(case["destination"])),
+                path.ctypes.data,
+            )
+            if [list(index.nodes[node]) for node in path[:length]] != case["route"]:
+                mismatches.append(number)
         assert mismatches == []
 
     def test_fuzz_against_heap_reference(self):
@@ -300,15 +345,7 @@ class TestLazyCandidates:
         assert lazy.deferred_count > 0
         assert any(_turns(t.route) > 1 for t in lazy.transfers)
 
-    def test_weighted_search_skipped_when_x_then_y_fits(self, monkeypatch):
-        calls = []
-        original = ShortestPathRouter.congestion_weighted
-
-        def counting(self, *args, **kwargs):
-            calls.append(args)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(ShortestPathRouter, "congestion_weighted", counting)
+    def test_weighted_search_skipped_when_x_then_y_fits(self, tier):
         topology = InterconnectTopology(rows=6, columns=6, bandwidth=2)
         router = ShortestPathRouter(topology)
         first = next(router.candidate_routes((0, 0), (3, 4), {}))
@@ -318,15 +355,86 @@ class TestLazyCandidates:
             for i in range(12)
         ]
         result = GreedyEprScheduler(topology).schedule(demands)
-        assert len(result.transfers) == 12 and calls == []
-        # Once X-then-Y and Y-then-X are both full, the search does run.
+        assert len(result.transfers) == 12 and result.weighted_searches == 0
+        # Once X-then-Y and Y-then-X are both full, the search does run: the
+        # third demand finds every edge out of (0, 0) loaded, so it slips to
+        # window 1, where X-then-Y is free again.
+        narrow = InterconnectTopology(rows=3, columns=3, bandwidth=1)
+        demands = [
+            EprDemand(demand_id=i, source=(0, 0), destination=(2, 2), window=0) for i in range(3)
+        ]
+        result = GreedyEprScheduler(narrow, transfers_per_lane_per_window=1).schedule(demands)
+        assert result.weighted_searches == 1
+        assert [t.window for t in result.transfers] == [0, 0, 1]
         full = {
             edge: 99
             for x_first in (True, False)
             for edge in router.dimension_ordered((0, 0), (2, 2), x_first).directed_edges()
         }
-        routes = list(router.candidate_routes((0, 0), (2, 2), full))
-        assert len(routes) == 3 and len(calls) == 1
+        assert len(list(router.candidate_routes((0, 0), (2, 2), full))) == 3
+
+
+def _tier_demands(seed: int, rows: int, columns: int, capacity: int) -> list:
+    """Dense random demands plus a demand from a tile to itself and one that
+    asks for more pairs than an edge carries."""
+    demands = _random_demands(seed, rows, columns, count=240, windows=6)
+    far = (rows - 1, columns - 1)
+    return demands + [
+        EprDemand(demand_id=240, source=(0, 0), destination=(0, 0), window=2),
+        EprDemand(demand_id=241, source=(0, 0), destination=far, window=3, pairs=capacity + 1),
+    ]
+
+
+class TestKernelTiers:
+    @pytest.mark.parametrize("rows, columns", MESHES)
+    @pytest.mark.parametrize("bandwidth", [1, 2])
+    @pytest.mark.parametrize("per_lane", [1, 3])
+    def test_native_schedule_equals_python_schedule(
+        self, monkeypatch, rows, columns, bandwidth, per_lane
+    ):
+        _native()
+        topology = InterconnectTopology(rows=rows, columns=columns, bandwidth=bandwidth)
+        demands = _tier_demands(rows * columns + bandwidth, rows, columns, bandwidth * per_lane)
+        results = {}
+        for tier in fused_module.KERNEL_TIERS:
+            monkeypatch.setenv("REPRO_FUSED_KERNEL", tier)
+            results[tier] = GreedyEprScheduler(
+                topology, transfers_per_lane_per_window=per_lane
+            ).schedule(demands)
+        native, python = results["cext"], results["numpy"]
+        eager = _eager_schedule(topology, demands, transfers_per_lane_per_window=per_lane)
+        assert _summary(native) == _summary(python) == _summary(eager)
+        assert native.weighted_searches == python.weighted_searches
+        # Every path of the placement loop is taken somewhere in the grid.
+        assert demands[241] in native.unserved
+        assert [t.route.nodes for t in native.transfers if t.demand.demand_id == 240] == [
+            ((0, 0),)
+        ]
+        if per_lane == 1 and bandwidth == 1:
+            assert native.weighted_searches > 0 and native.deferred_count > 0
+            assert len(native.unserved) > 1
+
+    def test_injected_native_fault_runs_the_python_loop(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FUSED_KERNEL", raising=False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the native schedule ran under a kernel.native fault")
+
+        monkeypatch.setattr(GreedyEprScheduler, "_place_native", refuse)
+        topology = InterconnectTopology(rows=5, columns=7, bandwidth=1)
+        demands = _tier_demands(3, 5, 7, capacity=3)
+        with faults.fault_profile(faults.FaultProfile(seed=0, kernel=1.0)):
+            result = GreedyEprScheduler(topology).schedule(demands)
+        assert _summary(result) == _summary(_eager_schedule(topology, demands))
+
+    def test_off_mesh_node_raises_routing_error(self, tier):
+        scheduler = GreedyEprScheduler(InterconnectTopology(rows=4, columns=4))
+        demands = [
+            EprDemand(demand_id=0, source=(0, 0), destination=(3, 3), window=0),
+            EprDemand(demand_id=1, source=(0, 0), destination=(0, 4), window=0),
+        ]
+        with pytest.raises(RoutingError, match=r"\(0, 4\)"):
+            scheduler.schedule(demands)
 
 
 def _heap_reference(adjacency: dict, source, target, load: dict) -> list:

@@ -445,13 +445,12 @@ class TestDecodeTiers:
         for signs in (-1, 0, 5, 8, 15):
             for halvings in (0, 3, 6):
                 words = _sparse_words(rng, (slots, num_words(batch)), halvings)
-                frame_x = _sparse_words(rng, (experiment._register_size, num_words(batch)), 2)
+                state = PauliFrameBatch(experiment._register_size, batch)
+                state.frame_x[:] = _sparse_words(rng, state.frame_x.shape, 2)
                 flags = {}
                 for tier in ("cext", "numpy"):
                     _use_tier(monkeypatch, tier)
-                    flags[tier] = fused_module.lookup_decode(
-                        tables, signs, words, frame_x, batch
-                    )
+                    flags[tier] = fused_module.lookup_decode(tables, signs, words, state)
                 assert flags["cext"].shape == (3, batch)
                 assert np.array_equal(flags["cext"], flags["numpy"]), (signs, halvings)
                 if signs < 0:
@@ -475,6 +474,28 @@ class TestDecodeTiers:
         monkeypatch.setattr(fused_module, "unpack_bits", refuse)
         monkeypatch.setattr(np, "stack", refuse)
         outcome = experiment._batch_attempt(np.random.default_rng(5), 130)
+        for key, flags in expected.items():
+            assert np.array_equal(outcome[key], flags), key
+
+    def test_the_c_attempt_takes_each_address_once(self, monkeypatch):
+        if fused_module._cext_kernel() is None:
+            pytest.skip("no C kernel on this host")
+        experiment = Level1EccExperiment(noise=_noise_for_rate(2.0e-2, EXPECTED_PARAMETERS))
+        _use_tier(monkeypatch, "numpy")
+        expected = experiment._batch_attempt(np.random.default_rng(5), 130)
+        _use_tier(monkeypatch, "cext")
+        experiment._batch_attempt(np.random.default_rng(5), 130)  # builds the caches
+        taken = []
+        original = fused_module._address
+
+        def recording(array):
+            taken.append(original(array))
+            return taken[-1]
+
+        monkeypatch.setattr(fused_module, "_address", recording)
+        outcome = experiment._batch_attempt(np.random.default_rng(5), 130)
+        # The outcome words, both frames, the error counts and the flags.
+        assert len(taken) == len(set(taken)) == 5
         for key, flags in expected.items():
             assert np.array_equal(outcome[key], flags), key
 
