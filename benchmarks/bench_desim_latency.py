@@ -15,9 +15,10 @@ Two studies, both through the declarative ``machine_sim`` experiment:
 
 Every replay also reports where its host time went: the greedy EPR
 schedule (with the congestion-weighted route searches per demand), the
-discrete-event loop and the trace digest.  Every trace digest must equal
-its pinned value (:data:`PINNED_DIGESTS`), so a faster scheduler or trace
-cannot change a route or a record unnoticed.  Results are written to
+discrete-event loop, the two channel-utilization metrics and the trace
+digest.  Every trace digest must equal its pinned value
+(:data:`PINNED_DIGESTS`), so a faster scheduler or trace cannot change a
+route or a record unnoticed.  Results are written to
 ``BENCH_desim_latency.json`` at the repository root, under a run header
 naming the library version, fused-kernel tier and host.
 Run under pytest (``pytest benchmarks/bench_desim_latency.py``) or directly
@@ -48,7 +49,7 @@ from repro.api import (
 )
 from repro.desim.engine import DiscreteEventSimulator
 from repro.desim.trace import SimulationTrace
-from repro.network.scheduler import GreedyEprScheduler
+from repro.network.scheduler import GreedyEprScheduler, ScheduleResult
 
 # Run as a script, the benchmarks package is found from the repository root.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -91,6 +92,9 @@ PINNED_DIGESTS = {
     },
 }
 
+#: The timed phases of a replay, disjoint parts of its host time.
+_PHASES = ("schedule_s", "event_loop_s", "metrics_s", "trace_digest_s")
+
 _OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_desim_latency.json"
 
 
@@ -108,12 +112,13 @@ def _machine_sim_spec(machine: MachineSpec) -> ExperimentSpec:
 def _phase_clock():
     """Accumulate the host time of each desim phase run inside the block.
 
-    Wraps the scheduler, the event loop and the trace digest on their
-    classes, and counts the demands scheduled and the congestion-weighted
-    searches each schedule reports (``ScheduleResult.weighted_searches``,
-    on either kernel tier).
+    Wraps the scheduler, the event loop, the replay's two utilization
+    metrics (``metrics_s``) and the trace digest on their classes, and
+    counts the demands scheduled and the congestion-weighted searches each
+    schedule reports (``ScheduleResult.weighted_searches``, on either
+    kernel tier).
     """
-    phases = {"schedule_s": 0.0, "event_loop_s": 0.0, "trace_digest_s": 0.0}
+    phases = dict.fromkeys(_PHASES, 0.0)
     phases.update(demands=0, weighted_searches=0)
     originals = []
 
@@ -142,6 +147,8 @@ def _phase_clock():
 
     wrap(GreedyEprScheduler, "schedule", scheduled)
     wrap(DiscreteEventSimulator, "run", seconds("event_loop_s"))
+    wrap(ScheduleResult, "mean_edge_utilization", seconds("metrics_s"))
+    wrap(ScheduleResult, "max_edge_utilization", seconds("metrics_s"))
     wrap(SimulationTrace, "digest", seconds("trace_digest_s"))
     try:
         yield phases
@@ -262,7 +269,7 @@ def _check(report: dict[str, object]) -> None:
     for study in (adder, section5):
         for key in ("bandwidth_1", "bandwidth_2"):
             phases = study[key]["phases"]
-            timed = phases["schedule_s"] + phases["event_loop_s"] + phases["trace_digest_s"]
+            timed = sum(phases[phase] for phase in _PHASES)
             assert 0.0 < timed <= study[key]["host_seconds"], phases
 
 

@@ -111,11 +111,10 @@ def simulate_workload(
     # ------------------------------------------------------------------
     # EPR distribution: one static greedy schedule over all windows.
     # ------------------------------------------------------------------
-    schedule = machine.scheduler().schedule(list(workload.demands))
-    served_window = {t.demand.demand_id: t.window for t in schedule.transfers}
+    demands = workload.demands
+    schedule = machine.scheduler().schedule(demands)
     horizon = max(schedule.num_windows, workload.num_windows)
     activities: list[LinkActivity] = []
-    transfer_of: dict[int, object] = {}
     link_model: LinkModel | None = None
     if not machine.link.is_deterministic:
         # The link layer's generator is spawned from the simulation's root
@@ -131,21 +130,27 @@ def simulate_workload(
             transfer_cycles=machine.timings.transfer_cycles,
             gate_cycles=machine.timings.two_qubit_gate_cycles,
         )
-    for transfer in sorted(
-        schedule.transfers, key=lambda t: (t.window, t.demand.demand_id)
+    # The transfers by served window, then demand id, read off the columns.
+    demand_ids = np.array([demand.demand_id for demand in demands], dtype=np.int64)
+    served_ids = demand_ids[schedule.transfer_demand]
+    order = np.lexsort((served_ids, schedule.transfer_window))
+    for window, demand_id, requested, hops, (source, destination) in zip(
+        schedule.transfer_window[order].tolist(),
+        served_ids[order].tolist(),
+        schedule.demand_window[schedule.transfer_demand[order]].tolist(),
+        schedule.transfer_hops[order].tolist(),
+        schedule.transfer_ends()[order].tolist(),
     ):
         trace.emit(
-            transfer.window * window_cycles,
+            window * window_cycles,
             "epr_transfer",
-            f"demand{transfer.demand.demand_id}",
-            window=transfer.window,
-            requested=transfer.demand.window,
-            hops=transfer.route.hops,
-            source=list(transfer.demand.source),
-            destination=list(transfer.demand.destination),
+            f"demand{demand_id}",
+            window=window,
+            requested=requested,
+            hops=hops,
+            source=source,
+            destination=destination,
         )
-        if link_model is not None:
-            transfer_of[transfer.demand.demand_id] = transfer
     for demand in sorted(schedule.unserved, key=lambda d: d.demand_id):
         trace.emit(
             horizon * window_cycles,
@@ -155,11 +160,15 @@ def simulate_workload(
         )
 
     epr_ready = [0] * num_ops
+    served = served_ids.tolist()
     if link_model is None:
+        served_window = dict(zip(served, schedule.transfer_window.tolist()))
         for op in ops:
             if op.demand_ids:
                 latest = max(served_window.get(d, horizon) for d in op.demand_ids)
                 epr_ready[op.index] = latest * window_cycles
+    else:  # a realized link builds its transfer from the placement position
+        transfer_of = dict(zip(served, range(len(served))))
 
     # ------------------------------------------------------------------
     # Dependency DAG: per-qubit chains over the flat program.
@@ -192,11 +201,11 @@ def simulate_workload(
         # every transfer is realized exactly once.
         ready = 0
         for demand_id in sorted(ops[i].demand_ids):
-            transfer = transfer_of.get(demand_id)
-            if transfer is None:
+            position = transfer_of.get(demand_id)
+            if position is None:
                 ready = max(ready, horizon * window_cycles, sim.now)
                 continue
-            activity = link_model.realize(transfer, anchor_cycle=sim.now)
+            activity = link_model.realize(schedule.transfer(position), anchor_cycle=sim.now)
             activities.append(activity)
             ready = max(ready, activity.ready_cycle)
             subject = f"demand{activity.demand_id}"
@@ -315,9 +324,6 @@ def simulate_workload(
     # Metrics
     # ------------------------------------------------------------------
     makespan = max(finish, default=0)
-    utilization = schedule.edge_utilization()
-    loaded = [value for value in utilization.values() if value > 0.0]
-    peaks = schedule.peak_edge_utilization()
     metrics = MachineSimMetrics(
         makespan_cycles=makespan,
         makespan_seconds=machine.timings.seconds(makespan),
@@ -329,9 +335,9 @@ def simulate_workload(
         num_windows=workload.num_windows,
         epr_demands=len(workload.demands),
         epr_deferred=schedule.deferred_count,
-        epr_unserved=len(schedule.unserved),
-        aggregate_edge_utilization=float(sum(loaded) / len(loaded)) if loaded else 0.0,
-        peak_edge_utilization=float(max(peaks.values())) if peaks else 0.0,
+        epr_unserved=len(schedule.unserved_demand),
+        aggregate_edge_utilization=schedule.mean_edge_utilization(),
+        peak_edge_utilization=schedule.max_edge_utilization(),
         ancilla_factory_occupancy=factory.occupancy(makespan),
         link_generation_attempts=int(sum(a.generation_attempts for a in activities)),
         link_purification_rounds=int(sum(a.purification_rounds for a in activities)),

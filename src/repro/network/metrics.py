@@ -54,39 +54,19 @@ class ScheduleMetrics:
 
 def compute_metrics(result: ScheduleResult, topology: InterconnectTopology) -> ScheduleMetrics:
     """Compute :class:`ScheduleMetrics` for a finished schedule."""
-    total = len(result.transfers) + len(result.unserved)
+    placed = len(result.transfer_demand)
     deferred = result.deferred_count
-    served_in_window = len(result.transfers) - deferred
-
     # Aggregate utilisation: slots used / slots available over active windows.
-    directed_edges = 2 * topology.num_channels
-    slots_per_window = directed_edges * result.capacity_per_edge
-    active_windows = [w for w, load in result.edge_load.items() if load]
-    if active_windows and slots_per_window > 0:
-        used = sum(sum(load.values()) for load in result.edge_load.values())
-        available = slots_per_window * len(active_windows)
-        aggregate = used / available
-    else:
-        aggregate = 0.0
-
-    peak = 0.0
-    if result.capacity_per_edge > 0:
-        for load in result.edge_load.values():
-            for value in load.values():
-                peak = max(peak, value / result.capacity_per_edge)
-
-    if result.transfers:
-        average_hops = sum(t.route.hops for t in result.transfers) / len(result.transfers)
-    else:
-        average_hops = 0.0
-
+    available = 2 * topology.num_channels * result.capacity_per_edge * len(result.load_window)
+    used = int(result.load_used.sum())
+    hops = int(result.transfer_hops.sum())
     return ScheduleMetrics(
-        total_demands=total,
-        served_in_window=served_in_window,
+        total_demands=placed + len(result.unserved_demand),
+        served_in_window=placed - deferred,
         deferred=deferred,
-        unserved=len(result.unserved),
+        unserved=len(result.unserved_demand),
         fully_overlapped=result.fully_overlapped,
-        aggregate_utilization=aggregate,
-        peak_edge_utilization=peak,
-        average_route_hops=average_hops,
+        aggregate_utilization=used / available if available > 0 else 0.0,
+        peak_edge_utilization=result.max_edge_utilization(),
+        average_route_hops=hops / placed if placed else 0.0,
     )

@@ -17,7 +17,11 @@ segment pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +33,10 @@ from repro.stabilizer.fused import _address, _cext_kernel, kernel_tier
 
 Node = tuple[int, int]
 Edge = tuple[Node, Node]
+
+#: Where the edge to a node's up, left, down and right neighbour ranks among
+#: the node's edges sorted as coordinate pairs (up, left, right, down).
+_SORTED_RANK = np.array([0, 1, 3, 2], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -90,18 +98,29 @@ class StallWindowSummary:
         return self.deferred_out + self.unserved
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ScheduleResult:
-    """Outcome of scheduling a demand list.
+    """Outcome of scheduling a demand list, as read-only int64 columns.
+
+    Node ids are ``row * mesh_columns + column`` and edge ids ``4 * node + k``
+    (``k`` = up, left, down, right), as in :class:`~repro.network.topology.MeshIndex`.
+    The views :attr:`transfers`, :attr:`unserved` and :attr:`edge_load` are
+    built from the columns on first use.
 
     Attributes
     ----------
-    transfers:
-        All successfully placed transfers.
-    unserved:
-        Demands that could not be placed within the allowed deferral horizon.
-    edge_load:
-        Per-window, per-directed-edge load actually used.
+    demands / demand_window:
+        The scheduled demands (the columns index them) and their requested windows.
+    transfer_demand / transfer_window / path_end / path_nodes:
+        Per transfer, in placement order: its demand, its served window and
+        the end of its path in ``path_nodes`` (node ids, path after path).
+    unserved_demand:
+        The demands not placed within the deferral horizon.
+    load_window / load_end / load_edge / load_used:
+        Each window that loaded edges, ascending, the end of its run, and
+        the run's edges (in first-touch order) with their loads.
+    edge_total / edge_peak:
+        Per edge id, the load summed over windows and its largest in one.
     capacity_per_edge:
         Transfers one directed edge can carry per window.
     num_windows:
@@ -109,58 +128,136 @@ class ScheduleResult:
     weighted_searches:
         Congestion-weighted route searches the scheduler ran (a search runs
         when both dimension-ordered routes of a demand are full).
+    mesh_columns:
+        Columns of the mesh the node and edge ids count over.
     """
 
-    transfers: list[ScheduledTransfer] = field(default_factory=list)
-    unserved: list[EprDemand] = field(default_factory=list)
-    edge_load: dict[int, dict[Edge, int]] = field(default_factory=dict)
-    capacity_per_edge: int = 1
-    num_windows: int = 0
-    weighted_searches: int = 0
+    demands: tuple[EprDemand, ...]
+    demand_window: np.ndarray
+    transfer_demand: np.ndarray
+    transfer_window: np.ndarray
+    path_end: np.ndarray
+    path_nodes: np.ndarray
+    unserved_demand: np.ndarray
+    load_window: np.ndarray
+    load_end: np.ndarray
+    load_edge: np.ndarray
+    load_used: np.ndarray
+    edge_total: np.ndarray
+    edge_peak: np.ndarray
+    capacity_per_edge: int
+    num_windows: int
+    weighted_searches: int
+    mesh_columns: int
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @cached_property
+    def transfers(self) -> tuple[ScheduledTransfer, ...]:
+        """All successfully placed transfers, in placement order."""
+        return tuple(map(self.transfer, range(len(self.transfer_demand))))
+
+    @cached_property
+    def unserved(self) -> tuple[EprDemand, ...]:
+        """Demands that could not be placed within the allowed deferral horizon."""
+        return tuple([self.demands[i] for i in self.unserved_demand.tolist()])
+
+    @cached_property
+    def edge_load(self) -> Mapping[int, Mapping[Edge, int]]:
+        """Per-window, per-directed-edge load actually used (edges in first-touch order)."""
+        edges, used = self._edges(self.load_edge), self.load_used.tolist()
+        starts = [0, *self.load_end.tolist()]
+        return MappingProxyType({
+            window: MappingProxyType(dict(zip(edges[start:end], used[start:end])))
+            for window, start, end in zip(self.load_window.tolist(), starts, starts[1:])
+        })
+
+    def transfer(self, position: int) -> ScheduledTransfer:
+        """The ``position``-th placed transfer, built anew from the columns."""
+        start = int(self.path_end[position - 1]) if position else 0
+        end = int(self.path_end[position])
+        demand = self.demands[self.transfer_demand[position]]
+        nodes = self.path_nodes[start:end].tolist()
+        path = tuple([divmod(node, self.mesh_columns) for node in nodes])
+        return ScheduledTransfer(demand, Route(nodes=path), int(self.transfer_window[position]))
+
+    @property
+    def transfer_hops(self) -> np.ndarray:
+        """Channel hops of every transfer's path."""
+        return np.diff(self.path_end, prepend=0) - 1
+
+    def transfer_ends(self) -> np.ndarray:
+        """Per transfer, ``[[row, column], [row, column]]`` of its path's first and last tile."""
+        last = self.path_end - 1
+        nodes = self.path_nodes[np.stack([last - self.transfer_hops, last], 1)]
+        return np.stack([nodes // self.mesh_columns, nodes % self.mesh_columns], 2)
+
+    def _edges(self, edge_ids: np.ndarray) -> list[Edge]:
+        """The directed edge of every edge id."""
+        columns = self.mesh_columns
+        nodes = edge_ids >> 2
+        ends = nodes + np.array([-columns, -1, columns, 1])[edge_ids & 3]
+        rows = np.stack([nodes // columns, nodes % columns, ends // columns, ends % columns], 1)
+        return [((a, b), (c, d)) for a, b, c, d in rows.tolist()]
 
     @property
     def fully_overlapped(self) -> bool:
         """True if every demand was served inside its own error-correction window."""
-        return not self.unserved and all(not t.deferred for t in self.transfers)
+        return not len(self.unserved_demand) and not self.deferred_count
 
     @property
     def deferred_count(self) -> int:
         """Number of transfers that missed their requested window."""
-        return sum(1 for t in self.transfers if t.deferred)
+        requested = self.demand_window[self.transfer_demand]
+        return int(np.count_nonzero(self.transfer_window > requested))
 
     # ------------------------------------------------------------------
     # Per-edge and per-window summaries (consumed by the machine simulator,
-    # useful standalone; computed from the fields above, so existing
-    # consumers of ScheduleResult are unaffected).
+    # useful standalone).
     # ------------------------------------------------------------------
 
+    def _loaded_edges(self) -> np.ndarray:
+        """Ids of the edges that carried traffic, ordered as their directed edges sort."""
+        ids = np.flatnonzero(self.edge_total)
+        corners = ids & 3
+        return ids[np.argsort(ids - corners + _SORTED_RANK[corners])]
+
+    def _utilization(self, edge_ids: np.ndarray) -> list[float]:
+        slots = self.capacity_per_edge * max(1, self.num_windows)
+        return (self.edge_total[edge_ids] / slots).tolist()
+
     def edge_utilization(self) -> dict[Edge, float]:
-        """Mean utilization of every directed edge that carried traffic.
+        """Mean utilization of every directed edge that carried traffic, in edge order.
 
         The fraction of the edge's total transfer slots (capacity times the
         number of windows the schedule spans) actually used.
         """
         if self.capacity_per_edge <= 0:
             return {}
-        windows = max(1, self.num_windows)
-        denominator = self.capacity_per_edge * windows
-        totals: dict[Edge, int] = {}
-        for load in self.edge_load.values():
-            for edge, used in load.items():
-                totals[edge] = totals.get(edge, 0) + used
-        return {edge: used / denominator for edge, used in sorted(totals.items())}
+        edge_ids = self._loaded_edges()
+        return dict(zip(self._edges(edge_ids), self._utilization(edge_ids)))
 
     def peak_edge_utilization(self) -> dict[Edge, float]:
         """Highest single-window utilization of every edge that carried traffic."""
-        peaks: dict[Edge, float] = {}
         if self.capacity_per_edge <= 0:
-            return peaks
-        for load in self.edge_load.values():
-            for edge, used in load.items():
-                fraction = used / self.capacity_per_edge
-                if fraction > peaks.get(edge, 0.0):
-                    peaks[edge] = fraction
-        return dict(sorted(peaks.items()))
+            return {}
+        edge_ids = self._loaded_edges()
+        peaks = (self.edge_peak[edge_ids] / self.capacity_per_edge).tolist()
+        return dict(zip(self._edges(edge_ids), peaks))
+
+    def mean_edge_utilization(self) -> float:
+        """Mean of :meth:`edge_utilization` (0.0 without traffic), summed left to right."""
+        fractions = self._utilization(self._loaded_edges()) if self.capacity_per_edge > 0 else []
+        return sum(fractions) / len(fractions) if fractions else 0.0
+
+    def max_edge_utilization(self) -> float:
+        """Largest value of :meth:`peak_edge_utilization` (0.0 without traffic)."""
+        if self.capacity_per_edge <= 0 or not self.edge_peak.any():
+            return 0.0
+        return int(self.edge_peak.max()) / self.capacity_per_edge
 
     def stall_window_summary(self) -> dict[int, StallWindowSummary]:
         """Per-requested-window stall accounting.
@@ -168,32 +265,19 @@ class ScheduleResult:
         Windows that saw no demands are omitted; a window appears if demands
         were requested for it or deferred traffic landed in it.
         """
-        requested: dict[int, int] = {}
-        on_time: dict[int, int] = {}
-        deferred_out: dict[int, int] = {}
-        deferred_in: dict[int, int] = {}
-        unserved: dict[int, int] = {}
-        for transfer in self.transfers:
-            asked = transfer.demand.window
-            requested[asked] = requested.get(asked, 0) + 1
-            if transfer.deferred:
-                deferred_out[asked] = deferred_out.get(asked, 0) + 1
-                deferred_in[transfer.window] = deferred_in.get(transfer.window, 0) + 1
-            else:
-                on_time[asked] = on_time.get(asked, 0) + 1
-        for demand in self.unserved:
-            requested[demand.window] = requested.get(demand.window, 0) + 1
-            unserved[demand.window] = unserved.get(demand.window, 0) + 1
-        windows = sorted(set(requested) | set(deferred_in))
+        asked = self.demand_window[self.transfer_demand]
+        late = self.transfer_window > asked
+        lost = self.demand_window[self.unserved_demand].tolist()
+        counts = {
+            "requested": Counter(asked.tolist() + lost),
+            "served_on_time": Counter(asked[~late].tolist()),
+            "deferred_out": Counter(asked[late].tolist()),
+            "deferred_in": Counter(self.transfer_window[late].tolist()),
+            "unserved": Counter(lost),
+        }
+        windows = sorted(counts["requested"].keys() | counts["deferred_in"].keys())
         return {
-            window: StallWindowSummary(
-                window=window,
-                requested=requested.get(window, 0),
-                served_on_time=on_time.get(window, 0),
-                deferred_out=deferred_out.get(window, 0),
-                deferred_in=deferred_in.get(window, 0),
-                unserved=unserved.get(window, 0),
-            )
+            window: StallWindowSummary(window, **{name: c[window] for name, c in counts.items()})
             for window in windows
         }
 
@@ -236,155 +320,145 @@ class GreedyEprScheduler:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, demands: list[EprDemand]) -> ScheduleResult:
+    def schedule(self, demands: Sequence[EprDemand]) -> ScheduleResult:
         """Place all demands, greedily, window by window.
 
         The kernel tier in effect (:func:`repro.stabilizer.fused.kernel_tier`)
         picks the placement loop: the C routine ``repro_schedule`` in the
         fused kernel's library, or its Python twin.  Both place every demand
-        on the same route in the same window, and fill the result in the
-        same order.
+        on the same route in the same window, and fill the same columns in
+        the same order.
         """
-        result = ScheduleResult(capacity_per_edge=self.capacity_per_edge_per_window)
-        if not demands:
-            return result
-        horizon = max(d.window for d in demands) + self._max_deferral + 1
-        if kernel_tier() == "cext":
-            self._place_native(demands, result)
+        demands = tuple(demands)
+        topology = self._topology
+        packed = self._pack(demands)
+        horizon = int(packed[:, 2].max()) + self._max_deferral + 1 if demands else 0
+        if demands and kernel_tier() == "cext":
+            placement = self._place_native(packed)
         else:
-            self._place(demands, horizon, result)
-        result.num_windows = horizon
-        return result
+            placement = self._place(demands, horizon)
+        transfers, unserved, paths, loads, windows, searches = placement
+        transfer_demand, transfer_window, path_end = transfers.reshape(-1, 3).T
+        load_window, load_end = windows.reshape(-1, 2).T
+        edges, used = loads.reshape(-1, 2).T
+        total = np.zeros(4 * topology.rows * topology.columns, dtype=np.int64)
+        peak = np.zeros_like(total)
+        np.add.at(total, edges, used)
+        np.maximum.at(peak, edges, used)
+        return ScheduleResult(
+            demands=demands, demand_window=packed[:, 2],
+            transfer_demand=transfer_demand, transfer_window=transfer_window, path_end=path_end,
+            path_nodes=paths, unserved_demand=unserved,
+            load_window=load_window, load_end=load_end, load_edge=edges, load_used=used,
+            edge_total=total, edge_peak=peak,
+            capacity_per_edge=self.capacity_per_edge_per_window, num_windows=horizon,
+            weighted_searches=searches, mesh_columns=topology.columns,
+        )
 
-    def _place(self, demands: list[EprDemand], horizon: int, result: ScheduleResult) -> None:
-        """The Python placement loop.
+    def _pack(self, demands: tuple[EprDemand, ...]) -> np.ndarray:
+        """The demands as int64 rows: source and destination node ids, window, pairs.
 
-        Only the window being filled takes new load, so one load list over
-        the topology's edge ids serves every window: after a window, the
-        edges it touched are copied into :attr:`ScheduleResult.edge_load`
-        (in first-touch order) and reset.
+        A tile off the mesh raises :class:`RoutingError`.
         """
-        pending: dict[int, list[EprDemand]] = {w: [] for w in range(horizon)}
-        for demand in demands:
-            pending[demand.window].append(demand)
-        index = self._topology.index
-        load = [0] * index.num_edge_slots
-
-        for window in range(horizon):
-            touched: list[int] = []
-            for demand in pending[window]:
-                if self._try_place(demand, window, load, touched, result):
-                    continue
-                next_window = window + 1
-                if next_window < horizon and next_window <= demand.window + self._max_deferral:
-                    pending[next_window].append(demand)
-                else:
-                    result.unserved.append(demand)
-            if touched:
-                result.edge_load[window] = {index.edges[edge]: load[edge] for edge in touched}
-                for edge in touched:
-                    load[edge] = 0
-
-    def _place_native(self, demands: list[EprDemand], result: ScheduleResult) -> None:
-        """The placement loop as one call of the C routine ``repro_schedule``.
-
-        Demands go in as node ids (a tile off the mesh raises
-        :class:`RoutingError` first); the transfers, unserved demands and
-        window loads come back as arrays in the order the Python loop
-        appends them.  A congestion-searched path costs at most the
-        X-then-Y path, whose edges each cost at most ``1 + capacity``, so
-        ``room`` bounds the path entries of every placement.
-        """
-        index = self._topology.index
-        columns, num_nodes = index.columns, len(index.nodes)
-        cost = 1 + self.capacity_per_edge_per_window
+        columns = self._topology.columns
         on_mesh = self._topology.adjacency
         packed: list[int] = []
-        room = 0
         for demand in demands:
             source, destination = demand.source, demand.destination
-            if source == destination:
-                # A transfer within one tile crosses no edge, and its route
-                # is built from the demand: its ids need only be equal.
-                packed += (0, 0, demand.window, demand.pairs)
-                room += 1
-                continue
             if source not in on_mesh or destination not in on_mesh:
                 self._router._check_nodes(source, destination)
             (row, column), (to_row, to_column) = source, destination
-            packed += (
-                row * columns + column,
-                to_row * columns + to_column,
-                demand.window,
-                demand.pairs,
-            )
-            room += min(num_nodes, (abs(row - to_row) + abs(column - to_column)) * cost + 1)
-        packed_demands = np.array(packed, dtype=np.int64)
-        transfers = np.empty((len(demands), 3), dtype=np.int64)
-        unserved = np.empty(len(demands), dtype=np.int64)
+            source, destination = row * columns + column, to_row * columns + to_column
+            packed += (source, destination, demand.window, demand.pairs)
+        return np.array(packed, dtype=np.int64).reshape(-1, 4)
+
+    def _place(self, demands: tuple[EprDemand, ...], horizon: int) -> tuple:
+        """The Python placement loop; returns what ``repro_schedule`` fills, flat.
+
+        Only the window being filled takes new load, so one load list over
+        the topology's edge ids serves every window: after a window, the
+        edges it touched are recorded with their loads (in first-touch
+        order) and reset.
+        """
+        pending: list[list[int]] = [[] for _ in range(horizon)]
+        for position, demand in enumerate(demands):
+            pending[demand.window].append(position)
+        index = self._topology.index
+        node_id = index.node_id
+        load = [0] * index.num_edge_slots
+        transfers, unserved, paths, loads, windows = [], [], [], [], []
+        searches = 0
+
+        for window in range(horizon):
+            touched: list[int] = []
+            for position in pending[window]:
+                demand = demands[position]
+                route, searched = self._try_place(demand, load, touched)
+                searches += searched
+                if route is not None:
+                    paths += map(node_id, route.nodes)
+                    transfers += (position, window, len(paths))
+                elif window + 1 < horizon and window + 1 <= demand.window + self._max_deferral:
+                    pending[window + 1].append(position)
+                else:
+                    unserved.append(position)
+            for edge in touched:
+                loads += (edge, load[edge])
+                load[edge] = 0
+            if touched:
+                windows += (window, len(loads) // 2)
+        columns = (transfers, unserved, paths, loads, windows)
+        return (*[np.array(column, dtype=np.int64) for column in columns], searches)
+
+    def _place_native(self, packed: np.ndarray) -> tuple:
+        """The placement loop as one call of the C routine ``repro_schedule``.
+
+        ``packed`` holds the demands as :meth:`_pack` writes them; the
+        returned arrays are views of the routine's outputs, in the order
+        the Python loop appends them.  A congestion-searched path costs at
+        most the X-then-Y path, whose edges each cost at most
+        ``1 + capacity``, so ``room`` bounds the path entries of every
+        placement.
+        """
+        topology = self._topology
+        columns, num_nodes = topology.columns, topology.rows * topology.columns
+        source, target = packed[:, 0], packed[:, 1]
+        hops = abs(source // columns - target // columns) + abs(source % columns - target % columns)
+        room = int(np.minimum(num_nodes, hops * (1 + self.capacity_per_edge_per_window) + 1).sum())
+        count = len(packed)
+        transfers = np.empty((count, 3), dtype=np.int64)
+        unserved = np.empty(count, dtype=np.int64)
         paths = np.empty(room, dtype=np.int64)
         loads = np.empty((room, 2), dtype=np.int64)
-        windows = np.empty((len(demands), 2), dtype=np.int64)
+        windows = np.empty((count, 2), dtype=np.int64)
         counts = np.zeros(5, dtype=np.int64)
+        outputs = (transfers, unserved, paths, loads, windows, counts)
         status = _cext_kernel().repro_schedule(
-            self._topology.rows,
-            self._topology.columns,
-            self.capacity_per_edge_per_window,
-            self._max_deferral,
-            len(demands),
-            _address(packed_demands),
-            room,
-            _address(transfers),
-            _address(unserved),
-            _address(paths),
-            _address(loads),
-            _address(windows),
-            _address(counts),
+            topology.rows, columns, self.capacity_per_edge_per_window, self._max_deferral, count,
+            _address(packed), room, *map(_address, outputs),
         )
         if status != 0:
             raise SchedulingError(f"the native scheduler failed with status {status}")
         placed, lost, used, loaded, searches = counts.tolist()
-        nodes = index.nodes
-        path_nodes = [nodes[node] for node in paths[:used].tolist()]
-        start = 0
-        append = result.transfers.append
-        for demand_index, window, end in transfers[:placed].tolist():
-            demand = demands[demand_index]
-            path = tuple(path_nodes[start:end]) if end - start > 1 else (demand.source,)
-            append(ScheduledTransfer(demand=demand, route=Route(nodes=path), window=window))
-            start = end
-        result.unserved = [demands[i] for i in unserved[:lost].tolist()]
-        window_ends = windows[:loaded].tolist()
-        entries = window_ends[-1][1] if window_ends else 0
-        edges = index.edges
-        keys = [edges[edge] for edge in loads[:entries, 0].tolist()]
-        used_loads = loads[:entries, 1].tolist()
-        start = 0
-        for window, end in window_ends:
-            result.edge_load[window] = dict(zip(keys[start:end], used_loads[start:end]))
-            start = end
-        result.weighted_searches = searches
+        entries = int(windows[loaded - 1, 1]) if loaded else 0
+        return (
+            transfers[:placed], unserved[:lost], paths[:used], loads[:entries], windows[:loaded],
+            searches,
+        )
 
     def _try_place(
-        self,
-        demand: EprDemand,
-        window: int,
-        load: list[int],
-        touched: list[int],
-        result: ScheduleResult,
-    ) -> bool:
+        self, demand: EprDemand, load: list[int], touched: list[int]
+    ) -> tuple[Route | None, int]:
         """Walk the candidate routes in order; reserve the first that fits.
 
         ``load`` is the window's load per edge id and ``touched`` the edge
         ids it has loaded, in first-touch order.  The candidates are
         generated lazily, so the congestion search runs only when both
-        dimension-ordered routes are full.
+        dimension-ordered routes are full.  Returns the route reserved
+        (None when none fits) and the number of congestion searches run.
         """
         if demand.source == demand.destination:
-            result.transfers.append(
-                ScheduledTransfer(demand=demand, route=Route(nodes=(demand.source,)), window=window)
-            )
-            return True
+            return Route(nodes=(demand.source,)), 0
         pairs = demand.pairs
         limit = self.capacity_per_edge_per_window - pairs
         route_edge_ids = self._topology.index.route_edge_ids
@@ -402,10 +476,5 @@ class GreedyEprScheduler:
                     if not load[edge]:  # demands carry at least one pair
                         touched.append(edge)
                     load[edge] += pairs
-                result.transfers.append(
-                    ScheduledTransfer(demand=demand, route=route, window=window)
-                )
-                result.weighted_searches += tried > ordered
-                return True
-        result.weighted_searches += 1
-        return False
+                return route, int(tried > ordered)
+        return None, 1

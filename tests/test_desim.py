@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -41,6 +42,7 @@ from repro.desim import (
     simulate_circuit,
     toffoli_layer_circuit,
 )
+from repro.desim import trace as trace_module
 from repro.exceptions import DesimError, ParameterError, SimulationError
 from repro.qecc.latency import EccLatencyModel
 from repro.stabilizer import fused as fused_module
@@ -213,6 +215,17 @@ _CONTRACT_RECORDS = (
     ("ancilla_ready", "op5", {}),
     ("op_start", "op5", dict(opcode="TOFFOLI", qubits=[3, 4, 5], window=6)),
     ("op_complete", "op5", {}),
+    # Desim kinds whose payload the per-kind templates must leave to the encoder.
+    (
+        "link_delivery",
+        "demand4",
+        dict(fidelity=np.float64(0.9612345678901234), generation_stall=0, purification_stall=3,
+             swap_levels=1),
+    ),
+    ("epr_unserved", "demand10", dict(requested=True)),
+    ("op_complete", 'op"6\\\t', {}),
+    ("op_start", "op7", dict(opcode="CNOT", qubits=[1, False], window=2)),
+    ("epr_transfer", "demand5", dict(window=1, hops=0)),
     ("edge_bool_none", "x", dict(flag=True, other=False, nothing=None)),
     ("edge_floats", "x", dict(tenth=0.1, tiny=1e-300, negative=-2.5)),
     ("edge_text", "qubit ψ → état", dict(label="Größe ✓", empty="")),
@@ -246,6 +259,27 @@ class TestTraceEncodingContract:
         assert (record.cycle, record.kind, record.subject) == (7, "op_start", "op0")
         assert record.data == (("opcode", "H"), ("qubits", [0]), ("window", 1))
         assert trace.filter("op_start") == (record,) and trace.filter("op_complete") == ()
+
+    def test_only_records_outside_their_schema_reach_the_encoder(self, monkeypatch):
+        encoded = []
+
+        def encode(line: dict) -> str:
+            encoded.append(line["subject"])
+            return json.dumps(line, sort_keys=True, separators=(",", ":"))
+
+        monkeypatch.setattr(trace_module, "_ENCODE_LINE", encode)
+        link = LinkParameters(
+            attempt_success_probability=0.9, base_fidelity=0.95, target_fidelity=0.96
+        )
+        machine = QLAMachineModel.build(rows=5, columns=5, bandwidth=1, level=1, link=link)
+        trace = simulate_circuit(adder_workload_circuit(4), machine, seed=11).trace
+        assert trace.to_jsonl() and encoded == []
+        contract = SimulationTrace()
+        for kind, subject, data in _CONTRACT_RECORDS:
+            contract.emit(0, kind, subject, **data)
+        contract.to_jsonl()
+        # The five desim records after the first ten, and the non-desim kinds.
+        assert sorted(encoded) == sorted(subject for _, subject, _ in _CONTRACT_RECORDS[10:])
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_simulator_traces_match_the_reference(self, noisy):
@@ -363,6 +397,59 @@ class TestPinnedAdderReplays:
         assert value["epr_deferred"] == pinned["epr_deferred"]
         assert value["trace_records"] == 2292
         assert events == [1082]
+
+
+def _per_dictionary_utilization(schedule) -> tuple:
+    """Per-edge utilization and peaks and the replay's two utilization metrics,
+    by the formulas that read the per-window load dictionaries."""
+    capacity = schedule.capacity_per_edge
+    denominator = capacity * max(1, schedule.num_windows)
+    totals: dict = {}
+    peaks: dict = {}
+    for load in schedule.edge_load.values():
+        for edge, used in load.items():
+            totals[edge] = totals.get(edge, 0) + used
+            fraction = used / capacity
+            if fraction > peaks.get(edge, 0.0):
+                peaks[edge] = fraction
+    utilization = {edge: used / denominator for edge, used in sorted(totals.items())}
+    peaks = dict(sorted(peaks.items()))
+    loaded = [value for value in utilization.values() if value > 0.0]
+    aggregate = float(sum(loaded) / len(loaded)) if loaded else 0.0
+    peak = float(max(peaks.values())) if peaks else 0.0
+    return utilization, peaks, aggregate, peak
+
+
+class TestUtilizationColumns:
+    """Utilization read off the schedule's columns equals the per-dictionary formulas, bit for bit."""
+
+    @pytest.mark.parametrize("tier", fused_module.KERNEL_TIERS)
+    @pytest.mark.parametrize(
+        "bits, bandwidth, link",
+        [(64, 1, None), (64, 2, None), (128, 1, None), (128, 2, None), (4, 1, "fig9")],
+    )
+    def test_utilization_is_bit_equal(self, bits, bandwidth, link, tier, monkeypatch):
+        if tier == "cext" and fused_module._cext_kernel() is None:
+            pytest.skip("no C kernel on this host")
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", tier)
+        if link is None:
+            machine = QLAMachineModel.build(rows=20, columns=20, bandwidth=bandwidth, level=2)
+            circuit = adder_workload_circuit(bits)
+        else:  # one noisy cell of the Figure 9 grid
+            machine = QLAMachineModel.build(
+                rows=10, columns=10, bandwidth=bandwidth, level=2, num_ancilla_factories=64,
+                transfers_per_lane_per_window=1, max_deferral_windows=0,
+                link=LinkParameters(base_fidelity=0.95, target_fidelity=0.96),
+            )
+            circuit = adder_workload_circuit(bits, parallel=7)
+        report = simulate_circuit(circuit, machine, seed=2005)
+        schedule = report.schedule
+        utilization, peaks, aggregate, peak = _per_dictionary_utilization(schedule)
+        assert list(schedule.edge_utilization().items()) == list(utilization.items())
+        assert list(schedule.peak_edge_utilization().items()) == list(peaks.items())
+        assert report.metrics.aggregate_edge_utilization.hex() == aggregate.hex()
+        assert report.metrics.peak_edge_utilization.hex() == peak.hex()
+        assert 0.0 < aggregate <= peak <= 1.0
 
 
 class TestReplayDeterminism:

@@ -19,12 +19,14 @@ C search alone (``repro_route_search``) the recorded routes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import sys
 from heapq import heappop, heappush
 from itertools import count
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,8 +37,11 @@ from repro.network import (
     EprDemand,
     GreedyEprScheduler,
     InterconnectTopology,
+    ScheduleMetrics,
     ScheduleResult,
     ShortestPathRouter,
+    StallWindowSummary,
+    compute_metrics,
 )
 from repro.network.router import Route
 from repro.network.scheduler import ScheduledTransfer
@@ -272,15 +277,18 @@ def _eager_schedule(
     demands: list,
     transfers_per_lane_per_window: int = 3,
     max_deferral_windows: int = 4,
-) -> ScheduleResult:
+) -> SimpleNamespace:
     """Reference greedy schedule that builds every candidate before trying any.
 
     Per-window loads are dictionaries keyed by directed edge, and routes come
-    from the public router methods only.
+    from the public router methods only.  It returns the lists and
+    dictionaries :class:`ScheduleResult` showed before it held columns.
     """
     router = ShortestPathRouter(topology)
     capacity = topology.bandwidth * transfers_per_lane_per_window
-    result = ScheduleResult(capacity_per_edge=capacity)
+    result = SimpleNamespace(
+        transfers=[], unserved=[], edge_load={}, capacity_per_edge=capacity, num_windows=0
+    )
     if not demands:
         return result
     horizon = max(d.window for d in demands) + max_deferral_windows + 1
@@ -321,7 +329,27 @@ def _eager_schedule(
     return result
 
 
-def _summary(result: ScheduleResult) -> tuple:
+COLUMNS = (
+    "demand_window", "transfer_demand", "transfer_window", "path_end", "path_nodes",
+    "unserved_demand", "load_window", "load_end", "load_edge", "load_used",
+    "edge_total", "edge_peak",
+)
+
+
+def _columns(result: ScheduleResult) -> dict:
+    """Every column of a schedule as lists, with the scalars beside them."""
+    columns = {name: getattr(result, name).tolist() for name in COLUMNS}
+    columns.update(
+        demands=result.demands,
+        capacity_per_edge=result.capacity_per_edge,
+        num_windows=result.num_windows,
+        weighted_searches=result.weighted_searches,
+        mesh_columns=result.mesh_columns,
+    )
+    return columns
+
+
+def _summary(result: ScheduleResult | SimpleNamespace) -> tuple:
     return (
         [(t.demand, t.route.nodes, t.window) for t in result.transfers],
         list(result.unserved),
@@ -330,6 +358,45 @@ def _summary(result: ScheduleResult) -> tuple:
         result.num_windows,
         result.capacity_per_edge,
     )
+
+
+def _object_metrics(result: SimpleNamespace, topology: InterconnectTopology) -> ScheduleMetrics:
+    """``compute_metrics`` over transfer objects and per-window load dictionaries."""
+    deferred = sum(t.window > t.demand.window for t in result.transfers)
+    slots = 2 * topology.num_channels * result.capacity_per_edge
+    used = sum(sum(load.values()) for load in result.edge_load.values())
+    peak = max(
+        (v / result.capacity_per_edge for load in result.edge_load.values() for v in load.values()),
+        default=0.0,
+    )
+    hops = [t.route.hops for t in result.transfers]
+    return ScheduleMetrics(
+        total_demands=len(result.transfers) + len(result.unserved),
+        served_in_window=len(result.transfers) - deferred,
+        deferred=deferred,
+        unserved=len(result.unserved),
+        fully_overlapped=not result.unserved and not deferred,
+        aggregate_utilization=used / (slots * len(result.edge_load)) if result.edge_load else 0.0,
+        peak_edge_utilization=peak,
+        average_route_hops=sum(hops) / len(hops) if hops else 0.0,
+    )
+
+
+def _object_stall_summary(result: SimpleNamespace) -> dict:
+    """``stall_window_summary`` over transfer and demand objects."""
+    counts: dict = {}
+    for transfer in result.transfers:
+        late = transfer.window > transfer.demand.window
+        asked = counts.setdefault(transfer.demand.window, [0] * 5)
+        asked[0] += 1
+        asked[2 if late else 1] += 1
+        if late:
+            counts.setdefault(transfer.window, [0] * 5)[3] += 1
+    for demand in result.unserved:
+        asked = counts.setdefault(demand.window, [0] * 5)
+        asked[0] += 1
+        asked[4] += 1
+    return {window: StallWindowSummary(window, *counts[window]) for window in sorted(counts)}
 
 
 class TestLazyCandidates:
@@ -402,9 +469,14 @@ class TestKernelTiers:
                 topology, transfers_per_lane_per_window=per_lane
             ).schedule(demands)
         native, python = results["cext"], results["numpy"]
+        assert _columns(native) == _columns(python)
         eager = _eager_schedule(topology, demands, transfers_per_lane_per_window=per_lane)
+        # The object views equal the lists the schedule held before columns.
         assert _summary(native) == _summary(python) == _summary(eager)
-        assert native.weighted_searches == python.weighted_searches
+        # The summaries read off the columns equal the per-object formulas.
+        for result in (native, python):
+            assert compute_metrics(result, topology) == _object_metrics(eager, topology)
+            assert result.stall_window_summary() == _object_stall_summary(eager)
         # Every path of the placement loop is taken somewhere in the grid.
         assert demands[241] in native.unserved
         assert [t.route.nodes for t in native.transfers if t.demand.demand_id == 240] == [
@@ -413,6 +485,36 @@ class TestKernelTiers:
         if per_lane == 1 and bandwidth == 1:
             assert native.weighted_searches > 0 and native.deferred_count > 0
             assert len(native.unserved) > 1
+
+    def test_object_views_are_cached_and_read_only(self, tier):
+        topology = InterconnectTopology(rows=5, columns=7, bandwidth=1)
+        demands = _tier_demands(3, 5, 7, capacity=3)
+        result = GreedyEprScheduler(topology).schedule(demands)
+        assert result.transfers is result.transfers and result.edge_load is result.edge_load
+        assert isinstance(result.transfers, tuple) and isinstance(result.unserved, tuple)
+        assert result.transfers == tuple(map(result.transfer, range(len(result.transfers))))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.transfers = ()
+        window, load = next(iter(result.edge_load.items()))
+        with pytest.raises(TypeError):
+            result.edge_load[window] = {}
+        with pytest.raises(TypeError):
+            load[next(iter(load))] = 0
+        with pytest.raises(ValueError):
+            result.path_nodes[0] = 1
+        assert result.transfer_hops.tolist() == [t.route.hops for t in result.transfers]
+        assert result.transfer_ends().tolist() == [
+            [list(t.route.source), list(t.route.destination)] for t in result.transfers
+        ]
+        assert result.deferred_count == sum(t.deferred for t in result.transfers)
+
+    def test_empty_schedule_has_empty_columns(self, tier):
+        result = GreedyEprScheduler(InterconnectTopology(rows=3, columns=3)).schedule([])
+        assert all(getattr(result, name).size == 0 for name in COLUMNS[:-2])
+        assert not result.edge_total.any() and not result.edge_peak.any()
+        assert result.transfers == result.unserved == () and not result.edge_load
+        assert result.edge_utilization() == result.peak_edge_utilization() == {}
+        assert result.mean_edge_utilization() == result.max_edge_utilization() == 0.0
 
     def test_injected_native_fault_runs_the_python_loop(self, monkeypatch):
         monkeypatch.delenv("REPRO_FUSED_KERNEL", raising=False)
@@ -435,6 +537,10 @@ class TestKernelTiers:
         ]
         with pytest.raises(RoutingError, match=r"\(0, 4\)"):
             scheduler.schedule(demands)
+        # A demand from an off-mesh tile to itself is refused as well.
+        within = [EprDemand(demand_id=0, source=(5, 5), destination=(5, 5), window=0)]
+        with pytest.raises(RoutingError, match=r"\(5, 5\)"):
+            scheduler.schedule(within)
 
 
 def _heap_reference(adjacency: dict, source, target, load: dict) -> list:
