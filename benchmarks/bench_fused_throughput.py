@@ -2,33 +2,44 @@
 
 Times ``repro.api.run`` on a Figure 7 threshold sweep -- 4 physical rates,
 4096 shots per rate in one 4096-lane batch, on the ``"frame"`` engine -- and
-breaks each run's host time down by layer:
+breaks each run's host time down into disjoint layers (each wrapped call's
+own time, less the wrapped calls inside it):
 
 * ``reference_pass_s`` -- the noiseless reference passes, which are cached
   by program content, so only the cold (first) run pays them;
-* ``kernel_s`` -- the C or numpy frame kernel, which since v1.13.0 also
-  samples the run's noise and random measurement words from its one seed
-  (there is no separate sampling layer any more);
-* ``executor_other_s`` -- the rest of each batched run: plan, reference and
-  noise-template lookup, the seed draw and the result;
-* ``decode_s`` -- the rest of each trial batch: state creation and the
-  lookup decode (syndrome lookup, ideal recovery and the three per-lane
-  flags, one native call on the C tier);
+* ``native_batch_s`` -- on the C tier, each trial batch's one native call
+  (``repro_level1_batch``): every attempt's frame kernel with its noise
+  sampling, its lookup decode and the pooled-retry hand-out;
+* ``kernel_s`` -- on the numpy tier, the frame kernel of each attempt,
+  which samples the run's noise and random measurement words from its one
+  seed;
+* ``executor_other_s`` -- on the numpy tier, the rest of each batched run:
+  plan, reference and noise-template lookup, the seed draw and the result;
+* ``trial_batch_other_s`` -- the rest of each trial batch: on the numpy
+  tier state creation, the lookup decode and the retry loop; on the C tier
+  the resolution of an attempt's run (once per experiment) and the call's
+  buffers;
 * ``api_other_s`` -- ``api.run`` less its trial batches: backend
   resolution, experiment build, compilation and result assembly.
 
-Beside the layers it reports ``attempts_per_batch``: executor runs per
-trial batch, i.e. the verification attempts (first attempt plus pooled
-retries) each 4096-lane Level-1 batch makes, which must stay at or below 3.
-An attempt is one executor run of three segments (ideal preparation, noisy
-gate, noisy ECC cycle) and one kernel call.
+Beside the layers it reports ``attempts_per_batch``: the verification
+attempts (first attempt plus pooled retries) each 4096-lane Level-1 batch
+makes, as the trial batch reports them, which must stay at or below 3.
+An attempt is one run of three segments (ideal preparation, noisy gate,
+noisy ECC cycle) and its decode.
 
 A second table, ``attempt_costs``, gives the fixed cost of one Level-1
-attempt (``Level1EccExperiment._batch_attempt``) at 32, 512 and 4096 lanes,
-in microseconds: ``kernel_us`` (the kernel with its sampling),
-``decode_us`` (state creation and the lookup decode) and ``other_us``
-(the rest of the executor run), from the fastest of several rounds of
-back-to-back attempts.
+attempt through the executor (``Level1EccExperiment._batch_attempt``, the
+Python retry loop's step) at 32, 512 and 4096 lanes, in microseconds:
+``kernel_us`` (the kernel with its sampling), ``decode_us`` (state
+creation and the lookup decode) and ``other_us`` (the rest of the executor
+run), from the fastest of several rounds of back-to-back attempts.
+
+A third, ``point_latency``, times single ``logical_failure`` points through
+``repro.api.run`` at 32, 128 and 512 shots, cycling over six physical
+rates as the small points of a Figure 7 study do: microseconds per point,
+split into the trial batch and the rest of the API, from the fastest of
+several rounds.
 
 Two contracts are validated: seeded Level-1 batches reproduce their recorded
 digests bit for bit (re-pinned at v1.13.0 in
@@ -63,6 +74,8 @@ try:  # the CI smoke job runs this file directly with only numpy installed
 except ImportError:  # pragma: no cover - direct execution without pytest
     pytest = None
 
+import repro.arq.experiments as experiments_module
+import repro.parallel as parallel_module
 from repro.api import ExecutionSpec, ExperimentSpec, NoiseSpec, SamplingSpec, run
 from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
 from repro.arq.simulator import BatchedNoisyCircuitExecutor
@@ -88,6 +101,12 @@ ATTEMPT_RATE = 4.0e-3
 #: Rounds of the per-attempt table, and attempts timed per round.
 ATTEMPT_ROUNDS = 15
 ATTEMPTS_PER_ROUND = 20
+#: Shots and physical rates of the per-point latency table.
+POINT_SHOTS = (32, 128, 512)
+POINT_RATES = (1.0e-3, 2.0e-3, 3.0e-3, 4.0e-3, 6.0e-3, 8.0e-3)
+#: Rounds of the per-point table, and points timed per round.
+POINT_ROUNDS = 10
+POINTS_PER_ROUND = 60
 
 #: Golden Level-1 digests, re-pinned at v1.13.0.
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "tests" / "data" / "frame_v1_13_golden.json"
@@ -110,64 +129,81 @@ _PHASES = (
     "executor_s",
     "reference_pass_s",
     "kernel_s",
+    "native_batch_s",
 )
 
 
-#: The layers ``_measure_throughput`` times: (owner, attribute, phase).
+def _attempts_made(experiment, *args) -> int:
+    """The attempts of the trial batch an experiment just ran."""
+    return len(experiment._attempt_widths)
+
+
+#: The layers ``_measure_throughput`` times: (owner, attribute, phase), and
+#: optionally what each call adds to the phase's count.
 _THROUGHPUT_WRAPS = (
-    (Level1EccExperiment, "run_trial_batch_detailed", "trial_batch_s"),
+    (Level1EccExperiment, "run_trial_batch_detailed", "trial_batch_s", _attempts_made),
     (BatchedNoisyCircuitExecutor, "run", "executor_s"),
     (fused_module, "_reference_pass", "reference_pass_s"),
     (fused_module, "_run_kernel", "kernel_s"),
+    (experiments_module, "_level1_batch", "native_batch_s"),
 )
 
 
 @contextmanager
 def _phase_clock(wraps=_THROUGHPUT_WRAPS, phases=_PHASES):
-    """Accumulate the inclusive host time and calls of each wrapped layer.
+    """Accumulate the host time, own time, calls and counts of each wrapped layer.
 
-    Yields ``(totals, calls)``.  ``api_run_s`` is left to the caller, who
-    times its ``repro.api.run`` calls.
+    Yields ``(totals, own, calls, counts)``: a layer's own time leaves out
+    the wrapped calls made inside it.  ``api_run_s`` is left to the caller,
+    who times its ``repro.api.run`` calls.
     """
     totals = dict.fromkeys(phases, 0.0)
+    own = dict.fromkeys(phases, 0.0)
     calls = dict.fromkeys(phases, 0)
+    counts = dict.fromkeys(phases, 0)
+    nested: list[float] = []
     originals = []
 
-    def wrap(owner, name, key):
+    def wrap(owner, name, key, count=None):
         original = vars(owner)[name]
         originals.append((owner, name, original))
 
         def wrapper(*args, **kwargs):
+            nested.append(0.0)
             start = time.perf_counter()
             try:
                 return original(*args, **kwargs)
             finally:
-                totals[key] += time.perf_counter() - start
+                elapsed = time.perf_counter() - start
+                totals[key] += elapsed
+                own[key] += elapsed - nested.pop()
                 calls[key] += 1
+                if nested:
+                    nested[-1] += elapsed
+                if count is not None:
+                    counts[key] += count(*args)
 
         setattr(owner, name, wrapper)
 
-    for owner, name, key in wraps:
-        wrap(owner, name, key)
+    for entry in wraps:
+        wrap(*entry)
     try:
-        yield totals, calls
+        yield totals, own, calls, counts
     finally:
         for owner, name, original in reversed(originals):
             setattr(owner, name, original)
 
 
-def _layers(totals: dict[str, float], runs: int) -> dict[str, float]:
-    """Exclusive per-run seconds of each layer from inclusive totals."""
-    per_run = {key: value / runs for key, value in totals.items()}
+def _layers(totals: dict[str, float], own: dict[str, float], runs: int) -> dict[str, float]:
+    """Disjoint per-run seconds of each layer."""
     return {
-        "api_run_s": per_run["api_run_s"],
-        "reference_pass_s": per_run["reference_pass_s"],
-        "kernel_s": per_run["kernel_s"],
-        "executor_other_s": per_run["executor_s"]
-        - per_run["reference_pass_s"]
-        - per_run["kernel_s"],
-        "decode_s": per_run["trial_batch_s"] - per_run["executor_s"],
-        "api_other_s": per_run["api_run_s"] - per_run["trial_batch_s"],
+        "api_run_s": totals["api_run_s"] / runs,
+        "reference_pass_s": own["reference_pass_s"] / runs,
+        "native_batch_s": own["native_batch_s"] / runs,
+        "kernel_s": own["kernel_s"] / runs,
+        "executor_other_s": own["executor_s"] / runs,
+        "trial_batch_other_s": own["trial_batch_s"] / runs,
+        "api_other_s": (totals["api_run_s"] - totals["trial_batch_s"]) / runs,
     }
 
 
@@ -182,14 +218,16 @@ def _workload_spec(shots: int, seed: int) -> ExperimentSpec:
 
 def _measure_throughput(shots: int, warm_runs: int) -> dict[str, object]:
     """One cold run, then ``warm_runs`` timed ``repro.api.run`` calls."""
+    # Cached experiments hold their resolved reference passes too.
     fused_module._REFERENCE_CACHE.clear()
-    with _phase_clock() as (totals, _):
+    parallel_module._EXPERIMENT_CACHE.clear()
+    with _phase_clock() as (totals, own, _, _):
         start = time.perf_counter()
         engine = run(_workload_spec(shots, seed=0)).engine
         cold_seconds = totals["api_run_s"] = time.perf_counter() - start
-    cold = _layers(totals, 1)
+    cold = _layers(totals, own, 1)
     seconds = []
-    with _phase_clock() as (totals, calls):
+    with _phase_clock() as (totals, own, calls, counts):
         for seed in range(1, warm_runs + 1):
             start = time.perf_counter()
             run(_workload_spec(shots, seed=seed))
@@ -209,8 +247,9 @@ def _measure_throughput(shots: int, warm_runs: int) -> dict[str, object]:
         "best_seconds": min(seconds),
         "median_seconds": median,
         "shots_per_second": shots_per_run / median,
-        "layers": _layers(totals, warm_runs),
-        "attempts_per_batch": calls["executor_s"] / calls["trial_batch_s"],
+        "layers": _layers(totals, own, warm_runs),
+        "attempts_per_batch": counts["trial_batch_s"] / calls["trial_batch_s"],
+        "executor_runs_per_batch": calls["executor_s"] / calls["trial_batch_s"],
     }
 
 
@@ -236,7 +275,7 @@ def _attempt_costs(rounds: int, attempts: int) -> dict[str, object]:
         experiment._batch_attempt(rng, width)
         best = None
         for _ in range(rounds):
-            with _phase_clock(_ATTEMPT_WRAPS, _ATTEMPT_PHASES) as (totals, _):
+            with _phase_clock(_ATTEMPT_WRAPS, _ATTEMPT_PHASES) as (totals, _, _, _):
                 for _ in range(attempts):
                     experiment._batch_attempt(rng, width)
             if best is None or totals["attempt"] < best["attempt"]:
@@ -253,6 +292,52 @@ def _attempt_costs(rounds: int, attempts: int) -> dict[str, object]:
         "rounds": rounds,
         "attempts_per_round": attempts,
         "widths": widths,
+    }
+
+
+def _point_spec(shots: int, rate: float, seed: int) -> ExperimentSpec:
+    return ExperimentSpec(
+        experiment="logical_failure",
+        noise=NoiseSpec(kind="uniform", physical_rates=(rate,)),
+        sampling=SamplingSpec(shots=shots, seed=seed),
+    )
+
+
+def _point_latency(rounds: int, points: int) -> dict[str, object]:
+    """Microseconds per ``logical_failure`` point at each of ``POINT_SHOTS``.
+
+    Each round runs ``points`` points, cycling over ``POINT_RATES`` with a
+    fresh seed each; the round with the fastest points gives the row.
+    """
+    table = {}
+    for shots in POINT_SHOTS:
+        specs = [
+            _point_spec(shots, POINT_RATES[i % len(POINT_RATES)], seed=i) for i in range(points)
+        ]
+        for spec in specs[: len(POINT_RATES)]:
+            run(spec)
+        best = None
+        for _ in range(rounds):
+            with _phase_clock(_THROUGHPUT_WRAPS[:1]) as (totals, _, calls, counts):
+                start = time.perf_counter()
+                for spec in specs:
+                    run(spec)
+                totals["api_run_s"] = time.perf_counter() - start
+            if best is None or totals["api_run_s"] < best[0]["api_run_s"]:
+                best = dict(totals), counts["trial_batch_s"] / calls["trial_batch_s"]
+        (totals, attempts) = best
+        api_us, batch_us = (1e6 * totals[key] / points for key in ("api_run_s", "trial_batch_s"))
+        table[str(shots)] = {
+            "api_run_us": api_us,
+            "trial_batch_us": batch_us,
+            "api_other_us": api_us - batch_us,
+            "attempts_per_batch": attempts,
+        }
+    return {
+        "physical_rates": list(POINT_RATES),
+        "rounds": rounds,
+        "points_per_round": points,
+        "shots": table,
     }
 
 
@@ -326,11 +411,13 @@ def _run_benchmark(smoke: bool = False) -> dict[str, object]:
     if smoke:
         throughput = _measure_throughput(shots=BATCH_SIZE, warm_runs=2)
         attempts = _attempt_costs(rounds=2, attempts=3)
+        points = _point_latency(rounds=1, points=len(POINT_RATES))
         golden = _golden_digests(key for key in GOLDEN_KEYS if key[0] <= 65)
         determinism = _sharded_sweep_determinism(trials=96, num_shards=2)
     else:
         throughput = _measure_throughput(shots=BATCH_SIZE, warm_runs=WARM_RUNS)
         attempts = _attempt_costs(rounds=ATTEMPT_ROUNDS, attempts=ATTEMPTS_PER_ROUND)
+        points = _point_latency(rounds=POINT_ROUNDS, points=POINTS_PER_ROUND)
         golden = _golden_digests(GOLDEN_KEYS)
         determinism = _sharded_sweep_determinism(trials=SWEEP_TRIALS, num_shards=SWEEP_SHARDS)
     report = {
@@ -338,6 +425,7 @@ def _run_benchmark(smoke: bool = False) -> dict[str, object]:
         "smoke": smoke,
         "throughput": throughput,
         "attempt_costs": attempts,
+        "point_latency": points,
         "golden_digests": golden,
         "sharded_sweep": determinism,
     }
@@ -355,10 +443,18 @@ def _check(report: dict[str, object]) -> None:
     # warm runs do not.
     assert throughput["cold"]["layers"]["reference_pass_s"] > 0.0, throughput["cold"]
     assert throughput["layers"]["reference_pass_s"] == 0.0, throughput["layers"]
-    # Pooled verification retries: one retry sub-batch per trial batch, rarely two.
-    assert throughput["attempts_per_batch"] <= MAX_ATTEMPTS_PER_BATCH, throughput
+    # Pooled verification retries: one retry sub-batch per trial batch, rarely
+    # two.  Every batch makes a first attempt, so a ratio below 1 would mean
+    # the attempts went uncounted.
+    assert 1.0 <= throughput["attempts_per_batch"] <= MAX_ATTEMPTS_PER_BATCH, throughput
+    if throughput["kernel_tier"] == "numpy":
+        # The Python retry loop runs the executor once per attempt.
+        assert throughput["executor_runs_per_batch"] == throughput["attempts_per_batch"]
     for costs in report["attempt_costs"]["widths"].values():
         assert all(us >= 0.0 for us in costs.values()), costs
+    for costs in report["point_latency"]["shots"].values():
+        assert costs["attempts_per_batch"] >= 1.0, costs
+        assert costs["api_run_us"] >= costs["trial_batch_us"] > 0.0, costs
     assert report["golden_digests"]["bit_for_bit"], report["golden_digests"]
     assert report["sharded_sweep"]["bit_for_bit"], report["sharded_sweep"]
 
@@ -385,6 +481,11 @@ if pytest is not None:
                 f"one {width}-lane attempt: {costs['attempt_us']:.0f} us = kernel "
                 f"{costs['kernel_us']:.0f} + decode {costs['decode_us']:.0f} + other "
                 f"{costs['other_us']:.0f}"
+            )
+        for shots, costs in report["point_latency"]["shots"].items():
+            print(
+                f"one {shots}-shot point: {costs['api_run_us']:.0f} us = trial batch "
+                f"{costs['trial_batch_us']:.0f} + api {costs['api_other_us']:.0f}"
             )
         print(f"golden digests bit-for-bit: {report['golden_digests']['bit_for_bit']}")
         print(

@@ -63,7 +63,13 @@ from repro.stabilizer import (
     OperationNoise,
     StabilizerTableau,
 )
-from repro.stabilizer.fused import LookupDecodeTables, lookup_decode
+from repro.stabilizer.fused import (
+    LookupDecodeTables,
+    _level1_batch,
+    _ResolvedAttempt,
+    kernel_tier,
+    lookup_decode,
+)
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -75,6 +81,9 @@ __all__ = [
 
 #: Default number of Monte-Carlo lanes simulated at once by the batched path.
 DEFAULT_BATCH_SIZE = 1024
+
+#: The per-lane flags of a trial batch, in the rows of the native call's buffer.
+_FLAGS = ("failure", "nontrivial_syndrome", "verification_passed")
 
 
 def _noise_for_rate(
@@ -166,6 +175,8 @@ class Level1EccExperiment:
         self._reference_signs: weakref.WeakKeyDictionary[StabilizerTableau, int] = (
             weakref.WeakKeyDictionary()
         )
+        # The lanes of each attempt of the last trial batch, first attempt first.
+        self._attempt_widths: tuple[int, ...] = ()
 
     @functools.cached_property
     def _decode_tables(self) -> LookupDecodeTables:
@@ -203,6 +214,19 @@ class Level1EccExperiment:
             correction_table=self._decoder.correction_table("X"),
             checks=[np.flatnonzero(pauli.z).tolist() for pauli in self.code.z_stabilizers()],
             logical=np.flatnonzero(self.code.logical_z().z).tolist(),
+        )
+
+    @functools.cached_property
+    def _resolved_attempt(self) -> _ResolvedAttempt:
+        """An attempt's plan, reference pass, noise template, decode tables and
+        signs, resolved on the first native trial batch.
+
+        The noise model's channels are declared then: a model changed in
+        place afterwards reaches the Python twin's runs but not the native
+        ones.
+        """
+        return _ResolvedAttempt(
+            self._attempt_segments, self._register_size, self._decode_tables, self._signs_for
         )
 
     def _signs_for(self, reference: StabilizerTableau) -> int:
@@ -313,11 +337,30 @@ class Level1EccExperiment:
         start in the pool is a stopping time of the earlier lanes' outcomes,
         so every lane has the per-shot path's law: the first passing attempt
         among at most that many iid attempts, else the last of them.
+
+        On the C kernel tier the whole batch is one native call
+        (:func:`repro.stabilizer.fused._level1_batch`) that draws each
+        attempt's seed from ``rng`` as the Python loop does; otherwise, and
+        when the ``kernel.native`` fault site fires, the Python loop runs.
+        Both give the same flags, the same attempt widths (kept in
+        ``_attempt_widths``) and leave ``rng`` in the same state.
         """
         if batch_size <= 0:
             raise ParameterError("batch_size must be positive")
         limit = max(1, self.max_preparation_attempts)
+        if kernel_tier() == "cext":
+            flags, self._attempt_widths = _level1_batch(
+                self._resolved_attempt, batch_size, limit, rng
+            )
+            return dict(zip(_FLAGS, flags))
+        return self._retry_loop(rng, batch_size, limit)
+
+    def _retry_loop(
+        self, rng: np.random.Generator, batch_size: int, limit: int
+    ) -> dict[str, np.ndarray]:
+        """The Python twin of the native trial batch: one :meth:`_batch_attempt` per attempt."""
         outcome = self._batch_attempt(rng, batch_size)
+        widths = [batch_size]
         pending = np.flatnonzero(~outcome["verification_passed"])
         attempts = np.ones(pending.size, dtype=np.int64)
         accepted = 1.0 - pending.size / batch_size
@@ -329,6 +372,7 @@ class Level1EccExperiment:
                 # with a margin, so a second pool is rarely needed.
                 width = min(width, math.ceil(1.15 * pending.size / accepted) + 8)
             pool = self._batch_attempt(rng, width)
+            widths.append(width)
             starts, ends = _hand_out(pool["verification_passed"], budgets)
             served = pending[: ends.size]
             for key, flags in outcome.items():
@@ -339,6 +383,7 @@ class Level1EccExperiment:
                 attempts[: ends.size] < limit
             )
             pending, attempts = pending[keep], attempts[keep]
+        self._attempt_widths = tuple(widths)
         return outcome
 
     def _batch_attempt(self, rng: np.random.Generator, batch_size: int) -> dict[str, np.ndarray]:

@@ -75,11 +75,15 @@ per-qubit masks, applies an ideal recovery to the corrected frame X words
 and writes three flag bytes per lane (failure, nontrivial syndrome,
 verification passed).  Its tables (:class:`LookupDecodeTables`) come from
 the caller, and :func:`lookup_decode_numpy` is its pure-numpy twin.  It
-also holds the machine simulator's greedy EPR schedule (``repro_schedule``,
-called by :meth:`repro.network.GreedyEprScheduler.schedule`, whose Python
+also holds a whole Level-1 trial batch (:func:`_level1_batch`: every
+attempt's run and decode and the pooled-retry hand-out in one call, whose
+twin is the Python retry loop of
+:meth:`repro.arq.experiments.Level1EccExperiment.run_trial_batch_detailed`)
+and the machine simulator's greedy EPR schedule (``repro_schedule``, called
+by :meth:`repro.network.GreedyEprScheduler.schedule`, whose Python
 placement loop is its twin).
 
-``REPRO_FUSED_KERNEL`` selects the tier of all three explicitly (``auto`` /
+``REPRO_FUSED_KERNEL`` selects the tier of all four explicitly (``auto`` /
 ``cext`` / ``numpy``); ``auto`` takes the C code when it compiles and logs
 a warning once when it falls back to numpy.
 """
@@ -486,9 +490,11 @@ def _cext_kernel():
     """The compiled C library, or None with a reason.
 
     Its entry points are ``repro_frame_run`` (the frame kernel),
-    ``repro_lookup_decode`` (the lookup decode), ``repro_schedule`` (the
-    greedy EPR schedule of :mod:`repro.network.scheduler`) and
-    ``repro_route_search`` (that schedule's congestion search alone).
+    ``repro_lookup_decode`` (the lookup decode), ``repro_level1_batch`` (a
+    Level-1 trial batch, :func:`_level1_batch`) with ``repro_hand_out`` (its
+    retry hand-out alone), ``repro_schedule`` (the greedy EPR schedule of
+    :mod:`repro.network.scheduler`) and ``repro_route_search`` (that
+    schedule's congestion search alone).
     """
     global _CEXT_LIBRARY, _CEXT_ERROR
     if _CEXT_LIBRARY is not None or _CEXT_ERROR is not None:
@@ -530,15 +536,19 @@ def _cext_kernel():
     try:
         library = ctypes.CDLL(str(shared))
         frame, decode = library.repro_frame_run, library.repro_lookup_decode
+        batch, hand_out = library.repro_level1_batch, library.repro_hand_out
         schedule, search = library.repro_schedule, library.repro_route_search
     except (OSError, AttributeError) as exc:
         _CEXT_ERROR = f"cannot load compiled kernel {shared.name}: {exc}"
         return None
-    frame.restype = decode.restype = schedule.restype = search.restype = ctypes.c_int64
+    for function in (frame, decode, batch, hand_out, schedule, search):
+        function.restype = ctypes.c_int64
     frame.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_uint64] + [ctypes.c_void_p] * 7
     decode.argtypes = (
         [ctypes.c_int64] * 2 + [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
     )
+    batch.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 4 + [ctypes.c_int64]
+    hand_out.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
     schedule.argtypes = (
         [ctypes.c_int64] * 5 + [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 6
     )
@@ -1278,26 +1288,12 @@ def _run_kernel(tier, W, B, seed, plan, reference, template, out, error_count, s
     )
 
 
-def execute_fused(
-    program: CompiledCircuit | Sequence[tuple[CompiledCircuit, NoiseModel]],
-    batch_size: int,
-    rng: np.random.Generator,
-    state: PauliFrameBatch,
-    noise: NoiseModel | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run a compiled program, or a sequence of segments, in one kernel call.
+def _resolve_run(
+    program, noise, batch_size: int, state: PauliFrameBatch
+) -> tuple[_KernelPlan, _Reference, _NoiseTemplate]:
+    """The checked plan, reference pass and noise template of a run on ``state``.
 
-    ``program`` is one compiled program run under ``noise``, or a run given
-    as ordered ``(program, noise)`` segments (``noise`` is then None): the
-    segments' programs are concatenated into one kernel program with one
-    cached reference pass and one noise template, each operation declaring
-    its channels from its own segment's model.  The run takes exactly one 64-bit value from ``rng``, whatever
-    its segments, and the kernel derives its noise and random measurement
-    words from it.
-    Returns ``(outcome_words, error_count)``: ``(M, W)`` uint64 measurement
-    outcomes in slot order, the segments' slots one after the other, and
-    ``(B,)`` per-lane error counts.  The state's reference and frames are
-    updated in place.
+    ``program`` and ``noise`` are as :func:`execute_fused` takes them.
     """
     if isinstance(program, CompiledCircuit):
         programs, models = (program,), (noise,)
@@ -1329,6 +1325,32 @@ def execute_fused(
             f"noise model emitted qubit {template.max_qubit} outside register "
             f"of size {state.num_qubits}"
         )
+    return plan, reference, template
+
+
+def execute_fused(
+    program: CompiledCircuit | Sequence[tuple[CompiledCircuit, NoiseModel]],
+    batch_size: int,
+    rng: np.random.Generator,
+    state: PauliFrameBatch,
+    noise: NoiseModel | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run a compiled program, or a sequence of segments, in one kernel call.
+
+    ``program`` is one compiled program run under ``noise``, or a run given
+    as ordered ``(program, noise)`` segments (``noise`` is then None): the
+    segments' programs are concatenated into one kernel program with one
+    cached reference pass and one noise template, each operation declaring
+    its channels from its own segment's model.  The run takes exactly one 64-bit value from ``rng``, whatever
+    its segments, and the kernel derives its noise and random measurement
+    words from it.
+    Returns ``(outcome_words, error_count)``: ``(M, W)`` uint64 measurement
+    outcomes in slot order, the segments' slots one after the other, and
+    ``(B,)`` per-lane error counts.  The state's reference and frames are
+    updated in place.
+    """
+    plan, reference, template = _resolve_run(program, noise, batch_size, state)
+    W = state.num_lane_words
     seed = rng.bit_generator.random_raw()
     M = plan.num_measurements
     out = np.empty((M + 2, W), dtype=np.uint64)
@@ -1556,3 +1578,90 @@ def lookup_decode(
     else:
         lookup_decode_numpy(tables, signs, out, state.frame_x, flags)
     return flags
+
+
+# ----------------------------------------------------------------------
+# Level-1 trial batch: every attempt of a batch in one native call
+# ----------------------------------------------------------------------
+
+# ``PyCapsule_GetPointer`` typed for a bit generator's capsule, as a private
+# function object (setting types on ``ctypes.pythonapi``'s would change them
+# for every other user).  Reading the address through the capsule skips the
+# ``ctypes`` interface numpy builds on a generator's first ``.ctypes`` access.
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+class _ResolvedAttempt:
+    """One Level-1 attempt's run and decode, resolved once for :func:`_level1_batch`.
+
+    An attempt runs ``segments`` on fresh all-|0> frames of ``num_qubits``
+    qubits and decodes its outcome words with ``tables`` against the signs
+    ``signs_of`` gives for the run's final reference.  The plan, reference
+    pass and noise template are resolved and checked as :func:`execute_fused`
+    resolves them; ``block`` holds their C blocks' addresses, the tables',
+    the signs and ``num_qubits``, and ``address`` the block's.
+    """
+
+    __slots__ = ("plan", "reference", "template", "tables", "signs", "block", "address")
+
+    def __init__(
+        self,
+        segments: Sequence[tuple[CompiledCircuit, NoiseModel]],
+        num_qubits: int,
+        tables: LookupDecodeTables,
+        signs_of,
+    ) -> None:
+        state = PauliFrameBatch(num_qubits, 1)
+        plan, reference, template = _resolve_run(segments, None, 1, state)
+        if plan.num_measurements <= tables.max_slot or num_qubits < tables.num_data:
+            raise SimulationError(
+                f"the decode reads outcome slot {tables.max_slot} and {tables.num_data} "
+                f"frame rows; the run has {plan.num_measurements} outcomes and "
+                f"{num_qubits} rows"
+            )
+        self.plan, self.reference, self.template, self.tables = plan, reference, template, tables
+        self.signs = signs_of(reference.final)
+        addresses = (plan.address, reference.address, template.address, tables.address)
+        self.block = _block(*addresses, self.signs, num_qubits)
+        self.address = self.block.ctypes.data
+
+
+def _level1_batch(
+    attempt: _ResolvedAttempt, batch_size: int, limit: int, rng: np.random.Generator
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A Level-1 trial batch in one call to the C routine: ``(flags, widths)``.
+
+    The twin of the Python retry loop of
+    :meth:`repro.arq.experiments.Level1EccExperiment.run_trial_batch_detailed`:
+    the first attempt on all ``batch_size`` lanes, then pooled retries of
+    the rejected lanes, at most ``limit`` attempts each, every attempt
+    drawing its seed from ``rng``'s bit generator (under its lock) as
+    :func:`execute_fused` would.  ``flags`` is the ``(3, B)`` bool failure,
+    nontrivial-syndrome and verification-passed rows each lane keeps, and
+    ``widths`` the lanes of each attempt.  Needs the C tier.
+    """
+    batch_size = int(batch_size)
+    flags = np.empty((3, batch_size), dtype=bool)
+    # Each pool but the last uses all its lanes, at least one per pending
+    # lane, so the pending lanes' remaining attempts shrink by a factor
+    # 1 - 1/(limit - 1) per pool: this many attempts always suffice.
+    room = 2 + (limit - 1) * (batch_size * (limit - 1)).bit_length()
+    widths = np.empty(room, dtype=np.int64)
+    generator = rng.bit_generator
+    with generator.lock:
+        made = _cext_kernel().repro_level1_batch(
+            batch_size,
+            limit,
+            attempt.address,
+            _CAPSULE_POINTER(generator.capsule, b"BitGenerator"),
+            _address(flags),
+            _address(widths),
+            room,
+        )
+    if made == -1:
+        raise SimulationError("unknown opcode reached the frame kernel")
+    if made < 0:
+        raise SimulationError(f"the Level-1 trial batch failed with status {-made}")
+    return flags, tuple(widths[:made].tolist())

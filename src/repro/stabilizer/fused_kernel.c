@@ -1,12 +1,15 @@
 /* Pauli-frame kernel of the Monte-Carlo engine, with its noise sampler, the
- * lookup decode of a run's outcomes, and the machine simulator's greedy EPR
- * schedule.
+ * lookup decode of a run's outcomes, the pooled-retry loop of a Level-1
+ * trial batch, and the machine simulator's greedy EPR schedule.
  *
  * repro_frame_run is the native twin of `frame_kernel_numpy` in fused.py,
  * whose docstrings document the arrays, the frame update rules and the
- * sampler; repro_lookup_decode is the twin of `lookup_decode_numpy`, and
- * repro_schedule the twin of the Python placement loop of
- * `GreedyEprScheduler` in repro/network/scheduler.py.
+ * sampler; repro_lookup_decode is the twin of `lookup_decode_numpy`,
+ * repro_level1_batch the twin of the Python retry loop of
+ * `Level1EccExperiment.run_trial_batch_detailed` in repro/arq/experiments.py
+ * (repro_hand_out that of its `_hand_out`), and repro_schedule the twin of
+ * the Python placement loop of `GreedyEprScheduler` in
+ * repro/network/scheduler.py.
  * Every random number of a run is draw(stream_key(seed, s), i), splitmix64's
  * output i of stream s: stream 0 gives the random measurement words, stream
  * 1 the failures' letters, stream 2 + c the failure gaps of class c.  Event
@@ -15,8 +18,10 @@
  * puts the next failure g + 1 keys on, g being the number of thresholds
  * t[g'] <= v (g' < T), or passes T keys and draws again when v >= t[T-1].
  * Only integer compares decide, so the two tiers agree bit for bit.  Each
- * failure is injected at its event's program position and adds one to its
- * lane's error_count.
+ * failure is injected at its event's program position and, when the caller
+ * asks for error counts, adds one to its lane's count.  A trial batch draws
+ * each attempt's seed from the caller's numpy bit generator, exactly as
+ * `random_raw()` would.
  *
  * Compiled on demand with the system C compiler and loaded through ctypes;
  * see `_cext_kernel` in fused.py for the build/caching protocol.  The build
@@ -113,7 +118,8 @@ static void inject(sampler *s, int64_t e, uint64_t *fx, uint64_t *fz, uint64_t *
         int64_t lane = c->pos - base;
         int64_t w = lane >> 6;
         uint64_t bit = (uint64_t)1 << (lane & 63);
-        s->error_count[lane] += 1;
+        if (s->error_count)
+            s->error_count[lane] += 1;
         if (row) {
             row[w] ^= bit;
         } else {
@@ -195,7 +201,8 @@ static void measure_z(int64_t W, int64_t a, int64_t k, uint64_t measure_key,
  *   noise:     code_width, classes, events, T, pre_inj, post_inj,
  *              inj_start, inj_qubit, code_xz, event_class, event_rank,
  *              event_letters, event_code, class_events, thresholds, guides.
- * `out` holds M outcome rows of W words and then two working rows. */
+ * `out` holds M outcome rows of W words and then two working rows;
+ * `error_count` (B entries) may be NULL when no counts are wanted. */
 int64_t repro_frame_run(
     int64_t W, int64_t B, uint64_t seed, const int64_t *plan,
     const int64_t *reference, const int64_t *noise,
@@ -404,6 +411,144 @@ int64_t repro_lookup_decode(
     }
     free(syndrome);
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* A Level-1 trial batch: the first attempt on every lane, then pooled
+ * verification retries, as `Level1EccExperiment.run_trial_batch_detailed`
+ * runs them. */
+
+/* numpy's bitgen_t (numpy/random/bitgen.h). */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* Deal a pool of `width` attempts out to n pending lanes in order, as
+ * `_hand_out` does: lane i takes pool lanes starts[i]..ends[i], up to and
+ * including the first whose verification `passed`, but no more than
+ * budgets[i] (at least 1) of them and none past the pool's end.  Returns
+ * the number of lanes that got a pool lane; the last of them may be cut off
+ * by the end.  Exported for the tests, which hold it to `_hand_out`. */
+int64_t repro_hand_out(int64_t width, const uint8_t *passed, int64_t n,
+                       const int64_t *budgets, int64_t *starts, int64_t *ends)
+{
+    int64_t start = 0, i = 0;
+    for (; start < width && i < n; ++i) {
+        int64_t end = start, last = start + budgets[i] - 1;
+        if (last > width - 1)
+            last = width - 1;
+        while (end < last && !passed[end])
+            ++end;
+        starts[i] = start;
+        ends[i] = end;
+        start = end + 1;
+    }
+    return i;
+}
+
+/* One attempt of `width` lanes from fresh frames: the run with the next
+ * seed of the generator, then its decode into three rows of `width` flags.
+ * `frames` holds 2 * qubits * W words and `out` (M + 2) * W. */
+static int64_t level1_attempt(const int64_t *resolved, int64_t width, bitgen_t *bitgen,
+                              uint64_t *frames, uint64_t *out, uint8_t *flags)
+{
+    const int64_t *plan = AT(const int64_t *, resolved, 0);
+    int64_t W = (width + 63) / 64, qubits = resolved[5];
+    memset(frames, 0, 2 * qubits * W * sizeof(uint64_t));
+    uint64_t seed = bitgen->next_raw(bitgen->state);
+    uint64_t *fx = frames, *fz = frames + qubits * W;
+    int64_t status = repro_frame_run(W, width, seed, plan, AT(const int64_t *, resolved, 1),
+                                     AT(const int64_t *, resolved, 2), out, fx, fz, 0);
+    if (status)
+        return status;
+    return repro_lookup_decode(W, width, AT(const int64_t *, resolved, 3), resolved[4], out,
+                               fx, flags);
+}
+
+/* Run a trial batch of B lanes under a cap of `limit` attempts per lane
+ * (at least 1), drawing one seed per attempt from `bitgen`, whose lock the
+ * caller holds.  The int64 `resolved` block holds the addresses of the
+ * plan, reference and noise blocks of an attempt's run and of its decode
+ * tables, then the decode's signs and the register's qubits.  `flags`
+ * receives the (3, B) failure, nontrivial-syndrome and verification-passed
+ * rows each lane keeps and `widths` (`room` entries) the width of every
+ * attempt.  The first attempt runs all B lanes; while lanes are pending
+ * (rejected with attempts left), the next pool has min(B, their remaining
+ * attempts, ceil(1.15 * pending / accepted) + 8) lanes, `accepted` being
+ * the first attempt's acceptance fraction (the last term only when it is
+ * positive), and `repro_hand_out` deals it out.  Returns the number of
+ * attempts, or -1 on an unknown opcode, -2 when memory cannot be allocated
+ * and -3 when `room` is too small. */
+int64_t repro_level1_batch(int64_t B, int64_t limit, const int64_t *resolved, bitgen_t *bitgen,
+                           uint8_t *flags, int64_t *widths, int64_t room)
+{
+    const int64_t *plan = AT(const int64_t *, resolved, 0);
+    int64_t W = (B + 63) / 64, qubits = resolved[5], M = plan[1];
+    uint64_t *words = malloc((2 * qubits + M + 2) * W * sizeof(uint64_t));
+    int64_t *lanes = malloc(5 * B * sizeof(int64_t));
+    uint8_t *pool = malloc(3 * B);
+    int64_t status = words && lanes && pool ? 0 : 2;
+    int64_t made = 0;
+    if (!status)
+        status = level1_attempt(resolved, B, bitgen, words, words + 2 * qubits * W, flags);
+    if (!status)
+        widths[made++] = B;
+    int64_t *pending = lanes, *tries = pending + B, *budgets = tries + B;
+    int64_t *starts = budgets + B, *ends = starts + B, n = 0;
+    if (!status)
+        for (int64_t b = 0; b < B; ++b)
+            if (!flags[2 * B + b]) {
+                pending[n] = b;
+                tries[n++] = 1;
+            }
+    double accepted = 1.0 - (double)n / (double)B;
+    while (!status && n && limit > 1) {
+        int64_t width = B, total = 0;
+        for (int64_t i = 0; i < n; ++i)
+            total += budgets[i] = limit - tries[i];
+        if (total < width)
+            width = total;
+        if (accepted > 0) {
+            /* Room for every pending lane to pass at the measured rate,
+             * with a margin, so a second pool is rarely needed. */
+            double wanted = 1.15 * (double)n / accepted;
+            int64_t ceiling = (int64_t)wanted;
+            ceiling += (double)ceiling < wanted;
+            if (ceiling + 8 < width)
+                width = ceiling + 8;
+        }
+        if (made == room) {
+            status = 3;
+            break;
+        }
+        status = level1_attempt(resolved, width, bitgen, words, words + 2 * qubits * W, pool);
+        if (status)
+            break;
+        widths[made++] = width;
+        int64_t served = repro_hand_out(width, pool + 2 * width, n, budgets, starts, ends);
+        int64_t kept = 0;
+        for (int64_t i = 0; i < n; ++i) {
+            if (i < served) {
+                int64_t lane = pending[i], end = ends[i];
+                for (int r = 0; r < 3; ++r)
+                    flags[r * B + lane] = pool[r * width + end];
+                tries[i] += end - starts[i] + 1;
+                if (pool[2 * width + end] || tries[i] >= limit)
+                    continue;
+            }
+            pending[kept] = pending[i];
+            tries[kept++] = tries[i];
+        }
+        n = kept;
+    }
+    free(words);
+    free(lanes);
+    free(pool);
+    return status ? -status : made;
 }
 
 /* ------------------------------------------------------------------ */

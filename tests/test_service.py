@@ -77,8 +77,13 @@ def bandwidth_sweep(values=(1, 2, 3), *, seed: int = 7) -> SweepSpec:
     )
 
 
-def slow_sweep(rates=(1e-3, 1.5e-3, 2e-3, 2.5e-3, 3e-3, 3.5e-3), *, shots: int = 32768) -> SweepSpec:
-    """A sweep whose points take long enough to interrupt mid-run."""
+def slow_sweep(rates=(1e-3, 1.5e-3, 2e-3, 2.5e-3, 3e-3, 3.5e-3), *, shots: int = 131072) -> SweepSpec:
+    """A sweep whose points take long enough to interrupt mid-run.
+
+    About 8 ms per point on a 2-vCPU host with the C kernel tier, whose
+    native trial batch runs a 32768-shot point in about 2 ms: too short for
+    a client to kill the server between two points.
+    """
     base = ExperimentSpec(
         experiment="logical_failure",
         noise=NoiseSpec(kind="uniform", physical_rates=(2.0e-3,)),

@@ -7,7 +7,12 @@
   at ragged and full-word batch sizes, and with a binding retry cap;
 * pooled verification retries hand their lanes out in order, keep a capped
   lane's last outcome, carry a cut-off lane's count into the next pool and
-  never run a call wider than the batch;
+  never run a call wider than the batch -- scripted on the Python retry
+  loop, whose every hand-out the C routine ``repro_hand_out`` reproduces;
+* a Level-1 trial batch in one native call (``repro_level1_batch``) gives
+  the Python retry loop's flags and attempt widths and leaves the caller's
+  generator in the same state, for every numpy bit generator; a
+  ``kernel.native`` fault runs the Python loop;
 * the noiseless reference pass runs once per program content and input
   reference, so rebuilt experiments reuse it;
 * programs are checked once: ``is_simulable`` is computed once per program
@@ -27,9 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import repro.arq.experiments as experiments_module
 import repro.circuits.compiled as compiled_module
+from repro import faults
 from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper, NoisyCircuitExecutor
-from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
+from repro.arq.experiments import Level1EccExperiment, _hand_out, _noise_for_rate
 from repro.arq.simulator import create_batch_tableau
 from repro.circuits import Circuit, Gate, compile_circuit
 from repro.exceptions import SimulationError
@@ -44,6 +51,7 @@ from repro.stabilizer import (
     pack_bits,
     unpack_bits,
 )
+from repro.parallel import Level1ShardTask
 from repro.stabilizer import fused as fused_module
 
 RAGGED_BATCHES = (1, 63, 64, 65, 130)
@@ -88,6 +96,11 @@ def _random_noisy_circuit(seed: int) -> Circuit:
 def _use_tier(monkeypatch, tier: str) -> None:
     monkeypatch.setenv("REPRO_FUSED_KERNEL", tier)
     monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
+
+
+def _native() -> None:
+    if fused_module._cext_kernel() is None:
+        pytest.skip("no C kernel on this host")
 
 
 class TestTierParity:
@@ -189,15 +202,47 @@ class _ScriptedAttempts:
         }
 
 
+def _native_hand_out(passed: np.ndarray, budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_hand_out`` through the C routine ``repro_hand_out``."""
+    passed = np.ascontiguousarray(passed, dtype=np.uint8)
+    budgets = np.ascontiguousarray(budgets, dtype=np.int64)
+    starts, ends = np.zeros((2, budgets.size), dtype=np.int64)
+    served = fused_module._cext_kernel().repro_hand_out(
+        passed.size,
+        passed.ctypes.data,
+        budgets.size,
+        budgets.ctypes.data,
+        starts.ctypes.data,
+        ends.ctypes.data,
+    )
+    return starts[:served], ends[:served]
+
+
 def _scripted_run(monkeypatch, attempts: int, batch: int, *script: str):
+    """Run the Python retry loop on scripted attempts: ``(outcome, widths)``.
+
+    Where the C kernel is available, every hand-out of the run is also dealt
+    by ``repro_hand_out``, which must agree.
+    """
+    _use_tier(monkeypatch, "numpy")
     scripted = _ScriptedAttempts(*script)
     experiment = Level1EccExperiment(
         noise=_noise_for_rate(ORACLE_RATE, EXPECTED_PARAMETERS),
         max_preparation_attempts=attempts,
     )
     monkeypatch.setattr(experiment, "_batch_attempt", scripted)
+    if fused_module._cext_kernel() is not None:
+
+        def both(passed, budgets):
+            starts, ends = _hand_out(passed, budgets)
+            native = _native_hand_out(passed, budgets)
+            assert np.array_equal(native[0], starts) and np.array_equal(native[1], ends)
+            return starts, ends
+
+        monkeypatch.setattr(experiments_module, "_hand_out", both)
     outcome = experiment.run_trial_batch_detailed(np.random.default_rng(0), batch)
     assert not scripted.script, "unused script entries"
+    assert experiment._attempt_widths == tuple(scripted.widths)
     return outcome, scripted.widths
 
 
@@ -248,23 +293,198 @@ class TestPooledRetries:
         assert _letters(outcome) == "FfPpf"
 
     @pytest.mark.parametrize("rate", [4.0e-3, 2.0e-2, 0.3])
-    def test_no_call_is_wider_than_the_batch(self, monkeypatch, rate):
+    @pytest.mark.parametrize("tier", fused_module.KERNEL_TIERS)
+    def test_no_call_is_wider_than_the_batch(self, monkeypatch, rate, tier):
+        if tier == "cext":
+            _native()
+        _use_tier(monkeypatch, tier)
         experiment = Level1EccExperiment(noise=_noise_for_rate(rate, EXPECTED_PARAMETERS))
-        widths = []
+        spied = []
         attempt = experiment._batch_attempt
 
         def spying(rng, batch_size):
-            widths.append(batch_size)
+            spied.append(batch_size)
             return attempt(rng, batch_size)
 
         monkeypatch.setattr(experiment, "_batch_attempt", spying)
         for batch in (1, 65, 1000):
-            widths.clear()
+            spied.clear()
             experiment.run_trial_batch_detailed(np.random.default_rng(batch), batch)
+            # The native call reports its attempts; the Python loop's are
+            # the calls it made.
+            widths = list(experiment._attempt_widths)
+            assert spied == ([] if tier == "cext" else widths), (spied, widths)
             assert widths[0] == batch and max(widths) <= batch, widths
             # A wholly rejected first attempt still gives at most a batch
             # per pending lane's remaining attempts.
             assert sum(widths[1:]) <= 19 * batch, widths
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_c_hand_out_equals_the_python_hand_out(self, seed):
+        _native()
+        rng = np.random.default_rng(seed)
+        for width in (1, 2, 9, 64, 300):
+            for _ in range(25):
+                passed = rng.random(width) < rng.choice((0.05, 0.5, 0.95))
+                budgets = rng.integers(1, rng.choice((2, 4, 20)), size=int(rng.integers(1, 40)))
+                expected = _hand_out(passed, budgets)
+                native = _native_hand_out(passed, budgets)
+                assert np.array_equal(native[0], expected[0]), (passed, budgets)
+                assert np.array_equal(native[1], expected[1]), (passed, budgets)
+
+
+#: The numpy bit generators whose state the native trial batch draws from.
+BIT_GENERATORS = (
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.Philox,
+    np.random.MT19937,
+    np.random.SFC64,
+)
+
+#: Batch sizes of the tier comparison: ragged, whole-word and a full batch.
+TIER_BATCHES = (1, 31, 63, 64, 65, 512, 4096)
+
+
+def _same_state(first, second) -> bool:
+    """Equal ``bit_generator.state`` dicts (MT19937's holds an array)."""
+    if isinstance(first, dict):
+        return first.keys() == second.keys() and all(
+            _same_state(first[key], second[key]) for key in first
+        )
+    if isinstance(first, np.ndarray):
+        return np.array_equal(first, second)
+    return first == second
+
+
+def _tier_runs(monkeypatch, run, generator, seed):
+    """``run(rng)`` on each kernel tier from equal generators: per tier, the
+    result and the generator's state after the call."""
+    results = {}
+    for tier in fused_module.KERNEL_TIERS:
+        _use_tier(monkeypatch, tier)
+        rng = np.random.Generator(generator(seed))
+        results[tier] = run(rng), rng.bit_generator.state
+    return results
+
+
+class TestTrialBatchTiers:
+    def _compare(self, monkeypatch, experiment, batch, generator, seed):
+        """The native batch equals the Python loop; returns the attempt widths."""
+
+        def run(rng):
+            outcome = experiment.run_trial_batch_detailed(rng, batch)
+            return outcome, experiment._attempt_widths
+
+        calls = []
+        # The class's method: an experiment compared again keeps one spy.
+        attempt = functools.partial(Level1EccExperiment._batch_attempt, experiment)
+
+        def spying(rng, width):
+            calls.append(fused_module.kernel_tier())
+            return attempt(rng, width)
+
+        monkeypatch.setattr(experiment, "_batch_attempt", spying)
+        runs = _tier_runs(monkeypatch, run, generator, seed)
+        (native, native_widths), native_state = runs["cext"]
+        (python, python_widths), python_state = runs["numpy"]
+        for key, flags in python.items():
+            assert native[key].shape == (batch,) and native[key].dtype == bool
+            assert np.array_equal(native[key], flags), (key, batch, generator.__name__)
+        assert native_widths == python_widths, (batch, generator.__name__)
+        assert _same_state(native_state, python_state), (batch, generator.__name__)
+        # The Python loop made one call per attempt; the native one none.
+        assert calls == ["numpy"] * len(python_widths)
+        return native_widths
+
+    @pytest.mark.parametrize("rate", [1.0e-3, 4.0e-3, 0.3])
+    @pytest.mark.parametrize("attempts", [1, 2, 20])
+    def test_native_batch_equals_python_loop(self, monkeypatch, rate, attempts):
+        _native()
+        experiment = Level1EccExperiment(
+            noise=_noise_for_rate(rate, EXPECTED_PARAMETERS), max_preparation_attempts=attempts
+        )
+        widths = [
+            self._compare(
+                monkeypatch, experiment, batch, BIT_GENERATORS[i % len(BIT_GENERATORS)], batch
+            )
+            for i, batch in enumerate(TIER_BATCHES)
+        ]
+        if attempts < 20:
+            # One pool holds an attempt for every pending lane.
+            assert max(map(len, widths)) <= attempts, widths
+        if rate == 0.3 and attempts > 1:
+            # Nearly every preparation is rejected: pool after pool, until
+            # most lanes reach the cap.
+            assert max(map(len, widths)) >= min(attempts, 10), widths
+            outcome = experiment.run_trial_batch_detailed(np.random.default_rng(0), 4096)
+            assert outcome["verification_passed"].mean() < 0.5
+
+    @pytest.mark.parametrize("generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_every_bit_generator_gives_the_same_stream(self, monkeypatch, generator):
+        _native()
+        experiment = Level1EccExperiment(noise=_noise_for_rate(2.0e-2, EXPECTED_PARAMETERS))
+        for batch in (65, 512):
+            widths = self._compare(monkeypatch, experiment, batch, generator, 11)
+            assert len(widths) >= 2, widths
+
+    def test_a_pool_one_lane_narrower_than_the_batch(self, monkeypatch):
+        # Seed 33 rejects enough of 32 lanes at p = 1e-2 that the margin
+        # term, ceil(1.15 m / a) + 8, is 31: one below the batch.
+        _native()
+        experiment = Level1EccExperiment(noise=_noise_for_rate(1.0e-2, EXPECTED_PARAMETERS))
+        widths = self._compare(monkeypatch, experiment, 32, np.random.PCG64, 33)
+        assert widths[:2] == (32, 31), widths
+
+    def test_a_numpy_integer_batch_size_runs_on_both_tiers(self, monkeypatch):
+        _native()
+        experiment = Level1EccExperiment(noise=_noise_for_rate(2.0e-2, EXPECTED_PARAMETERS))
+        widths = self._compare(monkeypatch, experiment, np.int64(70), np.random.PCG64, 3)
+        assert widths[0] == 70
+
+    def test_unverified_ancillas_make_one_attempt(self, monkeypatch):
+        _native()
+        experiment = Level1EccExperiment(
+            noise=_noise_for_rate(0.3, EXPECTED_PARAMETERS), verified_ancilla=False
+        )
+        for i, batch in enumerate(TIER_BATCHES):
+            generator = BIT_GENERATORS[i % len(BIT_GENERATORS)]
+            assert self._compare(monkeypatch, experiment, batch, generator, i) == (batch,)
+
+    def test_the_syndrome_metric_is_equal_on_both_tiers(self, monkeypatch):
+        _native()
+        task = Level1ShardTask(physical_rate=4.0e-3, metric="nontrivial_syndrome")
+        for batch in (63, 512):
+            runs = _tier_runs(monkeypatch, lambda rng: task(rng, batch), np.random.PCG64, batch)
+            (native, native_state), (python, python_state) = runs["cext"], runs["numpy"]
+            assert native.any() and np.array_equal(native, python)
+            assert _same_state(native_state, python_state)
+
+    def test_an_injected_native_fault_runs_the_python_loop(self, monkeypatch):
+        _native()
+        experiment = Level1EccExperiment(noise=_noise_for_rate(2.0e-2, EXPECTED_PARAMETERS))
+        _use_tier(monkeypatch, "cext")
+        expected = experiment.run_trial_batch_detailed(np.random.default_rng(4), 130)
+        expected_widths = experiment._attempt_widths
+        monkeypatch.delenv("REPRO_FUSED_KERNEL")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the native trial batch ran under a kernel.native fault")
+
+        monkeypatch.setattr(experiments_module, "_level1_batch", refuse)
+        calls = []
+        attempt = experiment._batch_attempt
+
+        def counting(rng, width):
+            calls.append(width)
+            return attempt(rng, width)
+
+        monkeypatch.setattr(experiment, "_batch_attempt", counting)
+        with faults.fault_profile(faults.FaultProfile(seed=0, kernel=1.0)):
+            outcome = experiment.run_trial_batch_detailed(np.random.default_rng(4), 130)
+        assert tuple(calls) == experiment._attempt_widths == expected_widths
+        for key, flags in expected.items():
+            assert np.array_equal(outcome[key], flags), key
 
 
 class TestReferencePass:
