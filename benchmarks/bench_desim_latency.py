@@ -1,6 +1,6 @@
-"""Machine-simulator latency benchmark: Shor adder-kernel replay + Section 5.
+"""Machine-simulator latency benchmark: Shor adder replay, Section 5, noisy Fig. 9.
 
-Two studies, both through the declarative ``machine_sim`` experiment:
+Three studies, all through the declarative ``machine_sim`` experiment:
 
 * **Shor-128 adder-kernel replay** -- the 128-bit ripple-carry adder (the unit
   of the paper's modular-exponentiation datapath, 385 logical qubits on a
@@ -12,11 +12,17 @@ Two studies, both through the declarative ``machine_sim`` experiment:
   checked here: bandwidth 2 shows strictly fewer communication-stall cycles
   than bandwidth 1 (zero, when fully overlapped), and the replay is
   deterministic (same spec JSON -> bit-identical trace digest).
+* **Noisy Figure 9 cell** -- the :data:`~repro.explore.FIG9_MACHINE`
+  workload at bandwidth 1 over a stochastic interconnect (elementary
+  fidelity 0.94 pumped to 0.96, two Bennett rounds or one Deutsch round per
+  segment), once per purification protocol: the replay where the link
+  layer's heralded-generation and pumping draws weigh most.
 
 Every replay also reports where its host time went: the greedy EPR
 schedule (with the congestion-weighted route searches per demand), the
 discrete-event loop, the two channel-utilization metrics and the trace
-digest.  Every trace digest must equal its pinned value
+digest, plus the stochastic link realizations (``link_s``, part of the
+event loop).  Every trace digest must equal its pinned value
 (:data:`PINNED_DIGESTS`), so a faster scheduler or trace cannot change a
 route or a record unnoticed.  Results are written to
 ``BENCH_desim_latency.json`` at the repository root, under a run header
@@ -48,7 +54,9 @@ from repro.api import (
     run,
 )
 from repro.desim.engine import DiscreteEventSimulator
+from repro.desim.links import LinkModel
 from repro.desim.trace import SimulationTrace
+from repro.explore import FIG9_MACHINE
 from repro.network.scheduler import GreedyEprScheduler, ScheduleResult
 
 # Run as a script, the benchmarks package is found from the repository root.
@@ -66,29 +74,45 @@ S5_LAYERS = 20
 
 SEED = 20260728
 
+#: Noisy Figure 9 cell: bandwidth 1, elementary fidelity 0.94, target 0.96.
+FIG9_NOISY_MACHINE = dict(
+    FIG9_MACHINE, bandwidth=1, link_base_fidelity=0.94, link_target_fidelity=0.96
+)
+FIG9_NOISY_PROTOCOLS = ("bennett", "deutsch")
+
+#: Noisy Figure 9 cell digests, identical in smoke and full runs (the cell
+#: is small enough to replay whole in both); recorded with v1.13.0.
+_FIG9_NOISY_DIGESTS = {
+    "bennett": "10198df8a18737128ba6c0eb41cd064f504680b761787dd0bee7e43db1e7ef9b",
+    "deutsch": "46d9228dc35671da464d66664baf843cfe7ba38a052ec4f6bfa8cf0f45d88802",
+}
+
 #: Trace digests of every replay, by mode (smoke or full), study and
-#: bandwidth.  The full-mode adder values are the Shor-128 digests that
-#: ``perfbench/pinned.json`` pins; all were recorded with v1.10.0.
+#: replay.  The full-mode adder values are the Shor-128 digests that
+#: ``perfbench/pinned.json`` pins; the adder and Section 5 values were
+#: recorded with v1.10.0.
 PINNED_DIGESTS = {
     "full": {
         "adder_replay": {
-            1: "5ebb5b483ee6bc770c2daebc9fe4012895f7e6cdea138b4dd8fe4defbfc0b485",
-            2: "ff3b66be208bc0d0e5600644b7cda969a926e35214624ed59de6166dc46e0409",
+            "bandwidth_1": "5ebb5b483ee6bc770c2daebc9fe4012895f7e6cdea138b4dd8fe4defbfc0b485",
+            "bandwidth_2": "ff3b66be208bc0d0e5600644b7cda969a926e35214624ed59de6166dc46e0409",
         },
         "section5_workload": {
-            1: "c7030354cec8d4e7bc6158419332f4ba7a1c244bd507dcc99b62ccc2301e3d22",
-            2: "75c8d609be880ca55ea5a0b31523a9384c438b1be4d4a38e8d284b4caa4e5f32",
+            "bandwidth_1": "c7030354cec8d4e7bc6158419332f4ba7a1c244bd507dcc99b62ccc2301e3d22",
+            "bandwidth_2": "75c8d609be880ca55ea5a0b31523a9384c438b1be4d4a38e8d284b4caa4e5f32",
         },
+        "fig9_noisy": _FIG9_NOISY_DIGESTS,
     },
     "smoke": {
         "adder_replay": {
-            1: "a725feb9c80043893877ac4bcc5176eda1c2a2e3e8978a234d310184e90092a1",
-            2: "a725feb9c80043893877ac4bcc5176eda1c2a2e3e8978a234d310184e90092a1",
+            "bandwidth_1": "a725feb9c80043893877ac4bcc5176eda1c2a2e3e8978a234d310184e90092a1",
+            "bandwidth_2": "a725feb9c80043893877ac4bcc5176eda1c2a2e3e8978a234d310184e90092a1",
         },
         "section5_workload": {
-            1: "dc8ee62f2f9b4dd00445a209403bafa3d12ceebab143b1e4c63921173ea612d8",
-            2: "72a19a637edafba6b208966b33eebb2f22ab2e1ac30bc0a1c38d0e30f4671fd9",
+            "bandwidth_1": "dc8ee62f2f9b4dd00445a209403bafa3d12ceebab143b1e4c63921173ea612d8",
+            "bandwidth_2": "72a19a637edafba6b208966b33eebb2f22ab2e1ac30bc0a1c38d0e30f4671fd9",
         },
+        "fig9_noisy": _FIG9_NOISY_DIGESTS,
     },
 }
 
@@ -116,10 +140,12 @@ def _phase_clock():
     metrics (``metrics_s``) and the trace digest on their classes, and
     counts the demands scheduled and the congestion-weighted searches each
     schedule reports (``ScheduleResult.weighted_searches``, on either
-    kernel tier).
+    kernel tier).  ``link_s`` is the time in ``LinkModel.realize`` and
+    ``link_transfers`` its calls, one per realized transfer; the event
+    loop's time includes them.
     """
     phases = dict.fromkeys(_PHASES, 0.0)
-    phases.update(demands=0, weighted_searches=0)
+    phases.update(demands=0, weighted_searches=0, link_s=0.0, link_transfers=0)
     originals = []
 
     def wrap(cls, name, observe):
@@ -145,7 +171,12 @@ def _phase_clock():
         phases["demands"] += len(args[1])
         phases["weighted_searches"] += result.weighted_searches
 
+    def realized(args, result, elapsed):
+        phases["link_s"] += elapsed
+        phases["link_transfers"] += 1
+
     wrap(GreedyEprScheduler, "schedule", scheduled)
+    wrap(LinkModel, "realize", realized)
     wrap(DiscreteEventSimulator, "run", seconds("event_loop_s"))
     wrap(ScheduleResult, "mean_edge_utilization", seconds("metrics_s"))
     wrap(ScheduleResult, "max_edge_utilization", seconds("metrics_s"))
@@ -222,6 +253,15 @@ def _section5_study(toffolis: int, layers: int) -> dict[str, object]:
     return study
 
 
+def _fig9_noisy_study() -> dict[str, object]:
+    study: dict[str, object] = {"machine": FIG9_NOISY_MACHINE}
+    for protocol in FIG9_NOISY_PROTOCOLS:
+        study[protocol] = _replay(
+            MachineSpec(link_purification_protocol=protocol, **FIG9_NOISY_MACHINE)
+        )
+    return study
+
+
 def _run_benchmark(smoke: bool = False) -> dict[str, object]:
     if smoke:
         adder = _adder_study(bits=8, rows=5, columns=5)
@@ -234,6 +274,7 @@ def _run_benchmark(smoke: bool = False) -> dict[str, object]:
         "smoke": smoke,
         "adder_replay": adder,
         "section5_workload": section5,
+        "fig9_noisy": _fig9_noisy_study(),
     }
     if not smoke:
         _OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -244,9 +285,9 @@ def _check(report: dict[str, object]) -> None:
     # Bit for bit: every replay reproduces its pinned trace digest.
     pinned = PINNED_DIGESTS["smoke" if report["smoke"] else "full"]
     for study, digests in pinned.items():
-        for bandwidth, digest in digests.items():
-            replayed = report[study][f"bandwidth_{bandwidth}"]["trace_digest"]
-            assert replayed == digest, (study, bandwidth, replayed)
+        for replay, digest in digests.items():
+            replayed = report[study][replay]["trace_digest"]
+            assert replayed == digest, (study, replay, replayed)
     section5 = report["section5_workload"]
     narrow, wide = section5["bandwidth_1"], section5["bandwidth_2"]
     # The Section 5 contract: bandwidth 2 avoids the stalls of bandwidth 1.
@@ -271,6 +312,18 @@ def _check(report: dict[str, object]) -> None:
             phases = study[key]["phases"]
             timed = sum(phases[phase] for phase in _PHASES)
             assert 0.0 < timed <= study[key]["host_seconds"], phases
+            assert phases["link_transfers"] == 0, phases  # deterministic links
+    # The noisy cell realizes every served transfer inside its event loop,
+    # pumping each segment (Bennett twice, Deutsch once) and stalling on it.
+    for protocol in FIG9_NOISY_PROTOCOLS:
+        value = report["fig9_noisy"][protocol]
+        phases = value["phases"]
+        assert phases["link_transfers"] == value["epr_demands"] - value["epr_unserved"], value
+        assert 0.0 < phases["link_s"] < phases["event_loop_s"], phases
+        assert value["link_purification_rounds"] > 0, value
+        assert value["link_purification_stall_cycles"] > 0, value
+    bennett, deutsch = (report["fig9_noisy"][p] for p in FIG9_NOISY_PROTOCOLS)
+    assert bennett["link_purification_rounds"] > deutsch["link_purification_rounds"]
 
 
 if pytest is not None:

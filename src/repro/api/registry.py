@@ -61,9 +61,12 @@ def _seeded_rng(seed: int | tuple[int, ...] | np.random.SeedSequence) -> np.rand
     an unsharded seeded run and a ``num_shards=1`` sharded run of the same
     seed are bit-for-bit identical.
     """
-    from repro.parallel import as_seed_sequence
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.default_rng(seed.spawn(1)[0])
+    from repro.parallel import seed_entropy
 
-    return np.random.default_rng(as_seed_sequence(seed).spawn(1)[0])
+    # The first spawned child, built directly instead of from its parent.
+    return np.random.default_rng(np.random.SeedSequence(seed_entropy(seed), spawn_key=(0,)))
 
 
 def _reject_shards(name: str, num_shards: int) -> None:

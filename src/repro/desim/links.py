@@ -16,10 +16,9 @@ and by memory wait while sibling segments catch up.
 Determinism contract
 --------------------
 All randomness comes from **one** generator spawned from the simulator's
-root :class:`~numpy.random.SeedSequence`, consumed in a fixed order (the
-transfers sorted by ``(window, demand_id)``, then segment by segment,
-round by round), so the trace digest remains a bit-exact determinism
-fingerprint of ``(spec, seed)``.  A :attr:`LinkParameters.is_deterministic`
+root :class:`~numpy.random.SeedSequence`, consumed in a fixed order (see
+:meth:`LinkModel.realize`), so the trace digest remains a bit-exact
+determinism fingerprint of ``(spec, seed)``.  A :attr:`LinkParameters.is_deterministic`
 configuration (success probability 1, base fidelity 1, no channel or
 memory error) short-circuits the whole pipeline: the replay takes the
 original scheduled-delivery path, consumes no randomness and emits no link
@@ -47,7 +46,6 @@ chaos profile perturbs link accounting without crashing a replay.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +84,14 @@ _MAX_RESTARTS = 100_000
 
 def _purify_map(protocol: str):
     return bennett_purification_map if protocol == "bennett" else deutsch_purification_map
+
+
+def _swap_fold(fidelities: list[float]) -> float:
+    """End-to-end fidelity of swapping the segments' pairs together, in order."""
+    delivered = fidelities[0]
+    for fidelity in fidelities[1:]:
+        delivered = delivered * fidelity + (1.0 - delivered) * (1.0 - fidelity) / 3.0
+    return float(delivered)
 
 
 @dataclass(frozen=True)
@@ -199,14 +205,25 @@ class LinkParameters:
             protocol=self.purification_protocol,
         )
 
+    def pumping_table(self) -> tuple[tuple[float, ...], float]:
+        """Each pumping round's success probability, and the pumped fidelity.
+
+        Round ``k`` purifies the data pair of streak ``k`` with a fresh
+        elementary pair.  A failed round restarts from the elementary
+        fidelity, so every finished segment ends at the returned fidelity
+        after exactly :meth:`pumping_rounds` rounds.
+        """
+        purify = _purify_map(self.purification_protocol)
+        elementary = fidelity = self.elementary_fidelity
+        successes = []
+        for _ in range(self.pumping_rounds() or 0):
+            fidelity, success = purify(fidelity, elementary)
+            successes.append(success)
+        return tuple(successes), fidelity
+
     def pumped_fidelity(self) -> float:
         """Segment fidelity after the required pumping rounds succeed."""
-        rounds = self.pumping_rounds()
-        purify = _purify_map(self.purification_protocol)
-        fidelity = self.elementary_fidelity
-        for _ in range(rounds or 0):
-            fidelity, _ = purify(fidelity, self.elementary_fidelity)
-        return fidelity
+        return self.pumping_table()[1]
 
 
 @dataclass(frozen=True)
@@ -304,132 +321,113 @@ class LinkModel:
         self._attempt_cycles = parameters.attempt_cycles or transfer_cycles
         self._purify_cycles = parameters.purify_cycles or gate_cycles
         self._swap_cycles = parameters.swap_cycles or gate_cycles
-        self._elementary = parameters.elementary_fidelity
-        self._rounds_needed = parameters.pumping_rounds() or 0
-        self._purify = _purify_map(parameters.purification_protocol)
+        self._round_success, self._segment_fidelity = parameters.pumping_table()
+        # Without memory decay every segment delivers the same fidelity, so
+        # the swap fold depends only on the segment count.
+        self._delivered: dict[int, float] = {}
+        # Resolved once: the fault profile cannot change inside a replay.
+        self._fault_profile = faults.active_profile()
 
-    # ------------------------------------------------------------------
-    # Stochastic primitives
-    # ------------------------------------------------------------------
-
-    def _attempts(self) -> int:
-        """Heralded attempts until one generation succeeds (geometric)."""
-        p = self.parameters.attempt_success_probability
-        if p >= 1.0:
-            return 1
-        return int(self.rng.geometric(p))
-
-    def _segment_process(self, forced_failures: int) -> tuple[int, int, int, float, int, int]:
-        """One segment's pipeline: data pair, pumping, restarts.
-
-        Returns ``(attempts, generation_cycles, purification_cycles,
-        fidelity, successful_rounds, failed_rounds)``.  A failed
-        purification round destroys the data pair, so the segment restarts
-        from a fresh pair (the pump streak resets -- the entanglement
-        pumping arrangement of Figure 8 keeps only one data pair alive).
-        """
-        attempts = forced_failures
-        generation_cycles = forced_failures * self._attempt_cycles
-        purification_cycles = 0
-        failures = 0
-        for _restart in range(_MAX_RESTARTS):
-            draws = self._attempts()
-            attempts += draws
-            generation_cycles += draws * self._attempt_cycles
-            fidelity = self._elementary
-            streak = 0
-            failed = False
-            while streak < self._rounds_needed:
-                draws = self._attempts()  # the sacrificial pair
-                attempts += draws
-                purification_cycles += draws * self._attempt_cycles + self._purify_cycles
-                new_fidelity, success = self._purify(fidelity, self._elementary)
-                if success >= 1.0 or float(self.rng.random()) < success:
-                    fidelity = new_fidelity
-                    streak += 1
-                else:
-                    failures += 1
-                    failed = True
-                    break
-            if not failed:
-                return attempts, generation_cycles, purification_cycles, fidelity, streak, failures
-        raise DesimError(
-            "purification never converged; the pumping success probability is "
-            "pathologically low for these link parameters"
-        )  # pragma: no cover - requires absurd parameters
-
-    # ------------------------------------------------------------------
-    # Transfer realization
-    # ------------------------------------------------------------------
-
-    def realize(self, transfer, anchor_cycle: int = 0) -> LinkActivity:
+    def realize(
+        self, demand_id: int, window: int, requested_window: int, hops: int, anchor_cycle: int = 0
+    ) -> LinkActivity:
         """Run the full link pipeline behind one scheduled transfer.
 
-        ``anchor_cycle`` is when the consuming operation's data
-        dependencies resolved.  The pipeline's deadline is the later of the
-        scheduler's nominal delivery and the anchor (a pair delivered
-        before its consumer is ready just waits -- and decays -- in
-        memory, so generation is timed against consumption, one window
-        ahead of the deadline); only cycles past the deadline count as
-        stall.
+        The transfer is demand ``demand_id``, requested for
+        ``requested_window`` and served in ``window`` over a route of
+        ``hops`` channel hops.  ``anchor_cycle`` is when the consuming
+        operation's data dependencies resolved.  The pipeline's deadline is
+        the later of the scheduler's nominal delivery and the anchor (a
+        pair delivered before its consumer is ready just waits -- and
+        decays -- in memory, so generation is timed against consumption,
+        one window ahead of the deadline); only cycles past the deadline
+        count as stall.
+
+        Segment by segment it draws the data pair's attempts (``geometric``,
+        only when the success probability is below 1), then per pumping
+        round the sacrificial pair's attempts (likewise) and the outcome
+        (``random``, only when the round can fail).  A failed round destroys
+        the data pair and restarts the segment (Figure 8's pumping keeps
+        one data pair alive).
         """
         params = self.parameters
-        hops = transfer.route.hops
         segments = max(1, hops * params.repeater_segments)
-        scheduled = transfer.window * self._window_cycles
+        scheduled = window * self._window_cycles
         deadline = max(scheduled, anchor_cycle)
         start = max(0, deadline - self._window_cycles)
 
-        key = faults.fault_key(f"{faults.DESIM_LINK}:{transfer.demand.demand_id}:{transfer.window}")
-        faulted = faults.should_fire(faults.DESIM_LINK, key)
+        profile = self._fault_profile
+        faulted = profile is not None and faults.should_fire(
+            faults.DESIM_LINK,
+            faults.fault_key(f"{faults.DESIM_LINK}:{demand_id}:{window}"),
+            profile=profile,
+        )
+        # Forced failed attempts delay segment 0's data pair.
         forced = _FAULT_EXTRA_ATTEMPTS if faulted else 0
 
+        p = params.attempt_success_probability
+        geometric = self.rng.geometric if p < 1.0 else None
+        random = self.rng.random
+        round_success = self._round_success
         attempts = 0
         generation_cycles = 0
         purification_cycles = 0
-        rounds = 0
         failures = 0
         durations: list[int] = []
-        fidelities: list[float] = []
+        longest = -1
         critical_pump = 0
-        for index in range(segments):
-            seg = self._segment_process(forced if index == 0 else 0)
-            seg_attempts, seg_gen, seg_pump, seg_fidelity, seg_rounds, seg_failures = seg
-            attempts += seg_attempts
+        for _ in range(segments):
+            data_draws = forced
+            forced = 0
+            pair_draws = 0  # sacrificial pairs
+            tried = 0
+            for _restart in range(_MAX_RESTARTS):
+                data_draws += int(geometric(p)) if geometric else 1
+                for success in round_success:
+                    tried += 1
+                    pair_draws += int(geometric(p)) if geometric else 1
+                    if success < 1.0 and random() >= success:
+                        failures += 1
+                        break
+                else:
+                    break
+            else:  # pragma: no cover - requires absurd parameters
+                raise DesimError(
+                    "purification never converged; the pumping success probability is "
+                    "pathologically low for these link parameters"
+                )
+            seg_gen = data_draws * self._attempt_cycles
+            seg_pump = pair_draws * self._attempt_cycles + tried * self._purify_cycles
+            attempts += data_draws + pair_draws
             generation_cycles += seg_gen
             purification_cycles += seg_pump
-            rounds += seg_rounds
-            failures += seg_failures
             duration = seg_gen + seg_pump
-            if not durations or duration > max(durations):
+            if duration > longest:
+                longest = duration
                 critical_pump = seg_pump
             durations.append(duration)
-            fidelities.append(seg_fidelity)
 
-        generation_done = start + max(durations)
         decay = params.memory_decay_per_cycle
-        if decay > 0.0:
-            longest = max(durations)
-            fidelities = [
-                werner_fidelity_after_depolarizing(
-                    fidelity, 1.0 - (1.0 - decay) ** (longest - duration)
-                )
-                for fidelity, duration in zip(fidelities, durations)
-            ]
-        delivered = fidelities[0]
-        for fidelity in fidelities[1:]:
-            delivered = delivered * fidelity + (1.0 - delivered) * (1.0 - fidelity) / 3.0
-        swap_levels = math.ceil(math.log2(segments)) if segments > 1 else 0
-        process_end = generation_done + swap_levels * self._swap_cycles
-        ready = max(deadline, process_end)
+        if decay > 0.0:  # each pair decays while it waits for the slowest segment
+            errors = [1.0 - (1.0 - decay) ** (longest - duration) for duration in durations]
+            delivered = _swap_fold(
+                [werner_fidelity_after_depolarizing(self._segment_fidelity, e) for e in errors]
+            )
+        else:
+            delivered = self._delivered.get(segments)
+            if delivered is None:
+                delivered = _swap_fold([self._segment_fidelity] * segments)
+                self._delivered[segments] = delivered
+        swap_levels = (segments - 1).bit_length()  # ceil(log2(segments))
+        swap_cycles = swap_levels * self._swap_cycles
+        ready = max(deadline, start + longest + swap_cycles)
 
         overflow = ready - deadline
-        purification_stall = min(overflow, critical_pump + swap_levels * self._swap_cycles)
-        generation_stall = overflow - purification_stall
+        purification_stall = min(overflow, critical_pump + swap_cycles)
         return LinkActivity(
-            demand_id=transfer.demand.demand_id,
-            window=transfer.window,
-            requested_window=transfer.demand.window,
+            demand_id=demand_id,
+            window=window,
+            requested_window=requested_window,
             scheduled_cycle=scheduled,
             anchor_cycle=anchor_cycle,
             start_cycle=start,
@@ -437,12 +435,12 @@ class LinkModel:
             segments=segments,
             generation_attempts=attempts,
             generation_cycles=generation_cycles,
-            purification_rounds=rounds,
+            purification_rounds=len(round_success) * segments,
             purification_failures=failures,
             purification_cycles=purification_cycles,
             swap_levels=swap_levels,
-            delivered_fidelity=float(delivered),
-            generation_stall=generation_stall,
+            delivered_fidelity=delivered,
+            generation_stall=overflow - purification_stall,
             purification_stall=purification_stall,
             faulted=faulted,
         )

@@ -134,12 +134,13 @@ def simulate_workload(
     demand_ids = np.array([demand.demand_id for demand in demands], dtype=np.int64)
     served_ids = demand_ids[schedule.transfer_demand]
     order = np.lexsort((served_ids, schedule.transfer_window))
+    served = served_ids[order].tolist()
+    served_windows = schedule.transfer_window[order].tolist()
+    requested_windows = schedule.demand_window[schedule.transfer_demand[order]].tolist()
+    served_hops = schedule.transfer_hops[order].tolist()
+    ends = schedule.transfer_ends()[order].tolist()
     for window, demand_id, requested, hops, (source, destination) in zip(
-        schedule.transfer_window[order].tolist(),
-        served_ids[order].tolist(),
-        schedule.demand_window[schedule.transfer_demand[order]].tolist(),
-        schedule.transfer_hops[order].tolist(),
-        schedule.transfer_ends()[order].tolist(),
+        served_windows, served, requested_windows, served_hops, ends
     ):
         trace.emit(
             window * window_cycles,
@@ -160,15 +161,14 @@ def simulate_workload(
         )
 
     epr_ready = [0] * num_ops
-    served = served_ids.tolist()
     if link_model is None:
-        served_window = dict(zip(served, schedule.transfer_window.tolist()))
+        served_window = dict(zip(served, served_windows))
         for op in ops:
             if op.demand_ids:
                 latest = max(served_window.get(d, horizon) for d in op.demand_ids)
                 epr_ready[op.index] = latest * window_cycles
-    else:  # a realized link builds its transfer from the placement position
-        transfer_of = dict(zip(served, range(len(served))))
+    else:  # a realized link reads its transfer off the sorted columns
+        transfer_of = dict(zip(served, zip(served_windows, requested_windows, served_hops)))
 
     # ------------------------------------------------------------------
     # Dependency DAG: per-qubit chains over the flat program.
@@ -201,11 +201,11 @@ def simulate_workload(
         # every transfer is realized exactly once.
         ready = 0
         for demand_id in sorted(ops[i].demand_ids):
-            position = transfer_of.get(demand_id)
-            if position is None:
+            transfer = transfer_of.get(demand_id)
+            if transfer is None:
                 ready = max(ready, horizon * window_cycles, sim.now)
                 continue
-            activity = link_model.realize(schedule.transfer(position), anchor_cycle=sim.now)
+            activity = link_model.realize(demand_id, *transfer, anchor_cycle=sim.now)
             activities.append(activity)
             ready = max(ready, activity.ready_cycle)
             subject = f"demand{activity.demand_id}"

@@ -473,12 +473,17 @@ def as_seed_sequence(
     """Coerce entropy (int or tuple of ints) or pass through a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    return np.random.SeedSequence(seed_entropy(seed))
+
+
+def seed_entropy(seed: int | tuple[int, ...]) -> int | list[int]:
+    """The SeedSequence entropy of an int or a tuple/list of ints seed."""
     if isinstance(seed, (int, np.integer)):
-        return np.random.SeedSequence(int(seed))
+        return int(seed)
     if isinstance(seed, (tuple, list)) and seed and all(
         isinstance(word, (int, np.integer)) for word in seed
     ):
-        return np.random.SeedSequence([int(word) for word in seed])
+        return [int(word) for word in seed]
     raise ParameterError(
         f"seed must be an int, a tuple of ints or a numpy SeedSequence, "
         f"got {type(seed).__name__}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -229,6 +230,37 @@ class TestRegistrySelection:
         else:
             strategy, engine = default_registry().resolve(name, num_shards=num_shards)
             assert (strategy.name, engine) == expected
+
+
+class TestSeededRng:
+    """An unsharded run's generator is its seed's first spawned child."""
+
+    @staticmethod
+    def _spawned(seed):
+        from repro.parallel import as_seed_sequence
+
+        return np.random.default_rng(as_seed_sequence(seed).spawn(1)[0])
+
+    @pytest.mark.parametrize(
+        "seed", [11, 2**70 + 3, np.int64(2005), (1, 2, 3), [4, 5]], ids=repr
+    )
+    def test_entropy_seeds_match_the_spawned_child(self, seed):
+        built = registry_module._seeded_rng(seed)
+        assert built.bit_generator.state == self._spawned(seed).bit_generator.state
+
+    @pytest.mark.parametrize("spawned_before", [0, 1])
+    def test_a_seed_sequence_is_spawned_from(self, spawned_before):
+        ours, reference = np.random.SeedSequence(99), np.random.SeedSequence(99)
+        for sequence in (ours, reference):
+            sequence.spawn(spawned_before)
+        built = registry_module._seeded_rng(ours)
+        assert built.bit_generator.state == self._spawned(reference).bit_generator.state
+        assert ours.n_children_spawned == spawned_before + 1
+
+    def test_bad_seeds_still_raise(self):
+        for seed in ((), (1, 2.5), 1.5):
+            with pytest.raises(ParameterError):
+                registry_module._seeded_rng(seed)
 
 
 class TestRunAndReplay:

@@ -58,6 +58,62 @@ NOISY_LINK = LinkParameters(
 )
 
 
+# The link paths NOISY_DIGEST alone leaves unpinned: low success probability
+# with Deutsch pumping, repeater segments with channel loss, memory decay and
+# two pumping rounds, each also under a fault profile that forces extra
+# attempts.  Rows: (id, link, clean, under "link=0.3,seed=4"), each outcome
+# being (digest, attempts, rounds, generation stall, purification stall) of
+# the 4-bit adder on a 5x5 bandwidth-2 array at seed 11.
+LINK_MATRIX = [
+    (
+        "noisy",
+        NOISY_LINK,
+        (NOISY_DIGEST, 274, 116, 10368, 293008),
+        ("1c257a9b26415f12a5019e8bf567606e5f60aebfc85803db982a25e3701d5be3", 326, 116, 36288, 304240),
+    ),
+    (
+        "inversion-deutsch",
+        LinkParameters(
+            attempt_success_probability=0.2,
+            base_fidelity=0.94,
+            target_fidelity=0.96,
+            purification_protocol="deutsch",
+        ),
+        ("060b6cfd4880c459a94c25c91c4f1c97a1365283d4b31a5ff133101f257e0355", 1252, 116, 238464, 593152),
+        ("310f617166d02ffa86ca472eedf0eaacd054a2bf24b07c96c91125fd934e4572", 1304, 116, 264384, 592288),
+    ),
+    (
+        "repeaters-channel-loss",
+        LinkParameters(
+            attempt_success_probability=0.5,
+            base_fidelity=0.97,
+            target_fidelity=0.96,
+            repeater_segments=3,
+            channel_error_per_hop=0.02,
+        ),
+        ("b9fe667f799090727e671eb1e81d4776c7ec4f7b6d906757c73e21ab11ab5088", 707, 0, 73440, 377856),
+        ("166aae0db886ad6c816eae64565011d39c8ee1382aa17512cbe3ec960d7d53e3", 759, 0, 95040, 380448),
+    ),
+    (
+        "memory-decay",
+        LinkParameters(
+            base_fidelity=0.95,
+            target_fidelity=0.96,
+            memory_decay_per_cycle=1e-5,
+            repeater_segments=2,
+        ),
+        ("7866a893b9aa1937665ddfabe1238fe8978e5238d16f126112d21dcc6e1ff51b", 508, 232, 9504, 452640),
+        ("e281e540f680f74ebe9f1e8eb483117d7c08399c2f487d523689e9b4ca1b049b", 560, 232, 28512, 464736),
+    ),
+    (
+        "two-rounds",
+        LinkParameters(base_fidelity=0.94, target_fidelity=0.96),
+        ("a6022cd273ba6d0f9f67ee968a4792ff6a070ba003a2812be0de74a607ba69f8", 408, 232, 10368, 529288),
+        ("b9ae085b6c2f2515f7ebe9d0c1f44f1b41a619df8cfd0fd03e84957e2a6eff6e", 460, 232, 29376, 541384),
+    ),
+]
+
+
 def _machine(link: LinkParameters | None = None) -> QLAMachineModel:
     return QLAMachineModel.build(rows=5, columns=5, bandwidth=2, level=1, link=link)
 
@@ -145,29 +201,13 @@ class TestLinkModel:
             gate_cycles=10,
         )
 
-    def _transfer(self):
-        from repro.desim.workload import EprDemand
-        from repro.network.router import Route
-
-        demand = EprDemand(
-            demand_id=3, source=(0, 0), destination=(0, 2), window=5
-        )
-        route = Route(nodes=((0, 0), (0, 1), (0, 2)))
-
-        class _Transfer:
-            pass
-
-        transfer = _Transfer()
-        transfer.demand = demand
-        transfer.window = 6
-        transfer.route = route
-        return transfer
+    # Demand 3, requested for window 5, served in window 6 over two hops.
+    TRANSFER = (3, 6, 5, 2)
 
     def test_anchor_raises_the_deadline(self):
         model = self._model(NOISY_LINK)
-        transfer = self._transfer()
-        early = model.realize(transfer, anchor_cycle=0)
-        late = self._model(NOISY_LINK).realize(transfer, anchor_cycle=50_000)
+        early = model.realize(*self.TRANSFER, anchor_cycle=0)
+        late = self._model(NOISY_LINK).realize(*self.TRANSFER, anchor_cycle=50_000)
         assert early.ready_cycle >= early.scheduled_cycle
         assert late.anchor_cycle == 50_000
         assert late.ready_cycle >= 50_000
@@ -175,18 +215,35 @@ class TestLinkModel:
 
     def test_stall_split_accounts_for_the_full_overrun(self):
         model = self._model(NOISY_LINK)
-        activity = model.realize(self._transfer(), anchor_cycle=10_000)
+        activity = model.realize(*self.TRANSFER, anchor_cycle=10_000)
         deadline = max(activity.scheduled_cycle, activity.anchor_cycle)
         overrun = activity.ready_cycle - deadline
         assert overrun >= 0
         assert activity.generation_stall + activity.purification_stall == overrun
         assert activity.generation_attempts >= activity.segments
         assert 0.25 <= activity.delivered_fidelity <= 1.0
+        assert (activity.demand_id, activity.window, activity.requested_window) == (3, 6, 5)
+        assert activity.segments == 2
 
     def test_same_rng_seed_reproduces_the_activity(self):
-        a = self._model(NOISY_LINK, seed=3).realize(self._transfer(), anchor_cycle=100)
-        b = self._model(NOISY_LINK, seed=3).realize(self._transfer(), anchor_cycle=100)
+        a = self._model(NOISY_LINK, seed=3).realize(*self.TRANSFER, anchor_cycle=100)
+        b = self._model(NOISY_LINK, seed=3).realize(*self.TRANSFER, anchor_cycle=100)
         assert a == b
+
+    @pytest.mark.no_chaos
+    def test_fault_attempts_delay_only_the_first_segment(self):
+        # Perfect generation and no pumping: every segment takes exactly one
+        # attempt, so the four forced failures are all the faulted transfer
+        # adds, charged once, to one segment's duration.
+        params = LinkParameters(base_fidelity=0.97, target_fidelity=0.96)
+        clean = self._model(params).realize(*self.TRANSFER)
+        with faults.fault_profile(faults.FaultProfile.parse("link=1.0,seed=1")):
+            faulted = self._model(params).realize(*self.TRANSFER)
+        assert faulted.faulted and not clean.faulted
+        assert clean.generation_attempts == 2
+        assert faulted.generation_attempts == 2 + 4
+        assert faulted.generation_cycles == 6 * 1000
+        assert faulted.ready_cycle - clean.ready_cycle == 4 * 1000
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +295,23 @@ class TestNoisyReplay:
         assert len(deliveries) == len(
             [d for d in noisy.workload.demands]
         ) - len(noisy.schedule.unserved)
+
+    @pytest.mark.no_chaos
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "link-faults"])
+    @pytest.mark.parametrize("case", LINK_MATRIX, ids=[case[0] for case in LINK_MATRIX])
+    def test_link_matrix_is_pinned(self, case, faulted):
+        _, link, clean, under_faults = case
+        profile = faults.FaultProfile.parse("link=0.3,seed=4") if faulted else None
+        with faults.fault_profile(profile):
+            report = simulate_circuit(adder_workload_circuit(4), _machine(link), seed=11)
+        metrics = report.metrics
+        assert (
+            report.trace_digest,
+            metrics.link_generation_attempts,
+            metrics.link_purification_rounds,
+            metrics.link_generation_stall_cycles,
+            metrics.link_purification_stall_cycles,
+        ) == (under_faults if faulted else clean)
 
     def test_chaos_profile_degrades_links_deterministically(self):
         circuit = adder_workload_circuit(4)
